@@ -94,8 +94,8 @@ func runLive(c experiments.Config, cfg benchConfig, reg *telemetry.Registry) err
 		defer func() {
 			w.Close()
 			st := w.Stats()
-			fmt.Printf("udpnet: %d data dgrams in %d batches, %d resends, %d stage acks, %d acks suppressed\n",
-				st.DataSent, st.Batches, st.Resends, st.StageAcks, st.AcksSuppressed)
+			fmt.Printf("udpnet: %d data dgrams in %d batches, %d resends, %d ack dgrams, %d acks piggybacked, %d stage acks, %d acks suppressed\n",
+				st.DataSent, st.Batches, st.Resends, st.AckDgrams, st.AcksPiggybacked, st.StageAcks, st.AcksSuppressed)
 		}()
 		comms = w.Comms()
 	case "hier":
@@ -114,8 +114,8 @@ func runLive(c experiments.Config, cfg benchConfig, reg *telemetry.Registry) err
 			st := outer.Stats()
 			outer.Close()
 			inner.Close()
-			fmt.Printf("hier outer udpnet: %d data dgrams in %d batches, %d resends, %d stage acks, %d acks suppressed\n",
-				st.DataSent, st.Batches, st.Resends, st.StageAcks, st.AcksSuppressed)
+			fmt.Printf("hier outer udpnet: %d data dgrams in %d batches, %d resends, %d ack dgrams, %d acks piggybacked, %d stage acks, %d acks suppressed\n",
+				st.DataSent, st.Batches, st.Resends, st.AckDgrams, st.AcksPiggybacked, st.StageAcks, st.AcksSuppressed)
 		}()
 		half := liveK / 2
 		hw, err := hier.New(hier.Config{

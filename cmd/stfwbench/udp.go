@@ -239,8 +239,8 @@ func runUDPChild() error {
 		return err
 	}
 	st := w.Stats()
-	fmt.Printf("ranks [%d,%d): %d data dgrams in %d batches, %d resends, %d stage acks, %d credit stalls, %v elapsed\n",
-		first, first+count, st.DataSent, st.Batches, st.Resends, st.StageAcks, st.CreditStalls,
+	fmt.Printf("ranks [%d,%d): %d data dgrams in %d batches, %d resends, %d ack dgrams, %d acks piggybacked, %d stage acks, %d credit stalls, %v elapsed\n",
+		first, first+count, st.DataSent, st.Batches, st.Resends, st.AckDgrams, st.AcksPiggybacked, st.StageAcks, st.CreditStalls,
 		time.Since(start).Round(time.Millisecond))
 	return nil
 }

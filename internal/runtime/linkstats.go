@@ -63,13 +63,15 @@ type LinkStats struct {
 	// duplicate or out-of-window packets dropped.
 	PktsRecvd int64 `json:"pkts_recvd,omitempty"`
 	Dups      int64 `json:"dups,omitempty"`
-	// Ack decisions, classified by what forced them: AcksSuppressed were
-	// skipped because a TrafficHinter hint promised more frames for the
-	// stage; StageAcks fired because a hinted stage's inbound set
-	// completed (the zero-speculation path); LivenessAcks were forced by
-	// the liveness rules (half-window credit pressure, a reorder gap, or
-	// the max-delay clock) despite an unfinished hint; AcksSent is every
-	// ack that hit the wire regardless of reason.
+	// Ack decisions, classified by what made the ack leave, whichever
+	// vehicle carried it (a stand-alone ack datagram or the header of a
+	// data packet to the peer): AcksSent is every ack that left; StageAcks
+	// reported a completed hinted stage's inbound set (the
+	// schedule-driven path); LivenessAcks were stand-alone acks forced by
+	// a liveness rule (half-window credit pressure, a reorder gap, a
+	// duplicate, or the hold timer) while a TrafficHinter hint was still
+	// unfinished. AcksSuppressed counts receive batches that ended with
+	// the ack still owed, waiting for a data packet to carry it.
 	AcksSent       int64 `json:"acks_sent,omitempty"`
 	AcksSuppressed int64 `json:"acks_suppressed,omitempty"`
 	StageAcks      int64 `json:"stage_acks,omitempty"`

@@ -60,7 +60,9 @@ type sendLink struct {
 
 	nextSeq uint32 // next sequence number to assign
 	sndUna  uint32 // lowest unacked sequence number
-	wnd     [window]pktSlot
+	// wnd holds the window slots, allocated when the first packet is
+	// promoted: most of a world's K² links never carry one.
+	wnd []pktSlot
 
 	nextFrameID uint32 // per-link frame counter, stamped into chunks
 
@@ -82,24 +84,39 @@ func newSendLink(peer int, m *linkMetrics) *sendLink {
 func (l *sendLink) inFlight() uint32 { return l.nextSeq - l.sndUna }
 
 // slot returns the window slot for seq; callers hold mu and guarantee
-// sndUna <= seq < nextSeq.
+// sndUna <= seq < nextSeq (so a packet was promoted and wnd exists).
 func (l *sendLink) slot(seq uint32) *pktSlot { return &l.wnd[seq%window] }
+
+// tagHint is one hinted stage's inbound expectation on a link: want frames
+// carrying tag, got of them delivered so far.
+type tagHint struct {
+	tag, want, got int
+}
 
 // recvLink is the inbound state for one directed (peer → me) link. The
 // receiver goroutine owns the sequencing and reassembly fields outright;
-// mu guards only the ack/hint state it shares with the sender goroutine
-// (which encodes acks from it) and the application goroutine (which
-// installs traffic hints).
+// mu guards the ack/hint state it shares with the sender goroutine (which
+// puts the ack on the wire, in a data packet's header or stand-alone), the
+// retransmit ticker (which bounds how long an ack may wait for a carrier)
+// and the application goroutine (which installs traffic hints).
+//
+// Lock order: sendLink.mu before recvLink.mu (the sender goroutine stamps
+// the reverse link's ack while it holds the send link).
 type recvLink struct {
 	peer int
 
 	// --- receiver-goroutine-owned: packet sequencing ---
 
 	expected uint32 // next in-order sequence number
-	// pending stashes out-of-order packets (ring buffers, retained) at
-	// seq%window until the gap before them fills.
-	pending [window][]byte
-	pendLen [window]int
+	// pending stashes out-of-order packets (ring buffers, retained, cut to
+	// their datagram length) at seq%window until the gap before them
+	// fills. Allocated on the first out-of-order arrival.
+	pending [][]byte
+	// sawDup marks a duplicate in the current receive batch: the peer
+	// missed an ack, so the batch-end decision re-acks at once.
+	sawDup bool
+	// inDirty dedups the receiver's per-batch dirty list.
+	inDirty bool
 
 	// --- receiver-goroutine-owned: frame reassembly ---
 	// Packets are processed strictly in sequence order and the sender
@@ -115,26 +132,30 @@ type recvLink struct {
 
 	// --- under mu: ack state ---
 
-	dirty         bool   // data arrived since the last ack decision
-	ackQueued     bool   // an ack for this link sits in the out queue
-	ackCum        uint32 // snapshot the sender goroutine encodes
-	ackBm         uint64
-	lastAckSent   uint32 // `expected` as of the last transmitted ack
-	lastAckTime   int64  // UnixNano of the last transmitted ack
-	stageComplete bool   // a hinted stage finished since the last ack
-
-	// inDirty dedups the receiver's per-batch dirty list (receiver-owned).
-	inDirty bool
+	ackCum      uint32 // `expected` as of the last batch end
+	ackBm       uint64 // out-of-order stash as of the last batch end
+	lastAckSent uint32 // ackCum as of the last ack that left, either vehicle
+	// owedSince is the UnixNano at which the oldest arrival the peer has
+	// not been told about was sequenced; zero when nothing is owed. The
+	// ack leaves on the next data packet to the peer, or stand-alone once
+	// it has waited ackHoldMax.
+	owedSince int64
+	// arrived is the UnixNano at which ackCum last advanced, the base of
+	// the ackDelay the departing ack reports.
+	arrived       int64
+	ackQueued     bool // a stand-alone ack for this link sits in the out queue
+	stageComplete bool // a hinted stage finished since the last ack left
 
 	// --- under mu: schedule traffic hints ---
 
-	// hint maps tag → frames expected from this peer for the stage using
-	// that tag; nil means no schedule knowledge (ack per receive batch).
-	hint map[int]int
-	// hintGot counts delivered frames per tag, reset to zero as each
-	// stage completes so repeated replays of the same schedule keep
-	// working.
-	hintGot map[int]int
+	// hint lists the frames expected from this peer per hinted stage tag;
+	// empty means no schedule knowledge. A link sees one or two tags, so a
+	// slice scan beats hashing. got resets as each stage completes so
+	// repeated replays of the same schedule keep working.
+	hint []tagHint
+	// carrier reports that the installed schedule sends data to this
+	// peer, so a data packet will come along to carry the ack.
+	carrier bool
 
 	// m is the per-peer wire metrics block shared with the matching
 	// sendLink; nil when the world runs WithoutLinkStats.
@@ -148,6 +169,9 @@ func newRecvLink(peer int, m *linkMetrics) *recvLink {
 // sackBitmap summarizes the out-of-order stash relative to expected: bit i
 // set means packet expected+1+i has been received. Receiver goroutine only.
 func (l *recvLink) sackBitmap() uint64 {
+	if l.pending == nil {
+		return 0
+	}
 	var bm uint64
 	for i := uint32(1); i < window; i++ {
 		if l.pending[(l.expected+i)%window] != nil {
@@ -161,29 +185,61 @@ func (l *recvLink) sackBitmap() uint64 {
 // reports whether it completed a hinted stage's inbound set from this
 // peer. Called by the receiver goroutine with mu held.
 func (l *recvLink) noteFrame(tag int) (completed bool) {
-	if l.hint == nil {
-		return false
+	for i := range l.hint {
+		h := &l.hint[i]
+		if h.tag != tag {
+			continue
+		}
+		h.got++
+		if h.got < h.want {
+			return false
+		}
+		h.got = 0
+		return true
 	}
-	want, ok := l.hint[tag]
-	if !ok || want <= 0 {
-		return false
-	}
-	l.hintGot[tag]++
-	if l.hintGot[tag] < want {
-		return false
-	}
-	l.hintGot[tag] = 0
-	return true
+	return false
 }
 
-// installHint swaps in a new per-tag expectation map, resetting progress.
-func (l *recvLink) installHint(hint map[int]int) {
+// resetHint drops the link's expectations; a peer absent from the next
+// schedule stays unhinted (a patched topology may have dropped it).
+func (l *recvLink) resetHint() {
 	l.mu.Lock()
-	l.hint = hint
-	if hint == nil {
-		l.hintGot = nil
-	} else {
-		l.hintGot = make(map[int]int, len(hint))
+	l.hint = l.hint[:0]
+	l.carrier = false
+	l.mu.Unlock()
+}
+
+// expect adds frames to the hint entry for tag, creating it if needed.
+func (l *recvLink) expect(tag, frames int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := range l.hint {
+		if l.hint[i].tag == tag {
+			l.hint[i].want += frames
+			return
+		}
 	}
+	l.hint = append(l.hint, tagHint{tag: tag, want: frames})
+}
+
+// takeAck hands the link's cumulative ack to a departing datagram: the
+// value for the wire, the ackDelay to report with it, and whether the ack
+// tells the peer anything it was still owed. The debt is settled and the
+// stage-completion mark consumed; the caller holds mu.
+func (l *recvLink) takeAck(now int64) (cum, delay uint32, owed, stage bool) {
+	cum, owed, stage = l.ackCum, l.owedSince != 0, l.stageComplete
+	if owed {
+		delay = ackDelayMicros(now - l.arrived)
+	}
+	l.lastAckSent = cum
+	l.owedSince = 0
+	l.stageComplete = false
+	return cum, delay, owed, stage
+}
+
+// expectCarrier records that the schedule sends data to the peer.
+func (l *recvLink) expectCarrier() {
+	l.mu.Lock()
+	l.carrier = true
 	l.mu.Unlock()
 }

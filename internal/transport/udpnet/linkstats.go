@@ -98,12 +98,19 @@ func (m *linkMetrics) windowStall() {
 	m.windowStalls.Add(1)
 }
 
-// rttSample folds one Karn-filtered ack round trip into the EWMA. Only the
-// owning rank's receiver goroutine calls this, so the read-modify-write is
-// single-writer.
-func (m *linkMetrics) rttSample(ns int64) {
-	if m == nil || ns < 0 {
+// rttSample folds one Karn-filtered ack round trip into the EWMA: rawNs
+// from the packet leaving to its ack arriving, less ackDelayNs, the time
+// the receiver reported holding the ack — so SRTT tracks the wire, not the
+// ack policy. A reported hold longer than the raw sample (clock
+// granularity, a saturated field) clamps to zero. Only the owning rank's
+// receiver goroutine calls this, so the read-modify-write is single-writer.
+func (m *linkMetrics) rttSample(rawNs, ackDelayNs int64) {
+	if m == nil || rawNs < 0 {
 		return
+	}
+	ns := rawNs - ackDelayNs
+	if ns < 0 {
+		ns = 0
 	}
 	if n := m.rttSamples.Add(1); n == 1 {
 		m.srttNs.Store(ns)

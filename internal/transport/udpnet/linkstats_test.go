@@ -22,7 +22,7 @@ func TestLinkMetricsNilReceiver(t *testing.T) {
 	m.resend(false)
 	m.sackRepair()
 	m.windowStall()
-	m.rttSample(1000)
+	m.rttSample(1000, 0)
 	m.pktRecvd(100)
 	m.dup()
 	m.frameRecvd()
@@ -41,21 +41,27 @@ func TestLinkMetricsNilReceiver(t *testing.T) {
 
 // TestLinkMetricsRTTEWMA pins the smoothing discipline: the first sample
 // is stored directly, later samples fold in with the classic 1/8 gain,
-// and negative (clock-skew) samples are discarded.
+// negative (clock-skew) samples are discarded, and the receiver's reported
+// ack hold time comes off the raw round trip, clamping at zero.
 func TestLinkMetricsRTTEWMA(t *testing.T) {
 	m := &linkMetrics{}
-	m.rttSample(-50) // discarded, does not become the first sample
-	m.rttSample(1000)
+	m.rttSample(-50, 0) // discarded, does not become the first sample
+	m.rttSample(1000, 0)
 	if got := m.srttNs.Load(); got != 1000 {
 		t.Fatalf("first sample srtt = %d, want 1000", got)
 	}
-	m.rttSample(2000)
+	m.rttSample(9000, 7000) // 2 us on the wire, 7 us held
 	// 1000 + (2000-1000)>>3 = 1125
 	if got := m.srttNs.Load(); got != 1125 {
 		t.Fatalf("after second sample srtt = %d, want 1125", got)
 	}
-	if got := m.rttSamples.Load(); got != 2 {
-		t.Fatalf("rtt samples = %d, want 2", got)
+	m.rttSample(500, 4000) // hold exceeds the raw sample: counts as 0
+	// 1125 + (0-1125)>>3 = 1125 - 141 = 984
+	if got := m.srttNs.Load(); got != 984 {
+		t.Fatalf("after clamped sample srtt = %d, want 984", got)
+	}
+	if got := m.rttSamples.Load(); got != 3 {
+		t.Fatalf("rtt samples = %d, want 3", got)
 	}
 }
 
@@ -77,7 +83,7 @@ func TestLinkMetricsHotPathAllocs(t *testing.T) {
 			m.resend(true)
 			m.sackRepair()
 			m.windowStall()
-			m.rttSample(1500)
+			m.rttSample(1500, 200)
 			m.pktRecvd(512)
 			m.dup()
 			m.frameRecvd()

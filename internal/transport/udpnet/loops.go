@@ -1,7 +1,6 @@
 package udpnet
 
 import (
-	"encoding/binary"
 	"time"
 
 	"stfw/internal/msg"
@@ -21,9 +20,11 @@ type sendEntry struct {
 // whole pass to the wire as one batch (one or a few sendmmsg calls on the
 // fast path). Window slots touched by the pass are pinned with the
 // `sending` flag, so an ack landing mid-syscall defers the buffer release
-// instead of yanking it out from under the kernel.
+// instead of yanking it out from under the kernel. On close it makes one
+// last pass, so every frame Send accepted reaches the socket before the
+// socket goes away.
 func (w *World) senderLoop(rs *rankState) {
-	defer w.wg.Done()
+	defer w.senders.Done()
 	q := &rs.out
 	var items []outItem
 	var flush []*sendLink
@@ -33,10 +34,7 @@ func (w *World) senderLoop(rs *rankState) {
 		for len(q.items) == 0 && len(q.flush) == 0 && !q.closed {
 			q.cond.Wait()
 		}
-		if q.closed {
-			q.mu.Unlock()
-			return
-		}
+		closed := q.closed
 		items, q.items = q.items, items[:0]
 		flush, q.flush = q.flush, flush[:0]
 		for _, sl := range flush {
@@ -48,33 +46,69 @@ func (w *World) senderLoop(rs *rankState) {
 		batch = batch[:0]
 		for _, it := range items {
 			if it.rl != nil {
-				batch = w.stageAck(rs, it.rl, batch)
+				batch = w.stageAck(rs, it.rl, now, batch)
 				continue
 			}
-			batch = w.stageResend(it.sl, it.seq, now, batch)
+			batch = w.stageResend(rs, it.sl, it.seq, now, batch)
 		}
 		for _, sl := range flush {
 			batch = w.drainLink(rs, sl, now, batch)
 		}
 		w.transmit(rs, batch)
+		if closed {
+			return
+		}
 	}
 }
 
-// stageAck encodes the link's latest ack snapshot into a ring buffer.
-func (w *World) stageAck(rs *rankState, rl *recvLink, batch []sendEntry) []sendEntry {
+// stageAck puts the link's current ack on the wire as a stand-alone
+// datagram — the vehicle of last resort, for an ack no data packet will
+// carry in time or one that must report a reorder gap.
+func (w *World) stageAck(rs *rankState, rl *recvLink, now int64, batch []sendEntry) []sendEntry {
 	rl.mu.Lock()
-	cum, bm := rl.ackCum, rl.ackBm
+	cum, delay, _, stage := rl.takeAck(now)
+	bm, hinted := rl.ackBm, len(rl.hint) > 0
 	rl.ackQueued = false
 	rl.mu.Unlock()
-	buf := buildAck(w.ring.Get(), rs.rank, cum, bm)
+	buf := buildAck(w.ring.Get(), rs.rank, cum, delay, bm)
+	w.stats.ackDgrams.Add(1)
+	w.countAck(rl, stage, !stage && hinted)
+	return append(batch, sendEntry{buf: buf, to: rl.peer, ack: true})
+}
+
+// countAck records one departing ack by what made it leave: a completed
+// hinted stage, or a liveness rule overriding an unfinished hint.
+func (w *World) countAck(rl *recvLink, stage, liveness bool) {
 	w.stats.acksSent.Add(1)
 	rl.m.ackSent()
-	return append(batch, sendEntry{buf: buf, to: rl.peer, ack: true})
+	switch {
+	case stage:
+		w.stats.stageAcks.Add(1)
+		rl.m.stageAck()
+	case liveness:
+		rl.m.livenessAck()
+	}
+}
+
+// stampLocked writes the fields a data packet learns as it leaves: its
+// sequence number and the cumulative ack of the reverse link, so the
+// packet doubles as the ack the peer is owed. A retransmission is stamped
+// again and never carries a staler ack than the first transmission did.
+// The caller holds the send link's mu.
+func (w *World) stampLocked(rl *recvLink, buf []byte, seq uint32, now int64) {
+	rl.mu.Lock()
+	cum, delay, owed, stage := rl.takeAck(now)
+	rl.mu.Unlock()
+	stampSeqAck(buf, seq, true, cum, delay)
+	if owed {
+		w.stats.acksPiggybacked.Add(1)
+		w.countAck(rl, stage, false)
+	}
 }
 
 // stageResend revalidates a queued (link, seq) against the window: acked
 // or reused slots are stale no-ops.
-func (w *World) stageResend(sl *sendLink, seq uint32, now int64, batch []sendEntry) []sendEntry {
+func (w *World) stageResend(rs *rankState, sl *sendLink, seq uint32, now int64, batch []sendEntry) []sendEntry {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	s := sl.slot(seq)
@@ -85,15 +119,20 @@ func (w *World) stageResend(sl *sendLink, seq uint32, now int64, batch []sendEnt
 	s.sending = true
 	s.resent = true // Karn: this seq's acks no longer yield RTT samples
 	s.lastSend = now
+	w.stampLocked(rs.rl[sl.peer], s.buf, seq, now)
 	return append(batch, sendEntry{buf: s.buf, to: sl.peer, sl: sl, seq: seq})
 }
 
 // drainLink seals the link's open packet and promotes backlog packets into
 // window slots while credits remain.
 func (w *World) drainLink(rs *rankState, sl *sendLink, now int64, batch []sendEntry) []sendEntry {
+	promoted := false
 	sl.mu.Lock()
 	w.sealLocked(sl)
 	for len(sl.backlog)-sl.backlogHead > 0 && sl.inFlight() < window {
+		if sl.wnd == nil {
+			sl.wnd = make([]pktSlot, window)
+		}
 		s := sl.slot(sl.nextSeq)
 		if s.buf != nil || s.sending {
 			break // release deferred behind an in-flight syscall
@@ -103,11 +142,12 @@ func (w *World) drainLink(rs *rankState, sl *sendLink, now int64, batch []sendEn
 		sl.backlogHead++
 		seq := sl.nextSeq
 		sl.nextSeq++
-		binary.LittleEndian.PutUint32(buf[8:], seq)
+		w.stampLocked(rs.rl[sl.peer], buf, seq, now)
 		*s = pktSlot{buf: buf, seq: seq, sending: true, lastSend: now}
 		w.stats.dataSent.Add(1)
 		sl.m.pktSent(len(buf))
 		batch = append(batch, sendEntry{buf: buf, to: sl.peer, sl: sl, seq: seq})
+		promoted = true
 	}
 	if len(sl.backlog)-sl.backlogHead > 0 {
 		if !sl.stalled {
@@ -121,6 +161,9 @@ func (w *World) drainLink(rs *rankState, sl *sendLink, now int64, batch []sendEn
 	}
 	sl.cond.Broadcast() // backlog space may have opened
 	sl.mu.Unlock()
+	if promoted {
+		rs.arm(sl.peer) // packets in flight: the retransmit ticker watches
+	}
 	return batch
 }
 
@@ -262,13 +305,20 @@ func (w *World) handleDgram(rs *rankState, buf []byte, n int) (kept bool, dirty 
 		return false, nil
 	}
 	w.tele(rs.rank).ObserveDgram(n)
+	var bm uint64
 	if h.kind == kindAck {
-		bm, err := parseAck(body)
-		if err != nil {
+		if bm, err = parseAck(body); err != nil {
 			w.stats.malformed.Add(1)
 			return false, nil
 		}
-		w.handleAck(rs, rs.sl[h.from], h.seq, bm)
+	}
+	// The ack applies before the packet is sequenced, whatever becomes of
+	// the packet itself: in order, stashed or duplicate, it was the newest
+	// word from the peer when it left.
+	if h.hasAck {
+		w.handleAck(rs, rs.sl[h.from], h.ack, h.ackDelay, bm)
+	}
+	if h.kind == kindAck {
 		return false, nil
 	}
 	rl := rs.rl[h.from]
@@ -277,40 +327,41 @@ func (w *World) handleDgram(rs *rankState, buf []byte, n int) (kept bool, dirty 
 		rl.m.pktRecvd(n)
 		w.processPacket(rs, rl, h, body)
 		rl.expected++
-		for {
+		for rl.pending != nil {
 			idx := rl.expected % window
 			pb := rl.pending[idx]
 			if pb == nil {
 				break
 			}
 			rl.pending[idx] = nil
-			ph, pbody, perr := parseDgram(pb[:rl.pendLen[idx]], w.size)
+			ph, pbody, perr := parseDgram(pb, w.size)
 			if perr == nil {
 				w.processPacket(rs, rl, ph, pbody)
 			}
-			w.ring.Put(pb[:0])
+			w.ring.Put(pb)
 			rl.expected++
 		}
 	case d < window:
+		if rl.pending == nil {
+			rl.pending = make([][]byte, window)
+		}
 		idx := h.seq % window
 		if rl.pending[idx] == nil {
-			rl.pending[idx] = buf
-			rl.pendLen[idx] = n
+			rl.pending[idx] = buf[:n]
 			rl.m.pktRecvd(n)
 			kept = true // gap: batch-end ack carries the bitmap
 		} else {
 			w.stats.dups.Add(1)
 			rl.m.dup()
+			rl.sawDup = true
 		}
 	default:
-		// Old duplicate (or far future, impossible from a correct peer).
-		// Still dirty: re-acking lets a peer that missed our ack advance.
+		// Old duplicate (or far future, impossible from a correct peer):
+		// the peer missed an ack, and re-acking lets it advance.
 		w.stats.dups.Add(1)
 		rl.m.dup()
+		rl.sawDup = true
 	}
-	rl.mu.Lock()
-	rl.dirty = true
-	rl.mu.Unlock()
 	return kept, rl
 }
 
@@ -394,60 +445,55 @@ func (w *World) handleCtrl(rs *rankState, tag int) {
 }
 
 // maybeAck makes the batch-end ack decision for a link that saw traffic.
-// Without hints every batch acks (the conservative default). With hints
-// installed, acks wait for a hinted stage to complete, bounded by the
-// liveness rules: half-window credit pressure, a reorder gap (the bitmap
-// doubles as a fast-resend request), or ackMaxDelay since the last ack.
+// One rule covers hinted and unhinted traffic. A stand-alone ack leaves at
+// once when waiting would cost the peer: the link reports a reorder gap
+// (the bitmap doubles as a fast-resend request), half the window is
+// unacked, a duplicate arrived (the peer missed an ack), or a hinted stage
+// completed on a link the schedule never sends data back on. Otherwise the
+// ack is owed: it rides in the header of the next data packet to the peer,
+// and the retransmit ticker sends it stand-alone once it has waited
+// ackHoldMax.
 func (w *World) maybeAck(rs *rankState, rl *recvLink, now int64) {
 	bm := rl.sackBitmap()
+	dup := rl.sawDup
+	rl.sawDup = false
 	rl.mu.Lock()
-	if !rl.dirty && bm == 0 {
-		rl.mu.Unlock()
-		return
-	}
-	unacked := rl.expected - rl.lastAckSent
-	force := rl.hint == nil ||
-		rl.stageComplete ||
-		bm != 0 ||
-		unacked >= window/2 ||
-		now-rl.lastAckTime > int64(ackMaxDelay)
-	if !force {
-		rl.mu.Unlock()
-		w.stats.acksSuppressed.Add(1)
-		rl.m.ackSuppressed()
-		return
-	}
-	if rl.hint != nil {
-		// Classify what broke the suppression: the zero-speculation path
-		// (a hinted stage's inbound set completed) vs a liveness rule
-		// forcing an early ack despite an unfinished hint.
-		if rl.stageComplete {
-			w.stats.stageAcks.Add(1)
-			rl.m.stageAck()
-		} else {
-			rl.m.livenessAck()
+	newlyOwed := false
+	if rl.expected != rl.ackCum {
+		rl.ackCum, rl.arrived = rl.expected, now
+		if rl.owedSince == 0 {
+			rl.owedSince = now
+			newlyOwed = true
 		}
 	}
-	rl.ackCum = rl.expected
 	rl.ackBm = bm
-	rl.lastAckSent = rl.expected
-	rl.lastAckTime = now
-	rl.dirty = false
-	rl.stageComplete = false
-	queue := !rl.ackQueued
-	rl.ackQueued = true
-	rl.mu.Unlock()
+	send := bm != 0 || dup ||
+		rl.ackCum-rl.lastAckSent >= window/2 ||
+		(rl.stageComplete && !rl.carrier)
+	queue := send && !rl.ackQueued
 	if queue {
-		rs.enqueue(outItem{rl: rl})
+		rl.ackQueued = true
 	}
-	rs.kick(rs.sl[rl.peer]) // piggyback: drain anything sealed for the peer
+	rl.mu.Unlock()
+	switch {
+	case queue:
+		rs.enqueue(outItem{rl: rl})
+	case !send:
+		w.stats.acksSuppressed.Add(1)
+		rl.m.ackSuppressed()
+		if newlyOwed {
+			rs.arm(rl.peer) // bounds the wait for a carrier
+		}
+	}
 }
 
-// handleAck applies a cumulative ack + selective bitmap to a send link:
-// the acked prefix frees window slots (and their credits), selective acks
-// release buffers early, and a reported gap triggers fast resend of the
-// missing packets.
-func (w *World) handleAck(rs *rankState, sl *sendLink, cum uint32, bm uint64) {
+// handleAck applies a cumulative ack + selective bitmap to a send link,
+// whichever vehicle brought it (bm is zero for an ack riding a data
+// packet): the acked prefix frees window slots (and their credits),
+// selective acks release buffers early, and a reported gap triggers fast
+// resend of the missing packets. ackDelay is the hold time the receiver
+// reported, in microseconds.
+func (w *World) handleAck(rs *rankState, sl *sendLink, cum, ackDelay uint32, bm uint64) {
 	now := time.Now().UnixNano()
 	var resend []uint32
 	sl.mu.Lock()
@@ -456,8 +502,15 @@ func (w *World) handleAck(rs *rankState, sl *sendLink, cum uint32, bm uint64) {
 			sl.mu.Unlock() // acking unsent packets: corrupt, ignore
 			return
 		}
+		// One RTT sample per ack, from the newest packet it covers, less
+		// the time the receiver deliberately sat on the ack. Karn: never
+		// from a packet that was resent (the ack could answer either
+		// transmission) or already selectively acked (a stale round trip).
+		if s := sl.slot(cum - 1); s.seq == cum-1 && s.buf != nil && !s.resent && !s.acked {
+			sl.m.rttSample(now-s.lastSend, int64(ackDelay)*1000)
+		}
 		for seq := sl.sndUna; seq != cum; seq++ {
-			w.freeSlotLocked(sl, seq, now)
+			w.freeSlotLocked(sl, seq)
 		}
 		sl.sndUna = cum
 	}
@@ -474,9 +527,6 @@ func (w *World) handleAck(rs *rankState, sl *sendLink, cum uint32, bm uint64) {
 			if s.seq == seq && s.buf != nil && !s.acked {
 				s.acked = true
 				sl.m.sackRepair()
-				if !s.resent {
-					sl.m.rttSample(now - s.lastSend)
-				}
 				if s.sending {
 					s.releaseAfterSend = true
 				} else {
@@ -521,17 +571,11 @@ func (w *World) handleAck(rs *rankState, sl *sendLink, cum uint32, bm uint64) {
 }
 
 // freeSlotLocked releases the window slot for seq after the cumulative
-// ack passed it; the caller holds sl.mu. now is the ack arrival time,
-// used for the Karn-filtered RTT sample: a slot that was never resent and
-// never selectively acked (an earlier sack would have sampled a stale
-// round trip here) contributes ack-arrival minus last-send.
-func (w *World) freeSlotLocked(sl *sendLink, seq uint32, now int64) {
+// ack passed it; the caller holds sl.mu.
+func (w *World) freeSlotLocked(sl *sendLink, seq uint32) {
 	s := sl.slot(seq)
 	if s.seq != seq {
 		return
-	}
-	if !s.resent && !s.acked && s.buf != nil {
-		sl.m.rttSample(now - s.lastSend)
 	}
 	if s.buf != nil {
 		if s.sending {
@@ -546,12 +590,16 @@ func (w *World) freeSlotLocked(sl *sendLink, seq uint32, now int64) {
 	s.resent = false
 }
 
-// retransmitLoop periodically rescans every local link's window for
-// packets past their RTO and queues them for resend.
+// retransmitLoop is the world's one timer. Every timerTick it visits the
+// links that have packets in flight or owe an ack — links arm themselves
+// when either becomes true, and drop off the watch list once idle — and
+// queues packets past their RTO for resend and acks past ackHoldMax for a
+// stand-alone datagram.
 func (w *World) retransmitLoop() {
 	defer w.wg.Done()
 	t := time.NewTicker(timerTick)
 	defer t.Stop()
+	watch := make([][]int, len(w.local)) // per local rank: armed peers
 	for {
 		select {
 		case <-w.closed:
@@ -559,29 +607,68 @@ func (w *World) retransmitLoop() {
 		case <-t.C:
 		}
 		now := time.Now().UnixNano()
-		for _, rs := range w.local {
-			for _, sl := range rs.sl {
-				var resend []uint32
-				sl.mu.Lock()
-				for seq := sl.sndUna; seq != sl.nextSeq; seq++ {
-					s := sl.slot(seq)
-					if s.seq != seq || s.buf == nil || s.acked || s.queued || s.sending {
-						continue
-					}
-					if now-s.lastSend < int64(rto) {
-						continue
-					}
-					s.queued = true
-					resend = append(resend, seq)
-				}
-				sl.mu.Unlock()
-				for _, seq := range resend {
-					w.stats.resends.Add(1)
-					sl.m.resend(true) // RTO scan
-					w.tele(rs.rank).CountResend()
-					rs.enqueue(outItem{sl: sl, seq: seq})
+		for i, rs := range w.local {
+			rs.tmu.Lock()
+			watch[i] = append(watch[i], rs.newlyArmed...)
+			rs.newlyArmed = rs.newlyArmed[:0]
+			rs.tmu.Unlock()
+			keep := watch[i][:0]
+			for _, p := range watch[i] {
+				// Disarm before looking: a link that becomes busy after
+				// the look re-arms itself, one that was busy at the look
+				// is re-armed here, and the CAS keeps it on one list.
+				rs.armed[p].Store(false)
+				inFlight := w.resendExpired(rs, rs.sl[p], now)
+				owed := w.ackOverdue(rs, rs.rl[p], now)
+				if (inFlight || owed) && rs.armed[p].CompareAndSwap(false, true) {
+					keep = append(keep, p)
 				}
 			}
+			watch[i] = keep
 		}
 	}
+}
+
+// resendExpired queues the link's packets that have gone unacked for an
+// RTO and reports whether any packet is still in flight.
+func (w *World) resendExpired(rs *rankState, sl *sendLink, now int64) (inFlight bool) {
+	var resend []uint32
+	sl.mu.Lock()
+	for seq := sl.sndUna; seq != sl.nextSeq; seq++ {
+		s := sl.slot(seq)
+		if s.seq != seq || s.buf == nil || s.acked || s.queued || s.sending {
+			continue
+		}
+		if now-s.lastSend < int64(rto) {
+			continue
+		}
+		s.queued = true
+		resend = append(resend, seq)
+	}
+	inFlight = sl.inFlight() > 0
+	sl.mu.Unlock()
+	for _, seq := range resend {
+		w.stats.resends.Add(1)
+		sl.m.resend(true) // RTO scan
+		w.tele(rs.rank).CountResend()
+		rs.enqueue(outItem{sl: sl, seq: seq})
+	}
+	return inFlight
+}
+
+// ackOverdue queues a stand-alone ack once the link has owed one for
+// ackHoldMax with no data packet to carry it, and reports whether an ack
+// is still owed.
+func (w *World) ackOverdue(rs *rankState, rl *recvLink, now int64) (owed bool) {
+	rl.mu.Lock()
+	owed = rl.owedSince != 0
+	queue := owed && now-rl.owedSince >= int64(ackHoldMax) && !rl.ackQueued
+	if queue {
+		rl.ackQueued = true
+	}
+	rl.mu.Unlock()
+	if queue {
+		rs.enqueue(outItem{rl: rl})
+	}
+	return owed
 }

@@ -24,19 +24,32 @@ type mmsghdr struct {
 
 // batchIO holds one rank's precomputed destination sockaddrs and syscall
 // scratch. The sender goroutine owns the s* halves, the receiver the r*
-// halves; they never touch each other's.
+// halves; they never touch each other's. The RawConn ready-callbacks are
+// bound once here and keep their per-call state in these fields, so a
+// send or receive allocates nothing.
 type batchIO struct {
 	raddrs []syscall.RawSockaddrInet4
+
 	shdrs  [sendBatchMax]mmsghdr
 	siov   [sendBatchMax]syscall.Iovec
+	sn     int // datagrams staged in shdrs for the current Write
+	sent   int // of which handed to the kernel or given up on
+	serrs  int // of which the socket refused
+	sendFn func(fd uintptr) bool
+
 	rhdrs  [recvBatchMax]mmsghdr
 	riov   [recvBatchMax]syscall.Iovec
+	rn     int   // buffers offered to the current Read
+	got    int   // datagrams it filled
+	rerr   error // socket error other than would-block
+	recvFn func(fd uintptr) bool
 }
 
 // newBatchIO precomputes raw IPv4 sockaddrs for every rank. A non-IPv4
 // address disables the fast path (nil return selects the portable loop).
 func newBatchIO(addrs []*net.UDPAddr) *batchIO {
 	b := &batchIO{raddrs: make([]syscall.RawSockaddrInet4, len(addrs))}
+	b.sendFn, b.recvFn = b.sendReady, b.recvReady
 	for i, a := range addrs {
 		ip := a.IP.To4()
 		if ip == nil {
@@ -74,36 +87,40 @@ func (b *batchIO) send(rc syscall.RawConn, batch []sendEntry) (errs int) {
 			h.hdr.Iovlen = 1
 			h.msgLen = 0
 		}
-		sent := 0
-		werr := rc.Write(func(fd uintptr) bool {
-			for sent < n {
-				r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
-					uintptr(unsafe.Pointer(&b.shdrs[sent])), uintptr(n-sent),
-					syscall.MSG_DONTWAIT, 0, 0)
-				switch errno {
-				case 0:
-					sent += int(r)
-				case syscall.EINTR:
-					// retry
-				case syscall.EAGAIN:
-					return false
-				default:
-					// sendmmsg only errors when its FIRST datagram fails
-					// (ENOBUFS, ICMP-driven refusals during teardown):
-					// skip that one and keep the rest of the batch moving.
-					errs++
-					sent++
-				}
-			}
-			return true
-		})
+		b.sn, b.sent, b.serrs = n, 0, 0
+		werr := rc.Write(b.sendFn)
+		errs += b.serrs
 		if werr != nil {
-			errs += len(batch) - off - sent
-			return errs
+			return errs + len(batch) - off - b.sent
 		}
 		off += n
 	}
 	return errs
+}
+
+// sendReady is the Write callback: it pushes the staged datagrams with
+// sendmmsg until all are gone or the socket would block.
+func (b *batchIO) sendReady(fd uintptr) bool {
+	for b.sent < b.sn {
+		r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
+			uintptr(unsafe.Pointer(&b.shdrs[b.sent])), uintptr(b.sn-b.sent),
+			syscall.MSG_DONTWAIT, 0, 0)
+		switch errno {
+		case 0:
+			b.sent += int(r)
+		case syscall.EINTR:
+			// retry
+		case syscall.EAGAIN:
+			return false
+		default:
+			// sendmmsg only errors when its FIRST datagram fails
+			// (ENOBUFS, ICMP-driven refusals during teardown):
+			// skip that one and keep the rest of the batch moving.
+			b.serrs++
+			b.sent++
+		}
+	}
+	return true
 }
 
 // recv fills bufs with one recvmmsg batch, blocking (via the netpoller)
@@ -123,35 +140,37 @@ func (b *batchIO) recv(rc syscall.RawConn, bufs [][]byte, lens []int) (int, erro
 		h.hdr.Iovlen = 1
 		h.msgLen = 0
 	}
-	got := 0
-	var serr error
-	rerr := rc.Read(func(fd uintptr) bool {
-		r, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
-			uintptr(unsafe.Pointer(&b.rhdrs[0])), uintptr(n),
-			syscall.MSG_DONTWAIT, 0, 0)
-		switch errno {
-		case 0:
-			got = int(r)
-			return true
-		case syscall.EINTR, syscall.EAGAIN:
-			return false
-		case syscall.ECONNREFUSED:
-			// Queued ICMP error from a peer mid-teardown; consume and go
-			// back to the socket.
-			return false
-		default:
-			serr = errno
-			return true
-		}
-	})
-	if rerr != nil {
-		return 0, rerr // socket closed
+	b.rn, b.got, b.rerr = n, 0, nil
+	if err := rc.Read(b.recvFn); err != nil {
+		return 0, err // socket closed
 	}
-	if serr != nil {
-		return 0, serr
+	if b.rerr != nil {
+		return 0, b.rerr
 	}
-	for i := 0; i < got; i++ {
+	for i := 0; i < b.got; i++ {
 		lens[i] = int(b.rhdrs[i].msgLen)
 	}
-	return got, nil
+	return b.got, nil
+}
+
+// recvReady is the Read callback: one recvmmsg, retried by the netpoller
+// while the socket has nothing.
+func (b *batchIO) recvReady(fd uintptr) bool {
+	r, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
+		uintptr(unsafe.Pointer(&b.rhdrs[0])), uintptr(b.rn),
+		syscall.MSG_DONTWAIT, 0, 0)
+	switch errno {
+	case 0:
+		b.got = int(r)
+		return true
+	case syscall.EINTR, syscall.EAGAIN:
+		return false
+	case syscall.ECONNREFUSED:
+		// Queued ICMP error from a peer mid-teardown; consume and go
+		// back to the socket.
+		return false
+	default:
+		b.rerr = errno
+		return true
+	}
 }

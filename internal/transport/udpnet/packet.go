@@ -4,21 +4,30 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Datagram wire format (little-endian). One datagram is either a data
 // packet — a batch of frame chunks coalesced onto one reliable per-link
-// sequence number — or an ack reporting the receiver's cumulative progress
-// plus a selective-ack bitmap:
+// sequence number, whose header also carries the cumulative ack of the
+// reverse link — or a stand-alone ack, sent only when no data packet will
+// carry the ack in time, which adds a selective-ack bitmap:
 //
-//	datagram header (12 bytes):
+//	datagram header (20 bytes):
 //	  uint8  kind     — kindData or kindAck
-//	  uint8  reserved — zero
+//	  uint8  flags    — flagAck: ack and ackDelay are valid (always set on
+//	                    an ack datagram); every other bit is zero
 //	  uint16 count    — data: number of chunks; ack: zero
 //	  uint32 from     — sender rank
-//	  uint32 seq      — data: per-link packet sequence number
-//	                    ack:  cumulative ack (next expected seq; all
-//	                          lower sequence numbers were received)
+//	  uint32 seq      — data: per-link packet sequence number; ack: zero
+//	  uint32 ack      — cumulative ack of the link from the receiver of
+//	                    this datagram to its sender (next expected seq;
+//	                    all lower sequence numbers were received)
+//	  uint32 ackDelay — microseconds between the arrival of the newest
+//	                    packet ack covers and this datagram leaving,
+//	                    saturating; the sender subtracts it from its RTT
+//	                    sample so deliberate ack hold time is not
+//	                    mistaken for wire latency
 //
 //	data chunk (20-byte header + fragment bytes):
 //	  uint32 tag      — transport tag of the frame
@@ -28,15 +37,15 @@ import (
 //	  uint32 fragLen  — fragment byte length (0 only for empty frames)
 //
 //	ack payload (8 bytes):
-//	  uint64 bitmap   — bit i set means seq cumAck+1+i was received
+//	  uint64 bitmap   — bit i set means seq ack+1+i was received
 //	                    (selective acks beyond the cumulative prefix)
 //
 // Every parser below is total: arbitrary input bytes produce an error,
 // never a panic or an over-read. The receive path depends on that (a
 // corrupted or torn datagram must be droppable), and the fuzz target in
-// fuzz_test.go enforces it.
+// fuzz_test.go enforces it. TestWireABI pins the layout byte for byte.
 const (
-	dgramHdrLen = 12
+	dgramHdrLen = 20
 	chunkHdrLen = 20
 	ackBodyLen  = 8
 
@@ -53,6 +62,9 @@ const (
 const (
 	kindData = 1
 	kindAck  = 2
+
+	// flagAck marks the header's ack and ackDelay fields as valid.
+	flagAck = 1
 )
 
 // ErrMalformed reports a datagram that does not parse under the wire
@@ -65,15 +77,44 @@ type dgramHeader struct {
 	count int
 	from  int
 	seq   uint32
+
+	hasAck   bool   // ack and ackDelay are valid
+	ack      uint32 // cumulative ack of the reverse link
+	ackDelay uint32 // microseconds the ack was held, saturating
 }
 
 // putDgramHeader writes the header into b[0:dgramHdrLen].
 func putDgramHeader(b []byte, h dgramHeader) {
 	b[0] = h.kind
-	b[1] = 0
 	binary.LittleEndian.PutUint16(b[2:], uint16(h.count))
 	binary.LittleEndian.PutUint32(b[4:], uint32(h.from))
-	binary.LittleEndian.PutUint32(b[8:], h.seq)
+	stampSeqAck(b, h.seq, h.hasAck, h.ack, h.ackDelay)
+}
+
+// stampSeqAck writes the header fields a data packet only learns when it
+// leaves: its sequence number on first transmission, and the reverse
+// link's ack on every transmission.
+func stampSeqAck(b []byte, seq uint32, hasAck bool, ack, ackDelay uint32) {
+	b[1] = 0
+	if hasAck {
+		b[1] = flagAck
+	}
+	binary.LittleEndian.PutUint32(b[8:], seq)
+	binary.LittleEndian.PutUint32(b[12:], ack)
+	binary.LittleEndian.PutUint32(b[16:], ackDelay)
+}
+
+// ackDelayMicros converts a hold time to the wire's saturating
+// microsecond field.
+func ackDelayMicros(ns int64) uint32 {
+	switch us := ns / 1000; {
+	case us <= 0:
+		return 0
+	case us >= math.MaxUint32:
+		return math.MaxUint32
+	default:
+		return uint32(us)
+	}
 }
 
 // parseDgram decodes the datagram header and returns it with the body
@@ -83,16 +124,24 @@ func parseDgram(b []byte, size int) (dgramHeader, []byte, error) {
 		return dgramHeader{}, nil, fmt.Errorf("%w: %d header bytes", ErrMalformed, len(b))
 	}
 	h := dgramHeader{
-		kind:  b[0],
-		count: int(binary.LittleEndian.Uint16(b[2:])),
-		from:  int(binary.LittleEndian.Uint32(b[4:])),
-		seq:   binary.LittleEndian.Uint32(b[8:]),
+		kind:   b[0],
+		count:  int(binary.LittleEndian.Uint16(b[2:])),
+		from:   int(binary.LittleEndian.Uint32(b[4:])),
+		seq:    binary.LittleEndian.Uint32(b[8:]),
+		hasAck: b[1]&flagAck != 0,
 	}
 	if h.kind != kindData && h.kind != kindAck {
 		return dgramHeader{}, nil, fmt.Errorf("%w: kind %d", ErrMalformed, h.kind)
 	}
-	if b[1] != 0 {
-		return dgramHeader{}, nil, fmt.Errorf("%w: nonzero reserved byte", ErrMalformed)
+	if b[1]&^flagAck != 0 {
+		return dgramHeader{}, nil, fmt.Errorf("%w: unknown flag bits %#x", ErrMalformed, b[1])
+	}
+	if h.kind == kindAck && !h.hasAck {
+		return dgramHeader{}, nil, fmt.Errorf("%w: ack datagram without an ack", ErrMalformed)
+	}
+	if h.hasAck {
+		h.ack = binary.LittleEndian.Uint32(b[12:])
+		h.ackDelay = binary.LittleEndian.Uint32(b[16:])
 	}
 	if h.from < 0 || h.from >= size {
 		return dgramHeader{}, nil, fmt.Errorf("%w: rank %d out of [0,%d)", ErrMalformed, h.from, size)
@@ -153,15 +202,15 @@ func nextChunk(body []byte) (chunk, []byte, error) {
 
 // buildAck encodes a complete ack datagram into b (which must have
 // capacity dgramHdrLen+ackBodyLen) and returns the filled slice.
-func buildAck(b []byte, from int, cumAck uint32, bitmap uint64) []byte {
+func buildAck(b []byte, from int, cumAck, ackDelay uint32, bitmap uint64) []byte {
 	b = b[:dgramHdrLen+ackBodyLen]
-	putDgramHeader(b, dgramHeader{kind: kindAck, from: from, seq: cumAck})
+	putDgramHeader(b, dgramHeader{kind: kindAck, from: from, hasAck: true, ack: cumAck, ackDelay: ackDelay})
 	binary.LittleEndian.PutUint64(b[dgramHdrLen:], bitmap)
 	return b
 }
 
 // parseAck decodes an ack body. The cumulative ack itself travels in the
-// datagram header's seq field.
+// datagram header's ack field.
 func parseAck(body []byte) (bitmap uint64, err error) {
 	if len(body) != ackBodyLen {
 		return 0, fmt.Errorf("%w: ack body of %d bytes", ErrMalformed, len(body))

@@ -15,15 +15,21 @@
 // report. In-order packet processing plus per-link frame counters give the
 // Comm contract's per-(sender, receiver, tag) FIFO for free.
 //
-// Flow control is zero-speculation when the engine shares its schedule:
-// runtime.TrafficHinter installs per-stage expected frame counts per
-// neighbor, and the receiver then suppresses acks until a stage's inbound
-// set from that neighbor is complete (bounded by liveness rules: an ack is
-// forced when half the window is unacked or a few milliseconds pass, so
-// stale or missing hints degrade throughput, never correctness).
+// The steady state is one datagram per scheduled frame. Every data packet
+// carries the cumulative ack of the reverse link in its header, so on a
+// link the schedule uses in both directions no ack datagram is ever sent:
+// an ack is owed until the next data packet to that peer takes it along.
+// A stand-alone ack leaves only when waiting would hurt — a reorder gap,
+// half the window unacked, a duplicate (the peer missed an ack), a hinted
+// stage completing on a link runtime.TrafficHinter says carries no data
+// back — or when the ack has been owed for ackHoldMax and the retransmit
+// ticker gives up on a carrier. Hints are advisory: stale or missing ones
+// cost at most that hold, never correctness.
 //
-// All packet buffers come from a preallocated PacketRing, so the steady
-// state of a long exchange loop allocates nothing on the packet path.
+// All packet buffers come from a preallocated PacketRing and per-link
+// window state is allocated when a link first carries a packet, so the
+// steady state of a long exchange loop allocates nothing on the packet
+// path and a K-rank world does not pay for the K² links it never uses.
 //
 // A World may own every rank (NewWorld, single-process loopback) or a
 // subset (NewGroup, multi-process runs driven by an external launcher
@@ -48,17 +54,22 @@ import (
 )
 
 const (
-	// rto is the retransmission timeout for unacked packets. Loopback
-	// round trips are microseconds; 15ms keeps spurious resends rare
-	// while bounding loss-recovery latency.
-	rto = 15 * time.Millisecond
-	// timerTick is the retransmit scan period.
-	timerTick = 5 * time.Millisecond
-	// ackMaxDelay bounds ack suppression: a dirty link acks at the next
-	// receive batch once this much time passed since its last ack, so
-	// hint-driven suppression can never stall a credit-blocked sender
-	// past one resend interval.
-	ackMaxDelay = 2 * time.Millisecond
+	// ackHoldMax bounds how long an ack may wait for a data packet to
+	// carry it before the retransmit ticker sends it stand-alone. Long
+	// enough that one iteration of a latency-bound solver over a K=64
+	// loopback world (a few milliseconds) fits inside it, so a two-way
+	// scheduled link never needs an ack datagram.
+	ackHoldMax = 8 * time.Millisecond
+	// timerTick is the retransmit ticker's period: an overdue ack or
+	// packet waits at most this much longer.
+	timerTick = 4 * time.Millisecond
+	// rto is the retransmission timeout for unacked packets. It must
+	// exceed ackHoldMax + timerTick, the longest a healthy receiver sits on
+	// an ack, or held acks would read as loss (TestTimerOrdering); the
+	// slack beyond that absorbs the scheduling delay between the ticker
+	// queueing an overdue ack and the peer applying it when every core is
+	// busy (a K=64 world's start-up).
+	rto = 30 * time.Millisecond
 	// fastResendGap suppresses duplicate gap-triggered resends from
 	// consecutive acks carrying the same bitmap.
 	fastResendGap = 2 * time.Millisecond
@@ -67,6 +78,11 @@ const (
 	recvBatchMax = 16
 	// sendBatchMax is the sendmmsg batch width.
 	sendBatchMax = 32
+
+	// ringHeadroom is the packet ring's preallocation beyond the receive
+	// buffers every local rank pins: open packets and window slots of the
+	// first exchanges. A larger working set is minted on demand and kept.
+	ringHeadroom = 256
 )
 
 // Control tags reserved for the wire barrier. Application tags must stay
@@ -83,7 +99,6 @@ type options struct {
 	loss        float64
 	seed        int64
 	noBatchIO   bool
-	ringSize    int
 	noLinkStats bool
 }
 
@@ -99,11 +114,6 @@ func WithLoss(p float64, seed int64) Option {
 // where sendmmsg/recvmmsg are available, so both code paths stay tested.
 func WithoutBatchIO() Option {
 	return func(o *options) { o.noBatchIO = true }
-}
-
-// WithRingSize overrides the packet ring preallocation (default 256).
-func WithRingSize(n int) Option {
-	return func(o *options) { o.ringSize = n }
 }
 
 // WithoutLinkStats disables the per-link wire metrics (on by default):
@@ -123,10 +133,16 @@ type Stats struct {
 	// DataSent counts first transmissions of data packets; Resends counts
 	// retransmissions (timeout or gap-triggered).
 	DataSent, Resends int64
-	// AcksSent and AcksSuppressed count the receiver's ack decisions;
-	// StageAcks is the subset of sent acks triggered by a hinted stage
-	// completing (proof the zero-speculation path is active).
+	// AcksSent counts acks that left, AcksSuppressed batch-end decisions
+	// that left the ack owed; StageAcks is the subset of sent acks that
+	// reported a completed hinted stage (proof the schedule-driven path is
+	// active). An ack is classified once, as it leaves, whichever vehicle
+	// carries it.
 	AcksSent, AcksSuppressed, StageAcks int64
+	// AckDgrams counts stand-alone ack datagrams written; AcksPiggybacked
+	// counts owed acks that left in a data packet's header instead. They
+	// sum to AcksSent.
+	AckDgrams, AcksPiggybacked int64
 	// CreditStalls counts drain passes that left sealed packets queued
 	// because the peer's window was exhausted.
 	CreditStalls int64
@@ -142,6 +158,7 @@ type Stats struct {
 type worldStats struct {
 	batches, batchDgrams, dataSent, resends           atomic.Int64
 	acksSent, acksSuppressed, stageAcks, creditStalls atomic.Int64
+	ackDgrams, acksPiggybacked                        atomic.Int64
 	dups, malformed, injectedDrops, sendErrs          atomic.Int64
 }
 
@@ -245,6 +262,51 @@ type rankState struct {
 	bar barState
 	out outQueue
 	rng *rand.Rand // sender-goroutine-only loss injection
+
+	// armed[p] is set while peer p is on the retransmit ticker's watch
+	// list (or queued for it in newlyArmed): its send link has packets in
+	// flight or its receive link owes an ack.
+	armed      []atomic.Bool
+	tmu        sync.Mutex
+	newlyArmed []int
+}
+
+// newRankState builds a rank's link table, inbox and queues; the caller
+// attaches the socket.
+func newRankState(rank, size int, o options) *rankState {
+	rs := &rankState{
+		rank:  rank,
+		sl:    make([]*sendLink, size),
+		rl:    make([]*recvLink, size),
+		ib:    newInbox(),
+		rng:   rand.New(rand.NewSource(o.seed + int64(rank)*7919)),
+		armed: make([]atomic.Bool, size),
+	}
+	if !o.noLinkStats {
+		rs.lm = make([]*linkMetrics, size)
+	}
+	for p := 0; p < size; p++ {
+		var m *linkMetrics
+		if rs.lm != nil {
+			m = &linkMetrics{}
+			rs.lm[p] = m
+		}
+		rs.sl[p] = newSendLink(p, m)
+		rs.rl[p] = newRecvLink(p, m)
+	}
+	rs.out.cond = sync.NewCond(&rs.out.mu)
+	rs.bar.cond = sync.NewCond(&rs.bar.mu)
+	return rs
+}
+
+// arm puts peer on the retransmit ticker's watch list if it is not there.
+func (rs *rankState) arm(peer int) {
+	if rs.armed[peer].Load() || !rs.armed[peer].CompareAndSwap(false, true) {
+		return
+	}
+	rs.tmu.Lock()
+	rs.newlyArmed = append(rs.newlyArmed, peer)
+	rs.tmu.Unlock()
 }
 
 // World is a set of UDP-connected ranks, all or some of them local.
@@ -261,7 +323,8 @@ type World struct {
 
 	closed    chan struct{}
 	closeOnce sync.Once
-	wg        sync.WaitGroup
+	senders   sync.WaitGroup // sender goroutines: drained before sockets close
+	wg        sync.WaitGroup // receiver goroutines and the retransmit ticker
 }
 
 // GroupConfig describes one process's share of a multi-process world. The
@@ -327,7 +390,7 @@ func NewGroup(cfg GroupConfig, opts ...Option) (*World, error) {
 	if len(cfg.Addrs) != cfg.Size {
 		return nil, fmt.Errorf("udpnet: %d addrs for world size %d", len(cfg.Addrs), cfg.Size)
 	}
-	o := options{ringSize: 256}
+	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -335,7 +398,9 @@ func NewGroup(cfg GroupConfig, opts ...Option) (*World, error) {
 		size:   cfg.Size,
 		byRank: make([]*rankState, cfg.Size),
 		addrs:  make([]*net.UDPAddr, cfg.Size),
-		ring:   NewPacketRing(o.ringSize, maxDatagram),
+		// Every local rank's receiver pins recvBatchMax buffers for its
+		// whole life; the rest is working-set headroom.
+		ring:   NewPacketRing(recvBatchMax*len(cfg.Local)+ringHeadroom, maxDatagram),
 		opts:   o,
 		closed: make(chan struct{}),
 	}
@@ -363,38 +428,15 @@ func NewGroup(cfg GroupConfig, opts ...Option) (*World, error) {
 		if !o.noBatchIO {
 			bio = newBatchIO(w.addrs)
 		}
-		rs := &rankState{
-			rank: r,
-			conn: cfg.Conns[i],
-			rc:   rc,
-			bio:  bio,
-			sl:   make([]*sendLink, cfg.Size),
-			rl:   make([]*recvLink, cfg.Size),
-			ib:   newInbox(),
-			rng:  rand.New(rand.NewSource(o.seed + int64(r)*7919)),
-		}
-		if !o.noLinkStats {
-			rs.lm = make([]*linkMetrics, cfg.Size)
-			for p := 0; p < cfg.Size; p++ {
-				rs.lm[p] = &linkMetrics{}
-			}
-		}
-		for p := 0; p < cfg.Size; p++ {
-			var m *linkMetrics
-			if rs.lm != nil {
-				m = rs.lm[p]
-			}
-			rs.sl[p] = newSendLink(p, m)
-			rs.rl[p] = newRecvLink(p, m)
-		}
-		rs.out.cond = sync.NewCond(&rs.out.mu)
-		rs.bar.cond = sync.NewCond(&rs.bar.mu)
+		rs := newRankState(r, cfg.Size, o)
+		rs.conn, rs.rc, rs.bio = cfg.Conns[i], rc, bio
 		w.byRank[r] = rs
 		w.local = append(w.local, rs)
 	}
 	for _, rs := range w.local {
-		w.wg.Add(2)
+		w.senders.Add(1)
 		go w.senderLoop(rs)
+		w.wg.Add(1)
 		go w.receiverLoop(rs)
 	}
 	w.wg.Add(1)
@@ -420,18 +462,20 @@ func (w *World) tele(rank int) *telemetry.Rank {
 // Stats returns a snapshot of the world's transport counters.
 func (w *World) Stats() Stats {
 	return Stats{
-		Batches:        w.stats.batches.Load(),
-		BatchDgrams:    w.stats.batchDgrams.Load(),
-		DataSent:       w.stats.dataSent.Load(),
-		Resends:        w.stats.resends.Load(),
-		AcksSent:       w.stats.acksSent.Load(),
-		AcksSuppressed: w.stats.acksSuppressed.Load(),
-		StageAcks:      w.stats.stageAcks.Load(),
-		CreditStalls:   w.stats.creditStalls.Load(),
-		Dups:           w.stats.dups.Load(),
-		Malformed:      w.stats.malformed.Load(),
-		InjectedDrops:  w.stats.injectedDrops.Load(),
-		SendErrs:       w.stats.sendErrs.Load(),
+		Batches:         w.stats.batches.Load(),
+		BatchDgrams:     w.stats.batchDgrams.Load(),
+		DataSent:        w.stats.dataSent.Load(),
+		Resends:         w.stats.resends.Load(),
+		AcksSent:        w.stats.acksSent.Load(),
+		AcksSuppressed:  w.stats.acksSuppressed.Load(),
+		StageAcks:       w.stats.stageAcks.Load(),
+		AckDgrams:       w.stats.ackDgrams.Load(),
+		AcksPiggybacked: w.stats.acksPiggybacked.Load(),
+		CreditStalls:    w.stats.creditStalls.Load(),
+		Dups:            w.stats.dups.Load(),
+		Malformed:       w.stats.malformed.Load(),
+		InjectedDrops:   w.stats.injectedDrops.Load(),
+		SendErrs:        w.stats.sendErrs.Load(),
 	}
 }
 
@@ -447,17 +491,22 @@ func (w *World) isClosed() bool {
 	}
 }
 
-// Close shuts the world down: sockets close (unblocking the receiver
-// goroutines), queues and waiters wake, goroutines drain, and retained
-// packet buffers return to the ring.
+// Close shuts the world down: senders flush what Send already accepted
+// and exit (a process that returns from its last Barrier and exits must
+// not strand the frames that release its peers), sockets close
+// (unblocking the receiver goroutines), queues and waiters wake,
+// goroutines drain, and retained packet buffers return to the ring.
 func (w *World) Close() {
 	w.closeOnce.Do(func() { close(w.closed) })
 	for _, rs := range w.local {
-		rs.conn.Close()
 		rs.out.mu.Lock()
 		rs.out.closed = true
 		rs.out.cond.Broadcast()
 		rs.out.mu.Unlock()
+	}
+	w.senders.Wait()
+	for _, rs := range w.local {
+		rs.conn.Close()
 		rs.ib.close()
 		rs.bar.mu.Lock()
 		rs.bar.cond.Broadcast()
@@ -630,10 +679,12 @@ func (c *comm) RecvAnyOf(tag int, from []int) (int, []byte, error) {
 }
 
 // HintTraffic implements runtime.TrafficHinter: the schedule's per-stage
-// traffic summary becomes per-link expected frame counts per tag, and the
-// receive side acks at stage completion instead of per batch. A repeated
-// hint with the same backing slice is recognized and skipped, keeping the
-// compiled replay's steady state allocation-free.
+// traffic summary becomes per-link expected frame counts per tag (Recvs)
+// and the knowledge of which peers data will flow back to (Sends), so the
+// receive side knows when a stage's inbound set is complete and whether a
+// data packet will come along to carry the ack. A repeated hint with the
+// same backing slice is recognized and skipped, keeping the compiled
+// replay's steady state allocation-free.
 func (c *comm) HintTraffic(stages []runtime.StageTraffic) {
 	if len(stages) == 0 {
 		return
@@ -642,24 +693,24 @@ func (c *comm) HintTraffic(stages []runtime.StageTraffic) {
 		return
 	}
 	c.lastHintPtr, c.lastHintLen = &stages[0], len(stages)
-	per := make(map[int]map[int]int)
+	rl := c.rs.rl
+	for _, l := range rl {
+		l.resetHint()
+	}
+	inWorld := func(t runtime.PeerTraffic) bool {
+		return t.Peer >= 0 && t.Peer < c.w.size && t.Frames > 0
+	}
 	for _, st := range stages {
 		for _, r := range st.Recvs {
-			if r.Peer < 0 || r.Peer >= c.w.size || r.Frames <= 0 {
-				continue
+			if inWorld(r) {
+				rl[r.Peer].expect(st.Tag, r.Frames)
 			}
-			m := per[r.Peer]
-			if m == nil {
-				m = make(map[int]int)
-				per[r.Peer] = m
-			}
-			m[st.Tag] += r.Frames
 		}
-	}
-	// Peers absent from the new schedule lose their old hints (a patched
-	// topology may have dropped them); present peers get fresh counters.
-	for p, rl := range c.rs.rl {
-		rl.installHint(per[p])
+		for _, s := range st.Sends {
+			if inWorld(s) {
+				rl[s.Peer].expectCarrier()
+			}
+		}
 	}
 }
 
