@@ -3,31 +3,73 @@
 // allgather, reduce-scatter, allreduce and all-to-all, built on the same
 // runtime.Comm substrate as the store-and-forward scheme. They use the
 // standard logarithmic algorithms (dissemination, binomial tree, recursive
-// doubling, Bruck) so the repository contains the collective baseline an
-// MPI distribution would offer, and so applications (e.g. the CG solver in
+// doubling) so the repository contains the collective baseline an MPI
+// distribution would offer, and so applications (e.g. the CG solver in
 // internal/iterative) have the reductions they need.
 //
 // All operations are collective: every rank of the communicator must call
-// them with compatible arguments. Tags are drawn from a reserved range so
-// collectives can interleave with store-and-forward exchanges.
+// them with compatible arguments, in the same order.
+//
+// Tags. Every collective owns a block of tags disjoint from every other
+// collective's, from the exchange's (core.AppTagSpan) and from the
+// transports' control tags (runtime.TagReserver); TagSpan returns the span
+// they all lie in. The log-round collectives (Barrier, the allreduce
+// family) take one tag per round, so a frame can only match the round it
+// was sent in. Bcast, AllgatherDoubles, Alltoall and Gather take one tag
+// each: within one call every frame between a given pair of ranks is
+// either the only one or sent and received in the same order, and two
+// back-to-back calls are kept apart by the per-pair FIFO order every
+// transport guarantees.
+//
+// Allreduce wire format and buffer ownership. There is one allreduce,
+// AllreduceInPlace; Allreduce, AllreduceScalar and ReduceScatterDoubles
+// copy into and out of it. A round's frame is the vector's words and
+// nothing else: len(vec) little-endian IEEE-754 doubles. A receiver checks
+// the frame's length against its own vector and trusts nothing more. The
+// send buffer of every round comes from the msg frame pool and has exactly
+// one owner at a time: when runtime.SendRetains(c) is true the transport
+// hands the slice itself to the receiving rank, which releases it;
+// otherwise the transport has copied the bytes when Send returns and the
+// sender releases it. Every received frame goes back with msg.PutFrame
+// once its words are folded in. In steady state an allreduce allocates
+// nothing of its own.
+//
+// Identical results. Solvers branch on reduced values (converged or not,
+// SPD or not) and every rank must take the same branch, so AllreduceInPlace
+// leaves bit-identical words on every rank, for any K: both partners of a
+// round apply op to the same two operands in the same order. That the
+// words are *the* reduction, independent of K and of which rank folds into
+// which, needs op to be commutative and associative (see Op).
 package collectives
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
+	"stfw/internal/msg"
 	"stfw/internal/runtime"
 )
 
+// Tag blocks, one per collective. maxRounds bounds the rounds of a
+// log-round collective: lg K + 2 < 64 for any K an int can hold.
 const (
-	tagBarrier = 0x4342 + iota
-	tagBcast
-	tagAllgather
-	tagReduceScatter
-	tagAllreduce
-	tagAlltoall
+	maxRounds = 64
+
+	tagBarrier   = 0x4342                   // + round
+	tagBcast     = tagBarrier + maxRounds   // each rank receives once, from its parent
+	tagAllgather = tagBcast + 1             // ring: always the same neighbour, in order
+	tagAllreduce = tagAllgather + 1         // + round
+	tagAlltoall  = tagAllreduce + maxRounds // every round pairs a rank with a different peer
+	tagGather    = tagAlltoall + 1          // one frame per rank, all to the root
+	tagEnd       = tagGather + 1
 )
+
+// TagSpan returns the half-open tag range [lo, hi) the collectives send
+// and receive on. Applications sharing a communicator with them keep their
+// own tags outside it.
+func TagSpan() (lo, hi int) { return tagBarrier, tagEnd }
 
 // Barrier synchronizes all ranks with the dissemination algorithm:
 // ceil(lg K) rounds, one message per rank per round.
@@ -37,10 +79,10 @@ func Barrier(c runtime.Comm) error {
 	for round, dist := 0, 1; dist < K; round, dist = round+1, dist*2 {
 		to := (me + dist) % K
 		from := (me - dist%K + K) % K
-		if err := c.Send(to, tagBarrier+round*16, nil); err != nil {
+		if err := c.Send(to, tagBarrier+round, nil); err != nil {
 			return fmt.Errorf("collectives: barrier round %d: %w", round, err)
 		}
-		if _, err := c.Recv(from, tagBarrier+round*16); err != nil {
+		if _, err := c.Recv(from, tagBarrier+round); err != nil {
 			return fmt.Errorf("collectives: barrier round %d: %w", round, err)
 		}
 	}
@@ -105,10 +147,10 @@ func AllgatherDoubles(c runtime.Comm, mine []float64) ([][]float64, error) {
 	right := (me + 1) % K
 	left := (me - 1 + K) % K
 	for round := 0; round < K-1; round++ {
-		if err := c.Send(right, tagAllgather+round, encodeOwned(curOwner, cur)); err != nil {
+		if err := c.Send(right, tagAllgather, encodeOwned(curOwner, cur)); err != nil {
 			return nil, fmt.Errorf("collectives: allgather send: %w", err)
 		}
-		raw, err := c.Recv(left, tagAllgather+round)
+		raw, err := c.Recv(left, tagAllgather)
 		if err != nil {
 			return nil, fmt.Errorf("collectives: allgather recv: %w", err)
 		}
@@ -146,7 +188,13 @@ func decodeOwned(raw []byte) (int, []float64, error) {
 	return owner, vals, nil
 }
 
-// Op is a reduction operator over float64.
+// Op is a reduction operator over float64. It must be commutative and
+// associative: the allreduce folds ranks together in an order that depends
+// on K (pairwise by recursive doubling, after folding the ranks beyond the
+// largest power of two into the low ones), so only such an op has one
+// result to speak of. Floating-point addition is commutative but only
+// approximately associative; the sum a K-rank world returns is one valid
+// rounding of it, and every rank returns the same one, bit for bit.
 type Op func(a, b float64) float64
 
 // Sum, Max and Min are the standard reduction operators.
@@ -156,69 +204,106 @@ var (
 	Min Op = math.Min
 )
 
-// Allreduce reduces the vectors elementwise across all ranks and returns
-// the full result on every rank, using recursive doubling when K is a power
-// of two and a ring fallback otherwise. All ranks must pass equal-length
-// vectors.
-func Allreduce(c runtime.Comm, vec []float64, op Op) ([]float64, error) {
-	K := c.Size()
-	me := c.Rank()
-	acc := append([]float64(nil), vec...)
-	if K&(K-1) == 0 {
-		// Recursive doubling: lg K rounds of pairwise exchange.
-		for round, dist := 0, 1; dist < K; round, dist = round+1, dist*2 {
-			peer := me ^ dist
-			if err := c.Send(peer, tagAllreduce+round, encodeOwned(me, acc)); err != nil {
-				return nil, fmt.Errorf("collectives: allreduce send: %w", err)
-			}
-			raw, err := c.Recv(peer, tagAllreduce+round)
-			if err != nil {
-				return nil, fmt.Errorf("collectives: allreduce recv: %w", err)
-			}
-			_, theirs, err := decodeOwned(raw)
-			if err != nil {
-				return nil, err
-			}
-			if len(theirs) != len(acc) {
-				return nil, fmt.Errorf("collectives: allreduce length mismatch %d vs %d", len(theirs), len(acc))
-			}
-			for i := range acc {
-				acc[i] = op(acc[i], theirs[i])
-			}
+// AllreduceInPlace reduces vec elementwise across all ranks and leaves the
+// full result in vec on every rank, bit-identical everywhere. All ranks
+// must pass equal-length vectors.
+//
+// With P the largest power of two not above K: the K-P ranks from P up
+// send their vector to rank me-P (fold-in), the low P ranks run lg P
+// rounds of recursive doubling, and the folded-in ranks get the result
+// back (fold-out) — lg P rounds when K is a power of two, lg P + 2
+// otherwise, at most one frame sent and one received per rank per round.
+func AllreduceInPlace(c runtime.Comm, vec []float64, op Op) error {
+	K, me := c.Size(), c.Rank()
+	P := 1 << (bits.Len(uint(K)) - 1)
+	foldOut := tagAllreduce + bits.Len(uint(P)) // round lg P + 1
+	retains := runtime.SendRetains(c)
+
+	if me >= P {
+		if err := sendWords(c, me-P, tagAllreduce, vec, retains); err != nil {
+			return err
 		}
-		return acc, nil
+		return recvWords(c, me-P, foldOut, vec, nil)
 	}
-	// Non-power-of-two fallback: allgather everything and reduce locally.
-	// O(K) messages per rank, always correct for any associative op.
-	return allreduceViaGather(c, vec, op)
+	if me+P < K {
+		if err := recvWords(c, me+P, tagAllreduce, vec, op); err != nil {
+			return err
+		}
+	}
+	for round, dist := 1, 1; dist < P; round, dist = round+1, dist*2 {
+		peer := me ^ dist
+		if err := sendWords(c, peer, tagAllreduce+round, vec, retains); err != nil {
+			return err
+		}
+		if err := recvWords(c, peer, tagAllreduce+round, vec, op); err != nil {
+			return err
+		}
+	}
+	if me+P < K {
+		return sendWords(c, me+P, foldOut, vec, retains)
+	}
+	return nil
 }
 
-// allreduceViaGather is the simple correct fallback for non-power-of-two K:
-// allgather everything, reduce locally. O(K) messages but always right.
-func allreduceViaGather(c runtime.Comm, vec []float64, op Op) ([]float64, error) {
-	all, err := AllgatherDoubles(c, vec)
-	if err != nil {
-		return nil, err
+// sendWords sends vec's words to rank to in a pooled frame and releases
+// the frame unless the transport passed it on to the receiver.
+func sendWords(c runtime.Comm, to, tag int, vec []float64, retains bool) error {
+	buf := msg.GetFrameLen(8 * len(vec))
+	for i, v := range vec {
+		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
 	}
-	acc := append([]float64(nil), all[0]...)
-	for r := 1; r < len(all); r++ {
-		if len(all[r]) != len(acc) {
-			return nil, fmt.Errorf("collectives: allreduce length mismatch at rank %d", r)
+	err := c.Send(to, tag, buf)
+	if !retains {
+		msg.PutFrame(buf)
+	}
+	if err != nil {
+		return fmt.Errorf("collectives: allreduce send to %d: %w", to, err)
+	}
+	return nil
+}
+
+// recvWords receives one frame of len(vec) words from rank from, folds it
+// into vec (replaces vec when op is nil) and releases the frame. The lower
+// rank's words are always op's left operand, so the two partners of a
+// round compute the same bits.
+func recvWords(c runtime.Comm, from, tag int, vec []float64, op Op) error {
+	raw, err := c.Recv(from, tag)
+	if err != nil {
+		return fmt.Errorf("collectives: allreduce recv from %d: %w", from, err)
+	}
+	defer msg.PutFrame(raw)
+	if len(raw) != 8*len(vec) {
+		return fmt.Errorf("collectives: allreduce length mismatch: %d bytes from rank %d for %d words", len(raw), from, len(vec))
+	}
+	lower := from < c.Rank()
+	for i := range vec {
+		theirs := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		switch {
+		case op == nil:
+			vec[i] = theirs
+		case lower:
+			vec[i] = op(theirs, vec[i])
+		default:
+			vec[i] = op(vec[i], theirs)
 		}
-		for i := range acc {
-			acc[i] = op(acc[i], all[r][i])
-		}
+	}
+	return nil
+}
+
+// Allreduce is AllreduceInPlace on a copy of vec, which it returns.
+func Allreduce(c runtime.Comm, vec []float64, op Op) ([]float64, error) {
+	acc := append([]float64(nil), vec...)
+	if err := AllreduceInPlace(c, acc, op); err != nil {
+		return nil, err
 	}
 	return acc, nil
 }
 
 // AllreduceScalar reduces a single value across all ranks.
 func AllreduceScalar(c runtime.Comm, v float64, op Op) (float64, error) {
-	out, err := Allreduce(c, []float64{v}, op)
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
+	acc := [1]float64{v}
+	err := AllreduceInPlace(c, acc[:], op)
+	return acc[0], err
 }
 
 // Alltoall performs a dense personalized exchange: sendbuf[j] goes to rank
@@ -246,10 +331,10 @@ func Alltoall(c runtime.Comm, sendbuf [][]byte) ([][]byte, error) {
 		if peer == me {
 			continue
 		}
-		if err := c.Send(peer, tagAlltoall+round, sendbuf[peer]); err != nil {
+		if err := c.Send(peer, tagAlltoall, sendbuf[peer]); err != nil {
 			return nil, fmt.Errorf("collectives: alltoall send round %d: %w", round, err)
 		}
-		raw, err := c.Recv(peer, tagAlltoall+round)
+		raw, err := c.Recv(peer, tagAlltoall)
 		if err != nil {
 			return nil, fmt.Errorf("collectives: alltoall recv round %d: %w", round, err)
 		}
@@ -269,7 +354,7 @@ func Gather(c runtime.Comm, root int, mine []byte) ([][]byte, error) {
 	}
 	me := c.Rank()
 	if me != root {
-		return nil, c.Send(root, tagAlltoall-1, mine)
+		return nil, c.Send(root, tagGather, mine)
 	}
 	out := make([][]byte, K)
 	out[root] = mine
@@ -277,7 +362,7 @@ func Gather(c runtime.Comm, root int, mine []byte) ([][]byte, error) {
 		if r == root {
 			continue
 		}
-		raw, err := c.Recv(r, tagAlltoall-1)
+		raw, err := c.Recv(r, tagGather)
 		if err != nil {
 			return nil, fmt.Errorf("collectives: gather recv from %d: %w", r, err)
 		}
@@ -288,18 +373,13 @@ func Gather(c runtime.Comm, root int, mine []byte) ([][]byte, error) {
 
 // ReduceScatterDoubles reduces the vectors elementwise and leaves each rank
 // with its block of the result: rank r gets elements [r*len/K, (r+1)*len/K)
-// of the reduction. Built as allreduce + local slice; the simple form is
-// correct for any K and any associative op.
+// of the reduction. It is an allreduce and a local slice, correct for any K.
 func ReduceScatterDoubles(c runtime.Comm, vec []float64, op Op) ([]float64, error) {
 	full, err := Allreduce(c, vec, op)
 	if err != nil {
 		return nil, err
 	}
-	K := c.Size()
-	me := c.Rank()
-	lo := me * len(full) / K
-	hi := (me + 1) * len(full) / K
-	out := make([]float64, hi-lo)
-	copy(out, full[lo:hi])
-	return out, nil
+	lo := c.Rank() * len(full) / c.Size()
+	hi := (c.Rank() + 1) * len(full) / c.Size()
+	return full[lo:hi:hi], nil
 }

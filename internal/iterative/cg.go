@@ -8,6 +8,14 @@
 // full-length slices but only its owned entries are meaningful. The SpMV
 // exchange (BL or STFW) moves the halo entries; dot products reduce owned
 // partial sums with an allreduce.
+//
+// A latency-bound solver pays per message, and once the exchange is
+// regularized the reductions are where the messages are: at K=64 an
+// allreduce is 6 frames per rank, an STFW exchange on T3(4,4,4) is 9. So
+// CG runs the single-reduction recurrence of Chronopoulos and Gear: one
+// SpMV and one 2-word allreduce per iteration, where the textbook loop
+// (kept as SerialCG, the tests' oracle) has one SpMV and two reductions
+// that cannot be combined because the second depends on the first.
 package iterative
 
 import (
@@ -45,6 +53,24 @@ type CGResult struct {
 // across all ranks of c. Every rank passes the same replicated A, partition,
 // pattern and right-hand side; the returned X carries the rank's owned
 // entries.
+//
+// The recurrence (Chronopoulos & Gear 1989). The textbook iteration needs
+// p.Ap before it can update r, and r.r after; with w = A r and s = A p,
+//
+//	p = r + beta p          gives   s = w + beta s          (no SpMV), and
+//	p.Ap = w.r - (beta/alpha_prev) r.r                       (no reduction),
+//
+// so gamma = r.r and delta = w.r, both known right after the one SpMV of
+// the new residual, are all an iteration has to reduce. With x0 = 0 the
+// first pair also carries b.b (r0 = b) and the first p.Ap (p0 = r0): a
+// solve of Iters iterations is Iters+1 SpMVs and Iters+1 allreduces.
+//
+// Stability. In exact arithmetic the iterates are the textbook ones. In
+// floating point p.Ap comes out of a subtraction and s out of a
+// recurrence, so the recursive residual r can drift from b - A x a little
+// sooner; on the diagonally dominant systems here it costs at most an
+// iteration or two. Residual is the recursive one; the tests hold the
+// true residual of the assembled solution within 10 Tol.
 func CG(c runtime.Comm, a *sparse.CSR, part *partition.Partition, pat *spmv.Pattern, b []float64, opt CGOptions) (*CGResult, error) {
 	n := a.Rows
 	if a.Cols != n {
@@ -68,72 +94,72 @@ func CG(c runtime.Comm, a *sparse.CSR, part *partition.Partition, pat *spmv.Patt
 	}
 	owned := sess.OwnedRows()
 
-	dot := func(u, v []float64) (float64, error) {
-		var local float64
-		for _, i := range owned {
-			local += u[i] * v[i]
+	// step computes w = A r and reduces (r.r, w.r) in one allreduce. w is
+	// the session's buffer, valid until the next step.
+	step := func(r []float64, it int) (w []float64, gamma, delta float64, err error) {
+		if w, err = sess.Multiply(r); err != nil {
+			return nil, 0, 0, fmt.Errorf("iterative: iteration %d SpMV: %w", it, err)
 		}
-		return collectives.AllreduceScalar(c, local, collectives.Sum)
+		var dots [2]float64
+		for _, i := range owned {
+			dots[0] += r[i] * r[i]
+			dots[1] += w[i] * r[i]
+		}
+		if err = collectives.AllreduceInPlace(c, dots[:], collectives.Sum); err != nil {
+			return nil, 0, 0, err
+		}
+		return w, dots[0], dots[1], nil
 	}
 
 	x := make([]float64, n)
 	r := make([]float64, n)
 	p := make([]float64, n)
+	s := make([]float64, n) // A p
 	for _, i := range owned {
 		r[i] = b[i] // x0 = 0 -> r = b
-		p[i] = b[i]
 	}
-	bNorm2, err := dot(b, b)
+	w, gamma, pAp, err := step(r, 0)
 	if err != nil {
 		return nil, err
 	}
+	bNorm2 := gamma
 	if bNorm2 == 0 {
 		return &CGResult{X: x, Converged: true}, nil
 	}
-	rs, err := dot(r, r)
-	if err != nil {
-		return nil, err
-	}
 
 	res := &CGResult{X: x}
+	beta := 0.0 // p0 = r0, s0 = w0
 	for it := 0; it < opt.MaxIter; it++ {
-		q, err := sess.Multiply(p)
-		if err != nil {
-			return nil, fmt.Errorf("iterative: iteration %d SpMV: %w", it, err)
+		if pAp <= 0 {
+			return nil, fmt.Errorf("iterative: p.Ap = %g <= 0 at iteration %d (matrix not SPD?)", pAp, it)
 		}
-		pq, err := dot(p, q)
-		if err != nil {
-			return nil, err
-		}
-		if pq <= 0 {
-			return nil, fmt.Errorf("iterative: p.Ap = %g <= 0 at iteration %d (matrix not SPD?)", pq, it)
-		}
-		alpha := rs / pq
+		alpha := gamma / pAp
 		for _, i := range owned {
+			p[i] = r[i] + beta*p[i]
+			s[i] = w[i] + beta*s[i]
 			x[i] += alpha * p[i]
-			r[i] -= alpha * q[i]
+			r[i] -= alpha * s[i]
 		}
-		rsNew, err := dot(r, r)
-		if err != nil {
+		var gammaNew, delta float64
+		if w, gammaNew, delta, err = step(r, it+1); err != nil {
 			return nil, err
 		}
 		res.Iters = it + 1
-		res.Residual = math.Sqrt(rsNew / bNorm2)
+		res.Residual = math.Sqrt(gammaNew / bNorm2)
 		if res.Residual < opt.Tol {
 			res.Converged = true
 			return res, nil
 		}
-		beta := rsNew / rs
-		for _, i := range owned {
-			p[i] = r[i] + beta*p[i]
-		}
-		rs = rsNew
+		beta = gammaNew / gamma
+		pAp = delta - beta*gammaNew/alpha
+		gamma = gammaNew
 	}
 	return res, nil
 }
 
 // SerialCG is the single-process reference implementation used to validate
-// the distributed solver.
+// the distributed solver: the textbook two-dot-product loop, deliberately
+// not the recurrence CG runs.
 func SerialCG(a *sparse.CSR, b []float64, maxIter int, tol float64) ([]float64, int, error) {
 	n := a.Rows
 	if maxIter <= 0 {

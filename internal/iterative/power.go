@@ -54,21 +54,15 @@ func PowerIteration(c runtime.Comm, a *sparse.CSR, part *partition.Partition, pa
 	// The session caches the owned-row list; the returned slice is
 	// read-only shared state, which the solver only iterates.
 	owned := sess.OwnedRows()
-	dot := func(u, v []float64) (float64, error) {
-		var local float64
-		for _, i := range owned {
-			local += u[i] * v[i]
-		}
-		return collectives.AllreduceScalar(c, local, collectives.Sum)
-	}
 
 	// Deterministic non-degenerate start vector.
 	x := make([]float64, n)
+	var norm2 float64
 	for _, i := range owned {
 		x[i] = 1 + float64(i%7)/7
+		norm2 += x[i] * x[i]
 	}
-	norm2, err := dot(x, x)
-	if err != nil {
+	if norm2, err = collectives.AllreduceScalar(c, norm2, collectives.Sum); err != nil {
 		return nil, err
 	}
 	scale := 1 / math.Sqrt(norm2)
@@ -83,15 +77,17 @@ func PowerIteration(c runtime.Comm, a *sparse.CSR, part *partition.Partition, pa
 		if err != nil {
 			return nil, fmt.Errorf("iterative: power iteration %d: %w", it, err)
 		}
-		// Rayleigh quotient lambda = x.Ax (x is unit norm).
-		lambda, err := dot(x, y)
-		if err != nil {
+		// The Rayleigh quotient lambda = x.Ax (x is unit norm) and the
+		// norm y.y are both known after the one SpMV: one 2-word allreduce.
+		var dots [2]float64
+		for _, i := range owned {
+			dots[0] += x[i] * y[i]
+			dots[1] += y[i] * y[i]
+		}
+		if err := collectives.AllreduceInPlace(c, dots[:], collectives.Sum); err != nil {
 			return nil, err
 		}
-		norm2, err := dot(y, y)
-		if err != nil {
-			return nil, err
-		}
+		lambda, norm2 := dots[0], dots[1]
 		if norm2 == 0 {
 			return nil, fmt.Errorf("iterative: power iteration degenerated to zero vector")
 		}

@@ -13,6 +13,19 @@ const (
 	// memory the way a TCP socket buffer does (backlogMax packets of
 	// maxDatagram bytes ≈ 4 MiB per congested link, nothing when idle).
 	backlogMax = 512
+
+	// recvBufBytes is the SO_RCVBUF every world socket asks for: room for
+	// one peer's full window of full datagrams while the receiver
+	// goroutine is off the CPU. The default (208 KiB here) holds a quarter
+	// of that, and what overflows is dropped and comes back one rto later.
+	// Linux charges a queued datagram its buffer's slab size plus an
+	// sk_buff — 16.6 KiB for a full one — against twice the value
+	// requested, so the request carries 512 bytes a packet on top of
+	// maxDatagram (measured: 64 x 8192 still drops 24 packets of a 3 200
+	// packet burst, 64 x 8448 and up none). It covers one link; full
+	// windows from several peers at once still lean on resend. A request
+	// above net.core.rmem_max is clamped by the kernel, not refused.
+	recvBufBytes = window * (maxDatagram + 512)
 )
 
 // pktSlot is one window entry on the send side: an in-flight data packet

@@ -337,7 +337,8 @@ type GroupConfig struct {
 	// Local lists the ranks this process runs.
 	Local []int
 	// Conns holds the bound sockets for the local ranks, parallel to
-	// Local. The World takes ownership and closes them.
+	// Local. The World takes ownership, sizes their receive buffers to a
+	// window (recvBufBytes) and closes them.
 	Conns []*net.UDPConn
 	// Addrs holds the UDP address of every rank, indexed by rank.
 	Addrs []string
@@ -417,6 +418,9 @@ func NewGroup(cfg GroupConfig, opts ...Option) (*World, error) {
 		}
 		if w.byRank[r] != nil {
 			return nil, fmt.Errorf("udpnet: local rank %d listed twice", r)
+		}
+		if err := cfg.Conns[i].SetReadBuffer(recvBufBytes); err != nil {
+			return nil, fmt.Errorf("udpnet: rank %d receive buffer: %w", r, err)
 		}
 		rc, err := cfg.Conns[i].SyscallConn()
 		if err != nil {

@@ -3,6 +3,10 @@ package udpnet
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"strconv"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -436,6 +440,53 @@ func TestRingSteadyState(t *testing.T) {
 		t.Errorf("steady state minted buffers: %d -> %d", minted, after.Minted)
 	}
 	t.Logf("ring: %+v", after)
+}
+
+// TestWindowFitsSocketBuffer streams fifty windows of full datagrams at one
+// receiver. With the socket buffer sized to the window (recvBufBytes) the
+// kernel has room for everything the window lets the sender have in flight;
+// with the 208 KiB default it dropped more packets than the stream had.
+func TestWindowFitsSocketBuffer(t *testing.T) {
+	w, err := NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if raw, err := os.ReadFile("/proc/sys/net/core/rmem_max"); err == nil {
+		if max, _ := strconv.Atoi(strings.TrimSpace(string(raw))); max < recvBufBytes {
+			t.Skipf("net.core.rmem_max %d clamps the %d-byte request", max, recvBufBytes)
+		}
+	}
+	var rcvbuf int
+	var serr error
+	if err := w.byRank[1].rc.Control(func(fd uintptr) {
+		rcvbuf, serr = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF)
+	}); err != nil || serr != nil {
+		t.Fatalf("SO_RCVBUF: %v, %v", err, serr)
+	}
+	if rcvbuf < 2*recvBufBytes { // Linux reports twice what it was asked for
+		t.Errorf("SO_RCVBUF = %d, want at least %d", rcvbuf, 2*recvBufBytes)
+	}
+	const frames = 400
+	payload := make([]byte, 64<<10)
+	err = w.Run(func(c runtime.Comm) error {
+		for i := 0; i < frames; i++ {
+			if c.Rank() == 0 {
+				if err := c.Send(1, 7, payload); err != nil {
+					return err
+				}
+			} else if _, err := c.Recv(0, 7); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.Resends*4 > st.DataSent {
+		t.Errorf("%d resends for %d packets: the socket buffer is dropping the window", st.Resends, st.DataSent)
+	}
 }
 
 // TestSocketTeardown closes a world mid-traffic and checks goroutines and
