@@ -2,7 +2,8 @@
 // kernel — inside this process, with one goroutine per rank, over the
 // channel or TCP transport, using either the direct baseline or the
 // store-and-forward scheme, and verifies the result against the serial
-// multiply.
+// multiply. Every run is one persistent world with one compiled session
+// per rank; -telemetry and -trace-out give the per-stage timelines.
 //
 // Usage:
 //
@@ -25,7 +26,6 @@ import (
 	"stfw/internal/sparse"
 	"stfw/internal/spmv"
 	"stfw/internal/telemetry"
-	"stfw/internal/trace"
 	"stfw/internal/transport/chanpt"
 	"stfw/internal/transport/tcpnet"
 	"stfw/internal/vpt"
@@ -40,7 +40,6 @@ type config struct {
 	method     string
 	transport  string
 	iters      int
-	doTrace    bool // plan-conformance recording (internal/trace)
 	telemetry  bool // live counters + span timelines (internal/telemetry)
 	traceOut   string
 	debugAddr  string
@@ -57,7 +56,6 @@ func main() {
 	flag.StringVar(&cfg.method, "method", "stfw", "exchange method: bl or stfw")
 	flag.StringVar(&cfg.transport, "transport", "chan", "transport: chan or tcp")
 	flag.IntVar(&cfg.iters, "iters", 3, "SpMV iterations")
-	flag.BoolVar(&cfg.doTrace, "trace", false, "record the exchange, verify it against the plan, print the per-stage timeline")
 	flag.BoolVar(&cfg.telemetry, "telemetry", false, "collect live per-rank stage timelines and hot-path counters")
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "write a Chrome trace-event JSON of the run (implies -telemetry; open in ui.perfetto.dev)")
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "serve /debug (expvar, pprof, telemetry) on this address, e.g. 127.0.0.1:8642")
@@ -73,7 +71,7 @@ func main() {
 
 func run(cfg config) error {
 	matrix, K, dim, scale := cfg.matrix, cfg.k, cfg.dim, cfg.scale
-	method, transport, iters, doTrace := cfg.method, cfg.transport, cfg.iters, cfg.doTrace
+	method, transport, iters := cfg.method, cfg.transport, cfg.iters
 
 	stopProfiles, err := telemetry.StartProfiles(cfg.cpuProfile, cfg.memProfile)
 	if err != nil {
@@ -165,10 +163,6 @@ func run(cfg config) error {
 		return err
 	}
 
-	var recorder *trace.Recorder
-	if doTrace {
-		recorder = trace.NewRecorder(dim)
-	}
 	runWorld := func(fn runtime.RankFunc) error {
 		var comms []runtime.Comm
 		switch transport {
@@ -188,72 +182,16 @@ func run(cfg config) error {
 		default:
 			return fmt.Errorf("unknown transport %q", transport)
 		}
-		if recorder != nil {
-			for i, c := range comms {
-				comms[i] = recorder.Wrap(c)
-			}
-		}
 		reg.WrapComms(comms, func(tag int) (int, bool) {
 			return core.TagStage(tag, stages)
 		})
 		return runtime.Run(comms, fn)
 	}
 
-	if !doTrace {
-		// Steady-state path: one persistent world, one compiled session per
-		// rank, all iterations inside a single collective run with a
-		// per-iteration phase breakdown.
-		if err := runSessions(runWorld, a, part, pat, x, want, opt, transport, K, iters); err != nil {
-			return err
-		}
-		fmt.Println("verified: parallel result matches serial multiply")
-		return finishTelemetry(reg, cfg.traceOut)
-	}
-
-	for it := 0; it < iters; it++ {
-		if recorder != nil {
-			recorder.Reset()
-		}
-		ys := make([][]float64, K)
-		start := time.Now()
-		err := runWorld(func(c runtime.Comm) error {
-			y, err := spmv.Run(c, a, part, pat, x, opt)
-			if err != nil {
-				return err
-			}
-			ys[c.Rank()] = y
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		got, err := spmv.Reduce(part, ys)
-		if err != nil {
-			return err
-		}
-		var maxErr float64
-		for i := range want {
-			if e := math.Abs(got[i] - want[i]); e > maxErr {
-				maxErr = e
-			}
-		}
-		fmt.Printf("iter %d: %v wall clock (%s transport), max |err| vs serial = %.2e\n",
-			it, elapsed.Round(time.Microsecond), transport, maxErr)
-		if maxErr > 1e-9 {
-			return fmt.Errorf("verification FAILED: max error %g", maxErr)
-		}
-		if recorder != nil && method == "stfw" {
-			events := recorder.Events()
-			if err := trace.VerifyAgainstPlan(events, plan); err != nil {
-				return fmt.Errorf("iteration %d deviated from the plan: %w", it, err)
-			}
-			if it == 0 {
-				fmt.Println("\nper-stage timeline (execution verified frame-for-frame against the plan):")
-				trace.RenderTimeline(os.Stdout, events, K)
-				fmt.Println()
-			}
-		}
+	// One persistent world, one compiled session per rank, all iterations
+	// inside a single collective run with a per-iteration phase breakdown.
+	if err := runSessions(runWorld, a, part, pat, x, want, opt, transport, K, iters); err != nil {
+		return err
 	}
 	fmt.Println("verified: parallel result matches serial multiply")
 	return finishTelemetry(reg, cfg.traceOut)

@@ -10,9 +10,8 @@ import (
 )
 
 func TestRunEndToEnd(t *testing.T) {
-	// Small real runs through the CLI path: both methods, both transports,
-	// with tracing on for STFW.
-	if err := run(config{matrix: "sparsine", k: 16, dim: 3, scale: 64, method: "stfw", transport: "chan", iters: 1, doTrace: true}); err != nil {
+	// Small real runs through the CLI path: both methods, both transports.
+	if err := run(config{matrix: "sparsine", k: 16, dim: 3, scale: 64, method: "stfw", transport: "chan", iters: 1}); err != nil {
 		t.Errorf("stfw/chan: %v", err)
 	}
 	if err := run(config{matrix: "sparsine", k: 8, dim: 2, scale: 64, method: "bl", transport: "chan", iters: 1}); err != nil {

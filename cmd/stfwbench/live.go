@@ -32,10 +32,10 @@ const (
 // layer attached and reports the observed (not modeled) behavior: frame
 // and forward counters, frame-size and stage-latency histograms, and a
 // Perfetto trace when -trace-out is set. The first iteration is the STFW
-// learning run (the stage machine's ordered discipline, recording the
+// learning run (dynamic routing with fixed-order receives, recording the
 // schedule); the remaining iterations replay the learned program through
-// the compiled lowering with pipelined receives (DESIGN.md §8), so the
-// trace shows both engine disciplines side by side.
+// the compiled lowering (DESIGN.md §8), so the trace shows learning and
+// replay side by side.
 func runLive(c experiments.Config, cfg benchConfig, reg *telemetry.Registry) error {
 	if cfg.procs > 1 {
 		// Multi-process loopback mode replaces the in-process SpMV run

@@ -1,9 +1,11 @@
-// Differential conformance suite: the ordered and pipelined exchange
-// engines must produce byte-identical deliveries on every supported
-// transport, for every topology shape. Each cell of the (transport, engine,
-// topology) table runs a seeded exchange and compares the full Delivered
-// payloads of every rank against a reference computed directly from the
-// send sets — so the two engines are also proven identical to each other.
+// Differential conformance suite: every front-end of the stage machine —
+// Exchange, DirectExchange, Persistent, compiled Replay — must produce
+// byte-identical deliveries on every supported transport, for every
+// topology shape. Each cell runs a seeded exchange and compares the full
+// Delivered payloads of every rank against a reference computed directly
+// from the send sets. Every front-end runs twice: once with the transport's
+// own arrival-order matcher and once behind forceOrdered, which hides the
+// matcher so every receive takes runtime.RecvAnyOf's fixed-order fallback.
 package core_test
 
 import (
@@ -129,7 +131,7 @@ func refDeliveries(K int, dests map[int][]int) [][]msg.Submessage {
 
 // runConformance executes one table cell over the given communicators and
 // checks byte-identical deliveries.
-func runConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, dests map[int][]int, opts ...core.ExchangeOpt) {
+func runConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, dests map[int][]int) {
 	t.Helper()
 	K := len(comms)
 	reg := confInstrument(t, comms, tp.N())
@@ -139,8 +141,7 @@ func runConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, dests 
 		for _, dst := range dests[c.Rank()] {
 			payloads[dst] = confPayload(c.Rank(), dst)
 		}
-		rankOpts := append(opts[:len(opts):len(opts)], core.WithTelemetry(reg.Rank(c.Rank())))
-		d, err := core.Exchange(c, tp, payloads, rankOpts...)
+		d, err := core.Exchange(c, tp, payloads, core.WithTelemetry(reg.Rank(c.Rank())))
 		if err != nil {
 			return err
 		}
@@ -191,152 +192,125 @@ func conformanceTopologies(t *testing.T) []*vpt.Topology {
 	return tps
 }
 
-func engineName(ordered bool) string {
-	if ordered {
-		return "ordered"
-	}
-	return "pipelined"
+// forceOrdered hides the transport's arrival-order matcher: RecvAnyOf
+// reports ErrNoRecvAny, so runtime.RecvAnyOf degrades to fixed-order
+// targeted receives. Everything else is the transport's own answer
+// (runtime.Passthrough), so udpnet keeps its hinted flow control and frame
+// ownership still reflects the underlying transport in this leg.
+type forceOrdered struct{ runtime.Passthrough }
+
+func (forceOrdered) RecvAnyOf(int, []int) (int, []byte, error) {
+	return -1, nil, runtime.ErrNoRecvAny
 }
 
-func TestConformanceChanpt(t *testing.T) {
-	for _, tp := range conformanceTopologies(t) {
-		for _, ordered := range []bool{false, true} {
-			tp := tp
-			ordered := ordered
-			t.Run(fmt.Sprintf("K=%d/dims=%v/%s", tp.Size(), tp.Dims(), engineName(ordered)), func(t *testing.T) {
-				t.Parallel()
-				w, err := chanpt.NewWorld(tp.Size(), 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dests := confSendSets(int64(tp.Size()), tp.Size())
-				var opts []core.ExchangeOpt
-				if ordered {
-					opts = append(opts, core.Ordered())
-				}
-				runConformance(t, w.Comms(), tp, dests, opts...)
-			})
+// forceOrderedComms wraps every endpoint of a world in place.
+func forceOrderedComms(comms []runtime.Comm) []runtime.Comm {
+	for i, c := range comms {
+		comms[i] = forceOrdered{runtime.Passthrough{Comm: c}}
+	}
+	return comms
+}
+
+func orderName(fixed bool) string {
+	if fixed {
+		return "fixed"
+	}
+	return "arrival"
+}
+
+// confWorld builds a K-rank world on the named transport, with teardown
+// registered on t. buffer is chanpt's per-pair depth. "hier" is chanpt
+// carrying intra-node pairs and udpnet carrying inter-node pairs under a
+// two-node split, which is deliberately not aligned with a VPT digit split
+// for most shapes, so single stages carry frames on both sub-transports and
+// the cross-sub arbitration path runs.
+func confWorld(t *testing.T, transport string, K, buffer int) []runtime.Comm {
+	t.Helper()
+	switch transport {
+	case "chanpt":
+		w, err := chanpt.NewWorld(K, buffer)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return w.Comms()
+	case "tcpnet":
+		w, err := tcpnet.NewWorld(K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Close)
+		return w.Comms()
+	case "udpnet":
+		w, err := udpnet.NewWorld(K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Close)
+		return w.Comms()
+	case "hier":
+		half := (K + 1) / 2
+		hw, err := hier.New(hier.Config{
+			Inner:  confWorld(t, "chanpt", K, buffer),
+			Outer:  confWorld(t, "udpnet", K, buffer),
+			NodeOf: func(r int) int { return r / half },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hw.Comms()
 	}
+	t.Fatalf("unknown transport %q", transport)
+	return nil
 }
 
-func TestConformanceTCP(t *testing.T) {
+// confComms is confWorld for one leg of a cell: the transport's own
+// matcher, or the fixed-order fallback behind forceOrdered.
+func confComms(t *testing.T, transport string, K int, fixed bool) []runtime.Comm {
+	t.Helper()
+	comms := confWorld(t, transport, K, 2)
+	if fixed {
+		forceOrderedComms(comms)
+	}
+	return comms
+}
+
+// exchangeCells runs the Exchange front-end over every conformance shape on
+// one transport, both receive orders. Every world is VerifyWorld-gated so a
+// schedule bug is reported as such, not as a transport failure.
+func exchangeCells(t *testing.T, transport string) {
 	for _, tp := range conformanceTopologies(t) {
-		if tp.Size() >= 64 && tp.N() == 1 {
+		if transport == "tcpnet" && tp.Size() >= 64 && tp.N() == 1 {
 			// The 1-dimensional VPT at K=64 is a full mesh: ~K^2 loopback
 			// sockets, enough to trip default fd limits. The mesh case is
-			// covered at K=8 and K=16.
+			// covered at K=8 and K=16. (udpnet opens one socket per rank
+			// regardless of radix and keeps the cell.)
 			continue
 		}
-		if testing.Short() && tp.Size() > 16 {
+		if transport != "chanpt" && testing.Short() && tp.Size() > 16 {
 			continue
 		}
-		for _, ordered := range []bool{false, true} {
-			tp := tp
-			ordered := ordered
-			t.Run(fmt.Sprintf("K=%d/dims=%v/%s", tp.Size(), tp.Dims(), engineName(ordered)), func(t *testing.T) {
-				w, err := tcpnet.NewWorld(tp.Size())
-				if err != nil {
-					t.Fatal(err)
+		for _, fixed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("K=%d/dims=%v/%s", tp.Size(), tp.Dims(), orderName(fixed)), func(t *testing.T) {
+				if transport == "chanpt" {
+					t.Parallel()
 				}
-				defer w.Close()
-				dests := confSendSets(int64(tp.Size()), tp.Size())
-				var opts []core.ExchangeOpt
-				if ordered {
-					opts = append(opts, core.Ordered())
+				if err := core.VerifyWorld(core.WorldSchedules(tp)); err != nil {
+					t.Fatalf("schedule world invalid before transport test: %v", err)
 				}
-				runConformance(t, w.Comms(), tp, dests, opts...)
+				comms := confComms(t, transport, tp.Size(), fixed)
+				runConformance(t, comms, tp, confSendSets(int64(tp.Size()), tp.Size()))
 			})
 		}
 	}
 }
 
-// TestConformanceUDP runs the full differential suite over udpnet's
-// batched-datagram transport. Unlike tcpnet, the K=64 mesh is kept: udpnet
-// opens one socket per rank regardless of radix, so fd pressure never
-// scales with K^2. Every world is VerifyWorld-gated so a schedule bug is
-// reported as such, not as a transport failure.
-func TestConformanceUDP(t *testing.T) {
-	for _, tp := range conformanceTopologies(t) {
-		if testing.Short() && tp.Size() > 16 {
-			continue
-		}
-		for _, ordered := range []bool{false, true} {
-			tp := tp
-			ordered := ordered
-			t.Run(fmt.Sprintf("K=%d/dims=%v/%s", tp.Size(), tp.Dims(), engineName(ordered)), func(t *testing.T) {
-				if err := core.VerifyWorld(core.WorldSchedules(tp)); err != nil {
-					t.Fatalf("schedule world invalid before transport test: %v", err)
-				}
-				w, err := udpnet.NewWorld(tp.Size())
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer w.Close()
-				dests := confSendSets(int64(tp.Size()), tp.Size())
-				var opts []core.ExchangeOpt
-				if ordered {
-					opts = append(opts, core.Ordered())
-				}
-				runConformance(t, w.Comms(), tp, dests, opts...)
-			})
-		}
-	}
-}
-
-// TestConformanceHier runs the full differential suite over the
-// hierarchical composite transport: chanpt carrying intra-node pairs and
-// udpnet carrying inter-node pairs, under a two-node split of every
-// conformance world (K∈{8,16,64} balanced shapes plus the mixed-radix
-// sizes). Every world is VerifyWorld-gated, and the node boundary is
-// deliberately *not* aligned with a VPT digit split for most shapes, so
-// single stages carry frames on both sub-transports and the cross-sub
-// arbitration path runs under both engines.
-func TestConformanceHier(t *testing.T) {
-	for _, tp := range conformanceTopologies(t) {
-		if testing.Short() && tp.Size() > 16 {
-			continue
-		}
-		for _, ordered := range []bool{false, true} {
-			tp := tp
-			ordered := ordered
-			t.Run(fmt.Sprintf("K=%d/dims=%v/%s", tp.Size(), tp.Dims(), engineName(ordered)), func(t *testing.T) {
-				if err := core.VerifyWorld(core.WorldSchedules(tp)); err != nil {
-					t.Fatalf("schedule world invalid before transport test: %v", err)
-				}
-				K := tp.Size()
-				cw, err := chanpt.NewWorld(K, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer cw.Close()
-				uw, err := udpnet.NewWorld(K)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer uw.Close()
-				half := (K + 1) / 2
-				hw, err := hier.New(hier.Config{
-					Inner:  cw.Comms(),
-					Outer:  uw.Comms(),
-					NodeOf: func(r int) int { return r / half },
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				dests := confSendSets(int64(K), K)
-				var opts []core.ExchangeOpt
-				if ordered {
-					opts = append(opts, core.Ordered())
-				}
-				runConformance(t, hw.Comms(), tp, dests, opts...)
-			})
-		}
-	}
-}
+func TestConformanceChanpt(t *testing.T) { exchangeCells(t, "chanpt") }
+func TestConformanceTCP(t *testing.T)    { exchangeCells(t, "tcpnet") }
+func TestConformanceUDP(t *testing.T)    { exchangeCells(t, "udpnet") }
+func TestConformanceHier(t *testing.T)   { exchangeCells(t, "hier") }
 
 // TestConformanceDirect runs the same differential check for the baseline
-// DirectExchange on both engines over both transports.
+// DirectExchange over every primitive transport, both receive orders.
 func TestConformanceDirect(t *testing.T) {
 	const K = 16
 	dests := confSendSets(99, K)
@@ -348,7 +322,7 @@ func TestConformanceDirect(t *testing.T) {
 	}
 	ref := refDeliveries(K, dests)
 
-	run := func(t *testing.T, comms []runtime.Comm, opts ...core.ExchangeOpt) {
+	run := func(t *testing.T, comms []runtime.Comm) {
 		reg := confInstrument(t, comms, 1)
 		got := make([]*core.Delivered, K)
 		err := runtime.Run(comms, func(c runtime.Comm) error {
@@ -356,8 +330,7 @@ func TestConformanceDirect(t *testing.T) {
 			for _, dst := range dests[c.Rank()] {
 				payloads[dst] = confPayload(c.Rank(), dst)
 			}
-			rankOpts := append(opts[:len(opts):len(opts)], core.WithTelemetry(reg.Rank(c.Rank())))
-			d, err := core.DirectExchange(c, payloads, recvFrom[c.Rank()], rankOpts...)
+			d, err := core.DirectExchange(c, payloads, recvFrom[c.Rank()], core.WithTelemetry(reg.Rank(c.Rank())))
 			if err != nil {
 				return err
 			}
@@ -381,56 +354,13 @@ func TestConformanceDirect(t *testing.T) {
 		}
 	}
 
-	for _, ordered := range []bool{false, true} {
-		var opts []core.ExchangeOpt
-		if ordered {
-			opts = append(opts, core.Ordered())
+	for _, transport := range []string{"chanpt", "tcpnet", "udpnet"} {
+		for _, fixed := range []bool{false, true} {
+			t.Run(transport+"/"+orderName(fixed), func(t *testing.T) {
+				run(t, confComms(t, transport, K, fixed))
+			})
 		}
-		t.Run("chanpt/"+engineName(ordered), func(t *testing.T) {
-			w, err := chanpt.NewWorld(K, K)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run(t, w.Comms(), opts...)
-		})
-		t.Run("tcpnet/"+engineName(ordered), func(t *testing.T) {
-			w, err := tcpnet.NewWorld(K)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer w.Close()
-			run(t, w.Comms(), opts...)
-		})
-		t.Run("udpnet/"+engineName(ordered), func(t *testing.T) {
-			w, err := udpnet.NewWorld(K)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer w.Close()
-			run(t, w.Comms(), opts...)
-		})
 	}
-}
-
-// forceOrdered hides the transport's arrival-order matcher: RecvAnyOf
-// reports ErrNoRecvAny, so runtime.RecvAnyOf degrades to fixed-order
-// targeted receives. The Replay conformance cells use it to pin the compiled
-// engine's receive order without a dedicated engine option, while frame
-// ownership (SendRetains) still reflects the underlying transport.
-type forceOrdered struct{ runtime.Comm }
-
-func (f forceOrdered) RecvAnyOf(tag int, from []int) (int, []byte, error) {
-	return -1, nil, runtime.ErrNoRecvAny
-}
-
-func (f forceOrdered) SendRetains() bool { return runtime.SendRetains(f.Comm) }
-
-func forceOrderedComms(comms []runtime.Comm) []runtime.Comm {
-	out := make([]runtime.Comm, len(comms))
-	for i, c := range comms {
-		out[i] = forceOrdered{c}
-	}
-	return out
 }
 
 // confRoundPayload derives a per-round payload of the same length as
@@ -477,9 +407,8 @@ func persistentConformanceTopologies(t *testing.T, tcp bool) []*vpt.Topology {
 
 // runPersistentConformance learns the pattern once per rank, then replays it
 // twice with fresh per-round payloads, checking every round's deliveries
-// byte-for-byte against the independently computed reference (the same
-// ground truth the seed ordered engine is checked against).
-func runPersistentConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, dests map[int][]int, opts ...core.ExchangeOpt) {
+// byte-for-byte against the independently computed reference.
+func runPersistentConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, dests map[int][]int) {
 	t.Helper()
 	K := len(comms)
 	const rounds = 2
@@ -502,7 +431,7 @@ func runPersistentConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topolo
 			for _, dst := range dests[me] {
 				payloads[dst] = confRoundPayload(me, dst, r)
 			}
-			d, err := p.Run(c, payloads, opts...)
+			d, err := p.Run(c, payloads)
 			if err != nil {
 				return err
 			}
@@ -537,55 +466,31 @@ func runPersistentConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topolo
 	}
 }
 
-// TestConformancePersistent checks the learned-schedule front-end on both
-// transports under both receive disciplines: every replay's deliveries are
-// bit-identical to the reference the seed ordered engine is held to.
-func TestConformancePersistent(t *testing.T) {
+// persistentCells runs one learned-schedule front-end over the persistent
+// shape set on every primitive transport, both receive orders.
+func persistentCells(t *testing.T, run func(*testing.T, []runtime.Comm, *vpt.Topology, map[int][]int)) {
 	for _, transport := range []string{"chanpt", "tcpnet", "udpnet"} {
 		for _, tp := range persistentConformanceTopologies(t, transport == "tcpnet") {
 			if transport != "chanpt" && testing.Short() && tp.Size() > 8 {
 				continue
 			}
-			for _, ordered := range []bool{false, true} {
-				tp := tp
-				ordered := ordered
-				transport := transport
-				t.Run(fmt.Sprintf("%s/K=%d/dims=%v/%s", transport, tp.Size(), tp.Dims(), engineName(ordered)), func(t *testing.T) {
-					var comms []runtime.Comm
-					switch transport {
-					case "chanpt":
+			for _, fixed := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/K=%d/dims=%v/%s", transport, tp.Size(), tp.Dims(), orderName(fixed)), func(t *testing.T) {
+					if transport == "chanpt" {
 						t.Parallel()
-						w, err := chanpt.NewWorld(tp.Size(), 2)
-						if err != nil {
-							t.Fatal(err)
-						}
-						comms = w.Comms()
-					case "tcpnet":
-						w, err := tcpnet.NewWorld(tp.Size())
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer w.Close()
-						comms = w.Comms()
-					case "udpnet":
-						w, err := udpnet.NewWorld(tp.Size())
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer w.Close()
-						comms = w.Comms()
 					}
-					dests := confSendSets(int64(tp.Size()), tp.Size())
-					var opts []core.ExchangeOpt
-					if ordered {
-						opts = append(opts, core.Ordered())
-					}
-					runPersistentConformance(t, comms, tp, dests, opts...)
+					comms := confComms(t, transport, tp.Size(), fixed)
+					run(t, comms, tp, confSendSets(int64(tp.Size()), tp.Size()))
 				})
 			}
 		}
 	}
 }
+
+// TestConformancePersistent checks the learned-schedule front-end: the
+// learning run's and every replay's deliveries are bit-identical to the
+// reference.
+func TestConformancePersistent(t *testing.T) { persistentCells(t, runPersistentConformance) }
 
 // confWords is the word count of the compiled-replay payload src ships to
 // dst; same variety as confPayload's byte lengths.
@@ -681,51 +586,6 @@ func runReplayConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, 
 	}
 }
 
-// TestConformanceReplay checks the compiled lowering of the learned schedule
-// on both transports, in arrival order and (via forceOrdered) in fixed
-// receive order: the halos must match the reference exactly in every round.
-func TestConformanceReplay(t *testing.T) {
-	for _, transport := range []string{"chanpt", "tcpnet", "udpnet"} {
-		for _, tp := range persistentConformanceTopologies(t, transport == "tcpnet") {
-			if transport != "chanpt" && testing.Short() && tp.Size() > 8 {
-				continue
-			}
-			for _, ordered := range []bool{false, true} {
-				tp := tp
-				ordered := ordered
-				transport := transport
-				t.Run(fmt.Sprintf("%s/K=%d/dims=%v/%s", transport, tp.Size(), tp.Dims(), engineName(ordered)), func(t *testing.T) {
-					var comms []runtime.Comm
-					switch transport {
-					case "chanpt":
-						t.Parallel()
-						w, err := chanpt.NewWorld(tp.Size(), 2)
-						if err != nil {
-							t.Fatal(err)
-						}
-						comms = w.Comms()
-					case "tcpnet":
-						w, err := tcpnet.NewWorld(tp.Size())
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer w.Close()
-						comms = w.Comms()
-					case "udpnet":
-						w, err := udpnet.NewWorld(tp.Size())
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer w.Close()
-						comms = w.Comms()
-					}
-					if ordered {
-						comms = forceOrderedComms(comms)
-					}
-					dests := confSendSets(int64(tp.Size()), tp.Size())
-					runReplayConformance(t, comms, tp, dests)
-				})
-			}
-		}
-	}
-}
+// TestConformanceReplay checks the compiled lowering of the learned
+// schedule: the halos must match the reference exactly in every round.
+func TestConformanceReplay(t *testing.T) { persistentCells(t, runReplayConformance) }

@@ -25,24 +25,21 @@ import (
 //     delivered to this rank in the frame, feeding the stage probe;
 //   - onStage(d, deliveredBytes), optional, fires at each stage boundary
 //     (the occupancy probe of WithStageProbe);
-//   - finish(pooled) runs after the last stage, before pooled frames are
-//     recycled; pooled reports whether inbound payloads alias pooled frame
-//     buffers and must be copied out (msg.CompactSubs) to survive the call.
+//   - finish() runs after the last stage, before inbound frames are
+//     recycled: delivered payloads alias pooled frame buffers and must be
+//     copied out (msg.CompactSubs) to survive the call.
 //
-// Two execution disciplines share the loop, selected by ordered:
-//
-//   - ordered (the legacy engine, kept for paper-reproduction runs): sends
-//     issued inline with one fresh frame copy each, receives in the
-//     schedule's fixed sender order, inbound frames never pooled;
-//   - pipelined (default): a worker goroutine drains a FIFO of stage send
-//     batches encoded into pooled arena frames, receives are served in
-//     arrival order (runtime.RecvPolicy over RecvAnyOf), and inbound
-//     frames are retained until the exchange ends — onFrame's submessages
-//     alias them — then recycled after finish copies deliveries out.
+// There is one execution discipline: every frame is encoded into a pooled
+// arena buffer, sent either by a per-exchange worker goroutine that drains
+// a FIFO of stage batches or inline (inlineSend), and inbound frames are
+// retained until the exchange ends — onFrame's submessages alias them —
+// then recycled after finish. Receives are served in arrival order
+// (runtime.RecvPolicy over RecvAnyOf); fixedRecv pins them to the
+// schedule's listed order instead.
 type stageMachine struct {
 	sched      *StageSchedule
-	ordered    bool
-	inlineSend bool // pipelined only: issue pooled sends inline instead of via the worker
+	inlineSend bool // issue pooled sends inline instead of via the worker
+	fixedRecv  bool // receive in RecvFrom order; the learning run only (see NewPersistent)
 	tele       *telemetry.Rank
 	// traffic, when set, is the schedule's per-stage traffic summary,
 	// offered to the transport (runtime.HintTraffic) before the first
@@ -53,7 +50,7 @@ type stageMachine struct {
 	outSubs func(stage, slot int, s SendSlot) ([]msg.Submessage, error)
 	onFrame func(stage, from int, subs []msg.Submessage) (deliveredBytes int, err error)
 	onStage func(stage, deliveredBytes int)
-	finish  func(pooled bool) error
+	finish  func() error
 }
 
 // run executes the schedule on this rank's communicator. It is the only
@@ -62,34 +59,30 @@ type stageMachine struct {
 // specialization of the same structure.
 func (sm *stageMachine) run(c runtime.Comm, me int) error {
 	runtime.HintTraffic(c, sm.traffic)
+	sends, recvs := 0, 0
+	for i := range sm.sched.Stages {
+		sends += len(sm.sched.Stages[i].Sends)
+		recvs += len(sm.sched.Stages[i].RecvFrom)
+	}
 	var (
-		sw        *sendWorker
-		retained  [][]byte     // pipelined: received pooled frames, recycled on return
-		frameArr  []stageFrame // pipelined: backing array for all stages' send batches
-		encodeBuf []byte       // ordered: reused encode scratch
-		decoded   msg.Message  // pipelined: DecodeInto scratch, reused across frames
-		retains   bool         // pipelined inline sends: transport retains frames
-		pol       runtime.RecvPolicy
+		sw       *sendWorker
+		frameArr []stageFrame               // worker sends: backing array for all stages' batches
+		retains  bool                       // inline sends: transport retains frames
+		retained = make([][]byte, 0, recvs) // received pooled frames, recycled on return
+		decoded  msg.Message                // DecodeInto scratch, reused across frames
+		pol      = runtime.RecvPolicy{Arrival: !sm.fixedRecv}
 	)
-	if !sm.ordered {
+	defer func() {
+		for _, b := range retained {
+			msg.PutFrame(b)
+		}
+	}()
+	if sm.inlineSend {
 		retains = runtime.SendRetains(c)
-		sends, recvs := 0, 0
-		for i := range sm.sched.Stages {
-			sends += len(sm.sched.Stages[i].Sends)
-			recvs += len(sm.sched.Stages[i].RecvFrom)
-		}
+	} else {
 		frameArr = make([]stageFrame, 0, sends)
-		retained = make([][]byte, 0, recvs)
-		defer func() {
-			for _, b := range retained {
-				msg.PutFrame(b)
-			}
-		}()
-		if !sm.inlineSend {
-			sw = startSendWorker(c, me, len(sm.sched.Stages))
-			defer sw.join()
-		}
-		pol.Arrival = true
+		sw = startSendWorker(c, me, len(sm.sched.Stages))
+		defer sw.join()
 	}
 
 	var stageStart time.Time
@@ -99,26 +92,11 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 			stageStart = time.Now()
 		}
 
-		// Emit the stage's outbound frames in slot order. The ordered
-		// discipline sends inline; the pipelined one hands the batch to the
-		// worker (which owns its subslice from then on; stages use disjoint
-		// regions of the shared backing array) and overlaps it with the
-		// receives below.
-		if sm.ordered {
-			for j := range st.Sends {
-				slot := st.Sends[j]
-				subs, err := sm.outSubs(d, j, slot)
-				if err != nil {
-					return err
-				}
-				m := msg.Message{From: me, To: slot.To, Subs: subs}
-				encodeBuf = msg.Encode(encodeBuf[:0], &m)
-				frame := append([]byte(nil), encodeBuf...)
-				if err := c.Send(slot.To, st.Tag, frame); err != nil {
-					return fmt.Errorf("core: rank %d stage %d send to %d: %w", me, d, slot.To, err)
-				}
-			}
-		} else if sm.inlineSend {
+		// Emit the stage's outbound frames in slot order: inline, or as one
+		// batch handed to the worker (which owns its subslice from then on;
+		// stages use disjoint regions of the shared backing array) and
+		// overlapped with the receives below.
+		if sm.inlineSend {
 			for j := range st.Sends {
 				slot := st.Sends[j]
 				subs, err := sm.outSubs(d, j, slot)
@@ -157,17 +135,9 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 				}
 				return fmt.Errorf("core: rank %d stage %d recv: %w", me, d, err)
 			}
-			if sm.ordered {
-				m, derr := msg.Decode(raw)
-				if derr != nil {
-					return fmt.Errorf("core: rank %d stage %d frame from %d: %w", me, d, from, derr)
-				}
-				decoded = *m
-			} else {
-				retained = append(retained, raw)
-				if derr := msg.DecodeInto(&decoded, raw); derr != nil {
-					return fmt.Errorf("core: rank %d stage %d frame from %d: %w", me, d, from, derr)
-				}
+			retained = append(retained, raw)
+			if derr := msg.DecodeInto(&decoded, raw); derr != nil {
+				return fmt.Errorf("core: rank %d stage %d frame from %d: %w", me, d, from, derr)
 			}
 			if decoded.From != from || decoded.To != me {
 				return fmt.Errorf("core: rank %d stage %d: misrouted frame %d->%d arrived from %d",
@@ -193,7 +163,7 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 	}
 	// finish runs before the deferred frame recycle: delivered payloads that
 	// alias retained frames are still intact here.
-	return sm.finish(!sm.ordered)
+	return sm.finish()
 }
 
 // sendPooledFrame encodes one frame into a pooled arena buffer and hands it
@@ -220,13 +190,12 @@ type stageBatch struct {
 	outs []stageFrame
 }
 
-// sendWorker is the per-exchange send goroutine of the pipelined
-// discipline: it drains stage batches in FIFO order, encoding every frame
-// into a pooled buffer and handing it to the transport. On retaining
-// transports the receiving rank recycles the buffer; otherwise the worker
-// does, right after Send returns. After the first send error the worker
-// drains (and drops) remaining batches so the enqueueing side never blocks;
-// join surfaces the error.
+// sendWorker is the per-exchange send goroutine: it drains stage batches
+// in FIFO order, encoding every frame into a pooled buffer and handing it
+// to the transport. On retaining transports the receiving rank recycles the
+// buffer; otherwise the worker does, right after Send returns. After the
+// first send error the worker drains (and drops) remaining batches so the
+// enqueueing side never blocks; join surfaces the error.
 type sendWorker struct {
 	ch     chan stageBatch
 	done   chan struct{}

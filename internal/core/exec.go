@@ -21,7 +21,7 @@ type Delivered struct {
 const tagBase = 0x5747 // "WG"
 
 // StageTag returns the transport tag the exchange uses for stage d;
-// instrumentation (internal/trace) uses it to attribute frames to stages.
+// instrumentation uses TagStage to attribute frames back to stages.
 func StageTag(d int) int { return tagBase + d }
 
 // TagStage inverts StageTag: it returns the stage of a tag and whether the
@@ -66,18 +66,10 @@ func AppTagSpan(maxStages int) (lo, hi int) {
 type ExchangeOpt func(*exchangeOptions)
 
 type exchangeOptions struct {
-	ordered bool
-	plan    *Plan
-	probe   func(stage, residentPayloadBytes int)
-	tele    *telemetry.Rank
+	plan  *Plan
+	probe func(stage, residentPayloadBytes int)
+	tele  *telemetry.Rank
 }
-
-// Ordered selects the stage machine's legacy discipline: sends issued
-// inline from the main loop (one fresh frame copy each) and frames received
-// in fixed neighbor order. The paper-reproduction experiments use it to
-// stay bit-identical with the original executor; the default discipline is
-// the pipelined one.
-func Ordered() ExchangeOpt { return func(o *exchangeOptions) { o.ordered = true } }
 
 // WithPlan switches Exchange onto the plan-driven schedule front-end: the
 // per-rank StageSchedule is derived once from the static plan's route
@@ -121,11 +113,10 @@ func WithTelemetry(t *telemetry.Rank) ExchangeOpt {
 //
 // Exchange is the dynamic front-end of the stage machine: it builds a
 // StageSchedule from the topology alone (or takes the plan-derived one via
-// WithPlan) and routes each submessage as frames land. By default the
-// machine runs its pipelined discipline — a worker goroutine issues the
-// stage's sends from pooled frame buffers while the main loop receives
-// frames in arrival order (runtime.RecvAnyOf), scattering each as it lands.
-// Ordered() restores the legacy fixed-order discipline.
+// WithPlan) and routes each submessage as frames land: a worker goroutine
+// issues the stage's sends from pooled frame buffers while the main loop
+// receives frames in arrival order (runtime.RecvAnyOf), scattering each as
+// it lands.
 //
 // Exchange is collective: every rank of the communicator must call it with
 // the same topology and options.
@@ -170,7 +161,6 @@ func Exchange(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, opts ...
 
 	sm := &stageMachine{
 		sched:   sched,
-		ordered: opt.ordered,
 		tele:    opt.tele,
 		traffic: sched.Traffic(),
 		// Lines 9-12: each outbound frame drains the forward buffer keyed by
@@ -183,14 +173,12 @@ func Exchange(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, opts ...
 		onFrame: func(d, _ int, subs []msg.Submessage) (int, error) {
 			return scatterFrame(t, me, d, fb, out, subs, opt.tele)
 		},
-		finish: func(pooled bool) error {
+		finish: func() error {
 			if left := fb.SubCount(); left != 0 {
 				return fmt.Errorf("core: rank %d: %d submessages left undelivered", me, left)
 			}
 			msg.SortSubs(out.Subs)
-			if pooled {
-				msg.CompactSubs(out.Subs)
-			}
+			msg.CompactSubs(out.Subs)
 			return nil
 		},
 	}
@@ -239,9 +227,8 @@ func scatterFrame(t *vpt.Topology, me, d int, fb *msg.ForwardBuffers, out *Deliv
 // straight to their destinations and receives from the ranks listed in
 // recvFrom (which the application knows, e.g. from its data distribution;
 // use SendSets.RecvSets or CountExchange to obtain it). It is the stage
-// machine's single-stage front-end — one frame per destination, one
-// expected frame per source — and like Exchange it runs the pipelined
-// discipline by default, with Ordered() restoring the legacy serial path.
+// machine's single-stage front-end: one frame per destination, one
+// expected frame per source.
 func DirectExchange(c runtime.Comm, payloads map[int][]byte, recvFrom []int, opts ...ExchangeOpt) (*Delivered, error) {
 	var opt exchangeOptions
 	for _, o := range opts {
@@ -271,7 +258,6 @@ func DirectExchange(c runtime.Comm, payloads map[int][]byte, recvFrom []int, opt
 	}
 	sm := &stageMachine{
 		sched:   sched,
-		ordered: opt.ordered,
 		tele:    opt.tele,
 		traffic: sched.Traffic(),
 		outSubs: func(_, _ int, slot SendSlot) ([]msg.Submessage, error) {
@@ -285,11 +271,9 @@ func DirectExchange(c runtime.Comm, payloads map[int][]byte, recvFrom []int, opt
 			out.Subs = append(out.Subs, subs[0])
 			return len(subs[0].Data), nil
 		},
-		finish: func(pooled bool) error {
+		finish: func() error {
 			msg.SortSubs(out.Subs)
-			if pooled {
-				msg.CompactSubs(out.Subs)
-			}
+			msg.CompactSubs(out.Subs)
 			return nil
 		},
 	}

@@ -7,53 +7,67 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"stfw/internal/msg"
 	"stfw/internal/runtime"
 	"stfw/internal/transport/chanpt"
+	"stfw/internal/transport/tcpnet"
 	"stfw/internal/vpt"
 )
 
-// countingComm wraps a Comm and tallies nonempty frames per (rank, stage) so
-// executions can be validated against the static Plan.
+// frameKey addresses one directed frame of one stage.
+type frameKey struct{ stage, from, to int }
+
+// countingComm tallies the nonempty frames a world sends, keyed by
+// (TagStage(tag), from, to), so an execution can be validated against the
+// static Plan frame for frame.
 type countingComm struct {
-	runtime.Comm
-	mu        *sync.Mutex
-	sentMsgs  []int   // per rank, nonempty frames
-	sentWords []int64 // per rank, payload words (8-byte words of submessage data)
+	mu       sync.Mutex
+	stages   int
+	sentMsgs []int              // per rank, nonempty frames
+	frames   map[frameKey]Frame // every nonempty frame sent
+	resent   []frameKey         // keys sent more than once
 }
 
-func newCounting(size int) *countingComm {
-	return &countingComm{
-		mu:        &sync.Mutex{},
-		sentMsgs:  make([]int, size),
-		sentWords: make([]int64, size),
+func newCounting(size, stages int) *countingComm {
+	return &countingComm{stages: stages, sentMsgs: make([]int, size), frames: map[frameKey]Frame{}}
+}
+
+func (cc *countingComm) wrapAll(comms []runtime.Comm) []runtime.Comm {
+	out := make([]runtime.Comm, len(comms))
+	for i, c := range comms {
+		out[i] = &countingEndpoint{Passthrough: runtime.Passthrough{Comm: c}, shared: cc}
 	}
-}
-
-func (cc *countingComm) wrap(c runtime.Comm) runtime.Comm {
-	return &countingEndpoint{Comm: c, shared: cc}
+	return out
 }
 
 type countingEndpoint struct {
-	runtime.Comm
+	runtime.Passthrough
 	shared *countingComm
 }
 
 func (ce *countingEndpoint) Send(to, tag int, payload []byte) error {
-	m, err := msg.Decode(payload)
-	if err == nil && len(m.Subs) > 0 {
-		var words int64
-		for _, s := range m.Subs {
-			words += int64(len(s.Data) / 8)
+	cc := ce.shared
+	stage, ok := TagStage(tag, cc.stages)
+	if m, err := msg.Decode(payload); ok && err == nil && len(m.Subs) > 0 {
+		k := frameKey{stage, ce.Rank(), to}
+		cc.mu.Lock()
+		cc.sentMsgs[ce.Rank()]++
+		if _, dup := cc.frames[k]; dup {
+			cc.resent = append(cc.resent, k)
 		}
-		ce.shared.mu.Lock()
-		ce.shared.sentMsgs[ce.Rank()]++
-		ce.shared.sentWords[ce.Rank()] += words
-		ce.shared.mu.Unlock()
+		cc.frames[k] = Frame{From: k.from, To: to, Words: int64(m.PayloadBytes() / 8), Subs: len(m.Subs)}
+		cc.mu.Unlock()
 	}
 	return ce.Comm.Send(to, tag, payload)
+}
+
+// RecvAnyOf keeps the wrapped transport's arrival-order matcher: counting
+// intercepts sends only.
+func (ce *countingEndpoint) RecvAnyOf(tag int, from []int) (int, []byte, error) {
+	return runtime.RecvAnyOf(ce.Comm, tag, from)
 }
 
 // payloadWord encodes (src, dst, salt) into one 8-byte word so every
@@ -75,26 +89,27 @@ func payloadWords(src, dst int, words int64) []byte {
 }
 
 // runExchange executes Exchange on every rank of a fresh channel world and
-// returns the deliveries, plus actual per-rank nonempty message counts.
+// returns the deliveries, plus the nonempty frames actually sent.
 func runExchange(t *testing.T, tp *vpt.Topology, s *SendSets) ([]*Delivered, *countingComm) {
 	t.Helper()
 	w, err := chanpt.NewWorld(tp.Size(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := newCounting(tp.Size())
+	return runExchangeOn(t, w.Comms(), tp, s, func(int) []ExchangeOpt { return nil })
+}
+
+// runExchangeOn is runExchange over a given world, with per-rank options.
+func runExchangeOn(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, s *SendSets, opts func(rank int) []ExchangeOpt) ([]*Delivered, *countingComm) {
+	t.Helper()
+	cc := newCounting(tp.Size(), tp.N())
 	got := make([]*Delivered, tp.Size())
-	comms := w.Comms()
-	wrapped := make([]runtime.Comm, len(comms))
-	for i, c := range comms {
-		wrapped[i] = cc.wrap(c)
-	}
-	err = runtime.Run(wrapped, func(c runtime.Comm) error {
+	err := runtime.Run(cc.wrapAll(comms), func(c runtime.Comm) error {
 		payloads := map[int][]byte{}
 		for _, pr := range s.Sets[c.Rank()] {
 			payloads[pr.Dst] = payloadWords(c.Rank(), pr.Dst, pr.Words)
 		}
-		d, err := Exchange(c, tp, payloads)
+		d, err := Exchange(c, tp, payloads, opts(c.Rank())...)
 		if err != nil {
 			return err
 		}
@@ -156,24 +171,96 @@ func TestExchangeCompleteExchange(t *testing.T) {
 	}
 }
 
+// TestExchangeMatchesPlanCounts: the nonempty frames a live Exchange sends
+// are plan.Stages frame for frame — same (stage, from, to) set, same words,
+// same submessage counts, none sent twice — on an in-process and a socket
+// transport, in arrival order, with the plan-driven schedule (WithPlan) on;
+// and the payload bytes resident at every stage boundary stay within the
+// plan's MaxBufferWords.
 func TestExchangeMatchesPlanCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, dims := range [][]int{{4, 4}, {2, 2, 2, 2}, {4, 2, 2}, {16}} {
-		tp := vpt.MustNew(dims...)
+	balanced, err := vpt.NewBalanced(32, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factored, err := vpt.NewFactored(12, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range []*vpt.Topology{
+		vpt.MustNew(4, 4), vpt.MustNew(2, 2, 2, 2), vpt.MustNew(4, 2, 2), vpt.MustNew(16), balanced, factored,
+	} {
 		s := randomSendSets(rng, tp.Size(), 2, 3, 5)
 		plan, err := BuildPlan(tp, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, cc := runExchange(t, tp, s)
-		for q := 0; q < tp.Size(); q++ {
-			if cc.sentMsgs[q] != plan.SentMsgs[q] {
-				t.Errorf("%v rank %d: executed %d msgs, plan says %d", dims, q, cc.sentMsgs[q], plan.SentMsgs[q])
-			}
-			if cc.sentWords[q] != plan.SentWords[q] {
-				t.Errorf("%v rank %d: executed %d words, plan says %d", dims, q, cc.sentWords[q], plan.SentWords[q])
+		want := map[frameKey]Frame{}
+		for d, stage := range plan.Stages {
+			for _, f := range stage {
+				want[frameKey{d, f.From, f.To}] = f
 			}
 		}
+		for _, transport := range []string{"chanpt", "tcpnet"} {
+			t.Run(fmt.Sprintf("%s/dims=%v", transport, tp.Dims()), func(t *testing.T) {
+				var comms []runtime.Comm
+				if transport == "chanpt" {
+					w, err := chanpt.NewWorld(tp.Size(), 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					comms = w.Comms()
+				} else {
+					w, err := tcpnet.NewWorld(tp.Size())
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer w.Close()
+					comms = w.Comms()
+				}
+				var over atomic.Int64
+				got, cc := runExchangeOn(t, comms, tp, s, func(rank int) []ExchangeOpt {
+					bound := int(plan.MaxBufferWords[rank] * 8)
+					return []ExchangeOpt{WithPlan(plan), WithStageProbe(func(_, resident int) {
+						if resident > bound {
+							over.Add(1)
+						}
+					})}
+				})
+				checkDeliveries(t, s, got)
+				if n := over.Load(); n != 0 {
+					t.Errorf("%d stage boundaries held more payload than plan.MaxBufferWords", n)
+				}
+				if len(cc.resent) != 0 {
+					t.Errorf("frames sent twice: %v", cc.resent)
+				}
+				if len(cc.frames) != len(want) {
+					t.Errorf("executed %d nonempty frames, plan has %d", len(cc.frames), len(want))
+				}
+				for k, f := range cc.frames {
+					if w, ok := want[k]; !ok {
+						t.Errorf("executed frame %d->%d in stage %d not in plan", k.from, k.to, k.stage)
+					} else if f != w {
+						t.Errorf("frame %d->%d stage %d carried %d words in %d submessages, plan says %d in %d",
+							k.from, k.to, k.stage, f.Words, f.Subs, w.Words, w.Subs)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestTagStageMapping: the tag-to-stage attribution the frame recorder
+// above (and every telemetry wrapper) relies on.
+func TestTagStageMapping(t *testing.T) {
+	if d, ok := TagStage(StageTag(3), 5); !ok || d != 3 {
+		t.Errorf("TagStage(StageTag(3)) = %d, %v", d, ok)
+	}
+	if _, ok := TagStage(StageTag(5), 5); ok {
+		t.Error("stage beyond max accepted")
+	}
+	if _, ok := TagStage(12345, 5); ok {
+		t.Error("foreign tag accepted")
 	}
 }
 

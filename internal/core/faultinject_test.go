@@ -2,12 +2,13 @@
 // tptest fault injector. Each fault class is applied exactly where it is
 // contract-preserving (see tptest/fault.go):
 //
-//   - delay everywhere, both engines — timing-only, must be invisible;
+//   - delay everywhere, both receive orders — timing-only, must be
+//     invisible;
 //   - reorder on the arrival-order paths — the engines shrink their
 //     candidate lists (RecvPolicy, the replay's pending list), so any
 //     legal service order must produce identical output;
-//   - duplicate in single-exchange cells on the pipelined engine — the
-//     extra frame stays queued behind the matched one;
+//   - duplicate in single-exchange cells — the extra frame stays queued
+//     behind the matched one;
 //   - drop only as a liveness check over TCP: the engine must block until
 //     the world closes and then surface an error, never wrong data.
 package core_test
@@ -20,10 +21,8 @@ import (
 
 	"stfw/internal/core"
 	"stfw/internal/runtime"
-	"stfw/internal/transport/chanpt"
 	"stfw/internal/transport/tcpnet"
 	"stfw/internal/transport/tptest"
-	"stfw/internal/transport/udpnet"
 	"stfw/internal/vpt"
 )
 
@@ -43,42 +42,17 @@ func faultTopologies(t *testing.T) []*vpt.Topology {
 	return tps
 }
 
-// faultWorld builds a transport world wrapped by a fresh injector; cleanup
-// is registered on t.
+// faultWorld is confWorld wrapped by a fresh injector.
 func faultWorld(t *testing.T, transport string, K, buffer int, cfg tptest.FaultConfig) ([]runtime.Comm, *tptest.Injector) {
 	t.Helper()
-	var comms []runtime.Comm
-	switch transport {
-	case "chanpt":
-		w, err := chanpt.NewWorld(K, buffer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		comms = w.Comms()
-	case "tcpnet":
-		w, err := tcpnet.NewWorld(K)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(w.Close)
-		comms = w.Comms()
-	case "udpnet":
-		w, err := udpnet.NewWorld(K)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(w.Close)
-		comms = w.Comms()
-	default:
-		t.Fatalf("unknown transport %q", transport)
-	}
 	inj := tptest.NewInjector(cfg)
-	return inj.WrapAll(comms), inj
+	return inj.WrapAll(confWorld(t, transport, K, buffer)), inj
 }
 
-// TestConformanceFaultDelay runs the exchange, persistent, and compiled
-// suites with every send randomly delayed, on both engines and transports.
-// Output must be bit-identical to the fault-free reference.
+// TestConformanceFaultDelay runs the exchange and persistent suites with
+// every send randomly delayed, on every transport and both receive orders
+// (the fixed leg hides the matcher above the injector). Output must be
+// bit-identical to the fault-free reference.
 func TestConformanceFaultDelay(t *testing.T) {
 	cfg := tptest.FaultConfig{Seed: 11, Delay: 0.5, MaxDelay: 100 * time.Microsecond}
 	for _, transport := range []string{"chanpt", "tcpnet", "udpnet"} {
@@ -86,20 +60,18 @@ func TestConformanceFaultDelay(t *testing.T) {
 			if transport != "chanpt" && testing.Short() && tp.Size() > 8 {
 				continue
 			}
-			for _, ordered := range []bool{false, true} {
-				tp, transport, ordered := tp, transport, ordered
-				t.Run(fmt.Sprintf("%s/K=%d/%s", transport, tp.Size(), engineName(ordered)), func(t *testing.T) {
+			for _, fixed := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/K=%d/%s", transport, tp.Size(), orderName(fixed)), func(t *testing.T) {
 					if transport == "chanpt" {
 						t.Parallel()
 					}
 					comms, inj := faultWorld(t, transport, tp.Size(), 2, cfg)
-					dests := confSendSets(int64(tp.Size()), tp.Size())
-					var opts []core.ExchangeOpt
-					if ordered {
-						opts = append(opts, core.Ordered())
+					if fixed {
+						forceOrderedComms(comms)
 					}
-					runConformance(t, comms, tp, dests, opts...)
-					runPersistentConformance(t, comms, tp, dests, opts...)
+					dests := confSendSets(int64(tp.Size()), tp.Size())
+					runConformance(t, comms, tp, dests)
+					runPersistentConformance(t, comms, tp, dests)
 					if st := inj.Stats(); st.Delayed == 0 {
 						t.Fatalf("delay fault never fired: %+v", st)
 					}
@@ -109,8 +81,8 @@ func TestConformanceFaultDelay(t *testing.T) {
 	}
 }
 
-// TestConformanceFaultReorder runs the arrival-order paths (pipelined
-// exchange, persistent replay, compiled replay) with receives served in
+// TestConformanceFaultReorder runs the arrival-order paths (exchange,
+// persistent replay, compiled replay) with receives served in
 // adversarial random order. The engines track outstanding senders, so any
 // service order over the candidate set is legal and the output must not
 // change.
@@ -131,7 +103,6 @@ func TestConformanceFaultReorder(t *testing.T) {
 			if transport != "chanpt" && testing.Short() && tp.Size() > 8 {
 				continue
 			}
-			tp, transport := tp, transport
 			t.Run(fmt.Sprintf("%s/K=%d", transport, tp.Size()), func(t *testing.T) {
 				if transport == "chanpt" {
 					t.Parallel()
@@ -149,8 +120,8 @@ func TestConformanceFaultReorder(t *testing.T) {
 	}
 }
 
-// TestConformanceFaultDuplicate runs single-exchange cells on the pipelined
-// engine with frames randomly duplicated. A duplicate within one exchange
+// TestConformanceFaultDuplicate runs single-exchange cells with frames
+// randomly duplicated. A duplicate within one exchange
 // stays queued behind the matched frame (the engines shrink candidate
 // lists, and arrival-order receives skip stale-tag frames), so deliveries
 // must still be bit-identical. The chanpt buffer is sized so leftover
@@ -162,7 +133,6 @@ func TestConformanceFaultDuplicate(t *testing.T) {
 			if transport != "chanpt" && testing.Short() && tp.Size() > 8 {
 				continue
 			}
-			tp, transport := tp, transport
 			t.Run(fmt.Sprintf("%s/K=%d", transport, tp.Size()), func(t *testing.T) {
 				if transport == "chanpt" {
 					t.Parallel()

@@ -97,10 +97,13 @@ type nbrFrame struct {
 
 // NewPersistent performs the learning run: it executes the exchange for
 // payloads and returns the deliveries along with a Persistent that can
-// replay the same pattern. The learning run rides the stage machine's
-// ordered discipline — deterministic send and receive order makes the
-// recorded layout reproducible — with recording hooks layered over the
-// dynamic router. It is collective, like Exchange.
+// replay the same pattern. The learning run is Exchange's dynamic router
+// with recording hooks. It injects this rank's payloads in sorted
+// destination order and receives each stage's frames in the schedule's
+// fixed sender order: inFrom and every slot list are recorded in the order
+// submessages are scattered, so fixing that order is what makes two
+// learning runs of one pattern record the same layout whatever the
+// transport's timing. It is collective, like Exchange.
 func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*Persistent, *Delivered, error) {
 	me := c.Rank()
 	if t.Size() != c.Size() {
@@ -124,7 +127,8 @@ func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*P
 
 	fb := msg.NewForwardBuffers(t.Dims())
 	out := &Delivered{}
-	for dst, data := range payloads {
+	for _, dst := range p.destList {
+		data := payloads[dst]
 		if dst < 0 || dst >= t.Size() {
 			return nil, nil, fmt.Errorf("core: rank %d: destination %d out of range", me, dst)
 		}
@@ -138,9 +142,9 @@ func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*P
 
 	learnSched := buildTopologySchedule(t, me)
 	sm := &stageMachine{
-		sched:   learnSched,
-		ordered: true,
-		traffic: learnSched.Traffic(),
+		sched:     learnSched,
+		fixedRecv: true,
+		traffic:   learnSched.Traffic(),
 		outSubs: func(d, _ int, slot SendSlot) ([]msg.Submessage, error) {
 			subs := fb.Take(d, t.Digit(slot.To, d))
 			if len(subs) > 0 {
@@ -163,11 +167,12 @@ func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*P
 			p.inLayout[d] = append(p.inLayout[d], inSlots)
 			return scatterFrame(t, me, d, fb, out, subs, nil)
 		},
-		finish: func(bool) error {
+		finish: func() error {
 			if left := fb.SubCount(); left != 0 {
 				return fmt.Errorf("core: rank %d: %d submessages left undelivered", me, left)
 			}
 			msg.SortSubs(out.Subs)
+			msg.CompactSubs(out.Subs)
 			return nil
 		},
 	}
@@ -257,13 +262,11 @@ func (p *Persistent) learnedInSlots(d, from int) ([]slotKey, bool) {
 // number of times, with the same options. For fixed payload sizes, the
 // compiled Replay (see Compile) iterates strictly faster.
 //
-// Run is the learned-schedule front-end of the stage machine, so by
-// default an iteration gets the pipelined discipline: sends stream from a
-// worker goroutine through pooled frame buffers (no per-frame copies), and
-// inbound frames are served in arrival order. Every inbound submessage is
+// Run is the learned-schedule front-end of the stage machine: sends go out
+// inline through pooled frame buffers (no per-frame copies), and inbound
+// frames are served in arrival order. Every inbound submessage is
 // validated against the learned slot layout of its frame; a frame whose
 // slots deviate from the pattern is rejected rather than silently staged.
-// Ordered() restores the learning run's serial discipline.
 func (p *Persistent) Run(c runtime.Comm, payloads map[int][]byte, opts ...ExchangeOpt) (*Delivered, error) {
 	var opt exchangeOptions
 	for _, o := range opts {
@@ -301,8 +304,7 @@ func (p *Persistent) Run(c runtime.Comm, payloads map[int][]byte, opts ...Exchan
 	}
 	out := &Delivered{}
 	sm := &stageMachine{
-		sched:   p.Schedule(),
-		ordered: opt.ordered,
+		sched: p.Schedule(),
 		// A replay's frames are precomputed slot fills — too cheap to be
 		// worth a worker handoff per stage — so issue the pooled sends
 		// inline and keep the pipelining on the receive side.
@@ -354,7 +356,7 @@ func (p *Persistent) Run(c runtime.Comm, payloads map[int][]byte, opts ...Exchan
 			}
 			return delivered, nil
 		},
-		finish: func(pooled bool) error {
+		finish: func() error {
 			out.Subs = make([]msg.Submessage, len(p.deliver))
 			for i, k := range p.deliver {
 				data, ok := store[k]
@@ -363,9 +365,7 @@ func (p *Persistent) Run(c runtime.Comm, payloads map[int][]byte, opts ...Exchan
 				}
 				out.Subs[i] = msg.Submessage{Src: int(k.src), Dst: int(k.dst), Data: data}
 			}
-			if pooled {
-				msg.CompactSubs(out.Subs)
-			}
+			msg.CompactSubs(out.Subs)
 			return nil
 		},
 	}

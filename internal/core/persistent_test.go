@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
 	"stfw/internal/runtime"
 	"stfw/internal/transport/chanpt"
+	"stfw/internal/transport/tptest"
 	"stfw/internal/vpt"
 )
 
@@ -100,6 +103,73 @@ func TestPersistentMatchesExchangeDeliveries(t *testing.T) {
 	runPersistent(t, tp, s, 1)
 	got, _ := runExchange(t, tp, s)
 	checkDeliveries(t, s, got)
+}
+
+// TestLearningLayoutReproducible: what a learning run records depends on
+// the pattern alone, not on the transport's timing or service order. The
+// same pattern is learned in two worlds whose sends are delayed and whose
+// arrival-order receives are served in random order, under different
+// seeds; both must record the same schedule and the same slot layouts.
+// (The learning run receives in fixed order, so the reorder fault finds
+// nothing to reorder; let it receive in arrival order and the two worlds'
+// inFrom orders differ. Let it inject its own payloads in map order and
+// the slot order inside first-stage frames differs.)
+func TestLearningLayoutReproducible(t *testing.T) {
+	learn := func(tp *vpt.Topology, s *SendSets, seed int64) []*Persistent {
+		w, err := chanpt.NewWorld(tp.Size(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj := tptest.NewInjector(tptest.FaultConfig{Seed: seed, Delay: 0.5, MaxDelay: 100 * time.Microsecond, Reorder: 0.75})
+		ps := make([]*Persistent, tp.Size())
+		err = runtime.Run(inj.WrapAll(w.Comms()), func(c runtime.Comm) error {
+			payloads := map[int][]byte{}
+			for _, pr := range s.Sets[c.Rank()] {
+				payloads[pr.Dst] = payloadWords(c.Rank(), pr.Dst, pr.Words)
+			}
+			p, _, err := NewPersistent(c, tp, payloads)
+			ps[c.Rank()] = p
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := inj.Stats(); st.Delayed == 0 {
+			t.Fatalf("delay fault never fired: %+v", st)
+		}
+		if err := VerifyLearnedWorld(ps); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		return ps
+	}
+	rng := rand.New(rand.NewSource(89))
+	for _, c := range []struct{ K, n int }{{16, 2}, {64, 3}} { // radix 4: three candidates per receive round
+		tp, err := vpt.NewBalanced(c.K, c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := randomSendSets(rng, c.K, 2, 3, 4)
+		a, b := learn(tp, s, 1), learn(tp, s, 2)
+		for r := range a {
+			if !reflect.DeepEqual(a[r].Schedule(), b[r].Schedule()) {
+				t.Fatalf("K=%d rank %d: learned schedules differ:\n%+v\n%+v", c.K, r, a[r].Schedule(), b[r].Schedule())
+			}
+			for _, f := range []struct {
+				name string
+				a, b any
+			}{
+				{"layout", a[r].layout, b[r].layout},
+				{"inFrom", a[r].inFrom, b[r].inFrom},
+				{"inLayout", a[r].inLayout, b[r].inLayout},
+				{"deliver", a[r].deliver, b[r].deliver},
+				{"sizes", a[r].sizes, b[r].sizes},
+			} {
+				if !reflect.DeepEqual(f.a, f.b) {
+					t.Fatalf("K=%d rank %d: learned %s differs:\n%+v\n%+v", c.K, r, f.name, f.a, f.b)
+				}
+			}
+		}
+	}
 }
 
 func TestPersistentRejectsPatternDrift(t *testing.T) {

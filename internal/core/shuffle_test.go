@@ -21,7 +21,7 @@ import (
 // candidate sends exactly one frame per stage tag — so the engine sees
 // deliveries in an order that has nothing to do with digit order.
 type shuffleComm struct {
-	runtime.Comm
+	runtime.Passthrough
 	mu  *sync.Mutex
 	rng *rand.Rand
 }
@@ -49,7 +49,7 @@ func TestExchangeShuffledDeliveryOrder(t *testing.T) {
 		mu := &sync.Mutex{}
 		shufRng := rand.New(rand.NewSource(62))
 		for i, c := range comms {
-			wrapped[i] = &shuffleComm{Comm: c, mu: mu, rng: shufRng}
+			wrapped[i] = &shuffleComm{Passthrough: runtime.Passthrough{Comm: c}, mu: mu, rng: shufRng}
 		}
 		err = runtime.Run(wrapped, func(c runtime.Comm) error {
 			payloads := map[int][]byte{}

@@ -105,9 +105,10 @@ func NetstatRun(cfg NetstatConfig, reg *telemetry.Registry, comms []runtime.Comm
 		if err != nil {
 			return err
 		}
-		// Spans cover only the steady-state replays: the learning run's
-		// ordered discipline has different timing and would skew the
-		// per-stage measurement the model is compared against.
+		// Spans cover only the steady-state replays: the learning run
+		// routes dynamically and receives in fixed order, so its timing
+		// would skew the per-stage measurement the model is compared
+		// against.
 		p.Instrument(reg.Rank(c.Rank()))
 		for i := 0; i < cfg.Iters; i++ {
 			if _, err := p.Run(c, payloads); err != nil {

@@ -198,7 +198,7 @@ func TestCGAgainstSerialOracle(t *testing.T) {
 // every allreduce one on each of its round links, so the counts say how
 // many of each a solve ran.
 type linkCounter struct {
-	runtime.Comm
+	runtime.Passthrough
 	sends map[[2]int]int
 }
 
@@ -206,8 +206,6 @@ func (l *linkCounter) Send(to, tag int, payload []byte) error {
 	l.sends[[2]int{to, tag}]++
 	return l.Comm.Send(to, tag, payload)
 }
-
-func (l *linkCounter) SendRetains() bool { return runtime.SendRetains(l.Comm) }
 
 // assertCounts checks that every link outside the collectives' tag span
 // carried wantMul frames, every link inside it wantRed, and that the rank
@@ -240,7 +238,7 @@ func countingWorld(t *testing.T, K int) ([]runtime.Comm, []*linkCounter) {
 	comms := w.Comms()
 	counters := make([]*linkCounter, K)
 	for r := range comms {
-		counters[r] = &linkCounter{Comm: comms[r], sends: map[[2]int]int{}}
+		counters[r] = &linkCounter{Passthrough: runtime.Passthrough{Comm: comms[r]}, sends: map[[2]int]int{}}
 		comms[r] = counters[r]
 	}
 	return comms, counters

@@ -6,9 +6,8 @@ import (
 )
 
 // Frame arena: process-wide sync.Pools of encode/receive buffers for the
-// exchange hot path. The ordered legacy engine allocates a fresh copy of
-// every frame it sends; the pipelined engine instead encodes into pooled
-// buffers and recycles them once no one references the bytes any more —
+// exchange hot path. The stage engine encodes every frame it sends into a
+// pooled buffer and recycles it once no one references the bytes any more —
 // after Send returns on copying transports, or on the receiving rank once
 // the exchange has scattered (and, for deliveries, copied) the frame's
 // submessages on retaining transports.

@@ -35,8 +35,8 @@ type Comm interface {
 }
 
 // AnyReceiver is an optional Comm extension for arrival-order receives: the
-// pipelined exchange engine uses it to process whichever neighbor's frame
-// lands first instead of blocking on a fixed neighbor order. Transports that
+// exchange engine uses it to process whichever neighbor's frame lands
+// first instead of blocking on a fixed neighbor order. Transports that
 // can match frames out of sender order implement it; for everything else
 // RecvAnyOf degrades to a conforming fixed-order fallback.
 type AnyReceiver interface {

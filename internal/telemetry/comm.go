@@ -14,14 +14,14 @@ type StageMapper func(tag int) (stage int, ok bool)
 
 // WrapComm returns a communicator that counts every frame c sends and
 // receives into the registry's collector for c.Rank(), attributing frames
-// to stages through stageOf. The wrapper preserves the optional transport
-// capabilities the exchange engines rely on (runtime.AnyReceiver,
-// runtime.SendRetainer) and adds barrier wait accounting. Wrapping a comm
-// on a nil registry returns c unchanged.
+// to stages through stageOf, and adds barrier wait accounting. It embeds
+// runtime.Passthrough, so every control-plane seam of c (buffer ownership,
+// traffic hints, link stats, reserved tags) answers through it unchanged,
+// and forwards runtime.AnyReceiver itself because it counts receives.
+// Wrapping a comm on a nil registry returns c unchanged.
 //
 // The wrapper adds a handful of atomic increments per frame and allocates
-// nothing, so it can stay installed under the zero-alloc gate; both the
-// pipelined and the Ordered() engine see identical semantics through it.
+// nothing, so it can stay installed under the zero-alloc gate.
 func (g *Registry) WrapComm(c runtime.Comm, stageOf StageMapper) runtime.Comm {
 	if g == nil {
 		return c
@@ -32,11 +32,11 @@ func (g *Registry) WrapComm(c runtime.Comm, stageOf StageMapper) runtime.Comm {
 		// counters into this rank's snapshots from now on.
 		t.SetLinkSource(src)
 	}
-	return &countedComm{Comm: c, t: t, stageOf: stageOf}
+	return &countedComm{Passthrough: runtime.Passthrough{Comm: c}, t: t, stageOf: stageOf}
 }
 
 type countedComm struct {
-	runtime.Comm
+	runtime.Passthrough
 	t       *Rank
 	stageOf StageMapper
 }
@@ -82,22 +82,6 @@ func (c *countedComm) RecvAnyOf(tag int, from []int) (int, []byte, error) {
 		c.t.CountRecv(c.stage(tag), len(payload))
 	}
 	return sender, payload, err
-}
-
-// SendRetains forwards the wrapped transport's buffer-ownership answer so
-// pooled send buffers keep their recycling discipline through the wrapper.
-func (c *countedComm) SendRetains() bool { return runtime.SendRetains(c.Comm) }
-
-// HintTraffic forwards schedule traffic hints so a schedule-aware
-// transport keeps its zero-speculation flow control under instrumentation.
-func (c *countedComm) HintTraffic(stages []runtime.StageTraffic) {
-	runtime.HintTraffic(c.Comm, stages)
-}
-
-// LinkStats forwards the wrapped transport's per-link wire snapshot, so
-// the wrapper is as much a LinkStatsSource as the transport it counts.
-func (c *countedComm) LinkStats() []runtime.LinkStats {
-	return runtime.LinkStatsOf(c.Comm)
 }
 
 func (c *countedComm) Barrier() error {

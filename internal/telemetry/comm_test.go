@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"stfw/internal/runtime"
+	"stfw/internal/transport/tptest"
 )
 
 // fakeComm is a minimal loopback transport for wrapper tests: Send succeeds
@@ -153,4 +154,12 @@ func TestWrapCommSendRetains(t *testing.T) {
 	if !sr.SendRetains() {
 		t.Fatal("unknown transport should report retaining sends")
 	}
+}
+
+// TestWrapCommTransparent: the counting wrapper answers every optional
+// seam with the wrapped transport's answer (a hier world over wrapped
+// udpnet subs needs ReservedTags through it for its collision check).
+func TestWrapCommTransparent(t *testing.T) {
+	g := MustNew(Config{Ranks: 4, Stages: 1})
+	tptest.RunWrapperTransparency(t, func(c runtime.Comm) runtime.Comm { return g.WrapComm(c, nil) })
 }

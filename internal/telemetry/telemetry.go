@@ -1,9 +1,8 @@
 // Package telemetry is the live observability layer of the runtime: an
 // always-compilable, near-zero-overhead instrumentation substrate that
 // records what each rank actually does while an exchange executes — as
-// opposed to internal/trace (post-hoc plan verification) and
-// internal/metrics (static schedule summaries), which only describe what a
-// run *should* do.
+// opposed to internal/metrics (static schedule summaries), which only
+// describes what a run *should* do.
 //
 // A Registry holds one collector per rank. Each collector keeps
 //

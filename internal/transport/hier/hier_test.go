@@ -247,32 +247,32 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// hintRecorder is a fake sub-comm that records the traffic hints and sends
-// routed to it.
-type hintRecorder struct {
-	rank, size int
-	hints      [][]runtime.StageTraffic
-	sent       []int
-}
-
-func (h *hintRecorder) Rank() int { return h.rank }
-func (h *hintRecorder) Size() int { return h.size }
-func (h *hintRecorder) Send(to, tag int, payload []byte) error {
-	h.sent = append(h.sent, to)
-	return nil
-}
-func (h *hintRecorder) Recv(from, tag int) ([]byte, error)        { return nil, nil }
-func (h *hintRecorder) Barrier() error                            { return nil }
-func (h *hintRecorder) HintTraffic(stages []runtime.StageTraffic) { h.hints = append(h.hints, stages) }
-
-func fakeWorld(size int) ([]runtime.Comm, []*hintRecorder) {
+// fakeWorld is a world of tptest.SeamFake sub-comms, which record the
+// traffic hints and sends routed to them.
+func fakeWorld(size int) ([]runtime.Comm, []*tptest.SeamFake) {
 	comms := make([]runtime.Comm, size)
-	recs := make([]*hintRecorder, size)
+	recs := make([]*tptest.SeamFake, size)
 	for r := range comms {
-		recs[r] = &hintRecorder{rank: r, size: size}
+		recs[r] = &tptest.SeamFake{Me: r, World: size}
 		comms[r] = recs[r]
 	}
 	return comms, recs
+}
+
+// TestMuxTransparent: with every rank its own node the mux routes all
+// pairs over the outer sub, and must then answer every optional seam as
+// that sub does — over an inner sub with nothing to declare.
+func TestMuxTransparent(t *testing.T) {
+	tptest.RunWrapperTransparency(t, func(c runtime.Comm) runtime.Comm {
+		inner, _ := fakeWorld(c.Size())
+		outer, _ := fakeWorld(c.Size())
+		outer[c.Rank()] = c
+		w, err := hier.New(hier.Config{Inner: inner, Outer: outer, NodeOf: func(r int) int { return r }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.Comms()[c.Rank()]
+	})
 }
 
 // TestHintFanout checks the TrafficHinter seam composes: each stage's
@@ -299,25 +299,25 @@ func TestHintFanout(t *testing.T) {
 	}
 	runtime.HintTraffic(c0, stages)
 	in, out := innerRecs[0], outerRecs[0]
-	if len(in.hints) != 1 || len(out.hints) != 1 {
-		t.Fatalf("hint calls inner=%d outer=%d, want 1 each", len(in.hints), len(out.hints))
+	if len(in.Hints) != 1 || len(out.Hints) != 1 {
+		t.Fatalf("hint calls inner=%d outer=%d, want 1 each", len(in.Hints), len(out.Hints))
 	}
-	if len(in.hints[0]) != 1 || in.hints[0][0].Tag != 100 || in.hints[0][0].Dim != 0 {
-		t.Fatalf("inner hint %+v, want only the dim-0 stage", in.hints[0])
+	if len(in.Hints[0]) != 1 || in.Hints[0][0].Tag != 100 || in.Hints[0][0].Dim != 0 {
+		t.Fatalf("inner hint %+v, want only the dim-0 stage", in.Hints[0])
 	}
-	if len(out.hints[0]) != 1 || out.hints[0][0].Tag != 101 || out.hints[0][0].Dim != 1 {
-		t.Fatalf("outer hint %+v, want only the dim-1 stage", out.hints[0])
+	if len(out.Hints[0]) != 1 || out.Hints[0][0].Tag != 101 || out.Hints[0][0].Dim != 1 {
+		t.Fatalf("outer hint %+v, want only the dim-1 stage", out.Hints[0])
 	}
-	if out.hints[0][0].Sends[0].Bytes != 64 {
-		t.Fatalf("peer traffic not forwarded verbatim: %+v", out.hints[0][0].Sends[0])
+	if out.Hints[0][0].Sends[0].Bytes != 64 {
+		t.Fatalf("peer traffic not forwarded verbatim: %+v", out.Hints[0][0].Sends[0])
 	}
 	// Repeated hint with the same backing slice: the sub-transports must
 	// see the same backing slices again, or their pointer dedup breaks.
 	runtime.HintTraffic(c0, stages)
-	if len(in.hints) != 2 || &in.hints[0][0] != &in.hints[1][0] {
+	if len(in.Hints) != 2 || &in.Hints[0][0] != &in.Hints[1][0] {
 		t.Error("repeated hint did not re-forward the cached inner split")
 	}
-	if len(out.hints) != 2 || &out.hints[0][0] != &out.hints[1][0] {
+	if len(out.Hints) != 2 || &out.Hints[0][0] != &out.Hints[1][0] {
 		t.Error("repeated hint did not re-forward the cached outer split")
 	}
 }
@@ -338,11 +338,11 @@ func TestSendRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(innerRecs[0].sent) != 1 || innerRecs[0].sent[0] != 1 {
-		t.Errorf("inner sends = %v, want [1]", innerRecs[0].sent)
+	if len(innerRecs[0].Sent) != 1 || innerRecs[0].Sent[0] != 1 {
+		t.Errorf("inner sends = %v, want [1]", innerRecs[0].Sent)
 	}
-	if len(outerRecs[0].sent) != 2 || outerRecs[0].sent[0] != 2 || outerRecs[0].sent[1] != 3 {
-		t.Errorf("outer sends = %v, want [2 3]", outerRecs[0].sent)
+	if len(outerRecs[0].Sent) != 2 || outerRecs[0].Sent[0] != 2 || outerRecs[0].Sent[1] != 3 {
+		t.Errorf("outer sends = %v, want [2 3]", outerRecs[0].Sent)
 	}
 	if err := c0.Send(size, 9, nil); err == nil {
 		t.Error("out-of-range send accepted")

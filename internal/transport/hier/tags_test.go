@@ -7,27 +7,17 @@ import (
 	"stfw/internal/core"
 	"stfw/internal/runtime"
 	"stfw/internal/transport/hier"
+	"stfw/internal/transport/tptest"
 	"stfw/internal/transport/udpnet"
 	"stfw/internal/vpt"
 )
 
-// reservingComm is a fake sub-transport claiming a control-tag range.
-type reservingComm struct {
-	rank, size int
-	lo, hi     int
-}
-
-func (c *reservingComm) Rank() int                     { return c.rank }
-func (c *reservingComm) Size() int                     { return c.size }
-func (c *reservingComm) Send(int, int, []byte) error   { return nil }
-func (c *reservingComm) Recv(int, int) ([]byte, error) { return nil, nil }
-func (c *reservingComm) Barrier() error                { return nil }
-func (c *reservingComm) ReservedTags() (lo, hi int)    { return c.lo, c.hi }
-
+// reservingWorld is a world of fake sub-transports claiming a control-tag
+// range.
 func reservingWorld(size, lo, hi int) []runtime.Comm {
 	comms := make([]runtime.Comm, size)
 	for r := range comms {
-		comms[r] = &reservingComm{rank: r, size: size, lo: lo, hi: hi}
+		comms[r] = &tptest.SeamFake{Me: r, World: size, ResLo: lo, ResHi: hi}
 	}
 	return comms
 }

@@ -120,11 +120,15 @@ func (i *Injector) count(f func(*FaultStats)) {
 }
 
 // Wrap returns a communicator that applies the injector's faults around c.
-// The wrapper forwards SendRetains and implements AnyReceiver (delegating
-// to the runtime helper over the inner transport), so engines see the same
-// capability surface as the bare transport.
+// The wrapper embeds runtime.Passthrough and implements AnyReceiver
+// (delegating to the runtime helper over the inner transport), so engines
+// see the same capability surface as the bare transport. Hints pass through
+// because the injector perturbs frame timing, not the schedule: the inner
+// transport's hinted flow control stays sound under every
+// semantics-preserving fault class (Drop violates the schedule contract
+// with or without hints).
 func (i *Injector) Wrap(c runtime.Comm) runtime.Comm {
-	return &faultComm{inner: c, inj: i}
+	return &faultComm{Passthrough: runtime.Passthrough{Comm: c}, inj: i}
 }
 
 // WrapAll wraps every communicator of a world with the same injector.
@@ -151,12 +155,9 @@ func WithFaults(newWorld Factory, cfg FaultConfig) Factory {
 }
 
 type faultComm struct {
-	inner runtime.Comm
-	inj   *Injector
+	runtime.Passthrough
+	inj *Injector
 }
-
-func (f *faultComm) Rank() int { return f.inner.Rank() }
-func (f *faultComm) Size() int { return f.inner.Size() }
 
 func (f *faultComm) Send(to, tag int, payload []byte) error {
 	i := f.inj
@@ -168,28 +169,16 @@ func (f *faultComm) Send(to, tag int, payload []byte) error {
 		i.count(func(s *FaultStats) { s.Delayed++ })
 		time.Sleep(i.randDelay())
 	}
-	if err := f.inner.Send(to, tag, payload); err != nil {
+	if err := f.Comm.Send(to, tag, payload); err != nil {
 		return err
 	}
 	i.count(func(s *FaultStats) { s.Sent++ })
 	if i.roll(i.cfg.Duplicate) {
 		i.count(func(s *FaultStats) { s.Duplicated++ })
 		dup := append([]byte(nil), payload...)
-		return f.inner.Send(to, tag, dup)
+		return f.Comm.Send(to, tag, dup)
 	}
 	return nil
-}
-
-func (f *faultComm) Recv(from, tag int) ([]byte, error) { return f.inner.Recv(from, tag) }
-func (f *faultComm) Barrier() error                     { return f.inner.Barrier() }
-func (f *faultComm) SendRetains() bool                  { return runtime.SendRetains(f.inner) }
-
-// HintTraffic forwards schedule traffic hints: the injector perturbs frame
-// timing, not the schedule, so the inner transport's zero-speculation flow
-// control stays sound under every semantics-preserving fault class. (Drop
-// violates the schedule contract with or without hints.)
-func (f *faultComm) HintTraffic(stages []runtime.StageTraffic) {
-	runtime.HintTraffic(f.inner, stages)
 }
 
 // RecvAnyOf serves the receive in arrival order through the inner
@@ -204,8 +193,8 @@ func (f *faultComm) RecvAnyOf(tag int, from []int) (int, []byte, error) {
 		pick := from[i.rng.Intn(len(from))]
 		i.mu.Unlock()
 		i.count(func(s *FaultStats) { s.Reordered++ })
-		payload, err := f.inner.Recv(pick, tag)
+		payload, err := f.Comm.Recv(pick, tag)
 		return pick, payload, err
 	}
-	return runtime.RecvAnyOf(f.inner, tag, from)
+	return runtime.RecvAnyOf(f.Comm, tag, from)
 }

@@ -20,6 +20,13 @@ func faultPair(t *testing.T, cfg tptest.FaultConfig) ([]runtime.Comm, *tptest.In
 	return inj.WrapAll(w.Comms()), inj
 }
 
+// TestFaultWrapTransparent: with no fault configured the injector's wrapper
+// answers every optional seam with the inner transport's answer, so a
+// suite run behind it measures the same flow control as one run bare.
+func TestFaultWrapTransparent(t *testing.T) {
+	tptest.RunWrapperTransparency(t, tptest.NewInjector(tptest.FaultConfig{}).Wrap)
+}
+
 // TestFaultDropDiscards proves Drop=1 silently swallows every frame: the
 // send succeeds, the counter moves, and a sentinel frame sent fault-free
 // afterwards is the only thing the receiver ever sees.

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"reflect"
 	goruntime "runtime"
 	"strings"
 	"sync"
@@ -379,14 +380,83 @@ func (n *nativeComm) RecvAnyOf(tag int, from []int) (int, []byte, error) {
 	return last, []byte("native"), nil
 }
 
-// retainComm opts out of buffer retention; plain comms default to retain
-// (the safe assumption for unknown transports).
-type retainComm struct {
-	fakeComm
-	retains bool
+// SeamFake is an in-memory Comm whose answer on every optional seam is a
+// field, for tests of whatever sits between an engine and a transport
+// (decorators, composites). Zero fields are each seam's "nothing to
+// declare" answer, except that a zero Retains is the non-default one (an
+// unknown Comm is assumed to retain). Send and HintTraffic record their
+// arguments. Recv returns "recv:<from>"; RecvAnyOf serves the LAST
+// candidate as "any:<from>", an answer no fixed-order fallback produces.
+type SeamFake struct {
+	Me, World    int
+	Retains      bool
+	ResLo, ResHi int
+	Links        []runtime.LinkStats
+	Hints        [][]runtime.StageTraffic
+	Sent         []int
 }
 
-func (r *retainComm) SendRetains() bool { return r.retains }
+func (f *SeamFake) Rank() int      { return f.Me }
+func (f *SeamFake) Size() int      { return f.World }
+func (f *SeamFake) Barrier() error { return nil }
+
+func (f *SeamFake) Send(to, _ int, _ []byte) error {
+	f.Sent = append(f.Sent, to)
+	return nil
+}
+
+func (f *SeamFake) Recv(from, _ int) ([]byte, error) {
+	return []byte(fmt.Sprintf("recv:%d", from)), nil
+}
+
+func (f *SeamFake) RecvAnyOf(_ int, from []int) (int, []byte, error) {
+	last := from[len(from)-1]
+	return last, []byte(fmt.Sprintf("any:%d", last)), nil
+}
+
+func (f *SeamFake) SendRetains() bool                         { return f.Retains }
+func (f *SeamFake) HintTraffic(stages []runtime.StageTraffic) { f.Hints = append(f.Hints, stages) }
+func (f *SeamFake) LinkStats() []runtime.LinkStats            { return f.Links }
+func (f *SeamFake) ReservedTags() (lo, hi int)                { return f.ResLo, f.ResHi }
+
+// RunWrapperTransparency checks that wrap is transparent to the five
+// optional Comm seams: over a SeamFake (rank 0 of 4) with a distinctive
+// answer on each, every runtime helper must give the fake's answer through
+// the wrapped Comm. A decorator that drops a seam changes the program it
+// decorates — a dropped hint turns off udpnet's schedule-driven flow
+// control, a dropped reservation hides a control tag from hier's collision
+// check — so every decorator and composite in the tree calls this.
+func RunWrapperTransparency(t *testing.T, wrap func(runtime.Comm) runtime.Comm) {
+	t.Helper()
+	inner := &SeamFake{
+		World: 4,
+		ResLo: 1 << 30, ResHi: 1<<30 + 2,
+		Links: []runtime.LinkStats{{Peer: 2, FramesSent: 7, PktsSent: 9}},
+	}
+	c := wrap(inner)
+	if runtime.SendRetains(c) {
+		t.Error("SendRetains: wrapper answers true over a non-retaining Comm")
+	}
+	stages := []runtime.StageTraffic{{
+		Tag: 100, Dim: 1,
+		Sends: []runtime.PeerTraffic{{Peer: 1, Frames: 1, Bytes: 64}},
+		Recvs: []runtime.PeerTraffic{{Peer: 3, Frames: 1}},
+	}}
+	runtime.HintTraffic(c, stages)
+	if len(inner.Hints) != 1 || !reflect.DeepEqual(inner.Hints[0], stages) {
+		t.Errorf("HintTraffic: wrapped Comm saw %+v, want one hint %+v", inner.Hints, stages)
+	}
+	if got := runtime.LinkStatsOf(c); !reflect.DeepEqual(got, inner.Links) {
+		t.Errorf("LinkStatsOf: %+v through the wrapper, want %+v", got, inner.Links)
+	}
+	if lo, hi, ok := runtime.ReservedTagsOf(c); !ok || lo != inner.ResLo || hi != inner.ResHi {
+		t.Errorf("ReservedTagsOf: [%#x,%#x) ok=%v through the wrapper, want [%#x,%#x)", lo, hi, ok, inner.ResLo, inner.ResHi)
+	}
+	from, payload, err := runtime.RecvAnyOf(c, 100, []int{1, 2, 3})
+	if err != nil || from != 3 || string(payload) != "any:3" {
+		t.Errorf("RecvAnyOf: from=%d payload=%q err=%v through the wrapper, want the native matcher's (3, \"any:3\")", from, payload, err)
+	}
+}
 
 // RunHelperSemantics exercises the runtime.RecvAnyOf and runtime.SendRetains
 // helpers against in-memory fakes: fallback on plain Comms, fallback on the
@@ -446,10 +516,10 @@ func RunHelperSemantics(t *testing.T) {
 		if !runtime.SendRetains(&fakeComm{}) {
 			t.Error("unknown transports must default to retaining sends")
 		}
-		if runtime.SendRetains(&retainComm{retains: false}) {
+		if runtime.SendRetains(&SeamFake{Retains: false}) {
 			t.Error("SendRetainer answer not forwarded")
 		}
-		if !runtime.SendRetains(&retainComm{retains: true}) {
+		if !runtime.SendRetains(&SeamFake{Retains: true}) {
 			t.Error("SendRetainer answer not forwarded")
 		}
 	})

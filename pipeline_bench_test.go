@@ -1,11 +1,9 @@
 package stfw
 
-// Benchmarks for the pipelined stage engine: the same seeded workload run
-// through the legacy ordered engine and the default pipelined one, across
-// world sizes and skew patterns. The pipelined engine overlaps each stage's
-// sends (worker goroutine, pooled frame buffers) with arrival-order
-// receives, so it should win on wall clock AND allocations — run with
-// `go test -bench PipelinedVsOrdered -benchmem` to see both.
+// Benchmarks for the stage engine's one-shot front-ends: a seeded workload
+// run through Exchange (topology-derived and plan-driven schedules) and
+// ExchangeDirect, across world sizes and skew patterns — run with
+// `go test -bench 'Exchange' -benchmem`.
 
 import (
 	"math/rand"
@@ -88,12 +86,8 @@ func benchPayloads(s *SendSets) []map[int][]byte {
 	return payloads
 }
 
-func benchEngines(b *testing.B, K int, s *SendSets) {
-	benchEnginesDim(b, K, benchDim(K), s)
-}
-
-func benchEnginesDim(b *testing.B, K, n int, s *SendSets) {
-	topo, err := BalancedTopology(K, n)
+func benchExchange(b *testing.B, K int, s *SendSets) {
+	topo, err := BalancedTopology(K, benchDim(K))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -102,17 +96,14 @@ func benchEnginesDim(b *testing.B, K, n int, s *SendSets) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	engines := []struct {
+	for _, sched := range []struct {
 		name string
 		opts []ExchangeOpt
 	}{
-		{"ordered", []ExchangeOpt{Ordered()}},
-		{"pipelined", nil},
-		{"pipelined-plan", []ExchangeOpt{WithPlan(plan)}},
-	}
-	for _, eng := range engines {
-		eng := eng
-		b.Run(eng.name, func(b *testing.B) {
+		{"topology", nil},
+		{"plan", []ExchangeOpt{WithPlan(plan)}},
+	} {
+		b.Run(sched.name, func(b *testing.B) {
 			w, err := LocalWorld(K)
 			if err != nil {
 				b.Fatal(err)
@@ -122,7 +113,7 @@ func benchEnginesDim(b *testing.B, K, n int, s *SendSets) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				err := runtime.Run(comms, func(c runtime.Comm) error {
-					_, err := Exchange(c, topo, payloads[c.Rank()], eng.opts...)
+					_, err := Exchange(c, topo, payloads[c.Rank()], sched.opts...)
 					return err
 				})
 				if err != nil {
@@ -133,23 +124,23 @@ func benchEnginesDim(b *testing.B, K, n int, s *SendSets) {
 	}
 }
 
-// BenchmarkPipelinedVsOrdered is the headline comparison: same world, same
-// topology, same payloads; only the stage engine differs.
-func BenchmarkPipelinedVsOrdered(b *testing.B) {
+// BenchmarkExchange is the one-shot exchange: same world, same topology,
+// same payloads; the rows differ only in where the stage schedule comes
+// from.
+func BenchmarkExchange(b *testing.B) {
 	for _, K := range []int{64, 256, 1024} {
-		K := K
 		b.Run("hotspot/K="+itoa(K), func(b *testing.B) {
-			benchEngines(b, K, scaleWords(hotSpotSends(K, 8), benchWordScale))
+			benchExchange(b, K, scaleWords(hotSpotSends(K, 8), benchWordScale))
 		})
 		b.Run("powerlaw/K="+itoa(K), func(b *testing.B) {
-			benchEngines(b, K, scaleWords(powerLawSends(K, 8), benchWordScale))
+			benchExchange(b, K, scaleWords(powerLawSends(K, 8), benchWordScale))
 		})
 	}
 }
 
-// BenchmarkPipelinedDirect compares the two engines of the baseline
-// DirectExchange on the hot-spot pattern.
-func BenchmarkPipelinedDirect(b *testing.B) {
+// BenchmarkExchangeDirect is the baseline ExchangeDirect on the hot-spot
+// pattern.
+func BenchmarkExchangeDirect(b *testing.B) {
 	K := 256
 	s := scaleWords(hotSpotSends(K, 8), benchWordScale)
 	payloads := benchPayloads(s)
@@ -160,31 +151,20 @@ func BenchmarkPipelinedDirect(b *testing.B) {
 			recvFrom[rank] = append(recvFrom[rank], pr.Dst)
 		}
 	}
-	for _, eng := range []struct {
-		name string
-		opts []ExchangeOpt
-	}{
-		{"ordered", []ExchangeOpt{Ordered()}},
-		{"pipelined", nil},
-	} {
-		eng := eng
-		b.Run(eng.name, func(b *testing.B) {
-			w, err := LocalWorld(K)
-			if err != nil {
-				b.Fatal(err)
-			}
-			comms := w.Comms()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				err := runtime.Run(comms, func(c runtime.Comm) error {
-					_, err := ExchangeDirect(c, payloads[c.Rank()], recvFrom[c.Rank()], eng.opts...)
-					return err
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+	w, err := LocalWorld(K)
+	if err != nil {
+		b.Fatal(err)
+	}
+	comms := w.Comms()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := runtime.Run(comms, func(c runtime.Comm) error {
+			_, err := ExchangeDirect(c, payloads[c.Rank()], recvFrom[c.Rank()])
+			return err
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -11,8 +11,9 @@
 // The package is a facade over the internal packages:
 //
 //   - topology construction and analysis (internal/vpt, internal/core)
-//   - the store-and-forward executor and the direct baseline, both running
-//     over pluggable transports (internal/runtime, internal/transport/...)
+//   - the store-and-forward executor and the direct baseline, both front-ends
+//     of one stage machine with one execution discipline, running over
+//     pluggable transports (internal/runtime, internal/transport/...)
 //   - exact static planning of a schedule's message counts, volumes and
 //     buffer usage without executing it (internal/core)
 //   - machine cost models that price a schedule on BlueGene/Q-, Cray XK7-
@@ -61,16 +62,11 @@ func DirectTopology(K int) (*Topology, error) { return vpt.Direct(K) }
 // power-of-two K (the hypercube).
 func MaxTopologyDim(K int) int { return vpt.MaxDim(K) }
 
-// ExchangeOpt configures an Exchange or ExchangeDirect call; see Ordered
-// and WithPlan.
+// ExchangeOpt configures an Exchange or ExchangeDirect call. WithPlan is
+// the only one the facade exposes: the stage machine has one execution
+// discipline (pooled frames, receives in arrival order), so there is
+// nothing to select.
 type ExchangeOpt = core.ExchangeOpt
-
-// Ordered selects the stage machine's legacy ordered discipline — sends
-// issued inline with one fresh frame copy each, receives in fixed neighbor
-// order — instead of the default pipelined one (pooled frame buffers,
-// receives in arrival order). The paper-reproduction experiments use it to
-// stay bit-identical with the original executor.
-func Ordered() ExchangeOpt { return core.Ordered() }
 
 // WithPlan switches the exchange onto the plan-driven schedule front-end:
 // the per-rank stage schedule is derived once from the static plan (and
