@@ -2,10 +2,11 @@
 // the paper positions its work against (Section 7): barrier, broadcast,
 // allgather, reduce-scatter, allreduce and all-to-all, built on the same
 // runtime.Comm substrate as the store-and-forward scheme. They use the
-// standard logarithmic algorithms (dissemination, binomial tree, recursive
-// doubling) so the repository contains the collective baseline an MPI
-// distribution would offer, and so applications (e.g. the CG solver in
-// internal/iterative) have the reductions they need.
+// standard algorithms (binomial tree, ring, pairwise exchange, and one
+// radix-4 reduce/broadcast tree under the barrier and the allreduce) so the
+// repository contains the collective baseline an MPI distribution would
+// offer, and so applications (e.g. the CG solver in internal/iterative)
+// have the reductions they need.
 //
 // All operations are collective: every rank of the communicator must call
 // them with compatible arguments, in the same order.
@@ -13,9 +14,9 @@
 // Tags. Every collective owns a block of tags disjoint from every other
 // collective's, from the exchange's (core.AppTagSpan) and from the
 // transports' control tags (runtime.TagReserver); TagSpan returns the span
-// they all lie in. The log-round collectives (Barrier, the allreduce
-// family) take one tag per round, so a frame can only match the round it
-// was sent in. Bcast, AllgatherDoubles, Alltoall and Gather take one tag
+// they all lie in. The tree collectives (Barrier, the allreduce family)
+// take one tag per tree level, so a frame can only match the level it was
+// sent on. Bcast, AllgatherDoubles, Alltoall and Gather take one tag
 // each: within one call every frame between a given pair of ranks is
 // either the only one or sent and received in the same order, and two
 // back-to-back calls are kept apart by the per-pair FIFO order every
@@ -23,44 +24,46 @@
 //
 // Allreduce wire format and buffer ownership. There is one allreduce,
 // AllreduceInPlace; Allreduce, AllreduceScalar and ReduceScatterDoubles
-// copy into and out of it. A round's frame is the vector's words and
-// nothing else: len(vec) little-endian IEEE-754 doubles. A receiver checks
-// the frame's length against its own vector and trusts nothing more. The
-// send buffer of every round comes from the msg frame pool and has exactly
-// one owner at a time: when runtime.SendRetains(c) is true the transport
-// hands the slice itself to the receiving rank, which releases it;
-// otherwise the transport has copied the bytes when Send returns and the
-// sender releases it. Every received frame goes back with msg.PutFrame
+// copy into and out of it. A frame is the vector's words and nothing else:
+// len(vec) little-endian IEEE-754 doubles. A receiver checks the frame's
+// length against its own vector and trusts nothing more (a frame of any
+// other length, the one-byte poison frame of treeReduce included, is a
+// mismatch). Every send buffer comes from the msg frame pool and has
+// exactly one owner at a time: when runtime.SendRetains(c) is true the
+// transport hands the slice itself to the receiving rank, which releases
+// it; otherwise the transport has copied the bytes when Send returns and
+// the sender releases it. Every received frame goes back with msg.PutFrame
 // once its words are folded in. In steady state an allreduce allocates
 // nothing of its own.
 //
 // Identical results. Solvers branch on reduced values (converged or not,
 // SPD or not) and every rank must take the same branch, so AllreduceInPlace
-// leaves bit-identical words on every rank, for any K: both partners of a
-// round apply op to the same two operands in the same order. That the
-// words are *the* reduction, independent of K and of which rank folds into
-// which, needs op to be commutative and associative (see Op).
+// leaves bit-identical words on every rank, for any K: rank 0 computes the
+// last fold and every other rank copies its words. A parent folds its
+// children in rank order, not arrival order, so the bits are also the same
+// from run to run. That the words are *the* reduction, independent of K
+// and of the tree's shape, needs op to be commutative and associative (see
+// Op).
 package collectives
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"stfw/internal/msg"
 	"stfw/internal/runtime"
 )
 
-// Tag blocks, one per collective. maxRounds bounds the rounds of a
-// log-round collective: lg K + 2 < 64 for any K an int can hold.
+// Tag blocks, one per collective. maxRounds bounds the levels of the
+// reduce tree: ceil(log4 K) < 64 for any K an int can hold.
 const (
 	maxRounds = 64
 
-	tagBarrier   = 0x4342                   // + round
+	tagBarrier   = 0x4342                   // + level
 	tagBcast     = tagBarrier + maxRounds   // each rank receives once, from its parent
 	tagAllgather = tagBcast + 1             // ring: always the same neighbour, in order
-	tagAllreduce = tagAllgather + 1         // + round
+	tagAllreduce = tagAllgather + 1         // + level
 	tagAlltoall  = tagAllreduce + maxRounds // every round pairs a rank with a different peer
 	tagGather    = tagAlltoall + 1          // one frame per rank, all to the root
 	tagEnd       = tagGather + 1
@@ -71,20 +74,12 @@ const (
 // own tags outside it.
 func TagSpan() (lo, hi int) { return tagBarrier, tagEnd }
 
-// Barrier synchronizes all ranks with the dissemination algorithm:
-// ceil(lg K) rounds, one message per rank per round.
+// Barrier synchronizes all ranks: the reduce/broadcast walk of
+// AllreduceInPlace with zero words, 2(K-1) empty frames world-wide. No rank
+// hears from rank 0 before rank 0 has heard, through the tree, from all.
 func Barrier(c runtime.Comm) error {
-	K := c.Size()
-	me := c.Rank()
-	for round, dist := 0, 1; dist < K; round, dist = round+1, dist*2 {
-		to := (me + dist) % K
-		from := (me - dist%K + K) % K
-		if err := c.Send(to, tagBarrier+round, nil); err != nil {
-			return fmt.Errorf("collectives: barrier round %d: %w", round, err)
-		}
-		if _, err := c.Recv(from, tagBarrier+round); err != nil {
-			return fmt.Errorf("collectives: barrier round %d: %w", round, err)
-		}
+	if err := treeReduce(c, tagBarrier, nil, nil); err != nil {
+		return fmt.Errorf("collectives: barrier: %w", err)
 	}
 	return nil
 }
@@ -109,15 +104,22 @@ func Bcast(c runtime.Comm, root int, buf []byte) ([]byte, error) {
 			return nil, fmt.Errorf("collectives: bcast recv: %w", err)
 		}
 	}
-	// Forward to children: set bits above the lowest set bit of vrank.
+	// Forward to children: set bits above the lowest set bit of vrank. A
+	// retaining transport hands the receiver the slice itself, so each
+	// child gets a pooled copy of its own and data stays this rank's.
 	low := vrank & (-vrank)
 	if vrank == 0 {
 		low = 1 << uint(bitsLen(K))
 	}
+	retains := runtime.SendRetains(c)
 	for d := low >> 1; d > 0; d >>= 1 {
 		child := vrank | d
 		if child != vrank && child < K {
-			if err := c.Send((child+root)%K, tagBcast, data); err != nil {
+			out := data
+			if retains {
+				out = append(msg.GetFrameCap(len(data)), data...)
+			}
+			if err := c.Send((child+root)%K, tagBcast, out); err != nil {
 				return nil, fmt.Errorf("collectives: bcast send: %w", err)
 			}
 		}
@@ -189,12 +191,13 @@ func decodeOwned(raw []byte) (int, []float64, error) {
 }
 
 // Op is a reduction operator over float64. It must be commutative and
-// associative: the allreduce folds ranks together in an order that depends
-// on K (pairwise by recursive doubling, after folding the ranks beyond the
-// largest power of two into the low ones), so only such an op has one
-// result to speak of. Floating-point addition is commutative but only
-// approximately associative; the sum a K-rank world returns is one valid
-// rounding of it, and every rank returns the same one, bit for bit.
+// associative: the allreduce folds ranks together subtree by subtree (a
+// parent's own words, then its children's at stride 1, then at stride 4,
+// ...), a grouping that depends on K and on the tree's radix, so only such
+// an op has one result to speak of. Floating-point addition is commutative
+// but only approximately associative; the sum a K-rank world returns is
+// one valid rounding of it, the same on every rank and in every run, bit
+// for bit.
 type Op func(a, b float64) float64
 
 // Sum, Max and Min are the standard reduction operators.
@@ -206,49 +209,81 @@ var (
 
 // AllreduceInPlace reduces vec elementwise across all ranks and leaves the
 // full result in vec on every rank, bit-identical everywhere. All ranks
-// must pass equal-length vectors.
+// must pass equal-length vectors; if any two disagree, every rank returns
+// an error and none blocks.
 //
-// With P the largest power of two not above K: the K-P ranks from P up
-// send their vector to rank me-P (fold-in), the low P ranks run lg P
-// rounds of recursive doubling, and the folded-in ranks get the result
-// back (fold-out) — lg P rounds when K is a power of two, lg P + 2
-// otherwise, at most one frame sent and one received per rank per round.
+// The ranks form one tree on their base-4 digits, rooted at 0. At level l
+// (stride s = 4^l) a rank whose digits below l are zero either folds in
+// its children me+s, me+2s, me+3s (those below K), in that order, or - its
+// own digit l being d > 0 - sends what it has accumulated to its parent
+// me-d*s and waits there for the result; after ceil(log4 K) levels rank 0
+// holds the reduction, and it goes back down the same edges, highest level
+// first. K-1 frames up and K-1 down, for any K.
 func AllreduceInPlace(c runtime.Comm, vec []float64, op Op) error {
-	K, me := c.Size(), c.Rank()
-	P := 1 << (bits.Len(uint(K)) - 1)
-	foldOut := tagAllreduce + bits.Len(uint(P)) // round lg P + 1
-	retains := runtime.SendRetains(c)
-
-	if me >= P {
-		if err := sendWords(c, me-P, tagAllreduce, vec, retains); err != nil {
-			return err
-		}
-		return recvWords(c, me-P, foldOut, vec, nil)
-	}
-	if me+P < K {
-		if err := recvWords(c, me+P, tagAllreduce, vec, op); err != nil {
-			return err
-		}
-	}
-	for round, dist := 1, 1; dist < P; round, dist = round+1, dist*2 {
-		peer := me ^ dist
-		if err := sendWords(c, peer, tagAllreduce+round, vec, retains); err != nil {
-			return err
-		}
-		if err := recvWords(c, peer, tagAllreduce+round, vec, op); err != nil {
-			return err
-		}
-	}
-	if me+P < K {
-		return sendWords(c, me+P, foldOut, vec, retains)
+	if err := treeReduce(c, tagAllreduce, vec, op); err != nil {
+		return fmt.Errorf("collectives: allreduce: %w", err)
 	}
 	return nil
 }
 
-// sendWords sends vec's words to rank to in a pooled frame and releases
-// the frame unless the transport passed it on to the receiver.
-func sendWords(c runtime.Comm, to, tag int, vec []float64, retains bool) error {
-	buf := msg.GetFrameLen(8 * len(vec))
+// radix is the tree's fan-out. It is a constant, not an option: the saving
+// is the 2(K-1) frames, which every radix has (EXPERIMENTS.md); 4 keeps the
+// serial fan-in at 3 and the depth at lg K for K=64.
+const radix = 4
+
+// treeReduce is the walk behind AllreduceInPlace and Barrier; level l uses
+// tag+l in both directions. A rank that receives a frame of the wrong
+// length keeps its place in the walk and passes on a poison frame instead
+// of its words, first up and then down, so the mismatch reaches rank 0 and
+// from there every rank: none is left waiting on a rank that gave up.
+func treeReduce(c runtime.Comm, tag int, vec []float64, op Op) error {
+	K, me := c.Size(), c.Rank()
+	retains := runtime.SendRetains(c)
+	ok := true
+	level, s := 0, 1
+	for ; s < K && me/s%radix == 0; level, s = level+1, s*radix {
+		for child := me + s; child < me+radix*s && child < K; child += s {
+			if err := recvWords(c, child, tag+level, vec, op, &ok); err != nil {
+				return err
+			}
+		}
+	}
+	if me != 0 {
+		parent := me - me/s%radix*s
+		if err := sendWords(c, parent, tag+level, vec, retains, ok); err != nil {
+			return err
+		}
+		if err := recvWords(c, parent, tag+level, vec, nil, &ok); err != nil {
+			return err
+		}
+	}
+	for level > 0 {
+		level, s = level-1, s/radix
+		for child := me + s; child < me+radix*s && child < K; child += s {
+			if err := sendWords(c, child, tag+level, vec, retains, ok); err != nil {
+				return err
+			}
+		}
+	}
+	if !ok {
+		return fmt.Errorf("length mismatch: some rank's vector is not this rank's %d words", len(vec))
+	}
+	return nil
+}
+
+// poisonLen is the length of a poison frame: not a multiple of 8, so no
+// vector has it and every receiver takes it for a mismatch in turn.
+const poisonLen = 1
+
+// sendWords sends vec's words (a poison frame when !ok) to rank to in a
+// pooled frame and releases the frame unless the transport passed it on to
+// the receiver.
+func sendWords(c runtime.Comm, to, tag int, vec []float64, retains, ok bool) error {
+	n := 8 * len(vec)
+	if !ok {
+		n, vec = poisonLen, nil
+	}
+	buf := msg.GetFrameLen(n)
 	for i, v := range vec {
 		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
 	}
@@ -257,33 +292,29 @@ func sendWords(c runtime.Comm, to, tag int, vec []float64, retains bool) error {
 		msg.PutFrame(buf)
 	}
 	if err != nil {
-		return fmt.Errorf("collectives: allreduce send to %d: %w", to, err)
+		return fmt.Errorf("send to %d: %w", to, err)
 	}
 	return nil
 }
 
-// recvWords receives one frame of len(vec) words from rank from, folds it
-// into vec (replaces vec when op is nil) and releases the frame. The lower
-// rank's words are always op's left operand, so the two partners of a
-// round compute the same bits.
-func recvWords(c runtime.Comm, from, tag int, vec []float64, op Op) error {
+// recvWords receives one frame from rank from, folds its words into vec as
+// op's right operand (replaces vec when op is nil) and releases the frame.
+// A frame that is not len(vec) words clears *ok and leaves vec alone.
+func recvWords(c runtime.Comm, from, tag int, vec []float64, op Op, ok *bool) error {
 	raw, err := c.Recv(from, tag)
 	if err != nil {
-		return fmt.Errorf("collectives: allreduce recv from %d: %w", from, err)
+		return fmt.Errorf("recv from %d: %w", from, err)
 	}
 	defer msg.PutFrame(raw)
 	if len(raw) != 8*len(vec) {
-		return fmt.Errorf("collectives: allreduce length mismatch: %d bytes from rank %d for %d words", len(raw), from, len(vec))
+		*ok = false
+		return nil
 	}
-	lower := from < c.Rank()
 	for i := range vec {
 		theirs := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-		switch {
-		case op == nil:
+		if op == nil {
 			vec[i] = theirs
-		case lower:
-			vec[i] = op(theirs, vec[i])
-		default:
+		} else {
 			vec[i] = op(vec[i], theirs)
 		}
 	}

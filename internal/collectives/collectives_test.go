@@ -167,16 +167,44 @@ func TestAllreduceMaxMin(t *testing.T) {
 	}
 }
 
+// TestAllreduceLengthMismatch: one rank's vector is a word longer than
+// everyone else's. Whatever its place in the tree — childless, inner node,
+// root — every rank returns an error and none is left in Recv: the rank
+// that sees the odd frame passes a poison frame on instead of leaving.
 func TestAllreduceLengthMismatch(t *testing.T) {
-	w := world(t, 2)
-	errs := make([]error, 2)
-	_ = w.Run(func(c runtime.Comm) error {
-		vec := make([]float64, 1+c.Rank()) // ranks disagree on length
-		_, errs[c.Rank()] = Allreduce(c, vec, Sum)
-		return nil
-	})
-	if errs[0] == nil && errs[1] == nil {
-		t.Error("length mismatch not detected")
+	for _, K := range []int{2, 5, 16, 64} {
+		places := map[string]int{"leaf": K - 1, "root": 0}
+		if K > 5 {
+			places["inner"] = 4 // children 5, 6, 7; parent 0
+		}
+		if K > 17 {
+			places["inner2"] = 16 // children at two levels
+		}
+		for place, odd := range places {
+			errs := make([]error, K)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				_ = world(t, K).Run(func(c runtime.Comm) error {
+					vec := make([]float64, 1)
+					if c.Rank() == odd {
+						vec = make([]float64, 2)
+					}
+					errs[c.Rank()] = AllreduceInPlace(c, vec, Sum)
+					return nil
+				})
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("K=%d, odd vector at %s rank %d: ranks still blocked after 10s", K, place, odd)
+			}
+			for r, err := range errs {
+				if err == nil {
+					t.Errorf("K=%d, odd vector at %s rank %d: rank %d returned no error", K, place, odd, r)
+				}
+			}
+		}
 	}
 }
 
@@ -221,32 +249,43 @@ func TestAlltoallValidation(t *testing.T) {
 	}
 }
 
-func BenchmarkAllreduce64(b *testing.B) {
-	w := world(b, 64)
-	comms := w.Comms()
-	vec := make([]float64, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := runtime.Run(comms, func(c runtime.Comm) error {
-			_, err := Allreduce(c, vec, Sum)
-			return err
-		})
+// benchWorlds runs fn b.N times on all 64 ranks of a chanpt and of a udpnet
+// world. The udpnet leg reports frames/op (first transmissions of data
+// packets; every frame here fits one) and dgrams/op (what hit the wire,
+// stand-alone acks included) from the world's own counters.
+func benchWorlds(b *testing.B, fn runtime.RankFunc) {
+	const K = 64
+	loop := func(b *testing.B, comms []runtime.Comm) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := runtime.Run(comms, fn); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("chanpt", func(b *testing.B) { loop(b, world(b, K).Comms()) })
+	b.Run("udpnet", func(b *testing.B) {
+		w, err := udpnet.NewWorld(K)
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		defer w.Close()
+		before := w.Stats()
+		loop(b, w.Comms())
+		after := w.Stats()
+		b.ReportMetric(float64(after.DataSent-before.DataSent)/float64(b.N), "frames/op")
+		b.ReportMetric(float64(after.BatchDgrams-before.BatchDgrams)/float64(b.N), "dgrams/op")
+	})
 }
 
-func BenchmarkBarrier64(b *testing.B) {
-	w := world(b, 64)
-	comms := w.Comms()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := runtime.Run(comms, Barrier); err != nil {
-			b.Fatal(err)
-		}
-	}
+func BenchmarkAllreduce64(b *testing.B) {
+	benchWorlds(b, func(c runtime.Comm) error {
+		var vec [128]float64
+		return AllreduceInPlace(c, vec[:], Sum)
+	})
 }
+
+func BenchmarkBarrier64(b *testing.B) { benchWorlds(b, Barrier) }
 
 func TestGather(t *testing.T) {
 	for _, K := range []int{1, 2, 5, 8} {
@@ -333,15 +372,15 @@ func rankVec(r int) []float64 {
 }
 
 // TestAllreduceBitIdentical: every rank leaves AllreduceInPlace with the
-// same bits, for powers of two, fold-in/fold-out worlds and K=1, over a
-// zero-copy and a copying transport; and the words are the reduction.
+// same bits, for full trees (K a power of four), ragged ones and K=1, over
+// a zero-copy and a copying transport; and the words are the reduction.
 func TestAllreduceBitIdentical(t *testing.T) {
 	ops := []struct {
 		name string
 		op   Op
 		tol  float64
 	}{{"sum", Sum, 1e-12}, {"max", Max, 0}, {"min", Min, 0}}
-	for _, K := range []int{1, 2, 3, 5, 6, 8, 12, 64} {
+	for _, K := range []int{1, 2, 3, 4, 5, 6, 8, 12, 15, 16, 17, 63, 64, 65} {
 		uw, err := udpnet.NewWorld(K)
 		if err != nil {
 			t.Fatal(err)
@@ -383,6 +422,172 @@ func TestAllreduceBitIdentical(t *testing.T) {
 			}
 		}
 		uw.Close()
+	}
+}
+
+// TestAllreduceReproducible: the fold order is fixed by the tree, not by
+// which child's frame arrives first, so two runs with differently
+// scrambled timing and service order leave the same bits.
+func TestAllreduceReproducible(t *testing.T) {
+	for _, K := range []int{6, 17, 64} {
+		var runs [2][]float64
+		for i := range runs {
+			inj := tptest.NewInjector(tptest.FaultConfig{Seed: int64(7 + i), Delay: 0.5, Reorder: 0.5})
+			got := make([][]float64, K)
+			err := runtime.Run(inj.WrapAll(world(t, K).Comms()), func(c runtime.Comm) error {
+				got[c.Rank()] = rankVec(c.Rank())
+				return AllreduceInPlace(c, got[c.Rank()], Sum)
+			})
+			if err != nil {
+				t.Fatalf("K=%d seed %d: %v", K, 7+i, err)
+			}
+			if inj.Stats().Delayed == 0 {
+				t.Fatalf("K=%d seed %d: no send was delayed; the run is not scrambled", K, 7+i)
+			}
+			runs[i] = got[K-1]
+		}
+		for w := range runs[0] {
+			if a, b := math.Float64bits(runs[0][w]), math.Float64bits(runs[1][w]); a != b {
+				t.Errorf("K=%d word %d: %x under one seed, %x under the other", K, w, a, b)
+			}
+		}
+	}
+}
+
+// treeProbe records what one rank does during a tree walk: the frames it
+// sends, the rank it sends up to, and how many frames it receives from
+// higher ranks (its children) on each tag.
+type treeProbe struct {
+	runtime.Passthrough
+	sent    int
+	parent  int
+	fanIn   map[int]int
+	fanOut  map[int]int
+	recvd   int
+	badRecv bool
+}
+
+func (p *treeProbe) Send(to, tag int, payload []byte) error {
+	p.sent++
+	if to < p.Rank() {
+		p.parent = to
+	} else {
+		p.fanOut[tag]++
+	}
+	return p.Comm.Send(to, tag, payload)
+}
+
+func (p *treeProbe) Recv(from, tag int) ([]byte, error) {
+	p.recvd++
+	if from > p.Rank() {
+		p.fanIn[tag]++
+	} else if from != p.parent {
+		p.badRecv = true // the result must come from the rank the words went to
+	}
+	return p.Comm.Recv(from, tag)
+}
+
+// TestTreeFrameCountAndShape is the claim as a count: one allreduce, and
+// one barrier, is 2(K-1) frames world-wide for every K; no rank has more
+// than three children on a level, every rank gets the result from the rank
+// it sent its words to, and no rank is more than ceil(log4 K) edges from
+// rank 0 — the deepest is the one with the most non-zero base-4 digits.
+func TestTreeFrameCountAndShape(t *testing.T) {
+	walks := map[string]runtime.RankFunc{
+		"allreduce": func(c runtime.Comm) error { return AllreduceInPlace(c, []float64{1, 2}, Sum) },
+		"barrier":   Barrier,
+	}
+	for _, K := range []int{1, 2, 3, 4, 5, 15, 16, 17, 63, 64, 65} {
+		levels, digits := 0, 0 // ceil(log4 K); most non-zero digits of a rank below K
+		for s := 1; s < K; s *= 4 {
+			levels++
+		}
+		for r := 0; r < K; r++ {
+			n := 0
+			for v := r; v > 0; v /= 4 {
+				if v%4 != 0 {
+					n++
+				}
+			}
+			digits = max(digits, n)
+		}
+		for name, walk := range walks {
+			comms := world(t, K).Comms()
+			probes := make([]*treeProbe, K)
+			for r := range comms {
+				probes[r] = &treeProbe{Passthrough: runtime.Passthrough{Comm: comms[r]}, parent: -1, fanIn: map[int]int{}, fanOut: map[int]int{}}
+				comms[r] = probes[r]
+			}
+			if err := runtime.Run(comms, walk); err != nil {
+				t.Fatalf("%s K=%d: %v", name, K, err)
+			}
+			sent, recvd, deepest := 0, 0, 0
+			for r, p := range probes {
+				sent += p.sent
+				recvd += p.recvd
+				for tag, n := range p.fanIn {
+					if n > 3 || p.fanOut[tag] != n {
+						t.Errorf("%s K=%d: rank %d heard from %d children on tag %#x and answered %d", name, K, r, n, tag, p.fanOut[tag])
+					}
+				}
+				if p.badRecv || (r > 0) != (p.parent >= 0) {
+					t.Errorf("%s K=%d: rank %d sent up to %d and was answered by another rank (%v)", name, K, r, p.parent, p.badRecv)
+				}
+				depth := 0
+				for a := r; a > 0; a = probes[a].parent { // a parent is a lower rank, or -1
+					depth++
+				}
+				deepest = max(deepest, depth)
+			}
+			if want := 2 * (K - 1); sent != want || recvd != want {
+				t.Errorf("%s K=%d: %d frames sent, %d received, want 2(K-1) = %d", name, K, sent, recvd, want)
+			}
+			if deepest != digits || deepest > levels {
+				t.Errorf("%s K=%d: deepest rank is %d edges from rank 0, want %d (at most %d levels)", name, K, deepest, digits, levels)
+			}
+		}
+	}
+}
+
+// TestBcastOwnsWhatItReturns: on a transport that hands the sender's slice
+// to the receiver, every rank must still get bytes of its own. Each rank
+// overwrites what Bcast returned with its rank; a rank that then reads
+// another's number shares a backing array with it.
+func TestBcastOwnsWhatItReturns(t *testing.T) {
+	const K = 8
+	w := world(t, K)
+	if !runtime.SendRetains(w.Comms()[0]) {
+		t.Fatal("chanpt no longer retains sent slices; the test needs a transport that does")
+	}
+	for root := 0; root < K; root += 3 {
+		err := w.Run(func(c runtime.Comm) error {
+			var buf []byte
+			if c.Rank() == root {
+				buf = bytes.Repeat([]byte{0xEE}, 16)
+			}
+			got, err := Bcast(c, root, buf)
+			if err != nil {
+				return err
+			}
+			if err := Barrier(c); err != nil { // every forward has happened
+				return err
+			}
+			for i := range got {
+				got[i] = byte(c.Rank())
+			}
+			if err := Barrier(c); err != nil { // every write has happened
+				return err
+			}
+			for i, v := range got {
+				if v != byte(c.Rank()) {
+					return fmt.Errorf("root %d: byte %d was overwritten by rank %d", root, i, v)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
 

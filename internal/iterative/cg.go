@@ -10,9 +10,10 @@
 // partial sums with an allreduce.
 //
 // A latency-bound solver pays per message, and once the exchange is
-// regularized the reductions are where the messages are: at K=64 an
-// allreduce is 6 frames per rank, an STFW exchange on T3(4,4,4) is 9. So
-// CG runs the single-reduction recurrence of Chronopoulos and Gear: one
+// regularized the reductions are where the messages are: at K=64 an STFW
+// exchange on T3(4,4,4) is 9 frames per rank, and an allreduce - a
+// reduce/broadcast tree, 126 frames per world, under 2 per rank - is a
+// chain of 6 dependent hops that nothing overlaps. So CG runs the single-reduction recurrence of Chronopoulos and Gear: one
 // SpMV and one 2-word allreduce per iteration, where the textbook loop
 // (kept as SerialCG, the tests' oracle) has one SpMV and two reductions
 // that cannot be combined because the second depends on the first.
