@@ -301,3 +301,67 @@ func BenchmarkPersistentVsExchange(b *testing.B) {
 		}
 	})
 }
+
+// TestPersistentRunAllocs gates the map-based replay path's allocation
+// budget: one steady-state lockstep iteration of the K=64 world must stay
+// well under the seed executor's footprint (~2538 allocs/op, dominated by
+// per-frame append([]byte(nil), ...) copies and per-iteration submessage
+// slices). The pooled stage machine runs it at ~600; the threshold leaves
+// headroom for scheduler noise while still failing if per-frame copies ever
+// creep back.
+func TestPersistentRunAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate needs steady-state iterations")
+	}
+	const K, dim = 64, 3
+	tp, err := vpt.NewBalanced(K, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := chanpt.NewWorld(K, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two hot-spot ranks with near-complete send lists over a light
+	// irregular background, payloads of 1..128 words.
+	sends := randomSendSets(rand.New(rand.NewSource(K)), K, 2, 4, 128)
+	payloads := make([]map[int][]byte, K)
+	for src := range payloads {
+		payloads[src] = map[int][]byte{}
+		for _, pr := range sends.Sets[src] {
+			payloads[src][pr.Dst] = make([]byte, 8*pr.Words)
+		}
+	}
+	ps := make([]*Persistent, K)
+	step, stop := tptest.Lockstep(w.Comms(), func(c runtime.Comm, iter int) error {
+		me := c.Rank()
+		if iter == 0 {
+			var err error
+			ps[me], _, err = NewPersistent(c, tp, payloads[me])
+			return err
+		}
+		_, err := ps[me].Run(c, payloads[me])
+		return err
+	})
+	defer stop()
+	// Learn, then warm up pools, matcher queues and the replay's reused store.
+	for i := 0; i < 3; i++ {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stepErr error
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := step(); err != nil && stepErr == nil {
+			stepErr = err
+		}
+	})
+	if stepErr != nil {
+		t.Fatal(stepErr)
+	}
+	const budget = 1300 // seed: ~2538; pooled stage machine: ~600
+	if allocs > budget {
+		t.Errorf("persistent world iteration: %.0f allocs/op, budget %d", allocs, budget)
+	}
+	t.Logf("persistent world iteration: %.0f allocs/op (budget %d)", allocs, budget)
+}

@@ -1,5 +1,5 @@
 //go:build !race
 
-package stfw
+package dynamic_test
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package stfw
+package dynamic_test
 
 // raceEnabled reports that the race detector instruments this build; its
 // runtime allocates on synchronization edges, so allocation-count gates

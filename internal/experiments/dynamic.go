@@ -40,8 +40,7 @@ type DynamicRow struct {
 }
 
 // dynamicPattern builds the sweep's irregular pattern: every rank sends
-// 32..256-word payloads to ~8 random destinations (the same shape
-// BenchmarkPatchVsRelearn measures).
+// 32..256-word payloads to ~8 random destinations.
 func dynamicPattern(rng *rand.Rand, K int) map[[2]int]int {
 	pairs := map[[2]int]int{}
 	for src := 0; src < K; src++ {

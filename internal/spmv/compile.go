@@ -14,14 +14,14 @@ import (
 // its multiplies, so regressions are attributable to gather, exchange, or
 // compute.
 type PhaseTimings struct {
-	// Gather is the time spent assembling the local input vector: copying
-	// owned x entries into the compiled local vector, or packing payload
-	// bytes on the uncompiled path.
+	// Gather is the time spent copying the referenced owned x entries into
+	// the local vector.
 	Gather time.Duration
-	// Exchange is the communication phase (BL or STFW).
+	// Exchange is the communication phase (BL or STFW). An STFW session's
+	// first multiply counts the whole learning run here: packing, routing,
+	// compiling the replay and unpacking the halo.
 	Exchange time.Duration
-	// Kernel is the local multiply; the uncompiled path also counts halo
-	// unpacking here.
+	// Kernel is the local multiply.
 	Kernel time.Duration
 	// Iters is the number of multiplies accumulated.
 	Iters int

@@ -11,19 +11,22 @@ import (
 	"stfw/internal/sparse"
 	"stfw/internal/telemetry"
 	"stfw/internal/transport/chanpt"
+	"stfw/internal/transport/tptest"
 	"stfw/internal/vpt"
 )
 
-// diffConfig is one compiled-vs-seed differential configuration.
+// diffConfig is one compiled-vs-serial differential configuration.
 type diffConfig struct {
 	name string
 	opt  Options
 	K    int
 }
 
-// runDifferential drives an uncompiled (seed) session and a compiled
-// session side by side on the same world for three rounds and requires
-// bit-identical owned results every round.
+// runDifferential drives one session per rank for three rounds and requires
+// every owned row to equal the serial CSR product bit for bit — the kernel
+// preserves CSR order within a row, so the sums are the same floats. Round
+// 0 is the learning multiply under STFW: it checks that learn lays the
+// deliveries into the halo in ascending source order.
 func runDifferential(t *testing.T, a *sparse.CSR, part *partition.Partition, cfg diffConfig) {
 	t.Helper()
 	pat, err := BuildPattern(a, part)
@@ -31,39 +34,31 @@ func runDifferential(t *testing.T, a *sparse.CSR, part *partition.Partition, cfg
 		t.Fatal(err)
 	}
 	xs := make([][]float64, 3)
+	wants := make([][]float64, 3)
 	for r := range xs {
 		xs[r] = testVector(a.Cols, int64(500+r))
+		if wants[r], err = a.MulVec(nil, xs[r]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	w, err := chanpt.NewWorld(cfg.K, cfg.K)
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = w.Run(func(c runtime.Comm) error {
-		seedOpt := cfg.opt
-		seedOpt.Uncompiled = true
-		seed, err := NewSession(c, a, part, pat, seedOpt)
-		if err != nil {
-			return err
-		}
-		comp, err := NewSession(c, a, part, pat, cfg.opt)
+		sess, err := NewSession(c, a, part, pat, cfg.opt)
 		if err != nil {
 			return err
 		}
 		for r, x := range xs {
-			// Seed first, compiled second: two distinct collective calls
-			// per round, same input.
-			ys, err := seed.Multiply(x)
+			y, err := sess.Multiply(x)
 			if err != nil {
-				return fmt.Errorf("seed round %d: %w", r, err)
+				return fmt.Errorf("round %d: %w", r, err)
 			}
-			yc, err := comp.Multiply(x)
-			if err != nil {
-				return fmt.Errorf("compiled round %d: %w", r, err)
-			}
-			for _, i := range comp.OwnedRows() {
-				if math.Float64bits(ys[i]) != math.Float64bits(yc[i]) {
-					return fmt.Errorf("round %d row %d: compiled %v != seed %v (rank %d)",
-						r, i, yc[i], ys[i], c.Rank())
+			for _, i := range sess.OwnedRows() {
+				if math.Float64bits(y[i]) != math.Float64bits(wants[r][i]) {
+					return fmt.Errorf("round %d row %d: compiled %v != serial %v (rank %d)",
+						r, i, y[i], wants[r][i], c.Rank())
 				}
 			}
 		}
@@ -74,9 +69,9 @@ func runDifferential(t *testing.T, a *sparse.CSR, part *partition.Partition, cfg
 	}
 }
 
-// TestCompiledMatchesSeedBitIdentical covers BL and STFW across K ∈
+// TestCompiledMatchesSerialBitIdentical covers BL and STFW across K ∈
 // {8, 16, 64} balanced topologies and a non-power-of-two factored T2(3,4).
-func TestCompiledMatchesSeedBitIdentical(t *testing.T) {
+func TestCompiledMatchesSerialBitIdentical(t *testing.T) {
 	a := testMatrix(t, 640, 6400, 60)
 	for _, K := range []int{8, 16, 64} {
 		part, err := partition.Greedy(a, K, partition.DefaultGreedy())
@@ -104,8 +99,8 @@ func TestCompiledMatchesSeedBitIdentical(t *testing.T) {
 }
 
 // TestCompiledEmptyHaloRank isolates rank 0 on a diagonal block so it
-// neither sends nor receives halo values, and checks both paths still
-// agree (the compiled session must handle zero-length gather, halo, and
+// neither sends nor receives halo values, and checks the session still
+// matches the serial product (it must handle zero-length gather, halo, and
 // frame schedules).
 func TestCompiledEmptyHaloRank(t *testing.T) {
 	const n, K = 64, 4
@@ -140,21 +135,15 @@ func TestCompiledEmptyHaloRank(t *testing.T) {
 	runDifferential(t, a, part, diffConfig{name: "STFW/empty-halo", opt: Options{Method: STFW, Topo: tp}, K: K})
 }
 
-// allocWorld runs one persistent goroutine per rank so AllocsPerRun can
-// step all ranks through Multiply without spawning goroutines (goroutine
-// startup allocates) inside the measured region.
-type allocWorld struct {
-	step []chan []float64
-	done []chan error
-}
-
-func startAllocWorld(t *testing.T, a *sparse.CSR, part *partition.Partition, pat *Pattern, opt Options, K int) *allocWorld {
+// startAllocWorld parks one session per rank behind tptest.Lockstep, so
+// AllocsPerRun can step all ranks through Multiply(x) without spawning
+// goroutines (goroutine startup allocates) inside the measured region.
+func startAllocWorld(t *testing.T, a *sparse.CSR, part *partition.Partition, pat *Pattern, opt Options, K int, x []float64) (multiply func() error, stop func()) {
 	t.Helper()
 	w, err := chanpt.NewWorld(K, K)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aw := &allocWorld{step: make([]chan []float64, K), done: make([]chan error, K)}
 	comms := w.Comms()
 	if opt.Telemetry != nil {
 		// Full wiring: frame counters via the wrapped comms on top of the
@@ -164,43 +153,18 @@ func startAllocWorld(t *testing.T, a *sparse.CSR, part *partition.Partition, pat
 			return core.TagStage(tag, stages)
 		})
 	}
-	for r := 0; r < K; r++ {
-		aw.step[r] = make(chan []float64)
-		aw.done[r] = make(chan error)
-		go func(c runtime.Comm, step chan []float64, done chan error) {
-			sess, err := NewSession(c, a, part, pat, opt)
-			if err != nil {
-				for range step {
-					done <- err
-				}
-				return
+	sess := make([]*Session, K)
+	return tptest.Lockstep(comms, func(c runtime.Comm, iter int) error {
+		me := c.Rank()
+		if iter == 0 {
+			var err error
+			if sess[me], err = NewSession(c, a, part, pat, opt); err != nil {
+				return err
 			}
-			for x := range step {
-				_, err := sess.Multiply(x)
-				done <- err
-			}
-		}(comms[r], aw.step[r], aw.done[r])
-	}
-	return aw
-}
-
-func (aw *allocWorld) multiply(x []float64) error {
-	for _, ch := range aw.step {
-		ch <- x
-	}
-	var first error
-	for _, ch := range aw.done {
-		if err := <-ch; err != nil && first == nil {
-			first = err
 		}
-	}
-	return first
-}
-
-func (aw *allocWorld) stop() {
-	for _, ch := range aw.step {
-		close(ch)
-	}
+		_, err := sess[me].Multiply(x)
+		return err
+	})
 }
 
 // TestSessionMultiplyZeroAlloc gates the headline claim: a steady-state
@@ -235,18 +199,18 @@ func TestSessionMultiplyZeroAlloc(t *testing.T) {
 		{"STFW+telemetry", Options{Method: STFW, Topo: tp, Telemetry: telemetry.MustNew(telemetry.Config{Ranks: K, Stages: tp.N()})}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			aw := startAllocWorld(t, a, part, pat, cfg.opt, K)
-			defer aw.stop()
+			multiply, stop := startAllocWorld(t, a, part, pat, cfg.opt, K, x)
+			defer stop()
 			// Learning iteration (STFW) plus warmup to fill the frame arena
 			// and the transport's high-water marks.
 			for i := 0; i < 5; i++ {
-				if err := aw.multiply(x); err != nil {
+				if err := multiply(); err != nil {
 					t.Fatal(err)
 				}
 			}
 			var stepErr error
 			avg := testing.AllocsPerRun(20, func() {
-				if err := aw.multiply(x); err != nil && stepErr == nil {
+				if err := multiply(); err != nil && stepErr == nil {
 					stepErr = err
 				}
 			})

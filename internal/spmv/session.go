@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"stfw/internal/core"
@@ -17,131 +16,116 @@ import (
 // Session is a per-rank handle for repeated SpMV with the same matrix,
 // partition and communication pattern — the iterative-solver case.
 //
-// By default a session compiles itself into a fully indexed iteration
-// program: the owned CSR rows are remapped once onto a contiguous
-// [own | halo] local vector, and the exchange is a core.Replay that
-// gathers payload floats straight from x and scatters deliveries straight
-// into the halo tail. A steady-state Multiply then performs no map
-// lookups and no allocations. Under STFW the first multiply is the
-// learning run (it executes the seed path and compiles the learned
-// layout); under BL the exchange compiles at session creation. Setting
-// Options.Uncompiled keeps the original map-based path on every call —
-// the two produce bit-identical results.
+// A session is a fully indexed iteration program: the owned CSR rows are
+// remapped once onto a contiguous [own | halo] local vector, and the
+// exchange is a core.Replay that gathers payload floats straight from x
+// and scatters deliveries straight into the halo tail. A steady-state
+// Multiply performs no map lookups and no allocations. Under BL the
+// exchange compiles at session creation; under STFW the first multiply's
+// exchange is the learning run (see learn), every later one the replay it
+// compiled. The kernel is the same on every call.
 //
 // Create one Session per rank inside the rank function and reuse it
 // across iterations.
 type Session struct {
-	c    runtime.Comm
-	a    *sparse.CSR
-	part *partition.Partition
-	pat  *Pattern
-	opt  Options
-
-	recvFrom []int            // BL seed path: cached receive sources
-	persist  *core.Persistent // STFW: learned pattern, nil until first multiply
-	ownRows  []int            // rows this rank owns, ascending
-	prog     *program         // compiled iteration, nil when opt.Uncompiled
-	tm       PhaseTimings
-	tel      *telemetry.Rank // live collector for this rank; nil when disabled
+	c       runtime.Comm
+	a       *sparse.CSR
+	pat     *Pattern
+	opt     Options
+	ownRows []int    // rows this rank owns, ascending
+	prog    *program // compiled iteration
+	tm      PhaseTimings
+	tel     *telemetry.Rank // live collector for this rank; nil when disabled
 }
 
-// NewSession validates the configuration and prepares the per-rank state.
+// NewSession validates the configuration against the world and compiles the
+// per-rank iteration program.
 func NewSession(c runtime.Comm, a *sparse.CSR, part *partition.Partition, pat *Pattern, opt Options) (*Session, error) {
 	if part.K != c.Size() {
 		return nil, fmt.Errorf("spmv: partition K=%d != communicator size %d", part.K, c.Size())
 	}
+	if pat.K != c.Size() {
+		return nil, fmt.Errorf("spmv: pattern K=%d != communicator size %d", pat.K, c.Size())
+	}
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("spmv: matrix must be square")
-	}
-	if opt.Method == STFW && opt.Topo == nil {
-		return nil, fmt.Errorf("spmv: STFW requires a topology")
 	}
 	if opt.Method != STFW && opt.Method != BL {
 		return nil, fmt.Errorf("spmv: unknown method %v", opt.Method)
 	}
-	s := &Session{c: c, a: a, part: part, pat: pat, opt: opt}
+	if opt.Method == STFW {
+		if opt.Topo == nil {
+			return nil, fmt.Errorf("spmv: STFW requires a topology")
+		}
+		if opt.Topo.Size() != c.Size() {
+			return nil, fmt.Errorf("spmv: topology size %d != communicator size %d", opt.Topo.Size(), c.Size())
+		}
+	}
+	s := &Session{c: c, a: a, pat: pat, opt: opt}
 	me := c.Rank()
 	s.tel = opt.Telemetry.Rank(me)
-	for src := range pat.RecvIdx[me] {
-		s.recvFrom = append(s.recvFrom, src)
-	}
-	sort.Ints(s.recvFrom)
 	for i := 0; i < a.Rows; i++ {
 		if int(part.Part[i]) == me {
 			s.ownRows = append(s.ownRows, i)
 		}
 	}
-	if !opt.Uncompiled {
-		prog, err := compileProgram(me, a, part, pat, s.ownRows)
+	prog, err := compileProgram(me, a, part, pat, s.ownRows)
+	if err != nil {
+		return nil, err
+	}
+	s.prog = prog
+	if opt.Method == BL {
+		srcWords := make(map[int]int, len(pat.RecvIdx[me]))
+		for src, lst := range pat.RecvIdx[me] {
+			srcWords[src] = len(lst)
+		}
+		r, err := core.NewDirectReplay(me, c.Size(), a.Cols, pat.SendIdx[me], srcWords)
 		if err != nil {
 			return nil, err
 		}
-		s.prog = prog
-		if opt.Method == BL {
-			srcWords := make(map[int]int, len(pat.RecvIdx[me]))
-			for src, lst := range pat.RecvIdx[me] {
-				srcWords[src] = len(lst)
-			}
-			r, err := core.NewDirectReplay(me, c.Size(), a.Cols, pat.SendIdx[me], srcWords)
-			if err != nil {
-				return nil, err
-			}
-			if r.HaloWords() != prog.haloWords {
-				return nil, fmt.Errorf("spmv: rank %d: exchange delivers %d halo words, kernel expects %d",
-					me, r.HaloWords(), prog.haloWords)
-			}
-			r.Instrument(s.tel)
-			prog.replay = r
+		if err := s.bindReplay(r); err != nil {
+			return nil, err
 		}
 	}
 	return s, nil
 }
 
+// bindReplay installs the compiled exchange after checking that it fills
+// exactly the halo tail the kernel reads.
+func (s *Session) bindReplay(r *core.Replay) error {
+	if r.HaloWords() != s.prog.haloWords {
+		return fmt.Errorf("spmv: rank %d: exchange delivers %d halo words, kernel expects %d",
+			s.c.Rank(), r.HaloWords(), s.prog.haloWords)
+	}
+	r.Instrument(s.tel)
+	s.prog.replay = r
+	return nil
+}
+
 // Multiply computes y = A*x for this rank's owned rows (other entries of
-// the returned vector are zero). Collective across all ranks that share the
-// session configuration.
+// the returned vector are zero): gather, exchange, straight CSR walk. In
+// the steady state it touches no maps and allocates nothing. Collective
+// across all ranks that share the session configuration.
 //
-// On the compiled path the returned slice is owned by the session and
-// overwritten by the next Multiply; copy it to keep it across iterations.
+// The returned slice is owned by the session and overwritten by the next
+// Multiply; copy it to keep it across iterations.
 func (s *Session) Multiply(x []float64) ([]float64, error) {
 	if len(x) != s.a.Cols {
 		return nil, fmt.Errorf("spmv: x length %d != cols %d", len(x), s.a.Cols)
 	}
-	if s.prog == nil {
-		return s.multiplySeed(x)
-	}
-	if s.prog.replay == nil {
-		// STFW learning iteration: run the seed path (which performs the
-		// learning exchange), then compile its layout for every later call.
-		y, err := s.multiplySeed(x)
-		if err != nil {
-			return nil, err
-		}
-		r, err := s.persist.Compile(s.a.Cols, s.pat.SendIdx[s.c.Rank()])
-		if err != nil {
-			return nil, err
-		}
-		if r.HaloWords() != s.prog.haloWords {
-			return nil, fmt.Errorf("spmv: rank %d: exchange delivers %d halo words, kernel expects %d",
-				s.c.Rank(), r.HaloWords(), s.prog.haloWords)
-		}
-		r.Instrument(s.tel)
-		s.prog.replay = r
-		return y, nil
-	}
-	return s.multiplyCompiled(x)
-}
-
-// multiplyCompiled is the steady-state hot loop: gather, replay, straight
-// CSR walk. No maps, no allocation.
-func (s *Session) multiplyCompiled(x []float64) ([]float64, error) {
 	p := s.prog
 	t0 := time.Now()
 	for i, g := range p.gatherIdx {
 		p.xloc[i] = x[g]
 	}
 	t1 := time.Now()
-	if err := p.replay.Run(s.c, x, p.xloc[p.nOwn:]); err != nil {
+	var err error
+	if p.replay == nil {
+		err = s.learn(x)
+	} else {
+		err = p.replay.Run(s.c, x, p.xloc[p.nOwn:])
+	}
+	if err != nil {
 		return nil, err
 	}
 	t2 := time.Now()
@@ -157,83 +141,53 @@ func (s *Session) multiplyCompiled(x []float64) ([]float64, error) {
 	s.tm.Exchange += t2.Sub(t1)
 	s.tm.Kernel += t3.Sub(t2)
 	s.tm.Iters++
-	s.spanPhases(t0, t1, t2, t3)
+	if s.tel != nil {
+		// The same clock reads feed the trace and Timings, so they agree.
+		s.tel.SpanBetween(telemetry.KGather, -1, t0, t1)
+		s.tel.SpanBetween(telemetry.KExchange, -1, t1, t2)
+		s.tel.SpanBetween(telemetry.KKernel, -1, t2, t3)
+	}
 	return p.y, nil
 }
 
-// spanPhases mirrors the accumulated PhaseTimings instants into the live
-// telemetry timeline (one gather/exchange/kernel slice per multiply). The
-// same clock reads feed both, so the trace and Timings always agree.
-func (s *Session) spanPhases(t0, t1, t2, t3 time.Time) {
-	if s.tel == nil {
-		return
-	}
-	s.tel.SpanBetween(telemetry.KGather, -1, t0, t1)
-	s.tel.SpanBetween(telemetry.KExchange, -1, t1, t2)
-	s.tel.SpanBetween(telemetry.KKernel, -1, t2, t3)
-}
-
-// multiplySeed is the original map-based path, kept as the differential
-// baseline (Options.Uncompiled) and as the STFW learning iteration. It is
-// not frozen at seed behavior: its exchanges ride the same core stage
-// machine as everything else (DESIGN.md §8), so steady-state Persistent.Run
-// replays here get arrival-order receives and pooled zero-copy frames —
-// only the map staging and the per-value byte codec remain uncompiled.
-func (s *Session) multiplySeed(x []float64) ([]float64, error) {
-	me := s.c.Rank()
-	t0 := time.Now()
-	payloads := make(map[int][]byte, len(s.pat.SendIdx[me]))
-	for dst, lst := range s.pat.SendIdx[me] {
+// learn is an STFW session's first exchange: the learning run itself
+// carries this iteration's x values, so the world performs exactly one
+// exchange per multiply from the first call on. It packs this rank's
+// outgoing values once, lets core.NewPersistent route them and record the
+// frame layout, compiles that layout into the replay every later multiply
+// runs, and copies the deliveries into the halo tail. Deliveries arrive
+// sorted by source rank, each in the sender's SendIdx order — which is the
+// halo layout compileProgram assigned.
+func (s *Session) learn(x []float64) error {
+	send := s.pat.SendIdx[s.c.Rank()]
+	payloads := make(map[int][]byte, len(send))
+	for dst, lst := range send {
 		buf := make([]byte, 0, 8*len(lst))
 		for _, j := range lst {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x[j]))
 		}
 		payloads[dst] = buf
 	}
-	t1 := time.Now()
-
-	var delivered *core.Delivered
-	var err error
-	switch {
-	case s.opt.Method == BL:
-		delivered, err = core.DirectExchange(s.c, payloads, s.recvFrom, core.WithTelemetry(s.tel))
-	case s.persist == nil:
-		s.persist, delivered, err = core.NewPersistent(s.c, s.opt.Topo, payloads)
-		if s.persist != nil {
-			s.persist.Instrument(s.tel)
-		}
-	default:
-		delivered, err = s.persist.Run(s.c, payloads)
-	}
+	persist, delivered, err := core.NewPersistent(s.c, s.opt.Topo, payloads)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	t2 := time.Now()
-
-	halo, err := unpackHalo(me, s.pat, delivered)
+	r, err := persist.Compile(s.a.Cols, send)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	y := make([]float64, s.a.Rows)
-	for _, i := range s.ownRows {
-		cols, vals := s.a.Row(i)
-		var sum float64
-		for k, j := range cols {
-			xv, ok := localX(me, s.part, x, halo, int(j))
-			if !ok {
-				return nil, fmt.Errorf("spmv: rank %d missing x[%d] for row %d", me, j, i)
-			}
-			sum += vals[k] * xv
+	if err := s.bindReplay(r); err != nil {
+		return err
+	}
+	halo := s.prog.xloc[s.prog.nOwn:]
+	at := 0
+	for _, sub := range delivered.Subs {
+		for b := sub.Data; len(b) >= 8; b = b[8:] {
+			halo[at] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+			at++
 		}
-		y[i] = sum
 	}
-	t3 := time.Now()
-	s.tm.Gather += t1.Sub(t0)
-	s.tm.Exchange += t2.Sub(t1)
-	s.tm.Kernel += t3.Sub(t2)
-	s.tm.Iters++
-	s.spanPhases(t0, t1, t2, t3)
-	return y, nil
+	return nil
 }
 
 // OwnedRows returns the rows this rank computes, ascending. The returned

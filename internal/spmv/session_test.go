@@ -99,12 +99,20 @@ func TestSessionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mismatched partition.
+	// Partition, pattern and topology must each match the world's size.
 	bad := &partition.Partition{K: 8, Part: make([]int32, a.Rows)}
+	part2, _ := partition.Block(a.Rows, 2)
+	pat2, _ := BuildPattern(a, part2)
 	w2, _ := chanpt.NewWorld(4, 4)
 	err = w2.Run(func(c runtime.Comm) error {
 		if _, err := NewSession(c, a, bad, pat, Options{Method: BL}); err == nil {
-			return fmt.Errorf("K mismatch accepted")
+			return fmt.Errorf("partition K mismatch accepted")
+		}
+		if _, err := NewSession(c, a, part, pat2, Options{Method: BL}); err == nil {
+			return fmt.Errorf("pattern K mismatch accepted")
+		}
+		if _, err := NewSession(c, a, part, pat, Options{Method: STFW, Topo: vpt.MustNew(2, 4)}); err == nil {
+			return fmt.Errorf("topology size mismatch accepted")
 		}
 		return nil
 	})

@@ -8,13 +8,10 @@
 package spmv
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"stfw/internal/core"
-	"stfw/internal/msg"
 	"stfw/internal/partition"
 	"stfw/internal/runtime"
 	"stfw/internal/sparse"
@@ -134,11 +131,6 @@ type Options struct {
 	Method Method
 	// Topo is the VPT used when Method == STFW; ignored for BL.
 	Topo *vpt.Topology
-	// Uncompiled keeps the original map-based iteration (per-call payload
-	// maps, byte codec, halo map) instead of compiling the session into an
-	// indexed program. The two paths are bit-identical; Uncompiled exists
-	// as the differential baseline and for benchmarking the compile win.
-	Uncompiled bool
 	// Telemetry, when set, attaches each rank's session to the registry's
 	// live collector: Multiply records gather/exchange/kernel phase spans
 	// and the exchange records stage spans and forward counts. The hooks
@@ -163,44 +155,6 @@ func Run(c runtime.Comm, a *sparse.CSR, part *partition.Partition, pat *Pattern,
 		return nil, err
 	}
 	return sess.Multiply(x)
-}
-
-// unpackHalo decodes the delivered payloads back into (global index ->
-// value) using the receiver's RecvIdx lists, which mirror the sender's
-// packing order.
-func unpackHalo(me int, pat *Pattern, d *core.Delivered) (map[int32]float64, error) {
-	halo := make(map[int32]float64)
-	bySrc := map[int]msg.Submessage{}
-	for _, sub := range d.Subs {
-		bySrc[sub.Src] = sub
-	}
-	for src, lst := range pat.RecvIdx[me] {
-		sub, ok := bySrc[src]
-		if !ok {
-			return nil, fmt.Errorf("spmv: rank %d expected x values from %d, got none", me, src)
-		}
-		if len(sub.Data) != 8*len(lst) {
-			return nil, fmt.Errorf("spmv: rank %d: payload from %d has %d bytes, want %d",
-				me, src, len(sub.Data), 8*len(lst))
-		}
-		for i, j := range lst {
-			halo[j] = math.Float64frombits(binary.LittleEndian.Uint64(sub.Data[8*i:]))
-		}
-		delete(bySrc, src)
-	}
-	if len(bySrc) != 0 {
-		return nil, fmt.Errorf("spmv: rank %d received %d unexpected payloads", me, len(bySrc))
-	}
-	return halo, nil
-}
-
-// localX resolves x[j] from the owned vector or the halo.
-func localX(me int, part *partition.Partition, x []float64, halo map[int32]float64, j int) (float64, bool) {
-	if int(part.Part[j]) == me {
-		return x[j], true
-	}
-	v, ok := halo[int32(j)]
-	return v, ok
 }
 
 // Reduce merges per-rank y vectors (each with only its owned entries set)

@@ -83,7 +83,7 @@ type sendLink struct {
 	stalled bool // counted a credit stall since the last full drain
 
 	// m is the per-peer wire metrics block shared with the matching
-	// recvLink; nil when the world runs WithoutLinkStats.
+	// recvLink.
 	m *linkMetrics
 }
 
@@ -171,7 +171,7 @@ type recvLink struct {
 	carrier bool
 
 	// m is the per-peer wire metrics block shared with the matching
-	// sendLink; nil when the world runs WithoutLinkStats.
+	// sendLink.
 	m *linkMetrics
 }
 

@@ -11,9 +11,9 @@ import (
 // rank -> peer) and receive link (peer -> this rank). The hot paths —
 // sendFrame, the sender drain, the receiver's sequencing loop, the ack
 // machinery — touch these with single atomic adds under locks they already
-// hold, so enabling the metrics costs no extra synchronization and no
-// allocation; disabling them (WithoutLinkStats) swaps in nil receivers and
-// every method collapses to one predictable branch.
+// hold, so the metrics cost no extra synchronization and no allocation
+// (measured at 0.5 % of an STFW iteration when they were introduced), and
+// every link always has its block.
 //
 // The block materializes into the transport-neutral runtime.LinkStats
 // snapshot through comm.LinkStats, which is how telemetry.Registry.WrapComm
@@ -24,8 +24,7 @@ import (
 // srtt += (sample - srtt) >> rttEWMAShift, the classic 1/8 gain.
 const rttEWMAShift = 3
 
-// linkMetrics is the per-directed-link counter block. All methods are
-// nil-receiver safe; a nil *linkMetrics is the disabled collector.
+// linkMetrics is the per-directed-link counter block.
 type linkMetrics struct {
 	// send direction
 	framesSent, bytesSent          atomic.Int64
@@ -45,9 +44,6 @@ type linkMetrics struct {
 }
 
 func (m *linkMetrics) frameSent() {
-	if m == nil {
-		return
-	}
 	m.framesSent.Add(1)
 }
 
@@ -55,9 +51,6 @@ func (m *linkMetrics) frameSent() {
 // length (headers included). Retransmissions are counted separately by
 // resend and never re-add bytes.
 func (m *linkMetrics) pktSent(bytes int) {
-	if m == nil {
-		return
-	}
 	m.pktsSent.Add(1)
 	m.bytesSent.Add(int64(bytes))
 }
@@ -65,18 +58,12 @@ func (m *linkMetrics) pktSent(bytes int) {
 // noteBacklog ratchets the backlog high-water mark. The caller holds the
 // send link's lock, so load/store is single-writer.
 func (m *linkMetrics) noteBacklog(depth int) {
-	if m == nil {
-		return
-	}
 	if int64(depth) > m.backlogHighWater.Load() {
 		m.backlogHighWater.Store(int64(depth))
 	}
 }
 
 func (m *linkMetrics) resend(timeout bool) {
-	if m == nil {
-		return
-	}
 	if timeout {
 		m.timeoutResends.Add(1)
 	} else {
@@ -85,16 +72,10 @@ func (m *linkMetrics) resend(timeout bool) {
 }
 
 func (m *linkMetrics) sackRepair() {
-	if m == nil {
-		return
-	}
 	m.sackRepairs.Add(1)
 }
 
 func (m *linkMetrics) windowStall() {
-	if m == nil {
-		return
-	}
 	m.windowStalls.Add(1)
 }
 
@@ -105,7 +86,7 @@ func (m *linkMetrics) windowStall() {
 // granularity, a saturated field) clamps to zero. Only the owning rank's
 // receiver goroutine calls this, so the read-modify-write is single-writer.
 func (m *linkMetrics) rttSample(rawNs, ackDelayNs int64) {
-	if m == nil || rawNs < 0 {
+	if rawNs < 0 {
 		return
 	}
 	ns := rawNs - ackDelayNs
@@ -121,60 +102,36 @@ func (m *linkMetrics) rttSample(rawNs, ackDelayNs int64) {
 }
 
 func (m *linkMetrics) pktRecvd(bytes int) {
-	if m == nil {
-		return
-	}
 	m.pktsRecvd.Add(1)
 	m.bytesRecvd.Add(int64(bytes))
 }
 
 func (m *linkMetrics) dup() {
-	if m == nil {
-		return
-	}
 	m.dups.Add(1)
 }
 
 func (m *linkMetrics) frameRecvd() {
-	if m == nil {
-		return
-	}
 	m.framesRecvd.Add(1)
 }
 
 func (m *linkMetrics) ackSent() {
-	if m == nil {
-		return
-	}
 	m.acksSent.Add(1)
 }
 
 func (m *linkMetrics) ackSuppressed() {
-	if m == nil {
-		return
-	}
 	m.acksSuppressed.Add(1)
 }
 
 func (m *linkMetrics) stageAck() {
-	if m == nil {
-		return
-	}
 	m.stageAcks.Add(1)
 }
 
 func (m *linkMetrics) livenessAck() {
-	if m == nil {
-		return
-	}
 	m.livenessAcks.Add(1)
 }
 
 // snapshot materializes the counter block into the transport-neutral form.
 func (m *linkMetrics) snapshot(peer int) runtime.LinkStats {
-	if m == nil {
-		return runtime.LinkStats{Peer: peer}
-	}
 	return runtime.LinkStats{
 		Peer:             peer,
 		FramesSent:       m.framesSent.Load(),
@@ -200,11 +157,8 @@ func (m *linkMetrics) snapshot(peer int) runtime.LinkStats {
 
 // LinkStats implements runtime.LinkStatsSource for one local rank: a
 // snapshot of every directed link that saw traffic, sorted by peer (the
-// metrics array is peer-indexed). Nil when the world runs WithoutLinkStats.
+// metrics array is peer-indexed).
 func (c *comm) LinkStats() []runtime.LinkStats {
-	if c.rs.lm == nil {
-		return nil
-	}
 	out := make([]runtime.LinkStats, 0, len(c.rs.lm))
 	for peer, m := range c.rs.lm {
 		if peer == c.rs.rank {
@@ -222,7 +176,7 @@ func (c *comm) LinkStats() []runtime.LinkStats {
 // RankLinkStats returns the per-link snapshot of one local rank without
 // going through a Comm — the multi-process netstat driver reads stats
 // after Run has returned the communicators to the pool. Nil for remote
-// ranks or a WithoutLinkStats world.
+// ranks.
 func (w *World) RankLinkStats(rank int) []runtime.LinkStats {
 	if rank < 0 || rank >= len(w.byRank) || w.byRank[rank] == nil {
 		return nil

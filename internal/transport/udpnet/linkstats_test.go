@@ -2,42 +2,12 @@ package udpnet
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"stfw/internal/core"
 	"stfw/internal/runtime"
 	"stfw/internal/vpt"
 )
-
-// TestLinkMetricsNilReceiver pins the disabled-collector contract: every
-// hot-path method on a nil *linkMetrics is a no-op, and a nil block
-// snapshots to a Zero LinkStats carrying only the peer id.
-func TestLinkMetricsNilReceiver(t *testing.T) {
-	var m *linkMetrics
-	m.frameSent()
-	m.pktSent(100)
-	m.noteBacklog(7)
-	m.resend(true)
-	m.resend(false)
-	m.sackRepair()
-	m.windowStall()
-	m.rttSample(1000, 0)
-	m.pktRecvd(100)
-	m.dup()
-	m.frameRecvd()
-	m.ackSent()
-	m.ackSuppressed()
-	m.stageAck()
-	m.livenessAck()
-	ls := m.snapshot(5)
-	if ls.Peer != 5 {
-		t.Fatalf("snapshot peer = %d, want 5", ls.Peer)
-	}
-	if !ls.Zero() {
-		t.Fatalf("nil block snapshot not Zero: %+v", ls)
-	}
-}
 
 // TestLinkMetricsRTTEWMA pins the smoothing discipline: the first sample
 // is stored directly, later samples fold in with the classic 1/8 gain,
@@ -66,35 +36,32 @@ func TestLinkMetricsRTTEWMA(t *testing.T) {
 }
 
 // TestLinkMetricsHotPathAllocs is the zero-allocation gate on the metric
-// hooks themselves: enabling per-link stats must add atomic ops to the
-// send/receive paths, never heap traffic. Both the live and the disabled
-// (nil) collector are measured.
+// hooks themselves: per-link stats add atomic ops to the send/receive
+// paths, never heap traffic.
 func TestLinkMetricsHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	live := &linkMetrics{}
-	for name, m := range map[string]*linkMetrics{"live": live, "nil": nil} {
-		allocs := testing.AllocsPerRun(200, func() {
-			m.frameSent()
-			m.pktSent(512)
-			m.noteBacklog(3)
-			m.resend(false)
-			m.resend(true)
-			m.sackRepair()
-			m.windowStall()
-			m.rttSample(1500, 200)
-			m.pktRecvd(512)
-			m.dup()
-			m.frameRecvd()
-			m.ackSent()
-			m.ackSuppressed()
-			m.stageAck()
-			m.livenessAck()
-		})
-		if allocs != 0 {
-			t.Errorf("%s collector: %.1f allocs per hook sweep, want 0", name, allocs)
-		}
+	m := &linkMetrics{}
+	allocs := testing.AllocsPerRun(200, func() {
+		m.frameSent()
+		m.pktSent(512)
+		m.noteBacklog(3)
+		m.resend(false)
+		m.resend(true)
+		m.sackRepair()
+		m.windowStall()
+		m.rttSample(1500, 200)
+		m.pktRecvd(512)
+		m.dup()
+		m.frameRecvd()
+		m.ackSent()
+		m.ackSuppressed()
+		m.stageAck()
+		m.livenessAck()
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocs per hook sweep, want 0", allocs)
 	}
 }
 
@@ -200,44 +167,5 @@ func TestLinkStatsConservation(t *testing.T) {
 		if b == 0 && framesSent[k] > 0 {
 			t.Errorf("link %d->%d: frames without wire bytes", k[0], k[1])
 		}
-	}
-}
-
-// TestWithoutLinkStats pins the disabled mode: the world still moves
-// traffic, the LinkStatsSource seam reports nil (not empty), and the
-// world-level stats keep working.
-func TestWithoutLinkStats(t *testing.T) {
-	const K = 4
-	w, err := NewWorld(K, WithoutLinkStats())
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c runtime.Comm) error {
-		to, from := (c.Rank()+1)%K, (c.Rank()+K-1)%K
-		if err := c.Send(to, 2, []byte{byte(c.Rank())}); err != nil {
-			return err
-		}
-		p, err := c.Recv(from, 2)
-		if err != nil {
-			return err
-		}
-		if len(p) != 1 || int(p[0]) != from {
-			return fmt.Errorf("rank %d got %v from %d", c.Rank(), p, from)
-		}
-		if ls := runtime.LinkStatsOf(c); ls != nil {
-			t.Errorf("rank %d: LinkStats = %v, want nil with stats disabled", c.Rank(), ls)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < K; r++ {
-		if ls := w.RankLinkStats(r); ls != nil {
-			t.Errorf("RankLinkStats(%d) = %v, want nil with stats disabled", r, ls)
-		}
-	}
-	if st := w.Stats(); st.DataSent == 0 {
-		t.Error("world stats stopped counting with link stats disabled")
 	}
 }

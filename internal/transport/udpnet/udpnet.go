@@ -96,10 +96,9 @@ const (
 type Option func(*options)
 
 type options struct {
-	loss        float64
-	seed        int64
-	noBatchIO   bool
-	noLinkStats bool
+	loss      float64
+	seed      int64
+	noBatchIO bool
 }
 
 // WithLoss injects packet loss: every outbound datagram (data and ack) is
@@ -114,14 +113,6 @@ func WithLoss(p float64, seed int64) Option {
 // where sendmmsg/recvmmsg are available, so both code paths stay tested.
 func WithoutBatchIO() Option {
 	return func(o *options) { o.noBatchIO = true }
-}
-
-// WithoutLinkStats disables the per-link wire metrics (on by default):
-// every counter hook becomes a nil-receiver no-op and comm.LinkStats
-// returns nil. Exists so the cost of the metrics themselves can be
-// measured; there is no other reason to turn them off.
-func WithoutLinkStats() Option {
-	return func(o *options) { o.noLinkStats = true }
 }
 
 // Stats aggregates a world's transport counters across its local ranks.
@@ -256,7 +247,7 @@ type rankState struct {
 	rl []*recvLink
 	ib *inbox
 	// lm holds the per-peer wire metrics blocks (peer-indexed, shared by
-	// sl[p] and rl[p]); nil when the world runs WithoutLinkStats.
+	// sl[p] and rl[p]).
 	lm []*linkMetrics
 
 	bar barState
@@ -279,20 +270,14 @@ func newRankState(rank, size int, o options) *rankState {
 		sl:    make([]*sendLink, size),
 		rl:    make([]*recvLink, size),
 		ib:    newInbox(),
+		lm:    make([]*linkMetrics, size),
 		rng:   rand.New(rand.NewSource(o.seed + int64(rank)*7919)),
 		armed: make([]atomic.Bool, size),
 	}
-	if !o.noLinkStats {
-		rs.lm = make([]*linkMetrics, size)
-	}
 	for p := 0; p < size; p++ {
-		var m *linkMetrics
-		if rs.lm != nil {
-			m = &linkMetrics{}
-			rs.lm[p] = m
-		}
-		rs.sl[p] = newSendLink(p, m)
-		rs.rl[p] = newRecvLink(p, m)
+		rs.lm[p] = &linkMetrics{}
+		rs.sl[p] = newSendLink(p, rs.lm[p])
+		rs.rl[p] = newRecvLink(p, rs.lm[p])
 	}
 	rs.out.cond = sync.NewCond(&rs.out.mu)
 	rs.bar.cond = sync.NewCond(&rs.bar.mu)
