@@ -6,40 +6,31 @@
 //
 // Usage:
 //
-//	stfwbench -exp table1|fig1|table2|fig6|fig7|fig8|fig9|table3|fig10|partitioners|skew|mapping|stencil|dynamic|live|netstat|hier|all [-scale N]
+//	stfwbench -exp table1|fig1|table2|fig6|fig7|fig8|fig9|table3|fig10|partitioners|skew|mapping|stencil|netstat|all [-scale N]
 //
 // -scale shrinks the catalog matrices (sparse.ScaleParams semantics);
 // scale 1 is full size. The default of 8 preserves every regime the paper
-// studies while keeping the full sweep fast on a laptop.
+// studies while keeping the full sweep fast on a laptop. -debug-addr
+// serves /debug (expvar, pprof) while the sweep executes;
+// -cpuprofile/-memprofile write runtime/pprof profiles of the whole
+// invocation. Live measurements of the runtime itself are bench/'s job
+// (bash bench/run.sh -workload W -quick); "all" runs only the model
+// experiments and opens no socket.
 //
-// The "live" experiment is the observability counterpart of the model-based
-// sweep: it executes a real K=64 STFW exchange in-process with the
-// telemetry layer attached and reports what actually happened (frame
-// counters, stage-latency histograms, and optionally a Perfetto trace via
-// -trace-out). -telemetry additionally attaches collection to any
-// experiment run; -debug-addr serves /debug (expvar, pprof, live trace)
-// while the sweep executes; -cpuprofile/-memprofile write runtime/pprof
-// profiles of the whole invocation.
-//
-// The "netstat" experiment goes one layer deeper: it runs the learned-
-// replay exchange over a wire transport, reports the per-link wire stats
-// (smoothed ack RTTs, resends, SACK repairs, ack suppression), the
-// per-stage straggler table, and a measured-vs-model divergence table
-// against the netsim cost model calibrated from the measured RTTs. With
-// -procs P the world spans P OS processes whose snapshots are merged into
-// one fleet report; -debug-addr then serves the merged /debug/fleet view.
-//
-// The "hier" experiment exercises the hierarchical composite transport: it
-// prints the dimension-assignment planner's table (default vs planned
-// factorization, node-crossing volume, modeled cost) and then measures the
-// planned node-aligned replay twice — every frame over udpnet, and through
-// the hier mux that keeps intra-node dimensions on the in-process transport
-// — lining the measured speedup up against the modeled one.
+// The "netstat" experiment is the one that runs a real world: the learned-
+// replay exchange over udpnet, reporting the per-link wire stats (smoothed
+// ack RTTs, resends, SACK repairs, ack suppression), the per-stage
+// straggler table, and a measured-vs-model divergence table against the
+// netsim cost model calibrated from the measured RTTs. With -procs P the
+// world spans P OS processes whose snapshots are merged into one fleet
+// report; -trace-out writes the merged Perfetto trace and -debug-addr then
+// serves the merged /debug/fleet view.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -51,12 +42,10 @@ import (
 // observability knobs.
 type benchConfig struct {
 	experiments.Config
-	telemetry  bool
 	traceOut   string
 	debugAddr  string
 	cpuProfile string
 	memProfile string
-	transport  string
 	procs      int
 }
 
@@ -73,16 +62,14 @@ func main() {
 	}
 
 	var cfg benchConfig
-	exp := flag.String("exp", "all", "experiment to run: table1, fig1, table2, fig6, fig7, fig8, fig9, table3, fig10, partitioners, skew, mapping, stencil, dynamic, live, netstat, hier, all")
+	exp := flag.String("exp", "all", "experiment to run: table1, fig1, table2, fig6, fig7, fig8, fig9, table3, fig10, partitioners, skew, mapping, stencil, netstat, all")
 	verify := flag.Bool("verify", false, "run the whole-world schedule verifier over the conformance topologies and exit")
 	flag.IntVar(&cfg.Scale, "scale", 8, "matrix shrink factor (1 = full-size structures)")
-	flag.BoolVar(&cfg.telemetry, "telemetry", false, "collect live telemetry (implied by -exp live)")
-	flag.StringVar(&cfg.traceOut, "trace-out", "", "write a Chrome trace-event JSON of the live run (open in ui.perfetto.dev)")
-	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "serve /debug (expvar, pprof, telemetry) on this address while running")
+	flag.StringVar(&cfg.traceOut, "trace-out", "", "with -exp netstat: write a Chrome trace-event JSON of the run (open in ui.perfetto.dev)")
+	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "serve /debug (expvar, pprof; with -exp netstat the merged fleet view) on this address")
 	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&cfg.memProfile, "memprofile", "", "write a heap profile to this file at exit")
-	flag.StringVar(&cfg.transport, "transport", "chan", "live-run transport: chan (in-process channels), tcp (loopback TCP streams), udp (batched loopback datagrams), hier (two-node split: chanpt intra-node + udpnet inter-node)")
-	flag.IntVar(&cfg.procs, "procs", 1, "with -transport udp: split the live world across this many OS processes (loopback multi-process mode)")
+	flag.IntVar(&cfg.procs, "procs", 1, "with -exp netstat: split the udpnet world across this many OS processes (loopback multi-process mode)")
 	flag.Parse()
 
 	if *verify {
@@ -110,41 +97,29 @@ func run(cfg benchConfig, exp string) error {
 		}
 	}()
 
-	// The live experiment's world is fixed (K=64 over a 3-dimensional VPT),
-	// so its registry can exist before the run — which lets -debug-addr
-	// expose it while the exchange executes.
-	var reg *telemetry.Registry
-	if exp == "live" || cfg.telemetry || cfg.traceOut != "" {
-		reg, err = telemetry.New(telemetry.Config{Ranks: liveK, Stages: liveDim})
-		if err != nil {
-			return err
-		}
-	}
 	runners := map[string]func(experiments.Config) error{
-		"table1":       runTable1,
-		"fig1":         runFig1,
-		"table2":       runTable2,
-		"fig6":         runFig6,
-		"fig7":         runFig7,
-		"fig8":         runFig8,
-		"fig9":         runFig9,
-		"table3":       runTable3,
-		"fig10":        runFig10,
+		"table1":       printed(experiments.Table1, experiments.RenderTable1),
+		"fig1":         printed(experiments.Figure1, experiments.RenderFigure1),
+		"table2":       printed(experiments.Table2, experiments.RenderTable2),
+		"fig6":         printed(experiments.Figure6, experiments.RenderFigure6),
+		"fig7":         printed(experiments.Figure7, experiments.RenderFigure7),
+		"fig8":         printed(experiments.Figure8, experiments.RenderFigure8),
+		"fig9":         printed(experiments.Figure9, experiments.RenderFigure9),
+		"table3":       printed(experiments.Table3, experiments.RenderTable3),
+		"fig10":        printed(experiments.Figure10, experiments.RenderFigure10),
 		"partitioners": runPartitioners,
 		"skew":         runSkew,
 		"mapping":      runMapping,
 		"stencil":      runStencil,
-		"dynamic":      runDynamic,
-		"live":         func(c experiments.Config) error { return runLive(c, cfg, reg) },
 		"netstat":      func(experiments.Config) error { return runNetstat(cfg) },
-		"hier":         func(experiments.Config) error { return runHier(cfg) },
 	}
 	order := []string{"table1", "fig1", "table2", "fig6", "fig7", "fig8", "fig9", "table3", "fig10",
-		"partitioners", "skew", "mapping", "stencil", "dynamic"}
+		"partitioners", "skew", "mapping", "stencil"}
 	if cfg.debugAddr != "" && exp != "netstat" {
-		// Without a registry the endpoint still serves pprof and expvar.
-		// netstat serves its own fleet-level endpoint after the merge.
-		ds, err := reg.ServeDebug(cfg.debugAddr)
+		// The model sweeps have no registry; a nil one still serves pprof
+		// and expvar. netstat serves its own fleet-level endpoint after
+		// the merge.
+		ds, err := (*telemetry.Registry)(nil).ServeDebug(cfg.debugAddr)
 		if err != nil {
 			return err
 		}
@@ -175,85 +150,16 @@ func timed(name string, cfg experiments.Config, f func(experiments.Config) error
 	return nil
 }
 
-func runTable1(cfg experiments.Config) error {
-	rows, err := experiments.Table1(cfg)
-	if err != nil {
-		return err
+// printed adapts an experiment's compute/render pair to a runner.
+func printed[T any](compute func(experiments.Config) (T, error), render func(io.Writer, T)) func(experiments.Config) error {
+	return func(cfg experiments.Config) error {
+		v, err := compute(cfg)
+		if err != nil {
+			return err
+		}
+		render(os.Stdout, v)
+		return nil
 	}
-	experiments.RenderTable1(os.Stdout, rows)
-	return nil
-}
-
-func runFig1(cfg experiments.Config) error {
-	series, err := experiments.Figure1(cfg)
-	if err != nil {
-		return err
-	}
-	experiments.RenderFigure1(os.Stdout, series)
-	return nil
-}
-
-func runTable2(cfg experiments.Config) error {
-	blocks, err := experiments.Table2(cfg)
-	if err != nil {
-		return err
-	}
-	experiments.RenderTable2(os.Stdout, blocks)
-	return nil
-}
-
-func runFig6(cfg experiments.Config) error {
-	rows, err := experiments.Figure6(cfg)
-	if err != nil {
-		return err
-	}
-	experiments.RenderFigure6(os.Stdout, rows)
-	return nil
-}
-
-func runFig7(cfg experiments.Config) error {
-	panels, err := experiments.Figure7(cfg)
-	if err != nil {
-		return err
-	}
-	experiments.RenderFigure7(os.Stdout, panels)
-	return nil
-}
-
-func runFig8(cfg experiments.Config) error {
-	series, err := experiments.Figure8(cfg)
-	if err != nil {
-		return err
-	}
-	experiments.RenderFigure8(os.Stdout, series)
-	return nil
-}
-
-func runFig9(cfg experiments.Config) error {
-	bars, err := experiments.Figure9(cfg)
-	if err != nil {
-		return err
-	}
-	experiments.RenderFigure9(os.Stdout, bars)
-	return nil
-}
-
-func runTable3(cfg experiments.Config) error {
-	blocks, err := experiments.Table3(cfg)
-	if err != nil {
-		return err
-	}
-	experiments.RenderTable3(os.Stdout, blocks)
-	return nil
-}
-
-func runFig10(cfg experiments.Config) error {
-	rows, err := experiments.Figure10(cfg)
-	if err != nil {
-		return err
-	}
-	experiments.RenderFigure10(os.Stdout, rows)
-	return nil
 }
 
 func runPartitioners(cfg experiments.Config) error {
@@ -289,14 +195,5 @@ func runStencil(cfg experiments.Config) error {
 		return err
 	}
 	experiments.RenderStencilControl(os.Stdout, 256, rows)
-	return nil
-}
-
-func runDynamic(cfg experiments.Config) error {
-	rows, err := experiments.DynamicSweep(cfg)
-	if err != nil {
-		return err
-	}
-	experiments.RenderDynamicSweep(os.Stdout, rows)
 	return nil
 }

@@ -1,9 +1,9 @@
 package main
 
-// The netstat experiment: execute the K=64 learned-replay exchange over a
-// real transport with wire-level telemetry attached, then print what the
-// network actually did — per-rank link stats (RTT, resends, SACK repairs,
-// ack suppression), the per-stage straggler table — and how far the netsim
+// The netstat experiment: execute the K=64 learned-replay exchange over
+// udpnet with wire-level telemetry attached, then print what the network
+// actually did — per-rank link stats (RTT, resends, SACK repairs, ack
+// suppression), the per-stage straggler table — and how far the netsim
 // cost model, calibrated from the measured ack RTTs, diverges from the
 // measured per-stage wall-clock. With -procs P the run spans P OS
 // processes; each child ships its registry snapshot back over an inherited
@@ -17,10 +17,7 @@ import (
 	"os/signal"
 
 	"stfw/internal/experiments"
-	"stfw/internal/runtime"
 	"stfw/internal/telemetry"
-	"stfw/internal/transport/chanpt"
-	"stfw/internal/transport/tcpnet"
 	"stfw/internal/transport/udpnet"
 )
 
@@ -35,57 +32,26 @@ func runNetstat(cfg benchConfig) error {
 	if err != nil {
 		return err
 	}
-	var comms []runtime.Comm
-	switch cfg.transport {
-	case "", "chan":
-		w, err := chanpt.NewWorld(ncfg.K, ncfg.K)
-		if err != nil {
-			return err
-		}
-		comms = w.Comms()
-	case "tcp":
-		w, err := tcpnet.NewWorld(ncfg.K)
-		if err != nil {
-			return err
-		}
-		defer w.Close()
-		comms = w.Comms()
-	case "udp":
-		w, err := udpnet.NewWorld(ncfg.K)
-		if err != nil {
-			return err
-		}
-		defer w.Close()
-		comms = w.Comms()
-	default:
-		return fmt.Errorf("unknown transport %q (want chan, tcp, or udp)", cfg.transport)
+	w, err := udpnet.NewWorld(ncfg.K)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("netstat: in-process %s run\n", transportName(cfg.transport))
-	if err := experiments.NetstatRun(ncfg, reg, comms); err != nil {
+	defer w.Close()
+	fmt.Println("netstat: in-process udp run")
+	if err := experiments.NetstatRun(ncfg, reg, w.Comms()); err != nil {
 		return err
 	}
 	return netstatFinish(cfg, ncfg, reg.Snapshot())
 }
 
-func transportName(t string) string {
-	if t == "" {
-		return "chan"
-	}
-	return t
-}
-
-// runNetstatProcs is the fleet path: the udp launcher in netstat mode
-// returns one decoded snapshot per child, merged here onto the world
-// timeline.
+// runNetstatProcs is the fleet path: the udp launcher returns one decoded
+// snapshot per child, merged here onto the world timeline.
 func runNetstatProcs(cfg benchConfig, ncfg experiments.NetstatConfig) error {
-	if cfg.transport != "udp" {
-		return fmt.Errorf("-exp netstat -procs %d requires -transport udp", cfg.procs)
-	}
-	if cfg.procs < 2 || ncfg.K%cfg.procs != 0 {
-		return fmt.Errorf("-procs must be a divisor of %d greater than 1, got %d", ncfg.K, cfg.procs)
+	if ncfg.K%cfg.procs != 0 {
+		return fmt.Errorf("-procs must be a divisor of %d, got %d", ncfg.K, cfg.procs)
 	}
 	fmt.Printf("netstat: K=%d over %d processes (%d ranks each)\n", ncfg.K, cfg.procs, ncfg.K/cfg.procs)
-	snaps, err := launchUDPProcs(cfg.procs, "netstat")
+	snaps, err := launchUDPProcs(ncfg.K, cfg.procs)
 	if err != nil {
 		return err
 	}

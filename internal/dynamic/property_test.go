@@ -171,11 +171,11 @@ func payloadWorld(me, round int, pairs map[pairKey]int) map[int][]byte {
 	return p
 }
 
-// runDynamicProperty executes the harness on one world: learn a base
+// runChurnProperty executes the harness on one world: learn a base
 // pattern, then for each round discover + patch + incrementally re-lower
 // and prove the replay output bit-identical to a from-scratch relearn of
 // the mutated pattern, with all world verifiers green in between.
-func runDynamicProperty(t *testing.T, tp *vpt.Topology, comms []runtime.Comm, rounds int, seed int64) {
+func runChurnProperty(t *testing.T, tp *vpt.Topology, comms []runtime.Comm, rounds int, seed int64) {
 	t.Helper()
 	K := tp.Size()
 	rng := rand.New(rand.NewSource(seed))
@@ -356,7 +356,7 @@ func TestDynamicPropertyChanpt(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runDynamicProperty(t, tp, w.Comms(), c.rounds, int64(c.K)*7+int64(c.n))
+			runChurnProperty(t, tp, w.Comms(), c.rounds, int64(c.K)*7+int64(c.n))
 		})
 	}
 }
@@ -378,7 +378,7 @@ func TestDynamicPropertyTCP(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer w.Close()
-			runDynamicProperty(t, tp, w.Comms(), c.rounds, int64(c.K)*11+int64(c.n))
+			runChurnProperty(t, tp, w.Comms(), c.rounds, int64(c.K)*11+int64(c.n))
 		})
 	}
 }
@@ -397,7 +397,7 @@ func TestDynamicPropertyFaultDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := tptest.NewInjector(tptest.FaultConfig{Seed: 5, Delay: 0.5, MaxDelay: 100 * time.Microsecond})
-	runDynamicProperty(t, tp, inj.WrapAll(w.Comms()), 2, 99)
+	runChurnProperty(t, tp, inj.WrapAll(w.Comms()), 2, 99)
 	if st := inj.Stats(); st.Delayed == 0 {
 		t.Fatalf("delay fault never fired: %+v", st)
 	}

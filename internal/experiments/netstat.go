@@ -13,10 +13,9 @@ import (
 	"stfw/internal/vpt"
 )
 
-// The netstat experiment: run a real learned-replay exchange over a wire
-// transport with the full telemetry layer attached (per-stage spans,
-// per-link wire counters), then confront the netsim cost model with what
-// was measured. It is the observability counterpart of the model sweeps:
+// The netstat experiment: run a real learned-replay exchange over udpnet
+// with the full telemetry layer attached (per-stage spans, per-link wire
+// counters), then confront the netsim cost model with what was measured. It is the observability counterpart of the model sweeps:
 // instead of predicting a machine we never ran on, it calibrates the model
 // against the machine we did run on (loopback) and reports, stage by
 // stage, how far prediction and measurement diverge. The same code path
@@ -25,9 +24,9 @@ import (
 // the collector merges the snapshots before BuildNetstatReport.
 
 // NetstatConfig fixes the world the netstat experiment measures. The
-// default shape matches the udp multi-process loopback mode: K=64 over
-// dims [8,8] (the wide-radix shape that stresses per-stage fan-out), every
-// rank shipping 256-byte frames to 8 pseudo-random destinations.
+// default shape is K=64 over dims [8,8] (the wide-radix shape that
+// stresses per-stage fan-out), every rank shipping 256-byte frames to 8
+// pseudo-random destinations.
 type NetstatConfig struct {
 	K     int // world size
 	Dim   int // VPT dimension count (NewBalanced)

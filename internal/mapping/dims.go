@@ -84,28 +84,6 @@ func evalDims(m *netsim.Machine, s *core.SendSets, t *vpt.Topology, perm []int) 
 	return perDim, crossWords, cost, nil
 }
 
-// AssessDims evaluates one fixed assignment — topology t under placement
-// perm (nil = linear packing) — and reports it in the same form PlanDims
-// returns, including the dimension split. It is the baseline column of a
-// planner comparison table.
-func AssessDims(m *netsim.Machine, s *core.SendSets, t *vpt.Topology, perm []int) (*DimPlan, error) {
-	perDim, cross, cost, err := evalDims(m, s, t, perm)
-	if err != nil {
-		return nil, err
-	}
-	if perm == nil {
-		perm = Identity(s.K)
-	}
-	p := &DimPlan{
-		Dims:       t.Dims(),
-		Placement:  append([]int(nil), perm...),
-		CrossWords: cross,
-		Cost:       cost,
-	}
-	p.Split = splitOf(perDim)
-	return p, nil
-}
-
 // splitOf returns the length of the leading run of dimensions that move no
 // words across node boundaries.
 func splitOf(perDim []int64) int {

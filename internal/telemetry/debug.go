@@ -130,7 +130,6 @@ func FleetHandler(s Snapshot) http.Handler {
 	mux.HandleFunc("/debug/fleet/hist", func(w http.ResponseWriter, r *http.Request) {
 		s.FrameSizes.render(w, "frame sizes", "B")
 		s.StageNs.render(w, "stage latencies", "ns")
-		s.DgramSizes.render(w, "datagram sizes", "B")
 	})
 	return mux
 }

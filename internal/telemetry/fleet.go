@@ -51,7 +51,6 @@ func MergeSnapshots(snaps []Snapshot) (Snapshot, error) {
 		offset := s.Epoch.Sub(world).Nanoseconds()
 		out.FrameSizes.merge(s.FrameSizes)
 		out.StageNs.merge(s.StageNs)
-		out.DgramSizes.merge(s.DgramSizes)
 		for _, r := range s.Ranks {
 			if rankSnapshotZero(&r) {
 				continue // a remote rank's empty slot in this process's registry
@@ -71,8 +70,7 @@ func MergeSnapshots(snaps []Snapshot) (Snapshot, error) {
 // activity at all — the shape of a remote rank's slot in a full-width
 // per-process registry.
 func rankSnapshotZero(r *RankSnapshot) bool {
-	if r.SpanCount != 0 || len(r.Links) != 0 || r.Barriers != 0 ||
-		r.Batches != 0 || r.Resends != 0 || r.CreditStalls != 0 || r.Patches != 0 {
+	if r.SpanCount != 0 || len(r.Links) != 0 || r.Barriers != 0 || r.Patches != 0 {
 		return false
 	}
 	for _, c := range r.Stages {

@@ -231,28 +231,13 @@ type Rank struct {
 	PatchNs          atomic.Int64
 	PatchDirtyStages atomic.Int64
 
-	// Batched-transport counters (internal/transport/udpnet): Batches is
-	// the number of batched socket submissions (one sendmmsg/recvmmsg-style
-	// call each) and BatchDgrams the datagrams they carried, so
-	// BatchDgrams/Batches is the realized coalescing factor. Resends counts
-	// retransmitted packets (loss recovery), CreditStalls the sends that
-	// had to wait on a full in-flight window before claiming a packet slot.
-	Batches      atomic.Int64
-	BatchDgrams  atomic.Int64
-	Resends      atomic.Int64
-	CreditStalls atomic.Int64
-
 	// FrameSizes observes the byte length of every frame this rank sends
 	// through a wrapped communicator; StageNs observes the duration of its
-	// stage-scoped spans (KStage, KForward, KDeliver); DgramSizes observes
-	// the wire length of every datagram a batched transport first-transmits
-	// or receives (see udpnet), so the realized coalescing shows up as a
-	// distribution, not just a mean. The histograms are per-rank — not
-	// registry-global — so hot-path observations never contend on shared
-	// cache lines; Snapshot merges them world-wide.
+	// stage-scoped spans (KStage, KForward, KDeliver). The histograms are
+	// per-rank — not registry-global — so hot-path observations never
+	// contend on shared cache lines; Snapshot merges them world-wide.
 	FrameSizes Histogram
 	StageNs    Histogram
-	DgramSizes Histogram
 
 	spans  []Span
 	cursor atomic.Int64 // total spans ever recorded; ring index = cursor & (cap-1)
@@ -336,42 +321,6 @@ func (t *Rank) CountPatch(dirtyStages int, d time.Duration) {
 	t.PatchDirtyStages.Add(int64(dirtyStages))
 	now := time.Now()
 	t.SpanBetween(KPatch, -1, now.Add(-d), now)
-}
-
-// CountBatch records one batched socket submission carrying dgrams
-// datagrams (send or receive side alike).
-func (t *Rank) CountBatch(dgrams int) {
-	if t == nil {
-		return
-	}
-	t.Batches.Add(1)
-	t.BatchDgrams.Add(int64(dgrams))
-}
-
-// ObserveDgram records the wire length of one datagram (sent or received)
-// into the per-rank datagram-size histogram.
-func (t *Rank) ObserveDgram(bytes int) {
-	if t == nil {
-		return
-	}
-	t.DgramSizes.Observe(int64(bytes))
-}
-
-// CountResend records one retransmitted packet.
-func (t *Rank) CountResend() {
-	if t == nil {
-		return
-	}
-	t.Resends.Add(1)
-}
-
-// CountCreditStall records one send that blocked waiting for in-flight
-// window credits.
-func (t *Rank) CountCreditStall() {
-	if t == nil {
-		return
-	}
-	t.CreditStalls.Add(1)
 }
 
 // SetLinkSource registers the transport's per-link wire-stats source for
@@ -493,10 +442,6 @@ type RankSnapshot struct {
 	Patches          int64             `json:"patches,omitempty"`
 	PatchNs          int64             `json:"patch_ns,omitempty"`
 	PatchDirtyStages int64             `json:"patch_dirty_stages,omitempty"`
-	Batches          int64             `json:"batches,omitempty"`
-	BatchDgrams      int64             `json:"batch_dgrams,omitempty"`
-	Resends          int64             `json:"resends,omitempty"`
-	CreditStalls     int64             `json:"credit_stalls,omitempty"`
 	// Links is the transport's per-link wire snapshot (resends, SACK
 	// repairs, smoothed RTT, ack-suppression classes, ...), present when a
 	// LinkStatsSource was registered via WrapComm / SetLinkSource.
@@ -518,7 +463,6 @@ type Snapshot struct {
 	Ranks      []RankSnapshot `json:"ranks"`
 	FrameSizes HistSnapshot   `json:"frame_sizes"`
 	StageNs    HistSnapshot   `json:"stage_ns"`
-	DgramSizes HistSnapshot   `json:"dgram_sizes,omitempty"`
 }
 
 // Snapshot copies every rank's counters and spans. Nil-safe (returns an
@@ -541,10 +485,6 @@ func (g *Registry) Snapshot() Snapshot {
 			Patches:          t.Patches.Load(),
 			PatchNs:          t.PatchNs.Load(),
 			PatchDirtyStages: t.PatchDirtyStages.Load(),
-			Batches:          t.Batches.Load(),
-			BatchDgrams:      t.BatchDgrams.Load(),
-			Resends:          t.Resends.Load(),
-			CreditStalls:     t.CreditStalls.Load(),
 			Links:            t.LinkStats(),
 			Spans:            t.Spans(),
 			SpanCount:        t.SpanCount(),
@@ -555,7 +495,6 @@ func (g *Registry) Snapshot() Snapshot {
 		s.Ranks[r] = rs
 		s.FrameSizes.merge(t.FrameSizes.Snapshot())
 		s.StageNs.merge(t.StageNs.Snapshot())
-		s.DgramSizes.merge(t.DgramSizes.Snapshot())
 	}
 	return s
 }

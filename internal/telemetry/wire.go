@@ -22,11 +22,10 @@ import (
 //	magic    [8]byte "STFWSNAP"
 //	version  uint16
 //	epochNs  int64  (registry epoch, wall clock, UnixNano)
-//	frameSizes, stageNs, dgramSizes  histogram
+//	frameSizes, stageNs  histogram
 //	rankCount uint32, then per rank:
 //	  rank uint32
 //	  barriers barrierNs patches patchNs patchDirtyStages  int64
-//	  batches batchDgrams resends creditStalls             int64
 //	  epochOffsetNs spanCount                              int64
 //	  stageCount uint32, then per stage 6×int64
 //	  linkCount  uint32, then per link uint32 peer + 18×int64
@@ -36,7 +35,7 @@ import (
 
 // SnapshotWireVersion is the current encoding generation. Bump it on any
 // layout change; DecodeSnapshot rejects every other version.
-const SnapshotWireVersion = 1
+const SnapshotWireVersion = 2
 
 var snapshotMagic = [8]byte{'S', 'T', 'F', 'W', 'S', 'N', 'A', 'P'}
 
@@ -59,12 +58,10 @@ func EncodeSnapshot(s Snapshot) []byte {
 	b = appendI64(b, s.Epoch.UnixNano())
 	b = appendHist(b, s.FrameSizes)
 	b = appendHist(b, s.StageNs)
-	b = appendHist(b, s.DgramSizes)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Ranks)))
 	for _, r := range s.Ranks {
 		b = binary.LittleEndian.AppendUint32(b, uint32(r.Rank))
 		b = appendI64(b, r.Barriers, r.BarrierNs, r.Patches, r.PatchNs, r.PatchDirtyStages)
-		b = appendI64(b, r.Batches, r.BatchDgrams, r.Resends, r.CreditStalls)
 		b = appendI64(b, r.EpochOffsetNs, r.SpanCount)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Stages)))
 		for _, c := range r.Stages {
@@ -211,16 +208,13 @@ func DecodeSnapshot(b []byte) (Snapshot, error) {
 	}
 	s.FrameSizes = r.hist()
 	s.StageNs = r.hist()
-	s.DgramSizes = r.hist()
-	// Minimum encoded rank: rank u32 + 11 scalar int64s + three empty
+	// Minimum encoded rank: rank u32 + 7 scalar int64s + three empty
 	// section length prefixes.
-	nRanks := r.count("rank", 4+11*8+3*4)
+	nRanks := r.count("rank", 4+7*8+3*4)
 	for i := 0; i < nRanks && r.err == nil; i++ {
 		rs := RankSnapshot{Rank: int(int32(r.u32()))}
 		rs.Barriers, rs.BarrierNs = r.i64(), r.i64()
 		rs.Patches, rs.PatchNs, rs.PatchDirtyStages = r.i64(), r.i64(), r.i64()
-		rs.Batches, rs.BatchDgrams = r.i64(), r.i64()
-		rs.Resends, rs.CreditStalls = r.i64(), r.i64()
 		rs.EpochOffsetNs, rs.SpanCount = r.i64(), r.i64()
 		if rs.Rank < 0 {
 			r.fail("negative rank %d", rs.Rank)

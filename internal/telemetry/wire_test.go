@@ -20,14 +20,12 @@ func wireTestSnapshot() Snapshot {
 		FrameSizes: HistSnapshot{
 			Count: 3, Sum: 900, Buckets: []int64{0, 1, 2},
 		},
-		StageNs:    HistSnapshot{Count: 1, Sum: 42, Buckets: []int64{1}},
-		DgramSizes: HistSnapshot{},
+		StageNs: HistSnapshot{Count: 1, Sum: 42, Buckets: []int64{1}},
 		Ranks: []RankSnapshot{
 			{
 				Rank:     0,
 				Barriers: 2, BarrierNs: 1000,
 				Patches: 1, PatchNs: 500, PatchDirtyStages: 3,
-				Batches: 7, BatchDgrams: 21, Resends: 4, CreditStalls: 1,
 				EpochOffsetNs: 0, SpanCount: 2,
 				Stages: []CounterSnapshot{
 					{Sends: 5, SendBytes: 1280, Recvs: 5, RecvBytes: 1280, Forwards: 2, FwdBytes: 512},
@@ -104,6 +102,12 @@ func TestDecodeSnapshotRejects(t *testing.T) {
 	if _, err := DecodeSnapshot(bad); err == nil {
 		t.Error("future version accepted — collectors must reject build skew")
 	}
+	// Version 1 carried a third histogram and four more words per rank; a
+	// child from that build generation must not be half-parsed.
+	binary.LittleEndian.PutUint16(bad[8:], 1)
+	if _, err := DecodeSnapshot(bad); err == nil {
+		t.Error("version 1 accepted")
+	}
 	for n := 0; n < len(good); n++ {
 		if _, err := DecodeSnapshot(good[:n]); err == nil {
 			t.Fatalf("truncation to %d/%d bytes accepted", n, len(good))
@@ -116,7 +120,7 @@ func TestDecodeSnapshotRejects(t *testing.T) {
 	// must refuse before any allocation happens.
 	bad = append([]byte(nil), good...)
 	off := 8 + 2 + 8         // magic + version + epoch
-	for i := 0; i < 3; i++ { // skip the three histograms
+	for i := 0; i < 2; i++ { // skip the two histograms
 		bl := binary.LittleEndian.Uint32(bad[off+16:])
 		off += 16 + 4 + int(bl)*8
 	}

@@ -154,7 +154,6 @@ func (w *World) drainLink(rs *rankState, sl *sendLink, now int64, batch []sendEn
 			sl.stalled = true
 			w.stats.creditStalls.Add(1)
 			sl.m.windowStall()
-			w.tele(rs.rank).CountCreditStall()
 		}
 	} else {
 		sl.stalled = false
@@ -175,12 +174,6 @@ func (w *World) transmit(rs *rankState, batch []sendEntry) {
 	}
 	w.stats.batches.Add(1)
 	w.stats.batchDgrams.Add(int64(len(batch)))
-	if t := w.tele(rs.rank); t != nil {
-		t.CountBatch(len(batch))
-		for _, e := range batch {
-			t.ObserveDgram(len(e.buf))
-		}
-	}
 
 	wire := batch
 	if w.opts.loss > 0 {
@@ -304,7 +297,6 @@ func (w *World) handleDgram(rs *rankState, buf []byte, n int) (kept bool, dirty 
 		w.stats.malformed.Add(1)
 		return false, nil
 	}
-	w.tele(rs.rank).ObserveDgram(n)
 	var bm uint64
 	if h.kind == kindAck {
 		if bm, err = parseAck(body); err != nil {
@@ -562,7 +554,6 @@ func (w *World) handleAck(rs *rankState, sl *sendLink, cum, ackDelay uint32, bm 
 	for _, seq := range resend {
 		w.stats.resends.Add(1)
 		sl.m.resend(false) // gap-triggered
-		w.tele(rs.rank).CountResend()
 		rs.enqueue(outItem{sl: sl, seq: seq})
 	}
 	if hasBacklog {
@@ -650,7 +641,6 @@ func (w *World) resendExpired(rs *rankState, sl *sendLink, now int64) (inFlight 
 	for _, seq := range resend {
 		w.stats.resends.Add(1)
 		sl.m.resend(true) // RTO scan
-		w.tele(rs.rank).CountResend()
 		rs.enqueue(outItem{sl: sl, seq: seq})
 	}
 	return inFlight

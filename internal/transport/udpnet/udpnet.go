@@ -50,7 +50,6 @@ import (
 
 	"stfw/internal/msg"
 	"stfw/internal/runtime"
-	"stfw/internal/telemetry"
 )
 
 const (
@@ -303,7 +302,6 @@ type World struct {
 	ring   *PacketRing
 	opts   options
 
-	reg   atomic.Pointer[telemetry.Registry]
 	stats worldStats
 
 	closed    chan struct{}
@@ -435,18 +433,6 @@ func NewGroup(cfg GroupConfig, opts ...Option) (*World, error) {
 
 // Size returns the number of ranks in the world.
 func (w *World) Size() int { return w.size }
-
-// Instrument attaches a telemetry registry: batch, resend, and
-// credit-stall counters are credited to each local rank's collector.
-func (w *World) Instrument(reg *telemetry.Registry) { w.reg.Store(reg) }
-
-func (w *World) tele(rank int) *telemetry.Rank {
-	reg := w.reg.Load()
-	if reg == nil {
-		return nil
-	}
-	return reg.Rank(rank)
-}
 
 // Stats returns a snapshot of the world's transport counters.
 func (w *World) Stats() Stats {
