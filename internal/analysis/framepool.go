@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Framepool enforces the frame-arena ownership discipline documented in
@@ -113,11 +112,13 @@ func isFrameSource(info *types.Info, call *ast.CallExpr) bool {
 // isRingMethod reports whether fn is the named method on udpnet's
 // PacketRing (pointer or value receiver).
 func isRingMethod(fn *types.Func, name string) bool {
-	if fn == nil || fn.Name() != name || fn.Pkg() == nil {
-		return false
-	}
-	p := fn.Pkg().Path()
-	if p != "internal/transport/udpnet" && !strings.HasSuffix(p, "/internal/transport/udpnet") {
+	return isMethodOf(fn, "internal/transport/udpnet", "PacketRing", name)
+}
+
+// isMethodOf reports whether fn is one of the named methods (pointer or
+// value receiver) of type typeName in a package path ending in pathSuffix.
+func isMethodOf(fn *types.Func, pathSuffix, typeName string, names ...string) bool {
+	if !isPkgFunc(fn, pathSuffix, names...) {
 		return false
 	}
 	sig, ok := fn.Type().(*types.Signature)
@@ -129,7 +130,7 @@ func isRingMethod(fn *types.Func, name string) bool {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "PacketRing"
+	return ok && named.Obj().Name() == typeName
 }
 
 // checkFrameSource follows one mint call (GetFrame*, ring Get, or a helper

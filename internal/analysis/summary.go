@@ -669,6 +669,15 @@ func crossSummary(fn *types.Func) *FuncSummary {
 		s := mk()
 		s.MayBlock = true
 		return s
+	case isMethodOf(fn, "internal/runtime", "Matcher", "Push", "Recv", "RecvAnyOf"):
+		// The transports' receive side waits inside runtime; a pushed
+		// payload is retained (a refused Push leaves it with the caller).
+		s := mk()
+		s.MayBlock = true
+		if fn.Name() == "Push" && len(s.Params) == 3 {
+			s.Params[2] = EffEscape
+		}
+		return s
 	}
 	if name := blockingCommFunc(fn); name != "" {
 		s := mk()

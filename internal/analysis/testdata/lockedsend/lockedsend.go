@@ -3,7 +3,11 @@
 // a mutex is held.
 package lockedsend
 
-import "sync"
+import (
+	"sync"
+
+	"stfw/internal/runtime"
+)
 
 // comm mirrors the runtime.Comm transport shape.
 type comm struct{}
@@ -18,6 +22,7 @@ type engine struct {
 	rw sync.RWMutex
 	ch chan []byte
 	c  comm
+	in *runtime.Matcher
 	n  int
 }
 
@@ -136,4 +141,24 @@ func (e *engine) badHelperBlocksTwoFramesDeep(b []byte) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.flushIndirect(b) // want "may block on a channel send or Comm call, while holding e.mu"
+}
+
+// --- the transports' receive side blocks inside runtime.Matcher, another
+// package: Recv is Comm-shaped, and a helper that delivers through Push is
+// MayBlock by the Matcher row of crossSummary ---
+
+func (e *engine) badMatcherRecvUnderLock() ([]byte, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.in.Recv(0, 0) // want "Comm.Recv while holding e.mu"
+}
+
+func (e *engine) deliver(b []byte) error {
+	return e.in.Push(0, 0, b)
+}
+
+func (e *engine) badMatcherPushHelperUnderLock(b []byte) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.deliver(b) // want "may block on a channel send or Comm call, while holding e.mu"
 }

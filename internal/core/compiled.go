@@ -149,25 +149,10 @@ func (p *Persistent) Compile(xlen int, gather map[int][]int32) (*Replay, error) 
 
 	r := &Replay{me: me, size: p.topo.Size(), xlen: xlen}
 
-	// Halo layout: one contiguous word block per delivery slot, in the
-	// learned (sorted-by-source) order. Self deliveries come straight from
-	// x; everything else is bound to an inbound frame region below.
-	haloOff := make(map[slotKey]int32, len(p.deliver))
-	bound := make(map[slotKey]bool, len(p.deliver))
-	off := int32(0)
-	for _, k := range p.deliver {
-		n := p.sizes[k]
-		if n%8 != 0 {
-			return nil, fmt.Errorf("core: compile: delivery %d->%d has %d bytes, compiled replays require word-sized payloads", k.src, k.dst, n)
-		}
-		haloOff[k] = off
-		off += int32(n / 8)
-		if k.src == int32(me) {
-			r.selfs = append(r.selfs, selfOp{idx: gather[int(k.dst)], haloOff: haloOff[k]})
-			bound[k] = true
-		}
+	haloOff, bound, err := p.bindHalo(r, "compile", gather)
+	if err != nil {
+		return nil, err
 	}
-	r.haloWords = int(off)
 
 	inLoc := make(map[slotKey]slotLoc)
 	nextFrame := int32(0)
@@ -198,26 +183,14 @@ func (p *Persistent) Compile(xlen int, gather map[int][]int32) (*Replay, error) 
 
 		// Inbound frames: register forwarded slots for later stages and
 		// bind deliveries to their frame regions.
+		st.recvFrom = append(st.recvFrom, ss.RecvFrom...)
 		st.delivers = make([][]deliverOp, len(ss.RecvFrom))
-		for j, from := range ss.RecvFrom {
-			slots := p.inLayout[d][j]
-			st.recvFrom = append(st.recvFrom, from)
+		st.inNsubs = make([]int32, len(ss.RecvFrom))
+		st.inSize = make([]int32, len(ss.RecvFrom))
+		for j := range ss.RecvFrom {
 			st.inIdx = append(st.inIdx, nextFrame)
-			st.inNsubs = append(st.inNsubs, int32(len(slots)))
-			fo := int32(msg.MsgHeaderLen)
-			for _, k := range slots {
-				n := int32(p.sizes[k])
-				payloadOff := fo + msg.SubHeaderLen
-				if k.dst == int32(me) {
-					st.delivers[j] = append(st.delivers[j], deliverOp{srcOff: payloadOff, haloOff: haloOff[k], words: n / 8})
-					bound[k] = true
-				} else {
-					inLoc[k] = slotLoc{frame: nextFrame, off: payloadOff}
-				}
-				fo = payloadOff + n
-			}
-			st.inSize = append(st.inSize, fo)
 			nextFrame++
+			p.layoutInbound(st, d, j, haloOff, inLoc, bound)
 		}
 		if len(st.recvFrom) > maxNbrs {
 			maxNbrs = len(st.recvFrom)
@@ -233,6 +206,63 @@ func (p *Persistent) Compile(xlen int, gather map[int][]int32) (*Replay, error) 
 	r.inLoc = inLoc
 	r.traffic = r.computeTraffic()
 	return r, nil
+}
+
+// bindHalo lays out r's halo for the current pattern — one contiguous word
+// block per delivery slot, in the learned (sorted-by-source) order — and
+// rebuilds r's self ops: self deliveries come straight from x, everything
+// else is bound to an inbound frame region by layoutInbound. It returns the
+// deliveries' word offsets and the set bound so far; op names the caller.
+func (p *Persistent) bindHalo(r *Replay, op string, gather map[int][]int32) (haloOff map[slotKey]int32, bound map[slotKey]bool, err error) {
+	haloOff, r.haloWords = p.haloLayout()
+	bound = make(map[slotKey]bool, len(p.deliver))
+	r.selfs = r.selfs[:0]
+	for _, k := range p.deliver {
+		if n := p.sizes[k]; n%8 != 0 {
+			return nil, nil, fmt.Errorf("core: %s: delivery %d->%d has %d bytes, compiled replays require word-sized payloads", op, k.src, k.dst, n)
+		}
+		if k.src == int32(p.rank) {
+			r.selfs = append(r.selfs, selfOp{idx: gather[int(k.dst)], haloOff: haloOff[k]})
+			bound[k] = true
+		}
+	}
+	return haloOff, bound, nil
+}
+
+// haloLayout is the halo's prefix sum: each delivery's offset, and the total.
+func (p *Persistent) haloLayout() (haloOff map[slotKey]int32, words int) {
+	haloOff = make(map[slotKey]int32, len(p.deliver))
+	for _, k := range p.deliver {
+		haloOff[k] = int32(words)
+		words += p.sizes[k] / 8
+	}
+	return haloOff, words
+}
+
+// layoutInbound walks the learned slots of stage d's j-th inbound frame in
+// wire order and rewrites st's view of it: slot count, byte size, a
+// deliverOp for every slot addressed to this rank (marked in bound when
+// non-nil), and in inLoc the retained-frame location of every slot to be
+// forwarded in a later stage. st.inIdx[j] must already name the frame.
+func (p *Persistent) layoutInbound(st *rStage, d, j int, haloOff map[slotKey]int32, inLoc map[slotKey]slotLoc, bound map[slotKey]bool) {
+	slots := p.inLayout[d][j]
+	st.inNsubs[j] = int32(len(slots))
+	st.delivers[j] = st.delivers[j][:0]
+	fo := int32(msg.MsgHeaderLen)
+	for _, k := range slots {
+		n := int32(p.sizes[k])
+		payloadOff := fo + msg.SubHeaderLen
+		if k.dst == int32(p.rank) {
+			st.delivers[j] = append(st.delivers[j], deliverOp{srcOff: payloadOff, haloOff: haloOff[k], words: n / 8})
+			if bound != nil {
+				bound[k] = true
+			}
+		} else {
+			inLoc[k] = slotLoc{frame: st.inIdx[j], off: payloadOff}
+		}
+		fo = payloadOff + n
+	}
+	st.inSize[j] = fo
 }
 
 // checkGather validates a gather map against the (current) learned

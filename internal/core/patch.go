@@ -418,23 +418,10 @@ func (p *Persistent) PatchCompiled(r *Replay, xlen int, gather map[int][]int32, 
 
 	// Halo layout and self ops: delivery offsets shift whenever any
 	// delivered payload is added, removed, or resized, so both are rebuilt.
-	haloOff := make(map[slotKey]int32, len(p.deliver))
-	bound := make(map[slotKey]bool, len(p.deliver))
-	off := int32(0)
-	r.selfs = r.selfs[:0]
-	for _, k := range p.deliver {
-		n := p.sizes[k]
-		if n%8 != 0 {
-			return fmt.Errorf("core: patch: delivery %d->%d has %d bytes, compiled replays require word-sized payloads", k.src, k.dst, n)
-		}
-		haloOff[k] = off
-		off += int32(n / 8)
-		if k.src == int32(me) {
-			r.selfs = append(r.selfs, selfOp{idx: gather[int(k.dst)], haloOff: haloOff[k]})
-			bound[k] = true
-		}
+	haloOff, bound, err := p.bindHalo(r, "patch", gather)
+	if err != nil {
+		return err
 	}
-	r.haloWords = int(off)
 	r.xlen = xlen
 
 	inLoc := make(map[slotKey]slotLoc)
@@ -460,22 +447,7 @@ func (p *Persistent) PatchCompiled(r *Replay, xlen int, gather map[int][]int32, 
 			}
 		}
 		for j := range ss.RecvFrom {
-			slots := p.inLayout[d][j]
-			stg.inNsubs[j] = int32(len(slots))
-			stg.delivers[j] = stg.delivers[j][:0]
-			fo := int32(msg.MsgHeaderLen)
-			for _, k := range slots {
-				n := int32(p.sizes[k])
-				payloadOff := fo + msg.SubHeaderLen
-				if k.dst == int32(me) {
-					stg.delivers[j] = append(stg.delivers[j], deliverOp{srcOff: payloadOff, haloOff: haloOff[k], words: n / 8})
-					bound[k] = true
-				} else {
-					inLoc[k] = slotLoc{frame: stg.inIdx[j], off: payloadOff}
-				}
-				fo = payloadOff + n
-			}
-			stg.inSize[j] = fo
+			p.layoutInbound(stg, d, j, haloOff, inLoc, bound)
 		}
 	}
 	for _, k := range p.deliver {
@@ -500,12 +472,7 @@ func (p *Persistent) patchCompiledFast(r *Replay, sched *StageSchedule, gather m
 	// Halo offsets are unchanged (no delivered pair mutated), but dirty
 	// inbound frames still carry deliver ops whose in-frame source offsets
 	// may have shifted; rebuild the offset map to re-point them.
-	haloOff := make(map[slotKey]int32, len(p.deliver))
-	off := int32(0)
-	for _, k := range p.deliver {
-		haloOff[k] = off
-		off += int32(p.sizes[k] / 8)
-	}
+	haloOff, _ := p.haloLayout()
 	dirtyFrames := make(map[int32]bool, len(stats.dirtyIn))
 	for d := range r.stages {
 		stg := &r.stages[d]
@@ -517,21 +484,7 @@ func (p *Persistent) patchCompiledFast(r *Replay, sched *StageSchedule, gather m
 			if !stats.dirtyIn[frameRef{d, j}] {
 				continue
 			}
-			slots := p.inLayout[d][j]
-			stg.inNsubs[j] = int32(len(slots))
-			stg.delivers[j] = stg.delivers[j][:0]
-			fo := int32(msg.MsgHeaderLen)
-			for _, k := range slots {
-				n := int32(p.sizes[k])
-				payloadOff := fo + msg.SubHeaderLen
-				if k.dst == int32(me) {
-					stg.delivers[j] = append(stg.delivers[j], deliverOp{srcOff: payloadOff, haloOff: haloOff[k], words: n / 8})
-				} else {
-					r.inLoc[k] = slotLoc{frame: stg.inIdx[j], off: payloadOff}
-				}
-				fo = payloadOff + n
-			}
-			stg.inSize[j] = fo
+			p.layoutInbound(stg, d, j, haloOff, r.inLoc, nil)
 			dirtyFrames[stg.inIdx[j]] = true
 		}
 	}

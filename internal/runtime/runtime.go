@@ -3,7 +3,8 @@
 // synchronize on barriers. The store-and-forward executor and the baseline
 // exchange are written against the Comm interface, so they run unchanged on
 // the in-process channel transport (tests, examples, benchmarks) and on the
-// TCP transport (multi-socket runs).
+// TCP transport (multi-socket runs). The pieces every transport shares live
+// here too: Matcher, the receive side of the Comm contract, and Barrier.
 package runtime
 
 import (

@@ -10,8 +10,9 @@ import (
 // TestTransportConformance runs the shared matcher-contract suite
 // (internal/transport/tptest) over the TCP transport. Network interleaving
 // makes cross-connection arrival order nondeterministic, so the strict
-// arrival-order subtest is skipped; Close must wake blocked receivers, and
-// payloads are serialized before Send returns (SendRetains false).
+// arrival-order subtest is skipped; Close must wake blocked receivers,
+// malformed candidate lists are rejected, and payloads are serialized before
+// Send returns (SendRetains false).
 func TestTransportConformance(t *testing.T) {
 	tptest.Run(t, func(size int) ([]runtime.Comm, func(), error) {
 		w, err := NewWorld(size)
@@ -21,6 +22,7 @@ func TestTransportConformance(t *testing.T) {
 		return w.Comms(), func() { w.Close() }, nil
 	}, tptest.Options{
 		WantSendRetains: false,
+		TestOutOfRange:  true,
 		TestClose:       true,
 	})
 }

@@ -5,10 +5,12 @@
 // wire transport; the barrier is process-local (all ranks of a World live
 // in one OS process, each behind its own socket endpoints).
 //
-// Each rank's receive side is a frame matcher holding undelivered frames in
-// arrival order, so the transport supports arrival-order receives
-// (runtime.AnyReceiver) for the pipelined exchange engine. Receive buffers
-// are drawn from the msg frame arena; the receiving exchange recycles them.
+// Each inbound connection's reader delivers into the receiving rank's
+// runtime.Matcher (arrival-order receives, runtime.AnyReceiver), and one
+// that dies while the world is open closes it with a cause naming the link,
+// so the rank's receives fail instead of waiting on a dead peer. Receive
+// buffers are drawn from the msg frame arena; the receiving exchange
+// recycles them.
 // Send serializes the payload out of the caller's buffer before returning
 // (into the connection's buffered writer or straight onto the socket), so
 // SendRetains reports false and senders may recycle their buffers. Writes
@@ -34,59 +36,13 @@ import (
 // A dialed connection starts with a uint32 hello carrying the dialer rank.
 const headerLen = 8
 
-// inbox is one rank's receive-side matcher: undelivered frames in arrival
-// order across all inbound connections.
-type inbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	frames []inFrame
-	closed bool
-}
-
-type inFrame struct {
-	from    int
-	tag     int
-	payload []byte
-}
-
-func newInbox() *inbox {
-	ib := &inbox{}
-	ib.cond = sync.NewCond(&ib.mu)
-	return ib
-}
-
-func (ib *inbox) push(f inFrame) bool {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	if ib.closed {
-		return false
-	}
-	ib.frames = append(ib.frames, f)
-	ib.cond.Broadcast()
-	return true
-}
-
-func (ib *inbox) close() {
-	ib.mu.Lock()
-	ib.closed = true
-	ib.cond.Broadcast()
-	ib.mu.Unlock()
-}
-
-// pop removes frame i; the caller holds ib.mu.
-func (ib *inbox) pop(i int) []byte {
-	payload := ib.frames[i].payload
-	ib.frames = append(ib.frames[:i], ib.frames[i+1:]...)
-	return payload
-}
-
 // World is a set of TCP-connected ranks within this process.
 type World struct {
 	size      int
 	listeners []net.Listener
 	addrs     []string
 	barrier   *runtime.Barrier
-	inboxes   []*inbox
+	matchers  []*runtime.Matcher
 
 	mu    sync.Mutex
 	conns map[connKey]*conn // send side: (from, to) -> dialed connection
@@ -95,9 +51,7 @@ type World struct {
 	// linkstats.go.
 	lm []tcpLink
 
-	closed    chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 type connKey struct{ from, to int }
@@ -122,15 +76,14 @@ func NewWorld(size int) (*World, error) {
 		return nil, fmt.Errorf("tcpnet: world size %d < 1", size)
 	}
 	w := &World{
-		size:    size,
-		barrier: runtime.NewBarrier(size),
-		conns:   map[connKey]*conn{},
-		inboxes: make([]*inbox, size),
-		lm:      make([]tcpLink, size*size),
-		closed:  make(chan struct{}),
+		size:     size,
+		barrier:  runtime.NewBarrier(size),
+		conns:    map[connKey]*conn{},
+		matchers: make([]*runtime.Matcher, size),
+		lm:       make([]tcpLink, size*size),
 	}
-	for r := range w.inboxes {
-		w.inboxes[r] = newInbox()
+	for r := range w.matchers {
+		w.matchers[r] = runtime.NewMatcher(size, 0)
 	}
 	for r := 0; r < size; r++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -150,19 +103,20 @@ func NewWorld(size int) (*World, error) {
 func (w *World) Size() int { return w.size }
 
 // Close shuts down all listeners and connections and wakes blocked receives.
+// The matchers close before the connections, so a reader woken by the
+// teardown finds runtime.ErrClosed in place and its own cause is dropped.
 func (w *World) Close() {
-	w.closeOnce.Do(func() { close(w.closed) })
 	for _, ln := range w.listeners {
 		ln.Close()
+	}
+	for _, m := range w.matchers {
+		m.Close(runtime.ErrClosed)
 	}
 	w.mu.Lock()
 	for _, c := range w.conns {
 		c.c.Close()
 	}
 	w.mu.Unlock()
-	for _, ib := range w.inboxes {
-		ib.close()
-	}
 	w.wg.Wait()
 }
 
@@ -194,7 +148,9 @@ func (w *World) acceptLoop(rank int, ln net.Listener) {
 }
 
 // readLoop consumes frames from one inbound connection and routes them to
-// the receiving rank's matcher.
+// the receiving rank's matcher. When the connection dies it closes that
+// matcher with the link's error: the rank's receives fail, once the queued
+// frames are drained, instead of waiting on a dead peer.
 func (w *World) readLoop(to int, c net.Conn) {
 	defer w.wg.Done()
 	defer c.Close()
@@ -206,24 +162,31 @@ func (w *World) readLoop(to int, c net.Conn) {
 	if from < 0 || from >= w.size {
 		return
 	}
-	ib := w.inboxes[to]
+	err := w.readFrames(from, to, c)
+	w.matchers[to].Close(fmt.Errorf("tcpnet: link %d→%d: %w", from, to, err))
+}
+
+// readFrames delivers the link's frames until the connection or the
+// matcher fails and returns why.
+func (w *World) readFrames(from, to int, c net.Conn) error {
 	var hdr [headerLen]byte
 	for {
 		if _, err := io.ReadFull(c, hdr[:]); err != nil {
-			return
+			return err
 		}
 		tag := int(binary.LittleEndian.Uint32(hdr[0:]))
 		n := binary.LittleEndian.Uint32(hdr[4:])
 		if n > 1<<30 {
-			return
+			return fmt.Errorf("frame of %d bytes exceeds limit", n)
 		}
 		payload := msg.GetFrameLen(int(n))
 		if _, err := io.ReadFull(c, payload); err != nil {
 			msg.PutFrame(payload)
-			return
+			return err
 		}
-		if !ib.push(inFrame{from: from, tag: tag, payload: payload}) {
-			return // world closed
+		if err := w.matchers[to].Push(from, tag, payload); err != nil {
+			msg.PutFrame(payload) // closed: nobody will receive it
+			return err
 		}
 		cell := w.cell(to, from)
 		cell.framesRecvd.Add(1)
@@ -303,63 +266,20 @@ func (c *comm) Send(to, tag int, payload []byte) error {
 }
 
 func (c *comm) Recv(from, tag int) ([]byte, error) {
-	if from < 0 || from >= c.world.size {
-		return nil, fmt.Errorf("tcpnet: recv from rank %d out of range [0,%d)", from, c.world.size)
+	payload, err := c.world.matchers[c.rank].Recv(from, tag)
+	if err != nil {
+		return nil, fmt.Errorf("tcpnet: rank %d recv from %d: %w", c.rank, from, err)
 	}
-	ib := c.world.inboxes[c.rank]
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	for {
-		for i := range ib.frames {
-			if ib.frames[i].from != from {
-				continue
-			}
-			// Per-pair frames arrive in send order, so the oldest frame
-			// from the sender must carry the expected tag.
-			if got := ib.frames[i].tag; got != tag {
-				return nil, fmt.Errorf("tcpnet: rank %d received tag %d from %d, expected %d", c.rank, got, from, tag)
-			}
-			return ib.pop(i), nil
-		}
-		if ib.closed {
-			return nil, fmt.Errorf("tcpnet: world closed while rank %d waits for %d", c.rank, from)
-		}
-		ib.cond.Wait()
-	}
+	return payload, nil
 }
 
-// RecvAnyOf implements runtime.AnyReceiver: it returns the earliest-arrived
-// queued frame carrying tag whose sender is in from, blocking until one
-// exists. Frames with other tags or from other ranks stay queued.
+// RecvAnyOf implements runtime.AnyReceiver on the rank's matcher.
 func (c *comm) RecvAnyOf(tag int, from []int) (int, []byte, error) {
-	if len(from) == 0 {
-		return -1, nil, fmt.Errorf("tcpnet: rank %d RecvAnyOf with no candidate senders", c.rank)
+	sender, payload, err := c.world.matchers[c.rank].RecvAnyOf(tag, from)
+	if err != nil {
+		return -1, nil, fmt.Errorf("tcpnet: rank %d recv any of %v: %w", c.rank, from, err)
 	}
-	for _, f := range from {
-		if f < 0 || f >= c.world.size {
-			return -1, nil, fmt.Errorf("tcpnet: recv from rank %d out of range [0,%d)", f, c.world.size)
-		}
-	}
-	ib := c.world.inboxes[c.rank]
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	for {
-		for i := range ib.frames {
-			if ib.frames[i].tag != tag {
-				continue
-			}
-			sender := ib.frames[i].from
-			for _, f := range from {
-				if f == sender {
-					return sender, ib.pop(i), nil
-				}
-			}
-		}
-		if ib.closed {
-			return -1, nil, fmt.Errorf("tcpnet: world closed while rank %d waits for any of %v", c.rank, from)
-		}
-		ib.cond.Wait()
-	}
+	return sender, payload, nil
 }
 
 func (c *comm) Barrier() error {

@@ -2,11 +2,17 @@ package tcpnet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"testing"
+	"time"
 
 	"stfw/internal/core"
 	"stfw/internal/runtime"
+	"stfw/internal/transport/tptest"
 	"stfw/internal/vpt"
 )
 
@@ -180,4 +186,54 @@ func TestRecvAfterCloseFails(t *testing.T) {
 	if err := <-done; err == nil {
 		t.Error("recv should fail after close")
 	}
+}
+
+// TestDeadLinkFailsBlockedRecv speaks the wire format by hand: a peer that
+// announces itself as rank 1 and then a frame larger than the limit kills
+// the link while the world is open. The Recv already blocked on rank 0 must
+// return an error naming the link — not hang until Close, and not
+// ErrClosed, which is reserved for the orderly teardown — and the dead
+// reader must not outlive the world.
+func TestDeadLinkFailsBlockedRecv(t *testing.T) {
+	check := tptest.LeakCheck(t)
+	w, err := NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := w.Comms()[0].Recv(1, 7)
+		errCh <- err
+	}()
+
+	peer, err := net.Dial("tcp", w.addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	var wire [4 + headerLen]byte
+	binary.LittleEndian.PutUint32(wire[0:], 1)     // hello: dialer rank
+	binary.LittleEndian.PutUint32(wire[4:], 7)     // tag
+	binary.LittleEndian.PutUint32(wire[8:], 1<<31) // payload length
+	if _, err := peer.Write(wire[:]); err != nil {
+		t.Fatal(err)
+	}
+
+	select {
+	case err := <-errCh:
+		if err == nil || errors.Is(err, runtime.ErrClosed) || !strings.Contains(err.Error(), "link 1→0") {
+			t.Errorf("blocked Recv returned %v, want an error naming link 1→0", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("Recv on a dead link still blocked after 2 s")
+	}
+	if _, err := w.Comms()[0].Recv(1, 7); err == nil || errors.Is(err, runtime.ErrClosed) {
+		t.Errorf("later Recv returned %v, want the link's error", err)
+	}
+	w.Close()
+	if _, err := w.Comms()[0].Recv(1, 7); err == nil || errors.Is(err, runtime.ErrClosed) {
+		t.Errorf("Recv after Close returned %v: the first cause must stick", err)
+	}
+	peer.Close()
+	check()
 }

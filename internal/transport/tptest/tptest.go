@@ -11,6 +11,7 @@
 package tptest
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -163,13 +164,23 @@ func CheckNoLeakedFDs(t *testing.T, baseline int) {
 	}
 }
 
+// LeakCheck takes the goroutine and descriptor baselines before a world is
+// built and returns the check to run after its teardown.
+func LeakCheck(t *testing.T) (check func()) {
+	primeNetpoller()
+	baseline, fdBaseline := len(transportGoroutines()), OpenFDs()
+	return func() {
+		t.Helper()
+		checkNoLeakedGoroutines(t, baseline)
+		CheckNoLeakedFDs(t, fdBaseline)
+	}
+}
+
 // Run executes the conformance suite against the transport.
 func Run(t *testing.T, newWorld Factory, o Options) {
 	world := func(t *testing.T, size int) ([]runtime.Comm, func()) {
 		t.Helper()
-		primeNetpoller()
-		baseline := len(transportGoroutines())
-		fdBaseline := OpenFDs()
+		check := LeakCheck(t)
 		comms, closeWorld, err := newWorld(size)
 		if err != nil {
 			t.Fatal(err)
@@ -177,12 +188,7 @@ func Run(t *testing.T, newWorld Factory, o Options) {
 		if closeWorld == nil {
 			closeWorld = func() {}
 		}
-		done := func() {
-			closeWorld()
-			checkNoLeakedGoroutines(t, baseline)
-			CheckNoLeakedFDs(t, fdBaseline)
-		}
-		return comms, done
+		return comms, func() { closeWorld(); check() }
 	}
 
 	t.Run("SendRetains", func(t *testing.T) {
@@ -317,8 +323,8 @@ func Run(t *testing.T, newWorld Factory, o Options) {
 	}
 
 	if o.TestClose {
-		// A closed world must wake a blocked RecvAnyOf with an error rather
-		// than leaving it waiting forever.
+		// A closed world must wake a blocked RecvAnyOf with the typed
+		// teardown error rather than leaving it waiting forever.
 		t.Run("CloseWakesReceiver", func(t *testing.T) {
 			comms, done := world(t, 2)
 			errCh := make(chan error, 1)
@@ -327,8 +333,8 @@ func Run(t *testing.T, newWorld Factory, o Options) {
 				errCh <- err
 			}()
 			done()
-			if err := <-errCh; err == nil {
-				t.Fatal("RecvAnyOf returned nil after world close")
+			if err := <-errCh; !errors.Is(err, runtime.ErrClosed) {
+				t.Fatalf("RecvAnyOf returned %v after world close, want runtime.ErrClosed", err)
 			}
 		})
 	}

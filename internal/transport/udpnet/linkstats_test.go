@@ -66,11 +66,11 @@ func TestLinkMetricsHotPathAllocs(t *testing.T) {
 }
 
 // TestLinkStatsConservation runs a clean hinted steady-state exchange and
-// checks the conservation laws between the per-link counter blocks and
-// the world-level stats: both are incremented at the same call sites, so
-// the sums must agree exactly. It also checks per-directed-link frame
-// symmetry (a's sends to b are b's receives from a — frames, unlike
-// packets, are delivered exactly once) and RTT sanity.
+// checks the conservation laws of the per-link counter blocks:
+// per-directed-link frame symmetry (a's sends to b are b's receives from a
+// — frames, unlike packets, are delivered exactly once), wire bytes behind
+// every packet and frame, and RTT sanity. World.Stats sums these same
+// blocks, so there is no second copy to reconcile.
 func TestLinkStatsConservation(t *testing.T) {
 	const K, iters = 8, 50
 	tp, err := vpt.NewBalanced(K, 2)
@@ -98,8 +98,6 @@ func TestLinkStatsConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := w.Stats()
-
 	var sum runtime.LinkStats
 	framesSent := map[[2]int]int64{} // (from, to) -> frames counted by the sender
 	framesRecvd := map[[2]int]int64{}
@@ -126,23 +124,6 @@ func TestLinkStatsConservation(t *testing.T) {
 		}
 	}
 
-	// World-vs-link conservation: each pair below is incremented at the
-	// same call site, so equality is exact, not approximate.
-	for _, c := range []struct {
-		name        string
-		world, link int64
-	}{
-		{"data packets", st.DataSent, sum.PktsSent},
-		{"resends", st.Resends, sum.Resends()},
-		{"acks sent", st.AcksSent, sum.AcksSent},
-		{"acks suppressed", st.AcksSuppressed, sum.AcksSuppressed},
-		{"stage acks", st.StageAcks, sum.StageAcks},
-		{"dups", st.Dups, sum.Dups},
-	} {
-		if c.world != c.link {
-			t.Errorf("%s: world %d != per-link sum %d", c.name, c.world, c.link)
-		}
-	}
 	if sum.PktsSent == 0 || sum.FramesSent == 0 {
 		t.Fatal("no traffic recorded by the per-link counters")
 	}

@@ -72,18 +72,16 @@ func (w *World) stageAck(rs *rankState, rl *recvLink, now int64, batch []sendEnt
 	rl.mu.Unlock()
 	buf := buildAck(w.ring.Get(), rs.rank, cum, delay, bm)
 	w.stats.ackDgrams.Add(1)
-	w.countAck(rl, stage, !stage && hinted)
+	countAck(rl, stage, !stage && hinted)
 	return append(batch, sendEntry{buf: buf, to: rl.peer, ack: true})
 }
 
 // countAck records one departing ack by what made it leave: a completed
 // hinted stage, or a liveness rule overriding an unfinished hint.
-func (w *World) countAck(rl *recvLink, stage, liveness bool) {
-	w.stats.acksSent.Add(1)
+func countAck(rl *recvLink, stage, liveness bool) {
 	rl.m.ackSent()
 	switch {
 	case stage:
-		w.stats.stageAcks.Add(1)
 		rl.m.stageAck()
 	case liveness:
 		rl.m.livenessAck()
@@ -102,7 +100,7 @@ func (w *World) stampLocked(rl *recvLink, buf []byte, seq uint32, now int64) {
 	stampSeqAck(buf, seq, true, cum, delay)
 	if owed {
 		w.stats.acksPiggybacked.Add(1)
-		w.countAck(rl, stage, false)
+		countAck(rl, stage, false)
 	}
 }
 
@@ -144,7 +142,6 @@ func (w *World) drainLink(rs *rankState, sl *sendLink, now int64, batch []sendEn
 		sl.nextSeq++
 		w.stampLocked(rs.rl[sl.peer], buf, seq, now)
 		*s = pktSlot{buf: buf, seq: seq, sending: true, lastSend: now}
-		w.stats.dataSent.Add(1)
 		sl.m.pktSent(len(buf))
 		batch = append(batch, sendEntry{buf: buf, to: sl.peer, sl: sl, seq: seq})
 		promoted = true
@@ -152,7 +149,6 @@ func (w *World) drainLink(rs *rankState, sl *sendLink, now int64, batch []sendEn
 	if len(sl.backlog)-sl.backlogHead > 0 {
 		if !sl.stalled {
 			sl.stalled = true
-			w.stats.creditStalls.Add(1)
 			sl.m.windowStall()
 		}
 	} else {
@@ -343,14 +339,12 @@ func (w *World) handleDgram(rs *rankState, buf []byte, n int) (kept bool, dirty 
 			rl.m.pktRecvd(n)
 			kept = true // gap: batch-end ack carries the bitmap
 		} else {
-			w.stats.dups.Add(1)
 			rl.m.dup()
 			rl.sawDup = true
 		}
 	default:
 		// Old duplicate (or far future, impossible from a correct peer):
 		// the peer missed an ack, and re-acking lets it advance.
-		w.stats.dups.Add(1)
 		rl.m.dup()
 		rl.sawDup = true
 	}
@@ -409,7 +403,7 @@ func (w *World) deliverChunk(rs *rankState, rl *recvLink, c chunk) bool {
 		w.handleCtrl(rs, c.tag)
 		return true
 	}
-	if !rs.ib.push(inFrame{from: rl.peer, tag: c.tag, payload: payload}) {
+	if rs.in.Push(rl.peer, c.tag, payload) != nil {
 		msg.PutFrame(payload) // world closed
 		return true
 	}
@@ -471,7 +465,6 @@ func (w *World) maybeAck(rs *rankState, rl *recvLink, now int64) {
 	case queue:
 		rs.enqueue(outItem{rl: rl})
 	case !send:
-		w.stats.acksSuppressed.Add(1)
 		rl.m.ackSuppressed()
 		if newlyOwed {
 			rs.arm(rl.peer) // bounds the wait for a carrier
@@ -552,7 +545,6 @@ func (w *World) handleAck(rs *rankState, sl *sendLink, cum, ackDelay uint32, bm 
 	sl.cond.Broadcast()
 	sl.mu.Unlock()
 	for _, seq := range resend {
-		w.stats.resends.Add(1)
 		sl.m.resend(false) // gap-triggered
 		rs.enqueue(outItem{sl: sl, seq: seq})
 	}
@@ -639,7 +631,6 @@ func (w *World) resendExpired(rs *rankState, sl *sendLink, now int64) (inFlight 
 	inFlight = sl.inFlight() > 0
 	sl.mu.Unlock()
 	for _, seq := range resend {
-		w.stats.resends.Add(1)
 		sl.m.resend(true) // RTO scan
 		rs.enqueue(outItem{sl: sl, seq: seq})
 	}

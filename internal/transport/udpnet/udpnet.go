@@ -13,7 +13,8 @@
 // stash out-of-order arrivals, and report progress through cumulative acks
 // with a selective-ack bitmap; senders retransmit on timeout or on a gap
 // report. In-order packet processing plus per-link frame counters give the
-// Comm contract's per-(sender, receiver, tag) FIFO for free.
+// Comm contract's per-(sender, receiver, tag) FIFO for free. A reassembled
+// frame is delivered into the receiving rank's runtime.Matcher.
 //
 // The steady state is one datagram per scheduled frame. Every data packet
 // carries the cumulative ack of the reverse link in its header, so on a
@@ -145,57 +146,12 @@ type Stats struct {
 	InjectedDrops, SendErrs int64
 }
 
+// worldStats counts the events that belong to no one link; per-link events
+// live in that link's linkMetrics block only, and Stats sums them.
 type worldStats struct {
-	batches, batchDgrams, dataSent, resends           atomic.Int64
-	acksSent, acksSuppressed, stageAcks, creditStalls atomic.Int64
-	ackDgrams, acksPiggybacked                        atomic.Int64
-	dups, malformed, injectedDrops, sendErrs          atomic.Int64
-}
-
-// inbox is one rank's receive-side matcher: undelivered frames in arrival
-// order, same discipline as tcpnet's.
-type inbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	frames []inFrame
-	closed bool
-}
-
-type inFrame struct {
-	from    int
-	tag     int
-	payload []byte
-}
-
-func newInbox() *inbox {
-	ib := &inbox{}
-	ib.cond = sync.NewCond(&ib.mu)
-	return ib
-}
-
-func (ib *inbox) push(f inFrame) bool {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	if ib.closed {
-		return false
-	}
-	ib.frames = append(ib.frames, f)
-	ib.cond.Broadcast()
-	return true
-}
-
-func (ib *inbox) close() {
-	ib.mu.Lock()
-	ib.closed = true
-	ib.cond.Broadcast()
-	ib.mu.Unlock()
-}
-
-// pop removes frame i; the caller holds ib.mu.
-func (ib *inbox) pop(i int) []byte {
-	payload := ib.frames[i].payload
-	ib.frames = append(ib.frames[:i], ib.frames[i+1:]...)
-	return payload
+	batches, batchDgrams               atomic.Int64
+	ackDgrams, acksPiggybacked         atomic.Int64
+	malformed, injectedDrops, sendErrs atomic.Int64
 }
 
 // outItem is one entry in a rank's transmit queue: either a data packet
@@ -235,7 +191,7 @@ type barState struct {
 }
 
 // rankState is everything one local rank owns: its socket, per-peer link
-// state, inbox, transmit queue, and barrier progress.
+// state, frame matcher, transmit queue, and barrier progress.
 type rankState struct {
 	rank int
 	conn *net.UDPConn
@@ -244,7 +200,7 @@ type rankState struct {
 
 	sl []*sendLink
 	rl []*recvLink
-	ib *inbox
+	in *runtime.Matcher // completed frames, pushed by the receiver goroutine
 	// lm holds the per-peer wire metrics blocks (peer-indexed, shared by
 	// sl[p] and rl[p]).
 	lm []*linkMetrics
@@ -261,14 +217,14 @@ type rankState struct {
 	newlyArmed []int
 }
 
-// newRankState builds a rank's link table, inbox and queues; the caller
+// newRankState builds a rank's link table, matcher and queues; the caller
 // attaches the socket.
 func newRankState(rank, size int, o options) *rankState {
 	rs := &rankState{
 		rank:  rank,
 		sl:    make([]*sendLink, size),
 		rl:    make([]*recvLink, size),
-		ib:    newInbox(),
+		in:    runtime.NewMatcher(size, 0),
 		lm:    make([]*linkMetrics, size),
 		rng:   rand.New(rand.NewSource(o.seed + int64(rank)*7919)),
 		armed: make([]atomic.Bool, size),
@@ -434,20 +390,27 @@ func NewGroup(cfg GroupConfig, opts ...Option) (*World, error) {
 // Size returns the number of ranks in the world.
 func (w *World) Size() int { return w.size }
 
-// Stats returns a snapshot of the world's transport counters.
+// Stats returns a snapshot of the world's transport counters: the local
+// ranks' per-link blocks summed, plus the counters no link owns.
 func (w *World) Stats() Stats {
+	var l runtime.LinkStats
+	for _, rs := range w.local {
+		for peer, m := range rs.lm {
+			l.Add(m.snapshot(peer))
+		}
+	}
 	return Stats{
 		Batches:         w.stats.batches.Load(),
 		BatchDgrams:     w.stats.batchDgrams.Load(),
-		DataSent:        w.stats.dataSent.Load(),
-		Resends:         w.stats.resends.Load(),
-		AcksSent:        w.stats.acksSent.Load(),
-		AcksSuppressed:  w.stats.acksSuppressed.Load(),
-		StageAcks:       w.stats.stageAcks.Load(),
+		DataSent:        l.PktsSent,
+		Resends:         l.Resends(),
+		AcksSent:        l.AcksSent,
+		AcksSuppressed:  l.AcksSuppressed,
+		StageAcks:       l.StageAcks,
 		AckDgrams:       w.stats.ackDgrams.Load(),
 		AcksPiggybacked: w.stats.acksPiggybacked.Load(),
-		CreditStalls:    w.stats.creditStalls.Load(),
-		Dups:            w.stats.dups.Load(),
+		CreditStalls:    l.WindowStalls,
+		Dups:            l.Dups,
 		Malformed:       w.stats.malformed.Load(),
 		InjectedDrops:   w.stats.injectedDrops.Load(),
 		SendErrs:        w.stats.sendErrs.Load(),
@@ -482,7 +445,7 @@ func (w *World) Close() {
 	w.senders.Wait()
 	for _, rs := range w.local {
 		rs.conn.Close()
-		rs.ib.close()
+		rs.in.Close(runtime.ErrClosed)
 		rs.bar.mu.Lock()
 		rs.bar.cond.Broadcast()
 		rs.bar.mu.Unlock()
@@ -595,62 +558,20 @@ func (c *comm) Send(to, tag int, payload []byte) error {
 }
 
 func (c *comm) Recv(from, tag int) ([]byte, error) {
-	if from < 0 || from >= c.w.size {
-		return nil, fmt.Errorf("udpnet: recv from rank %d out of range [0,%d)", from, c.w.size)
+	payload, err := c.rs.in.Recv(from, tag)
+	if err != nil {
+		return nil, fmt.Errorf("udpnet: rank %d recv from %d: %w", c.rs.rank, from, err)
 	}
-	ib := c.rs.ib
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	for {
-		for i := range ib.frames {
-			if ib.frames[i].from != from {
-				continue
-			}
-			// Per-pair frames arrive in send order, so the oldest frame
-			// from the sender must carry the expected tag.
-			if got := ib.frames[i].tag; got != tag {
-				return nil, fmt.Errorf("udpnet: rank %d received tag %d from %d, expected %d", c.rs.rank, got, from, tag)
-			}
-			return ib.pop(i), nil
-		}
-		if ib.closed {
-			return nil, fmt.Errorf("udpnet: world closed while rank %d waits for %d", c.rs.rank, from)
-		}
-		ib.cond.Wait()
-	}
+	return payload, nil
 }
 
-// RecvAnyOf implements runtime.AnyReceiver: earliest-arrived queued frame
-// carrying tag whose sender is listed; others stay queued.
+// RecvAnyOf implements runtime.AnyReceiver on the rank's matcher.
 func (c *comm) RecvAnyOf(tag int, from []int) (int, []byte, error) {
-	if len(from) == 0 {
-		return -1, nil, fmt.Errorf("udpnet: rank %d RecvAnyOf with no candidate senders", c.rs.rank)
+	sender, payload, err := c.rs.in.RecvAnyOf(tag, from)
+	if err != nil {
+		return -1, nil, fmt.Errorf("udpnet: rank %d recv any of %v: %w", c.rs.rank, from, err)
 	}
-	for _, f := range from {
-		if f < 0 || f >= c.w.size {
-			return -1, nil, fmt.Errorf("udpnet: recv from rank %d out of range [0,%d)", f, c.w.size)
-		}
-	}
-	ib := c.rs.ib
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	for {
-		for i := range ib.frames {
-			if ib.frames[i].tag != tag {
-				continue
-			}
-			sender := ib.frames[i].from
-			for _, f := range from {
-				if f == sender {
-					return sender, ib.pop(i), nil
-				}
-			}
-		}
-		if ib.closed {
-			return -1, nil, fmt.Errorf("udpnet: world closed while rank %d waits for any of %v", c.rs.rank, from)
-		}
-		ib.cond.Wait()
-	}
+	return sender, payload, nil
 }
 
 // HintTraffic implements runtime.TrafficHinter: the schedule's per-stage

@@ -114,21 +114,6 @@ func NewPersistent(c Comm, t *Topology, payloads map[int][]byte) (*Persistent, *
 	return core.NewPersistent(c, t, payloads)
 }
 
-// Replay is a fully compiled iteration program over a learned pattern:
-// fixed payload sizes, preallocated frame templates, gather/forward/deliver
-// ops by precomputed offset. Obtain one with Persistent.Compile (STFW) or
-// NewDirectReplay (baseline); a steady-state Run allocates nothing on the
-// in-process transport. See DESIGN.md §6.
-type Replay = core.Replay
-
-// NewDirectReplay compiles the direct baseline exchange for one rank:
-// float64 payloads x[gather[dst]] per destination, one expected frame per
-// source in srcWords, deliveries scattered into Run's halo slice sorted by
-// source rank.
-func NewDirectReplay(me, size, xlen int, gather map[int][]int32, srcWords map[int]int) (*Replay, error) {
-	return core.NewDirectReplay(me, size, xlen, gather, srcWords)
-}
-
 // LocalWorld creates K ranks connected by in-process channels, the fastest
 // way to run the algorithm inside one OS process (tests, benchmarks,
 // simulations).
