@@ -32,11 +32,15 @@ type PhaseTimings struct {
 // out as [own-gather | halo], plus the compiled exchange that scatters
 // delivered halo values straight into that vector's tail. Once built, an
 // iteration touches no maps and allocates nothing.
+//
+// The rows are stored in kernel order: grouped by nonzero count, ascending
+// row id within a group, so the kernel walks runs of equal-length rows with
+// a fixed inner trip count instead of one that changes every row.
 type program struct {
-	rowIDs []int   // global ids of owned rows, ascending (= Session.ownRows)
-	rp     []int64 // local row pointers, len(rowIDs)+1
-	ci     []int32 // local column positions into xloc, CSR order preserved
-	v      []float64
+	rows []int32   // global ids of owned rows in kernel order
+	runs []lenRun  // consecutive groups of rows, widths strictly increasing
+	ci   []int32   // local column positions into xloc, rows in kernel order, CSR order within a row
+	v    []float64 // values, laid out like ci
 
 	// gatherIdx lists the referenced owned columns, ascending; iteration i
 	// of the gather phase sets xloc[i] = x[gatherIdx[i]].
@@ -51,12 +55,16 @@ type program struct {
 	replay *core.Replay
 }
 
+// lenRun is n consecutive kernel-order rows of w nonzeros each.
+type lenRun struct{ n, w int32 }
+
 // compileProgram remaps the owned rows of a onto the [own | halo] local
 // vector layout. The halo tail is ordered exactly like the compiled
 // exchange's deliveries — source ranks ascending, each source's columns in
-// RecvIdx order — so the replay can scatter into it directly.
+// RecvIdx order — so the replay can scatter into it directly. The rows are
+// grouped by length with a stable counting sort (O(rows + max degree)).
 func compileProgram(me int, a *sparse.CSR, part *partition.Partition, pat *Pattern, ownRows []int) (*program, error) {
-	p := &program{rowIDs: ownRows}
+	p := &program{}
 
 	// pos maps a global column to its xloc position; -1 unused, -2 marks a
 	// referenced owned column awaiting its ascending position.
@@ -64,10 +72,11 @@ func compileProgram(me int, a *sparse.CSR, part *partition.Partition, pat *Patte
 	for j := range pos {
 		pos[j] = -1
 	}
-	nnz := 0
+	nnz, maxDeg := 0, 0
 	for _, i := range ownRows {
 		cols, _ := a.Row(i)
 		nnz += len(cols)
+		maxDeg = max(maxDeg, len(cols))
 		for _, j := range cols {
 			if int(part.Part[j]) == me {
 				pos[j] = -2
@@ -99,11 +108,31 @@ func compileProgram(me int, a *sparse.CSR, part *partition.Partition, pat *Patte
 	}
 	p.haloWords = int(at) - p.nOwn
 
-	p.rp = make([]int64, len(ownRows)+1)
+	// next[w] counts the rows of w nonzeros, then becomes the kernel
+	// position of the next such row; ownRows is ascending, so each run is.
+	next := make([]int32, maxDeg+1)
+	for _, i := range ownRows {
+		next[a.RowDegree(i)]++
+	}
+	var start int32
+	for w, n := range next {
+		if n > 0 {
+			p.runs = append(p.runs, lenRun{n: n, w: int32(w)})
+		}
+		next[w] = start
+		start += n
+	}
+	p.rows = make([]int32, len(ownRows))
+	for _, i := range ownRows {
+		w := a.RowDegree(i)
+		p.rows[next[w]] = int32(i)
+		next[w]++
+	}
+
 	p.ci = make([]int32, 0, nnz)
 	p.v = make([]float64, 0, nnz)
-	for r, i := range ownRows {
-		cols, vals := a.Row(i)
+	for _, i := range p.rows {
+		cols, vals := a.Row(int(i))
 		for k, j := range cols {
 			lp := pos[j]
 			if lp < 0 {
@@ -112,7 +141,6 @@ func compileProgram(me int, a *sparse.CSR, part *partition.Partition, pat *Patte
 			p.ci = append(p.ci, lp)
 			p.v = append(p.v, vals[k])
 		}
-		p.rp[r+1] = int64(len(p.ci))
 	}
 	p.xloc = make([]float64, at)
 	p.y = make([]float64, a.Rows)

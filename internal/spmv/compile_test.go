@@ -3,6 +3,7 @@ package spmv
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"stfw/internal/core"
@@ -135,6 +136,166 @@ func TestCompiledEmptyHaloRank(t *testing.T) {
 	runDifferential(t, a, part, diffConfig{name: "STFW/empty-halo", opt: Options{Method: STFW, Topo: tp}, K: K})
 }
 
+// TestKernelRowRuns checks the kernel's row-length layout on every rank,
+// BL and STFW: the kernel rows are a permutation of OwnedRows grouped into
+// runs of strictly increasing width (each length appears once), the runs
+// cover exactly the rank's rows and nonzeros, and three multiplies equal
+// the serial product bit for bit on owned rows and are exactly 0 elsewhere.
+func TestKernelRowRuns(t *testing.T) {
+	triples := func(n int, cols func(i int) []int) *sparse.CSR {
+		t.Helper()
+		var ts []sparse.Triple
+		for i := 0; i < n; i++ {
+			for _, j := range cols(i) {
+				ts = append(ts, sparse.Triple{Row: i, Col: j, Val: float64(i%5) + 0.25*float64(j%3) + 0.5})
+			}
+		}
+		a, err := sparse.FromTriples(n, n, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	block := func(a *sparse.CSR, K int) *partition.Partition {
+		t.Helper()
+		part, err := partition.Block(a.Rows, K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return part
+	}
+	tail := testMatrix(t, 480, 4000, 60)
+	greedy, err := partition.Greedy(tail, 8, partition.DefaultGreedy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every third row empty, the others 2-4 off-diagonal nonzeros.
+	empty := triples(96, func(i int) []int {
+		if i%3 == 0 {
+			return nil
+		}
+		cols := []int{(i + 11) % 96}
+		for d := 0; d < i%3+i%2; d++ {
+			cols = append(cols, (i+29+17*d)%96)
+		}
+		return cols
+	})
+	uniform := triples(96, func(i int) []int { return []int{i, (i + 1) % 96, (i + 40) % 96} })
+	// Band of 4 around the diagonal, row 37 a hub touching 100 columns.
+	hub := triples(128, func(i int) []int {
+		if i == 37 {
+			cols := make([]int, 100)
+			for k := range cols {
+				cols[k] = (k * 13) % 128
+			}
+			return cols
+		}
+		return []int{i, (i + 1) % 128, (i + 5) % 128, (i + 64) % 128}
+	})
+	tiny := triples(6, func(i int) []int { return []int{i, (i + 3) % 6} })
+
+	for _, tc := range []struct {
+		name   string
+		a      *sparse.CSR
+		part   *partition.Partition
+		oneRun bool // every owned row has the same length
+	}{
+		{"power-law", tail, greedy, false},
+		{"empty-rows", empty, block(empty, 8), false},
+		{"uniform", uniform, block(uniform, 8), true},
+		{"hub", hub, block(hub, 8), false},
+		{"K>rows", tiny, block(tiny, 8), true},
+	} {
+		K := tc.part.K
+		pat, err := BuildPattern(tc.a, tc.part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs := make([][]float64, 3)
+		wants := make([][]float64, 3)
+		for r := range xs {
+			xs[r] = testVector(tc.a.Cols, int64(700+r))
+			if wants[r], err = tc.a.MulVec(nil, xs[r]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tp, err := vpt.NewBalanced(K, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opt := range []Options{{Method: BL}, {Method: STFW, Topo: tp}} {
+			w, err := chanpt.NewWorld(K, K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = w.Run(func(c runtime.Comm) error {
+				me := c.Rank()
+				sess, err := NewSession(c, tc.a, tc.part, pat, opt)
+				if err != nil {
+					return err
+				}
+				p := sess.prog
+				own := sess.OwnedRows()
+				if len(p.rows) != len(own) {
+					return fmt.Errorf("%d kernel rows, %d owned", len(p.rows), len(own))
+				}
+				sorted := slices.Clone(p.rows)
+				slices.Sort(sorted)
+				for q, i := range own {
+					if sorted[q] != int32(i) {
+						return fmt.Errorf("kernel rows are not a permutation of the owned rows")
+					}
+				}
+				var rows, nnz int
+				for q, run := range p.runs {
+					if q > 0 && run.w <= p.runs[q-1].w {
+						return fmt.Errorf("run %d of width %d follows width %d", q, run.w, p.runs[q-1].w)
+					}
+					if rows+int(run.n) > len(p.rows) {
+						return fmt.Errorf("runs cover more than the %d kernel rows", len(p.rows))
+					}
+					for _, i := range p.rows[rows : rows+int(run.n)] {
+						if d := tc.a.RowDegree(int(i)); d != int(run.w) {
+							return fmt.Errorf("row %d of %d nonzeros in a run of width %d", i, d, run.w)
+						}
+					}
+					rows += int(run.n)
+					nnz += int(run.n) * int(run.w)
+				}
+				if rows != len(p.rows) {
+					return fmt.Errorf("runs cover %d rows, want %d", rows, len(p.rows))
+				}
+				if int64(nnz) != pat.NNZ[me] || len(p.ci) != nnz || len(p.v) != nnz {
+					return fmt.Errorf("runs cover %d nonzeros, len(ci) %d, len(v) %d, want %d",
+						nnz, len(p.ci), len(p.v), pat.NNZ[me])
+				}
+				if tc.oneRun && len(p.runs) > 1 {
+					return fmt.Errorf("%d runs for equal-length rows", len(p.runs))
+				}
+				for r, x := range xs {
+					y, err := sess.Multiply(x)
+					if err != nil {
+						return fmt.Errorf("round %d: %w", r, err)
+					}
+					for i := range y {
+						want := 0.0
+						if int(tc.part.Part[i]) == me {
+							want = wants[r][i]
+						}
+						if math.Float64bits(y[i]) != math.Float64bits(want) {
+							return fmt.Errorf("round %d row %d: got %v, want %v", r, i, y[i], want)
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", tc.name, opt.Method, err)
+			}
+		}
+	}
+}
+
 // startAllocWorld parks one session per rank behind tptest.Lockstep, so
 // AllocsPerRun can step all ranks through Multiply(x) without spawning
 // goroutines (goroutine startup allocates) inside the measured region.
@@ -169,7 +330,8 @@ func startAllocWorld(t *testing.T, a *sparse.CSR, part *partition.Partition, pat
 
 // TestSessionMultiplyZeroAlloc gates the headline claim: a steady-state
 // compiled Multiply allocates nothing on the chanpt transport, under both
-// BL and STFW.
+// BL and STFW — at K = 8, and at K = 64/256/1024 on the gupta2 analog of
+// the benchmark's spmv workloads.
 func TestSessionMultiplyZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; the gate runs in the non-race CI job")
@@ -199,42 +361,98 @@ func TestSessionMultiplyZeroAlloc(t *testing.T) {
 		{"STFW+telemetry", Options{Method: STFW, Topo: tp, Telemetry: telemetry.MustNew(telemetry.Config{Ranks: K, Stages: tp.N()})}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			multiply, stop := startAllocWorld(t, a, part, pat, cfg.opt, K, x)
-			defer stop()
 			// Learning iteration (STFW) plus warmup to fill the frame arena
 			// and the transport's high-water marks.
-			for i := 0; i < 5; i++ {
-				if err := multiply(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var stepErr error
-			avg := testing.AllocsPerRun(20, func() {
-				if err := multiply(); err != nil && stepErr == nil {
-					stepErr = err
-				}
+			checkZeroAlloc(t, a, part, pat, cfg.opt, K, x, 5, 1)
+		})
+	}
+
+	// Large K on the gupta2 scale-8 analog. Here the frame arena and the
+	// per-rank matcher queues keep reaching new high-water marks long after
+	// warm-up — bursts that grow with K and come rarer with time, never a
+	// per-op cost (EXPERIMENTS.md "Iteration benchmark") — so the gate asks
+	// for one clean 20-multiply window out of ten: a per-multiply
+	// allocation would dirty all ten.
+	g, err := sparse.CatalogMatrix("gupta2", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gx := testVector(g.Cols, 43)
+	for _, row := range []struct {
+		K, dim, warm int
+		bl           bool
+	}{
+		{64, 3, 5, true},
+		{256, 4, 5, true},
+		{1024, 5, 40, false},
+	} {
+		gpart, err := partition.Greedy(g, row.K, partition.DefaultGreedy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gpat, err := BuildPattern(g, gpart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gtp, err := vpt.NewBalanced(row.K, row.dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := []Options{{Method: STFW, Topo: gtp}}
+		if row.bl {
+			opts = append(opts, Options{Method: BL})
+		}
+		for _, opt := range opts {
+			t.Run(fmt.Sprintf("gupta2/K=%d/%v", row.K, opt.Method), func(t *testing.T) {
+				checkZeroAlloc(t, g, gpart, gpat, opt, row.K, gx, row.warm, 10)
 			})
-			if stepErr != nil {
-				t.Fatal(stepErr)
-			}
-			if avg != 0 {
-				t.Fatalf("steady-state Session.Multiply allocates %.2f times per op across %d ranks, want 0", avg, K)
-			}
-			if reg := cfg.opt.Telemetry; reg != nil {
-				// The gate must not pass vacuously: the collectors saw the run.
-				s := reg.Snapshot()
-				tot := s.Totals()
-				if tot.Sends == 0 || tot.SendBytes == 0 {
-					t.Fatalf("telemetry recorded no frames: %+v", tot)
-				}
-				var spans int64
-				for _, r := range s.Ranks {
-					spans += r.SpanCount
-				}
-				if spans == 0 {
-					t.Fatal("telemetry recorded no spans")
-				}
+		}
+	}
+}
+
+// checkZeroAlloc steps a K-rank session world through warm multiplies, then
+// requires one of the next windows runs of 20 multiplies to read 0 allocs
+// per multiply.
+func checkZeroAlloc(t *testing.T, a *sparse.CSR, part *partition.Partition, pat *Pattern, opt Options, K int, x []float64, warm, windows int) {
+	t.Helper()
+	multiply, stop := startAllocWorld(t, a, part, pat, opt, K, x)
+	defer stop()
+	for i := 0; i < warm; i++ {
+		if err := multiply(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stepErr error
+	var avg float64
+	for w := 0; w < windows; w++ {
+		avg = testing.AllocsPerRun(20, func() {
+			if err := multiply(); err != nil && stepErr == nil {
+				stepErr = err
 			}
 		})
+		if stepErr != nil {
+			t.Fatal(stepErr)
+		}
+		if avg == 0 {
+			break
+		}
+	}
+	if avg != 0 {
+		t.Fatalf("steady-state Session.Multiply allocates %.2f times per op across %d ranks (last of %d 20-multiply windows), want 0", avg, K, windows)
+	}
+	if reg := opt.Telemetry; reg != nil {
+		// The gate must not pass vacuously: the collectors saw the run.
+		s := reg.Snapshot()
+		tot := s.Totals()
+		if tot.Sends == 0 || tot.SendBytes == 0 {
+			t.Fatalf("telemetry recorded no frames: %+v", tot)
+		}
+		var spans int64
+		for _, r := range s.Ranks {
+			spans += r.SpanCount
+		}
+		if spans == 0 {
+			t.Fatal("telemetry recorded no spans")
+		}
 	}
 }

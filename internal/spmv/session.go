@@ -103,9 +103,10 @@ func (s *Session) bindReplay(r *core.Replay) error {
 }
 
 // Multiply computes y = A*x for this rank's owned rows (other entries of
-// the returned vector are zero): gather, exchange, straight CSR walk. In
-// the steady state it touches no maps and allocates nothing. Collective
-// across all ranks that share the session configuration.
+// the returned vector are zero): gather, exchange, then the kernel over the
+// program's row-length runs. In the steady state it touches no maps and
+// allocates nothing. Collective across all ranks that share the session
+// configuration.
 //
 // The returned slice is owned by the session and overwritten by the next
 // Multiply; copy it to keep it across iterations.
@@ -115,8 +116,9 @@ func (s *Session) Multiply(x []float64) ([]float64, error) {
 	}
 	p := s.prog
 	t0 := time.Now()
+	own := p.xloc[:len(p.gatherIdx)]
 	for i, g := range p.gatherIdx {
-		p.xloc[i] = x[g]
+		own[i] = x[g]
 	}
 	t1 := time.Now()
 	var err error
@@ -129,12 +131,22 @@ func (s *Session) Multiply(x []float64) ([]float64, error) {
 		return nil, err
 	}
 	t2 := time.Now()
-	for r := range p.rowIDs {
-		var sum float64
-		for k := p.rp[r]; k < p.rp[r+1]; k++ {
-			sum += p.v[k] * p.xloc[p.ci[k]]
+	// Rows are independent and each sums in CSR order, so walking them by
+	// length run keeps every y entry bit-identical to the serial product.
+	xloc, y, rows := p.xloc, p.y, p.rows
+	r, k := 0, 0
+	for _, run := range p.runs {
+		w := int(run.w)
+		for end := r + int(run.n); r < end; r++ {
+			ci := p.ci[k : k+w]
+			v := p.v[k : k+w]
+			var sum float64
+			for j, c := range ci {
+				sum += v[j] * xloc[c]
+			}
+			y[rows[r]] = sum
+			k += w
 		}
-		p.y[p.rowIDs[r]] = sum
 	}
 	t3 := time.Now()
 	s.tm.Gather += t1.Sub(t0)
