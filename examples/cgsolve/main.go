@@ -7,6 +7,9 @@
 // system derived from the pkustk04 analog (structural engineering, dense
 // rows) on 32 ranks, once with direct messages and once through a T5
 // virtual topology, and verifies both solutions against the serial solver.
+// The distributed solver is Jacobi-preconditioned; the serial one is the
+// unpreconditioned textbook loop, so the two iteration counts differ while
+// the solutions agree.
 package main
 
 import (
@@ -14,6 +17,7 @@ import (
 	"log"
 	"math"
 	"math/rand"
+	"slices"
 
 	"stfw"
 	"stfw/internal/iterative"
@@ -77,8 +81,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("serial CG: converged in %d iterations\n", iters)
+	fmt.Printf("serial CG (unpreconditioned): converged in %d iterations\n", iters)
 
+	var first []float64 // the BL solution, which STFW must reproduce bit for bit
 	for _, opt := range []spmv.Options{
 		{Method: spmv.BL},
 		{Method: spmv.STFW, Topo: topo},
@@ -111,12 +116,17 @@ func main() {
 		for i := range x {
 			maxDiff = math.Max(maxDiff, math.Abs(x[i]-xSerial[i]))
 		}
-		fmt.Printf("%-5v: converged in %d iterations (residual %.1e), max |x - x_serial| = %.2e\n",
-			opt.Method, results[0].Iters, results[0].Residual, maxDiff)
+		fmt.Printf("%-5v: converged in %d iterations (unpreconditioned serial: %d), residual %.1e, max |x - x_serial| = %.2e\n",
+			opt.Method, results[0].Iters, iters, results[0].Residual, maxDiff)
 		if maxDiff > 1e-6 {
 			log.Fatalf("%v solution diverges from serial", opt.Method)
 		}
+		if first == nil {
+			first = x
+		} else if !slices.Equal(x, first) {
+			log.Fatalf("%v solution differs from BL's", opt.Method)
+		}
 	}
-	fmt.Println("\nthe STFW iterations communicate with a bounded message count at")
-	fmt.Println("every step while producing the same solver trajectory.")
+	fmt.Println("\nBL and STFW produce the same solver trajectory, bit for bit; the STFW")
+	fmt.Println("iterations communicate with a bounded message count at every step.")
 }

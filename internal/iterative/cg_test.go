@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"stfw/internal/collectives"
 	"stfw/internal/partition"
@@ -133,13 +135,13 @@ func runCGOn(t *testing.T, comms []runtime.Comm, a *sparse.CSR, part *partition.
 	return x, results[0]
 }
 
-// TestCGAgainstSerialOracle holds the single-reduction recurrence against
-// the textbook loop it replaced (SerialCG): over a zero-copy and a socket
-// transport, powers of two, a fold-in/fold-out world and K=1, both exchange
-// schemes. Every rank must stop at the same iteration (runCGOn), within
-// two of the oracle's count, and — what the recursive residual alone would
-// hide if the recurrences drifted — the assembled x must satisfy
-// ||b - A x|| / ||b|| <= 10 Tol.
+// TestCGAgainstSerialOracle holds the preconditioned single-reduction
+// recurrence against the unpreconditioned textbook loop (SerialCG): over a
+// zero-copy and a socket transport, powers of two, a fold-in/fold-out world
+// and K=1, both exchange schemes. Every rank must stop at the same
+// iteration (runCGOn), at most at the oracle's count, and — what the
+// recursive residual alone would hide if the recurrences drifted — the
+// assembled x must satisfy ||b - A x|| / ||b|| <= 10 Tol.
 func TestCGAgainstSerialOracle(t *testing.T) {
 	const tol = 1e-10
 	a := spdMatrix(t, 512)
@@ -179,8 +181,8 @@ func TestCGAgainstSerialOracle(t *testing.T) {
 				if !res.Converged {
 					t.Errorf("%s: not converged: %+v", name, res)
 				}
-				if res.Iters > serialIters+2 {
-					t.Errorf("%s: %d iterations, the two-reduction loop takes %d", name, res.Iters, serialIters)
+				if res.Iters > serialIters {
+					t.Errorf("%s: %d iterations, the unpreconditioned loop takes %d", name, res.Iters, serialIters)
 				}
 				got := residualNorm(a, x, b)
 				t.Logf("%s: %d iterations (serial %d), residual recursive %.3g true %.3g", name, res.Iters, serialIters, res.Residual, got)
@@ -390,36 +392,163 @@ type validationErr struct{}
 
 func (*validationErr) Error() string { return "bad b length accepted" }
 
-// TestCGNonSPDFails: an indefinite matrix is rejected on p.Ap <= 0, whether
-// that shows in the first reduction (where p.Ap is w.r itself) or only in
-// the recurrence's denominator an iteration later. Every rank must take
-// the error branch, or the others hang in the next exchange.
+// cgErrs runs CG on a channel world with rank r solving mats[r] and
+// returns every rank's error. A world still running after 10 s is closed
+// and the test fails: a rank left waiting in an exchange is exactly what
+// the collective non-SPD checks exist to prevent.
+func cgErrs(t *testing.T, mats []*sparse.CSR, part *partition.Partition, b []float64) []error {
+	t.Helper()
+	pat, err := spmv.BuildPattern(mats[0], part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := chanpt.NewWorld(part.K, part.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, part.K)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = w.Run(func(c runtime.Comm) error {
+			_, errs[c.Rank()] = CG(c, mats[c.Rank()], part, pat, b, CGOptions{})
+			return nil
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		w.Close()
+		t.Fatal("CG still running on some rank after 10 s")
+	}
+	return errs
+}
+
+// TestCGNonSPDFails: a missing or non-positive diagonal is rejected by the
+// first reduction, before iteration 0, on every rank — including when only
+// one rank can see the bad row. An indefinite matrix with a positive
+// diagonal is rejected on p.Ap <= 0, whether that shows in the first
+// reduction (where p.Ap is w.u itself) or only in the recurrence's
+// denominator an iteration later.
 func TestCGNonSPDFails(t *testing.T) {
-	for _, tc := range []struct {
-		diag [2]float64
-		at   string
-	}{
-		{[2]float64{-5, 1}, "iteration 0"}, // r0.A r0 = -4
-		{[2]float64{5, -1}, "iteration 1"}, // r0.A r0 = 4, then p1.A p1 = -11.25
-	} {
+	checkAll := func(name string, errs []error, want string) {
+		t.Helper()
+		for r, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: rank %d: got %v, want an error containing %q", name, r, err, want)
+			}
+		}
+	}
+	pair, _ := partition.Block(2, 2)
+	for _, d := range [][2]float64{{-5, 1}, {5, -1}} {
 		a, err := sparse.FromTriples(2, 2, []sparse.Triple{
-			{Row: 0, Col: 0, Val: tc.diag[0]}, {Row: 1, Col: 1, Val: tc.diag[1]},
+			{Row: 0, Col: 0, Val: d[0]}, {Row: 1, Col: 1, Val: d[1]},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		part, _ := partition.Block(2, 2)
-		pat, _ := spmv.BuildPattern(a, part)
-		w, _ := chanpt.NewWorld(2, 2)
-		errs := make([]error, 2)
-		_ = w.Run(func(c runtime.Comm) error {
-			_, errs[c.Rank()] = CG(c, a, part, pat, []float64{1, 1}, CGOptions{})
-			return nil
-		})
-		for r, err := range errs {
-			if err == nil || !strings.Contains(err.Error(), tc.at) {
-				t.Errorf("diag %v: rank %d: got %v, want a p.Ap <= 0 error at %s", tc.diag, r, err, tc.at)
+		errs := cgErrs(t, []*sparse.CSR{a, a}, pair, []float64{1, 1})
+		checkAll(fmt.Sprintf("diag%v", d), errs, "iterative: 1 rows with a non-positive diagonal")
+	}
+
+	// One row's diagonal negated in its owner's copy only: the other seven
+	// ranks learn of it from the first reduction or not at all.
+	const K, row = 8, 21
+	a := spdMatrix(t, 64)
+	part, _ := partition.Block(a.Rows, K)
+	bad := *a
+	bad.Val = slices.Clone(a.Val)
+	cols, _ := a.Row(row)
+	k, ok := slices.BinarySearch(cols, int32(row))
+	if !ok {
+		t.Fatalf("row %d has no diagonal", row)
+	}
+	bad.Val[a.RowPtr[row]+int64(k)] *= -1
+	mats := make([]*sparse.CSR, K)
+	for r := range mats {
+		mats[r] = a
+	}
+	mats[part.Part[row]] = &bad
+	checkAll("K=8 one rank", cgErrs(t, mats, part, rhs(a.Rows, 9)), "iterative: 1 rows with a non-positive diagonal")
+
+	// [[1,2],[2,1]]: unit diagonal, so u = r and the dots are plain CG's.
+	ind, err := sparse.FromTriples(2, 2, []sparse.Triple{
+		{Row: 0, Col: 0, Val: 1}, {Row: 0, Col: 1, Val: 2}, {Row: 1, Col: 0, Val: 2}, {Row: 1, Col: 1, Val: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		b  []float64
+		at string
+	}{
+		{[]float64{1, -1}, "iteration 0"}, // w0.r0 = -2
+		{[]float64{1, 0}, "iteration 1"},  // w0.r0 = 1, then p1.A p1 = 4 - 4*4/1 = -12
+	} {
+		errs := cgErrs(t, []*sparse.CSR{ind, ind}, pair, tc.b)
+		checkAll(fmt.Sprintf("indefinite b=%v", tc.b), errs, "<= 0 at "+tc.at)
+	}
+}
+
+// TestCGJacobiScalingInvariant pins what the preconditioner buys. Jacobi
+// PCG on (S A S, S b) runs the same iteration as on (A, b) for any positive
+// diagonal S, so a six-decade row scaling moves CG's count by rounding
+// only, while the unpreconditioned loop pays for it: SerialCG exhausts its
+// default budget of 320 iterations on the scaled system (36 unscaled).
+func TestCGJacobiScalingInvariant(t *testing.T) {
+	const K, tol = 8, 1e-10
+	a := spdMatrix(t, 512)
+	b := rhs(a.Rows, 7)
+	rng := rand.New(rand.NewSource(11))
+	scale := make([]float64, a.Rows)
+	for i := range scale {
+		scale[i] = math.Pow(10, -3+6*rng.Float64())
+	}
+	sa := *a
+	sa.Val = make([]float64, len(a.Val))
+	sb := make([]float64, len(b))
+	for i := 0; i < a.Rows; i++ {
+		sb[i] = scale[i] * b[i]
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			sa.Val[k] = scale[i] * a.Val[k] * scale[a.ColIdx[k]]
+		}
+	}
+	part, err := partition.Greedy(a, K, partition.DefaultGreedy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := vpt.New(2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Iterations to converge or the default budget, whichever is fewer.
+	_, serialScaled, err := SerialCG(&sa, sb, 0, tol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for scheme, comm := range map[string]spmv.Options{"BL": {Method: spmv.BL}, "STFW": {Method: spmv.STFW, Topo: tp}} {
+		opt := CGOptions{Tol: tol, Comm: comm}
+		x, res := runCG(t, a, part, b, opt)
+		sx, sres := runCG(t, &sa, part, sb, opt)
+		t.Logf("%s: %d iterations on (A, b), %d on (SAS, Sb); SerialCG on (SAS, Sb) %d", scheme, res.Iters, sres.Iters, serialScaled)
+		for _, tc := range []struct {
+			name string
+			m    *sparse.CSR
+			x, b []float64
+			res  *CGResult
+		}{{"(A, b)", a, x, b, res}, {"(SAS, Sb)", &sa, sx, sb, sres}} {
+			if !tc.res.Converged {
+				t.Errorf("%s %s: not converged: %+v", scheme, tc.name, tc.res)
 			}
+			if got := residualNorm(tc.m, tc.x, tc.b); got > 10*tol {
+				t.Errorf("%s %s: true residual %g after %d iterations", scheme, tc.name, got, tc.res.Iters)
+			}
+		}
+		if d := sres.Iters - res.Iters; d < -2 || d > 2 {
+			t.Errorf("%s: scaling moved CG from %d to %d iterations", scheme, res.Iters, sres.Iters)
+		}
+		if serialScaled < 5*sres.Iters {
+			t.Errorf("%s: SerialCG needs %d iterations on the scaled system, CG %d: under 5x", scheme, serialScaled, sres.Iters)
 		}
 	}
 }

@@ -9,7 +9,7 @@ package spmv
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"stfw/internal/core"
 	"stfw/internal/partition"
@@ -52,38 +52,31 @@ func BuildPattern(a *sparse.CSR, part *partition.Partition) (*Pattern, error) {
 		p.SendIdx[i] = map[int][]int32{}
 		p.RecvIdx[i] = map[int][]int32{}
 	}
-	for i := 0; i < a.Rows; i++ {
-		p.NNZ[part.Part[i]] += int64(a.RowDegree(i))
-	}
 	// Column j (owned by part[j]) must reach every part with a nonzero in
-	// column j. Walk rows once, deduplicating (col, part) pairs per column
-	// via a per-column scratch set keyed by the transpose.
-	at := a.Transpose()
-	seen := make([]bool, K)
-	for j := 0; j < at.Rows; j++ {
-		owner := int(part.Part[j])
-		rows, _ := at.Row(j)
-		var touched []int
-		for _, r := range rows {
-			q := int(part.Part[r])
-			if q != owner && !seen[q] {
-				seen[q] = true
-				touched = append(touched, q)
+	// column j. Walk each part's rows once; mark[j] is one more than the
+	// last part that asked for column j (0: none yet), so each (column,
+	// part) pair is recorded once.
+	mark := make([]int32, a.Cols)
+	for q, rows := range part.PartRows() {
+		tag := int32(q) + 1
+		for _, i := range rows {
+			cols, _ := a.Row(i)
+			p.NNZ[q] += int64(len(cols))
+			for _, j := range cols {
+				if mark[j] == tag {
+					continue
+				}
+				mark[j] = tag
+				if owner := int(part.Part[j]); owner != q {
+					p.SendIdx[owner][q] = append(p.SendIdx[owner][q], j)
+				}
 			}
-		}
-		for _, q := range touched {
-			seen[q] = false
-			p.SendIdx[owner][q] = append(p.SendIdx[owner][q], int32(j))
-			p.RecvIdx[q][owner] = append(p.RecvIdx[q][owner], int32(j))
 		}
 	}
-	// Column walk is in increasing j, so the lists are already sorted;
-	// keep the invariant explicit against future changes.
-	for i := 0; i < K; i++ {
-		for _, lst := range p.SendIdx[i] {
-			if !sort.SliceIsSorted(lst, func(a, b int) bool { return lst[a] < lst[b] }) {
-				sort.Slice(lst, func(a, b int) bool { return lst[a] < lst[b] })
-			}
+	for owner, lists := range p.SendIdx {
+		for q, lst := range lists {
+			slices.Sort(lst)
+			p.RecvIdx[q][owner] = slices.Clone(lst)
 		}
 	}
 	return p, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"stfw/internal/partition"
@@ -250,6 +251,104 @@ func TestReduceValidation(t *testing.T) {
 	part := &partition.Partition{K: 2, Part: []int32{0, 1}}
 	if _, err := Reduce(part, make([][]float64, 1)); err == nil {
 		t.Error("wrong ys length accepted")
+	}
+}
+
+// TestBuildPatternMatchesBruteForce holds BuildPattern's single row walk
+// against the definition — x[j] travels from part[j] to every other part
+// with a nonzero in column j — kept as a map of sets, over catalog analogs
+// under three partitioners, K=1 and K > rows. Each list must be sorted,
+// unique and equal to the reference, RecvIdx must mirror SendIdx without
+// sharing its memory, and the parts' nonzero counts must add up to A's.
+func TestBuildPatternMatchesBruteForce(t *testing.T) {
+	type instance struct {
+		name  string
+		scale int
+		ks    []int
+	}
+	table := []instance{{"gupta2", 8, []int{1, 7, 64}}, {"sparsine", 16, []int{64}}, {"GaAsH6", 8, []int{32}}}
+	if !raceEnabled && !testing.Short() {
+		table = append(table, instance{"coAuthorsDBLP", 1, []int{8}})
+	}
+	for _, in := range table {
+		a, err := sparse.CatalogMatrix(in.name, in.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, K := range in.ks {
+			greedy, err := partition.Greedy(a, K, partition.DefaultGreedy())
+			if err != nil {
+				t.Fatal(err)
+			}
+			random, _ := partition.Random(a.Rows, K, 5)
+			block, _ := partition.Block(a.Rows, K)
+			for pname, part := range map[string]*partition.Partition{"greedy": greedy, "random": random, "block": block} {
+				checkPatternBruteForce(t, fmt.Sprintf("%s/%d K=%d %s", in.name, in.scale, K, pname), a, part)
+			}
+		}
+	}
+	small := testMatrix(t, 100, 500, 30)
+	part, _ := partition.Block(small.Rows, 128)
+	checkPatternBruteForce(t, "K > rows", small, part)
+}
+
+func checkPatternBruteForce(t *testing.T, name string, a *sparse.CSR, part *partition.Partition) {
+	t.Helper()
+	pat, err := BuildPattern(a, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[[2]int]map[int32]bool{} // (owner, part) -> columns
+	for i := 0; i < a.Rows; i++ {
+		q := int(part.Part[i])
+		cols, _ := a.Row(i)
+		for _, j := range cols {
+			owner := int(part.Part[j])
+			if owner == q {
+				continue
+			}
+			if want[[2]int{owner, q}] == nil {
+				want[[2]int{owner, q}] = map[int32]bool{}
+			}
+			want[[2]int{owner, q}][j] = true
+		}
+	}
+	var links int
+	var nnz int64
+	for src := 0; src < part.K; src++ {
+		nnz += pat.NNZ[src]
+		links += len(pat.SendIdx[src])
+		for dst, lst := range pat.SendIdx[src] {
+			ref := want[[2]int{src, dst}]
+			if len(lst) != len(ref) {
+				t.Fatalf("%s: %d -> %d sends %d entries, want %d", name, src, dst, len(lst), len(ref))
+			}
+			for k, j := range lst {
+				if !ref[j] || (k > 0 && lst[k-1] >= j) {
+					t.Fatalf("%s: %d -> %d list is not the sorted unique reference: %v", name, src, dst, lst)
+				}
+			}
+			recv := pat.RecvIdx[dst][src]
+			if !slices.Equal(recv, lst) {
+				t.Fatalf("%s: RecvIdx[%d][%d] does not mirror SendIdx[%d][%d]", name, dst, src, src, dst)
+			}
+			lst[0]++
+			aliased := recv[0] == lst[0]
+			lst[0]--
+			if aliased {
+				t.Fatalf("%s: RecvIdx[%d][%d] shares memory with SendIdx[%d][%d]", name, dst, src, src, dst)
+			}
+		}
+	}
+	var recvLinks int
+	for dst := 0; dst < part.K; dst++ {
+		recvLinks += len(pat.RecvIdx[dst])
+	}
+	if links != len(want) || recvLinks != len(want) {
+		t.Fatalf("%s: %d send and %d receive links, want %d", name, links, recvLinks, len(want))
+	}
+	if nnz != int64(a.NNZ()) {
+		t.Fatalf("%s: parts hold %d nonzeros, A has %d", name, nnz, a.NNZ())
 	}
 }
 
