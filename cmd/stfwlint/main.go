@@ -1,40 +1,33 @@
 // Command stfwlint is the multichecker for the repo's invariant analyzers
-// (internal/analysis): framepool, nilrecv, atomicmix, lockedsend, tagspan,
-// goroleak. It loads the packages named by its arguments (go list patterns;
-// default ./...), runs every analyzer, prints surviving diagnostics in
+// (internal/analysis): framepool (every pooled frame is recycled or handed
+// off on every path) and lockedsend (no blocking transport call under a
+// held mutex). It loads the packages named by its arguments (go list
+// patterns; default ./...), runs both analyzers, prints the diagnostics in
 // file:line:col form, and exits 1 if there were any.
 //
-// Test files are included by default — the invariants bind test harnesses
-// too — with each package analyzed exactly as `go test` compiles it
-// (in-package test files together with the production sources, external
-// _test packages on their own). -tests=false restricts the run to
-// production sources.
+// Test files are included — the invariants bind test harnesses too — with
+// each package analyzed exactly as `go test` compiles it (in-package test
+// files together with the production sources, external _test packages on
+// their own).
 //
 // Usage:
 //
 //	go run ./cmd/stfwlint ./...
-//	go run ./cmd/stfwlint -only framepool,lockedsend ./internal/core/...
-//	go run ./cmd/stfwlint -tests=false ./...
-//
-// Findings are suppressed per line with a //stfw:ignore <analyzer>
-// directive; see internal/analysis.
+//	go run ./cmd/stfwlint -list
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"stfw/internal/analysis"
 )
 
 func main() {
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	tests := flag.Bool("tests", true, "include test files (each package analyzed as its test variant)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: stfwlint [-only a,b] [-tests=false] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: stfwlint [-list] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -46,31 +39,13 @@ func main() {
 		}
 		return
 	}
-	if *only != "" {
-		want := make(map[string]bool)
-		for _, name := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(name)] = true
-		}
-		var sel []*analysis.Analyzer
-		for _, a := range analyzers {
-			if want[a.Name] {
-				sel = append(sel, a)
-				delete(want, a.Name)
-			}
-		}
-		for name := range want {
-			fmt.Fprintf(os.Stderr, "stfwlint: unknown analyzer %q\n", name)
-			os.Exit(2)
-		}
-		analyzers = sel
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
-	pkgs, err := analysis.LoadPackages(analysis.LoadConfig{Tests: *tests}, patterns...)
+	pkgs, err := analysis.Load("", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stfwlint:", err)
 		os.Exit(2)

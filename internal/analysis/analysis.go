@@ -1,23 +1,17 @@
 // Package analysis is a self-contained miniature of the go/analysis
 // framework: typed Analyzer values run over parsed, type-checked packages
-// and report position-anchored diagnostics. The repo pins its hot-path
-// conventions — pooled frame ownership, nil-safe telemetry receivers,
-// atomic-only counter fields, no blocking sends under locks — as analyzers
-// in this package, and cmd/stfwlint is the multichecker that runs them
-// over the tree (see DESIGN.md §9).
+// and report position-anchored diagnostics. The store-and-forward exchange
+// rests on two code-level rules that no type or runtime test pins down:
+// every pooled frame is recycled or handed off on every path (framepool),
+// and no rank blocks in a transport call while holding a lock
+// (lockedsend). cmd/stfwlint is the multichecker that runs both over the
+// tree (see DESIGN.md §9).
 //
 // The framework is hand-rolled on the standard library (go/ast, go/types,
 // and a `go list -export` driver in load.go) rather than on
 // golang.org/x/tools/go/analysis so the module stays dependency-free; the
 // Analyzer/Pass surface deliberately mirrors the x/tools shape, so the
 // analyzers could be ported to a real multichecker by swapping imports.
-//
-// Deliberate exceptions are annotated in the source under analysis with a
-//
-//	//stfw:ignore <analyzer> [<analyzer>...]
-//
-// directive on the flagged line or the line above it; Run drops matching
-// diagnostics (see ignore.go).
 package analysis
 
 import (
@@ -27,12 +21,11 @@ import (
 	"go/types"
 )
 
-// Analyzer is one static check: a name (the //stfw:ignore key and the
-// diagnostic suffix), a one-line contract, and the function that inspects a
-// package.
+// Analyzer is one static check: a name (the diagnostic suffix), a one-line
+// contract, and the function that inspects a package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and ignore directives.
-	// It must be a valid identifier.
+	// Name identifies the analyzer in diagnostics. It must be a valid
+	// identifier.
 	Name string
 	// Doc states the invariant the analyzer enforces, first line summary.
 	Doc string
@@ -95,5 +88,5 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All returns every registered analyzer of the suite, in the order the
 // multichecker runs them.
 func All() []*Analyzer {
-	return []*Analyzer{Framepool, Nilrecv, Atomicmix, Lockedsend, Tagspan, Goroleak}
+	return []*Analyzer{Framepool, Lockedsend}
 }

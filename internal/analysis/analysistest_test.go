@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
-	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -92,65 +90,4 @@ func runFixture(t *testing.T, a *Analyzer, name string) {
 }
 
 func TestFramepoolFixture(t *testing.T)  { runFixture(t, Framepool, "framepool") }
-func TestNilrecvFixture(t *testing.T)    { runFixture(t, Nilrecv, "nilrecv") }
-func TestAtomicmixFixture(t *testing.T)  { runFixture(t, Atomicmix, "atomicmix") }
 func TestLockedsendFixture(t *testing.T) { runFixture(t, Lockedsend, "lockedsend") }
-func TestTagspanFixture(t *testing.T)    { runFixture(t, Tagspan, "tagspan") }
-func TestTagspanNoDecl(t *testing.T)     { runFixture(t, Tagspan, "tagspan_nodecl") }
-func TestGoroleakFixture(t *testing.T)   { runFixture(t, Goroleak, "goroleak") }
-
-// TestIgnoreDirective checks the suppression machinery itself: a synthetic
-// diagnostic on an annotated line is dropped, one analyzer name does not
-// silence another, and the directive reaches one line below itself.
-func TestIgnoreDirective(t *testing.T) {
-	pkg, _ := loadFixture(t, "framepool")
-	probe := &Analyzer{
-		Name: "framepool",
-		Doc:  "probe",
-		Run: func(p *Pass) error {
-			for _, f := range p.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					if c, ok := n.(*ast.CallExpr); ok {
-						p.Report(c.Pos(), "probe finding")
-					}
-					return true
-				})
-			}
-			return nil
-		},
-	}
-	diags, err := Run([]*Package{pkg}, []*Analyzer{probe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		line := fileLine(t, pkg, d)
-		if strings.Contains(line, "//stfw:ignore framepool") {
-			t.Errorf("diagnostic on an annotated line survived: %s", d)
-		}
-	}
-
-	other := *probe
-	other.Name = "otherchecker"
-	odiags, err := Run([]*Package{pkg}, []*Analyzer{&other})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(odiags) <= len(diags) {
-		t.Errorf("directive for framepool also silenced otherchecker: %d vs %d findings", len(odiags), len(diags))
-	}
-}
-
-// fileLine returns the source text of the diagnostic's line.
-func fileLine(t *testing.T, pkg *Package, d Diagnostic) string {
-	t.Helper()
-	data, err := os.ReadFile(d.Pos.Filename)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(string(data), "\n")
-	if d.Pos.Line < 1 || d.Pos.Line > len(lines) {
-		return ""
-	}
-	return lines[d.Pos.Line-1]
-}

@@ -23,8 +23,7 @@ import (
 // through to its result, or merely borrow it — and helpers that mint and
 // return pooled buffers are mint sites in their callers. Builtin reads
 // (len, cap, copy) and msg codec calls borrow; unknown cross-package calls
-// and stores into non-local memory take ownership. Deliberate exceptions
-// are annotated //stfw:ignore framepool.
+// and stores into non-local memory take ownership.
 //
 // The same single-holder discipline governs udpnet's packet-buffer ring
 // (internal/transport/udpnet.PacketRing): buffers minted by Get must reach
@@ -240,7 +239,7 @@ func checkFrameSource(pass *Pass, parents map[ast.Node]ast.Node, src *ast.CallEx
 	case *ast.ReturnStmt, *ast.SendStmt, *ast.CompositeLit, *ast.KeyValueExpr:
 		// Ownership leaves the function or moves into a structure.
 	default:
-		pass.Reportf(src.Pos(), "pooled frame is never released (PutFrame it, Send it, or annotate //stfw:ignore framepool)")
+		pass.Reportf(src.Pos(), "pooled frame is never released (PutFrame it or Send it)")
 	}
 }
 

@@ -69,17 +69,3 @@ func usesObject(info *types.Info, n ast.Node, obj types.Object) bool {
 	})
 	return found
 }
-
-// funcBodies yields every function body of the files — declarations and
-// function literals — with the enclosing declaration's name for messages.
-func funcBodies(files []*ast.File, visit func(name string, body *ast.BlockStmt)) {
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			visit(fd.Name.Name, fd.Body)
-		}
-	}
-}

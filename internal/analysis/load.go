@@ -17,8 +17,7 @@ import (
 	"strings"
 )
 
-// Package is one loaded, type-checked target package plus the per-file
-// ignore-directive index built from its comments.
+// Package is one loaded, type-checked target package.
 type Package struct {
 	Path  string
 	Name  string
@@ -27,8 +26,7 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	ignores ignoreIndex
-	sums    *SummarySet // lazily built per-package function summaries
+	sums *SummarySet // lazily built per-package function summaries
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.
@@ -43,21 +41,6 @@ type listedPackage struct {
 	ForTest    string
 }
 
-// LoadConfig configures Load beyond the defaults.
-type LoadConfig struct {
-	// Dir is the directory the patterns are resolved in (the module root or
-	// any directory inside it); "" means the current directory.
-	Dir string
-	// Tests includes test files: each matched package is analyzed as its
-	// test variant (production + in-package _test.go files type-checked
-	// together, exactly as `go test` compiles them) and external _test
-	// packages become roots of their own. The lifetime and protocol
-	// invariants the suite enforces bind test harnesses too — a goroutine
-	// leaked by a test fixture or a frame dropped on a test error path is
-	// still a defect.
-	Tests bool
-}
-
 // Load resolves the patterns with the go command and returns the matched
 // packages parsed and type-checked from source. Dependencies — standard
 // library and intra-module alike — are imported from compiler export data
@@ -65,27 +48,23 @@ type LoadConfig struct {
 // load touches the source of only the packages under analysis and works
 // fully offline.
 //
+// Test files are included: each matched package is analyzed as its test
+// variant (production + in-package _test.go files type-checked together,
+// exactly as `go test` compiles them) and external _test packages become
+// roots of their own. The invariants the suite enforces bind test harnesses
+// too — a frame dropped on a test error path or a send under a test's lock
+// is still a defect.
+//
 // dir is the directory the patterns are resolved in (the module root or any
-// directory inside it); "" means the current directory. Test files are not
-// loaded by this entry point; use LoadPackages with Tests set.
+// directory inside it); "" means the current directory.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	return LoadPackages(LoadConfig{Dir: dir}, patterns...)
-}
-
-// LoadPackages is Load with explicit configuration.
-func LoadPackages(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"."}
 	}
-	args := []string{"list", "-export", "-deps"}
-	if cfg.Tests {
-		args = append(args, "-test")
-	}
-	args = append(args,
-		"-json=Name,ImportPath,Dir,GoFiles,Standard,Export,DepOnly,ForTest")
-	args = append(args, patterns...)
+	args := append([]string{"list", "-export", "-deps", "-test",
+		"-json=Name,ImportPath,Dir,GoFiles,Standard,Export,DepOnly,ForTest"}, patterns...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = cfg.Dir
+	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -124,16 +103,14 @@ func LoadPackages(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 
 	// Analyze each package once: when its test variant was listed, the plain
 	// root is a strict subset of the same files and would double-report.
-	if cfg.Tests {
-		kept := roots[:0]
-		for _, lp := range roots {
-			if lp.ForTest == "" && hasTestVariant[lp.ImportPath] {
-				continue
-			}
-			kept = append(kept, lp)
+	kept := roots[:0]
+	for _, lp := range roots {
+		if lp.ForTest == "" && hasTestVariant[lp.ImportPath] {
+			continue
 		}
-		roots = kept
+		kept = append(kept, lp)
 	}
+	roots = kept
 	// Check under-test variants before their external _test packages, so an
 	// xtest package's import of the package under test resolves against the
 	// export data the variant was compiled into (see lookup below).
@@ -191,13 +168,12 @@ func LoadPackages(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 			return nil, fmt.Errorf("analysis: type-checking %s: %v", lp.ImportPath, err)
 		}
 		pkgs = append(pkgs, &Package{
-			Path:    path,
-			Name:    lp.Name,
-			Fset:    fset,
-			Files:   files,
-			Types:   tpkg,
-			Info:    info,
-			ignores: buildIgnoreIndex(fset, files),
+			Path:  path,
+			Name:  lp.Name,
+			Fset:  fset,
+			Files: files,
+			Types: tpkg,
+			Info:  info,
 		})
 	}
 	return pkgs, nil
@@ -214,8 +190,8 @@ func xtestRank(lp listedPackage) int {
 }
 
 // plainImportPath strips go list's test-variant suffix:
-// "pkg [pkg.test]" -> "pkg". Diagnostics and -only filters use the plain
-// path; which variant produced a finding is visible from the file name.
+// "pkg [pkg.test]" -> "pkg". Diagnostics use the plain path; which variant
+// produced a finding is visible from the file name.
 func plainImportPath(importPath string) string {
 	if i := strings.IndexByte(importPath, ' '); i >= 0 {
 		return importPath[:i]
@@ -223,9 +199,8 @@ func plainImportPath(importPath string) string {
 	return importPath
 }
 
-// Run executes the analyzers over the loaded packages and returns the
-// surviving diagnostics, sorted by position. Findings on a line covered by
-// a matching //stfw:ignore directive are dropped.
+// Run executes the analyzers over the loaded packages and returns their
+// diagnostics, sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
@@ -237,12 +212,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
 				pkg:       pkg,
-			}
-			pass.report = func(d Diagnostic) {
-				if pkg.ignores.covers(d.Pos, a.Name) {
-					return
-				}
-				diags = append(diags, d)
+				report:    func(d Diagnostic) { diags = append(diags, d) },
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("analysis: %s on %s: %v", a.Name, pkg.Path, err)

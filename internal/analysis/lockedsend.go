@@ -16,7 +16,8 @@ import (
 // the function, which is exactly the window the checker guards — but the
 // blocking side is interprocedural: a call to a same-package helper whose
 // summary (summary.go) says it can reach a channel send or Comm call is
-// flagged too, however deep the send is.
+// flagged too, however deep the send is, as is a call into another package
+// whose shape-table summary (crossSummary) may block.
 var Lockedsend = &Analyzer{
 	Name: "lockedsend",
 	Doc:  "no channel send or blocking Comm call while holding a mutex",
@@ -126,10 +127,12 @@ func scanBlocking(pass *Pass, n ast.Node, held map[string]bool) {
 		case *ast.CallExpr:
 			if name := blockingCommName(pass.TypesInfo, v); name != "" {
 				pass.Reportf(v.Pos(), "Comm.%s while holding %s: transport calls block on remote progress and must not run under a lock", name, lock)
-			} else if fn := calleeFunc(pass.TypesInfo, v); fn != nil && fn.Pkg() == pass.Pkg {
-				// Interprocedural: a helper whose summary says it can reach
-				// a channel send or Comm call blocks just the same, however
-				// many frames deep the send is.
+			} else if fn := calleeFunc(pass.TypesInfo, v); fn != nil {
+				// Interprocedural: a same-package helper whose summary says
+				// it can reach a channel send or Comm call blocks just the
+				// same, however many frames deep the send is, and so does a
+				// cross-package call the shape table marks MayBlock
+				// (runtime.RecvAnyOf, runtime.Run, Matcher.Push).
 				if sum := pass.Summaries().Of(fn); sum != nil && sum.MayBlock {
 					pass.Reportf(v.Pos(), "call to %s, which may block on a channel send or Comm call, while holding %s", fn.Name(), lock)
 				}

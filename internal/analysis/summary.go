@@ -2,32 +2,30 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 )
 
-// Interprocedural function summaries. The PR-5 analyzers classified every
-// call by a package-boundary convention — same-package callees borrow their
-// arguments, cross-package callees take ownership — which makes any helper
+// Interprocedural function summaries. Classifying every call by a
+// package-boundary convention — same-package callees borrow their
+// arguments, cross-package callees take ownership — makes any helper
 // function an analysis blind spot: a leak routed through a local
 // mint-and-return helper, or a blocking send two frames deep under a held
-// mutex, was invisible. A FuncSummary captures the caller-visible effects
+// mutex, is invisible. A FuncSummary captures the caller-visible effects
 // of one function so the analyzers can see through calls: what the callee
 // does with each pooled-buffer parameter, whether any result carries a
-// freshly minted pooled buffer the caller must own, whether the callee may
-// block on transport progress, and whether it can run forever.
+// freshly minted pooled buffer the caller must own, and whether the callee
+// may block on transport progress.
 //
 // Summaries are computed per package, bottom-up over the condensed call
 // graph (callgraph.go): non-recursive callees are final before their
 // callers are visited, and each recursive component iterates to a fixpoint
-// from the optimistic bottom (all parameters borrowed, nothing blocks or
-// diverges) of a finite lattice, so the iteration terminates. Calls that
-// leave the package are summarized from the already-loaded export data by
-// signature and import path (crossSummary) — the conservative static
-// mirror of the msg frame-arena, udpnet PacketRing, and runtime.Comm
-// contracts; unknown cross-package callees are assumed to take ownership
-// and to terminate without blocking, matching the PR-5 conventions.
+// from the optimistic bottom (all parameters borrowed, nothing blocks) of
+// a finite lattice, so the iteration terminates. Calls that leave the
+// package are summarized from the already-loaded export data by signature
+// and import path (crossSummary) — the conservative static mirror of the
+// msg frame-arena, udpnet PacketRing, and runtime.Comm contracts; unknown
+// cross-package callees are assumed to take ownership and not to block.
 
 // ParamEffect classifies what a callee may do with a pooled buffer passed
 // in one parameter position.
@@ -77,15 +75,10 @@ type FuncSummary struct {
 	// statements and function literals does not count — it blocks some
 	// later goroutine, not this call.
 	MayBlock bool
-	// Diverges reports that the function can enter an inescapable infinite
-	// loop — `for {}` (or `for true {}`) with no return, no break out, no
-	// goto, and no panic — directly or through a callee. goroleak uses it
-	// to demand a visible termination path from spawned goroutines.
-	Diverges bool
 }
 
 func (s *FuncSummary) equal(o *FuncSummary) bool {
-	if s.MayBlock != o.MayBlock || s.Diverges != o.Diverges ||
+	if s.MayBlock != o.MayBlock ||
 		len(s.Params) != len(o.Params) || len(s.ReturnsOwned) != len(o.ReturnsOwned) {
 		return false
 	}
@@ -131,7 +124,7 @@ type SummarySet struct {
 // Of returns the summary governing calls to fn: the computed summary for
 // functions declared in the set's package, the export-data-derived
 // crossSummary for known cross-package shapes, nil when nothing is known
-// (callers fall back to the conservative PR-5 conventions).
+// (callers fall back to assume-escape and assume-non-blocking).
 func (s *SummarySet) Of(fn *types.Func) *FuncSummary {
 	if fn == nil {
 		return nil
@@ -218,7 +211,6 @@ func summarize(pkg *Package, set *SummarySet, fn *types.Func, fd *ast.FuncDecl) 
 		summarizeReturn(pkg, set, ret, s.ReturnsOwned)
 	}
 	s.MayBlock = mayBlockIn(pkg, set, fd.Body)
-	s.Diverges = divergesIn(pkg, set, fd.Body)
 	return s
 }
 
@@ -473,153 +465,13 @@ func mayBlockIn(pkg *Package, set *SummarySet, root ast.Node) bool {
 	return blocking
 }
 
-// divergesIn reports whether executing the node can enter an inescapable
-// infinite loop, directly or through a summarized callee. Function literals
-// and go statements are skipped — they diverge some other goroutine.
-func divergesIn(pkg *Package, set *SummarySet, root ast.Node) bool {
-	diverges := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if diverges {
-			return false
-		}
-		switch v := n.(type) {
-		case *ast.FuncLit, *ast.GoStmt:
-			return false
-		case *ast.ForStmt:
-			if loopInescapable(pkg, v) {
-				diverges = true
-				return false
-			}
-		case *ast.CallExpr:
-			if sum := set.Of(calleeFunc(pkg.Info, v)); sum != nil && sum.Diverges {
-				diverges = true
-				return false
-			}
-		}
-		return true
-	})
-	return diverges
-}
-
-// loopInescapable reports whether the for statement is an infinite loop
-// (no condition, or a condition constant-true) with no way out: no return,
-// no break targeting it, no goto, no panic.
-func loopInescapable(pkg *Package, fs *ast.ForStmt) bool {
-	if fs.Cond != nil {
-		tv, ok := pkg.Info.Types[fs.Cond]
-		if !ok || tv.Value == nil || tv.Value.Kind() != constant.Bool || !constant.BoolVal(tv.Value) {
-			return false
-		}
-	}
-	return !stmtsEscapeLoop(pkg, fs.Body.List, 0)
-}
-
-// stmtsEscapeLoop reports whether the statements can transfer control out
-// of the loop whose body they (transitively) form. depth counts enclosing
-// break targets between a statement and the tracked loop: an unlabeled
-// break only escapes at depth zero.
-func stmtsEscapeLoop(pkg *Package, stmts []ast.Stmt, depth int) bool {
-	for _, s := range stmts {
-		if stmtEscapesLoop(pkg, s, depth) {
-			return true
-		}
-	}
-	return false
-}
-
-func stmtEscapesLoop(pkg *Package, s ast.Stmt, depth int) bool {
-	switch st := s.(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.BranchStmt:
-		switch st.Tok {
-		case token.GOTO:
-			return true // conservatively assume the label is outside
-		case token.BREAK:
-			return st.Label != nil || depth == 0
-		}
-		return false
-	case *ast.BlockStmt:
-		return stmtsEscapeLoop(pkg, st.List, depth)
-	case *ast.LabeledStmt:
-		return stmtEscapesLoop(pkg, st.Stmt, depth)
-	case *ast.IfStmt:
-		if st.Init != nil && stmtEscapesLoop(pkg, st.Init, depth) {
-			return true
-		}
-		if exprPanics(pkg, st.Cond) || stmtsEscapeLoop(pkg, st.Body.List, depth) {
-			return true
-		}
-		return st.Else != nil && stmtEscapesLoop(pkg, st.Else, depth)
-	case *ast.ForStmt:
-		return stmtsEscapeLoop(pkg, st.Body.List, depth+1)
-	case *ast.RangeStmt:
-		return stmtsEscapeLoop(pkg, st.Body.List, depth+1)
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		var body *ast.BlockStmt
-		switch sw := st.(type) {
-		case *ast.SwitchStmt:
-			body = sw.Body
-		case *ast.TypeSwitchStmt:
-			body = sw.Body
-		case *ast.SelectStmt:
-			body = sw.Body
-		}
-		for _, c := range body.List {
-			switch cl := c.(type) {
-			case *ast.CaseClause:
-				if stmtsEscapeLoop(pkg, cl.Body, depth+1) {
-					return true
-				}
-			case *ast.CommClause:
-				if stmtsEscapeLoop(pkg, cl.Body, depth+1) {
-					return true
-				}
-			}
-		}
-		return false
-	case *ast.GoStmt, *ast.DeferStmt:
-		return false
-	default:
-		var e ast.Expr
-		switch v := s.(type) {
-		case *ast.ExprStmt:
-			e = v.X
-		default:
-			return false
-		}
-		return exprPanics(pkg, e)
-	}
-}
-
-// exprPanics reports whether the expression contains a direct panic call —
-// a crash is a termination path for leak purposes.
-func exprPanics(pkg *Package, e ast.Expr) bool {
-	if e == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok && builtinName(pkg.Info, call) == "panic" {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // crossSummary derives a conservative summary for a cross-package function
 // from its export data: import path and signature shape. It mirrors the
 // documented contracts of the msg frame arena, udpnet's PacketRing, and
 // runtime.Comm; anything else returns nil and the callers fall back to
-// assume-escape / assume-terminating.
+// assume-escape / assume-non-blocking. TestCrossSummary resolves every row
+// against the real export data, so a rename fails a test instead of
+// silently turning a row off.
 func crossSummary(fn *types.Func) *FuncSummary {
 	if fn == nil {
 		return nil

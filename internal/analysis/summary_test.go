@@ -42,6 +42,7 @@ func TestSummaryParamEffects(t *testing.T) {
 		{"stash", 1, EffEscape},
 		{"checksum", 0, EffBorrow},
 		{"recycleLast", 0, EffRelease}, // through self-recursion
+		{"ringRelease", 1, EffRelease}, // through the PacketRing.Put row
 	}
 	for _, c := range cases {
 		sum := set.Of(fnOf(t, pkg, c.fn))
@@ -84,22 +85,20 @@ func TestSummaryReturnsOwned(t *testing.T) {
 	}
 }
 
-func TestSummaryMayBlockAndDiverges(t *testing.T) {
+func TestSummaryMayBlock(t *testing.T) {
 	pkg, set := loadSummaryFixture(t)
 	cases := []struct {
 		fn       string
 		mayBlock bool
-		diverges bool
 	}{
-		{"blockSend", true, false},
-		{"blockIndirect", true, false},
-		{"spawns", false, false}, // goroutine bodies don't block the caller
-		{"ping", true, false},    // mutual recursion, blocking base case
-		{"pong", true, false},
-		{"spin", false, true},
-		{"spinIndirect", false, true},
-		{"spinUntil", false, false},
-		{"checksum", false, false},
+		{"blockSend", true},
+		{"blockIndirect", true},
+		{"spawns", false}, // goroutine bodies don't block the caller
+		{"ping", true},    // mutual recursion, blocking base case
+		{"pong", true},
+		{"recvAny", true}, // through the runtime.RecvAnyOf row
+		{"ringRelease", false},
+		{"checksum", false},
 	}
 	for _, c := range cases {
 		sum := set.Of(fnOf(t, pkg, c.fn))
@@ -107,9 +106,8 @@ func TestSummaryMayBlockAndDiverges(t *testing.T) {
 			t.Errorf("%s: no summary", c.fn)
 			continue
 		}
-		if sum.MayBlock != c.mayBlock || sum.Diverges != c.diverges {
-			t.Errorf("%s: MayBlock=%v Diverges=%v, want %v/%v",
-				c.fn, sum.MayBlock, sum.Diverges, c.mayBlock, c.diverges)
+		if sum.MayBlock != c.mayBlock {
+			t.Errorf("%s: MayBlock=%v, want %v", c.fn, sum.MayBlock, c.mayBlock)
 		}
 	}
 }
@@ -127,7 +125,6 @@ func TestSummarySCCOrder(t *testing.T) {
 		{"mint", "mintChain"},
 		{"release", "releaseChain"},
 		{"blockSend", "blockIndirect"},
-		{"spin", "spinIndirect"},
 	}
 	for _, pair := range calleeBeforeCaller {
 		callee, caller := fnOf(t, pkg, pair[0]), fnOf(t, pkg, pair[1])
@@ -150,39 +147,78 @@ func TestSummarySCCOrder(t *testing.T) {
 	}
 }
 
-// TestCrossSummary checks the export-data fallback: functions outside the
-// summarized package resolve to the conservative shape table.
+// TestCrossSummary checks the export-data fallback row by row: every name
+// crossSummary matches is resolved against the real packages' export data
+// and must get exactly its row's summary, so renaming a function or type
+// the table keys on fails here instead of silently turning the row off.
 func TestCrossSummary(t *testing.T) {
 	pkg, set := loadSummaryFixture(t)
-	msgPkg := func() *types.Package {
+	imported := func(path string) *types.Package {
 		for _, imp := range pkg.Types.Imports() {
-			if imp.Path() == "stfw/internal/msg" {
+			if imp.Path() == path {
 				return imp
 			}
 		}
-		t.Fatal("fixture does not import stfw/internal/msg")
+		t.Fatalf("fixture does not import %s", path)
 		return nil
-	}()
-	lookup := func(name string) *types.Func {
-		fn, ok := msgPkg.Scope().Lookup(name).(*types.Func)
+	}
+	msgPkg := imported("stfw/internal/msg")
+	runtimePkg := imported("stfw/internal/runtime")
+	udpPkg := imported("stfw/internal/transport/udpnet")
+	fn := func(p *types.Package, name string) *types.Func {
+		f, ok := p.Scope().Lookup(name).(*types.Func)
 		if !ok {
-			t.Fatalf("msg.%s not found", name)
+			t.Fatalf("%s.%s not found", p.Name(), name)
 		}
-		return fn
+		return f
 	}
-
-	if sum := set.Of(lookup("PutFrame")); sum == nil || sum.effectAt(0, lookup("PutFrame")) != EffRelease {
-		t.Errorf("msg.PutFrame: want EffRelease on param 0, got %+v", sum)
+	method := func(p *types.Package, typ, name string) *types.Func {
+		tn, ok := p.Scope().Lookup(typ).(*types.TypeName)
+		if !ok {
+			t.Fatalf("%s.%s not found", p.Name(), typ)
+		}
+		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), true, p, name)
+		f, ok := obj.(*types.Func)
+		if !ok {
+			t.Fatalf("%s.%s.%s not found", p.Name(), typ, name)
+		}
+		return f
 	}
-	if sum := set.Of(lookup("GetFrameLen")); sum == nil || len(sum.ReturnsOwned) == 0 || !sum.ReturnsOwned[0] {
-		t.Errorf("msg.GetFrameLen: want ReturnsOwned[0], got %+v", sum)
+	const (
+		B = EffBorrow
+		P = EffPassthrough
+		R = EffRelease
+		E = EffEscape
+	)
+	sum := func(params []ParamEffect, owned []bool, mayBlock bool) *FuncSummary {
+		return &FuncSummary{Params: params, ReturnsOwned: owned, MayBlock: mayBlock}
 	}
-	if sum := set.Of(lookup("Encode")); sum == nil || sum.effectAt(0, lookup("Encode")) != EffPassthrough {
-		t.Errorf("msg.Encode: want EffPassthrough on param 0, got %+v", sum)
+	rows := []struct {
+		name string
+		fn   *types.Func
+		want *FuncSummary
+	}{
+		{"msg.GetFrame", fn(msgPkg, "GetFrame"), sum([]ParamEffect{}, []bool{true}, false)},
+		{"msg.GetFrameCap", fn(msgPkg, "GetFrameCap"), sum([]ParamEffect{B}, []bool{true}, false)},
+		{"msg.GetFrameLen", fn(msgPkg, "GetFrameLen"), sum([]ParamEffect{B}, []bool{true}, false)},
+		{"msg.PutFrame", fn(msgPkg, "PutFrame"), sum([]ParamEffect{R}, []bool{}, false)},
+		{"msg.Encode", fn(msgPkg, "Encode"), sum([]ParamEffect{P, B}, []bool{false}, false)},
+		{"udpnet.PacketRing.Get", method(udpPkg, "PacketRing", "Get"), sum([]ParamEffect{}, []bool{true}, false)},
+		{"udpnet.PacketRing.Put", method(udpPkg, "PacketRing", "Put"), sum([]ParamEffect{R}, []bool{}, false)},
+		{"runtime.RecvAnyOf", fn(runtimePkg, "RecvAnyOf"), sum([]ParamEffect{B, B, B}, []bool{false, false, false}, true)},
+		{"runtime.Run", fn(runtimePkg, "Run"), sum([]ParamEffect{B, B}, []bool{false}, true)},
+		{"runtime.Matcher.Push", method(runtimePkg, "Matcher", "Push"), sum([]ParamEffect{B, B, E}, []bool{false}, true)},
+		{"runtime.Matcher.Recv", method(runtimePkg, "Matcher", "Recv"), sum([]ParamEffect{B, B}, []bool{false, false}, true)},
+		{"runtime.Matcher.RecvAnyOf", method(runtimePkg, "Matcher", "RecvAnyOf"), sum([]ParamEffect{B, B}, []bool{false, false, false}, true)},
+	}
+	for _, r := range rows {
+		if got := set.Of(r.fn); got == nil || !got.equal(r.want) {
+			t.Errorf("%s: got %+v, want %+v", r.name, got, r.want)
+		}
 	}
 	// A function with no cross-summary entry yields nil: callers fall back
 	// to the conservative conventions.
-	if sum := set.Of(lookup("EncodedSize")); sum != nil {
-		t.Errorf("msg.EncodedSize: want nil (unknown cross-package), got %+v", sum)
+	if got := set.Of(fn(msgPkg, "EncodedSize")); got != nil {
+		t.Errorf("msg.EncodedSize: want nil (unknown cross-package), got %+v", got)
 	}
 }

@@ -120,12 +120,6 @@ func badDroppedResult(n int) {
 	_ = msg.GetFrameLen(n) // want "dropped without PutFrame"
 }
 
-// annotated: the directive keeps a deliberate exception quiet.
-func okAnnotatedLeak(n int) int {
-	buf := msg.GetFrameLen(n) //stfw:ignore framepool
-	return len(buf)
-}
-
 // --- udpnet PacketRing: the same single-holder discipline ---
 
 // appendShaped is the intra-package builder shape the mint tracking climbs

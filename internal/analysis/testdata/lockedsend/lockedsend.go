@@ -22,6 +22,7 @@ type engine struct {
 	rw sync.RWMutex
 	ch chan []byte
 	c  comm
+	rc runtime.Comm
 	in *runtime.Matcher
 	n  int
 }
@@ -93,13 +94,6 @@ func (e *engine) badRecvAnyOfInSelect(from []int) {
 	_, _, _ = e.c.RecvAnyOf(0, from) // want "Comm.RecvAnyOf while holding e.mu"
 }
 
-// waived: a documented exception.
-func (e *engine) waivedSend(b []byte) {
-	e.mu.Lock()
-	e.ch <- b //stfw:ignore lockedsend
-	e.mu.Unlock()
-}
-
 // --- interprocedural: blocking hidden behind same-package helpers. The
 // MayBlock summary propagates through the call graph, so holding a mutex
 // across a helper that (transitively) sends is flagged like the direct
@@ -161,4 +155,30 @@ func (e *engine) badMatcherPushHelperUnderLock(b []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.deliver(b) // want "may block on a channel send or Comm call, while holding e.mu"
+}
+
+// --- direct cross-package calls: the shape table marks runtime.RecvAnyOf
+// and Matcher.Push MayBlock, so calling them under a lock is flagged like
+// the same-package helpers above ---
+
+func (e *engine) okRuntimeRecvAnyOfAfterUnlock(from []int) error {
+	e.mu.Lock()
+	e.n++
+	e.mu.Unlock()
+	_, _, err := runtime.RecvAnyOf(e.rc, 0, from)
+	return err
+}
+
+func (e *engine) badRuntimeRecvAnyOfUnderLock(from []int) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	_, _, err := runtime.RecvAnyOf(e.rc, 0, from) // want "call to RecvAnyOf, which may block on a channel send or Comm call, while holding e.mu"
+	return err
+}
+
+func (e *engine) badMatcherPushUnderLock(b []byte) error {
+	e.mu.Lock()
+	err := e.in.Push(0, 0, b) // want "call to Push, which may block on a channel send or Comm call, while holding e.mu"
+	e.mu.Unlock()
+	return err
 }

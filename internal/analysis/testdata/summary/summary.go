@@ -1,10 +1,15 @@
 // Package sumfix is the unit-test fixture for the interprocedural summary
 // engine (summary.go): small functions with known ParamEffect,
-// ReturnsOwned, MayBlock, and Diverges facts, including recursive and
-// mutually recursive shapes that exercise the per-SCC fixpoint.
+// ReturnsOwned and MayBlock facts, including recursive and mutually
+// recursive shapes that exercise the per-SCC fixpoint, and calls into the
+// cross-package shape table.
 package sumfix
 
-import "stfw/internal/msg"
+import (
+	"stfw/internal/msg"
+	"stfw/internal/runtime"
+	"stfw/internal/transport/udpnet"
+)
 
 // --- ownership effects ---
 
@@ -99,26 +104,17 @@ func pong(ch chan int, n int) {
 	ping(ch, n-1)
 }
 
-// --- divergence ---
+// --- cross-package callees (crossSummary rows) ---
 
-// spin loops forever: Diverges.
-func spin() {
-	for {
-	}
+// recvAny blocks inside runtime.RecvAnyOf: MayBlock through the shape
+// table, not through a body this package can see.
+func recvAny(c runtime.Comm, from []int) error {
+	_, _, err := runtime.RecvAnyOf(c, 0, from)
+	return err
 }
 
-// spinIndirect diverges through the callee.
-func spinIndirect() {
-	spin()
-}
-
-// spinUntil leaves the loop: not Diverges.
-func spinUntil(done chan struct{}) {
-	for {
-		select {
-		case <-done:
-			return
-		default:
-		}
-	}
+// ringRelease hands the packet back to udpnet's ring: Params[1] =
+// EffRelease through the PacketRing.Put row.
+func ringRelease(r *udpnet.PacketRing, b []byte) {
+	r.Put(b)
 }

@@ -61,8 +61,7 @@ type DebugServer struct {
 // Handler returns the /debug mux for the registry, for callers that embed
 // it into their own server. Nil-safe by construction: the mux is built
 // eagerly and each telemetry route guards g itself (Snapshot and
-// WriteHistograms tolerate nil; /debug/trace checks explicitly) — a shape
-// the nilrecv analyzer now derives without a waiver.
+// WriteHistograms tolerate nil; /debug/trace checks explicitly).
 func (g *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/", func(w http.ResponseWriter, r *http.Request) {

@@ -1,10 +1,20 @@
 package telemetry
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"stfw/internal/runtime"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -40,47 +50,158 @@ func TestMustNewPanics(t *testing.T) {
 	MustNew(Config{})
 }
 
-// TestNilSafety exercises every exported method on nil receivers: the
-// disabled path must be a no-op, never a panic.
+// nilHandles are the package's exported pointer-receiver handle types. A
+// nil *Registry is the documented off-switch and every handle reached
+// through it is nil too, so each of their exported methods must work on a
+// nil receiver.
+var nilHandles = []any{(*Registry)(nil), (*Rank)(nil), (*Histogram)(nil), (*Snapshot)(nil), (*DebugServer)(nil)}
+
+// TestNilSafety calls every exported method of every nil handle by
+// reflection: disabled telemetry must be a no-op that returns zero values
+// (or the documented disabled-registry answer), never a panic. A go/parser
+// walk of the package's sources checks that nilHandles names exactly the
+// types with exported pointer-receiver methods, so a new handle cannot go
+// unchecked.
 func TestNilSafety(t *testing.T) {
-	var g *Registry
-	if g.Ranks() != 0 || g.Stages() != 0 || !g.Epoch().IsZero() {
-		t.Error("nil registry accessors not zero")
+	checkNilHandleList(t)
+
+	// A disabled registry's ServeDebug must not unpublish a live one.
+	prev := currentRegistry.Load()
+	live := MustNew(Config{Ranks: 1, Stages: 1})
+	currentRegistry.Store(live)
+	defer currentRegistry.Store(prev)
+
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
+	writer := reflect.TypeOf((*io.Writer)(nil)).Elem()
+	linkSource := reflect.TypeOf((*runtime.LinkStatsSource)(nil)).Elem()
+	for _, h := range nilHandles {
+		recv := reflect.ValueOf(h)
+		for i := 0; i < recv.NumMethod(); i++ {
+			name := recv.Type().Elem().Name() + "." + recv.Type().Method(i).Name
+			method := recv.Method(i)
+			args := make([]reflect.Value, method.Type().NumIn())
+			for j := range args {
+				switch in := method.Type().In(j); in {
+				case writer:
+					args[j] = reflect.ValueOf(io.Discard)
+				case linkSource:
+					// Non-nil, so SetLinkSource's src == nil test cannot
+					// stand in for its receiver guard.
+					args[j] = reflect.ValueOf(runtime.LinkStatsSource(staticLinks{}))
+				default:
+					args[j] = reflect.Zero(in)
+				}
+			}
+			switch name {
+			case "Registry.ServeDebug":
+				args[0] = reflect.ValueOf("127.0.0.1:0")
+			case "Registry.WriteTraceFile":
+				args[0] = reflect.ValueOf(tracePath)
+			}
+
+			out, err := callNoPanic(method, args)
+			if err != nil {
+				t.Errorf("%s on a nil receiver: %v", name, err)
+				continue
+			}
+			switch name {
+			case "Registry.Handler":
+				if out[0].IsNil() {
+					t.Errorf("%s: nil handler", name)
+				}
+			case "Registry.ServeDebug":
+				if !out[1].IsNil() {
+					t.Errorf("%s: %v", name, out[1].Interface())
+				} else if err := out[0].Interface().(*DebugServer).Close(); err != nil {
+					t.Errorf("%s: close: %v", name, err)
+				}
+			case "Registry.WriteTrace", "Registry.WriteTraceFile":
+				if out[0].IsNil() {
+					t.Errorf("%s: want a disabled-registry error", name)
+				}
+			default:
+				for k, o := range out {
+					if !o.IsZero() {
+						t.Errorf("%s result %d = %v, want the zero value", name, k, o)
+					}
+				}
+			}
+		}
 	}
-	if g.Rank(0) != nil {
-		t.Error("nil registry returned a rank")
+	if _, err := os.Stat(tracePath); !os.IsNotExist(err) {
+		t.Errorf("WriteTraceFile on a nil registry touched %s (stat: %v)", tracePath, err)
 	}
-	s := g.Snapshot()
-	if len(s.Ranks) != 0 {
-		t.Error("nil registry snapshot not empty")
+	if currentRegistry.Load() != live {
+		t.Error("ServeDebug on a nil registry replaced the published registry")
 	}
 	var sb strings.Builder
-	g.WriteHistograms(&sb)
+	(*Registry)(nil).WriteHistograms(&sb)
 	if !strings.Contains(sb.String(), "disabled") {
 		t.Error("nil registry histogram dump should say disabled")
 	}
-	if err := g.WriteTrace(&sb); err == nil {
-		t.Error("nil registry WriteTrace should error")
-	}
+}
 
-	var r *Rank
-	r.CountSend(0, 10)
-	r.CountRecv(0, 10)
-	r.CountForward(0, 1, 10)
-	r.CountBarrier(5)
-	r.SpanSince(KStage, 0, time.Now())
-	r.SpanBetween(KGather, -1, time.Now(), time.Now())
-	if r.SpanCount() != 0 || r.Spans() != nil {
-		t.Error("nil rank recorded spans")
-	}
-	if (r.Counters(0) != CounterSnapshot{}) {
-		t.Error("nil rank has counters")
-	}
+// callNoPanic calls the method and turns a panic into an error.
+func callNoPanic(method reflect.Value, args []reflect.Value) (out []reflect.Value, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return method.Call(args), nil
+}
 
-	var h *Histogram
-	h.Observe(4)
-	if h.Snapshot().Count != 0 {
-		t.Error("nil histogram counted")
+// staticLinks is a LinkStatsSource with nothing to report.
+type staticLinks struct{}
+
+func (staticLinks) LinkStats() []runtime.LinkStats { return nil }
+
+// checkNilHandleList parses the package's non-test sources and requires the
+// set of exported types with exported pointer-receiver methods to be
+// exactly nilHandles.
+func checkNilHandleList(t *testing.T) {
+	t.Helper()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || !fd.Name.IsExported() {
+				continue
+			}
+			star, ok := fd.Recv.List[0].Type.(*ast.StarExpr)
+			if !ok {
+				continue
+			}
+			if id, ok := star.X.(*ast.Ident); ok && id.IsExported() {
+				found[id.Name] = true
+			}
+		}
+	}
+	listed := map[string]bool{}
+	for _, h := range nilHandles {
+		listed[reflect.TypeOf(h).Elem().Name()] = true
+	}
+	for name := range found {
+		if !listed[name] {
+			t.Errorf("*%s has exported methods but is not in nilHandles", name)
+		}
+	}
+	for name := range listed {
+		if !found[name] {
+			t.Errorf("nilHandles lists %s, which has no exported pointer-receiver methods", name)
+		}
 	}
 }
 
