@@ -1,10 +1,11 @@
 // Compiled iteration programs: the second specialization tier above
-// Persistent. A Persistent replay still pays per-call maps, per-frame
-// copies, and a per-value byte codec; Compile turns the learned pattern
-// into a fully indexed program under the assumption that payload *sizes*
-// are fixed across iterations (the iterative-solver case: one float64 per
-// matrix column shipped, every iteration, to the same ranks). The program
-// owns precomputed frame templates and slot offsets, so an iteration is:
+// Persistent. A Persistent replay still pays the caller's payload map,
+// frame encoding and decoding, and a per-value byte codec; Compile turns
+// the learned pattern into a fully indexed program under the assumption
+// that payload *sizes* are fixed across iterations (the iterative-solver
+// case: one float64 per matrix column shipped, every iteration, to the same
+// ranks). The program owns precomputed frame templates and slot offsets, so
+// an iteration is:
 //
 //   - gather: write x[idx] float64s straight into pooled frame buffers at
 //     precomputed offsets (zero-copy view when alignment allows),
@@ -132,12 +133,12 @@ type slotLoc struct {
 // slice passed to Run. The lowering keeps the schedule's stage skeleton —
 // tags, send slots in send order, inbound sender sets — and specializes
 // every slot into precomputed byte offsets: frame templates replace
-// encoding, memcpys replace the store, and halo offsets replace the
-// delivery map. gather must cover exactly the learned destinations, and
-// each list's byte size (8 per index) must equal the learning run's
-// payload size for that destination; every payload routed through this
-// rank must be word-sized. The gather lists are retained by the Replay and
-// must not be mutated afterwards.
+// encoding, memcpys replace Run's slot table, and halo offsets replace the
+// delivered submessages. gather must cover exactly the learned
+// destinations, and each list's byte size (8 per index) must equal the
+// learning run's payload size for that destination; every payload routed
+// through this rank must be word-sized. The gather lists are retained by
+// the Replay and must not be mutated afterwards.
 //
 // Deliveries are scattered into Run's halo slice in the learned delivery
 // order (sorted by source rank), one contiguous word block per source.

@@ -18,11 +18,12 @@ import (
 //
 //   - outSubs(d, j, slot) supplies the submessages of the j-th outbound
 //     frame of stage d (Exchange drains a forward buffer, Persistent fills
-//     its learned slot list, DirectExchange wraps one payload);
+//     its learned slot list by position, DirectExchange wraps one payload);
 //   - onFrame(d, from, subs) consumes a validated inbound frame (Exchange
-//     scatters into later-stage buffers, Persistent stages into its store,
-//     DirectExchange appends the delivery). It returns the payload bytes
-//     delivered to this rank in the frame, feeding the stage probe;
+//     scatters into later-stage buffers, Persistent records each slot's
+//     bytes by position, DirectExchange appends the delivery). It returns
+//     the payload bytes delivered to this rank in the frame, feeding the
+//     stage probe;
 //   - onStage(d, deliveredBytes), optional, fires at each stage boundary
 //     (the occupancy probe of WithStageProbe);
 //   - finish() runs after the last stage, before inbound frames are
@@ -36,6 +37,10 @@ import (
 // then recycled after finish. Receives are served in arrival order
 // (runtime.RecvPolicy over RecvAnyOf); fixedRecv pins them to the
 // schedule's listed order instead.
+//
+// A machine may be run more than once (Persistent.Run keeps one): its
+// per-run scratch — the retained-frame list, the decode message and the
+// receive policy — is reset by run, not reallocated.
 type stageMachine struct {
 	sched      *StageSchedule
 	inlineSend bool // issue pooled sends inline instead of via the worker
@@ -51,6 +56,10 @@ type stageMachine struct {
 	onFrame func(stage, from int, subs []msg.Submessage) (deliveredBytes int, err error)
 	onStage func(stage, deliveredBytes int)
 	finish  func() error
+
+	retained [][]byte    // received pooled frames, recycled when run returns
+	decoded  msg.Message // DecodeInto scratch, reused across frames
+	pol      runtime.RecvPolicy
 }
 
 // run executes the schedule on this rank's communicator. It is the only
@@ -66,17 +75,14 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 	}
 	var (
 		sw       *sendWorker
-		frameArr []stageFrame               // worker sends: backing array for all stages' batches
-		retains  bool                       // inline sends: transport retains frames
-		retained = make([][]byte, 0, recvs) // received pooled frames, recycled on return
-		decoded  msg.Message                // DecodeInto scratch, reused across frames
-		pol      = runtime.RecvPolicy{Arrival: !sm.fixedRecv}
+		frameArr []stageFrame // worker sends: backing array for all stages' batches
+		retains  bool         // inline sends: transport retains frames
 	)
-	defer func() {
-		for _, b := range retained {
-			msg.PutFrame(b)
-		}
-	}()
+	if cap(sm.retained) < recvs {
+		sm.retained = make([][]byte, 0, recvs)
+	}
+	sm.pol.Arrival = !sm.fixedRecv
+	defer sm.recycle()
 	if sm.inlineSend {
 		retains = runtime.SendRetains(c)
 	} else {
@@ -125,18 +131,19 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 		// dictates. The expected sender comes from the policy/matcher, never
 		// from loop position, so the misroute check is valid under any
 		// delivery order.
-		pol.Reset(st.RecvFrom)
+		sm.pol.Reset(st.RecvFrom)
 		stageDelivered := 0
-		for pol.Outstanding() > 0 {
-			from, raw, err := pol.Next(c, st.Tag)
+		for sm.pol.Outstanding() > 0 {
+			from, raw, err := sm.pol.Next(c, st.Tag)
 			if err != nil {
 				if from >= 0 {
 					return fmt.Errorf("core: rank %d stage %d recv from %d: %w", me, d, from, err)
 				}
 				return fmt.Errorf("core: rank %d stage %d recv: %w", me, d, err)
 			}
-			retained = append(retained, raw)
-			if derr := msg.DecodeInto(&decoded, raw); derr != nil {
+			sm.retained = append(sm.retained, raw)
+			decoded := &sm.decoded
+			if derr := msg.DecodeInto(decoded, raw); derr != nil {
 				return fmt.Errorf("core: rank %d stage %d frame from %d: %w", me, d, from, derr)
 			}
 			if decoded.From != from || decoded.To != me {
@@ -164,6 +171,19 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 	// finish runs before the deferred frame recycle: delivered payloads that
 	// alias retained frames are still intact here.
 	return sm.finish()
+}
+
+// recycle returns the run's retained inbound frames to the arena and empties
+// the list for the next run. It also drops the decode scratch's submessages,
+// over its whole capacity: they alias the recycled frames.
+func (sm *stageMachine) recycle() {
+	for _, b := range sm.retained {
+		msg.PutFrame(b)
+	}
+	clear(sm.retained)
+	sm.retained = sm.retained[:0]
+	clear(sm.decoded.Subs[:cap(sm.decoded.Subs)])
+	sm.decoded.Subs = sm.decoded.Subs[:0]
 }
 
 // sendPooledFrame encodes one frame into a pooled arena buffer and hands it

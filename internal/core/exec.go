@@ -61,8 +61,8 @@ func AppTagSpan(maxStages int) (lo, hi int) {
 	return tagBase - 1, censusTagBase + maxStages
 }
 
-// ExchangeOpt configures an Exchange, DirectExchange, or Persistent.Run
-// call. All ranks of a collective call must pass the same options.
+// ExchangeOpt configures an Exchange or DirectExchange call. All ranks of a
+// collective call must pass the same options.
 type ExchangeOpt func(*exchangeOptions)
 
 type exchangeOptions struct {

@@ -323,20 +323,17 @@ func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 	}
 
 	// Normalize the touched frames: a drained frame reverts to the empty
-	// marker (nil, matching what a learning run records), and the replay
-	// scratch is re-sized to the new slot count.
+	// marker (nil, matching what a learning run records).
 	for ref := range st.dirtyOut {
-		nf := &p.nbrFrames[ref.d][ref.j]
-		if nf.f != nil && len(nf.f.slots) == 0 {
-			nf.f, nf.subs = nil, nil
-		} else if nf.f != nil {
-			nf.subs = make([]msg.Submessage, len(nf.f.slots))
+		if nf := &p.nbrFrames[ref.d][ref.j]; nf.f != nil && len(nf.f.slots) == 0 {
+			nf.f = nil
 		}
 	}
 
 	// Derived state: the delivery order and destination list stay sorted,
-	// and the cached schedule is dropped so the next Run sees the new
-	// occupancy counts (Reserve values) — the stage skeleton is identical.
+	// and the cached schedule and Run's position table are dropped so the
+	// next Run sees the new occupancy counts (Reserve values) and slot
+	// positions — the stage skeleton is identical.
 	sort.Slice(p.deliver, func(i, j int) bool { return lessSlot(p.deliver[i], p.deliver[j]) })
 	p.destList = p.destList[:0]
 	for dst := range p.dests {
@@ -345,6 +342,7 @@ func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 	sort.Ints(p.destList)
 	p.sched = nil
 	p.traffic = nil // learned byte sizes changed; Traffic rebuilds on demand
+	p.pos = nil
 	if err := validateSchedule(p.Schedule(), me, K); err != nil {
 		return nil, fmt.Errorf("core: patch: patched schedule invalid: %w", err)
 	}

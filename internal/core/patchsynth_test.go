@@ -215,10 +215,6 @@ func comparePersistent(a, b *Persistent, exact bool) error {
 			if !slotsEqual(norm(as), norm(bs)) {
 				return fmt.Errorf("rank %d stage %d frame to %d: slots %v vs %v", a.rank, d, af.to, as, bs)
 			}
-			if af.f != nil && len(af.subs) != len(af.f.slots) {
-				return fmt.Errorf("rank %d stage %d frame to %d: scratch sized %d for %d slots",
-					a.rank, d, af.to, len(af.subs), len(af.f.slots))
-			}
 		}
 		if len(a.inFrom[d]) != len(b.inFrom[d]) {
 			return fmt.Errorf("rank %d stage %d: %d inbound frames vs %d", a.rank, d, len(a.inFrom[d]), len(b.inFrom[d]))

@@ -23,9 +23,10 @@ import (
 // Both the learning run and the replays execute on the same stage machine
 // as Exchange: learning is the dynamic schedule front-end with a recorder
 // attached, and Run is the learned schedule front-end (see Schedule). Run
-// replays with map-based payloads of possibly varying sizes; Compile
-// lowers the learned schedule further into a Replay whose iteration is
-// fully indexed (fixed sizes, no maps, no steady-state allocation).
+// replays byte payloads of possibly varying sizes, finding every slot's
+// bytes by position in the learned layout; Compile lowers the learned
+// schedule further into a Replay whose iteration is fully indexed down to
+// byte offsets (fixed sizes, no steady-state allocation).
 //
 // A Persistent is owned by one rank and is not safe for concurrent use.
 type Persistent struct {
@@ -39,10 +40,9 @@ type Persistent struct {
 	layout [][]pFrame
 	// nbrFrames[d][j] pairs the j-th dimension-d neighbor (fixed learning
 	// send order) with its learned nonempty frame, nil when the frame to
-	// that neighbor is empty, plus a reusable submessage scratch sized to
-	// the frame. Precomputed once so replays neither rebuild a per-stage
-	// map nor allocate per-frame submessage slices. Patch mutates the slot
-	// lists in place (and re-sizes the scratch) when the pattern changes.
+	// that neighbor is empty. Precomputed once so replays do not rebuild a
+	// per-stage map. Patch mutates the slot lists in place when the pattern
+	// changes.
 	nbrFrames [][]nbrFrame
 	// deliver lists the (src, dst) ranks whose payloads end up at this
 	// rank, in the order Exchange returns them (sorted by src, then dst).
@@ -64,9 +64,6 @@ type Persistent struct {
 	inLayout [][][]slotKey
 	// inFrom[d] lists the dimension-d neighbors in learning receive order.
 	inFrom [][]int
-	// store is the replay's payload staging table, hoisted out of Run so
-	// repeated replays reuse one map (cleared, not reallocated).
-	store map[slotKey][]byte
 	// sched is the learned StageSchedule, built lazily from the recorded
 	// pattern and executed by every Run.
 	sched *StageSchedule
@@ -74,8 +71,37 @@ type Persistent struct {
 	// skeleton's frame counts with exact learned wire bytes. Patch resets
 	// it, since slot surgery changes the byte sizes.
 	traffic []runtime.StageTraffic
+	// pos is Run's positional view of the learned layout (slotSources),
+	// derived on the first Run. Patch resets it with sched and traffic.
+	pos *slotTable
+	// sm is Run's stage machine, built on the first Run and reused with its
+	// per-run scratch by every later one.
+	sm *stageMachine
+	// out is the running Run's result, filled by the machine's finish hook.
+	out *Delivered
 	// tele, when set, records one stage-scoped span per Run stage.
 	tele *telemetry.Rank
+}
+
+// slotTable says where Run finds every byte it sends or delivers. Sources
+// are indices into data: first the caller's payloads in destList order,
+// then every inbound slot in stage, learning-receive and wire order.
+type slotTable struct {
+	// data holds the current Run's bytes by source index. Its inbound
+	// entries alias retained frames, so Run clears it before returning.
+	data [][]byte
+	// inBase[d][j] is the source index of slot 0 of the frame received from
+	// inFrom[d][j]; its slot i lands at inBase[d][j]+i.
+	inBase [][]int32
+	// out[d][j][i] is the source of slot i of the stage-d frame to
+	// nbrFrames[d][j]; nil for an empty frame.
+	out [][][]int32
+	// deliver[i] is the source of delivery p.deliver[i].
+	deliver []int32
+	// subs is the outbound submessage scratch, as long as the largest
+	// learned frame. Run sends inline, so one frame is encoded before the
+	// next one fills it.
+	subs []msg.Submessage
 }
 
 // Instrument attaches a live telemetry collector: Run records one span per
@@ -90,9 +116,8 @@ type pFrame struct {
 }
 
 type nbrFrame struct {
-	to   int
-	f    *pFrame          // nil: send an empty frame to keep receive counts deterministic
-	subs []msg.Submessage // replay scratch, len(f.slots); nil when f is nil
+	to int
+	f  *pFrame // nil: send an empty frame to keep receive counts deterministic
 }
 
 // NewPersistent performs the learning run: it executes the exchange for
@@ -188,9 +213,8 @@ func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*P
 
 // indexNeighborFrames builds nbrFrames from the learned layout: per stage,
 // the fixed neighbor send order annotated with the nonempty frame sent to
-// each neighbor (or nil) and a reusable submessage scratch for it. Replays
-// iterate this slice instead of rebuilding a destination-keyed map — and
-// fill the scratch instead of allocating — per call.
+// each neighbor (or nil). Replays iterate this slice instead of rebuilding
+// a destination-keyed map per call.
 func (p *Persistent) indexNeighborFrames() {
 	t := p.topo
 	me := p.rank
@@ -206,7 +230,6 @@ func (p *Persistent) indexNeighborFrames() {
 			for i := range p.layout[d] {
 				if p.layout[d][i].to == nf.to {
 					nf.f = &p.layout[d][i]
-					nf.subs = make([]msg.Submessage, len(nf.f.slots))
 					break
 				}
 			}
@@ -248,30 +271,31 @@ func (p *Persistent) Schedule() *StageSchedule {
 // learnedInSlots returns the learned wire layout of the frame the given
 // stage receives from the given sender.
 func (p *Persistent) learnedInSlots(d, from int) ([]slotKey, bool) {
-	for j, f := range p.inFrom[d] {
-		if f == from {
-			return p.inLayout[d][j], true
-		}
+	if j := p.inFrameIndex(d, from); j >= 0 {
+		return p.inLayout[d][j], true
 	}
 	return nil, false
 }
 
 // Run replays the learned pattern with new payload bytes. The destination
-// set must equal the learning run's exactly (payload sizes may differ). It
-// is collective: every rank of the original world must call Run the same
-// number of times, with the same options. For fixed payload sizes, the
-// compiled Replay (see Compile) iterates strictly faster.
+// set must equal the learning run's exactly (payload sizes may differ); a
+// set that differs fails before anything is sent. It is collective: every
+// rank of the original world must call Run the same number of times. For
+// fixed payload sizes, the compiled Replay (see Compile) iterates strictly
+// faster. Telemetry comes from Instrument.
 //
-// Run is the learned-schedule front-end of the stage machine: sends go out
-// inline through pooled frame buffers (no per-frame copies), and inbound
-// frames are served in arrival order. Every inbound submessage is
-// validated against the learned slot layout of its frame; a frame whose
-// slots deviate from the pattern is rejected rather than silently staged.
-func (p *Persistent) Run(c runtime.Comm, payloads map[int][]byte, opts ...ExchangeOpt) (*Delivered, error) {
-	var opt exchangeOptions
-	for _, o := range opts {
-		o(&opt)
-	}
+// Run is the learned-schedule front-end of the stage machine, and replays
+// by position, not by key: where every outbound slot and every delivery
+// gets its bytes — the caller's payload for a destination, or slot i of the
+// frame received from some neighbor in an earlier stage — is derived once
+// from the learned layout (slotSources), so a replay consults no map past
+// the caller's payloads. Sends go out inline through pooled frame buffers,
+// and inbound frames are served in arrival order. Every inbound submessage
+// is validated against the learned slot layout of its frame; a frame whose
+// slots deviate from the pattern is rejected rather than silently recorded.
+// A steady-state Run allocates only what it returns: the Delivered, its
+// Subs, and the one arena CompactSubs copies the payloads into.
+func (p *Persistent) Run(c runtime.Comm, payloads map[int][]byte) (*Delivered, error) {
 	me := p.rank
 	if c.Rank() != me || c.Size() != p.topo.Size() {
 		return nil, fmt.Errorf("core: persistent exchange bound to rank %d of %d", me, p.topo.Size())
@@ -279,100 +303,182 @@ func (p *Persistent) Run(c runtime.Comm, payloads map[int][]byte, opts ...Exchan
 	if len(payloads) != len(p.dests) {
 		return nil, fmt.Errorf("core: persistent pattern has %d destinations, got %d", len(p.dests), len(payloads))
 	}
+	pos, err := p.slotSources()
+	if err != nil {
+		return nil, err
+	}
+	// Inbound entries alias frames the machine recycles as it returns; clear
+	// the table so none of them outlives this call.
+	defer pos.release()
+	for i, dst := range p.destList {
+		data, ok := payloads[dst]
+		if !ok {
+			return nil, p.strayDestination(payloads)
+		}
+		pos.data[i] = data
+	}
+	if err := p.replayMachine().run(c, me); err != nil {
+		return nil, err
+	}
+	out := p.out
+	p.out = nil
+	return out, nil
+}
+
+// strayDestination names a payload destination outside the learned set.
+// Run calls it on finding a learned destination missing from a payload map
+// of the learned size, so such a destination exists.
+func (p *Persistent) strayDestination(payloads map[int][]byte) error {
 	for dst := range payloads {
 		if _, ok := p.dests[dst]; !ok {
-			return nil, fmt.Errorf("core: destination %d not in the learned pattern", dst)
+			return fmt.Errorf("core: destination %d not in the learned pattern", dst)
 		}
 	}
+	return fmt.Errorf("core: payloads do not cover the learned destinations %v", p.destList)
+}
 
-	// store holds payload bytes by (src, dst): own payloads plus whatever
-	// arrived in earlier stages. It persists across replays (cleared, not
-	// reallocated) so steady-state iterations reuse its buckets.
-	if p.store == nil {
-		p.store = make(map[slotKey][]byte, len(payloads))
-	} else {
-		clear(p.store)
+// slotSources returns Run's position table, deriving it from the learned
+// layout on first use. The derivation walks the stages in order the way a
+// replay moves bytes: a stage's outbound slots draw on the caller's
+// payloads and the slots received in earlier stages, each source used at
+// most once; then the stage's inbound slots become available. Deliveries
+// draw on whatever is left. A learned slot with no source fails here,
+// before anything is sent.
+func (p *Persistent) slotSources() (*slotTable, error) {
+	if p.pos != nil {
+		return p.pos, nil
 	}
-	store := p.store
-	for dst, data := range payloads {
-		store[slotKey{src: int32(me), dst: int32(dst)}] = data
+	me := p.rank
+	avail := make(map[slotKey]int32, len(p.sizes))
+	for i, dst := range p.destList {
+		avail[slotKey{src: int32(me), dst: int32(dst)}] = int32(i)
 	}
-
-	tele := p.tele
-	if opt.tele != nil {
-		tele = opt.tele
-	}
-	out := &Delivered{}
-	sm := &stageMachine{
-		sched: p.Schedule(),
-		// A replay's frames are precomputed slot fills — too cheap to be
-		// worth a worker handoff per stage — so issue the pooled sends
-		// inline and keep the pipelining on the receive side.
-		inlineSend: true,
-		tele:       tele,
-		traffic:    p.Traffic(),
-		// Fill the learned frame's slot list from the store; slots are
-		// consumed (deleted) so a payload forwarded in a later stage cannot
-		// be sent twice.
-		outSubs: func(d, j int, _ SendSlot) ([]msg.Submessage, error) {
-			nf := &p.nbrFrames[d][j]
+	next := int32(len(p.destList))
+	tab := &slotTable{inBase: make([][]int32, len(p.nbrFrames)), out: make([][][]int32, len(p.nbrFrames))}
+	widest := 0
+	for d := range p.nbrFrames {
+		tab.out[d] = make([][]int32, len(p.nbrFrames[d]))
+		for j, nf := range p.nbrFrames[d] {
 			if nf.f == nil {
-				return nil, nil
+				continue
 			}
+			src := make([]int32, len(nf.f.slots))
 			for i, k := range nf.f.slots {
-				data, ok := store[k]
+				s, ok := avail[k]
 				if !ok {
 					return nil, fmt.Errorf("core: rank %d stage %d: missing payload %d->%d for learned slot",
 						me, d, k.src, k.dst)
 				}
-				nf.subs[i] = msg.Submessage{Src: int(k.src), Dst: int(k.dst), Data: data}
-				delete(store, k)
+				delete(avail, k)
+				src[i] = s
 			}
-			return nf.subs, nil
-		},
-		// Stage every inbound submessage, but only after checking it against
-		// the learned wire layout: a replayed pattern is a contract, and a
-		// frame that deviates from it is a routing fault, not new data.
-		onFrame: func(d, from int, subs []msg.Submessage) (int, error) {
-			slots, ok := p.learnedInSlots(d, from)
-			if !ok {
-				return 0, fmt.Errorf("core: rank %d stage %d: frame from %d not in the learned pattern", me, d, from)
+			tab.out[d][j] = src
+			widest = max(widest, len(src))
+		}
+		tab.inBase[d] = make([]int32, len(p.inLayout[d]))
+		for j, slots := range p.inLayout[d] {
+			tab.inBase[d][j] = next
+			for _, k := range slots {
+				avail[k] = next
+				next++
 			}
-			if len(subs) != len(slots) {
-				return 0, fmt.Errorf("core: rank %d stage %d: frame from %d carries %d submessages, learned layout has %d",
-					me, d, from, len(subs), len(slots))
-			}
-			delivered := 0
-			for i, sub := range subs {
-				k := slotKey{src: int32(sub.Src), dst: int32(sub.Dst)}
-				if k != slots[i] {
-					return 0, fmt.Errorf("core: rank %d stage %d: misrouted submessage %d->%d in frame from %d (learned slot %d->%d)",
-						me, d, sub.Src, sub.Dst, from, slots[i].src, slots[i].dst)
-				}
-				store[k] = sub.Data
-				if sub.Dst == me {
-					delivered += len(sub.Data)
-				}
-			}
-			return delivered, nil
-		},
-		finish: func() error {
-			out.Subs = make([]msg.Submessage, len(p.deliver))
-			for i, k := range p.deliver {
-				data, ok := store[k]
-				if !ok {
-					return fmt.Errorf("core: rank %d: learned delivery %d->%d did not arrive", me, k.src, k.dst)
-				}
-				out.Subs[i] = msg.Submessage{Src: int(k.src), Dst: int(k.dst), Data: data}
-			}
-			msg.CompactSubs(out.Subs)
-			return nil
-		},
+		}
 	}
-	if err := sm.run(c, me); err != nil {
-		return nil, err
+	tab.deliver = make([]int32, len(p.deliver))
+	for i, k := range p.deliver {
+		s, ok := avail[k]
+		if !ok {
+			return nil, fmt.Errorf("core: rank %d: learned delivery %d->%d did not arrive", me, k.src, k.dst)
+		}
+		tab.deliver[i] = s
 	}
-	return out, nil
+	tab.data = make([][]byte, next)
+	tab.subs = make([]msg.Submessage, widest)
+	p.pos = tab
+	return tab, nil
+}
+
+// release drops every slice the finished Run left in the table.
+func (tab *slotTable) release() {
+	clear(tab.data)
+	clear(tab.subs)
+}
+
+// replayMachine returns Run's stage machine, building it on the first Run
+// with hooks that move bytes by position through p.pos. The schedule, the
+// traffic hint and the collector are re-read every call: Patch and
+// Instrument replace them.
+func (p *Persistent) replayMachine() *stageMachine {
+	if p.sm == nil {
+		p.sm = &stageMachine{
+			// A replay's frames are precomputed slot fills — too cheap to be
+			// worth a worker handoff per stage — so issue the pooled sends
+			// inline and keep the pipelining on the receive side.
+			inlineSend: true,
+			outSubs:    p.replaySubs,
+			onFrame:    p.replayFrame,
+			finish:     p.replayFinish,
+		}
+	}
+	p.sm.sched, p.sm.traffic, p.sm.tele = p.Schedule(), p.Traffic(), p.tele
+	return p.sm
+}
+
+// replaySubs fills the learned slot list of the j-th stage-d frame from its
+// sources.
+func (p *Persistent) replaySubs(d, j int, _ SendSlot) ([]msg.Submessage, error) {
+	nf := &p.nbrFrames[d][j]
+	if nf.f == nil {
+		return nil, nil
+	}
+	src := p.pos.out[d][j]
+	subs := p.pos.subs[:len(src)]
+	for i, k := range nf.f.slots {
+		subs[i] = msg.Submessage{Src: int(k.src), Dst: int(k.dst), Data: p.pos.data[src[i]]}
+	}
+	return subs, nil
+}
+
+// replayFrame records an inbound frame's submessages by position, but only
+// after checking each against the learned wire layout: a replayed pattern
+// is a contract, and a frame that deviates from it is a routing fault, not
+// new data.
+func (p *Persistent) replayFrame(d, from int, subs []msg.Submessage) (int, error) {
+	me := p.rank
+	j := p.inFrameIndex(d, from)
+	if j < 0 {
+		return 0, fmt.Errorf("core: rank %d stage %d: frame from %d not in the learned pattern", me, d, from)
+	}
+	slots := p.inLayout[d][j]
+	if len(subs) != len(slots) {
+		return 0, fmt.Errorf("core: rank %d stage %d: frame from %d carries %d submessages, learned layout has %d",
+			me, d, from, len(subs), len(slots))
+	}
+	data := p.pos.data[p.pos.inBase[d][j]:][:len(slots)]
+	delivered := 0
+	for i, sub := range subs {
+		if k := (slotKey{src: int32(sub.Src), dst: int32(sub.Dst)}); k != slots[i] {
+			return 0, fmt.Errorf("core: rank %d stage %d: misrouted submessage %d->%d in frame from %d (learned slot %d->%d)",
+				me, d, sub.Src, sub.Dst, from, slots[i].src, slots[i].dst)
+		}
+		data[i] = sub.Data
+		if sub.Dst == me {
+			delivered += len(sub.Data)
+		}
+	}
+	return delivered, nil
+}
+
+// replayFinish copies the learned deliveries out of the table into Run's
+// result while the frames they alias are still retained.
+func (p *Persistent) replayFinish() error {
+	out := &Delivered{Subs: make([]msg.Submessage, len(p.deliver))}
+	for i, k := range p.deliver {
+		out.Subs[i] = msg.Submessage{Src: int(k.src), Dst: int(k.dst), Data: p.pos.data[p.pos.deliver[i]]}
+	}
+	msg.CompactSubs(out.Subs)
+	p.out = out
+	return nil
 }
 
 // Destinations returns the learned destination set, sorted. The returned

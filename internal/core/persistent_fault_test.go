@@ -106,8 +106,54 @@ func TestPersistentReplayRejectsSlotCountMismatch(t *testing.T) {
 	}
 }
 
+// Run's position table holds the caller's payloads and slices into the
+// run's inbound frames, which go back to the frame pool as Run returns: no
+// entry may survive the call, on the success path or on a fault.
+func TestPersistentRunReleasesSlots(t *testing.T) {
+	p, sc := learnScriptedPersistent(t)
+	held := func() []string {
+		var bad []string
+		for i, b := range p.pos.data {
+			if b != nil {
+				bad = append(bad, fmt.Sprintf("data[%d]=%q", i, b))
+			}
+		}
+		for i, s := range p.pos.subs {
+			if s.Data != nil {
+				bad = append(bad, fmt.Sprintf("subs[%d]=%q", i, s.Data))
+			}
+		}
+		for i, s := range p.sm.decoded.Subs[:cap(p.sm.decoded.Subs)] {
+			if s.Data != nil {
+				bad = append(bad, fmt.Sprintf("decoded.Subs[%d]=%q", i, s.Data))
+			}
+		}
+		return bad
+	}
+
+	queueReplayFrames(sc, []msg.Submessage{{Src: 6, Dst: 0, Data: []byte("yo")}})
+	if _, err := p.Run(sc, map[int][]byte{7: []byte("new-payload!")}); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.pos.data) != 2 {
+		t.Fatalf("position table has %d entries, want 2 (one payload, one inbound slot)", len(p.pos.data))
+	}
+	if bad := held(); len(bad) > 0 {
+		t.Errorf("after a replay the Persistent still holds %v", bad)
+	}
+
+	sc.recvs, sc.sent = nil, nil
+	queueReplayFrames(sc, []msg.Submessage{{Src: 5, Dst: 0, Data: []byte("yo")}})
+	if _, err := p.Run(sc, map[int][]byte{7: []byte("new-payload!")}); err == nil || !strings.Contains(err.Error(), "misrouted") {
+		t.Fatalf("misrouted replay: err = %v", err)
+	}
+	if bad := held(); len(bad) > 0 {
+		t.Errorf("after a misrouted replay the Persistent still holds %v", bad)
+	}
+}
+
 // A failed replay must not poison the Persistent: the next correct replay
-// still succeeds (the store is re-staged from scratch each Run).
+// still succeeds (every slot is re-recorded from scratch each Run).
 func TestPersistentReplayRecoversAfterFault(t *testing.T) {
 	p, sc := learnScriptedPersistent(t)
 	queueReplayFrames(sc, []msg.Submessage{{Src: 5, Dst: 0, Data: []byte("bad")}})
