@@ -54,8 +54,8 @@ type Replay struct {
 	// go stale harmlessly: nothing forwards them, and re-adding a slot
 	// dirties its inbound frame, which recomputes the entry first.
 	inLoc map[slotKey]slotLoc
-	// tele, when set, records per-stage gather/forward/deliver spans and
-	// forwarded byte counts; see Instrument.
+	// tele, when set, counts forwarded bytes on every Run and records
+	// gather/forward/deliver spans on the Runs it samples; see Instrument.
 	tele *telemetry.Rank
 	// traffic is the compiled schedule's transport hint (computeTraffic),
 	// offered to the transport at the top of every Run. Cached so the
@@ -65,11 +65,13 @@ type Replay struct {
 }
 
 // Instrument attaches a live telemetry collector to the replay: every Run
-// records one gather span (the self-delivery scatter) plus, per stage, a
-// forward span (frame build and send: gather ops, forward memcpys, Send)
-// and a deliver span (arrival-order receives and halo scatter), and counts
-// forwarded submessage bytes. A nil collector detaches. The hooks cost two
-// clock reads per stage and allocate nothing, preserving the replay's
+// counts forwarded submessage bytes, and every Run the collector traces
+// (telemetry.Rank.Sample: one in telemetry.SampleEvery) records one gather
+// span (the self-delivery scatter) plus, per stage, a forward span (frame
+// build and send: gather ops, forward memcpys, Send) and a deliver span
+// (arrival-order receives and halo scatter, naming the last sender). A nil
+// collector detaches. A traced Run costs two clock reads per stage, an
+// untraced one none; neither allocates, preserving the replay's
 // zero-allocation steady state.
 func (r *Replay) Instrument(t *telemetry.Rank) { r.tele = t }
 
@@ -433,8 +435,10 @@ func (r *Replay) Run(c runtime.Comm, x []float64, halo []float64) error {
 	runtime.HintTraffic(c, r.traffic)
 	defer r.release()
 
+	// Traced whole or not at all: tr is nil on an untraced Run.
+	tr := r.tele.Sample()
 	var mark time.Time
-	if r.tele != nil {
+	if tr != nil {
 		mark = time.Now()
 	}
 	for _, s := range r.selfs {
@@ -443,8 +447,8 @@ func (r *Replay) Run(c runtime.Comm, x []float64, halo []float64) error {
 			dst[i] = x[g]
 		}
 	}
-	if r.tele != nil {
-		mark = r.tele.SpanMark(telemetry.KGather, -1, mark)
+	if tr != nil {
+		mark = tr.SpanMark(telemetry.KGather, -1, -1, mark)
 	}
 
 	retains := runtime.SendRetains(c)
@@ -471,19 +475,21 @@ func (r *Replay) Run(c runtime.Comm, x []float64, halo []float64) error {
 				return fmt.Errorf("core: rank %d replay stage %d send to %d: %w", r.me, si, f.to, err)
 			}
 		}
-		if r.tele != nil {
-			if fwdSubs > 0 {
-				r.tele.CountForward(si, fwdSubs, fwdBytes)
-			}
-			mark = r.tele.SpanMark(telemetry.KForward, si, mark)
+		if r.tele != nil && fwdSubs > 0 {
+			r.tele.CountForward(si, fwdSubs, fwdBytes)
+		}
+		if tr != nil {
+			mark = tr.SpanMark(telemetry.KForward, si, -1, mark)
 		}
 
 		pending := append(r.pending[:0], st.recvFrom...)
+		last := -1
 		for len(pending) > 0 {
 			from, raw, err := runtime.RecvAnyOf(c, st.tag, pending)
 			if err != nil {
 				return fmt.Errorf("core: rank %d replay stage %d recv: %w", r.me, si, err)
 			}
+			last = from
 			j := -1
 			for i, p := range pending {
 				if p == from {
@@ -509,8 +515,8 @@ func (r *Replay) Run(c runtime.Comm, x []float64, halo []float64) error {
 				scatterFloats(halo[dv.haloOff:dv.haloOff+dv.words], raw[dv.srcOff:dv.srcOff+8*dv.words])
 			}
 		}
-		if r.tele != nil {
-			mark = r.tele.SpanMark(telemetry.KDeliver, si, mark)
+		if tr != nil {
+			mark = tr.SpanMark(telemetry.KDeliver, si, last, mark)
 		}
 	}
 	return nil

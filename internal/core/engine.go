@@ -14,7 +14,8 @@ import (
 // stage's expected frames, repeat — and delegates everything front-end
 // specific to four hooks. The machine owns frame encoding/decoding, the
 // From/To misroute check, frame-buffer lifetime, the receive policy, and
-// the per-stage telemetry span; the hooks own routing semantics:
+// the per-stage telemetry span of a sampled run; the hooks own routing
+// semantics:
 //
 //   - outSubs(d, j, slot) supplies the submessages of the j-th outbound
 //     frame of stage d (Exchange drains a forward buffer, Persistent fills
@@ -68,6 +69,9 @@ type stageMachine struct {
 // specialization of the same structure.
 func (sm *stageMachine) run(c runtime.Comm, me int) error {
 	runtime.HintTraffic(c, sm.traffic)
+	// The exchange is traced whole or not at all: tr is nil on an untraced
+	// one, and every span below goes through it.
+	tr := sm.tele.Sample()
 	sends, recvs := 0, 0
 	for i := range sm.sched.Stages {
 		sends += len(sm.sched.Stages[i].Sends)
@@ -94,7 +98,7 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 	var stageStart time.Time
 	for d := range sm.sched.Stages {
 		st := &sm.sched.Stages[d]
-		if sm.tele != nil {
+		if tr != nil {
 			stageStart = time.Now()
 		}
 
@@ -132,7 +136,7 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 		// from loop position, so the misroute check is valid under any
 		// delivery order.
 		sm.pol.Reset(st.RecvFrom)
-		stageDelivered := 0
+		stageDelivered, last := 0, -1
 		for sm.pol.Outstanding() > 0 {
 			from, raw, err := sm.pol.Next(c, st.Tag)
 			if err != nil {
@@ -142,6 +146,7 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 				return fmt.Errorf("core: rank %d stage %d recv: %w", me, d, err)
 			}
 			sm.retained = append(sm.retained, raw)
+			last = from
 			decoded := &sm.decoded
 			if derr := msg.DecodeInto(decoded, raw); derr != nil {
 				return fmt.Errorf("core: rank %d stage %d frame from %d: %w", me, d, from, derr)
@@ -159,8 +164,8 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 		if sm.onStage != nil {
 			sm.onStage(d, stageDelivered)
 		}
-		if sm.tele != nil {
-			stageStart = sm.tele.SpanMark(telemetry.KStage, d, stageStart)
+		if tr != nil {
+			stageStart = tr.SpanMark(telemetry.KStage, d, last, stageStart)
 		}
 	}
 	if sw != nil {

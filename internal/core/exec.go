@@ -90,8 +90,9 @@ func WithStageProbe(f func(stage, residentPayloadBytes int)) ExchangeOpt {
 }
 
 // WithTelemetry attaches this rank's live telemetry collector: the engine
-// records one stage-scoped span per communication stage and counts the
-// submessages it stores and forwards. Frame-level send/recv counters come
+// counts the submessages it stores and forwards and, when the collector
+// samples the exchange (telemetry.Rank.Sample), records one stage-scoped
+// span per communication stage. Frame-level send/recv counters come
 // from wrapping the communicator (telemetry.Registry.WrapComm), which works
 // without the engine's cooperation; this option adds the parts only the
 // engine can see. A nil collector is a no-op.

@@ -79,7 +79,8 @@ type Persistent struct {
 	sm *stageMachine
 	// out is the running Run's result, filled by the machine's finish hook.
 	out *Delivered
-	// tele, when set, records one stage-scoped span per Run stage.
+	// tele, when set, records one stage-scoped span per Run stage on the
+	// Runs it samples (telemetry.Rank.Sample).
 	tele *telemetry.Rank
 }
 
@@ -104,8 +105,9 @@ type slotTable struct {
 	subs []msg.Submessage
 }
 
-// Instrument attaches a live telemetry collector: Run records one span per
-// communication stage. A nil collector detaches.
+// Instrument attaches a live telemetry collector: a Run it samples records
+// one span per communication stage (see telemetry.SampleEvery). A nil
+// collector detaches.
 func (p *Persistent) Instrument(t *telemetry.Rank) { p.tele = t }
 
 type slotKey struct{ src, dst int32 }

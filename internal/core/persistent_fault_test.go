@@ -62,9 +62,9 @@ func TestPersistentReplayDeliversScriptedSubmessage(t *testing.T) {
 }
 
 // A replayed frame whose submessage keys deviate from the learned slot
-// layout must be rejected, not silently staged into the store. The seed
-// executor accepted such frames and delivered the impostor payload under the
-// learned key; this locks the validation in.
+// layout must be rejected, not silently recorded at the learned slot's
+// position. The seed executor accepted such frames and delivered the
+// impostor payload under the learned key; this locks the validation in.
 func TestPersistentReplayRejectsMisroutedSubmessage(t *testing.T) {
 	p, sc := learnScriptedPersistent(t)
 	// Learned slot is 6->0; the frame carries 5->0 instead.

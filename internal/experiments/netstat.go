@@ -86,9 +86,10 @@ func NetstatPlan(cfg NetstatConfig) (*core.Plan, error) {
 // NetstatRun executes the experiment over the given comms (the full world
 // in one process, or one process's rank slice in -procs mode): a learning
 // exchange, then cfg.Iters instrumented steady-state replays. The registry
-// collects per-stage spans (via Persistent.Instrument), per-stage frame
-// counters (via WrapComms), and per-link wire stats (via the transport's
-// LinkStatsSource seam); the caller snapshots it afterwards.
+// collects per-stage spans of the replays it samples (via
+// Persistent.Instrument), per-stage frame counters (via WrapComms), and
+// per-link wire stats (via the transport's LinkStatsSource seam); the
+// caller snapshots it afterwards.
 func NetstatRun(cfg NetstatConfig, reg *telemetry.Registry, comms []runtime.Comm) error {
 	tp, err := NetstatTopology(cfg)
 	if err != nil {
@@ -154,9 +155,9 @@ func fleetAlpha(s *telemetry.Snapshot) (alphaSec float64, samples int64) {
 // processes first, in fleet mode) into the divergence report: per-stage
 // straggler table, wire-calibrated machine, and the measured-vs-model
 // table. The measured per-stage time is the straggler maximum (the
-// busiest rank's summed stage-span time) divided by the iteration count —
-// the same "stage lasts as long as its busiest process" convention
-// netsim.CommTime prices.
+// busiest rank's summed stage-span time) divided by the number of replays
+// that rank traced — the same "stage lasts as long as its busiest process"
+// convention netsim.CommTime prices.
 func BuildNetstatReport(cfg NetstatConfig, snap telemetry.Snapshot) (*NetstatReport, error) {
 	plan, err := NetstatPlan(cfg)
 	if err != nil {
@@ -170,13 +171,19 @@ func BuildNetstatReport(cfg NetstatConfig, snap telemetry.Snapshot) (*NetstatRep
 			return nil, fmt.Errorf("netstat: straggler table has stage %d outside the %d-stage plan",
 				sg.Stage, len(measured))
 		}
-		measured[sg.Stage] = float64(sg.MaxNs) / float64(cfg.Iters) / 1e9
 		seen[sg.Stage] = true
 	}
 	for d, ok := range seen {
 		if !ok {
 			return nil, fmt.Errorf("netstat: no spans recorded for stage %d (telemetry not attached?)", d)
 		}
+	}
+	for _, sg := range rep.Stragglers {
+		traced := tracedBy(&snap, sg.SlowestRank)
+		if traced == 0 {
+			return nil, fmt.Errorf("netstat: rank %d recorded stage %d spans but traced no replay", sg.SlowestRank, sg.Stage)
+		}
+		measured[sg.Stage] = float64(sg.MaxNs) / float64(traced) / 1e9
 	}
 	rep.AlphaSec, rep.RTTSamples = fleetAlpha(&snap)
 	rep.Machine, err = netsim.CalibrateMachine("loopback (wire-calibrated)", cfg.K, rep.AlphaSec, plan, measured)
@@ -188,6 +195,17 @@ func BuildNetstatReport(cfg NetstatConfig, snap telemetry.Snapshot) (*NetstatRep
 		return nil, err
 	}
 	return rep, nil
+}
+
+// tracedBy returns the number of exchanges the given rank traced, 0 when the
+// snapshot does not hold the rank.
+func tracedBy(s *telemetry.Snapshot, rank int) int64 {
+	for _, r := range s.Ranks {
+		if r.Rank == rank {
+			return r.Traced
+		}
+	}
+	return 0
 }
 
 // RenderNetstatLinks writes the per-rank wire summary: each rank's link
@@ -224,7 +242,8 @@ func RenderNetstat(w io.Writer, rep *NetstatReport) {
 		rep.Cfg.K, rep.Cfg.Dim, rep.Cfg.Dests, rep.Cfg.Bytes, rep.Cfg.Iters)
 	fmt.Fprintln(w, "per-rank wire stats (aggregated over links):")
 	RenderNetstatLinks(w, &rep.Snapshot)
-	fmt.Fprintln(w, "\nper-stage critical path (busy time summed over iterations):")
+	fmt.Fprintf(w, "\nper-stage critical path (busy time summed over the traced replays, one in %d):\n",
+		telemetry.SampleEvery)
 	telemetry.WriteStragglers(w, rep.Stragglers)
 	skew := telemetry.SkewHistogram(rep.Stragglers)
 	fmt.Fprintf(w, "stage skew (max-mean busy): mean %.1fus, p90 %.1fus over %d stages\n",

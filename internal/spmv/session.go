@@ -153,8 +153,10 @@ func (s *Session) Multiply(x []float64) ([]float64, error) {
 	s.tm.Exchange += t2.Sub(t1)
 	s.tm.Kernel += t3.Sub(t2)
 	s.tm.Iters++
-	if s.tel != nil {
+	if s.tel.Sampled() {
 		// The same clock reads feed the trace and Timings, so they agree.
+		// Only a traced exchange gets the phases around it, so a sampled
+		// multiply's spans are complete and the others leave none.
 		s.tel.SpanBetween(telemetry.KGather, -1, t0, t1)
 		s.tel.SpanBetween(telemetry.KExchange, -1, t1, t2)
 		s.tel.SpanBetween(telemetry.KKernel, -1, t2, t3)

@@ -2,11 +2,15 @@ package spmv
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
+	"stfw/internal/core"
 	"stfw/internal/partition"
 	"stfw/internal/runtime"
+	"stfw/internal/telemetry"
 	"stfw/internal/transport/chanpt"
 	"stfw/internal/vpt"
 )
@@ -119,4 +123,141 @@ func TestSessionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSampledTracingWholeExchange pins telemetry's sampling contract on a
+// real session: STFW on T3(2,2,2), K=8, with comms wrapped and the session
+// instrumented, runs the learning multiply and then 3*SampleEvery+1 replay
+// multiplies. Spans exist only for replay exchanges 0, 16, 32 and 48, the
+// same ones on every rank, and each of them carries the complete set: the
+// replay's gather, a forward and a deliver span per stage (the deliver
+// naming the stage's one neighbour as its last sender), and the session's
+// gather/exchange/kernel phases. Counters are exact on every exchange,
+// traced or not. It fails if spans are recorded on every exchange or if the
+// counters are sampled.
+func TestSampledTracingWholeExchange(t *testing.T) {
+	const K, replays = 8, 3*telemetry.SampleEvery + 1
+	a := testMatrix(t, 400, 3200, 60)
+	part, err := partition.Greedy(a, K, partition.DefaultGreedy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, err := BuildPattern(a, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := vpt.MustNew(2, 2, 2)
+	reg := telemetry.MustNew(telemetry.Config{Ranks: K, Stages: tp.N()})
+	w, err := chanpt.NewWorld(K, K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comms := reg.WrapComms(w.Comms(), func(tag int) (int, bool) { return core.TagStage(tag, tp.N()) })
+	x := testVector(a.Cols, 7)
+
+	type key struct {
+		kind        telemetry.Kind
+		stage, peer int32
+	}
+	traced := make([][]int, K) // per rank: replay exchanges that left spans
+	err = runtime.Run(comms, func(c runtime.Comm) error {
+		me := c.Rank()
+		tel := reg.Rank(me)
+		sess, err := NewSession(c, a, part, pat, Options{Method: STFW, Topo: tp, Telemetry: reg})
+		if err != nil {
+			return err
+		}
+		if _, err := sess.Multiply(x); err != nil { // learning run, not a sampled exchange
+			return err
+		}
+		if n := tel.SpanCount(); n != 0 {
+			return fmt.Errorf("learning multiply left %d spans", n)
+		}
+		// The complete span set of one traced replay multiply.
+		want := map[key]int{
+			{telemetry.KGather, -1, -1}:   2, // the replay's self gather and the session's gather phase
+			{telemetry.KExchange, -1, -1}: 1,
+			{telemetry.KKernel, -1, -1}:   1,
+		}
+		for d := 0; d < tp.N(); d++ {
+			nbr := tp.WithDigit(me, d, 1-tp.Digit(me, d))
+			want[key{telemetry.KForward, int32(d), -1}] = 1
+			want[key{telemetry.KDeliver, int32(d), int32(nbr)}] = 1
+		}
+		var fwdPerReplay int64
+		for i := 0; i < replays; i++ {
+			before, fwdBefore := tel.SpanCount(), forwards(tel, tp.N())
+			if _, err := sess.Multiply(x); err != nil {
+				return fmt.Errorf("replay %d: %w", i, err)
+			}
+			// Forwards are counted on every replay, traced or not.
+			if f := forwards(tel, tp.N()) - fwdBefore; i == 0 {
+				fwdPerReplay = f
+			} else if f != fwdPerReplay {
+				return fmt.Errorf("replay %d: %d forwards counted, replay 0 counted %d", i, f, fwdPerReplay)
+			}
+			n := tel.SpanCount() - before
+			if n == 0 {
+				if tel.Sampled() {
+					return fmt.Errorf("replay %d: Sampled but no spans", i)
+				}
+				continue
+			}
+			traced[me] = append(traced[me], i)
+			all := tel.Spans()
+			got := map[key]int{}
+			for _, sp := range all[len(all)-int(n):] {
+				got[key{sp.Kind, sp.Stage, sp.Peer}]++
+			}
+			if !tel.Sampled() || !maps.Equal(got, want) {
+				return fmt.Errorf("replay %d (Sampled %v): spans %v, want %v", i, tel.Sampled(), got, want)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTraced := []int{0, telemetry.SampleEvery, 2 * telemetry.SampleEvery, 3 * telemetry.SampleEvery}
+	for r := range traced {
+		if !slices.Equal(traced[r], wantTraced) {
+			t.Fatalf("rank %d traced replays %v, want %v", r, traced[r], wantTraced)
+		}
+	}
+
+	snap := reg.Snapshot()
+	for _, r := range snap.Ranks {
+		if r.Traced != int64(len(wantTraced)) {
+			t.Errorf("rank %d: Traced %d, want %d", r.Rank, r.Traced, len(wantTraced))
+		}
+	}
+	// One frame per rank per stage on T3(2,2,2), empty frames included, on
+	// the learning multiply and on every replay alike.
+	frames := int64(K * tp.N() * (1 + replays))
+	tot := snap.Totals()
+	if tot.Sends != frames || tot.Recvs != frames {
+		t.Errorf("counted %d sends, %d recvs; want %d each", tot.Sends, tot.Recvs, frames)
+	}
+	if tot.Forwards == 0 {
+		t.Error("no forwards counted: the per-replay forward check ran on zeros")
+	}
+	// The histograms are sampled with the spans: frame sizes from the
+	// learning multiply (before any exchange was sampled out) and the four
+	// traced replays, stage latencies from the traced replays' forward and
+	// deliver spans.
+	if got, want := snap.FrameSizes.Count, int64(K*tp.N()*(1+len(wantTraced))); got != want {
+		t.Errorf("frame-size histogram saw %d frames, want %d", got, want)
+	}
+	if got, want := snap.StageNs.Count, int64(K*2*tp.N()*len(wantTraced)); got != want {
+		t.Errorf("stage-latency histogram saw %d spans, want %d", got, want)
+	}
+}
+
+// forwards sums a rank's forwarded-submessage counters over its stages.
+func forwards(t *telemetry.Rank, stages int) int64 {
+	var n int64
+	for d := 0; d < stages; d++ {
+		n += t.Counters(d).Forwards
+	}
+	return n
 }

@@ -125,8 +125,10 @@ type Options struct {
 	// Topo is the VPT used when Method == STFW; ignored for BL.
 	Topo *vpt.Topology
 	// Telemetry, when set, attaches each rank's session to the registry's
-	// live collector: Multiply records gather/exchange/kernel phase spans
-	// and the exchange records stage spans and forward counts. The hooks
+	// live collector: the exchange counts forwards on every multiply, and a
+	// multiply whose exchange the collector traces (one in
+	// telemetry.SampleEvery) records its gather/exchange/kernel phase spans
+	// beside the exchange's stage spans. The hooks
 	// are allocation-free, so the zero-alloc steady state holds with
 	// telemetry enabled. Frame-level send/recv counters additionally
 	// require wrapping the communicators (telemetry.Registry.WrapComm).

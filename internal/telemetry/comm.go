@@ -17,7 +17,8 @@ type StageMapper func(tag int) (stage int, ok bool)
 // to stages through stageOf, and adds barrier wait accounting. It embeds
 // runtime.Passthrough, so every control-plane seam of c (buffer ownership,
 // traffic hints, link stats, reserved tags) answers through it unchanged,
-// and forwards runtime.AnyReceiver itself because it counts receives.
+// and forwards runtime.AnyReceiver itself because it counts receives (the
+// wrapped receiver is resolved once, here, not per receive).
 // Wrapping a comm on a nil registry returns c unchanged.
 //
 // The wrapper adds a handful of atomic increments per frame and allocates
@@ -32,13 +33,15 @@ func (g *Registry) WrapComm(c runtime.Comm, stageOf StageMapper) runtime.Comm {
 		// counters into this rank's snapshots from now on.
 		t.SetLinkSource(src)
 	}
-	return &countedComm{Passthrough: runtime.Passthrough{Comm: c}, t: t, stageOf: stageOf}
+	anyRecv, _ := c.(runtime.AnyReceiver)
+	return &countedComm{Passthrough: runtime.Passthrough{Comm: c}, t: t, stageOf: stageOf, anyRecv: anyRecv}
 }
 
 type countedComm struct {
 	runtime.Passthrough
 	t       *Rank
 	stageOf StageMapper
+	anyRecv runtime.AnyReceiver // the wrapped comm's arrival-order receive, nil when it has none
 }
 
 func (c *countedComm) stage(tag int) int {
@@ -73,11 +76,10 @@ func (c *countedComm) Recv(from, tag int) ([]byte, error) {
 // runtime.ErrNoRecvAny so runtime.RecvAnyOf falls back to the counted
 // fixed-order Recv.
 func (c *countedComm) RecvAnyOf(tag int, from []int) (int, []byte, error) {
-	ar, ok := c.Comm.(runtime.AnyReceiver)
-	if !ok {
+	if c.anyRecv == nil {
 		return -1, nil, runtime.ErrNoRecvAny
 	}
-	sender, payload, err := ar.RecvAnyOf(tag, from)
+	sender, payload, err := c.anyRecv.RecvAnyOf(tag, from)
 	if err == nil {
 		c.t.CountRecv(c.stage(tag), len(payload))
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 )
 
 // Fleet aggregation: folding per-process snapshots into one world view.
@@ -70,7 +71,7 @@ func MergeSnapshots(snaps []Snapshot) (Snapshot, error) {
 // activity at all — the shape of a remote rank's slot in a full-width
 // per-process registry.
 func rankSnapshotZero(r *RankSnapshot) bool {
-	if r.SpanCount != 0 || len(r.Links) != 0 || r.Barriers != 0 || r.Patches != 0 {
+	if r.SpanCount != 0 || r.Traced != 0 || len(r.Links) != 0 || r.Barriers != 0 || r.Patches != 0 {
 		return false
 	}
 	for _, c := range r.Stages {
@@ -84,14 +85,17 @@ func rankSnapshotZero(r *RankSnapshot) bool {
 // StageStraggler is the per-stage critical-path summary: which rank was
 // slowest and by how much. Busy time is the sum of a rank's stage-scoped
 // span durations for the stage (KStage for engine runs; KForward+KDeliver
-// for compiled replays), summed across iterations. EndNs is the latest
-// span end for the stage on the world timeline (epoch offsets applied),
-// i.e. when the stage's last rank finished — the fleet's critical path
-// runs through these.
+// for compiled replays), summed across the traced exchanges
+// (RankSnapshot.Traced). EndNs is the latest span end for the stage on the
+// world timeline (epoch offsets applied), i.e. when the stage's last rank
+// finished — the fleet's critical path runs through these. GatingPeer is
+// the sender whose frame most often arrived last at the slowest rank in
+// this stage (Span.Peer): with SlowestRank it names the gating link.
 type StageStraggler struct {
 	Stage       int     `json:"stage"`
 	Ranks       int     `json:"ranks"` // ranks that recorded spans for this stage
 	SlowestRank int     `json:"slowest_rank"`
+	GatingPeer  int     `json:"gating_peer"` // -1 when the slowest rank received nothing
 	MaxNs       int64   `json:"max_ns"`
 	MeanNs      int64   `json:"mean_ns"`
 	MinNs       int64   `json:"min_ns"`
@@ -109,9 +113,9 @@ func (s *Snapshot) StageStragglers() []StageStraggler {
 	}
 	type rankBusy struct {
 		busy  int64
-		seen  bool
 		end   int64
 		endOk bool
+		last  map[int32]int // last-arriving sender -> stage spans it closed
 	}
 	// stage -> rank -> busy/end accumulation
 	acc := map[int]map[int]*rankBusy{}
@@ -131,10 +135,15 @@ func (s *Snapshot) StageStragglers() []StageStraggler {
 				rb = &rankBusy{}
 				m[r.Rank] = rb
 			}
-			rb.seen = true
 			rb.busy += sp.Dur
 			if end := sp.Start + sp.Dur + r.EpochOffsetNs; !rb.endOk || end > rb.end {
 				rb.end, rb.endOk = end, true
+			}
+			if sp.Peer >= 0 {
+				if rb.last == nil {
+					rb.last = map[int32]int{}
+				}
+				rb.last[sp.Peer]++
 			}
 		}
 	}
@@ -146,7 +155,7 @@ func (s *Snapshot) StageStragglers() []StageStraggler {
 	out := make([]StageStraggler, 0, len(stages))
 	for _, st := range stages {
 		m := acc[st]
-		sg := StageStraggler{Stage: st, SlowestRank: -1, EndRank: -1}
+		sg := StageStraggler{Stage: st, SlowestRank: -1, GatingPeer: -1, EndRank: -1}
 		var total int64
 		for rank, rb := range m {
 			sg.Ranks++
@@ -161,6 +170,7 @@ func (s *Snapshot) StageStragglers() []StageStraggler {
 				sg.EndNs, sg.EndRank = rb.end, rank
 			}
 		}
+		sg.GatingPeer = modePeer(m[sg.SlowestRank].last)
 		sg.MeanNs = total / int64(sg.Ranks)
 		if sg.MeanNs > 0 {
 			sg.Skew = float64(sg.MaxNs) / float64(sg.MeanNs)
@@ -168,6 +178,18 @@ func (s *Snapshot) StageStragglers() []StageStraggler {
 		out = append(out, sg)
 	}
 	return out
+}
+
+// modePeer returns the most frequent key of a last-arrival tally, the
+// lowest on a tie; -1 for an empty tally.
+func modePeer(last map[int32]int) int {
+	peer, most := -1, 0
+	for p, n := range last {
+		if n > most || (n == most && int(p) < peer) {
+			peer, most = int(p), n
+		}
+	}
+	return peer
 }
 
 // SkewHistogram folds every stage's max-vs-mean busy-time gap (MaxNs -
@@ -187,12 +209,16 @@ func WriteStragglers(w io.Writer, stats []StageStraggler) {
 		fmt.Fprintln(w, "no stage-scoped spans recorded")
 		return
 	}
-	fmt.Fprintf(w, "%5s %6s %12s %12s %12s %6s %8s\n",
-		"stage", "ranks", "max_us", "mean_us", "min_us", "skew", "slowest")
+	fmt.Fprintf(w, "%5s %6s %12s %12s %12s %6s %8s %8s\n",
+		"stage", "ranks", "max_us", "mean_us", "min_us", "skew", "slowest", "gated_by")
 	for _, sg := range stats {
-		fmt.Fprintf(w, "%5d %6d %12.1f %12.1f %12.1f %6.2f %8d\n",
+		gate := "-"
+		if sg.GatingPeer >= 0 {
+			gate = strconv.Itoa(sg.GatingPeer)
+		}
+		fmt.Fprintf(w, "%5d %6d %12.1f %12.1f %12.1f %6.2f %8d %8s\n",
 			sg.Stage, sg.Ranks,
 			float64(sg.MaxNs)/1e3, float64(sg.MeanNs)/1e3, float64(sg.MinNs)/1e3,
-			sg.Skew, sg.SlowestRank)
+			sg.Skew, sg.SlowestRank, gate)
 	}
 }

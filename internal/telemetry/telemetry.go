@@ -12,6 +12,17 @@
 //     stages, replay gather/forward/deliver phases) stamped against the
 //     registry's epoch.
 //
+// Counters are exact: every frame, forward, barrier and schedule patch is
+// counted, always. Spans and the two latency histograms are sampled by
+// exchange: each exchange front-end opens its exchange with Rank.Sample,
+// and a rank traces its first exchange and then every SampleEvery-th one,
+// whole — a traced exchange records its full span set and feeds StageNs and
+// FrameSizes, an untraced one records no span and no histogram observation.
+// The decision is a function of the rank's exchange count alone, so every
+// rank of a world traces the same exchanges and per-stage comparisons across
+// ranks compare like with like. RankSnapshot.Traced says how many exchanges
+// a rank traced, the divisor for any per-exchange span average.
+//
 // Everything is preallocated at New: the steady-state path performs no
 // locking and no allocation, only atomic adds and array stores, so the
 // layer may stay enabled inside the zero-alloc iteration gate
@@ -25,13 +36,14 @@
 // endpoint (ServeDebug: expvar counters, pprof, trace download).
 //
 // Span rings are sized by Config.SpanCap and overwrite oldest entries when
-// they wrap; counters never saturate. Spans may be recorded from the two
+// they wrap; counters never saturate. Counters are updated from the two
 // goroutines a rank legitimately runs (main loop and the pipelined send
-// worker): slots are claimed with an atomic cursor, so concurrent writers
-// never tear each other's entries, though a reader racing a writer on a
-// just-reclaimed slot may observe a mixed span. Snapshots are therefore
-// advisory during a run and exact once the run has quiesced (e.g. after
-// runtime.Run returns or at a barrier).
+// worker); spans come from the main loop. Ring slots are claimed with an
+// atomic cursor, so concurrent writers land on distinct slots until the
+// ring wraps, though a reader racing a writer on a just-reclaimed slot may
+// observe a mixed span. Snapshots are therefore advisory during a run and
+// exact once the run has quiesced (e.g. after runtime.Run returns or at a
+// barrier).
 package telemetry
 
 import (
@@ -90,6 +102,10 @@ func (k Kind) String() string {
 type Span struct {
 	Kind  Kind
 	Stage int32 // communication stage, -1 when the span is not stage-scoped
+	// Peer is the sender whose frame arrived last in the stage — the link
+	// that gated it — on KStage and KDeliver spans; -1 on every other span
+	// and on a stage that received nothing.
+	Peer  int32
 	Start int64 // nanoseconds since the registry epoch
 	Dur   int64 // nanoseconds
 }
@@ -125,8 +141,15 @@ type Config struct {
 }
 
 // DefaultSpanCap is the per-rank span ring capacity when Config.SpanCap is
-// zero: enough for hundreds of iterations of a high-dimensional exchange.
-const DefaultSpanCap = 4096
+// zero. Sized for sampled traffic: ~100 traced exchanges of a
+// three-dimensional replay, about 1,600 exchanges of history.
+const DefaultSpanCap = 1024
+
+// SampleEvery is the span sampling period: a rank traces its first exchange
+// and then every SampleEvery-th one. A constant rather than a Config field,
+// so that every rank of every process — a fleet merge included — samples the
+// same exchanges without negotiating a period.
+const SampleEvery = 16
 
 // Registry is the world-wide collector set: one Rank collector per rank,
 // a shared epoch all span timestamps are measured from, and the global
@@ -232,15 +255,22 @@ type Rank struct {
 	PatchDirtyStages atomic.Int64
 
 	// FrameSizes observes the byte length of every frame this rank sends
-	// through a wrapped communicator; StageNs observes the duration of its
-	// stage-scoped spans (KStage, KForward, KDeliver). The histograms are
-	// per-rank — not registry-global — so hot-path observations never
-	// contend on shared cache lines; Snapshot merges them world-wide.
+	// through a wrapped communicator while it is not in an untraced
+	// exchange; StageNs observes the duration of its stage-scoped spans
+	// (KStage, KForward, KDeliver), so both are sampled with the spans. The
+	// histograms are per-rank — not registry-global — so hot-path
+	// observations never contend on shared cache lines; Snapshot merges them
+	// world-wide.
 	FrameSizes Histogram
 	StageNs    Histogram
 
 	spans  []Span
 	cursor atomic.Int64 // total spans ever recorded; ring index = cursor & (cap-1)
+
+	// exchanges counts the exchanges opened with Sample. Every sampling
+	// decision is a function of it alone; atomic because the pipelined send
+	// worker (CountSend) and snapshots read it while the rank runs.
+	exchanges atomic.Int64
 
 	// linkSrc holds the transport's per-link wire-stats source for this
 	// rank (runtime.LinkStatsSource), registered by WrapComm when the
@@ -263,8 +293,50 @@ func (t *Rank) stageSlot(stage int) *StageCounters {
 	return &t.stages[stage]
 }
 
+// Sample opens this rank's next exchange and decides whether it is traced:
+// the first exchange and every SampleEvery-th after it are. It returns t for
+// a traced exchange and nil otherwise, so a front-end records its spans
+// through the returned handle with no branch of its own — the nil-safe span
+// methods drop an untraced exchange's spans whole. Counters go through t
+// itself and stay exact. Called once per exchange, from the rank's own
+// goroutine.
+func (t *Rank) Sample() *Rank {
+	if t == nil {
+		return nil
+	}
+	if (t.exchanges.Add(1)-1)%SampleEvery != 0 {
+		return nil
+	}
+	return t
+}
+
+// Sampled reports whether this rank's latest exchange was traced; false
+// before its first exchange. A caller wrapping an exchange in spans of its
+// own (spmv.Session's phases) records them only when this holds.
+func (t *Rank) Sampled() bool {
+	if t == nil {
+		return false
+	}
+	n := t.exchanges.Load()
+	return n > 0 && (n-1)%SampleEvery == 0
+}
+
+// sampledOut reports whether this rank is in an exchange Sample left
+// untraced (or last ran one). Before its first exchange nothing is sampled
+// out.
+func (t *Rank) sampledOut() bool {
+	n := t.exchanges.Load()
+	return n > 0 && (n-1)%SampleEvery != 0
+}
+
+// traced is the number of exchanges Sample has traced on this rank.
+func (t *Rank) traced() int64 {
+	return (t.exchanges.Load() + SampleEvery - 1) / SampleEvery
+}
+
 // CountSend records one sent frame of the given byte length in the stage's
-// counters and the registry's frame-size histogram.
+// counters and, unless the current exchange is untraced, in the frame-size
+// histogram.
 func (t *Rank) CountSend(stage, bytes int) {
 	if t == nil {
 		return
@@ -272,7 +344,9 @@ func (t *Rank) CountSend(stage, bytes int) {
 	s := t.stageSlot(stage)
 	s.Sends.Add(1)
 	s.SendBytes.Add(int64(bytes))
-	t.FrameSizes.Observe(int64(bytes))
+	if !t.sampledOut() {
+		t.FrameSizes.Observe(int64(bytes))
+	}
 }
 
 // CountRecv records one received frame of the given byte length.
@@ -363,26 +437,32 @@ func (t *Rank) SpanSince(k Kind, stage int, start time.Time) {
 // core stage machine's single instrumentation seam: every exchange
 // front-end (dynamic, plan-driven, learned, compiled) threads one mark
 // through its per-stage phase sequence instead of reading the clock twice
-// at every transition.
-func (t *Rank) SpanMark(k Kind, stage int, prev time.Time) time.Time {
+// at every transition. peer is the span's Span.Peer (-1 for none).
+func (t *Rank) SpanMark(k Kind, stage, peer int, prev time.Time) time.Time {
 	if t == nil {
 		return prev
 	}
 	now := time.Now()
-	t.SpanBetween(k, stage, prev, now)
+	t.record(k, stage, peer, prev, now)
 	return now
 }
 
-// SpanBetween records a span covering [start, end]. Offsets are taken
-// against the registry epoch through the monotonic clock, so spans from
-// different ranks land on one consistent timeline.
+// SpanBetween records a span covering [start, end], naming no peer.
 func (t *Rank) SpanBetween(k Kind, stage int, start, end time.Time) {
 	if t == nil {
 		return
 	}
+	t.record(k, stage, -1, start, end)
+}
+
+// record stores one span in the ring. Offsets are taken against the
+// registry epoch through the monotonic clock, so spans from different ranks
+// land on one consistent timeline.
+func (t *Rank) record(k Kind, stage, peer int, start, end time.Time) {
 	sp := Span{
 		Kind:  k,
 		Stage: int32(stage),
+		Peer:  int32(peer),
 		Start: start.Sub(t.epoch).Nanoseconds(),
 		Dur:   end.Sub(start).Nanoseconds(),
 	}
@@ -453,6 +533,9 @@ type RankSnapshot struct {
 	EpochOffsetNs int64  `json:"epoch_offset_ns,omitempty"`
 	Spans         []Span `json:"-"`
 	SpanCount     int64  `json:"span_count"`
+	// Traced is the number of exchanges this rank traced (see Sample): the
+	// spans' busy time divided by Traced is a per-exchange figure.
+	Traced int64 `json:"traced"`
 }
 
 // Snapshot is a plain-value copy of the whole registry, suitable for
@@ -488,6 +571,7 @@ func (g *Registry) Snapshot() Snapshot {
 			Links:            t.LinkStats(),
 			Spans:            t.Spans(),
 			SpanCount:        t.SpanCount(),
+			Traced:           t.traced(),
 		}
 		for d := range t.stages {
 			rs.Stages[d] = t.Counters(d)

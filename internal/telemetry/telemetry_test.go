@@ -295,10 +295,13 @@ func TestSpanRing(t *testing.T) {
 	}
 }
 
-// TestSpanConcurrent hammers one rank's ring from several goroutines; run
-// under -race this locks down the atomic-cursor claim discipline.
+// TestSpanConcurrent hammers one rank's ring from several goroutines while
+// another opens exchanges, as the main loop does beside the pipelined send
+// worker; run under -race this locks down the atomic-cursor claim
+// discipline (the ring holds every span, so no two writers share a slot)
+// and the sampling counter CountSend reads.
 func TestSpanConcurrent(t *testing.T) {
-	g := MustNew(Config{Ranks: 1, Stages: 1, SpanCap: 64})
+	g := MustNew(Config{Ranks: 1, Stages: 1, SpanCap: 2000})
 	r := g.Rank(0)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -311,12 +314,67 @@ func TestSpanConcurrent(t *testing.T) {
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 500; i++ {
+			r.Sample()
+		}
+	}()
 	wg.Wait()
 	if r.SpanCount() != 2000 {
 		t.Fatalf("span count = %d, want 2000", r.SpanCount())
 	}
 	if c := r.Counters(0); c.Sends != 2000 {
 		t.Fatalf("sends = %d, want 2000", c.Sends)
+	}
+}
+
+// TestSampleEvery pins the sampling rule on one rank: exchanges 0, 16 and
+// 32 of 33 are traced — Sample hands back the rank, Sampled agrees, their
+// spans and latencies land — while the others record nothing but counters.
+// A frame sent before the first exchange is observed; frames sent inside an
+// untraced exchange are counted but not observed.
+func TestSampleEvery(t *testing.T) {
+	g := MustNew(Config{Ranks: 1, Stages: 1})
+	r := g.Rank(0)
+	if r.Sampled() {
+		t.Fatal("Sampled before the first exchange")
+	}
+	r.CountSend(0, 8)
+	var traced []int
+	for i := 0; i < 2*SampleEvery+1; i++ {
+		tr := r.Sample()
+		if tr != nil && tr != r {
+			t.Fatalf("exchange %d: Sample returned a different collector", i)
+		}
+		if (tr != nil) != r.Sampled() {
+			t.Fatalf("exchange %d: Sample traced=%v, Sampled=%v", i, tr != nil, r.Sampled())
+		}
+		if tr != nil {
+			traced = append(traced, i)
+		}
+		tr.SpanMark(KStage, 0, 3, g.Epoch())
+		r.CountSend(0, 8)
+	}
+	if want := []int{0, SampleEvery, 2 * SampleEvery}; !reflect.DeepEqual(traced, want) {
+		t.Fatalf("traced exchanges %v, want %v", traced, want)
+	}
+	s := g.Snapshot()
+	rs := s.Ranks[0]
+	if rs.Stages[0].Sends != 2+2*SampleEvery {
+		t.Errorf("sends = %d, want every one of %d", rs.Stages[0].Sends, 2+2*SampleEvery)
+	}
+	if rs.Traced != 3 || rs.SpanCount != 3 {
+		t.Errorf("traced %d exchanges with %d spans, want 3 and 3", rs.Traced, rs.SpanCount)
+	}
+	for _, sp := range rs.Spans {
+		if sp.Peer != 3 {
+			t.Errorf("span peer %d, want 3", sp.Peer)
+		}
+	}
+	if s.FrameSizes.Count != 4 || s.StageNs.Count != 3 {
+		t.Errorf("histograms saw %d frames and %d stage spans, want 4 and 3", s.FrameSizes.Count, s.StageNs.Count)
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // single-process snapshots, set by MergeSnapshots for fleet merges) shifts
 // its spans onto the shared timeline, so slices from all ranks — across
 // process boundaries — line up and the per-stage skew between ranks, the
-// paper's max-vs-avg story, is directly visible as ragged slice edges.
+// paper's max-vs-avg story, is directly visible as ragged slice edges. A
+// slice whose span names a last-arriving sender carries it as args.peer.
 
 // TraceEvent is one entry of the "traceEvents" array. Fields follow the
 // Trace Event Format; Ts and Dur are microseconds.
@@ -64,6 +65,9 @@ func buildTrace(s Snapshot) *TraceFile {
 					args["send_bytes"] = c[sp.Stage].SendBytes
 					args["forwards"] = c[sp.Stage].Forwards
 				}
+			}
+			if sp.Peer >= 0 {
+				args["peer"] = int(sp.Peer)
 			}
 			tf.TraceEvents = append(tf.TraceEvents, TraceEvent{
 				Name: name, Cat: "stfw", Ph: "X",

@@ -26,16 +26,16 @@ import (
 //	rankCount uint32, then per rank:
 //	  rank uint32
 //	  barriers barrierNs patches patchNs patchDirtyStages  int64
-//	  epochOffsetNs spanCount                              int64
+//	  epochOffsetNs spanCount traced                       int64
 //	  stageCount uint32, then per stage 6×int64
 //	  linkCount  uint32, then per link uint32 peer + 18×int64
-//	  spanLen    uint32, then per span uint8 kind, int32 stage, 2×int64
+//	  spanLen    uint32, then per span uint8 kind, int32 stage, int32 peer, 2×int64
 //
 //	histogram: count int64, sum int64, bucketLen uint32, bucketLen×int64
 
 // SnapshotWireVersion is the current encoding generation. Bump it on any
 // layout change; DecodeSnapshot rejects every other version.
-const SnapshotWireVersion = 2
+const SnapshotWireVersion = 3
 
 var snapshotMagic = [8]byte{'S', 'T', 'F', 'W', 'S', 'N', 'A', 'P'}
 
@@ -50,7 +50,7 @@ func EncodeSnapshot(s Snapshot) []byte {
 	// estimate is just an append re-allocation.
 	est := 64 + len(s.Ranks)*128
 	for _, r := range s.Ranks {
-		est += len(r.Stages)*48 + len(r.Links)*(4+8*linkStatsFields) + len(r.Spans)*21
+		est += len(r.Stages)*48 + len(r.Links)*(4+8*linkStatsFields) + len(r.Spans)*25
 	}
 	b := make([]byte, 0, est)
 	b = append(b, snapshotMagic[:]...)
@@ -62,7 +62,7 @@ func EncodeSnapshot(s Snapshot) []byte {
 	for _, r := range s.Ranks {
 		b = binary.LittleEndian.AppendUint32(b, uint32(r.Rank))
 		b = appendI64(b, r.Barriers, r.BarrierNs, r.Patches, r.PatchNs, r.PatchDirtyStages)
-		b = appendI64(b, r.EpochOffsetNs, r.SpanCount)
+		b = appendI64(b, r.EpochOffsetNs, r.SpanCount, r.Traced)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Stages)))
 		for _, c := range r.Stages {
 			b = appendI64(b, c.Sends, c.SendBytes, c.Recvs, c.RecvBytes, c.Forwards, c.FwdBytes)
@@ -81,6 +81,7 @@ func EncodeSnapshot(s Snapshot) []byte {
 		for _, sp := range r.Spans {
 			b = append(b, byte(sp.Kind))
 			b = binary.LittleEndian.AppendUint32(b, uint32(sp.Stage))
+			b = binary.LittleEndian.AppendUint32(b, uint32(sp.Peer))
 			b = appendI64(b, sp.Start, sp.Dur)
 		}
 	}
@@ -208,14 +209,14 @@ func DecodeSnapshot(b []byte) (Snapshot, error) {
 	}
 	s.FrameSizes = r.hist()
 	s.StageNs = r.hist()
-	// Minimum encoded rank: rank u32 + 7 scalar int64s + three empty
+	// Minimum encoded rank: rank u32 + 8 scalar int64s + three empty
 	// section length prefixes.
-	nRanks := r.count("rank", 4+7*8+3*4)
+	nRanks := r.count("rank", 4+8*8+3*4)
 	for i := 0; i < nRanks && r.err == nil; i++ {
 		rs := RankSnapshot{Rank: int(int32(r.u32()))}
 		rs.Barriers, rs.BarrierNs = r.i64(), r.i64()
 		rs.Patches, rs.PatchNs, rs.PatchDirtyStages = r.i64(), r.i64(), r.i64()
-		rs.EpochOffsetNs, rs.SpanCount = r.i64(), r.i64()
+		rs.EpochOffsetNs, rs.SpanCount, rs.Traced = r.i64(), r.i64(), r.i64()
 		if rs.Rank < 0 {
 			r.fail("negative rank %d", rs.Rank)
 			break
@@ -240,11 +241,12 @@ func DecodeSnapshot(b []byte) (Snapshot, error) {
 			ls.StageAcks, ls.LivenessAcks = r.i64(), r.i64()
 			rs.Links = append(rs.Links, ls)
 		}
-		nSpans := r.count("span", 1+4+2*8)
+		nSpans := r.count("span", 1+4+4+2*8)
 		for sp := 0; sp < nSpans; sp++ {
 			rs.Spans = append(rs.Spans, Span{
 				Kind:  Kind(r.u8()),
 				Stage: int32(r.u32()),
+				Peer:  int32(r.u32()),
 				Start: r.i64(),
 				Dur:   r.i64(),
 			})

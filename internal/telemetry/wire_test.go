@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 
 // wireTestSnapshot builds a snapshot exercising every section of the wire
 // format: world histograms, per-rank scalars, stage counters, link stats,
-// and spans (including a non-stage-scoped one with Stage -1).
+// and spans (including a non-stage-scoped one with Stage -1 and Peer -1).
 func wireTestSnapshot() Snapshot {
 	return Snapshot{
 		Epoch: time.Unix(0, 1_700_000_000_123_456_789),
@@ -26,7 +27,7 @@ func wireTestSnapshot() Snapshot {
 				Rank:     0,
 				Barriers: 2, BarrierNs: 1000,
 				Patches: 1, PatchNs: 500, PatchDirtyStages: 3,
-				EpochOffsetNs: 0, SpanCount: 2,
+				EpochOffsetNs: 0, SpanCount: 2, Traced: 1,
 				Stages: []CounterSnapshot{
 					{Sends: 5, SendBytes: 1280, Recvs: 5, RecvBytes: 1280, Forwards: 2, FwdBytes: 512},
 					{Sends: 3, SendBytes: 768, Recvs: 3, RecvBytes: 768},
@@ -40,15 +41,16 @@ func wireTestSnapshot() Snapshot {
 					AcksSent: 4, AcksSuppressed: 6, StageAcks: 3, LivenessAcks: 1,
 				}},
 				Spans: []Span{
-					{Kind: KStage, Stage: 0, Start: 100, Dur: 50},
-					{Kind: KExchange, Stage: -1, Start: 200, Dur: 10},
+					{Kind: KStage, Stage: 0, Peer: 1, Start: 100, Dur: 50},
+					{Kind: KExchange, Stage: -1, Peer: -1, Start: 200, Dur: 10},
 				},
 			},
 			{
 				Rank:          3, // ranks need not be dense
 				EpochOffsetNs: 2_000_000,
 				SpanCount:     1,
-				Spans:         []Span{{Kind: KStage, Stage: 1, Start: 400, Dur: 25}},
+				Traced:        1,
+				Spans:         []Span{{Kind: KDeliver, Stage: 1, Peer: 2, Start: 400, Dur: 25}},
 			},
 		},
 	}
@@ -102,11 +104,14 @@ func TestDecodeSnapshotRejects(t *testing.T) {
 	if _, err := DecodeSnapshot(bad); err == nil {
 		t.Error("future version accepted — collectors must reject build skew")
 	}
-	// Version 1 carried a third histogram and four more words per rank; a
-	// child from that build generation must not be half-parsed.
-	binary.LittleEndian.PutUint16(bad[8:], 1)
-	if _, err := DecodeSnapshot(bad); err == nil {
-		t.Error("version 1 accepted")
+	// Version 1 carried a third histogram and four more words per rank;
+	// version 2 had no traced count per rank and no peer per span. A child
+	// from either build generation must not be half-parsed.
+	for _, v := range []uint16{1, 2} {
+		binary.LittleEndian.PutUint16(bad[8:], v)
+		if _, err := DecodeSnapshot(bad); err == nil {
+			t.Errorf("version %d accepted", v)
+		}
 	}
 	for n := 0; n < len(good); n++ {
 		if _, err := DecodeSnapshot(good[:n]); err == nil {
@@ -172,6 +177,56 @@ func TestMergeSnapshotsOffsets(t *testing.T) {
 	}
 	if _, err := MergeSnapshots([]Snapshot{a, mk(base, 0)}); err == nil {
 		t.Error("two processes claiming rank 0 accepted")
+	}
+}
+
+// TestStageStragglersGatingPeer: the straggler table names the slowest
+// rank's most frequent last sender per stage (the lowest on a tie, -1 when
+// it received nothing), the text table prints it, and the Perfetto slices
+// carry each span's peer.
+func TestStageStragglersGatingPeer(t *testing.T) {
+	snap := Snapshot{Ranks: []RankSnapshot{
+		{Rank: 0, Spans: []Span{
+			{Kind: KDeliver, Stage: 0, Peer: 1, Dur: 10},
+			{Kind: KDeliver, Stage: 1, Peer: -1, Dur: 90},
+		}},
+		{Rank: 1, Spans: []Span{
+			{Kind: KForward, Stage: 0, Peer: -1, Dur: 50},
+			{Kind: KDeliver, Stage: 0, Peer: 3, Dur: 20},
+			{Kind: KDeliver, Stage: 0, Peer: 2, Dur: 20},
+			{Kind: KDeliver, Stage: 0, Peer: 2, Dur: 20},
+			{Kind: KStage, Stage: 1, Peer: 5, Dur: 10},
+			{Kind: KStage, Stage: 1, Peer: 4, Dur: 10},
+		}},
+	}}
+	got := snap.StageStragglers()
+	if len(got) != 2 {
+		t.Fatalf("%d straggler rows, want 2", len(got))
+	}
+	if sg := got[0]; sg.SlowestRank != 1 || sg.GatingPeer != 2 {
+		t.Errorf("stage 0: slowest %d gated by %d, want rank 1 gated by 2", sg.SlowestRank, sg.GatingPeer)
+	}
+	if sg := got[1]; sg.SlowestRank != 0 || sg.GatingPeer != -1 {
+		t.Errorf("stage 1: slowest %d gated by %d, want rank 0 gated by -1", sg.SlowestRank, sg.GatingPeer)
+	}
+	if p := modePeer(map[int32]int{5: 1, 4: 1}); p != 4 {
+		t.Errorf("tie broken to %d, want the lower peer 4", p)
+	}
+	var buf bytes.Buffer
+	WriteStragglers(&buf, got)
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 3 || !strings.HasSuffix(lines[0], "gated_by") ||
+		!strings.HasSuffix(lines[1], " 2") || !strings.HasSuffix(lines[2], " -") {
+		t.Errorf("straggler table:\n%s", buf.String())
+	}
+	peers := map[int]int{}
+	for _, e := range buildTrace(snap).TraceEvents {
+		if p, ok := e.Args["peer"]; ok {
+			peers[p.(int)]++
+		}
+	}
+	if want := map[int]int{1: 1, 2: 2, 3: 1, 4: 1, 5: 1}; !reflect.DeepEqual(peers, want) {
+		t.Errorf("trace peer args %v, want %v", peers, want)
 	}
 }
 

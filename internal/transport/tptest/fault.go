@@ -169,13 +169,19 @@ func (f *faultComm) Send(to, tag int, payload []byte) error {
 		i.count(func(s *FaultStats) { s.Delayed++ })
 		time.Sleep(i.randDelay())
 	}
+	// Copy a duplicate before the first Send: a retaining transport owns
+	// payload once Send returns, and the receiver may recycle it at once.
+	duplicate := i.roll(i.cfg.Duplicate)
+	var dup []byte
+	if duplicate {
+		dup = append([]byte(nil), payload...)
+	}
 	if err := f.Comm.Send(to, tag, payload); err != nil {
 		return err
 	}
 	i.count(func(s *FaultStats) { s.Sent++ })
-	if i.roll(i.cfg.Duplicate) {
+	if duplicate {
 		i.count(func(s *FaultStats) { s.Duplicated++ })
-		dup := append([]byte(nil), payload...)
 		return f.Comm.Send(to, tag, dup)
 	}
 	return nil
