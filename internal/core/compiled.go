@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -34,7 +35,8 @@ import (
 
 // Replay is a compiled iteration program for one rank: a fixed schedule of
 // frame builds, sends, receives, and copies. Obtain one from
-// Persistent.Compile (store-and-forward) or NewDirectReplay (baseline).
+// Persistent.Compile (store-and-forward) or NewDirectReplay (baseline);
+// Persistent.PatchCompiled lowers a patched schedule into an existing one.
 // A Replay is bound to the rank and world it was compiled for and is not
 // safe for concurrent use.
 type Replay struct {
@@ -47,20 +49,16 @@ type Replay struct {
 	// stages memcpy forwarded payloads out of them. Entries are recycled
 	// into the frame arena at the end of every Run.
 	inFrames [][]byte
-	pending  []int // scratch for arrival-order receives, reused across runs
-	// inLoc caches each forwarded slot's retained-frame location, so
-	// PatchCompiled can re-lower dirty frames without re-deriving the
-	// locations of slots in clean inbound frames. Entries for removed slots
-	// go stale harmlessly: nothing forwards them, and re-adding a slot
-	// dirties its inbound frame, which recomputes the entry first.
-	inLoc map[slotKey]slotLoc
+	// pol serves each stage's receives in arrival order; its sender list
+	// is reset per stage and reused across runs.
+	pol runtime.RecvPolicy
 	// tele, when set, counts forwarded bytes on every Run and records
 	// gather/forward/deliver spans on the Runs it samples; see Instrument.
 	tele *telemetry.Rank
 	// traffic is the compiled schedule's transport hint (computeTraffic),
 	// offered to the transport at the top of every Run. Cached so the
-	// steady-state iteration stays allocation-free; PatchCompiled rebuilds
-	// it when re-lowering changes frame sizes.
+	// steady-state iteration stays allocation-free; every lowering rebuilds
+	// it.
 	traffic []runtime.StageTraffic
 }
 
@@ -129,7 +127,7 @@ type slotLoc struct {
 }
 
 // Compile lowers the learned StageSchedule (Persistent.Schedule — the same
-// IR the stage machine executes in Run) into a Replay, under the added
+// IR the stage machine executes in Run) into a new Replay, under the added
 // assumption of fixed payload sizes: destination dst's payload is always
 // the float64s x[gather[dst][0]], x[gather[dst][1]], ... read from the x
 // slice passed to Run. The lowering keeps the schedule's stage skeleton —
@@ -145,23 +143,56 @@ type slotLoc struct {
 // Deliveries are scattered into Run's halo slice in the learned delivery
 // order (sorted by source rank), one contiguous word block per source.
 func (p *Persistent) Compile(xlen int, gather map[int][]int32) (*Replay, error) {
+	r := &Replay{}
+	if err := p.lower(r, xlen, gather); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// lower writes the learned schedule into r: the halo layout and self ops,
+// then per stage one frame program per send slot and the receive metadata
+// and deliver ops per inbound frame. Every slice r already holds — stages,
+// templates, op tables, inbound metadata, inFrames — is reused up to its
+// capacity, so lowering into an existing Replay of the same skeleton
+// allocates only the lowering's own maps and the traffic hint. The gather
+// contract is checked before r is touched; a later error (a non-word
+// payload, a slot without a source) leaves r unusable until a lowering
+// succeeds.
+func (p *Persistent) lower(r *Replay, xlen int, gather map[int][]int32) error {
 	me := p.rank
 	if err := p.checkGather(xlen, gather); err != nil {
-		return nil, err
+		return err
+	}
+	r.me, r.size, r.xlen = me, p.topo.Size(), xlen
+	r.pol.Arrival = true
+
+	// Halo: one contiguous word block per delivery, in the learned order.
+	// Self deliveries come straight from x; every other one is bound to an
+	// inbound frame region by layoutInbound.
+	haloOff := make(map[slotKey]int32, len(p.deliver))
+	bound := make(map[slotKey]bool, len(p.deliver))
+	r.haloWords = 0
+	r.selfs = r.selfs[:0]
+	for _, k := range p.deliver {
+		n := p.sizes[k]
+		if n%8 != 0 {
+			return fmt.Errorf("core: compile: delivery %d->%d has %d bytes, compiled replays require word-sized payloads", k.src, k.dst, n)
+		}
+		haloOff[k] = int32(r.haloWords)
+		if k.src == int32(me) {
+			r.selfs = append(r.selfs, selfOp{idx: gather[int(k.dst)], haloOff: haloOff[k]})
+			bound[k] = true
+		}
+		r.haloWords += n / 8
 	}
 
-	r := &Replay{me: me, size: p.topo.Size(), xlen: xlen}
-
-	haloOff, bound, err := p.bindHalo(r, "compile", gather)
-	if err != nil {
-		return nil, err
-	}
-
+	// inLoc is the retained-frame location of every slot received for
+	// forwarding, filled stage by stage before later stages read it.
 	inLoc := make(map[slotKey]slotLoc)
 	nextFrame := int32(0)
-	maxNbrs := 0
 	sched := p.Schedule()
-	r.stages = make([]rStage, len(sched.Stages))
+	r.stages = resize(r.stages, len(sched.Stages))
 	for d := range r.stages {
 		st := &r.stages[d]
 		ss := &sched.Stages[d]
@@ -171,82 +202,53 @@ func (p *Persistent) Compile(xlen int, gather map[int][]int32) (*Replay, error) 
 		// Outgoing frames follow the schedule's send slots (learning send
 		// order, empty frames included); each slot's learned wire layout
 		// becomes a pre-encoded template.
-		st.frames = make([]rFrame, 0, len(ss.Sends))
+		st.frames = resize(st.frames, len(ss.Sends))
 		for j, slot := range ss.Sends {
 			var slots []slotKey
 			if nf := p.nbrFrames[d][j]; nf.f != nil {
 				slots = nf.f.slots
 			}
-			f, err := p.compileFrame(me, slot.To, slots, gather, inLoc)
-			if err != nil {
-				return nil, fmt.Errorf("core: compile: stage %d frame to %d: %w", d, slot.To, err)
+			if err := p.lowerFrame(&st.frames[j], slot.To, slots, gather, inLoc); err != nil {
+				return fmt.Errorf("core: compile: stage %d frame to %d: %w", d, slot.To, err)
 			}
-			st.frames = append(st.frames, f)
 		}
 
 		// Inbound frames: register forwarded slots for later stages and
 		// bind deliveries to their frame regions.
-		st.recvFrom = append(st.recvFrom, ss.RecvFrom...)
-		st.delivers = make([][]deliverOp, len(ss.RecvFrom))
-		st.inNsubs = make([]int32, len(ss.RecvFrom))
-		st.inSize = make([]int32, len(ss.RecvFrom))
+		n := len(ss.RecvFrom)
+		st.recvFrom = append(st.recvFrom[:0], ss.RecvFrom...)
+		st.inIdx = resize(st.inIdx, n)
+		st.inSize = resize(st.inSize, n)
+		st.inNsubs = resize(st.inNsubs, n)
+		st.delivers = resize(st.delivers, n)
 		for j := range ss.RecvFrom {
-			st.inIdx = append(st.inIdx, nextFrame)
+			st.inIdx[j] = nextFrame
 			nextFrame++
 			p.layoutInbound(st, d, j, haloOff, inLoc, bound)
-		}
-		if len(st.recvFrom) > maxNbrs {
-			maxNbrs = len(st.recvFrom)
 		}
 	}
 	for _, k := range p.deliver {
 		if !bound[k] {
-			return nil, fmt.Errorf("core: compile: delivery %d->%d has no inbound frame slot", k.src, k.dst)
+			return fmt.Errorf("core: compile: delivery %d->%d has no inbound frame slot", k.src, k.dst)
 		}
 	}
-	r.inFrames = make([][]byte, nextFrame)
-	r.pending = make([]int, 0, maxNbrs)
-	r.inLoc = inLoc
+	// Run leaves every entry nil, so the reused prefix needs no clearing.
+	r.inFrames = resize(r.inFrames, int(nextFrame))
 	r.traffic = r.computeTraffic()
-	return r, nil
+	return nil
 }
 
-// bindHalo lays out r's halo for the current pattern — one contiguous word
-// block per delivery slot, in the learned (sorted-by-source) order — and
-// rebuilds r's self ops: self deliveries come straight from x, everything
-// else is bound to an inbound frame region by layoutInbound. It returns the
-// deliveries' word offsets and the set bound so far; op names the caller.
-func (p *Persistent) bindHalo(r *Replay, op string, gather map[int][]int32) (haloOff map[slotKey]int32, bound map[slotKey]bool, err error) {
-	haloOff, r.haloWords = p.haloLayout()
-	bound = make(map[slotKey]bool, len(p.deliver))
-	r.selfs = r.selfs[:0]
-	for _, k := range p.deliver {
-		if n := p.sizes[k]; n%8 != 0 {
-			return nil, nil, fmt.Errorf("core: %s: delivery %d->%d has %d bytes, compiled replays require word-sized payloads", op, k.src, k.dst, n)
-		}
-		if k.src == int32(p.rank) {
-			r.selfs = append(r.selfs, selfOp{idx: gather[int(k.dst)], haloOff: haloOff[k]})
-			bound[k] = true
-		}
-	}
-	return haloOff, bound, nil
-}
-
-// haloLayout is the halo's prefix sum: each delivery's offset, and the total.
-func (p *Persistent) haloLayout() (haloOff map[slotKey]int32, words int) {
-	haloOff = make(map[slotKey]int32, len(p.deliver))
-	for _, k := range p.deliver {
-		haloOff[k] = int32(words)
-		words += p.sizes[k] / 8
-	}
-	return haloOff, words
+// resize returns s with length n, keeping its backing array — and with it
+// the slices its elements hold — when the capacity suffices.
+func resize[S ~[]E, E any](s S, n int) S {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // layoutInbound walks the learned slots of stage d's j-th inbound frame in
 // wire order and rewrites st's view of it: slot count, byte size, a
-// deliverOp for every slot addressed to this rank (marked in bound when
-// non-nil), and in inLoc the retained-frame location of every slot to be
-// forwarded in a later stage. st.inIdx[j] must already name the frame.
+// deliverOp for every slot addressed to this rank (marked in bound), and in
+// inLoc the retained-frame location of every slot to be forwarded in a
+// later stage. st.inIdx[j] must already name the frame.
 func (p *Persistent) layoutInbound(st *rStage, d, j int, haloOff map[slotKey]int32, inLoc map[slotKey]slotLoc, bound map[slotKey]bool) {
 	slots := p.inLayout[d][j]
 	st.inNsubs[j] = int32(len(slots))
@@ -257,9 +259,7 @@ func (p *Persistent) layoutInbound(st *rStage, d, j int, haloOff map[slotKey]int
 		payloadOff := fo + msg.SubHeaderLen
 		if k.dst == int32(p.rank) {
 			st.delivers[j] = append(st.delivers[j], deliverOp{srcOff: payloadOff, haloOff: haloOff[k], words: n / 8})
-			if bound != nil {
-				bound[k] = true
-			}
+			bound[k] = true
 		} else {
 			inLoc[k] = slotLoc{frame: st.inIdx[j], off: payloadOff}
 		}
@@ -270,8 +270,7 @@ func (p *Persistent) layoutInbound(st *rStage, d, j int, haloOff map[slotKey]int
 
 // checkGather validates a gather map against the (current) learned
 // pattern: exactly one list per destination, each list's byte size equal
-// to the pattern's payload size, every index inside x. Shared by Compile
-// and PatchCompiled so both lowerings enforce the same contract.
+// to the pattern's payload size, every index inside x.
 func (p *Persistent) checkGather(xlen int, gather map[int][]int32) error {
 	me := p.rank
 	if len(gather) != len(p.dests) {
@@ -295,14 +294,19 @@ func (p *Persistent) checkGather(xlen int, gather map[int][]int32) error {
 	return nil
 }
 
-// compileFrame builds one outgoing frame program: the wire template with
-// header and submessage headers pre-encoded, plus the payload fill ops.
-func (p *Persistent) compileFrame(me, to int, slots []slotKey, gather map[int][]int32, inLoc map[slotKey]slotLoc) (rFrame, error) {
+// lowerFrame writes one outgoing frame program into f, reusing its slices:
+// the wire template with header and submessage headers pre-encoded, plus
+// the payload fill ops.
+func (p *Persistent) lowerFrame(f *rFrame, to int, slots []slotKey, gather map[int][]int32, inLoc map[slotKey]slotLoc) error {
+	me := p.rank
 	size := msg.MsgHeaderLen
 	for _, k := range slots {
 		size += msg.SubHeaderLen + p.sizes[k]
 	}
-	f := rFrame{to: to, tmpl: make([]byte, 0, size)}
+	f.to = to
+	f.tmpl = slices.Grow(f.tmpl[:0], size)
+	f.gathers = f.gathers[:0]
+	f.fwds = f.fwds[:0]
 	f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(me))
 	f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(to))
 	f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(len(slots)))
@@ -318,12 +322,12 @@ func (p *Persistent) compileFrame(me, to int, slots []slotKey, gather map[int][]
 		} else {
 			l, ok := inLoc[k]
 			if !ok {
-				return rFrame{}, fmt.Errorf("forwarded slot %d->%d not received in an earlier stage", k.src, k.dst)
+				return fmt.Errorf("forwarded slot %d->%d not received in an earlier stage", k.src, k.dst)
 			}
 			f.fwds = append(f.fwds, fwdOp{dstOff: payloadOff, frame: l.frame, srcOff: l.off, n: int32(n)})
 		}
 	}
-	return f, nil
+	return nil
 }
 
 // NewDirectReplay compiles the baseline (BL) iteration for one rank: one
@@ -338,7 +342,7 @@ func NewDirectReplay(me, size, xlen int, gather map[int][]int32, srcWords map[in
 	if me < 0 || me >= size {
 		return nil, fmt.Errorf("core: direct replay rank %d out of range [0,%d)", me, size)
 	}
-	r := &Replay{me: me, size: size, xlen: xlen}
+	r := &Replay{me: me, size: size, xlen: xlen, pol: runtime.RecvPolicy{Arrival: true}}
 	dests := make([]int, 0, len(gather))
 	for dst, idx := range gather {
 		if dst < 0 || dst >= size {
@@ -406,7 +410,6 @@ func NewDirectReplay(me, size, xlen int, gather map[int][]int32, srcWords map[in
 	}
 	r.stages = []rStage{st}
 	r.inFrames = make([][]byte, len(st.recvFrom))
-	r.pending = make([]int, 0, len(st.recvFrom))
 	r.traffic = r.computeTraffic()
 	return r, nil
 }
@@ -482,27 +485,15 @@ func (r *Replay) Run(c runtime.Comm, x []float64, halo []float64) error {
 			mark = tr.SpanMark(telemetry.KForward, si, -1, mark)
 		}
 
-		pending := append(r.pending[:0], st.recvFrom...)
+		r.pol.Reset(st.recvFrom)
 		last := -1
-		for len(pending) > 0 {
-			from, raw, err := runtime.RecvAnyOf(c, st.tag, pending)
+		for r.pol.Outstanding() > 0 {
+			from, raw, err := r.pol.Next(c, st.tag)
 			if err != nil {
 				return fmt.Errorf("core: rank %d replay stage %d recv: %w", r.me, si, err)
 			}
 			last = from
-			j := -1
-			for i, p := range pending {
-				if p == from {
-					pending = append(pending[:i], pending[i+1:]...)
-					break
-				}
-			}
-			for i, p := range st.recvFrom {
-				if p == from {
-					j = i
-					break
-				}
-			}
+			j := slices.Index(st.recvFrom, from)
 			if j < 0 {
 				msg.PutFrame(raw)
 				return fmt.Errorf("core: rank %d replay stage %d: frame from unexpected sender %d", r.me, si, from)

@@ -4,8 +4,8 @@
 //
 //   - delay everywhere, both receive orders — timing-only, must be
 //     invisible;
-//   - reorder on the arrival-order paths — the engines shrink their
-//     candidate lists (RecvPolicy, the replay's pending list), so any
+//   - reorder on the arrival-order paths — the stage machine and the
+//     compiled replay shrink their candidate lists (RecvPolicy), so any
 //     legal service order must produce identical output;
 //   - duplicate in single-exchange cells — the extra frame stays queued
 //     behind the matched one;

@@ -5,7 +5,8 @@
 // payload-routing exchange plus a complete re-lowering. Patch applies a
 // PatchDelta — the pairs transiting this rank, as discovered by the
 // dynamic.Discover census — directly to the recorded layout, and
-// PatchCompiled re-lowers only the dirty frames of an existing Replay.
+// PatchCompiled lowers the patched schedule into an existing Replay, reusing
+// its buffers.
 //
 // Correctness rests on one structural property of learned schedules: every
 // stage sends a (possibly empty) frame to every dimension-d neighbor and
@@ -23,7 +24,6 @@ import (
 	"sort"
 	"time"
 
-	"stfw/internal/msg"
 	"stfw/internal/vpt"
 )
 
@@ -49,8 +49,7 @@ type PatchDelta struct {
 // index into nbrFrames[d] for outbound frames, into inFrom[d] for inbound).
 type frameRef struct{ d, j int }
 
-// PatchStats reports what a Patch touched; PatchCompiled uses it to decide
-// which compiled frames must be rebuilt versus merely refreshed.
+// PatchStats reports what a Patch touched.
 type PatchStats struct {
 	// Added and Removed count applied pair mutations (a resize counts once
 	// in each).
@@ -62,14 +61,6 @@ type PatchStats struct {
 	TouchedOutFrames, TouchedInFrames int
 	// Elapsed is the wall-clock duration of the Patch call.
 	Elapsed time.Duration
-
-	dirtyOut map[frameRef]bool
-	dirtyIn  map[frameRef]bool
-	// haloDirty records whether any applied pair is delivered to this rank:
-	// those mutations shift the halo layout, so PatchCompiled must rebuild
-	// delivery offsets (and self-scatter bindings) everywhere instead of
-	// taking the frame-local fast path.
-	haloDirty bool
 }
 
 // patchHops is rank me's involvement in the dimension-ordered route of one
@@ -258,7 +249,9 @@ func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 
 	// Apply pass, infallible by construction. Removals first, so a resize
 	// lands its slot at the frame tail on sender and receiver alike.
-	st := &PatchStats{dirtyOut: make(map[frameRef]bool), dirtyIn: make(map[frameRef]bool)}
+	st := &PatchStats{}
+	dirtyOut := make(map[frameRef]bool)
+	dirtyIn := make(map[frameRef]bool)
 	for _, o := range removes {
 		delete(p.sizes, o.k)
 		if o.h.origin {
@@ -266,18 +259,17 @@ func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 		}
 		if o.h.deliver {
 			p.deliver = removeSlot(p.deliver, o.k)
-			st.haloDirty = true
 		}
 		if o.h.sendD >= 0 {
 			j := p.outFrameIndex(o.h.sendD, o.h.sendTo)
 			nf := &p.nbrFrames[o.h.sendD][j]
 			nf.f.slots = removeSlot(nf.f.slots, o.k)
-			st.dirtyOut[frameRef{o.h.sendD, j}] = true
+			dirtyOut[frameRef{o.h.sendD, j}] = true
 		}
 		if o.h.recvD >= 0 {
 			j := p.inFrameIndex(o.h.recvD, o.h.recvFrom)
 			p.inLayout[o.h.recvD][j] = removeSlot(p.inLayout[o.h.recvD][j], o.k)
-			st.dirtyIn[frameRef{o.h.recvD, j}] = true
+			dirtyIn[frameRef{o.h.recvD, j}] = true
 		}
 		st.Removed++
 	}
@@ -293,19 +285,18 @@ func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 		}
 		if o.h.deliver {
 			p.deliver = append(p.deliver, o.k)
-			st.haloDirty = true
 		}
 		if o.h.sendD >= 0 {
 			j := p.outFrameIndex(o.h.sendD, o.h.sendTo)
 			ref := frameRef{o.h.sendD, j}
 			outAdds[ref] = append(outAdds[ref], o.k)
-			st.dirtyOut[ref] = true
+			dirtyOut[ref] = true
 		}
 		if o.h.recvD >= 0 {
 			j := p.inFrameIndex(o.h.recvD, o.h.recvFrom)
 			ref := frameRef{o.h.recvD, j}
 			inAdds[ref] = append(inAdds[ref], o.k)
-			st.dirtyIn[ref] = true
+			dirtyIn[ref] = true
 		}
 		st.Added++
 	}
@@ -313,7 +304,7 @@ func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 		sort.Slice(ks, func(i, j int) bool { return lessSlot(ks[i], ks[j]) })
 		nf := &p.nbrFrames[ref.d][ref.j]
 		if nf.f == nil {
-			nf.f = &pFrame{to: nf.to}
+			nf.f = &pFrame{}
 		}
 		nf.f.slots = append(nf.f.slots, ks...)
 	}
@@ -324,7 +315,7 @@ func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 
 	// Normalize the touched frames: a drained frame reverts to the empty
 	// marker (nil, matching what a learning run records).
-	for ref := range st.dirtyOut {
+	for ref := range dirtyOut {
 		if nf := &p.nbrFrames[ref.d][ref.j]; nf.f != nil && len(nf.f.slots) == 0 {
 			nf.f = nil
 		}
@@ -348,212 +339,48 @@ func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 	}
 
 	dirty := make(map[int]bool, t.N())
-	for ref := range st.dirtyOut {
+	for ref := range dirtyOut {
 		dirty[ref.d] = true
 	}
-	for ref := range st.dirtyIn {
+	for ref := range dirtyIn {
 		dirty[ref.d] = true
 	}
 	st.DirtyStages = len(dirty)
-	st.TouchedOutFrames = len(st.dirtyOut)
-	st.TouchedInFrames = len(st.dirtyIn)
+	st.TouchedOutFrames = len(dirtyOut)
+	st.TouchedInFrames = len(dirtyIn)
 	st.Elapsed = time.Since(start)
 	p.tele.CountPatch(st.DirtyStages, st.Elapsed)
 	return st, nil
 }
 
-// PatchCompiled re-lowers an existing Replay after a Patch, rebuilding only
-// what the patch dirtied: frames whose slot lists changed get fresh
-// templates (the expensive part — allocation, header encoding, payload
-// zeroing), while clean frames keep their templates. When no delivery to
-// this rank changed (the common transit-only case) the re-lowering is fully
-// incremental: only dirty inbound frames have their offsets and retained-
-// frame locations recomputed, and only clean frames that forward out of a
-// dirty inbound frame have their copy-op tables re-pointed. A patch that
-// touches the halo layout (a pair delivered here was added, removed, or
-// resized), changes xlen, or meets a pre-cache Replay falls back to a full
-// refresh walk. The receive structure (who sends what frame when, and each
-// frame's retention index) is invariant under patching, so the Replay's
-// steady-state allocation profile is unchanged: replaying a patched
-// schedule still allocates nothing.
-//
-// The Replay must have been compiled from this Persistent (the stage
-// skeleton and tags are cross-checked); xlen and gather carry the same
-// contract as Compile, with one addition the incremental path relies on:
-// gather lists for destinations untouched by the patch must be equivalent
-// (same indices) to the ones the Replay currently holds — frames none of
-// the patch dirtied keep their existing gather bindings. The caller
-// re-sizes its halo slice to the new HaloWords. stats must come from the
-// Patch call that dirtied the Replay; passing stats from an older patch (or
-// patching twice without re-lowering) leaves the Replay stale — re-lower
-// after every Patch.
+// PatchCompiled lowers the patched schedule into an existing Replay: after
+// checking that r was compiled from this Persistent's skeleton (rank, world
+// size, stage count and stage tags), it runs Compile's lowering, writing
+// into r and reusing the capacity of its templates, op tables and receive
+// metadata. xlen and gather carry Compile's contract, and the caller
+// re-sizes its halo slice to the new HaloWords. Because the lowering is
+// whole, r is exact after any sequence of Patch calls and any change of
+// gather lists. stats is not consulted; it stays in the signature for the
+// callers that pass the Patch result along. The receive structure of a
+// patched schedule equals the learned one, so replaying it still allocates
+// nothing.
 func (p *Persistent) PatchCompiled(r *Replay, xlen int, gather map[int][]int32, stats *PatchStats) error {
 	me := p.rank
 	if r == nil {
 		return fmt.Errorf("core: patch: nil replay")
 	}
-	if stats == nil {
-		return fmt.Errorf("core: patch: nil patch stats")
-	}
 	if r.me != me || r.size != p.topo.Size() {
 		return fmt.Errorf("core: patch: replay bound to rank %d of %d, persistent is rank %d of %d",
 			r.me, r.size, me, p.topo.Size())
-	}
-	if err := p.checkGather(xlen, gather); err != nil {
-		return err
 	}
 	sched := p.Schedule()
 	if len(sched.Stages) != len(r.stages) {
 		return fmt.Errorf("core: patch: replay has %d stages, schedule has %d", len(r.stages), len(sched.Stages))
 	}
-	if !stats.haloDirty && xlen == r.xlen && r.inLoc != nil {
-		if err := p.patchCompiledFast(r, sched, gather, stats); err != nil {
-			return err
-		}
-		r.traffic = r.computeTraffic()
-		return nil
-	}
-
-	// Halo layout and self ops: delivery offsets shift whenever any
-	// delivered payload is added, removed, or resized, so both are rebuilt.
-	haloOff, bound, err := p.bindHalo(r, "patch", gather)
-	if err != nil {
-		return err
-	}
-	r.xlen = xlen
-
-	inLoc := make(map[slotKey]slotLoc)
 	for d := range r.stages {
-		stg := &r.stages[d]
-		ss := &sched.Stages[d]
-		if stg.tag != ss.Tag || len(stg.frames) != len(ss.Sends) || len(stg.recvFrom) != len(ss.RecvFrom) {
+		if r.stages[d].tag != sched.Stages[d].Tag {
 			return fmt.Errorf("core: patch: replay stage %d does not match the learned schedule (was it compiled from this pattern?)", d)
 		}
-		for j := range ss.Sends {
-			var slots []slotKey
-			if nf := p.nbrFrames[d][j]; nf.f != nil {
-				slots = nf.f.slots
-			}
-			if stats.dirtyOut[frameRef{d, j}] {
-				f, err := p.compileFrame(me, ss.Sends[j].To, slots, gather, inLoc)
-				if err != nil {
-					return fmt.Errorf("core: patch: stage %d frame to %d: %w", d, ss.Sends[j].To, err)
-				}
-				stg.frames[j] = f
-			} else if err := p.refreshFrameOps(&stg.frames[j], slots, gather, inLoc); err != nil {
-				return fmt.Errorf("core: patch: stage %d frame to %d: %w", d, ss.Sends[j].To, err)
-			}
-		}
-		for j := range ss.RecvFrom {
-			p.layoutInbound(stg, d, j, haloOff, inLoc, bound)
-		}
 	}
-	for _, k := range p.deliver {
-		if !bound[k] {
-			return fmt.Errorf("core: patch: delivery %d->%d has no inbound frame slot", k.src, k.dst)
-		}
-	}
-	r.inLoc = inLoc
-	r.traffic = r.computeTraffic()
-	return nil
-}
-
-// patchCompiledFast is the transit-only re-lowering: no delivery to this
-// rank changed, so the halo layout, self-scatter ops, and every clean
-// inbound frame's metadata are already correct. Dirty inbound frames get
-// their interior offsets (and inLoc cache entries) recomputed; outbound
-// frames are recompiled when dirty and re-pointed only when they forward
-// payload out of an inbound frame whose interior shifted. Everything else
-// is untouched — the whole walk is O(dirty frames), not O(pattern).
-func (p *Persistent) patchCompiledFast(r *Replay, sched *StageSchedule, gather map[int][]int32, stats *PatchStats) error {
-	me := p.rank
-	// Halo offsets are unchanged (no delivered pair mutated), but dirty
-	// inbound frames still carry deliver ops whose in-frame source offsets
-	// may have shifted; rebuild the offset map to re-point them.
-	haloOff, _ := p.haloLayout()
-	dirtyFrames := make(map[int32]bool, len(stats.dirtyIn))
-	for d := range r.stages {
-		stg := &r.stages[d]
-		ss := &sched.Stages[d]
-		if stg.tag != ss.Tag || len(stg.frames) != len(ss.Sends) || len(stg.recvFrom) != len(ss.RecvFrom) {
-			return fmt.Errorf("core: patch: replay stage %d does not match the learned schedule (was it compiled from this pattern?)", d)
-		}
-		for j := range ss.RecvFrom {
-			if !stats.dirtyIn[frameRef{d, j}] {
-				continue
-			}
-			p.layoutInbound(stg, d, j, haloOff, r.inLoc, nil)
-			dirtyFrames[stg.inIdx[j]] = true
-		}
-	}
-	for d := range r.stages {
-		stg := &r.stages[d]
-		ss := &sched.Stages[d]
-		for j := range ss.Sends {
-			var slots []slotKey
-			if nf := p.nbrFrames[d][j]; nf.f != nil {
-				slots = nf.f.slots
-			}
-			if stats.dirtyOut[frameRef{d, j}] {
-				f, err := p.compileFrame(me, ss.Sends[j].To, slots, gather, r.inLoc)
-				if err != nil {
-					return fmt.Errorf("core: patch: stage %d frame to %d: %w", d, ss.Sends[j].To, err)
-				}
-				stg.frames[j] = f
-			} else if fwdsFromDirty(&stg.frames[j], dirtyFrames) {
-				if err := p.refreshFrameOps(&stg.frames[j], slots, gather, r.inLoc); err != nil {
-					return fmt.Errorf("core: patch: stage %d frame to %d: %w", d, ss.Sends[j].To, err)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// fwdsFromDirty reports whether a clean outbound frame copies payload out
-// of any inbound frame the patch shifted — the only reason a clean frame's
-// op table can go stale.
-func fwdsFromDirty(f *rFrame, dirty map[int32]bool) bool {
-	if len(dirty) == 0 {
-		return false
-	}
-	for i := range f.fwds {
-		if dirty[f.fwds[i].frame] {
-			return true
-		}
-	}
-	return false
-}
-
-// refreshFrameOps rewrites a clean frame's payload-fill op tables in place:
-// the template bytes are untouched (the frame's own wire layout did not
-// change), but gather ops must re-point at the caller's current gather
-// lists and forward ops at the new inbound offsets — an earlier inbound
-// frame that was patched shifts the source regions of everything forwarded
-// out of it. The final offset is checked against the template length, so a
-// stale stats object (marking a dirtied frame clean) is caught here rather
-// than corrupting payload.
-func (p *Persistent) refreshFrameOps(f *rFrame, slots []slotKey, gather map[int][]int32, inLoc map[slotKey]slotLoc) error {
-	me := int32(p.rank)
-	f.gathers = f.gathers[:0]
-	f.fwds = f.fwds[:0]
-	fo := int32(msg.MsgHeaderLen)
-	for _, k := range slots {
-		n := int32(p.sizes[k])
-		payloadOff := fo + msg.SubHeaderLen
-		if k.src == me {
-			f.gathers = append(f.gathers, gatherOp{off: payloadOff, idx: gather[int(k.dst)]})
-		} else {
-			l, ok := inLoc[k]
-			if !ok {
-				return fmt.Errorf("forwarded slot %d->%d not received in an earlier stage", k.src, k.dst)
-			}
-			f.fwds = append(f.fwds, fwdOp{dstOff: payloadOff, frame: l.frame, srcOff: l.off, n: n})
-		}
-		fo = payloadOff + n
-	}
-	if int(fo) != len(f.tmpl) {
-		return fmt.Errorf("clean frame's slots lay out %d bytes, template has %d (stale patch stats?)", fo, len(f.tmpl))
-	}
-	return nil
+	return p.lower(r, xlen, gather)
 }

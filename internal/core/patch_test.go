@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"stfw/internal/runtime"
@@ -345,8 +347,9 @@ func TestPatchResizeAppendsAtTail(t *testing.T) {
 	}
 }
 
-// equalReplay compares two compiled replays structurally: templates,
-// op tables, inbound metadata, halo shape.
+// equalReplay compares two compiled replays structurally: templates, op
+// tables (gather and self index lists by content), inbound metadata, halo
+// shape.
 func equalReplay(t *testing.T, label string, a, b *Replay) {
 	t.Helper()
 	if a.haloWords != b.haloWords || a.xlen != b.xlen {
@@ -356,7 +359,7 @@ func equalReplay(t *testing.T, label string, a, b *Replay) {
 		t.Fatalf("%s: %d self ops vs %d", label, len(a.selfs), len(b.selfs))
 	}
 	for i := range a.selfs {
-		if a.selfs[i].haloOff != b.selfs[i].haloOff || len(a.selfs[i].idx) != len(b.selfs[i].idx) {
+		if a.selfs[i].haloOff != b.selfs[i].haloOff || !slices.Equal(a.selfs[i].idx, b.selfs[i].idx) {
 			t.Fatalf("%s: self op %d differs", label, i)
 		}
 	}
@@ -380,7 +383,7 @@ func equalReplay(t *testing.T, label string, a, b *Replay) {
 				t.Fatalf("%s: stage %d frame to %d: op tables differ", label, d, af.to)
 			}
 			for i := range af.gathers {
-				if af.gathers[i].off != bf.gathers[i].off || len(af.gathers[i].idx) != len(bf.gathers[i].idx) {
+				if af.gathers[i].off != bf.gathers[i].off || !slices.Equal(af.gathers[i].idx, bf.gathers[i].idx) {
 					t.Fatalf("%s: stage %d frame to %d: gather op %d differs", label, d, af.to, i)
 				}
 			}
@@ -409,11 +412,9 @@ func equalReplay(t *testing.T, label string, a, b *Replay) {
 	}
 }
 
-// TestPatchCompiledMatchesRecompile proves the incremental lowering exact:
+// TestPatchCompiledMatchesRecompile proves the in-place lowering exact:
 // after a Patch, PatchCompiled must leave the Replay structurally identical
-// to compiling the patched Persistent from scratch — and clean frames must
-// keep their template backing arrays (the incremental part is real, not a
-// hidden recompile).
+// to compiling the patched Persistent from scratch.
 func TestPatchCompiledMatchesRecompile(t *testing.T) {
 	const xlen = 128
 	for _, c := range []struct{ K, n int }{{8, 3}, {16, 2}, {12, 2}} {
@@ -423,26 +424,15 @@ func TestPatchCompiledMatchesRecompile(t *testing.T) {
 		world := synthWorld(tp, base)
 		deltas := synthDeltas(tp, muts)
 		for me, p := range world {
-			gather := synthGather(p, xlen)
-			rep, err := p.Compile(xlen, gather)
+			rep, err := p.Compile(xlen, synthGather(p, xlen))
 			if err != nil {
 				t.Fatalf("K=%d rank %d: compile: %v", c.K, me, err)
-			}
-			// Remember each frame's template backing array.
-			type fkey struct{ d, j int }
-			tmplPtr := map[fkey]*byte{}
-			for d := range rep.stages {
-				for j := range rep.stages[d].frames {
-					if tm := rep.stages[d].frames[j].tmpl; len(tm) > 0 {
-						tmplPtr[fkey{d, j}] = &tm[0]
-					}
-				}
 			}
 			st, err := p.Patch(deltas[me])
 			if err != nil {
 				t.Fatalf("K=%d rank %d: patch: %v", c.K, me, err)
 			}
-			gather = synthGather(p, xlen) // destinations may have changed
+			gather := synthGather(p, xlen) // destinations may have changed
 			if err := p.PatchCompiled(rep, xlen, gather, st); err != nil {
 				t.Fatalf("K=%d rank %d: patch-compile: %v", c.K, me, err)
 			}
@@ -451,29 +441,220 @@ func TestPatchCompiledMatchesRecompile(t *testing.T) {
 				t.Fatalf("K=%d rank %d: recompile: %v", c.K, me, err)
 			}
 			equalReplay(t, "patched vs recompiled", rep, fresh)
-			// Clean frames must still point at their original templates.
-			reused, rebuilt := 0, 0
-			for d := range rep.stages {
-				for j := range rep.stages[d].frames {
-					ptr, had := tmplPtr[fkey{d, j}]
-					tm := rep.stages[d].frames[j].tmpl
-					if st.dirtyOut[frameRef{d, j}] {
-						rebuilt++
-						continue
-					}
-					if had && len(tm) > 0 && &tm[0] != ptr {
-						t.Fatalf("K=%d rank %d: clean frame (stage %d, slot %d) lost its template", c.K, me, d, j)
-					}
-					if had {
-						reused++
-					}
-				}
+		}
+	}
+}
+
+// absentMultiHopPairs returns the first n pairs, in (src, dst) order, that
+// base does not carry and whose route corrects every digit, so every stage
+// has a forwarder that neither originates nor receives the payload.
+func absentMultiHopPairs(tp *vpt.Topology, base map[synthPair]int, n int) []synthPair {
+	var out []synthPair
+	for src := 0; src < tp.Size() && len(out) < n; src++ {
+		for dst := 0; dst < tp.Size() && len(out) < n; dst++ {
+			if _, ok := base[synthPair{src, dst}]; ok {
+				continue
 			}
-			if reused == 0 && rebuilt == 0 && len(tmplPtr) > 0 {
-				t.Fatalf("K=%d rank %d: no frames accounted for", c.K, me)
+			multiHop := true
+			for d := 0; d < tp.N(); d++ {
+				multiHop = multiHop && tp.Digit(src, d) != tp.Digit(dst, d)
+			}
+			if multiHop {
+				out = append(out, synthPair{src, dst})
 			}
 		}
 	}
+	return out
+}
+
+// shiftGather returns gather with every index moved one place along x:
+// the same destinations and sizes, different words.
+func shiftGather(gather map[int][]int32, xlen int) map[int][]int32 {
+	out := make(map[int][]int32, len(gather))
+	for dst, idx := range gather {
+		moved := make([]int32, len(idx))
+		for i, g := range idx {
+			moved[i] = (g + 1) % int32(xlen)
+		}
+		out[dst] = moved
+	}
+	return out
+}
+
+// replayHalos runs every rank's Replay once on a chanpt world, over an x
+// whose words are distinct across ranks, and returns the halos.
+func replayHalos(t *testing.T, reps []*Replay, xlen int) [][]float64 {
+	t.Helper()
+	w, err := chanpt.NewWorld(len(reps), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halos := make([][]float64, len(reps))
+	err = w.Run(func(c runtime.Comm) error {
+		me := c.Rank()
+		x := make([]float64, xlen)
+		for i := range x {
+			x[i] = float64(me)*1e4 + float64(i) + 0.5
+		}
+		halos[me] = make([]float64, reps[me].HaloWords())
+		return reps[me].Run(c, x, halos[me])
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return halos
+}
+
+// TestPatchCompiledFreshInputs holds PatchCompiled to a fresh Compile on
+// the inputs a partial re-lowering gets wrong: (a) a patch that only
+// transits most ranks, re-lowered with new gather indices for destinations
+// the patch did not touch, and (b) two Patch calls re-lowered once, given
+// the second call's stats. Either way the Replay must equal a from-scratch
+// compile and replay the same halos on a live world.
+func TestPatchCompiledFreshInputs(t *testing.T) {
+	const K, n, xlen = 16, 2, 96
+	tp := synthTopology(t, K, n)
+	base := synthBasePairs(7, K)
+	add := absentMultiHopPairs(tp, base, 2)
+	if len(add) < 2 {
+		t.Fatal("pattern leaves no absent multi-hop pairs")
+	}
+	adds := func(prs ...synthPair) []PatchPair {
+		var muts []PatchPair
+		for _, pr := range prs {
+			muts = append(muts, PatchPair{Src: pr.src, Dst: pr.dst, Size: 24})
+		}
+		return muts
+	}
+	for _, c := range []struct {
+		name    string
+		patches [][]PatchPair
+		shift   bool
+	}{
+		{"transit-only-new-gather", [][]PatchPair{adds(add[0])}, true},
+		{"two-patches-one-lowering", [][]PatchPair{adds(add[0]), adds(add[1])}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			world := synthWorld(tp, base)
+			reps := make([]*Replay, K)
+			for me, p := range world {
+				var err error
+				if reps[me], err = p.Compile(xlen, synthGather(p, xlen)); err != nil {
+					t.Fatalf("rank %d: compile: %v", me, err)
+				}
+			}
+			stats := make([]*PatchStats, K)
+			forwarders := 0
+			for _, muts := range c.patches {
+				deltas := synthDeltas(tp, muts)
+				for me, p := range world {
+					st, err := p.Patch(deltas[me])
+					if err != nil {
+						t.Fatalf("rank %d: patch: %v", me, err)
+					}
+					stats[me] = st
+					if h, _ := routeHops(tp, me, muts[0].Src, muts[0].Dst); h.sendD >= 0 && h.recvD >= 0 {
+						forwarders++
+					}
+				}
+			}
+			if forwarders == 0 {
+				t.Fatal("no rank forwards the added pairs")
+			}
+			fresh := make([]*Replay, K)
+			for me, p := range world {
+				gather := synthGather(p, xlen)
+				if c.shift {
+					gather = shiftGather(gather, xlen)
+				}
+				if err := p.PatchCompiled(reps[me], xlen, gather, stats[me]); err != nil {
+					t.Fatalf("rank %d: patch-compile: %v", me, err)
+				}
+				var err error
+				if fresh[me], err = p.Compile(xlen, gather); err != nil {
+					t.Fatalf("rank %d: recompile: %v", me, err)
+				}
+				equalReplay(t, fmt.Sprintf("rank %d patched vs recompiled", me), reps[me], fresh[me])
+			}
+			got, want := replayHalos(t, reps, xlen), replayHalos(t, fresh, xlen)
+			for me := range want {
+				if !slices.Equal(got[me], want[me]) {
+					t.Fatalf("rank %d: patched replay halo %v, fresh compile %v", me, got[me], want[me])
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPatchCompiled times the lowering of a patched schedule into the
+// existing Replays of a whole world, in the shape of the churn-chan
+// benchmark workload: K=64 on T3(4,4,4), 8 destinations × 32–255 words per
+// rank, 8 pairs toggled per round (removed, then re-added). One op is one
+// PatchCompiled on every rank; the Patch calls run with the timer stopped.
+//
+//	go test -run '^$' -bench PatchCompiled -benchmem -cpuprofile cpu.out ./internal/core/
+func BenchmarkPatchCompiled(b *testing.B) {
+	const K, dests, xlen, toggles = 64, 8, 256, 8
+	tp := vpt.MustNew(4, 4, 4)
+	rng := rand.New(rand.NewSource(K))
+	pairs := map[synthPair]int{}
+	var order []synthPair
+	for src := 0; src < K; src++ {
+		for fan := 0; fan < dests; {
+			pr := synthPair{src, rng.Intn(K)}
+			if _, dup := pairs[pr]; dup || pr.dst == src {
+				continue
+			}
+			pairs[pr] = 8 * (32 + rng.Intn(224))
+			order = append(order, pr)
+			fan++
+		}
+	}
+	// deltas[ph] moves every rank into phase ph: 1 removes the toggled
+	// pairs, 0 re-adds them.
+	var remove, readd []PatchPair
+	for _, i := range rng.Perm(len(order))[:toggles] {
+		pr := order[i]
+		remove = append(remove, PatchPair{Src: pr.src, Dst: pr.dst, Remove: true})
+		readd = append(readd, PatchPair{Src: pr.src, Dst: pr.dst, Size: pairs[pr]})
+	}
+	deltas := [2][]*PatchDelta{synthDeltas(tp, readd), synthDeltas(tp, remove)}
+	worlds := [2][]*Persistent{synthWorld(tp, pairs), synthWorld(tp, applyMutations(pairs, remove))}
+	var gathers [2][]map[int][]int32
+	for ph := range worlds {
+		for _, p := range worlds[ph] {
+			gathers[ph] = append(gathers[ph], synthGather(p, xlen))
+		}
+	}
+
+	ps := worlds[0]
+	reps := make([]*Replay, K)
+	for me, p := range ps {
+		var err error
+		if reps[me], err = p.Compile(xlen, gathers[0][me]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	stats := make([]*PatchStats, K)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ph := 1 - i%2
+		b.StopTimer()
+		for me, p := range ps {
+			var err error
+			if stats[me], err = p.Patch(deltas[ph][me]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		for me, p := range ps {
+			if err := p.PatchCompiled(reps[me], xlen, gathers[ph][me], stats[me]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*K), "ns/rank")
 }
 
 // TestPatchTelemetry checks the patch counters land on the rank collector

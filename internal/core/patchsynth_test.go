@@ -35,7 +35,6 @@ func synthWorld(t *vpt.Topology, pairs map[synthPair]int) []*Persistent {
 		p := &Persistent{
 			topo:     t,
 			rank:     me,
-			layout:   make([][]pFrame, t.N()),
 			dests:    map[int]struct{}{},
 			sizes:    map[slotKey]int{},
 			inLayout: make([][][]slotKey, t.N()),
@@ -74,21 +73,17 @@ func synthWorld(t *vpt.Topology, pairs map[synthPair]int) []*Persistent {
 		// Frame skeleton: every dimension-d neighbor in digit order, on both
 		// sides, exactly like a learning run records (empty frames included
 		// on the receive side; empty outbound frames are the nil marker).
-		for d := 0; d < t.N(); d++ {
-			myDigit := t.Digit(me, d)
-			for x := 0; x < t.Dim(d); x++ {
-				if x == myDigit {
-					continue
+		p.indexNeighborFrames()
+		for d := range p.nbrFrames {
+			for j := range p.nbrFrames[d] {
+				nf := &p.nbrFrames[d][j]
+				if slots := out[d][nf.to]; len(slots) > 0 {
+					nf.f = &pFrame{slots: slots}
 				}
-				nbr := t.WithDigit(me, d, x)
-				if slots := out[d][nbr]; len(slots) > 0 {
-					p.layout[d] = append(p.layout[d], pFrame{to: nbr, slots: slots})
-				}
-				p.inFrom[d] = append(p.inFrom[d], nbr)
-				p.inLayout[d] = append(p.inLayout[d], in[d][nbr])
+				p.inFrom[d] = append(p.inFrom[d], nf.to)
+				p.inLayout[d] = append(p.inLayout[d], in[d][nf.to])
 			}
 		}
-		p.indexNeighborFrames()
 		ps[me] = p
 	}
 	return ps

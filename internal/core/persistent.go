@@ -32,17 +32,11 @@ import (
 type Persistent struct {
 	topo *vpt.Topology
 	rank int
-	// layout[d] lists the nonempty frames of stage d in send order, as the
-	// learning run recorded them. It only feeds indexNeighborFrames; after
-	// that (and in particular after any Patch, which may point nbrFrames at
-	// frames the learning run never saw) nbrFrames is the sole authority on
-	// outbound frame contents.
-	layout [][]pFrame
-	// nbrFrames[d][j] pairs the j-th dimension-d neighbor (fixed learning
-	// send order) with its learned nonempty frame, nil when the frame to
-	// that neighbor is empty. Precomputed once so replays do not rebuild a
-	// per-stage map. Patch mutates the slot lists in place when the pattern
-	// changes.
+	// nbrFrames[d][j] pairs the j-th dimension-d neighbor — the schedule's
+	// send index, neighbor-digit order — with the nonempty frame sent to it,
+	// nil when the frame to that neighbor is empty. The learning run records
+	// each frame at its slot; Patch mutates the slot lists in place when the
+	// pattern changes.
 	nbrFrames [][]nbrFrame
 	// deliver lists the (src, dst) ranks whose payloads end up at this
 	// rank, in the order Exchange returns them (sorted by src, then dst).
@@ -113,7 +107,6 @@ func (p *Persistent) Instrument(t *telemetry.Rank) { p.tele = t }
 type slotKey struct{ src, dst int32 }
 
 type pFrame struct {
-	to    int
 	slots []slotKey
 }
 
@@ -139,7 +132,6 @@ func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*P
 	p := &Persistent{
 		topo:     t,
 		rank:     me,
-		layout:   make([][]pFrame, t.N()),
 		dests:    make(map[int]struct{}, len(payloads)),
 		sizes:    make(map[slotKey]int, len(payloads)),
 		inLayout: make([][][]slotKey, t.N()),
@@ -151,6 +143,7 @@ func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*P
 		p.sizes[slotKey{src: int32(me), dst: int32(dst)}] = len(data)
 	}
 	sort.Ints(p.destList)
+	p.indexNeighborFrames()
 
 	fb := msg.NewForwardBuffers(t.Dims())
 	out := &Delivered{}
@@ -172,14 +165,14 @@ func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*P
 		sched:     learnSched,
 		fixedRecv: true,
 		traffic:   learnSched.Traffic(),
-		outSubs: func(d, _ int, slot SendSlot) ([]msg.Submessage, error) {
+		outSubs: func(d, j int, slot SendSlot) ([]msg.Submessage, error) {
 			subs := fb.Take(d, t.Digit(slot.To, d))
 			if len(subs) > 0 {
-				frame := pFrame{to: slot.To, slots: make([]slotKey, len(subs))}
+				f := &pFrame{slots: make([]slotKey, len(subs))}
 				for i, s := range subs {
-					frame.slots[i] = slotKey{src: int32(s.Src), dst: int32(s.Dst)}
+					f.slots[i] = slotKey{src: int32(s.Src), dst: int32(s.Dst)}
 				}
-				p.layout[d] = append(p.layout[d], frame)
+				p.nbrFrames[d][j].f = f
 			}
 			return subs, nil
 		},
@@ -209,14 +202,13 @@ func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*P
 	for _, s := range out.Subs {
 		p.deliver = append(p.deliver, slotKey{src: int32(s.Src), dst: int32(s.Dst)})
 	}
-	p.indexNeighborFrames()
 	return p, out, nil
 }
 
-// indexNeighborFrames builds nbrFrames from the learned layout: per stage,
-// the fixed neighbor send order annotated with the nonempty frame sent to
-// each neighbor (or nil). Replays iterate this slice instead of rebuilding
-// a destination-keyed map per call.
+// indexNeighborFrames builds nbrFrames' skeleton: per stage, every
+// dimension-d neighbor in digit order — the learning schedule's send order
+// (buildTopologySchedule) — with no frame yet. The learning run then
+// records each nonempty frame at its send index.
 func (p *Persistent) indexNeighborFrames() {
 	t := p.topo
 	me := p.rank
@@ -228,14 +220,7 @@ func (p *Persistent) indexNeighborFrames() {
 			if x == myDigit {
 				continue
 			}
-			nf := nbrFrame{to: t.WithDigit(me, d, x)}
-			for i := range p.layout[d] {
-				if p.layout[d][i].to == nf.to {
-					nf.f = &p.layout[d][i]
-					break
-				}
-			}
-			row = append(row, nf)
+			row = append(row, nbrFrame{to: t.WithDigit(me, d, x)})
 		}
 		p.nbrFrames[d] = row
 	}

@@ -158,7 +158,7 @@ func TestLearningLayoutReproducible(t *testing.T) {
 				name string
 				a, b any
 			}{
-				{"layout", a[r].layout, b[r].layout},
+				{"nbrFrames", a[r].nbrFrames, b[r].nbrFrames},
 				{"inFrom", a[r].inFrom, b[r].inFrom},
 				{"inLayout", a[r].inLayout, b[r].inLayout},
 				{"deliver", a[r].deliver, b[r].deliver},

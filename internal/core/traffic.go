@@ -92,8 +92,8 @@ func (p *Persistent) Traffic() []runtime.StageTraffic {
 
 // computeTraffic derives the compiled program's traffic summary straight
 // from its lowered stages: outbound frame bytes are template lengths,
-// inbound ones the expected receive sizes. Called at Compile/NewDirectReplay
-// time and again after PatchCompiled re-lowers frames.
+// inbound ones the expected receive sizes. Called by every lowering
+// (Compile, PatchCompiled) and by NewDirectReplay.
 func (r *Replay) computeTraffic() []runtime.StageTraffic {
 	out := make([]runtime.StageTraffic, len(r.stages))
 	for d := range r.stages {
