@@ -4,15 +4,24 @@
 // the learned pattern into a fully indexed program under the assumption
 // that payload *sizes* are fixed across iterations (the iterative-solver
 // case: one float64 per matrix column shipped, every iteration, to the same
-// ranks). The program owns precomputed frame templates and slot offsets, so
-// an iteration is:
+// ranks). The program owns precomputed frame sizes and submessage offsets,
+// and writes every byte of an outgoing frame exactly once per iteration:
 //
-//   - gather: write x[idx] float64s straight into pooled frame buffers at
-//     precomputed offsets (zero-copy view when alignment allows),
-//   - forward: memcpy payload regions from retained inbound frames into
-//     outgoing frames — forwarded bytes are never decoded or re-encoded,
+//   - header: the 16-byte frame header, from the frame's destination and
+//     submessage count,
+//   - gather: this rank's own submessages — a sub-header, then x[idx]
+//     float64s written straight into the pooled frame buffer,
+//   - forward: one memcpy per forwarded submessage, sub-header and payload
+//     together, from a retained inbound frame — the inbound header is the
+//     one the outgoing frame needs, so forwarded bytes are never decoded or
+//     re-encoded,
 //   - scatter: copy delivered payload regions straight into the caller's
 //     halo slice at precomputed word offsets.
+//
+// Both wire headers are 16 bytes and every payload is word-sized, so every
+// payload sits on an 8-byte boundary of its (pooled, aligned) frame buffer
+// and gather and scatter move float64s through msg.Float64View on a
+// little-endian host.
 //
 // No maps are consulted and nothing is allocated in steady state: frame
 // buffers come from the msg arena and every error path is off the happy
@@ -86,24 +95,28 @@ type rStage struct {
 	delivers [][]deliverOp
 }
 
-// rFrame is one outgoing frame: a byte template (header and submessage
-// headers pre-encoded) plus the copy operations that fill its payload
-// regions each iteration.
+// rFrame is one outgoing frame program: its destination, byte size and
+// submessage count (Run writes the frame header from them), plus the ops
+// that write its submessages, which tile the rest of the frame.
 type rFrame struct {
 	to      int
-	tmpl    []byte
+	size    int32
+	nsubs   int32
 	gathers []gatherOp
 	fwds    []fwdOp
 }
 
-// gatherOp writes x[idx[i]] as little-endian float64s at frame offset off.
+// gatherOp writes this rank's submessage to dst at frame offset off: its
+// sub-header, then x[idx[i]] as little-endian float64s at off+SubHeaderLen.
 type gatherOp struct {
-	off int32
-	idx []int32
+	off, dst int32
+	idx      []int32
 }
 
-// fwdOp copies n payload bytes from retained inbound frame `frame` at
-// srcOff into the outgoing frame at dstOff.
+// fwdOp copies one forwarded submessage, n bytes of sub-header and payload,
+// from retained inbound frame `frame` at srcOff into the outgoing frame at
+// dstOff. The inbound sub-header already names the slot's source,
+// destination and length, so it is copied, never re-encoded.
 type fwdOp struct {
 	dstOff, srcOff, n int32
 	frame             int32
@@ -132,7 +145,7 @@ type slotLoc struct {
 // the float64s x[gather[dst][0]], x[gather[dst][1]], ... read from the x
 // slice passed to Run. The lowering keeps the schedule's stage skeleton —
 // tags, send slots in send order, inbound sender sets — and specializes
-// every slot into precomputed byte offsets: frame templates replace
+// every slot into precomputed byte offsets: in-place header writes replace
 // encoding, memcpys replace Run's slot table, and halo offsets replace the
 // delivered submessages. gather must cover exactly the learned
 // destinations, and each list's byte size (8 per index) must equal the
@@ -153,7 +166,7 @@ func (p *Persistent) Compile(xlen int, gather map[int][]int32) (*Replay, error) 
 // lower writes the learned schedule into r: the halo layout and self ops,
 // then per stage one frame program per send slot and the receive metadata
 // and deliver ops per inbound frame. Every slice r already holds — stages,
-// templates, op tables, inbound metadata, inFrames — is reused up to its
+// op tables, inbound metadata, inFrames — is reused up to its
 // capacity, so lowering into an existing Replay of the same skeleton
 // allocates only the lowering's own maps and the traffic hint. The gather
 // contract is checked before r is touched; a later error (a non-word
@@ -201,7 +214,7 @@ func (p *Persistent) lower(r *Replay, xlen int, gather map[int][]int32) error {
 
 		// Outgoing frames follow the schedule's send slots (learning send
 		// order, empty frames included); each slot's learned wire layout
-		// becomes a pre-encoded template.
+		// becomes a frame program.
 		st.frames = resize(st.frames, len(ss.Sends))
 		for j, slot := range ss.Sends {
 			var slots []slotKey
@@ -248,7 +261,8 @@ func resize[S ~[]E, E any](s S, n int) S {
 // wire order and rewrites st's view of it: slot count, byte size, a
 // deliverOp for every slot addressed to this rank (marked in bound), and in
 // inLoc the retained-frame location of every slot to be forwarded in a
-// later stage. st.inIdx[j] must already name the frame.
+// later stage — the offset of its sub-header, which travels with it.
+// st.inIdx[j] must already name the frame.
 func (p *Persistent) layoutInbound(st *rStage, d, j int, haloOff map[slotKey]int32, inLoc map[slotKey]slotLoc, bound map[slotKey]bool) {
 	slots := p.inLayout[d][j]
 	st.inNsubs[j] = int32(len(slots))
@@ -261,7 +275,7 @@ func (p *Persistent) layoutInbound(st *rStage, d, j int, haloOff map[slotKey]int
 			st.delivers[j] = append(st.delivers[j], deliverOp{srcOff: payloadOff, haloOff: haloOff[k], words: n / 8})
 			bound[k] = true
 		} else {
-			inLoc[k] = slotLoc{frame: st.inIdx[j], off: payloadOff}
+			inLoc[k] = slotLoc{frame: st.inIdx[j], off: fo}
 		}
 		fo = payloadOff + n
 	}
@@ -294,39 +308,31 @@ func (p *Persistent) checkGather(xlen int, gather map[int][]int32) error {
 	return nil
 }
 
-// lowerFrame writes one outgoing frame program into f, reusing its slices:
-// the wire template with header and submessage headers pre-encoded, plus
-// the payload fill ops.
+// lowerFrame writes one outgoing frame program into f, reusing its op
+// tables: the frame's size and submessage count, then one op per slot in
+// wire order — a gather for this rank's own payloads, a forward copy of
+// sub-header and payload for every other slot.
 func (p *Persistent) lowerFrame(f *rFrame, to int, slots []slotKey, gather map[int][]int32, inLoc map[slotKey]slotLoc) error {
 	me := p.rank
-	size := msg.MsgHeaderLen
-	for _, k := range slots {
-		size += msg.SubHeaderLen + p.sizes[k]
-	}
 	f.to = to
-	f.tmpl = slices.Grow(f.tmpl[:0], size)
+	f.nsubs = int32(len(slots))
 	f.gathers = f.gathers[:0]
 	f.fwds = f.fwds[:0]
-	f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(me))
-	f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(to))
-	f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(len(slots)))
+	off := int32(msg.MsgHeaderLen)
 	for _, k := range slots {
-		n := p.sizes[k]
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(k.src))
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(k.dst))
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(n))
-		payloadOff := int32(len(f.tmpl))
-		f.tmpl = append(f.tmpl, make([]byte, n)...)
+		n := int32(msg.SubHeaderLen + p.sizes[k])
 		if k.src == int32(me) {
-			f.gathers = append(f.gathers, gatherOp{off: payloadOff, idx: gather[int(k.dst)]})
+			f.gathers = append(f.gathers, gatherOp{off: off, dst: k.dst, idx: gather[int(k.dst)]})
 		} else {
 			l, ok := inLoc[k]
 			if !ok {
 				return fmt.Errorf("forwarded slot %d->%d not received in an earlier stage", k.src, k.dst)
 			}
-			f.fwds = append(f.fwds, fwdOp{dstOff: payloadOff, frame: l.frame, srcOff: l.off, n: int32(n)})
+			f.fwds = append(f.fwds, fwdOp{dstOff: off, frame: l.frame, srcOff: l.off, n: n})
 		}
+		off += n
 	}
+	f.size = off
 	return nil
 }
 
@@ -396,17 +402,12 @@ func NewDirectReplay(me, size, xlen int, gather map[int][]int32, srcWords map[in
 			continue // self payload never touches the transport
 		}
 		idx := gather[dst]
-		n := 8 * len(idx)
-		f := rFrame{to: dst, tmpl: make([]byte, 0, msg.MsgHeaderLen+msg.SubHeaderLen+n)}
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(me))
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(dst))
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, 1)
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(me))
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(dst))
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(n))
-		f.gathers = append(f.gathers, gatherOp{off: int32(len(f.tmpl)), idx: idx})
-		f.tmpl = append(f.tmpl, make([]byte, n)...)
-		st.frames = append(st.frames, f)
+		st.frames = append(st.frames, rFrame{
+			to:      dst,
+			size:    int32(msg.MsgHeaderLen+msg.SubHeaderLen) + 8*int32(len(idx)),
+			nsubs:   1,
+			gathers: []gatherOp{{off: msg.MsgHeaderLen, dst: int32(dst), idx: idx}},
+		})
 	}
 	r.stages = []rStage{st}
 	r.inFrames = make([][]byte, len(st.recvFrom))
@@ -460,15 +461,18 @@ func (r *Replay) Run(c runtime.Comm, x []float64, halo []float64) error {
 		fwdSubs, fwdBytes := 0, 0
 		for fi := range st.frames {
 			f := &st.frames[fi]
-			buf := msg.GetFrameLen(len(f.tmpl))
-			copy(buf, f.tmpl)
+			buf := msg.GetFrameLen(int(f.size))
+			msg.PutFrameHeader(buf, r.me, f.to, int(f.nsubs))
 			for _, g := range f.gathers {
-				gatherFloats(buf[g.off:int(g.off)+8*len(g.idx)], x, g.idx)
+				n := 8 * len(g.idx)
+				msg.PutSubHeader(buf[g.off:], r.me, int(g.dst), n)
+				payload := int(g.off) + msg.SubHeaderLen
+				gatherFloats(buf[payload:payload+n], x, g.idx)
 			}
 			for _, fw := range f.fwds {
 				copy(buf[fw.dstOff:fw.dstOff+fw.n], r.inFrames[fw.frame][fw.srcOff:fw.srcOff+fw.n])
 				fwdSubs++
-				fwdBytes += int(fw.n)
+				fwdBytes += int(fw.n) - msg.SubHeaderLen
 			}
 			err := c.Send(f.to, st.tag, buf)
 			if !retains {
@@ -525,20 +529,25 @@ func (r *Replay) release() {
 }
 
 // checkFrameHeader validates the fixed parts of a compiled inbound frame:
-// total length, endpoints, and submessage count. The per-slot layout is
-// trusted — it is pinned by the sender's compiled template.
+// total length, endpoints, submessage count and the reserved word. The
+// per-slot layout is trusted — it is pinned by the sender's compiled
+// program, and forwarded sub-headers travel on unchanged.
 func checkFrameHeader(raw []byte, from, to int, size, nsubs int32) error {
 	if int32(len(raw)) != size {
 		return fmt.Errorf("frame has %d bytes, compiled layout expects %d", len(raw), size)
 	}
-	if got := int(binary.LittleEndian.Uint32(raw[0:])); got != from {
-		return fmt.Errorf("frame claims sender %d, transport delivered from %d", got, from)
+	gotFrom, gotTo, gotNsubs, err := msg.ReadFrameHeader(raw)
+	if err != nil {
+		return err
 	}
-	if got := int(binary.LittleEndian.Uint32(raw[4:])); got != to {
-		return fmt.Errorf("misrouted frame for rank %d", got)
+	if gotFrom != from {
+		return fmt.Errorf("frame claims sender %d, transport delivered from %d", gotFrom, from)
 	}
-	if got := int32(binary.LittleEndian.Uint32(raw[8:])); got != nsubs {
-		return fmt.Errorf("frame carries %d submessages, compiled layout expects %d", got, nsubs)
+	if gotTo != to {
+		return fmt.Errorf("misrouted frame for rank %d", gotTo)
+	}
+	if int32(gotNsubs) != nsubs {
+		return fmt.Errorf("frame carries %d submessages, compiled layout expects %d", gotNsubs, nsubs)
 	}
 	return nil
 }

@@ -1,0 +1,303 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"stfw/internal/msg"
+	"stfw/internal/runtime"
+	"stfw/internal/transport/chanpt"
+	"stfw/internal/transport/tptest"
+	"stfw/internal/vpt"
+)
+
+// sentKey addresses one frame of one exchange: its tag and endpoints.
+type sentKey struct{ tag, from, to int }
+
+// frameRecorder keeps a copy of every frame a world sends, so a test can
+// compare the bytes on the wire against an independent encoding.
+type frameRecorder struct {
+	mu     sync.Mutex
+	frames map[sentKey][]byte
+}
+
+func (fr *frameRecorder) wrapAll(comms []runtime.Comm) []runtime.Comm {
+	fr.frames = map[sentKey][]byte{}
+	out := make([]runtime.Comm, len(comms))
+	for i, c := range comms {
+		out[i] = &recordingComm{Passthrough: runtime.Passthrough{Comm: c}, rec: fr}
+	}
+	return out
+}
+
+type recordingComm struct {
+	runtime.Passthrough
+	rec *frameRecorder
+}
+
+func (rc *recordingComm) Send(to, tag int, payload []byte) error {
+	rc.rec.mu.Lock()
+	rc.rec.frames[sentKey{tag, rc.Rank(), to}] = append([]byte(nil), payload...)
+	rc.rec.mu.Unlock()
+	return rc.Comm.Send(to, tag, payload)
+}
+
+// RecvAnyOf keeps the wrapped transport's arrival order: recording
+// intercepts sends only.
+func (rc *recordingComm) RecvAnyOf(tag int, from []int) (int, []byte, error) {
+	return runtime.RecvAnyOf(rc.Comm, tag, from)
+}
+
+// floatBytes encodes x[idx[i]] as little-endian float64s: the payload a
+// rank ships for one gather list.
+func floatBytes(x []float64, idx []int32) []byte {
+	b := make([]byte, 0, 8*len(idx))
+	for _, g := range idx {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x[g]))
+	}
+	return b
+}
+
+// distinctX returns per-rank x vectors whose words differ across ranks and
+// positions, so a payload copied from the wrong place shows.
+func distinctX(K, xlen int) [][]float64 {
+	xs := make([][]float64, K)
+	for me := range xs {
+		xs[me] = make([]float64, xlen)
+		for i := range xs[me] {
+			xs[me][i] = float64(me)*1e4 + float64(i) + 0.25
+		}
+	}
+	return xs
+}
+
+// runRecorded runs every rank's Replay once on a recording chanpt world.
+func runRecorded(t *testing.T, reps []*Replay, xs [][]float64) map[sentKey][]byte {
+	t.Helper()
+	w, err := chanpt.NewWorld(len(reps), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec frameRecorder
+	err = runtime.Run(rec.wrapAll(w.Comms()), func(c runtime.Comm) error {
+		me := c.Rank()
+		return reps[me].Run(c, xs[me], make([]float64, reps[me].HaloWords()))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.frames
+}
+
+// churnWorld builds the churn-chan workload's shape on synthWorld — K=64 on
+// T3(4,4,4), 8 destinations × 32–255 words per rank — compiles every rank,
+// then applies one Patch removing 8 pairs and lowers it with PatchCompiled.
+// It returns the patched world, its replays and the gather lists they use.
+func churnWorld(t testing.TB, xlen int) ([]*Persistent, []*Replay, []map[int][]int32) {
+	const K = 64
+	tp := vpt.MustNew(4, 4, 4)
+	rng := rand.New(rand.NewSource(K))
+	pairs, order := churnPairs(rng, K)
+	var remove []PatchPair
+	for _, i := range rng.Perm(len(order))[:8] {
+		remove = append(remove, PatchPair{Src: order[i].src, Dst: order[i].dst, Remove: true})
+	}
+	world := synthWorld(tp, pairs)
+	reps := make([]*Replay, K)
+	for me, p := range world {
+		var err error
+		if reps[me], err = p.Compile(xlen, synthGather(p, xlen)); err != nil {
+			t.Fatalf("rank %d: compile: %v", me, err)
+		}
+	}
+	deltas := synthDeltas(tp, remove)
+	gathers := make([]map[int][]int32, K)
+	for me, p := range world {
+		st, err := p.Patch(deltas[me])
+		if err != nil {
+			t.Fatalf("rank %d: patch: %v", me, err)
+		}
+		gathers[me] = synthGather(p, xlen)
+		if err := p.PatchCompiled(reps[me], xlen, gathers[me], st); err != nil {
+			t.Fatalf("rank %d: patch-compile: %v", me, err)
+		}
+	}
+	return world, reps, gathers
+}
+
+// TestCompiledFramesMatchEncode holds every frame a compiled Replay builds
+// in place — header written by Run, own submessages by gather ops,
+// forwarded ones copied header and all from inbound frames — to msg.Encode
+// of the submessages the learned layout carries, byte for byte. The
+// store-and-forward case is churn-chan's shape after a Patch and
+// PatchCompiled, so forwarded sub-headers cross patched frames; the direct
+// case is NewDirectReplay on the same pattern.
+func TestCompiledFramesMatchEncode(t *testing.T) {
+	const xlen = 256
+	world, reps, gathers := churnWorld(t, xlen)
+	K := len(world)
+	xs := distinctX(K, xlen)
+	// payload returns the bytes the origin of slot k ships for it.
+	payload := func(k slotKey) []byte { return floatBytes(xs[k.src], gathers[k.src][int(k.dst)]) }
+
+	t.Run("store-and-forward", func(t *testing.T) {
+		got := runRecorded(t, reps, xs)
+		want := 0
+		for me, p := range world {
+			sched := p.Schedule()
+			for d, ss := range sched.Stages {
+				for j, slot := range ss.Sends {
+					m := msg.Message{From: me, To: slot.To}
+					if f := p.nbrFrames[d][j].f; f != nil {
+						for _, k := range f.slots {
+							m.Subs = append(m.Subs, msg.Submessage{Src: int(k.src), Dst: int(k.dst), Data: payload(k)})
+						}
+					}
+					want++
+					raw, ok := got[sentKey{ss.Tag, me, slot.To}]
+					if !ok {
+						t.Fatalf("rank %d stage %d: no frame sent to %d", me, d, slot.To)
+					}
+					if enc := msg.Encode(nil, &m); !bytes.Equal(raw, enc) {
+						t.Fatalf("rank %d stage %d frame to %d: compiled %d bytes differ from Encode's %d",
+							me, d, slot.To, len(raw), len(enc))
+					}
+				}
+			}
+		}
+		if len(got) != want {
+			t.Fatalf("world sent %d frames, the learned layout has %d", len(got), want)
+		}
+	})
+
+	t.Run("direct", func(t *testing.T) {
+		srcWords := make([]map[int]int, K)
+		for me := range srcWords {
+			srcWords[me] = map[int]int{}
+		}
+		for src, g := range gathers {
+			for dst, idx := range g {
+				srcWords[dst][src] = len(idx)
+			}
+		}
+		direct := make([]*Replay, K)
+		for me := range direct {
+			var err error
+			if direct[me], err = NewDirectReplay(me, K, xlen, gathers[me], srcWords[me]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := runRecorded(t, direct, xs)
+		want := 0
+		for me, g := range gathers {
+			for dst, idx := range g {
+				want++
+				m := msg.Message{From: me, To: dst, Subs: []msg.Submessage{{Src: me, Dst: dst, Data: floatBytes(xs[me], idx)}}}
+				if enc := msg.Encode(nil, &m); !bytes.Equal(got[sentKey{tagBase - 1, me, dst}], enc) {
+					t.Fatalf("direct frame %d->%d differs from Encode", me, dst)
+				}
+			}
+		}
+		if len(got) != want {
+			t.Fatalf("direct world sent %d frames, want %d", len(got), want)
+		}
+	})
+}
+
+// TestCompiledPayloadsAligned checks the lowering puts every payload on an
+// 8-byte boundary of its frame: gather and forward payloads in outgoing
+// frames, forward sources and deliveries in inbound ones. Together with
+// 8-byte aligned pool buffers this is what lets gather and scatter always
+// take the Float64View path on a little-endian host.
+func TestCompiledPayloadsAligned(t *testing.T) {
+	const xlen = 256
+	_, reps, gathers := churnWorld(t, xlen)
+	direct, err := NewDirectReplay(0, len(reps), xlen, gathers[0], map[int]int{1: 3, 2: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aligned := func(off int32) bool { return off%8 == 0 }
+	for me, r := range append(reps, direct) {
+		for d, st := range r.stages {
+			for _, f := range st.frames {
+				for _, g := range f.gathers {
+					if !aligned(g.off + msg.SubHeaderLen) {
+						t.Fatalf("replay %d stage %d frame to %d: gather payload at offset %d", me, d, f.to, g.off+msg.SubHeaderLen)
+					}
+				}
+				for _, fw := range f.fwds {
+					if !aligned(fw.srcOff+msg.SubHeaderLen) || !aligned(fw.dstOff+msg.SubHeaderLen) {
+						t.Fatalf("replay %d stage %d frame to %d: forward payload from offset %d to %d",
+							me, d, f.to, fw.srcOff+msg.SubHeaderLen, fw.dstOff+msg.SubHeaderLen)
+					}
+				}
+			}
+			for j, dvs := range st.delivers {
+				for _, dv := range dvs {
+					if !aligned(dv.srcOff) {
+						t.Fatalf("replay %d stage %d frame from %d: delivery at offset %d", me, d, st.recvFrom[j], dv.srcOff)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCheckFrameHeaderRejectsReserved: a compiled replay refuses an inbound
+// frame whose header has a nonzero reserved word, as msg.Decode does.
+func TestCheckFrameHeaderRejectsReserved(t *testing.T) {
+	raw := msg.Encode(nil, &msg.Message{From: 2, To: 5, Subs: []msg.Submessage{{Src: 2, Dst: 5, Data: make([]byte, 8)}}})
+	if err := checkFrameHeader(raw, 2, 5, int32(len(raw)), 1); err != nil {
+		t.Fatalf("valid frame rejected: %v", err)
+	}
+	raw[msg.MsgHeaderLen-1] = 1
+	if err := checkFrameHeader(raw, 2, 5, int32(len(raw)), 1); !errors.Is(err, msg.ErrReserved) {
+		t.Fatalf("nonzero reserved word: err = %v, want msg.ErrReserved", err)
+	}
+}
+
+// BenchmarkReplayRun times one world-wide compiled Replay.Run in the shape
+// of the churn-chan benchmark workload — K=64 on T3(4,4,4), 8 destinations
+// × 32–255 words per rank, synthWorld's pattern — on chanpt, ranks stepped
+// in lock step. It is the handle for profiling the compiled replay alone;
+// a steady-state Run allocates nothing, so allocs/op reads 0.
+//
+//	go test -run '^$' -bench ReplayRun -benchmem -cpuprofile cpu.out ./internal/core/
+func BenchmarkReplayRun(b *testing.B) {
+	const xlen = 256
+	_, reps, _ := churnWorld(b, xlen)
+	K := len(reps)
+	xs := distinctX(K, xlen)
+	halos := make([][]float64, K)
+	for me, r := range reps {
+		halos[me] = make([]float64, r.HaloWords())
+	}
+	w, err := chanpt.NewWorld(K, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	step, stop := tptest.Lockstep(w.Comms(), func(c runtime.Comm, _ int) error {
+		me := c.Rank()
+		return reps[me].Run(c, xs[me], halos[me])
+	})
+	defer stop()
+	// Warm the frame arena and the matcher queues to their high-water
+	// marks, so even a short run (CI's 20 ops) reads the steady state.
+	for i := 0; i < 50; i++ {
+		if err := step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

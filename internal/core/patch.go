@@ -356,7 +356,7 @@ func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 // PatchCompiled lowers the patched schedule into an existing Replay: after
 // checking that r was compiled from this Persistent's skeleton (rank, world
 // size, stage count and stage tags), it runs Compile's lowering, writing
-// into r and reusing the capacity of its templates, op tables and receive
+// into r and reusing the capacity of its stages, op tables and receive
 // metadata. xlen and gather carry Compile's contract, and the caller
 // re-sizes its halo slice to the new HaloWords. Because the lowering is
 // whole, r is exact after any sequence of Patch calls and any change of

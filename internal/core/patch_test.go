@@ -347,9 +347,9 @@ func TestPatchResizeAppendsAtTail(t *testing.T) {
 	}
 }
 
-// equalReplay compares two compiled replays structurally: templates, op
-// tables (gather and self index lists by content), inbound metadata, halo
-// shape.
+// equalReplay compares two compiled replays structurally: frame sizes and
+// submessage counts, op tables (gather and self index lists by content),
+// inbound metadata, halo shape.
 func equalReplay(t *testing.T, label string, a, b *Replay) {
 	t.Helper()
 	if a.haloWords != b.haloWords || a.xlen != b.xlen {
@@ -376,14 +376,15 @@ func equalReplay(t *testing.T, label string, a, b *Replay) {
 			if af.to != bf.to {
 				t.Fatalf("%s: stage %d frame %d to %d vs %d", label, d, j, af.to, bf.to)
 			}
-			if string(af.tmpl) != string(bf.tmpl) {
-				t.Fatalf("%s: stage %d frame to %d: templates differ (%d vs %d bytes)", label, d, af.to, len(af.tmpl), len(bf.tmpl))
+			if af.size != bf.size || af.nsubs != bf.nsubs {
+				t.Fatalf("%s: stage %d frame to %d: %d bytes/%d subs vs %d/%d", label, d, af.to, af.size, af.nsubs, bf.size, bf.nsubs)
 			}
 			if len(af.gathers) != len(bf.gathers) || len(af.fwds) != len(bf.fwds) {
 				t.Fatalf("%s: stage %d frame to %d: op tables differ", label, d, af.to)
 			}
 			for i := range af.gathers {
-				if af.gathers[i].off != bf.gathers[i].off || !slices.Equal(af.gathers[i].idx, bf.gathers[i].idx) {
+				ag, bg := af.gathers[i], bf.gathers[i]
+				if ag.off != bg.off || ag.dst != bg.dst || !slices.Equal(ag.idx, bg.idx) {
 					t.Fatalf("%s: stage %d frame to %d: gather op %d differs", label, d, af.to, i)
 				}
 			}
@@ -586,19 +587,12 @@ func TestPatchCompiledFreshInputs(t *testing.T) {
 	}
 }
 
-// BenchmarkPatchCompiled times the lowering of a patched schedule into the
-// existing Replays of a whole world, in the shape of the churn-chan
-// benchmark workload: K=64 on T3(4,4,4), 8 destinations × 32–255 words per
-// rank, 8 pairs toggled per round (removed, then re-added). One op is one
-// PatchCompiled on every rank; the Patch calls run with the timer stopped.
-//
-//	go test -run '^$' -bench PatchCompiled -benchmem -cpuprofile cpu.out ./internal/core/
-func BenchmarkPatchCompiled(b *testing.B) {
-	const K, dests, xlen, toggles = 64, 8, 256, 8
-	tp := vpt.MustNew(4, 4, 4)
-	rng := rand.New(rand.NewSource(K))
-	pairs := map[synthPair]int{}
-	var order []synthPair
+// churnPairs draws the churn-chan benchmark workload's pattern: 8 random
+// destinations per rank, each payload 32–255 words. order lists the pairs
+// in the order they were drawn.
+func churnPairs(rng *rand.Rand, K int) (pairs map[synthPair]int, order []synthPair) {
+	const dests = 8
+	pairs = map[synthPair]int{}
 	for src := 0; src < K; src++ {
 		for fan := 0; fan < dests; {
 			pr := synthPair{src, rng.Intn(K)}
@@ -610,6 +604,21 @@ func BenchmarkPatchCompiled(b *testing.B) {
 			fan++
 		}
 	}
+	return pairs, order
+}
+
+// BenchmarkPatchCompiled times the lowering of a patched schedule into the
+// existing Replays of a whole world, in the shape of the churn-chan
+// benchmark workload: K=64 on T3(4,4,4), 8 destinations × 32–255 words per
+// rank, 8 pairs toggled per round (removed, then re-added). One op is one
+// PatchCompiled on every rank; the Patch calls run with the timer stopped.
+//
+//	go test -run '^$' -bench PatchCompiled -benchmem -cpuprofile cpu.out ./internal/core/
+func BenchmarkPatchCompiled(b *testing.B) {
+	const K, xlen, toggles = 64, 256, 8
+	tp := vpt.MustNew(4, 4, 4)
+	rng := rand.New(rand.NewSource(K))
+	pairs, order := churnPairs(rng, K)
 	// deltas[ph] moves every rank into phase ph: 1 removes the toggled
 	// pairs, 0 re-adds them.
 	var remove, readd []PatchPair

@@ -18,8 +18,9 @@
 //     send slots carry the learned frame layouts, and the inbound sender
 //     set is the learning run's;
 //   - compiled   — Persistent.Compile lowers the learned schedule further
-//     into a Replay: the same stage skeleton with every frame pre-encoded
-//     as a byte template and every copy turned into a fixed-offset op (see
+//     into a Replay: the same stage skeleton with every frame reduced to
+//     its size and fixed-offset ops — header writes, gathers, and
+//     forward copies that carry each sub-header with its payload (see
 //     compiled.go).
 //
 // This is the persistent/isomorphic-collective framing: a communication

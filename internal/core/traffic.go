@@ -91,8 +91,8 @@ func (p *Persistent) Traffic() []runtime.StageTraffic {
 }
 
 // computeTraffic derives the compiled program's traffic summary straight
-// from its lowered stages: outbound frame bytes are template lengths,
-// inbound ones the expected receive sizes. Called by every lowering
+// from its lowered stages: outbound frame bytes are the frame programs'
+// sizes, inbound ones the expected receive sizes. Called by every lowering
 // (Compile, PatchCompiled) and by NewDirectReplay.
 func (r *Replay) computeTraffic() []runtime.StageTraffic {
 	out := make([]runtime.StageTraffic, len(r.stages))
@@ -103,7 +103,7 @@ func (r *Replay) computeTraffic() []runtime.StageTraffic {
 			tr.Sends = make([]runtime.PeerTraffic, len(st.frames))
 			for j := range st.frames {
 				f := &st.frames[j]
-				tr.Sends[j] = runtime.PeerTraffic{Peer: f.to, Frames: 1, Bytes: len(f.tmpl)}
+				tr.Sends[j] = runtime.PeerTraffic{Peer: f.to, Frames: 1, Bytes: int(f.size)}
 			}
 		}
 		if len(st.recvFrom) > 0 {

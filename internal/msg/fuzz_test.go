@@ -19,6 +19,12 @@ func FuzzDecode(f *testing.F) {
 	corrupt := Encode(nil, &Message{From: 9, To: 9, Subs: []Submessage{{Src: 1, Dst: 2, Data: make([]byte, 100)}}})
 	corrupt[8] = 0xFF // implausible submessage count
 	f.Add(corrupt)
+	reserved := Encode(nil, &Message{From: 1, To: 2, Subs: []Submessage{{Src: 1, Dst: 2, Data: make([]byte, 8)}}})
+	reserved[MsgHeaderLen+12] = 1 // nonzero submessage reserved word
+	f.Add(reserved)
+	overCount := Encode(nil, &Message{From: 0, To: 0, Subs: []Submessage{{Data: make([]byte, 24)}}})
+	binary.LittleEndian.PutUint32(overCount[8:], 0x0f000000) // more subs than bytes
+	f.Add(overCount)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
@@ -78,12 +84,16 @@ func FuzzDecodeInto(f *testing.F) {
 	// Oversized declared length: a submessage claiming more data than
 	// follows.
 	over := Encode(nil, &Message{From: 2, To: 3, Subs: []Submessage{{Src: 2, Dst: 3, Data: []byte("abcd")}}})
-	binary.LittleEndian.PutUint32(over[msgHeaderLen+8:], 1<<20)
+	binary.LittleEndian.PutUint32(over[MsgHeaderLen+8:], 1<<20)
 	f.Add([]byte{}, over)
 	// Implausible submessage count.
 	huge := Encode(nil, &Message{From: 0, To: 0})
 	binary.LittleEndian.PutUint32(huge[8:], 1<<29)
 	f.Add([]byte{}, huge)
+	// Nonzero frame reserved word.
+	reserved := Encode(nil, &Message{From: 6, To: 2, Subs: []Submessage{{Src: 6, Dst: 2, Data: []byte("r")}}})
+	binary.LittleEndian.PutUint32(reserved[12:], 0xDEAD)
+	f.Add(reserved, reserved)
 
 	f.Fuzz(func(t *testing.T, first, second []byte) {
 		var scratch Message

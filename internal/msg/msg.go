@@ -21,7 +21,7 @@ type Submessage struct {
 
 // WireLen returns the number of bytes the submessage occupies inside an
 // encoded message frame (header plus payload).
-func (s Submessage) WireLen() int { return subHeaderLen + len(s.Data) }
+func (s Submessage) WireLen() int { return SubHeaderLen + len(s.Data) }
 
 // Message is one direct frame communicated between a pair of neighboring
 // processes in some stage: an ordered list of submessages.
@@ -43,7 +43,7 @@ func (m *Message) PayloadBytes() int {
 
 // WireLen returns the encoded frame size including all headers.
 func (m *Message) WireLen() int {
-	n := msgHeaderLen
+	n := MsgHeaderLen
 	for _, s := range m.Subs {
 		n += s.WireLen()
 	}

@@ -2,6 +2,8 @@ package msg
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -21,7 +23,7 @@ func TestMessageSizes(t *testing.T) {
 	if got := m.PayloadBytes(); got != 8 {
 		t.Errorf("PayloadBytes = %d, want 8", got)
 	}
-	want := msgHeaderLen + 3*subHeaderLen + 8
+	want := 16 + 3*16 + 8 // frame header, three submessage headers, payload
 	if got := m.WireLen(); got != want {
 		t.Errorf("WireLen = %d, want %d", got, want)
 	}
@@ -79,6 +81,92 @@ func TestDecodeErrors(t *testing.T) {
 	// Trailing garbage must be rejected.
 	if _, err := Decode(append(append([]byte(nil), enc...), 0xFF)); err == nil {
 		t.Error("Decode with trailing byte should fail")
+	}
+	// A submessage count the frame cannot hold must be rejected before it
+	// sizes any allocation (0x0f000000 subs would ask for ~10 GB).
+	huge := append([]byte(nil), enc...)
+	binary.LittleEndian.PutUint32(huge[8:], 0x0f000000)
+	if _, err := Decode(huge); err == nil {
+		t.Error("Decode with a submessage count beyond the frame should fail")
+	}
+	// A nonzero byte anywhere in either reserved word must be rejected, by
+	// Decode, by DecodeInto into a reused Message, and by ReadFrameHeader
+	// for the frame header.
+	for _, c := range []struct {
+		name  string
+		at    int
+		frame bool
+	}{
+		{"frame reserved byte 0", 12, true},
+		{"frame reserved byte 3", 15, true},
+		{"sub reserved byte 0", 16 + 12, false},
+		{"sub reserved byte 3", 16 + 15, false},
+	} {
+		bad := append([]byte(nil), enc...)
+		bad[c.at] = 1
+		if _, err := Decode(bad); !errors.Is(err, ErrReserved) {
+			t.Errorf("%s: Decode err = %v, want ErrReserved", c.name, err)
+		}
+		reused := Message{Subs: make([]Submessage, 4)}
+		if err := DecodeInto(&reused, bad); !errors.Is(err, ErrReserved) {
+			t.Errorf("%s: DecodeInto err = %v, want ErrReserved", c.name, err)
+		}
+		if _, _, _, err := ReadFrameHeader(bad); (err != nil) != c.frame {
+			t.Errorf("%s: ReadFrameHeader err = %v", c.name, err)
+		}
+	}
+}
+
+// TestWireLayout pins the frame encoding byte by byte: a two-submessage
+// frame from 3 to 5, whose payloads land at offsets 32 and 56 — both on an
+// 8-byte boundary. Changing the wire format must change this golden, and
+// with it every peer that reads the frames.
+func TestWireLayout(t *testing.T) {
+	m := &Message{From: 3, To: 5, Subs: []Submessage{
+		{Src: 3, Dst: 9, Data: []byte{0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18}},
+		{Src: 0x0102, Dst: 5, Data: []byte{0xA0, 0xA1, 0xA2, 0xA3, 0xA4, 0xA5, 0xA6, 0xA7, 0xA8, 0xA9, 0xAA, 0xAB, 0xAC, 0xAD, 0xAE, 0xAF}},
+	}}
+	want := []byte{
+		// 0: frame header — from, to, nsubs, reserved
+		3, 0, 0, 0, 5, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
+		// 16: submessage 0 header — src, dst, len, reserved
+		3, 0, 0, 0, 9, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0,
+		// 32: submessage 0 payload
+		0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18,
+		// 40: submessage 1 header
+		0x02, 0x01, 0, 0, 5, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0,
+		// 56: submessage 1 payload
+		0xA0, 0xA1, 0xA2, 0xA3, 0xA4, 0xA5, 0xA6, 0xA7, 0xA8, 0xA9, 0xAA, 0xAB, 0xAC, 0xAD, 0xAE, 0xAF,
+	}
+	got := Encode(nil, m)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Encode:\n got %v\nwant %v", got, want)
+	}
+	if MsgHeaderLen != 16 || SubHeaderLen != 16 || m.WireLen() != len(want) || EncodedSize(m) != len(want) {
+		t.Fatalf("header lengths %d/%d, WireLen %d, EncodedSize %d, golden %d bytes",
+			MsgHeaderLen, SubHeaderLen, m.WireLen(), EncodedSize(m), len(want))
+	}
+	// The in-place writers produce the same bytes as Encode.
+	inPlace := bytes.Repeat([]byte{0xEE}, len(want))
+	PutFrameHeader(inPlace[0:], 3, 5, 2)
+	PutSubHeader(inPlace[16:], 3, 9, 8)
+	copy(inPlace[32:], m.Subs[0].Data)
+	PutSubHeader(inPlace[40:], 0x0102, 5, 16)
+	copy(inPlace[56:], m.Subs[1].Data)
+	if !bytes.Equal(inPlace, want) {
+		t.Fatalf("PutFrameHeader/PutSubHeader:\n got %v\nwant %v", inPlace, want)
+	}
+	if from, to, nsubs, err := ReadFrameHeader(want); err != nil || from != 3 || to != 5 || nsubs != 2 {
+		t.Fatalf("ReadFrameHeader = %d, %d, %d, %v", from, to, nsubs, err)
+	}
+	dec, err := Decode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range dec.Subs {
+		if !bytes.Equal(s.Data, m.Subs[i].Data) || s.Src != m.Subs[i].Src || s.Dst != m.Subs[i].Dst {
+			t.Fatalf("sub %d decodes to %+v", i, s)
+		}
 	}
 }
 

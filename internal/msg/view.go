@@ -18,9 +18,11 @@ var hostLittleEndian = func() bool {
 // returns ok == false and the caller must fall back to the binary codec.
 //
 // The view aliases b: writes through the view change b and vice versa, and
-// the view must not outlive b. Alignment depends on the submessage's byte
-// offset inside its frame, so callers must treat a false result as routine,
-// not exceptional.
+// the view must not outlive b. A word-sized payload inside a frame built on
+// a pooled (8-byte aligned) buffer always starts on an 8-byte boundary —
+// both wire headers are 16 bytes — so a false result means a big-endian
+// host, a payload that is not a whole number of words, or a buffer the
+// caller sliced off alignment; callers keep the byte codec for those.
 func Float64View(b []byte) ([]float64, bool) {
 	if !hostLittleEndian || len(b)%8 != 0 {
 		return nil, false
