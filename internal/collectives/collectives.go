@@ -5,8 +5,10 @@
 // standard algorithms (binomial tree, ring, pairwise exchange, and one
 // radix-4 reduce/broadcast tree under the barrier and the allreduce) so the
 // repository contains the collective baseline an MPI distribution would
-// offer, and so applications (e.g. the CG solver in internal/iterative)
-// have the reductions they need.
+// offer, and so applications have the reductions they need: the power
+// iteration in internal/iterative, and its CG solver under the BL
+// exchange. Under STFW, CG's dot products ride the exchange's own stage
+// frames (spmv.Session.MultiplySum) and send nothing through this package.
 //
 // All operations are collective: every rank of the communicator must call
 // them with compatible arguments, in the same order.

@@ -16,7 +16,10 @@
 //     one the outgoing frame needs, so forwarded bytes are never decoded or
 //     re-encoded,
 //   - scatter: copy delivered payload regions straight into the caller's
-//     halo slice at precomputed word offsets.
+//     halo slice at precomputed word offsets,
+//   - sum lane (RunSum only): the caller's reduction words, appended after
+//     the frame body and folded stage by stage in digit order, so one
+//     exchange is also an allreduce.
 //
 // Both wire headers are 16 bytes and every payload is word-sized, so every
 // payload sits on an 8-byte boundary of its (pooled, aligned) frame buffer
@@ -31,6 +34,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -54,6 +58,10 @@ type Replay struct {
 	haloWords int // required len(halo) in Run
 	selfs     []selfOp
 	stages    []rStage
+	// lane is set by a store-and-forward lowering, whose every stage sends
+	// a frame to and receives one from each dimension neighbour — what
+	// RunSum's fold needs. A direct replay leaves it false.
+	lane bool
 	// inFrames retains received frames until the iteration ends: later
 	// stages memcpy forwarded payloads out of them. Entries are recycled
 	// into the frame arena at the end of every Run.
@@ -93,6 +101,9 @@ type rStage struct {
 	inSize   []int32 // expected frame byte length per sender
 	inNsubs  []int32 // expected submessage count per sender
 	delivers [][]deliverOp
+	// fold lists the stage's sum-lane contributions in the digit order of
+	// its dimension: an index into recvFrom, or -1 for this rank's own.
+	fold []int32
 }
 
 // rFrame is one outgoing frame program: its destination, byte size and
@@ -179,6 +190,7 @@ func (p *Persistent) lower(r *Replay, xlen int, gather map[int][]int32) error {
 	}
 	r.me, r.size, r.xlen = me, p.topo.Size(), xlen
 	r.pol.Arrival = true
+	r.lane = true
 
 	// Halo: one contiguous word block per delivery, in the learned order.
 	// Self deliveries come straight from x; every other one is bound to an
@@ -239,6 +251,9 @@ func (p *Persistent) lower(r *Replay, xlen int, gather map[int][]int32) error {
 			nextFrame++
 			p.layoutInbound(st, d, j, haloOff, inLoc, bound)
 		}
+		if err := p.lowerFold(st); err != nil {
+			return fmt.Errorf("core: compile: stage %d: %w", d, err)
+		}
 	}
 	for _, k := range p.deliver {
 		if !bound[k] {
@@ -280,6 +295,29 @@ func (p *Persistent) layoutInbound(st *rStage, d, j int, haloOff map[slotKey]int
 		fo = payloadOff + n
 	}
 	st.inSize[j] = fo
+}
+
+// lowerFold writes st.fold: the stage's dimension digits in ascending
+// order, each mapped to the inbound frame of the neighbour holding it, or
+// to -1 at this rank's own digit. Every rank of a dimension line then folds
+// the same values in the same order.
+func (p *Persistent) lowerFold(st *rStage) error {
+	t := p.topo
+	mine := t.Digit(p.rank, st.dim)
+	st.fold = st.fold[:0]
+	for x := 0; x < t.Dim(st.dim); x++ {
+		if x == mine {
+			st.fold = append(st.fold, -1)
+			continue
+		}
+		nbr := t.WithDigit(p.rank, st.dim, x)
+		j := slices.Index(st.recvFrom, nbr)
+		if j < 0 {
+			return fmt.Errorf("no inbound frame from dimension %d neighbour %d", st.dim, nbr)
+		}
+		st.fold = append(st.fold, int32(j))
+	}
+	return nil
 }
 
 // checkGather validates a gather map against the (current) learned
@@ -425,8 +463,29 @@ func (r *Replay) HaloWords() int { return r.haloWords }
 // inbound frames in arrival order, and scatters the delivered payloads
 // into halo (which must have exactly HaloWords entries). Collective across
 // the world the program was compiled in; steady-state calls perform no
-// allocation on zero-copy transports.
+// allocation on zero-copy transports. Run is RunSum with no lane.
 func (r *Replay) Run(c runtime.Comm, x []float64, halo []float64) error {
+	return r.RunSum(c, x, halo, nil)
+}
+
+// RunSum is Run with a sum lane: every stage frame carries sum's words as
+// little-endian float64s after its body, and at the end of each stage this
+// rank folds the lanes of the stage's line — its own and every
+// neighbour's, in the digit order of the stage's dimension — into sum.
+// After stage d every rank of a dimension-d line holds the same bits, so
+// after the last stage every rank of the world holds the same sum of all
+// ranks' words: the exchange doubles as an allreduce without a message of
+// its own. Every rank must pass a lane of the same length; a rank whose
+// length differs makes every rank return an error. With a nil lane the
+// frames are exactly Run's. A direct replay has no lane and rejects a
+// non-nil one.
+//
+// A frame that fails its header or length check does not end the call at
+// once: the rank drains the stage, then sends a poison frame wherever a
+// later stage expects one and drains those stages too, so the error
+// reaches every rank the failing one would have reached and no rank is
+// left waiting for a frame. It returns the first such error.
+func (r *Replay) RunSum(c runtime.Comm, x, halo, sum []float64) error {
 	if c.Rank() != r.me || c.Size() != r.size {
 		return fmt.Errorf("core: replay bound to rank %d of %d", r.me, r.size)
 	}
@@ -436,6 +495,10 @@ func (r *Replay) Run(c runtime.Comm, x []float64, halo []float64) error {
 	if len(halo) != r.haloWords {
 		return fmt.Errorf("core: replay delivers %d words, halo has %d", r.haloWords, len(halo))
 	}
+	if sum != nil && !r.lane {
+		return fmt.Errorf("core: rank %d: a direct replay carries no sum lane", r.me)
+	}
+	laneBytes := int32(8 * len(sum))
 	runtime.HintTraffic(c, r.traffic)
 	defer r.release()
 
@@ -456,23 +519,33 @@ func (r *Replay) Run(c runtime.Comm, x []float64, halo []float64) error {
 	}
 
 	retains := runtime.SendRetains(c)
+	var bad error // the first failed frame check; later stages poison
 	for si := range r.stages {
 		st := &r.stages[si]
 		fwdSubs, fwdBytes := 0, 0
 		for fi := range st.frames {
 			f := &st.frames[fi]
-			buf := msg.GetFrameLen(int(f.size))
-			msg.PutFrameHeader(buf, r.me, f.to, int(f.nsubs))
-			for _, g := range f.gathers {
-				n := 8 * len(g.idx)
-				msg.PutSubHeader(buf[g.off:], r.me, int(g.dst), n)
-				payload := int(g.off) + msg.SubHeaderLen
-				gatherFloats(buf[payload:payload+n], x, g.idx)
-			}
-			for _, fw := range f.fwds {
-				copy(buf[fw.dstOff:fw.dstOff+fw.n], r.inFrames[fw.frame][fw.srcOff:fw.srcOff+fw.n])
-				fwdSubs++
-				fwdBytes += int(fw.n) - msg.SubHeaderLen
+			var buf []byte
+			if bad != nil {
+				buf = msg.GetFrameLen(msg.MsgHeaderLen)
+				msg.PutFrameHeader(buf, r.me, f.to, poisonSubs)
+			} else {
+				buf = msg.GetFrameLen(int(f.size + laneBytes))
+				msg.PutFrameHeader(buf, r.me, f.to, int(f.nsubs))
+				for _, g := range f.gathers {
+					n := 8 * len(g.idx)
+					msg.PutSubHeader(buf[g.off:], r.me, int(g.dst), n)
+					payload := int(g.off) + msg.SubHeaderLen
+					gatherFloats(buf[payload:payload+n], x, g.idx)
+				}
+				for _, fw := range f.fwds {
+					copy(buf[fw.dstOff:fw.dstOff+fw.n], r.inFrames[fw.frame][fw.srcOff:fw.srcOff+fw.n])
+					fwdSubs++
+					fwdBytes += int(fw.n) - msg.SubHeaderLen
+				}
+				if laneBytes > 0 {
+					putFloats(buf[f.size:], sum)
+				}
 			}
 			err := c.Send(f.to, st.tag, buf)
 			if !retains {
@@ -502,19 +575,50 @@ func (r *Replay) Run(c runtime.Comm, x []float64, halo []float64) error {
 				msg.PutFrame(raw)
 				return fmt.Errorf("core: rank %d replay stage %d: frame from unexpected sender %d", r.me, si, from)
 			}
-			r.inFrames[st.inIdx[j]] = raw
-			if err := checkFrameHeader(raw, from, r.me, st.inSize[j], st.inNsubs[j]); err != nil {
-				return fmt.Errorf("core: rank %d replay stage %d frame from %d: %w", r.me, si, from, err)
+			if bad != nil {
+				msg.PutFrame(raw)
+				continue
 			}
+			if err := checkFrameHeader(raw, from, r.me, st.inSize[j]+laneBytes, st.inNsubs[j]); err != nil {
+				msg.PutFrame(raw)
+				bad = fmt.Errorf("core: rank %d replay stage %d frame from %d: %w", r.me, si, from, err)
+				continue
+			}
+			r.inFrames[st.inIdx[j]] = raw
 			for _, dv := range st.delivers[j] {
 				scatterFloats(halo[dv.haloOff:dv.haloOff+dv.words], raw[dv.srcOff:dv.srcOff+8*dv.words])
 			}
+		}
+		if bad == nil && len(sum) > 0 {
+			r.foldLane(st, sum)
 		}
 		if tr != nil {
 			mark = tr.SpanMark(telemetry.KDeliver, si, last, mark)
 		}
 	}
-	return nil
+	return bad
+}
+
+// foldLane replaces each word of sum with the stage line's total of it:
+// the lanes after the bodies of the stage's retained inbound frames and
+// this rank's own word, added in st.fold's digit order.
+func (r *Replay) foldLane(st *rStage, sum []float64) {
+	for w, own := range sum {
+		var acc float64
+		for i, j := range st.fold {
+			v := own
+			if j >= 0 {
+				at := st.inSize[j] + int32(8*w)
+				v = math.Float64frombits(binary.LittleEndian.Uint64(r.inFrames[st.inIdx[j]][at:]))
+			}
+			if i == 0 {
+				acc = v
+			} else {
+				acc += v
+			}
+		}
+		sum[w] = acc
+	}
 }
 
 // release recycles the retained inbound frames into the arena and clears
@@ -528,11 +632,25 @@ func (r *Replay) release() {
 	}
 }
 
+// poisonSubs is the submessage count of a poison frame: a bare frame
+// header RunSum sends in place of every remaining frame once one of its
+// frame checks has failed. No real frame can claim that many submessages.
+const poisonSubs = math.MaxInt32
+
+// errPoisoned reports a poison frame: the sender, or a rank upstream of
+// it, failed a frame check earlier in the same exchange.
+var errPoisoned = errors.New("sender abandoned the exchange after an earlier frame check failed")
+
 // checkFrameHeader validates the fixed parts of a compiled inbound frame:
 // total length, endpoints, submessage count and the reserved word. The
 // per-slot layout is trusted — it is pinned by the sender's compiled
 // program, and forwarded sub-headers travel on unchanged.
 func checkFrameHeader(raw []byte, from, to int, size, nsubs int32) error {
+	if len(raw) == msg.MsgHeaderLen {
+		if _, _, n, err := msg.ReadFrameHeader(raw); err == nil && n == poisonSubs {
+			return errPoisoned
+		}
+	}
 	if int32(len(raw)) != size {
 		return fmt.Errorf("frame has %d bytes, compiled layout expects %d", len(raw), size)
 	}
@@ -563,6 +681,18 @@ func gatherFloats(dst []byte, x []float64, idx []int32) {
 	}
 	for i, g := range idx {
 		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x[g]))
+	}
+}
+
+// putFloats writes src as little-endian float64s into dst (len(dst) >=
+// 8*len(src)), through a zero-copy view when dst is aligned.
+func putFloats(dst []byte, src []float64) {
+	if v, ok := msg.Float64View(dst[:8*len(src)]); ok {
+		copy(v, src)
+		return
+	}
+	for i, f := range src {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(f))
 	}
 }
 

@@ -4,20 +4,23 @@
 // repeated every iteration is exactly where regularizing the exchange pays
 // off, since the pattern is fixed and the latency cost recurs).
 //
-// Vectors are distributed conformally with the matrix rows: each rank holds
-// full-length slices but only its owned entries are meaningful. The SpMV
-// exchange (BL or STFW) moves the halo entries; dot products reduce owned
-// partial sums with an allreduce.
+// The SpMV input and CG's returned X are full-length slices of which each
+// rank fills only its owned entries; every other vector a solver keeps is
+// owned-length, indexed like spmv.Session.OwnedRows.
 //
 // A latency-bound solver pays per message, and once the exchange is
 // regularized the reductions are where the messages are: at K=64 an STFW
 // exchange on T3(4,4,4) is 9 frames per rank, and an allreduce - a
 // reduce/broadcast tree, 126 frames per world, under 2 per rank - is a
-// chain of 6 dependent hops that nothing overlaps. So CG runs the
-// single-reduction recurrence of Chronopoulos and Gear: one SpMV and one
-// 3-word allreduce per iteration, where the textbook loop (kept as SerialCG,
-// the tests' oracle) has one SpMV and two reductions that cannot be
-// combined because the second depends on the first.
+// chain of 6 dependent hops that nothing overlaps. But the regularized
+// exchange already sends a frame to every dimension neighbour in every
+// stage, so a few words appended to those frames and folded stage by stage
+// are an allreduce of their own (spmv.Session.MultiplySum). CG therefore
+// runs the pipelined recurrence of Ghysels and Vanroose, whose dot products
+// are known before the iteration's SpMV starts and can ride it: a solve
+// sends no reduction message at all under STFW. The textbook loop (kept as
+// SerialCG, the tests' oracle) takes its second dot product after its
+// SpMV, so it could not.
 //
 // The cheapest exchange is the one the solver never runs, so the recurrence
 // is preconditioned with the matrix diagonal (Jacobi). The diagonally
@@ -25,9 +28,9 @@
 // sum|a_ij| + margin, so hub rows dwarf leaf rows), and plain CG spends its
 // iterations on that row scaling rather than on the graph. Jacobi-PCG is
 // invariant under symmetric diagonal scaling (S A S, S b) and costs no
-// communication: each rank scales its owned residual entries by its owned
-// rows' 1/a_ii. On the SPD gupta2 analog (7 758 rows, diagonal 3.0 to
-// 1559.5) a solve to 1e-10 falls from 110 iterations to 21.
+// communication: each rank scales its owned entries by its owned rows'
+// 1/a_ii. On the SPD gupta2 analog (7 758 rows, diagonal 3.0 to 1559.5) a
+// solve to 1e-10 falls from 110 iterations to 21.
 package iterative
 
 import (
@@ -35,7 +38,6 @@ import (
 	"math"
 	"slices"
 
-	"stfw/internal/collectives"
 	"stfw/internal/partition"
 	"stfw/internal/runtime"
 	"stfw/internal/sparse"
@@ -67,38 +69,43 @@ type CGResult struct {
 // pattern and right-hand side; the returned X carries the rank's owned
 // entries.
 //
-// The recurrence (Chronopoulos & Gear 1989, Jacobi-preconditioned). With
-// D the diagonal of A, the preconditioned residual u = D^-1 r, w = A u and
-// s = A p, the textbook PCG iteration's search direction and its image are
+// The recurrence (Ghysels & Vanroose 2014, pipelined PCG, Jacobi-
+// preconditioned). With D the diagonal of A, the preconditioned residual
+// u = D^-1 r and w = A u, an iteration reduces gamma = r.u, delta = w.u
+// and r.r while it computes m = D^-1 w and n = A m — the three words ride
+// that SpMV's exchange — and then updates the search direction p and its
+// images by recurrence, with no further SpMV:
 //
-//	p = u + beta p          gives   s = w + beta s          (no SpMV), and
-//	p.Ap = w.u - (beta/alpha_prev) r.u                       (no reduction),
+//	beta = gamma / gamma_prev,  alpha = gamma / (delta - beta gamma / alpha_prev)
+//	z = n + beta z,  q = m + beta q,  s = w + beta s,  p = u + beta p
+//	x += alpha p,  r -= alpha s,  u -= alpha q,  w -= alpha z
 //
-// so gamma = r.u and delta = w.u, both known right after the one SpMV of
-// the new preconditioned residual, are what an iteration has to reduce;
-// r.r rides along as the third word for the stopping test. With x0 = 0
-// the first reduction carries b.b (r0 = b) in that word and the first
-// p.Ap (p0 = u0): a solve of Iters iterations is Iters+1 SpMVs and Iters+1
-// allreduces.
+// (s = A p, q = D^-1 s, z = A q; the first iteration has beta = 0.) With
+// x0 = 0, r0 = b, and the first exchange computes w0 = A u0. The reduced
+// words of iteration i describe r_i, so the stopping test on them comes
+// one exchange after the update that produced r_i: a solve of Iters
+// iterations is Iters+2 exchanges and, under STFW, no allreduce (under BL
+// each exchange but the first is followed by a 3-word one).
 //
 // The stopping rule is the unpreconditioned one, ||r|| / ||b|| < Tol, and
 // Residual reports that ratio. With a unit diagonal u = r bit for bit and
 // every dot is the same sum in the same order as the unpreconditioned
-// recurrence, so the iterates are exactly those of plain CG.
+// recurrence.
 //
 // Non-SPD input. A row whose diagonal is missing or non-positive cannot
 // belong to an SPD matrix; each rank counts its owned ones into a fourth
-// word of the first reduction, so every rank sees the same total and
-// returns the same error before iteration 0 — none is left waiting in the
-// next exchange. An indefinite matrix with a positive diagonal is caught
-// on p.Ap <= 0, which every rank computes from the same reduced values.
+// word of the first lane, so every rank sees the same total and returns
+// the same error before any update — none is left waiting in the next
+// exchange. An indefinite matrix with a positive diagonal is caught on
+// p.Ap <= 0 (the alpha denominator), which every rank computes from the
+// same reduced values.
 //
 // Stability. In exact arithmetic the iterates are the textbook PCG ones.
-// In floating point p.Ap comes out of a subtraction and s out of a
-// recurrence, so the recursive residual r can drift from b - A x a little
-// sooner; on the diagonally dominant systems here it costs at most an
-// iteration or two. Residual is the recursive one; the tests hold the
-// true residual of the assembled solution within 10 Tol.
+// In floating point p.Ap comes out of a subtraction and r, u and w out of
+// recurrences, so the recursive residual r can drift from b - A x; on the
+// diagonally dominant systems here it costs no iteration against textbook
+// Jacobi-PCG. Residual is the recursive one; the tests hold the true
+// residual of the assembled solution within 10 Tol.
 func CG(c runtime.Comm, a *sparse.CSR, part *partition.Partition, pat *spmv.Pattern, b []float64, opt CGOptions) (*CGResult, error) {
 	n := a.Rows
 	if a.Cols != n {
@@ -121,96 +128,100 @@ func CG(c runtime.Comm, a *sparse.CSR, part *partition.Partition, pat *spmv.Patt
 		return nil, err
 	}
 	owned := sess.OwnedRows()
+	no := len(owned)
 
 	// dinv holds 1/a_ii for the owned rows. A row without a positive
-	// diagonal keeps 0 and is counted; the first reduction sums the counts.
-	dinv := make([]float64, n)
+	// diagonal keeps 0 and is counted; the first lane sums the counts.
+	vecs := make([]float64, 8*no)
+	dinv := vecs[:no]
+	u, w, r := vecs[no:2*no], vecs[2*no:3*no], vecs[3*no:4*no]
+	z, q, s, p := vecs[4*no:5*no], vecs[5*no:6*no], vecs[6*no:7*no], vecs[7*no:]
 	var nonPositive float64
-	for _, i := range owned {
+	for k, i := range owned {
 		cols, vals := a.Row(i)
-		if k, ok := slices.BinarySearch(cols, int32(i)); ok && vals[k] > 0 {
-			dinv[i] = 1 / vals[k]
+		if j, ok := slices.BinarySearch(cols, int32(i)); ok && vals[j] > 0 {
+			dinv[k] = 1 / vals[j]
 		} else {
 			nonPositive++
 		}
 	}
 
-	// step computes u = D^-1 r and w = A u and reduces dots = (r.u, w.u,
-	// r.r) in one allreduce; the first step carries the non-positive
-	// diagonal count as a fourth word. w is the session's buffer, valid
-	// until the next step.
-	u := make([]float64, n)
-	var dots [4]float64
-	step := func(r []float64, it int) (w []float64, err error) {
-		for _, i := range owned {
-			u[i] = dinv[i] * r[i]
-		}
-		if w, err = sess.Multiply(u); err != nil {
-			return nil, fmt.Errorf("iterative: iteration %d SpMV: %w", it, err)
-		}
-		words := dots[:3]
-		if it == 0 {
-			words, dots[3] = dots[:4], nonPositive
-		}
-		dots[0], dots[1], dots[2] = 0, 0, 0
-		for _, i := range owned {
-			dots[0] += r[i] * u[i]
-			dots[1] += w[i] * u[i]
-			dots[2] += r[i] * r[i]
-		}
-		if err = collectives.AllreduceInPlace(c, words, collectives.Sum); err != nil {
-			return nil, err
-		}
-		return w, nil
-	}
-
+	// in is the SpMV input: u0 first, then m = D^-1 w in every iteration.
+	// Only its owned entries are written; the session reads no other.
+	in := make([]float64, n)
 	x := make([]float64, n)
-	r := make([]float64, n)
-	p := make([]float64, n)
-	s := make([]float64, n) // A p
-	for _, i := range owned {
-		r[i] = b[i] // x0 = 0 -> r = b
+	for k, i := range owned {
+		r[k] = b[i] // x0 = 0 -> r = b
+		u[k] = dinv[k] * r[k]
+		in[i] = u[k]
 	}
-	w, err := step(r, 0)
+	y, err := sess.Multiply(in)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("iterative: initial SpMV: %w", err)
 	}
-	if dots[3] > 0 {
-		return nil, fmt.Errorf("iterative: %d rows with a non-positive diagonal (matrix not SPD)", int(dots[3]))
-	}
-	gamma, pAp, bNorm2 := dots[0], dots[1], dots[2]
-	if bNorm2 == 0 {
-		return &CGResult{X: x, Converged: true}, nil
+	for k, i := range owned {
+		w[k] = y[i]
 	}
 
 	res := &CGResult{X: x}
-	beta := 0.0 // p0 = u0, s0 = w0
-	for it := 0; it < opt.MaxIter; it++ {
+	var lane [4]float64
+	var gamma, alpha, bNorm2 float64
+	for it := 0; ; it++ {
+		var ru, wu, rrOwn float64
+		for k, i := range owned {
+			ru += r[k] * u[k]
+			wu += w[k] * u[k]
+			rrOwn += r[k] * r[k]
+			in[i] = dinv[k] * w[k]
+		}
+		lane[0], lane[1], lane[2] = ru, wu, rrOwn
+		words := lane[:3]
+		if it == 0 {
+			words, lane[3] = lane[:4], nonPositive
+		}
+		if y, err = sess.MultiplySum(in, words); err != nil {
+			return nil, fmt.Errorf("iterative: iteration %d SpMV: %w", it, err)
+		}
+		gammaNew, delta, rr := lane[0], lane[1], lane[2] // reduced
+		if it == 0 {
+			if lane[3] > 0 {
+				return nil, fmt.Errorf("iterative: %d rows with a non-positive diagonal (matrix not SPD)", int(lane[3]))
+			}
+			if bNorm2 = rr; bNorm2 == 0 {
+				return &CGResult{X: x, Converged: true}, nil
+			}
+		} else {
+			res.Iters = it
+			res.Residual = math.Sqrt(rr / bNorm2)
+			if res.Residual < opt.Tol {
+				res.Converged = true
+				return res, nil
+			}
+			if it == opt.MaxIter {
+				return res, nil
+			}
+		}
+
+		beta, pAp := 0.0, delta // p0 = u0: p.Ap = w0.u0
+		if it > 0 {
+			beta = gammaNew / gamma
+			pAp = delta - beta*gammaNew/alpha
+		}
 		if pAp <= 0 {
 			return nil, fmt.Errorf("iterative: p.Ap = %g <= 0 at iteration %d (matrix not SPD?)", pAp, it)
 		}
-		alpha := gamma / pAp
-		for _, i := range owned {
-			p[i] = u[i] + beta*p[i]
-			s[i] = w[i] + beta*s[i]
-			x[i] += alpha * p[i]
-			r[i] -= alpha * s[i]
+		alpha, gamma = gammaNew/pAp, gammaNew
+		for k, i := range owned {
+			z[k] = y[i] + beta*z[k]
+			q[k] = in[i] + beta*q[k]
+			s[k] = w[k] + beta*s[k]
+			p[k] = u[k] + beta*p[k]
+			x[i] += alpha * p[k]
+			r[k] -= alpha * s[k]
+			u[k] -= alpha * q[k]
+			w[k] -= alpha * z[k]
 		}
-		if w, err = step(r, it+1); err != nil {
-			return nil, err
-		}
-		gammaNew, delta := dots[0], dots[1]
-		res.Iters = it + 1
-		res.Residual = math.Sqrt(dots[2] / bNorm2)
-		if res.Residual < opt.Tol {
-			res.Converged = true
-			return res, nil
-		}
-		beta = gammaNew / gamma
-		pAp = delta - beta*gammaNew/alpha
-		gamma = gammaNew
 	}
-	return res, nil
 }
 
 // SerialCG is the single-process reference implementation used to validate

@@ -135,7 +135,7 @@ func runCGOn(t *testing.T, comms []runtime.Comm, a *sparse.CSR, part *partition.
 	return x, results[0]
 }
 
-// TestCGAgainstSerialOracle holds the preconditioned single-reduction
+// TestCGAgainstSerialOracle holds the preconditioned pipelined
 // recurrence against the unpreconditioned textbook loop (SerialCG): over a
 // zero-copy and a socket transport, powers of two, a fold-in/fold-out world
 // and K=1, both exchange schemes. Every rank must stop at the same
@@ -195,6 +195,102 @@ func TestCGAgainstSerialOracle(t *testing.T) {
 	}
 }
 
+// serialJacobiPCG is the textbook Jacobi-preconditioned CG in one
+// process, the oracle for CG's iteration count: x0 = 0, z = D^-1 r, and
+// the same unpreconditioned stopping rule ||r|| / ||b|| < tol. It returns
+// the iterations taken and the solution.
+func serialJacobiPCG(t *testing.T, a *sparse.CSR, b []float64, tol float64, maxIter int) (int, []float64) {
+	t.Helper()
+	n := a.Rows
+	dinv := make([]float64, n)
+	for i := range dinv {
+		cols, vals := a.Row(i)
+		k, ok := slices.BinarySearch(cols, int32(i))
+		if !ok || vals[k] <= 0 {
+			t.Fatalf("row %d: no positive diagonal", i)
+		}
+		dinv[i] = 1 / vals[k]
+	}
+	dot := func(u, v []float64) float64 {
+		var s float64
+		for i := range u {
+			s += u[i] * v[i]
+		}
+		return s
+	}
+	x := make([]float64, n)
+	r := slices.Clone(b)
+	z := make([]float64, n)
+	for i := range z {
+		z[i] = dinv[i] * r[i]
+	}
+	p := slices.Clone(z)
+	rz, bb := dot(r, z), dot(b, b)
+	for it := 0; it < maxIter; it++ {
+		q, err := a.MulVec(nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alpha := rz / dot(p, q)
+		for i := range x {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * q[i]
+		}
+		if math.Sqrt(dot(r, r)/bb) < tol {
+			return it + 1, x
+		}
+		for i := range z {
+			z[i] = dinv[i] * r[i]
+		}
+		rzNew := dot(r, z)
+		for i := range p {
+			p[i] = z[i] + rzNew/rz*p[i]
+		}
+		rz = rzNew
+	}
+	return maxIter, x
+}
+
+// TestCGMatchesSerialJacobiPCG holds the pipelined recurrence to the
+// textbook one on the benchmark's CG instances: the gupta2 analog at scale
+// 8 made SPD, with seeds 1-6 for matrix and right-hand side, solved to
+// 1e-10 at K=64 on T3(4,4,4) over chanpt. Pipelining reorders the
+// arithmetic, never the iteration count.
+func TestCGMatchesSerialJacobiPCG(t *testing.T) {
+	const K, tol = 64, 1e-10
+	e, err := sparse.Lookup("gupta2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := vpt.MustNew(4, 4, 4)
+	for seed := int64(1); seed <= 6; seed++ {
+		params := sparse.ScaleParams(e.Params, 8)
+		params.Seed = seed
+		base, err := sparse.Generate(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := sparse.DiagonallyDominant(base, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := rhs(a.Rows, seed)
+		want, _ := serialJacobiPCG(t, a, b, tol, 1000)
+		part, err := partition.Greedy(a, K, partition.DefaultGreedy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, res := runCG(t, a, part, b, CGOptions{Tol: tol, Comm: spmv.Options{Method: spmv.STFW, Topo: tp}})
+		t.Logf("seed %d: CG %d iterations, serial Jacobi-PCG %d, true residual %.3g", seed, res.Iters, want, residualNorm(a, x, b))
+		if !res.Converged || res.Iters != want {
+			t.Errorf("seed %d: CG %+v, serial Jacobi-PCG takes %d iterations", seed, res, want)
+		}
+		if got := residualNorm(a, x, b); got > 10*tol {
+			t.Errorf("seed %d: true residual %g", seed, got)
+		}
+	}
+}
+
 // linkCounter counts the frames one rank sends per (peer, tag). Every
 // Multiply puts exactly one frame on each exchange link the rank has and
 // every allreduce one on each of its round links, so the counts say how
@@ -210,8 +306,9 @@ func (l *linkCounter) Send(to, tag int, payload []byte) error {
 }
 
 // assertCounts checks that every link outside the collectives' tag span
-// carried wantMul frames, every link inside it wantRed, and that the rank
-// has links of both kinds.
+// carried wantMul frames and every link inside it wantRed, that the rank
+// has exchange links, and that it has reduction links exactly when wantRed
+// is nonzero: a count of 0 is asserted by the links' absence.
 func (l *linkCounter) assertCounts(t *testing.T, name string, wantMul, wantRed int) {
 	t.Helper()
 	lo, hi := collectives.TagSpan()
@@ -226,8 +323,9 @@ func (l *linkCounter) assertCounts(t *testing.T, name string, wantMul, wantRed i
 			t.Errorf("%s: rank %d sent %d frames to rank %d on tag %#x, want %d", name, l.Rank(), n, link[0], link[1], want)
 		}
 	}
-	if mul == 0 || red == 0 {
-		t.Errorf("%s: rank %d has %d exchange links and %d reduction links; the count is vacuous", name, l.Rank(), mul, red)
+	if mul == 0 || (red == 0) != (wantRed == 0) {
+		t.Errorf("%s: rank %d has %d exchange links and %d reduction links, want %d frames on each reduction link",
+			name, l.Rank(), mul, red, wantRed)
 	}
 }
 
@@ -246,11 +344,13 @@ func countingWorld(t *testing.T, K int) ([]runtime.Comm, []*linkCounter) {
 	return comms, counters
 }
 
-// TestOneReductionPerIteration is the claim itself, as a count: a solve of
-// Iters iterations is Iters+1 SpMVs and Iters+1 allreduces (the textbook
-// loop: Iters and 2 Iters + 2), and a power iteration of Iters steps is
-// Iters SpMVs and Iters+1 allreduces (was 2 Iters + 1).
-func TestOneReductionPerIteration(t *testing.T) {
+// TestReductionsPerIteration is the claim itself, as a count. A CG solve
+// of Iters iterations is Iters+2 exchanges; under STFW its dot products
+// ride the compiled exchanges' frames, so it sends no reduction frame at
+// all, and under BL every exchange but the first is followed by an
+// allreduce (Iters+1). A power iteration of Iters steps is Iters SpMVs
+// and Iters+1 allreduces.
+func TestReductionsPerIteration(t *testing.T) {
 	const K = 8
 	a := spdMatrix(t, 300)
 	b := rhs(a.Rows, 8)
@@ -266,6 +366,10 @@ func TestOneReductionPerIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cgReductions := map[string]func(iters int) int{
+		"BL":   func(iters int) int { return iters + 1 },
+		"STFW": func(int) int { return 0 },
+	}
 	for name, comm := range map[string]spmv.Options{"BL": {Method: spmv.BL}, "STFW": {Method: spmv.STFW, Topo: tp}} {
 		comms, counters := countingWorld(t, K)
 		_, res := runCGOn(t, comms, a, part, b, CGOptions{Comm: comm})
@@ -273,7 +377,7 @@ func TestOneReductionPerIteration(t *testing.T) {
 			t.Fatalf("CG %s: not converged: %+v", name, res)
 		}
 		for _, l := range counters {
-			l.assertCounts(t, "CG "+name, res.Iters+1, res.Iters+1)
+			l.assertCounts(t, "CG "+name, res.Iters+2, cgReductions[name](res.Iters))
 		}
 
 		comms, counters = countingWorld(t, K)
@@ -338,10 +442,10 @@ func TestDistributedCGMatchesSerialSTFW(t *testing.T) {
 }
 
 func TestCGSchemesAgreeIterForIter(t *testing.T) {
-	// BL and STFW move identical values, so the iterates are bit-for-bit
-	// comparable up to floating-point reduction order; with the same
-	// deterministic reduction order (allreduce tree identical), iteration
-	// counts must match exactly.
+	// BL and STFW move identical values, so the iterates differ only by
+	// the order their dot products are summed in (BL's allreduce tree,
+	// STFW's digit-order sum lane): rounding, which must not move the
+	// iteration count.
 	a := spdMatrix(t, 300)
 	b := rhs(a.Rows, 4)
 	part, err := partition.Greedy(a, 16, partition.DefaultGreedy())

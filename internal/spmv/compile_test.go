@@ -299,7 +299,9 @@ func TestKernelRowRuns(t *testing.T) {
 // startAllocWorld parks one session per rank behind tptest.Lockstep, so
 // AllocsPerRun can step all ranks through Multiply(x) without spawning
 // goroutines (goroutine startup allocates) inside the measured region.
-func startAllocWorld(t *testing.T, a *sparse.CSR, part *partition.Partition, pat *Pattern, opt Options, K int, x []float64) (multiply func() error, stop func()) {
+// With lane > 0 every rank calls MultiplySum with a lane of that many
+// words instead.
+func startAllocWorld(t *testing.T, a *sparse.CSR, part *partition.Partition, pat *Pattern, opt Options, K, lane int, x []float64) (multiply func() error, stop func()) {
 	t.Helper()
 	w, err := chanpt.NewWorld(K, K)
 	if err != nil {
@@ -315,6 +317,7 @@ func startAllocWorld(t *testing.T, a *sparse.CSR, part *partition.Partition, pat
 		})
 	}
 	sess := make([]*Session, K)
+	sums := make([][]float64, K)
 	return tptest.Lockstep(comms, func(c runtime.Comm, iter int) error {
 		me := c.Rank()
 		if iter == 0 {
@@ -322,8 +325,18 @@ func startAllocWorld(t *testing.T, a *sparse.CSR, part *partition.Partition, pat
 			if sess[me], err = NewSession(c, a, part, pat, opt); err != nil {
 				return err
 			}
+			if lane > 0 {
+				sums[me] = make([]float64, lane)
+			}
 		}
-		_, err := sess[me].Multiply(x)
+		if lane == 0 {
+			_, err := sess[me].Multiply(x)
+			return err
+		}
+		for i := range sums[me] {
+			sums[me][i] = float64(me + i)
+		}
+		_, err := sess[me].MultiplySum(x, sums[me])
 		return err
 	})
 }
@@ -363,7 +376,7 @@ func TestSessionMultiplyZeroAlloc(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			// Learning iteration (STFW) plus warmup to fill the frame arena
 			// and the transport's high-water marks.
-			checkZeroAlloc(t, a, part, pat, cfg.opt, K, x, 5, 1)
+			checkZeroAlloc(t, a, part, pat, cfg.opt, K, 0, x, 5, 1)
 		})
 	}
 
@@ -381,10 +394,14 @@ func TestSessionMultiplyZeroAlloc(t *testing.T) {
 	for _, row := range []struct {
 		K, dim, warm int
 		bl           bool
+		lane         int // MultiplySum words; 0: Multiply
 	}{
-		{64, 3, 5, true},
-		{256, 4, 5, true},
-		{1024, 5, 40, false},
+		{64, 3, 5, true, 0},
+		// The sum lane rides the compiled STFW frames: still nothing
+		// allocated per multiply.
+		{64, 3, 5, false, 4},
+		{256, 4, 5, true, 0},
+		{1024, 5, 40, false, 0},
 	} {
 		gpart, err := partition.Greedy(g, row.K, partition.DefaultGreedy())
 		if err != nil {
@@ -403,8 +420,12 @@ func TestSessionMultiplyZeroAlloc(t *testing.T) {
 			opts = append(opts, Options{Method: BL})
 		}
 		for _, opt := range opts {
-			t.Run(fmt.Sprintf("gupta2/K=%d/%v", row.K, opt.Method), func(t *testing.T) {
-				checkZeroAlloc(t, g, gpart, gpat, opt, row.K, gx, row.warm, 10)
+			name := fmt.Sprintf("gupta2/K=%d/%v", row.K, opt.Method)
+			if row.lane > 0 {
+				name += fmt.Sprintf("/MultiplySum(%d words)", row.lane)
+			}
+			t.Run(name, func(t *testing.T) {
+				checkZeroAlloc(t, g, gpart, gpat, opt, row.K, row.lane, gx, row.warm, 10)
 			})
 		}
 	}
@@ -413,9 +434,9 @@ func TestSessionMultiplyZeroAlloc(t *testing.T) {
 // checkZeroAlloc steps a K-rank session world through warm multiplies, then
 // requires one of the next windows runs of 20 multiplies to read 0 allocs
 // per multiply.
-func checkZeroAlloc(t *testing.T, a *sparse.CSR, part *partition.Partition, pat *Pattern, opt Options, K int, x []float64, warm, windows int) {
+func checkZeroAlloc(t *testing.T, a *sparse.CSR, part *partition.Partition, pat *Pattern, opt Options, K, lane int, x []float64, warm, windows int) {
 	t.Helper()
-	multiply, stop := startAllocWorld(t, a, part, pat, opt, K, x)
+	multiply, stop := startAllocWorld(t, a, part, pat, opt, K, lane, x)
 	defer stop()
 	for i := 0; i < warm; i++ {
 		if err := multiply(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"stfw/internal/collectives"
 	"stfw/internal/core"
 	"stfw/internal/partition"
 	"stfw/internal/runtime"
@@ -109,8 +110,21 @@ func (s *Session) bindReplay(r *core.Replay) error {
 // configuration.
 //
 // The returned slice is owned by the session and overwritten by the next
-// Multiply; copy it to keep it across iterations.
+// Multiply; copy it to keep it across iterations. Multiply is MultiplySum
+// with no lane.
 func (s *Session) Multiply(x []float64) ([]float64, error) {
+	return s.MultiplySum(x, nil)
+}
+
+// MultiplySum is Multiply whose exchange also sums sum across the world:
+// on return every rank holds the same bits, the world total of every word.
+// A compiled STFW exchange carries the words in its stage frames
+// (core.Replay.RunSum), so the reduction sends no message of its own. The
+// two exchanges that cannot carry a lane, a BL exchange and an STFW
+// session's learning multiply, are followed by
+// collectives.AllreduceInPlace instead. Every rank must pass a lane of the
+// same length. In the steady state it allocates nothing.
+func (s *Session) MultiplySum(x, sum []float64) ([]float64, error) {
 	if len(x) != s.a.Cols {
 		return nil, fmt.Errorf("spmv: x length %d != cols %d", len(x), s.a.Cols)
 	}
@@ -122,10 +136,17 @@ func (s *Session) Multiply(x []float64) ([]float64, error) {
 	}
 	t1 := time.Now()
 	var err error
-	if p.replay == nil {
+	switch {
+	case p.replay == nil:
 		err = s.learn(x)
-	} else {
+	case s.opt.Method == BL:
 		err = p.replay.Run(s.c, x, p.xloc[p.nOwn:])
+	default:
+		err = p.replay.RunSum(s.c, x, p.xloc[p.nOwn:], sum)
+		sum = nil // reduced in the frames
+	}
+	if err == nil && sum != nil {
+		err = collectives.AllreduceInPlace(s.c, sum, collectives.Sum)
 	}
 	if err != nil {
 		return nil, err

@@ -79,6 +79,88 @@ func TestSessionRepeatedMultiplies(t *testing.T) {
 	}
 }
 
+// TestMultiplySum: a lane changes nothing in y, and every rank ends with
+// the same bits of the world total, on the three exchanges a session runs
+// — a BL exchange and an STFW learning multiply, both followed by an
+// allreduce, and the compiled STFW replay carrying the lane in its frames.
+func TestMultiplySum(t *testing.T) {
+	const K, rounds = 8, 3
+	a := testMatrix(t, 400, 3600, 50)
+	part, err := partition.Greedy(a, K, partition.DefaultGreedy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, err := BuildPattern(a, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := vpt.MustNew(2, 2, 2)
+	x := testVector(a.Cols, 44)
+	// lane is rank me's words: 1e16 on rank 0 swamps the 1s added to it
+	// unless they are summed first, so the bits depend on the order.
+	lane := func(me int) []float64 {
+		big := 1.0
+		if me == 0 {
+			big = 1e16
+		}
+		return []float64{big, float64(me) + 0.25, -float64(me * me)}
+	}
+	for _, opt := range []Options{{Method: BL}, {Method: STFW, Topo: tp}} {
+		sums := make([][][]float64, rounds)
+		for r := range sums {
+			sums[r] = make([][]float64, K)
+		}
+		w, err := chanpt.NewWorld(K, K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Run(func(c runtime.Comm) error {
+			me := c.Rank()
+			sess, err := NewSession(c, a, part, pat, opt)
+			if err != nil {
+				return err
+			}
+			for r := 0; r < rounds; r++ {
+				sum := lane(me)
+				y, err := sess.MultiplySum(x, sum)
+				if err != nil {
+					return fmt.Errorf("round %d: %w", r, err)
+				}
+				withLane := slices.Clone(y)
+				if y, err = sess.Multiply(x); err != nil {
+					return fmt.Errorf("round %d: %w", r, err)
+				}
+				for i := range y {
+					if math.Float64bits(y[i]) != math.Float64bits(withLane[i]) {
+						return fmt.Errorf("round %d: y[%d] = %v with a lane, %v without", r, i, withLane[i], y[i])
+					}
+				}
+				sums[r][me] = sum
+			}
+			return nil
+		})
+		w.Close()
+		if err != nil {
+			t.Fatalf("%v: %v", opt.Method, err)
+		}
+		exact := []float64{1e16 + K - 1, K*(K-1)/2 + 0.25*K, -float64((K - 1) * K * (2*K - 1) / 6)}
+		for r := range sums {
+			for me, got := range sums[r] {
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(sums[r][0][i]) {
+						t.Fatalf("%v round %d: rank %d word %d = %v, rank 0 has %v", opt.Method, r, me, i, got[i], sums[r][0][i])
+					}
+				}
+			}
+			for i, want := range exact {
+				if got := sums[r][0][i]; math.Abs(got-want) > 4 {
+					t.Fatalf("%v round %d: word %d = %v, want %v", opt.Method, r, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestSessionValidation(t *testing.T) {
 	a := testMatrix(t, 100, 700, 20)
 	part, _ := partition.Block(a.Rows, 4)
