@@ -1,30 +1,37 @@
-// Compiled iteration programs: the second specialization tier above
-// Persistent. A Persistent replay still pays the caller's payload map,
-// frame encoding and decoding, and a per-value byte codec; Compile turns
-// the learned pattern into a fully indexed program under the assumption
-// that payload *sizes* are fixed across iterations (the iterative-solver
-// case: one float64 per matrix column shipped, every iteration, to the same
-// ranks). The program owns precomputed frame sizes and submessage offsets,
-// and writes every byte of an outgoing frame exactly once per iteration:
+// Compiled iteration programs: the one replay engine. Both ways of
+// replaying a learned pattern lower it into a Replay, a fully indexed
+// program under the assumption that payload *sizes* are the learned ones
+// (the iterative-solver case: one float64 per matrix column shipped, every
+// iteration, to the same ranks). Compile lowers a word replay, whose
+// payloads are float64s gathered from x[idx]; Persistent.Run lowers itself
+// into a byte replay, whose payloads are the caller's bytes. The program
+// owns precomputed frame sizes and submessage offsets, and writes every
+// byte of an outgoing frame exactly once per iteration:
 //
 //   - header: the 16-byte frame header, from the frame's destination and
 //     submessage count,
 //   - gather: this rank's own submessages — a sub-header, then x[idx]
-//     float64s written straight into the pooled frame buffer,
+//     float64s (word replay) or the caller's payload whole (byte replay),
+//     written straight into the pooled frame buffer,
 //   - forward: one memcpy per forwarded submessage, sub-header and payload
 //     together, from a retained inbound frame — the inbound header is the
 //     one the outgoing frame needs, so forwarded bytes are never decoded or
 //     re-encoded,
-//   - scatter: copy delivered payload regions straight into the caller's
-//     halo slice at precomputed word offsets,
+//   - deliver: every payload addressed to this rank is copied out of its
+//     inbound frame to a precomputed offset — of the caller's halo slice
+//     (word replay) or of one Delivered arena (byte replay),
+//   - check: every inbound slot's sub-header is held to the learned one
+//     (source, destination, length) where the slot is consumed, on delivery
+//     or when forwarded, so a frame that deviates from the pattern fails
+//     the run,
 //   - sum lane (RunSum only): the caller's reduction words, appended after
 //     the frame body and folded stage by stage in digit order, so one
 //     exchange is also an allreduce.
 //
-// Both wire headers are 16 bytes and every payload is word-sized, so every
-// payload sits on an 8-byte boundary of its (pooled, aligned) frame buffer
-// and gather and scatter move float64s through msg.Float64View on a
-// little-endian host.
+// Both wire headers are 16 bytes and every word replay payload is
+// word-sized, so in a word replay every payload sits on an 8-byte boundary
+// of its (pooled, aligned) frame buffer and gather and scatter move
+// float64s through msg.Float64View on a little-endian host.
 //
 // No maps are consulted and nothing is allocated in steady state: frame
 // buffers come from the msg arena and every error path is off the happy
@@ -55,13 +62,26 @@ import (
 type Replay struct {
 	me, size  int
 	xlen      int // required len(x) in Run
-	haloWords int // required len(halo) in Run
-	selfs     []selfOp
-	stages    []rStage
+	haloBytes int // delivered payload bytes: 8*len(halo) in Run
+	// bytes marks a byte replay (Persistent.Run): gathers copy the caller's
+	// payloads and deliveries land in arena. A word replay moves float64s
+	// from x and into halo.
+	bytes  bool
+	selfs  []selfOp
+	stages []rStage
 	// lane is set by a store-and-forward lowering, whose every stage sends
 	// a frame to and receives one from each dimension neighbour — what
 	// RunSum's fold needs. A direct replay leaves it false.
 	lane bool
+	// sends and delivs are a byte replay's learned payloads: sends[i] is
+	// this rank's payload to its i-th learned destination (gatherOp.pay,
+	// selfOp.pay), delivs the deliveries in order at their arena offsets.
+	// Persistent.Run holds the caller to sends and returns delivs.
+	sends, delivs []paySlot
+	// pays and arena are a running byte replay's payloads, in sends order,
+	// and delivery arena. Both are dropped as the run returns.
+	pays  [][]byte
+	arena []byte
 	// inFrames retains received frames until the iteration ends: later
 	// stages memcpy forwarded payloads out of them. Entries are recycled
 	// into the frame arena at the end of every Run.
@@ -96,14 +116,40 @@ type rStage struct {
 	tag      int
 	dim      int // VPT dimension the stage traverses (ScheduleStage.Dim)
 	frames   []rFrame
-	recvFrom []int   // expected senders, learning receive order
-	inIdx    []int32 // retention slot per sender (index into inFrames)
-	inSize   []int32 // expected frame byte length per sender
-	inNsubs  []int32 // expected submessage count per sender
-	delivers [][]deliverOp
+	recvFrom []int // expected senders, learning receive order
+	ins      []rIn // receive program per expected sender
 	// fold lists the stage's sum-lane contributions in the digit order of
 	// its dimension: an index into recvFrom, or -1 for this rank's own.
 	fold []int32
+}
+
+// rIn is the receive program of the frame from one expected sender: its
+// retention slot (index into inFrames), its byte size without the sum lane,
+// its submessage count and the deliveries it carries.
+type rIn struct {
+	idx, size, nsubs int32
+	delivers         []deliverOp
+}
+
+// deliverOp copies the n payload bytes of one learned slot addressed to
+// this rank, found at srcOff of an inbound frame, to delivery offset at:
+// float64s into the halo, or bytes into the arena. hdr is the slot's
+// learned source and destination (subHdrWord); the sub-header before the
+// payload is checked against it first.
+type deliverOp struct {
+	hdr           uint64
+	srcOff, at, n int32
+}
+
+// subHdrWord packs a submessage's source and destination the way the first
+// eight bytes of its sub-header carry them.
+func subHdrWord(k slotKey) uint64 { return uint64(uint32(k.src)) | uint64(uint32(k.dst))<<32 }
+
+// paySlot is one learned payload: its (src, dst) pair, byte length n and,
+// for a delivery, its offset in the arena.
+type paySlot struct {
+	k      slotKey
+	off, n int32
 }
 
 // rFrame is one outgoing frame program: its destination, byte size and
@@ -118,32 +164,29 @@ type rFrame struct {
 }
 
 // gatherOp writes this rank's submessage to dst at frame offset off: its
-// sub-header, then x[idx[i]] as little-endian float64s at off+SubHeaderLen.
+// sub-header, then at off+SubHeaderLen the payload — x[idx[i]] as
+// little-endian float64s in a word replay, pays[pay] in a byte replay.
 type gatherOp struct {
-	off, dst int32
-	idx      []int32
+	off, dst, pay int32
+	idx           []int32
 }
 
 // fwdOp copies one forwarded submessage, n bytes of sub-header and payload,
 // from retained inbound frame `frame` at srcOff into the outgoing frame at
 // dstOff. The inbound sub-header already names the slot's source,
-// destination and length, so it is copied, never re-encoded.
+// destination and length, so it is copied, never re-encoded — once it has
+// been checked against the learned hdr (subHdrWord) and length.
 type fwdOp struct {
+	hdr               uint64
 	dstOff, srcOff, n int32
 	frame             int32
 }
 
-// deliverOp copies `words` float64s from an inbound frame at srcOff into
-// halo[haloOff:].
-type deliverOp struct {
-	srcOff, haloOff, words int32
-}
-
-// selfOp scatters this rank's own payload to itself: halo[haloOff+i] =
-// x[idx[i]], no bytes involved.
+// selfOp delivers this rank's own payload to itself at byte offset at, no
+// frame involved: x[idx[i]] into the halo, or pays[pay] into the arena.
 type selfOp struct {
 	idx     []int32
-	haloOff int32
+	pay, at int32
 }
 
 type slotLoc struct {
@@ -151,65 +194,80 @@ type slotLoc struct {
 }
 
 // Compile lowers the learned StageSchedule (Persistent.Schedule — the same
-// IR the stage machine executes in Run) into a new Replay, under the added
-// assumption of fixed payload sizes: destination dst's payload is always
-// the float64s x[gather[dst][0]], x[gather[dst][1]], ... read from the x
-// slice passed to Run. The lowering keeps the schedule's stage skeleton —
-// tags, send slots in send order, inbound sender sets — and specializes
-// every slot into precomputed byte offsets: in-place header writes replace
-// encoding, memcpys replace Run's slot table, and halo offsets replace the
-// delivered submessages. gather must cover exactly the learned
+// IR Run replays) into a new word Replay: destination dst's payload is
+// always the float64s x[gather[dst][0]], x[gather[dst][1]], ... read from
+// the x slice passed to Run. The lowering keeps the schedule's stage
+// skeleton — tags, send slots in send order, inbound sender sets — and
+// specializes every slot into precomputed byte offsets: in-place header
+// writes replace encoding, memcpys replace forwarding, and halo offsets
+// replace the delivered submessages. gather must cover exactly the learned
 // destinations, and each list's byte size (8 per index) must equal the
-// learning run's payload size for that destination; every payload routed
-// through this rank must be word-sized. The gather lists are retained by
-// the Replay and must not be mutated afterwards.
+// learning run's payload size for that destination; every payload
+// delivered to this rank must be word-sized. The gather lists are retained
+// by the Replay and must not be mutated afterwards.
 //
 // Deliveries are scattered into Run's halo slice in the learned delivery
 // order (sorted by source rank), one contiguous word block per source.
 func (p *Persistent) Compile(xlen int, gather map[int][]int32) (*Replay, error) {
 	r := &Replay{}
-	if err := p.lower(r, xlen, gather); err != nil {
+	if err := p.lower(r, false, xlen, gather); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// lower writes the learned schedule into r: the halo layout and self ops,
-// then per stage one frame program per send slot and the receive metadata
-// and deliver ops per inbound frame. Every slice r already holds — stages,
-// op tables, inbound metadata, inFrames — is reused up to its
-// capacity, so lowering into an existing Replay of the same skeleton
-// allocates only the lowering's own maps and the traffic hint. The gather
-// contract is checked before r is touched; a later error (a non-word
-// payload, a slot without a source) leaves r unusable until a lowering
-// succeeds.
-func (p *Persistent) lower(r *Replay, xlen int, gather map[int][]int32) error {
+// lower writes the learned schedule into r: the payload and halo layout and
+// self ops, then per stage one frame program per send slot and one receive
+// program per inbound frame. A byte lowering (Persistent.Run) takes the
+// learned payload sizes as they are; a word lowering (Compile,
+// PatchCompiled) checks gather against them and requires word-sized
+// deliveries. Every slice r already holds — stages, op tables, inbound
+// slots, inFrames — is reused up to its capacity, so lowering into an
+// existing Replay of the same skeleton allocates only the lowering's own
+// maps and the traffic hint. The gather contract is checked before r is
+// touched; a later error (a non-word payload, a slot without a source)
+// leaves r unusable until a lowering succeeds.
+func (p *Persistent) lower(r *Replay, bytes bool, xlen int, gather map[int][]int32) error {
 	me := p.rank
-	if err := p.checkGather(xlen, gather); err != nil {
-		return err
+	if !bytes {
+		if err := p.checkGather(xlen, gather); err != nil {
+			return err
+		}
 	}
-	r.me, r.size, r.xlen = me, p.topo.Size(), xlen
+	r.me, r.size, r.xlen, r.bytes = me, p.topo.Size(), xlen, bytes
 	r.pol.Arrival = true
 	r.lane = true
 
-	// Halo: one contiguous word block per delivery, in the learned order.
-	// Self deliveries come straight from x; every other one is bound to an
-	// inbound frame region by layoutInbound.
+	r.sends, r.delivs = r.sends[:0], r.delivs[:0]
+	if bytes {
+		for _, dst := range p.destList {
+			k := slotKey{src: int32(me), dst: int32(dst)}
+			r.sends = append(r.sends, paySlot{k: k, n: int32(p.sizes[k])})
+		}
+	}
+	r.pays = resize(r.pays, len(r.sends))
+
+	// Halo: one contiguous block per delivery, in the learned order. Self
+	// deliveries come straight from the caller; haloOff keeps every other
+	// one until layoutInbound binds it to an inbound frame slot.
 	haloOff := make(map[slotKey]int32, len(p.deliver))
-	bound := make(map[slotKey]bool, len(p.deliver))
-	r.haloWords = 0
+	r.haloBytes = 0
 	r.selfs = r.selfs[:0]
 	for _, k := range p.deliver {
-		n := p.sizes[k]
-		if n%8 != 0 {
+		n := int32(p.sizes[k])
+		if !bytes && n%8 != 0 {
 			return fmt.Errorf("core: compile: delivery %d->%d has %d bytes, compiled replays require word-sized payloads", k.src, k.dst, n)
 		}
-		haloOff[k] = int32(r.haloWords)
-		if k.src == int32(me) {
-			r.selfs = append(r.selfs, selfOp{idx: gather[int(k.dst)], haloOff: haloOff[k]})
-			bound[k] = true
+		at := int32(r.haloBytes)
+		if bytes {
+			r.delivs = append(r.delivs, paySlot{k: k, off: at, n: n})
 		}
-		r.haloWords += n / 8
+		if k.src == int32(me) {
+			r.selfs = append(r.selfs, selfOp{idx: gather[int(k.dst)], pay: p.payIndex(k.dst), at: at})
+		} else {
+			haloOff[k] = at
+		}
+		r.haloBytes += int(n)
 	}
 
 	// inLoc is the retained-frame location of every slot received for
@@ -240,23 +298,19 @@ func (p *Persistent) lower(r *Replay, xlen int, gather map[int][]int32) error {
 
 		// Inbound frames: register forwarded slots for later stages and
 		// bind deliveries to their frame regions.
-		n := len(ss.RecvFrom)
 		st.recvFrom = append(st.recvFrom[:0], ss.RecvFrom...)
-		st.inIdx = resize(st.inIdx, n)
-		st.inSize = resize(st.inSize, n)
-		st.inNsubs = resize(st.inNsubs, n)
-		st.delivers = resize(st.delivers, n)
+		st.ins = resize(st.ins, len(ss.RecvFrom))
 		for j := range ss.RecvFrom {
-			st.inIdx[j] = nextFrame
+			st.ins[j].idx = nextFrame
 			nextFrame++
-			p.layoutInbound(st, d, j, haloOff, inLoc, bound)
+			p.layoutInbound(&st.ins[j], p.inLayout[d][j], haloOff, inLoc)
 		}
 		if err := p.lowerFold(st); err != nil {
 			return fmt.Errorf("core: compile: stage %d: %w", d, err)
 		}
 	}
 	for _, k := range p.deliver {
-		if !bound[k] {
+		if _, unbound := haloOff[k]; unbound {
 			return fmt.Errorf("core: compile: delivery %d->%d has no inbound frame slot", k.src, k.dst)
 		}
 	}
@@ -272,29 +326,35 @@ func resize[S ~[]E, E any](s S, n int) S {
 	return slices.Grow(s[:0], n)[:n]
 }
 
-// layoutInbound walks the learned slots of stage d's j-th inbound frame in
-// wire order and rewrites st's view of it: slot count, byte size, a
-// deliverOp for every slot addressed to this rank (marked in bound), and in
-// inLoc the retained-frame location of every slot to be forwarded in a
-// later stage — the offset of its sub-header, which travels with it.
-// st.inIdx[j] must already name the frame.
-func (p *Persistent) layoutInbound(st *rStage, d, j int, haloOff map[slotKey]int32, inLoc map[slotKey]slotLoc, bound map[slotKey]bool) {
-	slots := p.inLayout[d][j]
-	st.inNsubs[j] = int32(len(slots))
-	st.delivers[j] = st.delivers[j][:0]
+// payIndex returns the index of destination dst in the learned destination
+// list: where a byte replay finds the caller's payload for it.
+func (p *Persistent) payIndex(dst int32) int32 {
+	i, _ := slices.BinarySearch(p.destList, int(dst))
+	return int32(i)
+}
+
+// layoutInbound rewrites in from the learned slots of one inbound frame in
+// wire order: slot count, byte size, a deliverOp for every slot addressed
+// to this rank (its offset taken out of haloOff), and in inLoc the
+// retained-frame location of every slot to be forwarded in a later stage —
+// the offset of its sub-header, which travels with it. in.idx must already
+// name the frame.
+func (p *Persistent) layoutInbound(in *rIn, slots []slotKey, haloOff map[slotKey]int32, inLoc map[slotKey]slotLoc) {
+	in.nsubs = int32(len(slots))
+	in.delivers = in.delivers[:0]
 	fo := int32(msg.MsgHeaderLen)
 	for _, k := range slots {
 		n := int32(p.sizes[k])
 		payloadOff := fo + msg.SubHeaderLen
 		if k.dst == int32(p.rank) {
-			st.delivers[j] = append(st.delivers[j], deliverOp{srcOff: payloadOff, haloOff: haloOff[k], words: n / 8})
-			bound[k] = true
+			in.delivers = append(in.delivers, deliverOp{hdr: subHdrWord(k), srcOff: payloadOff, at: haloOff[k], n: n})
+			delete(haloOff, k)
 		} else {
-			inLoc[k] = slotLoc{frame: st.inIdx[j], off: fo}
+			inLoc[k] = slotLoc{frame: in.idx, off: fo}
 		}
 		fo = payloadOff + n
 	}
-	st.inSize[j] = fo
+	in.size = fo
 }
 
 // lowerFold writes st.fold: the stage's dimension digits in ascending
@@ -360,13 +420,13 @@ func (p *Persistent) lowerFrame(f *rFrame, to int, slots []slotKey, gather map[i
 	for _, k := range slots {
 		n := int32(msg.SubHeaderLen + p.sizes[k])
 		if k.src == int32(me) {
-			f.gathers = append(f.gathers, gatherOp{off: off, dst: k.dst, idx: gather[int(k.dst)]})
+			f.gathers = append(f.gathers, gatherOp{off: off, dst: k.dst, pay: p.payIndex(k.dst), idx: gather[int(k.dst)]})
 		} else {
 			l, ok := inLoc[k]
 			if !ok {
 				return fmt.Errorf("forwarded slot %d->%d not received in an earlier stage", k.src, k.dst)
 			}
-			f.fwds = append(f.fwds, fwdOp{dstOff: off, frame: l.frame, srcOff: l.off, n: n})
+			f.fwds = append(f.fwds, fwdOp{hdr: subHdrWord(k), dstOff: off, frame: l.frame, srcOff: l.off, n: n})
 		}
 		off += n
 	}
@@ -418,22 +478,25 @@ func NewDirectReplay(me, size, xlen int, gather map[int][]int32, srcWords map[in
 	sort.Ints(srcs)
 
 	st := rStage{tag: tagBase - 1, dim: 0}
-	haloAt := int32(0)
+	at := int32(0)
 	for _, src := range srcs {
 		if src == me {
-			r.selfs = append(r.selfs, selfOp{idx: gather[me], haloOff: haloAt})
-			haloAt += int32(len(gather[me]))
+			r.selfs = append(r.selfs, selfOp{idx: gather[me], at: at})
+			at += 8 * int32(len(gather[me]))
 			continue
 		}
-		words := int32(srcWords[src])
+		n := 8 * int32(srcWords[src])
+		k := slotKey{src: int32(src), dst: int32(me)}
 		st.recvFrom = append(st.recvFrom, src)
-		st.inIdx = append(st.inIdx, int32(len(st.recvFrom)-1))
-		st.inNsubs = append(st.inNsubs, 1)
-		st.inSize = append(st.inSize, int32(msg.MsgHeaderLen+msg.SubHeaderLen)+8*words)
-		st.delivers = append(st.delivers, []deliverOp{{srcOff: msg.MsgHeaderLen + msg.SubHeaderLen, haloOff: haloAt, words: words}})
-		haloAt += words
+		st.ins = append(st.ins, rIn{
+			idx:      int32(len(st.ins)),
+			size:     msg.MsgHeaderLen + msg.SubHeaderLen + n,
+			nsubs:    1,
+			delivers: []deliverOp{{hdr: subHdrWord(k), srcOff: msg.MsgHeaderLen + msg.SubHeaderLen, at: at, n: n}},
+		})
+		at += n
 	}
-	r.haloWords = int(haloAt)
+	r.haloBytes = int(at)
 
 	for _, dst := range dests {
 		if dst == me {
@@ -456,7 +519,7 @@ func NewDirectReplay(me, size, xlen int, gather map[int][]int32, srcWords map[in
 // HaloWords returns the number of float64s Run scatters into its halo
 // argument (the sum of all delivered payload word counts, in delivery
 // order).
-func (r *Replay) HaloWords() int { return r.haloWords }
+func (r *Replay) HaloWords() int { return r.haloBytes / 8 }
 
 // Run executes one compiled iteration: it builds and sends every learned
 // frame with payload float64s gathered from x, receives this rank's
@@ -480,11 +543,11 @@ func (r *Replay) Run(c runtime.Comm, x []float64, halo []float64) error {
 // frames are exactly Run's. A direct replay has no lane and rejects a
 // non-nil one.
 //
-// A frame that fails its header or length check does not end the call at
-// once: the rank drains the stage, then sends a poison frame wherever a
-// later stage expects one and drains those stages too, so the error
-// reaches every rank the failing one would have reached and no rank is
-// left waiting for a frame. It returns the first such error.
+// A frame that fails its header, length or slot check does not end the
+// call at once: the rank drains the stage, then sends a poison frame
+// wherever a later stage expects one and drains those stages too, so the
+// error reaches every rank the failing one would have reached and no rank
+// is left waiting for a frame. It returns the first such error.
 func (r *Replay) RunSum(c runtime.Comm, x, halo, sum []float64) error {
 	if c.Rank() != r.me || c.Size() != r.size {
 		return fmt.Errorf("core: replay bound to rank %d of %d", r.me, r.size)
@@ -492,12 +555,21 @@ func (r *Replay) RunSum(c runtime.Comm, x, halo, sum []float64) error {
 	if len(x) != r.xlen {
 		return fmt.Errorf("core: replay compiled for len(x)=%d, got %d", r.xlen, len(x))
 	}
-	if len(halo) != r.haloWords {
-		return fmt.Errorf("core: replay delivers %d words, halo has %d", r.haloWords, len(halo))
+	if 8*len(halo) != r.haloBytes {
+		return fmt.Errorf("core: replay delivers %d words, halo has %d", r.HaloWords(), len(halo))
 	}
 	if sum != nil && !r.lane {
 		return fmt.Errorf("core: rank %d: a direct replay carries no sum lane", r.me)
 	}
+	return r.run(c, x, halo, sum, nil)
+}
+
+// run is the replay loop behind both entry points: RunSum on a word
+// replay, Persistent.Run on a byte replay (x, halo and sum nil, r.pays and
+// r.arena bound). bad, when set, is a breach of the caller's contract
+// found before stage 0: the rank then sends only poison frames and drains
+// every stage, as after a failed frame check.
+func (r *Replay) run(c runtime.Comm, x, halo, sum []float64, bad error) error {
 	laneBytes := int32(8 * len(sum))
 	runtime.HintTraffic(c, r.traffic)
 	defer r.release()
@@ -509,7 +581,14 @@ func (r *Replay) RunSum(c runtime.Comm, x, halo, sum []float64) error {
 		mark = time.Now()
 	}
 	for _, s := range r.selfs {
-		dst := halo[s.haloOff : int(s.haloOff)+len(s.idx)]
+		if bad != nil {
+			break
+		}
+		if r.bytes {
+			copy(r.arena[s.at:], r.pays[s.pay])
+			continue
+		}
+		dst := halo[s.at/8:][:len(s.idx)]
 		for i, g := range s.idx {
 			dst[i] = x[g]
 		}
@@ -519,27 +598,32 @@ func (r *Replay) RunSum(c runtime.Comm, x, halo, sum []float64) error {
 	}
 
 	retains := runtime.SendRetains(c)
-	var bad error // the first failed frame check; later stages poison
 	for si := range r.stages {
 		st := &r.stages[si]
 		fwdSubs, fwdBytes := 0, 0
 		for fi := range st.frames {
 			f := &st.frames[fi]
-			var buf []byte
-			if bad != nil {
-				buf = msg.GetFrameLen(msg.MsgHeaderLen)
-				msg.PutFrameHeader(buf, r.me, f.to, poisonSubs)
-			} else {
-				buf = msg.GetFrameLen(int(f.size + laneBytes))
+			buf := msg.GetFrameLen(int(f.size + laneBytes))
+			if bad == nil {
 				msg.PutFrameHeader(buf, r.me, f.to, int(f.nsubs))
 				for _, g := range f.gathers {
-					n := 8 * len(g.idx)
-					msg.PutSubHeader(buf[g.off:], r.me, int(g.dst), n)
-					payload := int(g.off) + msg.SubHeaderLen
-					gatherFloats(buf[payload:payload+n], x, g.idx)
+					payload := buf[g.off+msg.SubHeaderLen:]
+					if r.bytes {
+						pay := r.pays[g.pay]
+						msg.PutSubHeader(buf[g.off:], r.me, int(g.dst), len(pay))
+						copy(payload, pay)
+					} else {
+						msg.PutSubHeader(buf[g.off:], r.me, int(g.dst), 8*len(g.idx))
+						gatherFloats(payload[:8*len(g.idx)], x, g.idx)
+					}
 				}
 				for _, fw := range f.fwds {
-					copy(buf[fw.dstOff:fw.dstOff+fw.n], r.inFrames[fw.frame][fw.srcOff:fw.srcOff+fw.n])
+					sub := r.inFrames[fw.frame][fw.srcOff : fw.srcOff+fw.n]
+					if !slotOK(sub, fw.hdr) {
+						bad = r.forwardError(fw, sub)
+						break
+					}
+					copy(buf[fw.dstOff:], sub)
 					fwdSubs++
 					fwdBytes += int(fw.n) - msg.SubHeaderLen
 				}
@@ -547,11 +631,20 @@ func (r *Replay) RunSum(c runtime.Comm, x, halo, sum []float64) error {
 					putFloats(buf[f.size:], sum)
 				}
 			}
+			if bad != nil {
+				// After a breach or a failed check, even one found while
+				// building this frame, a poison frame goes out in its place.
+				buf = buf[:msg.MsgHeaderLen]
+				msg.PutFrameHeader(buf, r.me, f.to, poisonSubs)
+			}
 			err := c.Send(f.to, st.tag, buf)
 			if !retains {
 				msg.PutFrame(buf)
 			}
 			if err != nil {
+				if bad != nil {
+					return bad // a poison send failed; the first error stands
+				}
 				return fmt.Errorf("core: rank %d replay stage %d send to %d: %w", r.me, si, f.to, err)
 			}
 		}
@@ -579,15 +672,17 @@ func (r *Replay) RunSum(c runtime.Comm, x, halo, sum []float64) error {
 				msg.PutFrame(raw)
 				continue
 			}
-			if err := checkFrameHeader(raw, from, r.me, st.inSize[j]+laneBytes, st.inNsubs[j]); err != nil {
+			in := &st.ins[j]
+			err = checkFrameHeader(raw, from, r.me, in.size+laneBytes, in.nsubs)
+			if err == nil {
+				err = r.deliver(in, raw, halo)
+			}
+			if err != nil {
 				msg.PutFrame(raw)
 				bad = fmt.Errorf("core: rank %d replay stage %d frame from %d: %w", r.me, si, from, err)
 				continue
 			}
-			r.inFrames[st.inIdx[j]] = raw
-			for _, dv := range st.delivers[j] {
-				scatterFloats(halo[dv.haloOff:dv.haloOff+dv.words], raw[dv.srcOff:dv.srcOff+8*dv.words])
-			}
+			r.inFrames[in.idx] = raw
 		}
 		if bad == nil && len(sum) > 0 {
 			r.foldLane(st, sum)
@@ -599,6 +694,65 @@ func (r *Replay) RunSum(c runtime.Comm, x, halo, sum []float64) error {
 	return bad
 }
 
+// deliver copies the payloads an inbound frame carries to this rank, as
+// float64s into halo or as bytes into the arena, each after checking its
+// sub-header against the learned slot: a frame that deviates from the
+// pattern is a routing fault, not new data. The frame's length has been
+// checked, so every learned slot lies inside it.
+func (r *Replay) deliver(in *rIn, raw []byte, halo []float64) error {
+	for _, dv := range in.delivers {
+		sub := raw[dv.srcOff-msg.SubHeaderLen : dv.srcOff+dv.n]
+		if !slotOK(sub, dv.hdr) {
+			return slotMismatch(sub, dv.hdr)
+		}
+		if r.bytes {
+			copy(r.arena[dv.at:], sub[msg.SubHeaderLen:])
+		} else {
+			scatterFloats(halo[dv.at/8:][:dv.n/8], sub[msg.SubHeaderLen:])
+		}
+	}
+	return nil
+}
+
+// slotOK reports whether sub, one submessage's sub-header and payload cut
+// at its learned offset and length, carries its learned sub-header: source
+// and destination hdr, length len(sub)-SubHeaderLen, reserved word 0. A
+// slot is checked where the replay consumes it — delivered here, or
+// forwarded in a later stage — so every inbound slot is checked once.
+func slotOK(sub []byte, hdr uint64) bool {
+	return binary.LittleEndian.Uint64(sub) == hdr &&
+		binary.LittleEndian.Uint64(sub[8:]) == uint64(len(sub)-msg.SubHeaderLen)
+}
+
+// slotMismatch names how the sub-header of sub deviates from learned slot
+// hdr and length len(sub)-SubHeaderLen.
+func slotMismatch(sub []byte, hdr uint64) error {
+	// Both headers share one shape, so the frame-header reader parses a
+	// sub-header too, reserved word included.
+	src, dst, n, err := msg.ReadFrameHeader(sub)
+	if err != nil {
+		return err
+	}
+	if k := (slotKey{src: int32(src), dst: int32(dst)}); subHdrWord(k) != hdr {
+		return fmt.Errorf("misrouted submessage %d->%d (learned slot %d->%d)", src, dst, int32(hdr), int32(hdr>>32))
+	}
+	return fmt.Errorf("submessage %d->%d carries %d bytes, learned layout has %d", src, dst, n, len(sub)-msg.SubHeaderLen)
+}
+
+// forwardError reports a forwarded slot that failed its check, naming the
+// stage and sender of the inbound frame it came in.
+func (r *Replay) forwardError(fw fwdOp, sub []byte) error {
+	for si := range r.stages {
+		st := &r.stages[si]
+		for j := range st.ins {
+			if st.ins[j].idx == fw.frame {
+				return fmt.Errorf("core: rank %d replay stage %d frame from %d: %w", r.me, si, st.recvFrom[j], slotMismatch(sub, fw.hdr))
+			}
+		}
+	}
+	return fmt.Errorf("core: rank %d replay: %w", r.me, slotMismatch(sub, fw.hdr))
+}
+
 // foldLane replaces each word of sum with the stage line's total of it:
 // the lanes after the bodies of the stage's retained inbound frames and
 // this rank's own word, added in st.fold's digit order.
@@ -608,8 +762,9 @@ func (r *Replay) foldLane(st *rStage, sum []float64) {
 		for i, j := range st.fold {
 			v := own
 			if j >= 0 {
-				at := st.inSize[j] + int32(8*w)
-				v = math.Float64frombits(binary.LittleEndian.Uint64(r.inFrames[st.inIdx[j]][at:]))
+				in := &st.ins[j]
+				at := in.size + int32(8*w)
+				v = math.Float64frombits(binary.LittleEndian.Uint64(r.inFrames[in.idx][at:]))
 			}
 			if i == 0 {
 				acc = v
@@ -621,8 +776,9 @@ func (r *Replay) foldLane(st *rStage, sum []float64) {
 	}
 }
 
-// release recycles the retained inbound frames into the arena and clears
-// the retention table for the next iteration.
+// release recycles the retained inbound frames into the arena, clears the
+// retention table for the next iteration and drops a byte replay's hold on
+// the caller's payloads and the returned arena.
 func (r *Replay) release() {
 	for i, b := range r.inFrames {
 		if b != nil {
@@ -630,6 +786,8 @@ func (r *Replay) release() {
 			r.inFrames[i] = nil
 		}
 	}
+	clear(r.pays)
+	r.arena = nil
 }
 
 // poisonSubs is the submessage count of a poison frame: a bare frame
@@ -643,8 +801,7 @@ var errPoisoned = errors.New("sender abandoned the exchange after an earlier fra
 
 // checkFrameHeader validates the fixed parts of a compiled inbound frame:
 // total length, endpoints, submessage count and the reserved word. The
-// per-slot layout is trusted — it is pinned by the sender's compiled
-// program, and forwarded sub-headers travel on unchanged.
+// per-slot sub-headers are scatter's to check.
 func checkFrameHeader(raw []byte, from, to int, size, nsubs int32) error {
 	if len(raw) == msg.MsgHeaderLen {
 		if _, _, n, err := msg.ReadFrameHeader(raw); err == nil && n == poisonSubs {
@@ -652,7 +809,7 @@ func checkFrameHeader(raw []byte, from, to int, size, nsubs int32) error {
 		}
 	}
 	if int32(len(raw)) != size {
-		return fmt.Errorf("frame has %d bytes, compiled layout expects %d", len(raw), size)
+		return fmt.Errorf("frame has %d bytes, learned layout expects %d", len(raw), size)
 	}
 	gotFrom, gotTo, gotNsubs, err := msg.ReadFrameHeader(raw)
 	if err != nil {
@@ -665,7 +822,7 @@ func checkFrameHeader(raw []byte, from, to int, size, nsubs int32) error {
 		return fmt.Errorf("misrouted frame for rank %d", gotTo)
 	}
 	if int32(gotNsubs) != nsubs {
-		return fmt.Errorf("frame carries %d submessages, compiled layout expects %d", gotNsubs, nsubs)
+		return fmt.Errorf("frame carries %d submessages, learned layout expects %d", gotNsubs, nsubs)
 	}
 	return nil
 }

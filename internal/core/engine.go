@@ -9,7 +9,8 @@ import (
 	"stfw/internal/telemetry"
 )
 
-// stageMachine is the one engine behind every exchange path: it executes a
+// stageMachine is the engine behind every exchange that routes as it goes:
+// Exchange, DirectExchange and Persistent's learning run. It executes a
 // StageSchedule stage by stage — send the stage's frames, receive the
 // stage's expected frames, repeat — and delegates everything front-end
 // specific to four hooks. The machine owns frame encoding/decoding, the
@@ -18,13 +19,13 @@ import (
 // semantics:
 //
 //   - outSubs(d, j, slot) supplies the submessages of the j-th outbound
-//     frame of stage d (Exchange drains a forward buffer, Persistent fills
-//     its learned slot list by position, DirectExchange wraps one payload);
+//     frame of stage d (Exchange and the learning run drain a forward
+//     buffer, DirectExchange wraps one payload);
 //   - onFrame(d, from, subs) consumes a validated inbound frame (Exchange
-//     scatters into later-stage buffers, Persistent records each slot's
-//     bytes by position, DirectExchange appends the delivery). It returns
-//     the payload bytes delivered to this rank in the frame, feeding the
-//     stage probe;
+//     scatters into later-stage buffers, the learning run records the
+//     frame's layout and then scatters, DirectExchange appends the
+//     delivery). It returns the payload bytes delivered to this rank in
+//     the frame, feeding the stage probe;
 //   - onStage(d, deliveredBytes), optional, fires at each stage boundary
 //     (the occupancy probe of WithStageProbe);
 //   - finish() runs after the last stage, before inbound frames are
@@ -32,41 +33,29 @@ import (
 //     copied out (msg.CompactSubs) to survive the call.
 //
 // There is one execution discipline: every frame is encoded into a pooled
-// arena buffer, sent either by a per-exchange worker goroutine that drains
-// a FIFO of stage batches or inline (inlineSend), and inbound frames are
-// retained until the exchange ends — onFrame's submessages alias them —
-// then recycled after finish. Receives are served in arrival order
-// (runtime.RecvPolicy over RecvAnyOf); fixedRecv pins them to the
-// schedule's listed order instead.
-//
-// A machine may be run more than once (Persistent.Run keeps one): its
-// per-run scratch — the retained-frame list, the decode message and the
-// receive policy — is reset by run, not reallocated.
+// arena buffer and sent by a per-exchange worker goroutine that drains a
+// FIFO of stage batches, and inbound frames are retained until the
+// exchange ends — onFrame's submessages alias them — then recycled after
+// finish. Receives are served in arrival order (runtime.RecvPolicy over
+// RecvAnyOf); fixedRecv pins them to the schedule's listed order instead.
+// Replaying a learned pattern does not come here: that is the compiled
+// Replay's loop.
 type stageMachine struct {
-	sched      *StageSchedule
-	inlineSend bool // issue pooled sends inline instead of via the worker
-	fixedRecv  bool // receive in RecvFrom order; the learning run only (see NewPersistent)
-	tele       *telemetry.Rank
+	sched     *StageSchedule
+	fixedRecv bool // receive in RecvFrom order; the learning run only (see NewPersistent)
+	tele      *telemetry.Rank
 	// traffic, when set, is the schedule's per-stage traffic summary,
 	// offered to the transport (runtime.HintTraffic) before the first
 	// stage so schedule-aware transports can run zero-speculation flow
-	// control. Front-ends pass a cached slice, keeping repeat runs
-	// allocation-free.
+	// control.
 	traffic []runtime.StageTraffic
 	outSubs func(stage, slot int, s SendSlot) ([]msg.Submessage, error)
 	onFrame func(stage, from int, subs []msg.Submessage) (deliveredBytes int, err error)
 	onStage func(stage, deliveredBytes int)
 	finish  func() error
-
-	retained [][]byte    // received pooled frames, recycled when run returns
-	decoded  msg.Message // DecodeInto scratch, reused across frames
-	pol      runtime.RecvPolicy
 }
 
-// run executes the schedule on this rank's communicator. It is the only
-// stage loop in the package: Exchange, DirectExchange, Persistent (learning
-// and replay) all pass through here, and Replay.Run is the compiled
-// specialization of the same structure.
+// run executes the schedule on this rank's communicator, once.
 func (sm *stageMachine) run(c runtime.Comm, me int) error {
 	runtime.HintTraffic(c, sm.traffic)
 	// The exchange is traced whole or not at all: tr is nil on an untraced
@@ -77,23 +66,19 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 		sends += len(sm.sched.Stages[i].Sends)
 		recvs += len(sm.sched.Stages[i].RecvFrom)
 	}
-	var (
-		sw       *sendWorker
-		frameArr []stageFrame // worker sends: backing array for all stages' batches
-		retains  bool         // inline sends: transport retains frames
-	)
-	if cap(sm.retained) < recvs {
-		sm.retained = make([][]byte, 0, recvs)
-	}
-	sm.pol.Arrival = !sm.fixedRecv
-	defer sm.recycle()
-	if sm.inlineSend {
-		retains = runtime.SendRetains(c)
-	} else {
-		frameArr = make([]stageFrame, 0, sends)
-		sw = startSendWorker(c, me, len(sm.sched.Stages))
-		defer sw.join()
-	}
+	// retained holds the received pooled frames until the exchange ends;
+	// decoded is the DecodeInto scratch, reused across frames.
+	retained := make([][]byte, 0, recvs)
+	defer func() {
+		for _, b := range retained {
+			msg.PutFrame(b)
+		}
+	}()
+	var decoded msg.Message
+	pol := runtime.RecvPolicy{Arrival: !sm.fixedRecv}
+	frameArr := make([]stageFrame, 0, sends) // backing array for all stages' batches
+	sw := startSendWorker(c, me, len(sm.sched.Stages))
+	defer sw.join()
 
 	var stageStart time.Time
 	for d := range sm.sched.Stages {
@@ -102,53 +87,39 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 			stageStart = time.Now()
 		}
 
-		// Emit the stage's outbound frames in slot order: inline, or as one
-		// batch handed to the worker (which owns its subslice from then on;
-		// stages use disjoint regions of the shared backing array) and
-		// overlapped with the receives below.
-		if sm.inlineSend {
-			for j := range st.Sends {
-				slot := st.Sends[j]
-				subs, err := sm.outSubs(d, j, slot)
-				if err != nil {
-					return err
-				}
-				if err := sendPooledFrame(c, me, slot.To, st.Tag, subs, retains); err != nil {
-					return fmt.Errorf("core: rank %d stage %d send to %d: %w", me, d, slot.To, err)
-				}
+		// Emit the stage's outbound frames in slot order as one batch handed
+		// to the worker (which owns its subslice from then on; stages use
+		// disjoint regions of the shared backing array), overlapped with the
+		// receives below.
+		outs := frameArr[len(frameArr) : len(frameArr) : len(frameArr)+len(st.Sends)]
+		for j := range st.Sends {
+			slot := st.Sends[j]
+			subs, err := sm.outSubs(d, j, slot)
+			if err != nil {
+				return err
 			}
-		} else {
-			outs := frameArr[len(frameArr) : len(frameArr) : len(frameArr)+len(st.Sends)]
-			for j := range st.Sends {
-				slot := st.Sends[j]
-				subs, err := sm.outSubs(d, j, slot)
-				if err != nil {
-					return err
-				}
-				outs = append(outs, stageFrame{to: slot.To, subs: subs})
-			}
-			frameArr = frameArr[:len(frameArr)+len(outs)]
-			sw.enqueue(st.Tag, outs)
+			outs = append(outs, stageFrame{to: slot.To, subs: subs})
 		}
+		frameArr = frameArr[:len(frameArr)+len(outs)]
+		sw.enqueue(st.Tag, outs)
 
 		// Receive one frame per expected sender, in the order the policy
 		// dictates. The expected sender comes from the policy/matcher, never
 		// from loop position, so the misroute check is valid under any
 		// delivery order.
-		sm.pol.Reset(st.RecvFrom)
+		pol.Reset(st.RecvFrom)
 		stageDelivered, last := 0, -1
-		for sm.pol.Outstanding() > 0 {
-			from, raw, err := sm.pol.Next(c, st.Tag)
+		for pol.Outstanding() > 0 {
+			from, raw, err := pol.Next(c, st.Tag)
 			if err != nil {
 				if from >= 0 {
 					return fmt.Errorf("core: rank %d stage %d recv from %d: %w", me, d, from, err)
 				}
 				return fmt.Errorf("core: rank %d stage %d recv: %w", me, d, err)
 			}
-			sm.retained = append(sm.retained, raw)
+			retained = append(retained, raw)
 			last = from
-			decoded := &sm.decoded
-			if derr := msg.DecodeInto(decoded, raw); derr != nil {
+			if derr := msg.DecodeInto(&decoded, raw); derr != nil {
 				return fmt.Errorf("core: rank %d stage %d frame from %d: %w", me, d, from, derr)
 			}
 			if decoded.From != from || decoded.To != me {
@@ -168,41 +139,12 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 			stageStart = tr.SpanMark(telemetry.KStage, d, last, stageStart)
 		}
 	}
-	if sw != nil {
-		if err := sw.join(); err != nil {
-			return err
-		}
+	if err := sw.join(); err != nil {
+		return err
 	}
 	// finish runs before the deferred frame recycle: delivered payloads that
 	// alias retained frames are still intact here.
 	return sm.finish()
-}
-
-// recycle returns the run's retained inbound frames to the arena and empties
-// the list for the next run. It also drops the decode scratch's submessages,
-// over its whole capacity: they alias the recycled frames.
-func (sm *stageMachine) recycle() {
-	for _, b := range sm.retained {
-		msg.PutFrame(b)
-	}
-	clear(sm.retained)
-	sm.retained = sm.retained[:0]
-	clear(sm.decoded.Subs[:cap(sm.decoded.Subs)])
-	sm.decoded.Subs = sm.decoded.Subs[:0]
-}
-
-// sendPooledFrame encodes one frame into a pooled arena buffer and hands it
-// to the transport, recycling the buffer immediately when the transport does
-// not retain it (runtime.SendRetains); on retaining transports the receiving
-// rank recycles it instead.
-func sendPooledFrame(c runtime.Comm, me, to, tag int, subs []msg.Submessage, retains bool) error {
-	m := msg.Message{From: me, To: to, Subs: subs}
-	buf := msg.Encode(msg.GetFrameCap(msg.EncodedSize(&m)), &m)
-	err := c.Send(to, tag, buf)
-	if !retains {
-		msg.PutFrame(buf)
-	}
-	return err
 }
 
 type stageFrame struct {
@@ -238,7 +180,13 @@ func startSendWorker(c runtime.Comm, me, stages int) *sendWorker {
 				continue
 			}
 			for _, of := range batch.outs {
-				if err := sendPooledFrame(c, me, of.to, batch.tag, of.subs, retains); err != nil {
+				m := msg.Message{From: me, To: of.to, Subs: of.subs}
+				buf := msg.Encode(msg.GetFrameCap(msg.EncodedSize(&m)), &m)
+				err := c.Send(of.to, batch.tag, buf)
+				if !retains {
+					msg.PutFrame(buf)
+				}
+				if err != nil {
 					sw.err = fmt.Errorf("core: rank %d send to %d (tag %d): %w", me, of.to, batch.tag, err)
 					break
 				}

@@ -136,7 +136,9 @@ func churnWorld(t testing.TB, xlen int) ([]*Persistent, []*Replay, []map[int][]i
 // of the submessages the learned layout carries, byte for byte. The
 // store-and-forward case is churn-chan's shape after a Patch and
 // PatchCompiled, so forwarded sub-headers cross patched frames; the direct
-// case is NewDirectReplay on the same pattern.
+// case is NewDirectReplay on the same pattern; the bytes case is the byte
+// replay Persistent.Run lowers, on payloads of 1, 12 and 256 bytes, whose
+// traffic hint must also state every frame's learned size.
 func TestCompiledFramesMatchEncode(t *testing.T) {
 	const xlen = 256
 	world, reps, gathers := churnWorld(t, xlen)
@@ -207,6 +209,93 @@ func TestCompiledFramesMatchEncode(t *testing.T) {
 			t.Fatalf("direct world sent %d frames, want %d", len(got), want)
 		}
 	})
+
+	t.Run("bytes", func(t *testing.T) {
+		tp := vpt.MustNew(4, 4, 4)
+		rng := rand.New(rand.NewSource(36))
+		dests := make([][]int, K)
+		for src := range dests {
+			dests[src] = rng.Perm(K)[:8]
+		}
+		// payloads returns every rank's payloads of one round: 1, 12 or 256
+		// bytes per pair, bytes varying with the round.
+		payloads := func(round int) []map[int][]byte {
+			out := make([]map[int][]byte, K)
+			for src, ds := range dests {
+				out[src] = map[int][]byte{}
+				for _, dst := range ds {
+					b := make([]byte, []int{1, 12, 256}[(src+dst)%3])
+					for i := range b {
+						b[i] = byte(src*7 + dst*13 + i + round)
+					}
+					out[src][dst] = b
+				}
+			}
+			return out
+		}
+		learn, replay := payloads(0), payloads(1)
+		w, err := chanpt.NewWorld(K, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec frameRecorder
+		comms := rec.wrapAll(w.Comms())
+		ps := make([]*Persistent, K)
+		err = runtime.Run(comms, func(c runtime.Comm) error {
+			var err error
+			ps[c.Rank()], _, err = NewPersistent(c, tp, learn[c.Rank()])
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.frames = map[sentKey][]byte{}
+		err = runtime.Run(comms, func(c runtime.Comm) error {
+			_, err := ps[c.Rank()].Run(c, replay[c.Rank()])
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frameBytes := func(p *Persistent, slots []slotKey) int {
+			n := msg.MsgHeaderLen
+			for _, k := range slots {
+				n += msg.SubHeaderLen + p.sizes[k]
+			}
+			return n
+		}
+		want := 0
+		for me, p := range ps {
+			hint := p.rp.traffic
+			for d, ss := range p.Schedule().Stages {
+				for j, slot := range ss.Sends {
+					m := msg.Message{From: me, To: slot.To}
+					var slots []slotKey
+					if f := p.nbrFrames[d][j].f; f != nil {
+						slots = f.slots
+					}
+					for _, k := range slots {
+						m.Subs = append(m.Subs, msg.Submessage{Src: int(k.src), Dst: int(k.dst), Data: replay[k.src][int(k.dst)]})
+					}
+					want++
+					if enc := msg.Encode(nil, &m); !bytes.Equal(rec.frames[sentKey{ss.Tag, me, slot.To}], enc) {
+						t.Fatalf("rank %d stage %d frame to %d differs from Encode", me, d, slot.To)
+					}
+					if h := hint[d].Sends[j]; h.Peer != slot.To || h.Bytes != frameBytes(p, slots) {
+						t.Fatalf("rank %d stage %d: send hint %+v, want %d bytes to %d", me, d, h, frameBytes(p, slots), slot.To)
+					}
+				}
+				for j, from := range ss.RecvFrom {
+					if h := hint[d].Recvs[j]; h.Peer != from || h.Bytes != frameBytes(p, p.inLayout[d][j]) {
+						t.Fatalf("rank %d stage %d: receive hint %+v, want %d bytes from %d", me, d, h, frameBytes(p, p.inLayout[d][j]), from)
+					}
+				}
+			}
+		}
+		if len(rec.frames) != want {
+			t.Fatalf("world sent %d frames, the learned layout has %d", len(rec.frames), want)
+		}
+	})
 }
 
 // TestCompiledPayloadsAligned checks the lowering puts every payload on an
@@ -237,10 +326,10 @@ func TestCompiledPayloadsAligned(t *testing.T) {
 					}
 				}
 			}
-			for j, dvs := range st.delivers {
-				for _, dv := range dvs {
-					if !aligned(dv.srcOff) {
-						t.Fatalf("replay %d stage %d frame from %d: delivery at offset %d", me, d, st.recvFrom[j], dv.srcOff)
+			for j, in := range st.ins {
+				for _, dv := range in.delivers {
+					if !aligned(dv.srcOff) || !aligned(dv.at) {
+						t.Fatalf("replay %d stage %d frame from %d: delivery from offset %d to %d", me, d, st.recvFrom[j], dv.srcOff, dv.at)
 					}
 				}
 			}
@@ -258,6 +347,53 @@ func TestCheckFrameHeaderRejectsReserved(t *testing.T) {
 	raw[msg.MsgHeaderLen-1] = 1
 	if err := checkFrameHeader(raw, 2, 5, int32(len(raw)), 1); !errors.Is(err, msg.ErrReserved) {
 		t.Fatalf("nonzero reserved word: err = %v, want msg.ErrReserved", err)
+	}
+}
+
+// TestReplaySlotChecks: a replay holds every inbound sub-header to its
+// learned slot — source and destination, length, reserved word — where it
+// consumes the slot: deliver checks a delivered slot before copying its
+// payload to its offset, and slotOK is the check a forward op makes.
+func TestReplaySlotChecks(t *testing.T) {
+	// The learned frame from rank 2: a 3-byte slot 3->5 delivered here, then
+	// a 5-byte slot 4->6 forwarded later.
+	in := &rIn{nsubs: 2, delivers: []deliverOp{{hdr: subHdrWord(slotKey{src: 3, dst: 5}), srcOff: 2 * msg.SubHeaderLen, at: 0, n: 3}}}
+	fwd := slotKey{src: 4, dst: 6}
+	frame := func(subs ...msg.Submessage) []byte {
+		return msg.Encode(nil, &msg.Message{From: 2, To: 5, Subs: subs})
+	}
+	learned := frame(msg.Submessage{Src: 3, Dst: 5, Data: []byte("abc")}, msg.Submessage{Src: 4, Dst: 6, Data: []byte("fwd!!")})
+	r := &Replay{bytes: true, arena: make([]byte, 3)}
+	if err := r.deliver(in, learned, nil); err != nil {
+		t.Fatalf("learned frame rejected: %v", err)
+	}
+	if string(r.arena) != "abc" {
+		t.Fatalf("delivered %q, want %q", r.arena, "abc")
+	}
+	if sub := learned[2*msg.SubHeaderLen+3:]; !slotOK(sub, subHdrWord(fwd)) {
+		t.Fatalf("learned forwarded slot rejected: %v", slotMismatch(sub, subHdrWord(fwd)))
+	}
+	for _, c := range []struct {
+		name string
+		raw  []byte
+		want string
+	}{
+		{"misrouted", frame(msg.Submessage{Src: 3, Dst: 6, Data: []byte("abc")}, msg.Submessage{Src: 4, Dst: 6, Data: []byte("fwd!!")}), "misrouted submessage 3->6 (learned slot 3->5)"},
+		{"length", frame(msg.Submessage{Src: 3, Dst: 5, Data: []byte("abcd")}, msg.Submessage{Src: 4, Dst: 6, Data: []byte("fwd!")}), "submessage 3->5 carries 4 bytes, learned layout has 3"},
+	} {
+		if err := r.deliver(in, c.raw, nil); err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+	// The forwarded slot, cut at its learned offset and length.
+	bad := frame(msg.Submessage{Src: 3, Dst: 5, Data: []byte("abc")}, msg.Submessage{Src: 4, Dst: 7, Data: []byte("fwd!!")})
+	if sub := bad[2*msg.SubHeaderLen+3:]; slotOK(sub, subHdrWord(fwd)) {
+		t.Error("misrouted forwarded slot accepted")
+	}
+	reserved := append([]byte(nil), learned...)
+	reserved[2*msg.SubHeaderLen-1] = 1
+	if err := r.deliver(in, reserved, nil); !errors.Is(err, msg.ErrReserved) {
+		t.Errorf("nonzero reserved word: err = %v, want msg.ErrReserved", err)
 	}
 }
 

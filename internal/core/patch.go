@@ -322,9 +322,9 @@ func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 	}
 
 	// Derived state: the delivery order and destination list stay sorted,
-	// and the cached schedule and Run's position table are dropped so the
-	// next Run sees the new occupancy counts (Reserve values) and slot
-	// positions — the stage skeleton is identical.
+	// the cached schedule is dropped so the next lowering sees the new
+	// occupancy counts (Reserve values), and Run's replay is marked for
+	// re-lowering — the stage skeleton is identical.
 	sort.Slice(p.deliver, func(i, j int) bool { return lessSlot(p.deliver[i], p.deliver[j]) })
 	p.destList = p.destList[:0]
 	for dst := range p.dests {
@@ -332,8 +332,7 @@ func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 	}
 	sort.Ints(p.destList)
 	p.sched = nil
-	p.traffic = nil // learned byte sizes changed; Traffic rebuilds on demand
-	p.pos = nil
+	p.lowered = false
 	if err := validateSchedule(p.Schedule(), me, K); err != nil {
 		return nil, fmt.Errorf("core: patch: patched schedule invalid: %w", err)
 	}
@@ -382,5 +381,5 @@ func (p *Persistent) PatchCompiled(r *Replay, xlen int, gather map[int][]int32, 
 			return fmt.Errorf("core: patch: replay stage %d does not match the learned schedule (was it compiled from this pattern?)", d)
 		}
 	}
-	return p.lower(r, xlen, gather)
+	return p.lower(r, false, xlen, gather)
 }

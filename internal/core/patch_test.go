@@ -352,14 +352,15 @@ func TestPatchResizeAppendsAtTail(t *testing.T) {
 // inbound metadata, halo shape.
 func equalReplay(t *testing.T, label string, a, b *Replay) {
 	t.Helper()
-	if a.haloWords != b.haloWords || a.xlen != b.xlen {
-		t.Fatalf("%s: halo %d/%d words, xlen %d/%d", label, a.haloWords, b.haloWords, a.xlen, b.xlen)
+	if a.haloBytes != b.haloBytes || a.xlen != b.xlen {
+		t.Fatalf("%s: halo %d/%d bytes, xlen %d/%d", label, a.haloBytes, b.haloBytes, a.xlen, b.xlen)
 	}
 	if len(a.selfs) != len(b.selfs) {
 		t.Fatalf("%s: %d self ops vs %d", label, len(a.selfs), len(b.selfs))
 	}
 	for i := range a.selfs {
-		if a.selfs[i].haloOff != b.selfs[i].haloOff || !slices.Equal(a.selfs[i].idx, b.selfs[i].idx) {
+		as, bs := a.selfs[i], b.selfs[i]
+		if as.at != bs.at || as.pay != bs.pay || !slices.Equal(as.idx, bs.idx) {
 			t.Fatalf("%s: self op %d differs", label, i)
 		}
 	}
@@ -384,7 +385,7 @@ func equalReplay(t *testing.T, label string, a, b *Replay) {
 			}
 			for i := range af.gathers {
 				ag, bg := af.gathers[i], bf.gathers[i]
-				if ag.off != bg.off || ag.dst != bg.dst || !slices.Equal(ag.idx, bg.idx) {
+				if ag.off != bg.off || ag.dst != bg.dst || ag.pay != bg.pay || !slices.Equal(ag.idx, bg.idx) {
 					t.Fatalf("%s: stage %d frame to %d: gather op %d differs", label, d, af.to, i)
 				}
 			}
@@ -398,16 +399,12 @@ func equalReplay(t *testing.T, label string, a, b *Replay) {
 			t.Fatalf("%s: stage %d inbound shape differs", label, d)
 		}
 		for j := range as.recvFrom {
-			if as.recvFrom[j] != bs.recvFrom[j] || as.inSize[j] != bs.inSize[j] || as.inNsubs[j] != bs.inNsubs[j] {
+			ai, bi := &as.ins[j], &bs.ins[j]
+			if as.recvFrom[j] != bs.recvFrom[j] || ai.idx != bi.idx || ai.size != bi.size || ai.nsubs != bi.nsubs {
 				t.Fatalf("%s: stage %d inbound frame %d metadata differs", label, d, j)
 			}
-			if len(as.delivers[j]) != len(bs.delivers[j]) {
+			if !slices.Equal(ai.delivers, bi.delivers) {
 				t.Fatalf("%s: stage %d inbound frame %d deliver ops differ", label, d, j)
-			}
-			for i := range as.delivers[j] {
-				if as.delivers[j][i] != bs.delivers[j][i] {
-					t.Fatalf("%s: stage %d inbound frame %d deliver op %d differs", label, d, j, i)
-				}
 			}
 		}
 	}

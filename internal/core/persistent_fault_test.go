@@ -91,6 +91,36 @@ func TestPersistentReplayRejectsWrongDestination(t *testing.T) {
 	}
 }
 
+// A forwarded slot is checked where the replay consumes it, when it is
+// forwarded: rank 0 learns to forward 1->2, received from rank 1 in stage 0
+// and sent on to rank 2 in stage 1. A replay whose stage-0 frame carries
+// 1->3 in that slot fails, naming the frame the slot came in, and the
+// stage-1 frame goes out as poison instead of forwarding it.
+func TestPersistentReplayRejectsMisroutedForward(t *testing.T) {
+	sc, tp := scriptedWorld()
+	fw := func(dst int) []byte {
+		return msg.Encode(nil, &msg.Message{From: 1, To: 0, Subs: []msg.Submessage{{Src: 1, Dst: dst, Data: []byte("fw")}}})
+	}
+	sc.recvs[fmt.Sprintf("1/%d", tagBase)] = [][]byte{fw(2)}
+	p, _, err := NewPersistent(sc, tp, map[int][]byte{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.recvs, sc.sent = nil, nil
+	sc.queue(1, 0, fw(3))
+	sc.queue(2, 1, emptyFrame(2, 0))
+	sc.queue(4, 2, emptyFrame(4, 0))
+	_, err = p.Run(sc, map[int][]byte{})
+	if err == nil || !strings.Contains(err.Error(), "stage 0 frame from 1: misrouted submessage 1->3 (learned slot 1->2)") {
+		t.Fatalf("misrouted forward: err = %v", err)
+	}
+	for _, m := range sc.sent {
+		if len(m.Subs) > 0 {
+			t.Errorf("frame to %d forwarded %+v", m.To, m.Subs)
+		}
+	}
+}
+
 func TestPersistentReplayRejectsSlotCountMismatch(t *testing.T) {
 	p, sc := learnScriptedPersistent(t)
 	queueReplayFrames(sc, []msg.Submessage{
@@ -106,27 +136,26 @@ func TestPersistentReplayRejectsSlotCountMismatch(t *testing.T) {
 	}
 }
 
-// Run's position table holds the caller's payloads and slices into the
-// run's inbound frames, which go back to the frame pool as Run returns: no
-// entry may survive the call, on the success path or on a fault.
+// Run's lowered replay binds the caller's payloads and the returned arena
+// for the length of the call, and retains the run's inbound frames, which
+// go back to the frame pool as Run returns: none of them may survive the
+// call, on the success path or on a fault.
 func TestPersistentRunReleasesSlots(t *testing.T) {
 	p, sc := learnScriptedPersistent(t)
 	held := func() []string {
 		var bad []string
-		for i, b := range p.pos.data {
+		for i, b := range p.rp.inFrames {
 			if b != nil {
-				bad = append(bad, fmt.Sprintf("data[%d]=%q", i, b))
+				bad = append(bad, fmt.Sprintf("inFrames[%d] (%d bytes)", i, len(b)))
 			}
 		}
-		for i, s := range p.pos.subs {
-			if s.Data != nil {
-				bad = append(bad, fmt.Sprintf("subs[%d]=%q", i, s.Data))
+		for i, b := range p.rp.pays {
+			if b != nil {
+				bad = append(bad, fmt.Sprintf("pays[%d]=%q", i, b))
 			}
 		}
-		for i, s := range p.sm.decoded.Subs[:cap(p.sm.decoded.Subs)] {
-			if s.Data != nil {
-				bad = append(bad, fmt.Sprintf("decoded.Subs[%d]=%q", i, s.Data))
-			}
+		if p.rp.arena != nil {
+			bad = append(bad, fmt.Sprintf("arena=%q", p.rp.arena))
 		}
 		return bad
 	}
@@ -135,8 +164,8 @@ func TestPersistentRunReleasesSlots(t *testing.T) {
 	if _, err := p.Run(sc, map[int][]byte{7: []byte("new-payload!")}); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.pos.data) != 2 {
-		t.Fatalf("position table has %d entries, want 2 (one payload, one inbound slot)", len(p.pos.data))
+	if len(p.rp.pays) != 1 || len(p.rp.inFrames) != 3 {
+		t.Fatalf("replay binds %d payloads and retains %d frames, want 1 and 3", len(p.rp.pays), len(p.rp.inFrames))
 	}
 	if bad := held(); len(bad) > 0 {
 		t.Errorf("after a replay the Persistent still holds %v", bad)

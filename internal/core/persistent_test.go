@@ -15,8 +15,9 @@ import (
 )
 
 // runPersistent learns a pattern on every rank, replays it iters times with
-// varying payloads, and checks each replay delivers exactly what a fresh
-// Exchange would.
+// payload bytes that vary per round, and checks each replay delivers
+// exactly what a fresh Exchange would. A pair's payload keeps its learned
+// length: lengths are part of the learned contract.
 func runPersistent(t *testing.T, tp *vpt.Topology, s *SendSets, iters int) {
 	t.Helper()
 	K := tp.Size()
@@ -30,9 +31,9 @@ func runPersistent(t *testing.T, tp *vpt.Topology, s *SendSets, iters int) {
 		mkPayloads := func(round int) map[int][]byte {
 			out := map[int][]byte{}
 			for _, pr := range s.Sets[me] {
-				// Payload varies per round (and per pair), size varies too.
-				n := int(pr.Words) + round%3
-				buf := make([]byte, n)
+				// Payload bytes vary per round (and per pair); the size is
+				// the pair's.
+				buf := make([]byte, pr.Words)
 				for i := range buf {
 					buf[i] = byte(me ^ pr.Dst ^ round ^ i)
 				}
@@ -50,8 +51,7 @@ func runPersistent(t *testing.T, tp *vpt.Topology, s *SendSets, iters int) {
 				if sub.Src != pr.Dst {
 					return fmt.Errorf("round %d rank %d: delivery %d from %d, want %d", round, me, i, sub.Src, pr.Dst)
 				}
-				n := int(pr.Words) + round%3
-				wantData := make([]byte, n)
+				wantData := make([]byte, pr.Words)
 				for j := range wantData {
 					wantData[j] = byte(sub.Src ^ me ^ round ^ j)
 				}
@@ -190,8 +190,8 @@ func TestPersistentRejectsPatternDrift(t *testing.T) {
 		if _, err := p.Run(c, map[int][]byte{}); err == nil {
 			return fmt.Errorf("rank %d: missing destination accepted", me)
 		}
-		// A correct replay still works afterwards (failed validations must
-		// not consume traffic).
+		// A correct replay still works afterwards: a rejected replay still
+		// walks every stage, so the world stays in step.
 		d, err := p.Run(c, map[int][]byte{(me + 1) % 4: {9}})
 		if err != nil {
 			return err
@@ -238,11 +238,11 @@ func TestPersistentSelfSend(t *testing.T) {
 		if len(first.Subs) != 1 || string(first.Subs[0].Data) != "self" {
 			return fmt.Errorf("learning self-send lost")
 		}
-		d, err := p.Run(c, map[int][]byte{c.Rank(): []byte("again")})
+		d, err := p.Run(c, map[int][]byte{c.Rank(): []byte("anew")})
 		if err != nil {
 			return err
 		}
-		if len(d.Subs) != 1 || string(d.Subs[0].Data) != "again" {
+		if len(d.Subs) != 1 || string(d.Subs[0].Data) != "anew" {
 			return fmt.Errorf("replayed self-send lost: %+v", d.Subs)
 		}
 		return nil
@@ -326,8 +326,9 @@ func replayLockstep(tb testing.TB, tp *vpt.Topology, payloads []map[int][]byte) 
 
 // BenchmarkPersistentRun times one world-wide Persistent.Run in the shape of
 // the replay-hier benchmark workload — K=64 on chanpt, T6(2,2,2,2,2,2),
-// 8 random destinations × 256 B per rank — so the byte-payload replay path
-// can be profiled on its own:
+// 8 random destinations × 256 B per rank — so the replay loop Persistent.Run
+// shares with Replay.RunSum can be profiled on byte payloads, with the
+// payload map, the contract check and the Delivered arena around it:
 //
 //	go test -run '^$' -bench PersistentRun -cpuprofile cpu.out ./internal/core/
 func BenchmarkPersistentRun(b *testing.B) {
@@ -359,11 +360,11 @@ func BenchmarkPersistentRun(b *testing.B) {
 // TestPersistentRunAllocs gates the byte-payload replay path's allocation
 // budget: one steady-state lockstep iteration of the K=64 world. A Run
 // allocates only what it returns — the *Delivered, its Subs slice and the
-// arena msg.CompactSubs copies the payloads into — so a rank costs three
-// allocations per iteration (~200 for the world). The budget of five per
-// rank leaves headroom for pool refills after a GC while still failing if
-// any per-call structure — a payload map, a stage machine, its hooks or
-// scratch — is rebuilt per Run. Under -race, whose instrumentation
+// arena the deliveries are copied into — so a rank costs three allocations
+// per iteration (~200 for the world). The budget of five per rank leaves
+// headroom for pool refills after a GC while still failing if any per-call
+// structure — a payload map, the lowered replay or its tables — is rebuilt
+// per Run. Under -race, whose instrumentation
 // allocates on synchronization edges and drops pooled items at random, the
 // test still replays the world but against a looser budget.
 func TestPersistentRunAllocs(t *testing.T) {
@@ -387,8 +388,7 @@ func TestPersistentRunAllocs(t *testing.T) {
 	}
 	step, stop := replayLockstep(t, tp, payloads)
 	defer stop()
-	// Learn, then warm up pools, matcher queues and the replay's position
-	// table and stage machine.
+	// Learn, then warm up pools, matcher queues and the lowered replay.
 	for i := 0; i < 3; i++ {
 		if err := step(); err != nil {
 			t.Fatal(err)

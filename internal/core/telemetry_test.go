@@ -11,12 +11,14 @@ import (
 	"stfw/internal/vpt"
 )
 
-// TestStageMachineSamplesWholeExchanges holds every stage-machine front-end
-// to telemetry's sampling contract: an exchange opens with Rank.Sample, so
-// of SampleEvery+1 exchanges only the first and the last leave spans — one
-// KStage span per stage, naming a sender the stage expected as the last to
-// arrive — while the forward counters move by the same amount on every
-// exchange, traced or not.
+// TestStageMachineSamplesWholeExchanges holds every exchange entry point to
+// telemetry's sampling contract: an exchange opens with Rank.Sample, so of
+// SampleEvery+1 exchanges only the first and the last leave spans, while
+// the forward counters move by the same amount on every exchange, traced
+// or not. A stage-machine front-end leaves one KStage span per stage;
+// Persistent.Run, which runs the compiled replay, leaves the replay's
+// spans: one KGather, then a KForward and a KDeliver per stage. Stage and
+// deliver spans name a sender the stage expected as the last to arrive.
 func TestStageMachineSamplesWholeExchanges(t *testing.T) {
 	const K, exchanges = 8, telemetry.SampleEvery + 1
 	tp := vpt.MustNew(2, 2, 2)
@@ -74,6 +76,19 @@ func TestStageMachineSamplesWholeExchanges(t *testing.T) {
 						return err
 					}
 				}
+				// want is the span sequence of one traced exchange.
+				var want []telemetry.Span
+				for d := 0; d < stages; d++ {
+					if front != "Persistent.Run" {
+						want = append(want, telemetry.Span{Kind: telemetry.KStage, Stage: int32(d)})
+						continue
+					}
+					if d == 0 {
+						want = append(want, telemetry.Span{Kind: telemetry.KGather, Stage: -1})
+					}
+					want = append(want, telemetry.Span{Kind: telemetry.KForward, Stage: int32(d)},
+						telemetry.Span{Kind: telemetry.KDeliver, Stage: int32(d)})
+				}
 				var fwd0 int64
 				for i := 0; i < exchanges; i++ {
 					spans0, fwdBefore := tel.SpanCount(), forwardsOf(tel, stages)
@@ -93,14 +108,22 @@ func TestStageMachineSamplesWholeExchanges(t *testing.T) {
 						}
 						continue
 					}
-					if n != stages {
-						return fmt.Errorf("traced exchange %d left %d spans, want one per stage (%d)", i, n, stages)
+					if n != len(want) {
+						return fmt.Errorf("traced exchange %d left %d spans, want %d", i, n, len(want))
 					}
 					all := tel.Spans()
-					for d, sp := range all[len(all)-n:] {
-						if sp.Kind != telemetry.KStage || int(sp.Stage) != d {
-							return fmt.Errorf("exchange %d span %d: %v stage %d, want stage %d", i, d, sp.Kind, sp.Stage, d)
+					for k, sp := range all[len(all)-n:] {
+						w := want[k]
+						if sp.Kind != w.Kind || sp.Stage != w.Stage {
+							return fmt.Errorf("exchange %d span %d: %v stage %d, want %v stage %d", i, k, sp.Kind, sp.Stage, w.Kind, w.Stage)
 						}
+						if sp.Kind != telemetry.KStage && sp.Kind != telemetry.KDeliver {
+							if sp.Peer != -1 {
+								return fmt.Errorf("exchange %d span %d: %v span names peer %d", i, k, sp.Kind, sp.Peer)
+							}
+							continue
+						}
+						d := int(sp.Stage)
 						if ok := slices.Contains(expect[d], int(sp.Peer)) || (len(expect[d]) == 0 && sp.Peer == -1); !ok {
 							return fmt.Errorf("exchange %d stage %d: last sender %d, expected one of %v", i, d, sp.Peer, expect[d])
 						}

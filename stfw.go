@@ -100,16 +100,19 @@ func DiscoverSources(c Comm, dests []int) ([]int, error) {
 }
 
 // Persistent is a reusable exchange for a fixed communication pattern: the
-// learning run records the store-and-forward frame layout, replays execute
-// the learned schedule directly and skip all routing decisions (with
-// arrival-order receives and pooled zero-copy frames; see DESIGN.md §8).
-// Made for iterative applications where the same exchange repeats every
-// step.
+// learning run records the store-and-forward frame layout, and replays run
+// it as a compiled program that skips all routing decisions and writes
+// every frame in place (arrival-order receives, pooled frames; see
+// DESIGN.md §6 and §8). Made for iterative applications where the same
+// exchange repeats every step.
 type Persistent = core.Persistent
 
 // NewPersistent performs the learning exchange and returns both its
 // deliveries and the reusable pattern; call Run on the result for
-// subsequent iterations with fresh payload bytes (same destinations).
+// subsequent iterations with fresh payload bytes. The learned destinations
+// and payload lengths are Run's contract: every replay must send to the
+// same destinations, each payload as long as it was when learned. A replay
+// that breaks it fails on every rank, not only on the one that broke it.
 func NewPersistent(c Comm, t *Topology, payloads map[int][]byte) (*Persistent, *Delivered, error) {
 	return core.NewPersistent(c, t, payloads)
 }
