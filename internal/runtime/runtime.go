@@ -14,8 +14,13 @@ import (
 )
 
 // Comm is one rank's endpoint into a world of Size() ranks. Implementations
-// must allow concurrent Send and Recv from the owning rank's goroutine; a
-// Comm value is used by exactly one rank.
+// must allow concurrent Send and Recv, and Send must be safe for concurrent
+// use by several goroutines: frames from one goroutine keep their order per
+// (receiver, tag), and frames of different goroutines interleave whole. A
+// composite transport relies on this — hier sends every rank of a node
+// through the node leader's outer endpoint. chanpt (its matcher's lock),
+// tcpnet (group commit under the connection lock), udpnet (per-link lock)
+// and hier (delegation) all meet it; tptest.RunConcurrentSend checks it.
 //
 // Tag semantics follow MPI: a frame sent with tag t is only matched by a
 // Recv with the same tag, and frames between a fixed (sender, receiver, tag)
@@ -27,6 +32,7 @@ type Comm interface {
 	Size() int
 	// Send delivers payload to rank `to` under `tag`. The payload may be
 	// retained by the transport; callers must not mutate it afterwards.
+	// Safe for concurrent use.
 	Send(to, tag int, payload []byte) error
 	// Recv blocks until a frame with `tag` arrives from rank `from` and
 	// returns its payload.

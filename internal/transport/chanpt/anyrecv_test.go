@@ -47,3 +47,15 @@ func TestTransportConformanceFaultDelay(t *testing.T) {
 		TestOutOfRange:     false, // range checks live in the inner transport, already covered above
 	})
 }
+
+// TestConcurrentSend checks that goroutines sharing one endpoint may Send
+// at once (tptest.RunConcurrentSend).
+func TestConcurrentSend(t *testing.T) {
+	tptest.RunConcurrentSend(t, func(size int) ([]runtime.Comm, func(), error) {
+		w, err := NewWorld(size, 4)
+		if err != nil {
+			return nil, nil, err
+		}
+		return w.Comms(), w.Close, nil
+	})
+}

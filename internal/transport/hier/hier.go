@@ -8,33 +8,52 @@
 // the VPT (see Plan), every inner-dimension stage runs entirely over shared
 // memory and only the outer dimensions touch the wire.
 //
-// Routing is by endpoint pair, not by tag arithmetic: a frame between ranks
-// a and b travels on the inner sub-transport exactly when NodeOf(a) ==
-// NodeOf(b). The rule is total (stage tags, census tags, the direct tag and
-// any future traffic all route the same way) and it preserves the Comm
-// contract's per-(sender, receiver, tag) FIFO, because a fixed pair always
-// uses exactly one sub-transport. The stage→dimension metadata surfaced by
-// the schedule IR (core.ScheduleStage.Dim, runtime.StageTraffic.Dim) is
-// what ties stages to sub-transports: the planner picks the factorization
-// and placement so each dimension's pairs fall wholly on one side, and the
-// traffic-hint fan-out forwards each stage's entries to the sub-transport
-// that owns them, so a schedule-aware sub-transport (udpnet) sees exactly
-// the frames it will carry — never the frames the other side carries.
+// Node pairs ride their leader link. A frame between ranks a and b travels
+// on the inner sub-transport exactly when NodeOf(a) == NodeOf(b). Any
+// other frame crosses nodes, and unless both nodes hold one rank each it
+// travels on the node pair's leader link: from the outer endpoint of the
+// sending node's lowest rank to the outer endpoint of the receiving node's
+// lowest rank, behind a 16-byte mux header naming source, destination and
+// tag (leader.go). A pair of one-rank nodes is sent natively on the outer
+// link of the pair itself, which already names it, so a world of
+// single-rank nodes routes exactly as a bare outer world. The rule is total
+// (stage tags, census tags, the direct tag and any future traffic all route
+// the same way) and it preserves the Comm contract's per-(sender,
+// receiver, tag) FIFO: a fixed pair always uses one route, a leader link is
+// FIFO, and the node's demux delivers in arrival order. The stage→dimension
+// metadata surfaced by the schedule IR (core.ScheduleStage.Dim,
+// runtime.StageTraffic.Dim) is what ties stages to sub-transports: the
+// planner picks the factorization and placement so each dimension's pairs
+// fall wholly on one side, and the traffic-hint fan-out forwards each
+// stage's entries to the endpoint that carries them.
+//
+// Goroutines: one demux per node, started by the node's first receive from
+// a leader-routed sender, owns its leader endpoint's mux-tag receives and
+// exits when that endpoint fails — closing the outer world is what stops
+// it. The demux then fails every receive of its node, and every later
+// leader-routed Send from it, with a cause naming the node and its leader.
+// Leader links need an outer sub-transport whose Send is safe for
+// concurrent use (the runtime.Comm contract): every rank of a node sends on
+// its leader's endpoint. An outer transport with a bounded mailbox
+// (chanpt) may hold a leader-routed Send until the receiving node first
+// receives from a leader-routed sender and so starts its demux.
 //
 // The optional runtime extensions compose across the mux:
 //
-//   - AnyReceiver: RecvAnyOf arbitrates across sub-transports when the
-//     candidate senders span both — a puller goroutine per sub-transport
-//     feeds a small arrival stash, and the caller takes the earliest
-//     arrival (see recv.go). Candidates confined to one sub-transport
-//     delegate directly, preserving the sub-matcher's native arrival order
+//   - AnyReceiver: RecvAnyOf arbitrates across the rank's inner, outer and
+//     leader-link endpoints when the candidate senders span them — a
+//     puller goroutine per side feeds a small arrival stash, and the caller
+//     takes the earliest arrival (see recv.go). Candidates confined to one
+//     side delegate directly, preserving that side's native arrival order
 //     at zero overhead (the planner-aligned steady state).
 //   - SendRetainer: the mux retains payloads when either sub-transport
 //     does, the conservative answer engines need for buffer reuse.
-//   - TrafficHinter: hints fan out per sub-transport, filtered by the same
-//     pair rule the data plane routes by.
-//   - LinkStatsSource: per-link wire snapshots merge across sub-transports
-//     (runtime.LinkStats.Add), so telemetry attribution survives the mux.
+//   - TrafficHinter: hints fan out to the rank's inner and outer endpoints,
+//     filtered by the same rule the data plane routes by; leader-routed
+//     entries go to neither (see HintTraffic).
+//   - LinkStatsSource: per-link wire snapshots of the rank's own two
+//     endpoints merge (runtime.LinkStats.Add), so telemetry attribution
+//     survives the mux; a leader's outer rows are its node's leader links.
 //
 // Construction checks tag-space safety: a sub-transport that reserves
 // control tags (runtime.TagReserver — udpnet's wire barrier) must reserve
@@ -63,6 +82,8 @@ type Config struct {
 	// same-node pairs ever use it).
 	Inner []runtime.Comm
 	// Outer carries inter-node pairs (and the world barrier); same shape.
+	// A node's leader-routed frames all travel on its lowest rank's
+	// endpoint, so its Send must be safe for concurrent use.
 	Outer []runtime.Comm
 	// NodeOf maps a rank to its node; pairs with equal nodes route inner.
 	NodeOf func(rank int) int
@@ -80,7 +101,9 @@ type World struct {
 
 // New validates the configuration and builds the mux endpoints. The
 // sub-worlds are not owned: closing them (and their sockets) stays the
-// caller's responsibility, in reverse construction order.
+// caller's responsibility, in reverse construction order. A node's demux
+// goroutine exits once its leader's outer endpoint fails, which closing
+// the outer world causes.
 func New(cfg Config) (*World, error) {
 	size := len(cfg.Inner)
 	if size == 0 {
@@ -99,7 +122,6 @@ func New(cfg Config) (*World, error) {
 	if appLo >= appHi {
 		return nil, fmt.Errorf("hier: empty application tag span [%#x,%#x)", appLo, appHi)
 	}
-	w := &World{size: size, comms: make([]runtime.Comm, size)}
 	for r := 0; r < size; r++ {
 		for _, s := range []struct {
 			side string
@@ -118,19 +140,65 @@ func New(cfg Config) (*World, error) {
 					r, side, lo, hi, appLo, appHi)
 			}
 		}
+	}
+	nodes := buildNodes(cfg, appLo)
+	w := &World{size: size, comms: make([]runtime.Comm, size)}
+	for r := 0; r < size; r++ {
+		n := nodes[r]
 		c := &comm{
-			rank:   r,
-			size:   size,
-			node:   cfg.NodeOf(r),
-			nodeOf: cfg.NodeOf,
-			inner:  cfg.Inner[r],
-			outer:  cfg.Outer[r],
+			rank:  r,
+			size:  size,
+			n:     n,
+			nodes: nodes,
+			inner: cfg.Inner[r],
+			outer: cfg.Outer[r],
+		}
+		if rx := n.rx[r]; rx != nil {
+			c.lead = &leaderComm{rank: r, n: n, rx: rx}
 		}
 		c.retains = runtime.SendRetains(c.inner) || runtime.SendRetains(c.outer)
 		c.cond = sync.NewCond(&c.mu)
 		w.comms[r] = c
 	}
 	return w, nil
+}
+
+// buildNodes groups the ranks by NodeOf, names each node's leader (its
+// lowest rank) and, where leader routing is in use, each node's remote
+// leaders and each rank's matcher. Mux frames travel under tag, a tag of
+// the application span: New has checked that no sub-transport reserves it.
+func buildNodes(cfg Config, tag int) []*node {
+	size := len(cfg.Inner)
+	byID := map[int]*node{}
+	var order []*node
+	nodes := make([]*node, size)
+	for r := 0; r < size; r++ {
+		id := cfg.NodeOf(r)
+		n := byID[id]
+		if n == nil {
+			n = &node{id: id, leader: r, link: cfg.Outer[r], tag: tag, nodes: nodes}
+			n.retains = runtime.SendRetains(n.link)
+			byID[id] = n
+			order = append(order, n)
+		}
+		n.ranks++
+		nodes[r] = n
+	}
+	rx := make([]*runtime.Matcher, size)
+	for _, n := range order {
+		n.rx = rx
+		for _, p := range order {
+			if p != n && (p.ranks > 1 || n.ranks > 1) {
+				n.peers = append(n.peers, p.leader)
+			}
+		}
+	}
+	for r, n := range nodes {
+		if len(n.peers) > 0 {
+			rx[r] = runtime.NewMatcher(size, 0)
+		}
+	}
+	return nodes
 }
 
 // Size returns the number of ranks.
@@ -145,11 +213,14 @@ func (w *World) Run(fn runtime.RankFunc) error { return runtime.Run(w.comms, fn)
 // comm is one rank's mux endpoint.
 type comm struct {
 	rank, size int
-	node       int
-	nodeOf     func(int) int
+	n          *node   // this rank's node
+	nodes      []*node // every rank's node
 	inner      runtime.Comm
 	outer      runtime.Comm
-	retains    bool
+	// lead is the rank's leader-link endpoint (leader.go); nil when no
+	// pair of the rank is leader-routed.
+	lead    runtime.Comm
+	retains bool
 
 	// Cross-sub arbitration state (recv.go): arrived-but-unclaimed frames
 	// and the outstanding puller goroutines feeding them.
@@ -170,17 +241,25 @@ type comm struct {
 func (c *comm) Rank() int { return c.rank }
 func (c *comm) Size() int { return c.size }
 
-// sub returns the sub-transport that owns the pair (c.rank, peer).
+// sub returns the sub endpoint that carries the pair (c.rank, peer): the
+// inner one on the same node, the rank's own outer one between two
+// single-rank nodes — that link already names the pair — and the leader
+// link otherwise.
 func (c *comm) sub(peer int) runtime.Comm {
-	if c.nodeOf(peer) == c.node {
+	p := c.nodes[peer]
+	switch {
+	case p == c.n:
 		return c.inner
+	case p.ranks == 1 && c.n.ranks == 1:
+		return c.outer
 	}
-	return c.outer
+	return c.lead
 }
 
 // SendRetains reports whether a payload handed to Send may stay referenced:
 // true when either sub-transport retains (the route is per-destination, so
-// only the union answer is safe for a caller that reuses buffers).
+// only the union answer is safe for a caller that reuses buffers). A
+// leader-routed frame is copied behind its mux header and never retained.
 func (c *comm) SendRetains() bool { return c.retains }
 
 func (c *comm) Send(to, tag int, payload []byte) error {
@@ -190,9 +269,9 @@ func (c *comm) Send(to, tag int, payload []byte) error {
 	return c.sub(to).Send(to, tag, payload)
 }
 
-// Barrier delegates to the outer sub-transport, which spans all ranks (a
-// world barrier on either side is a world barrier; the outer one is chosen
-// so multi-process worlds synchronize over the wire).
+// Barrier delegates to the rank's own outer endpoint, which spans all
+// ranks (a world barrier on either side is a world barrier; the outer one
+// is chosen so multi-process worlds synchronize over the wire).
 func (c *comm) Barrier() error { return c.outer.Barrier() }
 
 // ReservedTags implements runtime.TagReserver for the mux itself: the
@@ -219,37 +298,42 @@ func (c *comm) ReservedTags() (lo, hi int) {
 }
 
 // HintTraffic implements runtime.TrafficHinter: each stage's per-peer
-// entries are filtered by the pair rule and forwarded to the sub-transport
-// that will actually carry them, preserving the stage's Tag and Dim. Under
-// a planner-aligned placement every stage lands wholly on the sub-transport
-// owning its dimension; a misaligned placement splits a stage's entries but
-// stays correct — each side still sees exactly the frames it will carry.
+// entries are filtered by route and forwarded to the sub-transport
+// endpoint that will actually carry them, preserving the stage's Tag and
+// Dim. Under a planner-aligned placement every stage lands wholly on the
+// sub-transport owning its dimension; a misaligned placement splits a
+// stage's entries but stays correct — each side still sees exactly the
+// frames it will carry. Leader-routed entries are forwarded nowhere: this
+// rank's outer endpoint does not carry them, and the leader link carries
+// the whole node's frames under one tag, which no one rank's hint
+// describes.
 func (c *comm) HintTraffic(stages []runtime.StageTraffic) {
 	if len(stages) == 0 {
 		return
 	}
 	if c.lastHintPtr != &stages[0] || c.lastHintLen != len(stages) {
-		c.hintInner = c.splitHint(stages, true)
-		c.hintOuter = c.splitHint(stages, false)
+		c.hintInner = c.splitHint(stages, c.inner)
+		c.hintOuter = c.splitHint(stages, c.outer)
 		c.lastHintPtr, c.lastHintLen = &stages[0], len(stages)
 	}
 	runtime.HintTraffic(c.inner, c.hintInner)
 	runtime.HintTraffic(c.outer, c.hintOuter)
 }
 
-// splitHint projects a traffic summary onto one side of the mux, dropping
-// stages with no traffic there.
-func (c *comm) splitHint(stages []runtime.StageTraffic, wantInner bool) []runtime.StageTraffic {
+// splitHint projects a traffic summary onto one sub endpoint, dropping
+// stages with no traffic there and entries naming no rank of the world.
+func (c *comm) splitHint(stages []runtime.StageTraffic, side runtime.Comm) []runtime.StageTraffic {
+	on := func(peer int) bool { return peer >= 0 && peer < c.size && c.sub(peer) == side }
 	var out []runtime.StageTraffic
 	for _, st := range stages {
 		f := runtime.StageTraffic{Tag: st.Tag, Dim: st.Dim}
 		for _, pt := range st.Sends {
-			if (c.nodeOf(pt.Peer) == c.node) == wantInner {
+			if on(pt.Peer) {
 				f.Sends = append(f.Sends, pt)
 			}
 		}
 		for _, pt := range st.Recvs {
-			if (c.nodeOf(pt.Peer) == c.node) == wantInner {
+			if on(pt.Peer) {
 				f.Recvs = append(f.Recvs, pt)
 			}
 		}
@@ -260,10 +344,13 @@ func (c *comm) splitHint(stages []runtime.StageTraffic, wantInner bool) []runtim
 	return out
 }
 
-// LinkStats implements runtime.LinkStatsSource: the union of both
-// sub-transports' per-link snapshots, folded per peer so a link that saw
-// traffic on both sides (possible only under a placement change between
-// snapshots) still reports one row.
+// LinkStats implements runtime.LinkStatsSource: the union of the rank's
+// own two endpoints' per-link snapshots, folded per peer so a link that
+// saw traffic on both sides (possible only under a placement change
+// between snapshots) still reports one row. A leader's outer endpoint is
+// its node's leader link, so the leader reports every frame of its node
+// pairs with Peer set to the remote leader, and the other ranks' outer
+// endpoints report what they carried themselves.
 func (c *comm) LinkStats() []runtime.LinkStats {
 	byPeer := make(map[int]runtime.LinkStats)
 	for _, side := range [2]runtime.Comm{c.inner, c.outer} {

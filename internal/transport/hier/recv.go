@@ -1,14 +1,17 @@
 package hier
 
-// Cross-sub-transport receive arbitration. A RecvAnyOf whose candidate
-// senders all route to one sub-transport delegates to that sub-transport's
-// own matcher — the steady state under a planner-aligned placement, where
-// every stage's senders live on one side. When candidates span both
-// sub-transports the mux cannot block in either one alone, so it arbitrates:
+// Cross-sub-transport receive arbitration. A rank receives on one of three
+// sub endpoints, by the sender's route: its inner endpoint, its own outer
+// endpoint (a native pair of single-rank nodes), or its leader-link
+// endpoint (leader.go), whose matcher the node's demux feeds. A RecvAnyOf
+// whose candidate senders all route to one sub endpoint delegates to that
+// endpoint's own matcher — the steady state under a planner-aligned
+// placement, where every stage's senders live on one side. When candidates
+// span sides the mux cannot block in any one alone, so it arbitrates:
 //
-//   - a puller goroutine per sub-transport issues the blocking sub-receive
-//     for the candidates that side owns, deposits the result in the rank's
-//     arrival stash, and exits;
+//   - a puller goroutine per side issues the blocking sub-receive for the
+//     candidates that side owns, deposits the result in the rank's arrival
+//     stash, and exits;
 //   - the calling rank waits on the stash and takes the earliest deposited
 //     match.
 //
@@ -57,8 +60,8 @@ func (p *pull) covers(from int) bool {
 // wait blocks on the arbitration condition until a puller deposits.
 func (c *comm) wait() { c.cond.Wait() }
 
-// soleSub returns the single sub-transport owning every candidate, or false
-// when they span both sides.
+// soleSub returns the single sub endpoint owning every candidate, or false
+// when they span sides.
 func (c *comm) soleSub(from []int) (runtime.Comm, bool) {
 	sub := c.sub(from[0])
 	for _, f := range from[1:] {
@@ -108,10 +111,11 @@ func (c *comm) takeLocked(tag int, from []int) (int, []byte, bool, error) {
 	return -1, nil, false, nil
 }
 
-// launchLocked starts a puller per sub-transport for the candidates not
-// already covered by an outstanding same-tag pull on their side.
+// launchLocked starts a puller per side for the candidates not already
+// covered by an outstanding same-tag pull on their side.
 func (c *comm) launchLocked(tag int, from []int) {
-	var innerNeed, outerNeed []int
+	var need [3][]int // inner, outer, leader link
+	sides := [3]runtime.Comm{c.inner, c.outer, c.lead}
 cand:
 	for _, f := range from {
 		sub := c.sub(f)
@@ -120,17 +124,17 @@ cand:
 				continue cand
 			}
 		}
-		if sub == c.inner {
-			innerNeed = append(innerNeed, f)
-		} else {
-			outerNeed = append(outerNeed, f)
+		for i := range sides {
+			if sides[i] == sub {
+				need[i] = append(need[i], f)
+				break
+			}
 		}
 	}
-	if len(innerNeed) > 0 {
-		c.startPullLocked(c.inner, tag, innerNeed)
-	}
-	if len(outerNeed) > 0 {
-		c.startPullLocked(c.outer, tag, outerNeed)
+	for i, senders := range need {
+		if len(senders) > 0 {
+			c.startPullLocked(sides[i], tag, senders)
+		}
 	}
 }
 

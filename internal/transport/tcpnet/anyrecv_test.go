@@ -43,3 +43,15 @@ func TestTransportConformanceFaultDelay(t *testing.T) {
 		TestClose:       true,
 	})
 }
+
+// TestConcurrentSend checks that goroutines sharing one endpoint may Send
+// at once (tptest.RunConcurrentSend): group commit must keep frames whole.
+func TestConcurrentSend(t *testing.T) {
+	tptest.RunConcurrentSend(t, func(size int) ([]runtime.Comm, func(), error) {
+		w, err := NewWorld(size)
+		if err != nil {
+			return nil, nil, err
+		}
+		return w.Comms(), func() { w.Close() }, nil
+	})
+}

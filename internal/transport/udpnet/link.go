@@ -78,6 +78,10 @@ type sendLink struct {
 	wnd []pktSlot
 
 	nextFrameID uint32 // per-link frame counter, stamped into chunks
+	// framing is set while a Send waits for backlog space in the middle of
+	// its frame, with mu released: other Sends on the link wait for it, so
+	// one frame's chunks stay contiguous and in frame-ID order.
+	framing bool
 
 	inFlush bool // registered in the sender's flush set (outQueue.mu)
 	stalled bool // counted a credit stall since the last full drain

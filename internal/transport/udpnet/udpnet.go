@@ -657,11 +657,19 @@ func (c *comm) Barrier() error {
 // packets into the backlog. Consecutive frames to the same peer coalesce
 // into one datagram whenever the sender goroutine has not yet drained the
 // link — under load, exactly when it matters. Blocks for backlog space
-// (the bounded-memory equivalent of a full TCP socket buffer).
+// (the bounded-memory equivalent of a full TCP socket buffer); concurrent
+// Sends on the link wait until a frame that stalled there is complete.
 func (w *World) sendFrame(rs *rankState, to, tag int, payload []byte) error {
 	sl := rs.sl[to]
 	frameLen := len(payload)
 	sl.mu.Lock()
+	for sl.framing {
+		if w.isClosed() {
+			sl.mu.Unlock()
+			return fmt.Errorf("udpnet: world closed")
+		}
+		sl.cond.Wait()
+	}
 	fid := sl.nextFrameID
 	sl.nextFrameID++
 	off := 0
@@ -671,6 +679,7 @@ func (w *World) sendFrame(rs *rankState, to, tag int, payload []byte) error {
 				sl.mu.Unlock()
 				return fmt.Errorf("udpnet: world closed")
 			}
+			sl.framing = true
 			sl.cond.Wait()
 		}
 		if w.isClosed() {
@@ -705,6 +714,10 @@ func (w *World) sendFrame(rs *rankState, to, tag int, payload []byte) error {
 		}
 	}
 	sl.m.frameSent()
+	if sl.framing {
+		sl.framing = false
+		sl.cond.Broadcast()
+	}
 	sl.mu.Unlock()
 	rs.kick(sl)
 	return nil

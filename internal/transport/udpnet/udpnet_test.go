@@ -40,6 +40,13 @@ func TestConformance(t *testing.T) {
 	tptest.Run(t, factory(), conformanceOpts)
 }
 
+// TestConcurrentSend checks that goroutines sharing one endpoint may Send
+// at once (tptest.RunConcurrentSend): the per-link lock must keep frames
+// whole and numbered in order, with 10% of datagrams lost.
+func TestConcurrentSend(t *testing.T) {
+	tptest.RunConcurrentSend(t, factory(WithLoss(0.10, 2)))
+}
+
 // TestConformanceNoBatchIO pins the portable (per-datagram syscall) path,
 // so both I/O paths stay covered regardless of platform.
 func TestConformanceNoBatchIO(t *testing.T) {
