@@ -86,12 +86,12 @@ func main() {
 		}
 		ys := make([][]float64, K)
 		err = w.Run(func(c stfw.Comm) error {
-			y, err := spmv.Run(c, a, part, pat, x, opt)
+			sess, err := spmv.NewSession(c, a, part, pat, opt)
 			if err != nil {
 				return err
 			}
-			ys[c.Rank()] = y
-			return nil
+			ys[c.Rank()], err = sess.Multiply(x)
+			return err
 		})
 		if err != nil {
 			log.Fatal(err)

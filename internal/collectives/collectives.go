@@ -1,36 +1,26 @@
-// Package collectives implements the classic regular collective operations
-// the paper positions its work against (Section 7): barrier, broadcast,
-// allgather, reduce-scatter, allreduce and all-to-all, built on the same
-// runtime.Comm substrate as the store-and-forward scheme. They use the
-// standard algorithms (binomial tree, ring, pairwise exchange, and one
-// radix-4 reduce/broadcast tree under the barrier and the allreduce) so the
-// repository contains the collective baseline an MPI distribution would
-// offer, and so applications have the reductions they need: the power
-// iteration in internal/iterative, and its CG solver under the BL
-// exchange. Under STFW, CG's dot products ride the exchange's own stage
-// frames (spmv.Session.MultiplySum) and send nothing through this package.
+// Package collectives is the tree reduction under the BL exchange: an
+// allreduce (AllreduceInPlace, AllreduceScalar) and a barrier, both one
+// radix-4 reduce/broadcast walk over runtime.Comm. spmv.Session.MultiplySum
+// folds CG's dot products through it after every exchange that cannot carry
+// a sum lane (a BL exchange, an STFW session's learning multiply). A
+// compiled STFW exchange carries the lane in its own stage frames
+// (core.Replay.RunSum) and sends nothing through this package.
 //
 // All operations are collective: every rank of the communicator must call
 // them with compatible arguments, in the same order.
 //
-// Tags. Every collective owns a block of tags disjoint from every other
-// collective's, from the exchange's (core.AppTagSpan) and from the
-// transports' control tags (runtime.TagReserver); TagSpan returns the span
-// they all lie in. The tree collectives (Barrier, the allreduce family)
-// take one tag per tree level, so a frame can only match the level it was
-// sent on. Bcast, AllgatherDoubles, Alltoall and Gather take one tag
-// each: within one call every frame between a given pair of ranks is
-// either the only one or sent and received in the same order, and two
-// back-to-back calls are kept apart by the per-pair FIFO order every
-// transport guarantees.
+// Tags. Barrier and the allreduce each own a block of tags, one tag per
+// tree level, so a frame can only match the level it was sent on. The two
+// blocks are disjoint from each other, from the exchange's
+// (core.AppTagSpan) and from the transports' control tags
+// (runtime.TagReserver); TagSpan returns the span they lie in.
 //
 // Allreduce wire format and buffer ownership. There is one allreduce,
-// AllreduceInPlace; Allreduce, AllreduceScalar and ReduceScatterDoubles
-// copy into and out of it. A frame is the vector's words and nothing else:
-// len(vec) little-endian IEEE-754 doubles. A receiver checks the frame's
-// length against its own vector and trusts nothing more (a frame of any
-// other length, the one-byte poison frame of treeReduce included, is a
-// mismatch). Every send buffer comes from the msg frame pool and has
+// AllreduceInPlace; AllreduceScalar copies into and out of it. A frame is
+// the vector's words and nothing else: len(vec) little-endian IEEE-754
+// doubles. A receiver checks the frame's length against its own vector and
+// trusts nothing more (a frame of any other length, the one-byte poison
+// frame of treeReduce included, is a mismatch). Every send buffer comes from the msg frame pool and has
 // exactly one owner at a time: when runtime.SendRetains(c) is true the
 // transport hands the slice itself to the receiving rank, which releases
 // it; otherwise the transport has copied the bytes when Send returns and
@@ -62,13 +52,9 @@ import (
 const (
 	maxRounds = 64
 
-	tagBarrier   = 0x4342                   // + level
-	tagBcast     = tagBarrier + maxRounds   // each rank receives once, from its parent
-	tagAllgather = tagBcast + 1             // ring: always the same neighbour, in order
-	tagAllreduce = tagAllgather + 1         // + level
-	tagAlltoall  = tagAllreduce + maxRounds // every round pairs a rank with a different peer
-	tagGather    = tagAlltoall + 1          // one frame per rank, all to the root
-	tagEnd       = tagGather + 1
+	tagBarrier   = 0x4342                 // + level
+	tagAllreduce = tagBarrier + maxRounds // + level
+	tagEnd       = tagAllreduce + maxRounds
 )
 
 // TagSpan returns the half-open tag range [lo, hi) the collectives send
@@ -84,112 +70,6 @@ func Barrier(c runtime.Comm) error {
 		return fmt.Errorf("collectives: barrier: %w", err)
 	}
 	return nil
-}
-
-// Bcast distributes root's buffer to every rank using a binomial tree:
-// non-roots receive once, then forward to lg K - level children. It returns
-// the broadcast payload (root's own buf on the root).
-func Bcast(c runtime.Comm, root int, buf []byte) ([]byte, error) {
-	K := c.Size()
-	if root < 0 || root >= K {
-		return nil, fmt.Errorf("collectives: bcast root %d out of range", root)
-	}
-	// Rotate ranks so the root is virtual rank 0.
-	vrank := (c.Rank() - root + K) % K
-	data := buf
-	if vrank != 0 {
-		// Receive from parent: clear lowest set bit.
-		parent := (vrank&(vrank-1) + root) % K
-		var err error
-		data, err = c.Recv(parent, tagBcast)
-		if err != nil {
-			return nil, fmt.Errorf("collectives: bcast recv: %w", err)
-		}
-	}
-	// Forward to children: set bits above the lowest set bit of vrank. A
-	// retaining transport hands the receiver the slice itself, so each
-	// child gets a pooled copy of its own and data stays this rank's.
-	low := vrank & (-vrank)
-	if vrank == 0 {
-		low = 1 << uint(bitsLen(K))
-	}
-	retains := runtime.SendRetains(c)
-	for d := low >> 1; d > 0; d >>= 1 {
-		child := vrank | d
-		if child != vrank && child < K {
-			out := data
-			if retains {
-				out = append(msg.GetFrameCap(len(data)), data...)
-			}
-			if err := c.Send((child+root)%K, tagBcast, out); err != nil {
-				return nil, fmt.Errorf("collectives: bcast send: %w", err)
-			}
-		}
-	}
-	return data, nil
-}
-
-// bitsLen returns the number of bits needed to represent v-1 (ceil lg v).
-func bitsLen(v int) int {
-	n := 0
-	for 1<<uint(n) < v {
-		n++
-	}
-	return n
-}
-
-// AllgatherDoubles gathers one float64 slice from every rank into a
-// [][]float64 indexed by rank, using the ring algorithm (works for any K;
-// K-1 rounds, one message per rank per round — bandwidth-optimal).
-func AllgatherDoubles(c runtime.Comm, mine []float64) ([][]float64, error) {
-	K := c.Size()
-	me := c.Rank()
-	out := make([][]float64, K)
-	out[me] = mine
-	cur := mine
-	curOwner := me
-	right := (me + 1) % K
-	left := (me - 1 + K) % K
-	for round := 0; round < K-1; round++ {
-		if err := c.Send(right, tagAllgather, encodeOwned(curOwner, cur)); err != nil {
-			return nil, fmt.Errorf("collectives: allgather send: %w", err)
-		}
-		raw, err := c.Recv(left, tagAllgather)
-		if err != nil {
-			return nil, fmt.Errorf("collectives: allgather recv: %w", err)
-		}
-		owner, vals, err := decodeOwned(raw)
-		if err != nil {
-			return nil, err
-		}
-		if owner < 0 || owner >= K || out[owner] != nil && owner != me {
-			return nil, fmt.Errorf("collectives: allgather duplicate segment from rank %d", owner)
-		}
-		out[owner] = vals
-		cur, curOwner = vals, owner
-	}
-	return out, nil
-}
-
-func encodeOwned(owner int, vals []float64) []byte {
-	buf := make([]byte, 0, 4+8*len(vals))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(owner))
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
-}
-
-func decodeOwned(raw []byte) (int, []float64, error) {
-	if len(raw) < 4 || (len(raw)-4)%8 != 0 {
-		return 0, nil, fmt.Errorf("collectives: malformed segment (%d bytes)", len(raw))
-	}
-	owner := int(binary.LittleEndian.Uint32(raw))
-	vals := make([]float64, (len(raw)-4)/8)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[4+8*i:]))
-	}
-	return owner, vals, nil
 }
 
 // Op is a reduction operator over float64. It must be commutative and
@@ -323,96 +203,9 @@ func recvWords(c runtime.Comm, from, tag int, vec []float64, op Op, ok *bool) er
 	return nil
 }
 
-// Allreduce is AllreduceInPlace on a copy of vec, which it returns.
-func Allreduce(c runtime.Comm, vec []float64, op Op) ([]float64, error) {
-	acc := append([]float64(nil), vec...)
-	if err := AllreduceInPlace(c, acc, op); err != nil {
-		return nil, err
-	}
-	return acc, nil
-}
-
 // AllreduceScalar reduces a single value across all ranks.
 func AllreduceScalar(c runtime.Comm, v float64, op Op) (float64, error) {
 	acc := [1]float64{v}
 	err := AllreduceInPlace(c, acc[:], op)
 	return acc[0], err
-}
-
-// Alltoall performs a dense personalized exchange: sendbuf[j] goes to rank
-// j, and the returned slice holds recvbuf[i] = what rank i sent to this
-// rank. It uses direct pairwise exchange in K-1 balanced rounds (the
-// XOR/shift schedule), the dense counterpart of the paper's sparse
-// exchange.
-func Alltoall(c runtime.Comm, sendbuf [][]byte) ([][]byte, error) {
-	K := c.Size()
-	me := c.Rank()
-	if len(sendbuf) != K {
-		return nil, fmt.Errorf("collectives: alltoall sendbuf has %d entries for K=%d", len(sendbuf), K)
-	}
-	recv := make([][]byte, K)
-	recv[me] = sendbuf[me]
-	for round := 0; round < K; round++ {
-		var peer int
-		if K&(K-1) == 0 {
-			peer = me ^ round // perfectly balanced pairwise schedule
-		} else {
-			// Pair ranks so a+b = round (mod K): symmetric and, over all
-			// rounds 0..K-1, covers every ordered pair exactly once.
-			peer = (round - me%K + K) % K
-		}
-		if peer == me {
-			continue
-		}
-		if err := c.Send(peer, tagAlltoall, sendbuf[peer]); err != nil {
-			return nil, fmt.Errorf("collectives: alltoall send round %d: %w", round, err)
-		}
-		raw, err := c.Recv(peer, tagAlltoall)
-		if err != nil {
-			return nil, fmt.Errorf("collectives: alltoall recv round %d: %w", round, err)
-		}
-		recv[peer] = raw
-	}
-	return recv, nil
-}
-
-// Gather collects one byte slice from every rank at the root (returned
-// slice indexed by rank on the root, nil elsewhere), using direct sends —
-// the inverse of Bcast's fan-out is rarely latency-critical at the sizes
-// the solver uses, and root-side aggregation keeps it simple.
-func Gather(c runtime.Comm, root int, mine []byte) ([][]byte, error) {
-	K := c.Size()
-	if root < 0 || root >= K {
-		return nil, fmt.Errorf("collectives: gather root %d out of range", root)
-	}
-	me := c.Rank()
-	if me != root {
-		return nil, c.Send(root, tagGather, mine)
-	}
-	out := make([][]byte, K)
-	out[root] = mine
-	for r := 0; r < K; r++ {
-		if r == root {
-			continue
-		}
-		raw, err := c.Recv(r, tagGather)
-		if err != nil {
-			return nil, fmt.Errorf("collectives: gather recv from %d: %w", r, err)
-		}
-		out[r] = raw
-	}
-	return out, nil
-}
-
-// ReduceScatterDoubles reduces the vectors elementwise and leaves each rank
-// with its block of the result: rank r gets elements [r*len/K, (r+1)*len/K)
-// of the reduction. It is an allreduce and a local slice, correct for any K.
-func ReduceScatterDoubles(c runtime.Comm, vec []float64, op Op) ([]float64, error) {
-	full, err := Allreduce(c, vec, op)
-	if err != nil {
-		return nil, err
-	}
-	lo := c.Rank() * len(full) / c.Size()
-	hi := (c.Rank() + 1) * len(full) / c.Size()
-	return full[lo:hi:hi], nil
 }

@@ -1,11 +1,11 @@
 package collectives
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	goruntime "runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -48,93 +48,18 @@ func TestBarrier(t *testing.T) {
 	}
 }
 
-func TestBcastAllRootsAllSizes(t *testing.T) {
-	payload := []byte("broadcast me, carefully")
-	for _, K := range []int{1, 2, 3, 7, 8, 16, 20} {
-		for root := 0; root < K; root += maxi(1, K/3) {
-			w := world(t, K)
-			err := w.Run(func(c runtime.Comm) error {
-				var buf []byte
-				if c.Rank() == root {
-					buf = payload
-				}
-				got, err := Bcast(c, root, buf)
-				if err != nil {
-					return err
-				}
-				if !bytes.Equal(got, payload) {
-					return fmt.Errorf("rank %d got %q", c.Rank(), got)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("K=%d root=%d: %v", K, root, err)
-			}
-		}
-	}
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func TestBcastBadRoot(t *testing.T) {
-	w := world(t, 2)
-	err := w.Run(func(c runtime.Comm) error {
-		if _, err := Bcast(c, 5, nil); err == nil {
-			return fmt.Errorf("bad root accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllgatherDoubles(t *testing.T) {
-	for _, K := range []int{1, 2, 3, 8, 11} {
-		w := world(t, K)
-		err := w.Run(func(c runtime.Comm) error {
-			mine := []float64{float64(c.Rank()), float64(c.Rank() * 10)}
-			all, err := AllgatherDoubles(c, mine)
-			if err != nil {
-				return err
-			}
-			if len(all) != K {
-				return fmt.Errorf("got %d segments", len(all))
-			}
-			for r := 0; r < K; r++ {
-				if len(all[r]) != 2 || all[r][0] != float64(r) || all[r][1] != float64(r*10) {
-					return fmt.Errorf("rank %d: segment %d = %v", c.Rank(), r, all[r])
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("K=%d: %v", K, err)
-		}
-	}
-}
-
 func TestAllreduceSum(t *testing.T) {
 	for _, K := range []int{1, 2, 4, 8, 16, 3, 6, 12} {
 		w := world(t, K)
 		wantSum := float64(K*(K-1)) / 2
 		err := w.Run(func(c runtime.Comm) error {
 			vec := []float64{float64(c.Rank()), 1}
-			got, err := Allreduce(c, vec, Sum)
-			if err != nil {
+			got := append([]float64(nil), vec...)
+			if err := AllreduceInPlace(c, got, Sum); err != nil {
 				return err
 			}
 			if got[0] != wantSum || got[1] != float64(K) {
 				return fmt.Errorf("rank %d: got %v, want [%v %v]", c.Rank(), got, wantSum, float64(K))
-			}
-			// The input must not be clobbered.
-			if vec[0] != float64(c.Rank()) {
-				return fmt.Errorf("input mutated")
 			}
 			return nil
 		})
@@ -208,47 +133,6 @@ func TestAllreduceLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestAlltoall(t *testing.T) {
-	for _, K := range []int{1, 2, 4, 8, 3, 5, 9} {
-		w := world(t, K)
-		err := w.Run(func(c runtime.Comm) error {
-			me := c.Rank()
-			send := make([][]byte, K)
-			for j := 0; j < K; j++ {
-				send[j] = []byte{byte(me), byte(j)}
-			}
-			recv, err := Alltoall(c, send)
-			if err != nil {
-				return err
-			}
-			for i := 0; i < K; i++ {
-				if len(recv[i]) != 2 || int(recv[i][0]) != i || int(recv[i][1]) != me {
-					return fmt.Errorf("rank %d: recv[%d] = %v", me, i, recv[i])
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("K=%d: %v", K, err)
-		}
-	}
-}
-
-func TestAlltoallValidation(t *testing.T) {
-	w := world(t, 2)
-	errs := make([]error, 2)
-	_ = w.Run(func(c runtime.Comm) error {
-		if c.Rank() == 0 {
-			_, errs[0] = Alltoall(c, make([][]byte, 1)) // wrong length
-			return nil
-		}
-		return nil
-	})
-	if errs[0] == nil {
-		t.Error("wrong sendbuf length accepted")
-	}
-}
-
 // benchWorlds runs fn b.N times on all 64 ranks of a chanpt and of a udpnet
 // world. The udpnet leg reports frames/op (first transmissions of data
 // packets; every frame here fits one) and dgrams/op (what hit the wire,
@@ -286,78 +170,6 @@ func BenchmarkAllreduce64(b *testing.B) {
 }
 
 func BenchmarkBarrier64(b *testing.B) { benchWorlds(b, Barrier) }
-
-func TestGather(t *testing.T) {
-	for _, K := range []int{1, 2, 5, 8} {
-		for root := 0; root < K; root += maxi(1, K-1) {
-			w := world(t, K)
-			err := w.Run(func(c runtime.Comm) error {
-				mine := []byte{byte(c.Rank() * 3)}
-				got, err := Gather(c, root, mine)
-				if err != nil {
-					return err
-				}
-				if c.Rank() != root {
-					if got != nil {
-						return fmt.Errorf("non-root got data")
-					}
-					return nil
-				}
-				for r := 0; r < K; r++ {
-					if len(got[r]) != 1 || got[r][0] != byte(r*3) {
-						return fmt.Errorf("root: got[%d] = %v", r, got[r])
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("K=%d root=%d: %v", K, root, err)
-			}
-		}
-	}
-	w := world(t, 2)
-	err := w.Run(func(c runtime.Comm) error {
-		if _, err := Gather(c, 9, nil); err == nil {
-			return fmt.Errorf("bad root accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReduceScatterDoubles(t *testing.T) {
-	for _, K := range []int{2, 4, 3} {
-		w := world(t, K)
-		n := 2 * K
-		err := w.Run(func(c runtime.Comm) error {
-			vec := make([]float64, n)
-			for i := range vec {
-				vec[i] = float64(i)
-			}
-			// Sum over K ranks of the same vector = K * vec.
-			got, err := ReduceScatterDoubles(c, vec, Sum)
-			if err != nil {
-				return err
-			}
-			me := c.Rank()
-			lo := me * n / K
-			if len(got) != (me+1)*n/K-lo {
-				return fmt.Errorf("rank %d: block size %d", me, len(got))
-			}
-			for i, v := range got {
-				if want := float64(K) * float64(lo+i); v != want {
-					return fmt.Errorf("rank %d: got[%d] = %v, want %v", me, i, v, want)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("K=%d: %v", K, err)
-		}
-	}
-}
 
 // rankVec is rank r's input to the identity tests: magnitudes spread over
 // thirty decades, so the rounding of a sum depends on the order it is
@@ -549,48 +361,6 @@ func TestTreeFrameCountAndShape(t *testing.T) {
 	}
 }
 
-// TestBcastOwnsWhatItReturns: on a transport that hands the sender's slice
-// to the receiver, every rank must still get bytes of its own. Each rank
-// overwrites what Bcast returned with its rank; a rank that then reads
-// another's number shares a backing array with it.
-func TestBcastOwnsWhatItReturns(t *testing.T) {
-	const K = 8
-	w := world(t, K)
-	if !runtime.SendRetains(w.Comms()[0]) {
-		t.Fatal("chanpt no longer retains sent slices; the test needs a transport that does")
-	}
-	for root := 0; root < K; root += 3 {
-		err := w.Run(func(c runtime.Comm) error {
-			var buf []byte
-			if c.Rank() == root {
-				buf = bytes.Repeat([]byte{0xEE}, 16)
-			}
-			got, err := Bcast(c, root, buf)
-			if err != nil {
-				return err
-			}
-			if err := Barrier(c); err != nil { // every forward has happened
-				return err
-			}
-			for i := range got {
-				got[i] = byte(c.Rank())
-			}
-			if err := Barrier(c); err != nil { // every write has happened
-				return err
-			}
-			for i, v := range got {
-				if v != byte(c.Rank()) {
-					return fmt.Errorf("root %d: byte %d was overwritten by rank %d", root, i, v)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Error(err)
-		}
-	}
-}
-
 // TestTagBlocksDisjoint: no two collectives share a tag, and none shares
 // one with the exchange or with a transport's control traffic.
 func TestTagBlocksDisjoint(t *testing.T) {
@@ -600,11 +370,7 @@ func TestTagBlocksDisjoint(t *testing.T) {
 	}
 	blocks := []span{
 		{"barrier", tagBarrier, tagBarrier + maxRounds},
-		{"bcast", tagBcast, tagBcast + 1},
-		{"allgather", tagAllgather, tagAllgather + 1},
 		{"allreduce", tagAllreduce, tagAllreduce + maxRounds},
-		{"alltoall", tagAlltoall, tagAlltoall + 1},
-		{"gather", tagGather, tagGather + 1},
 	}
 	lo, hi := TagSpan()
 	for i, a := range blocks {
@@ -651,11 +417,32 @@ func TestTagBlocksDisjoint(t *testing.T) {
 	}
 }
 
-// TestMixedCollectivesBackToBack runs every collective back to back, three
+// TestMixedCollectivesBackToBack runs the collectives back to back, three
 // times over, with no barrier in between and one rank's every send delayed:
-// the other ranks run ahead into later collectives and later rounds, and a
-// frame must still only match the call and round it was sent in.
+// the other ranks run ahead into later calls and later levels, and a frame
+// must still only match the call and level it was sent in. The two vector
+// allreduces differ in length, so a frame that matched the other one would
+// fail the length check.
 func TestMixedCollectivesBackToBack(t *testing.T) {
+	// vec is rank r's n words in pass p; want folds them over the ranks
+	// in rank order. The words are small integers, so every order of
+	// summing them gives the same bits.
+	vec := func(p, r, n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(p*100 + r*10 + i)
+		}
+		return v
+	}
+	want := func(K, p, n int, op Op) []float64 {
+		acc := vec(p, 0, n)
+		for r := 1; r < K; r++ {
+			for i, x := range vec(p, r, n) {
+				acc[i] = op(acc[i], x)
+			}
+		}
+		return acc
+	}
 	for _, K := range []int{5, 8} {
 		comms := world(t, K).Comms()
 		slow := K / 2
@@ -663,53 +450,26 @@ func TestMixedCollectivesBackToBack(t *testing.T) {
 		err := runtime.Run(comms, func(c runtime.Comm) error {
 			me := c.Rank()
 			for pass := 0; pass < 3; pass++ {
-				x := float64(pass*K + me)
-				wantSum := float64(pass*K*K + K*(K-1)/2)
 				if err := Barrier(c); err != nil {
 					return err
 				}
-				if got, err := AllreduceScalar(c, x, Sum); err != nil || got != wantSum {
-					return fmt.Errorf("pass %d allreduce: %v, %v (want %v)", pass, got, err, wantSum)
+				a := vec(pass, me, 3)
+				if err := AllreduceInPlace(c, a, Sum); err != nil {
+					return fmt.Errorf("pass %d allreduce of 3: %w", pass, err)
 				}
-				if got, err := Bcast(c, pass%K, []byte{byte(pass), byte(me)}); err != nil || got[0] != byte(pass) || got[1] != byte(pass%K) {
-					return fmt.Errorf("pass %d bcast: %v, %v", pass, got, err)
+				if w := want(K, pass, 3, Sum); !slices.Equal(a, w) {
+					return fmt.Errorf("pass %d allreduce of 3: rank %d got %v, want %v", pass, me, a, w)
 				}
-				all, err := AllgatherDoubles(c, []float64{x})
-				if err != nil {
-					return err
+				got, err := AllreduceScalar(c, vec(pass, me, 1)[0], Max)
+				if w := want(K, pass, 1, Max)[0]; err != nil || got != w {
+					return fmt.Errorf("pass %d allreduce scalar: rank %d got %v, %v (want %v)", pass, me, got, err, w)
 				}
-				for r := range all {
-					if all[r][0] != float64(pass*K+r) {
-						return fmt.Errorf("pass %d allgather: segment %d = %v", pass, r, all[r])
-					}
+				b := vec(pass, me, 5)
+				if err := AllreduceInPlace(c, b, Sum); err != nil {
+					return fmt.Errorf("pass %d allreduce of 5: %w", pass, err)
 				}
-				if got, err := AllreduceScalar(c, x, Max); err != nil || got != float64(pass*K+K-1) {
-					return fmt.Errorf("pass %d allreduce max: %v, %v", pass, got, err)
-				}
-				send := make([][]byte, K)
-				for j := range send {
-					send[j] = []byte{byte(pass), byte(me), byte(j)}
-				}
-				recv, err := Alltoall(c, send)
-				if err != nil {
-					return err
-				}
-				for i := range recv {
-					if !bytes.Equal(recv[i], []byte{byte(pass), byte(i), byte(me)}) {
-						return fmt.Errorf("pass %d alltoall: recv[%d] = %v", pass, i, recv[i])
-					}
-				}
-				rows, err := Gather(c, K-1, []byte{byte(pass), byte(me)})
-				if err != nil {
-					return err
-				}
-				for r := range rows { // nil off the root
-					if !bytes.Equal(rows[r], []byte{byte(pass), byte(r)}) {
-						return fmt.Errorf("pass %d gather: rows[%d] = %v", pass, r, rows[r])
-					}
-				}
-				if got, err := ReduceScatterDoubles(c, make([]float64, K), Sum); err != nil || len(got) != 1 {
-					return fmt.Errorf("pass %d reduce-scatter: %v, %v", pass, got, err)
+				if w := want(K, pass, 5, Sum); !slices.Equal(b, w) {
+					return fmt.Errorf("pass %d allreduce of 5: rank %d got %v, want %v", pass, me, b, w)
 				}
 			}
 			return nil

@@ -121,15 +121,6 @@ func Prepare(cfg Config, name string, K int) (*Instance, error) {
 	return inst, nil
 }
 
-// ResetCache clears the instance cache (tests that measure generation cost
-// use it; experiments share the cache otherwise).
-func ResetCache() {
-	cache.mu.Lock()
-	cache.matrices = map[string]*sparse.CSR{}
-	cache.inst = map[string]*Instance{}
-	cache.mu.Unlock()
-}
-
 // MachineFor returns the machine profile by name ("bgq", "xk7", "xc40")
 // sized for K ranks.
 func MachineFor(name string, K int) (*netsim.Machine, error) {

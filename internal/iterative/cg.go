@@ -1,11 +1,11 @@
 // Package iterative implements a distributed conjugate gradient solver on
-// top of the row-parallel SpMV and the collectives — the iterative-solver
-// setting the paper's line of work targets (irregular SpMV communication
-// repeated every iteration is exactly where regularizing the exchange pays
-// off, since the pattern is fixed and the latency cost recurs).
+// top of the row-parallel SpMV — the iterative-solver setting the paper's
+// line of work targets (irregular SpMV communication repeated every
+// iteration is exactly where regularizing the exchange pays off, since the
+// pattern is fixed and the latency cost recurs).
 //
 // The SpMV input and CG's returned X are full-length slices of which each
-// rank fills only its owned entries; every other vector a solver keeps is
+// rank fills only its owned entries; every other vector the solver keeps is
 // owned-length, indexed like spmv.Session.OwnedRows.
 //
 // A latency-bound solver pays per message, and once the exchange is

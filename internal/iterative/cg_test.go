@@ -348,17 +348,12 @@ func countingWorld(t *testing.T, K int) ([]runtime.Comm, []*linkCounter) {
 // of Iters iterations is Iters+2 exchanges; under STFW its dot products
 // ride the compiled exchanges' frames, so it sends no reduction frame at
 // all, and under BL every exchange but the first is followed by an
-// allreduce (Iters+1). A power iteration of Iters steps is Iters SpMVs
-// and Iters+1 allreduces.
+// allreduce (Iters+1).
 func TestReductionsPerIteration(t *testing.T) {
 	const K = 8
 	a := spdMatrix(t, 300)
 	b := rhs(a.Rows, 8)
 	part, err := partition.Greedy(a, K, partition.DefaultGreedy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pat, err := spmv.BuildPattern(a, part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,25 +373,6 @@ func TestReductionsPerIteration(t *testing.T) {
 		}
 		for _, l := range counters {
 			l.assertCounts(t, "CG "+name, res.Iters+2, cgReductions[name](res.Iters))
-		}
-
-		comms, counters = countingWorld(t, K)
-		iters := make([]int, K)
-		err := runtime.Run(comms, func(c runtime.Comm) error {
-			res, err := PowerIteration(c, a, part, pat, PowerOptions{Tol: 1e-6, Comm: comm})
-			if err == nil && !res.Converged {
-				err = fmt.Errorf("not converged: %+v", res)
-			}
-			if err == nil {
-				iters[c.Rank()] = res.Iters
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatalf("power %s: %v", name, err)
-		}
-		for r, l := range counters {
-			l.assertCounts(t, "power "+name, iters[r], iters[r]+1)
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"stfw/internal/core"
 	"stfw/internal/partition"
-	"stfw/internal/runtime"
 	"stfw/internal/sparse"
 	"stfw/internal/telemetry"
 	"stfw/internal/vpt"
@@ -133,23 +132,6 @@ type Options struct {
 	// telemetry enabled. Frame-level send/recv counters additionally
 	// require wrapping the communicators (telemetry.Registry.WrapComm).
 	Telemetry *telemetry.Registry
-}
-
-// Run executes one distributed SpMV y = A*x over the communicator: the
-// exchange phase under the configured method, then the local multiply. Every
-// rank passes the full (replicated) A, part, pattern, and x for simplicity
-// of setup — only the owned rows are touched — and receives back the full y
-// with its owned entries filled in (other entries zero).
-//
-// Run is collective across all ranks of c. Repeated multiplies with the
-// same configuration should use a Session, which reuses the exchange
-// pattern; Run builds a fresh one each call.
-func Run(c runtime.Comm, a *sparse.CSR, part *partition.Partition, pat *Pattern, x []float64, opt Options) ([]float64, error) {
-	sess, err := NewSession(c, a, part, pat, opt)
-	if err != nil {
-		return nil, err
-	}
-	return sess.Multiply(x)
 }
 
 // Reduce merges per-rank y vectors (each with only its owned entries set)
