@@ -235,7 +235,6 @@ func (p *Persistent) lower(r *Replay, bytes bool, xlen int, gather map[int][]int
 		}
 	}
 	r.me, r.size, r.xlen, r.bytes = me, p.topo.Size(), xlen, bytes
-	r.pol.Arrival = true
 	r.lane = true
 
 	r.sends, r.delivs = r.sends[:0], r.delivs[:0]
@@ -446,7 +445,7 @@ func NewDirectReplay(me, size, xlen int, gather map[int][]int32, srcWords map[in
 	if me < 0 || me >= size {
 		return nil, fmt.Errorf("core: direct replay rank %d out of range [0,%d)", me, size)
 	}
-	r := &Replay{me: me, size: size, xlen: xlen, pol: runtime.RecvPolicy{Arrival: true}}
+	r := &Replay{me: me, size: size, xlen: xlen}
 	dests := make([]int, 0, len(gather))
 	for dst, idx := range gather {
 		if dst < 0 || dst >= size {

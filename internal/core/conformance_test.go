@@ -27,14 +27,13 @@ import (
 )
 
 // confTelemetry switches the whole suite to run with the live telemetry
-// layer attached (wrapped comms + exchange span hooks). The CI telemetry
+// layer attached (wrapped comms). The CI telemetry
 // job sets STFW_TELEMETRY=1 and runs the suite under -race, proving the
 // instrumentation neither perturbs results nor races with the engines.
 var confTelemetry = os.Getenv("STFW_TELEMETRY") != ""
 
 // confInstrument wraps the world's comms in counting wrappers when
-// STFW_TELEMETRY is set and returns the registry (nil when disabled —
-// core.WithTelemetry(reg.Rank(r)) then wires a nil, disabled collector).
+// STFW_TELEMETRY is set and returns the registry (nil when disabled).
 func confInstrument(t *testing.T, comms []runtime.Comm, stages int) *telemetry.Registry {
 	t.Helper()
 	if !confTelemetry {
@@ -141,7 +140,7 @@ func runConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, dests 
 		for _, dst := range dests[c.Rank()] {
 			payloads[dst] = confPayload(c.Rank(), dst)
 		}
-		d, err := core.Exchange(c, tp, payloads, core.WithTelemetry(reg.Rank(c.Rank())))
+		d, err := core.Exchange(c, tp, payloads)
 		if err != nil {
 			return err
 		}
@@ -330,7 +329,7 @@ func TestConformanceDirect(t *testing.T) {
 			for _, dst := range dests[c.Rank()] {
 				payloads[dst] = confPayload(c.Rank(), dst)
 			}
-			d, err := core.DirectExchange(c, payloads, recvFrom[c.Rank()], core.WithTelemetry(reg.Rank(c.Rank())))
+			d, err := core.DirectExchange(c, payloads, recvFrom[c.Rank()])
 			if err != nil {
 				return err
 			}

@@ -193,3 +193,29 @@ func TestExchangeForwardsScriptedSubmessage(t *testing.T) {
 		t.Error("submessage was not forwarded")
 	}
 }
+
+// A receive that fails names the stage and the senders whose frames had not
+// arrived, computed from the stage's received set: in T3(2,2,2) stage 1 has
+// one sender, and in T2(4,4) under reverse arrival order ranks 3 and 2 have
+// landed before the receive for rank 1 fails.
+func TestExchangeRecvErrorNamesOutstandingSenders(t *testing.T) {
+	sc, tp := scriptedWorld()
+	delete(sc.recvs, fmt.Sprintf("2/%d", tagBase+1))
+	_, err := Exchange(sc, tp, nil)
+	if err == nil {
+		t.Fatal("missing frame not reported")
+	}
+	if text := err.Error(); !strings.Contains(text, "stage 1 ") || !strings.Contains(text, "outstanding senders [2]") {
+		t.Errorf("error does not name stage 1 and rank 2 as outstanding: %v", err)
+	}
+
+	rsc, rtp := reverseScriptedWorld()
+	delete(rsc.recvs, fmt.Sprintf("1/%d", tagBase))
+	_, err = Exchange(rsc, rtp, nil)
+	if err == nil {
+		t.Fatal("missing frame not reported")
+	}
+	if text := err.Error(); !strings.Contains(text, "stage 0 ") || !strings.Contains(text, "outstanding senders [1]") {
+		t.Errorf("error does not name stage 0 and rank 1 as outstanding: %v", err)
+	}
+}

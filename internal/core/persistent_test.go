@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -109,20 +110,17 @@ func TestPersistentMatchesExchangeDeliveries(t *testing.T) {
 // the pattern alone, not on the transport's timing or service order. The
 // same pattern is learned in two worlds whose sends are delayed and whose
 // arrival-order receives are served in random order, under different
-// seeds; both must record the same schedule and the same slot layouts.
-// (The learning run receives in fixed order, so the reorder fault finds
-// nothing to reorder; let it receive in arrival order and the two worlds'
-// inFrom orders differ. Let it inject its own payloads in map order and
-// the slot order inside first-stage frames differs.)
+// seeds, and in a third whose receives a shuffleComm serves in a random
+// order of its own; all three must record the same schedule and the same
+// slot layouts. (The learning run receives in arrival order but routes
+// each stage's frames in the schedule's sender order; let it route them as
+// they land and the worlds' inFrom orders differ. Let it inject its own
+// payloads in map order and the slot order inside first-stage frames
+// differs.)
 func TestLearningLayoutReproducible(t *testing.T) {
-	learn := func(tp *vpt.Topology, s *SendSets, seed int64) []*Persistent {
-		w, err := chanpt.NewWorld(tp.Size(), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inj := tptest.NewInjector(tptest.FaultConfig{Seed: seed, Delay: 0.5, MaxDelay: 100 * time.Microsecond, Reorder: 0.75})
+	learn := func(tp *vpt.Topology, s *SendSets, comms []runtime.Comm) []*Persistent {
 		ps := make([]*Persistent, tp.Size())
-		err = runtime.Run(inj.WrapAll(w.Comms()), func(c runtime.Comm) error {
+		err := runtime.Run(comms, func(c runtime.Comm) error {
 			payloads := map[int][]byte{}
 			for _, pr := range s.Sets[c.Rank()] {
 				payloads[pr.Dst] = payloadWords(c.Rank(), pr.Dst, pr.Words)
@@ -134,13 +132,34 @@ func TestLearningLayoutReproducible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := VerifyLearnedWorld(ps); err != nil {
+			t.Fatal(err)
+		}
+		return ps
+	}
+	injected := func(tp *vpt.Topology, s *SendSets, seed int64) []*Persistent {
+		w, err := chanpt.NewWorld(tp.Size(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj := tptest.NewInjector(tptest.FaultConfig{Seed: seed, Delay: 0.5, MaxDelay: 100 * time.Microsecond, Reorder: 0.75})
+		ps := learn(tp, s, inj.WrapAll(w.Comms()))
 		if st := inj.Stats(); st.Delayed == 0 {
 			t.Fatalf("delay fault never fired: %+v", st)
 		}
-		if err := VerifyLearnedWorld(ps); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
 		return ps
+	}
+	shuffled := func(tp *vpt.Topology, s *SendSets, seed int64) []*Persistent {
+		w, err := chanpt.NewWorld(tp.Size(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu, rng := &sync.Mutex{}, rand.New(rand.NewSource(seed))
+		comms := w.Comms()
+		for i, c := range comms {
+			comms[i] = &shuffleComm{Passthrough: runtime.Passthrough{Comm: c}, mu: mu, rng: rng}
+		}
+		return learn(tp, s, comms)
 	}
 	rng := rand.New(rand.NewSource(89))
 	for _, c := range []struct{ K, n int }{{16, 2}, {64, 3}} { // radix 4: three candidates per receive round
@@ -149,23 +168,29 @@ func TestLearningLayoutReproducible(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := randomSendSets(rng, c.K, 2, 3, 4)
-		a, b := learn(tp, s, 1), learn(tp, s, 2)
-		for r := range a {
-			if !reflect.DeepEqual(a[r].Schedule(), b[r].Schedule()) {
-				t.Fatalf("K=%d rank %d: learned schedules differ:\n%+v\n%+v", c.K, r, a[r].Schedule(), b[r].Schedule())
-			}
-			for _, f := range []struct {
-				name string
-				a, b any
-			}{
-				{"nbrFrames", a[r].nbrFrames, b[r].nbrFrames},
-				{"inFrom", a[r].inFrom, b[r].inFrom},
-				{"inLayout", a[r].inLayout, b[r].inLayout},
-				{"deliver", a[r].deliver, b[r].deliver},
-				{"sizes", a[r].sizes, b[r].sizes},
-			} {
-				if !reflect.DeepEqual(f.a, f.b) {
-					t.Fatalf("K=%d rank %d: learned %s differs:\n%+v\n%+v", c.K, r, f.name, f.a, f.b)
+		a := injected(tp, s, 1)
+		for _, other := range []struct {
+			name string
+			ps   []*Persistent
+		}{{"delay seed 2", injected(tp, s, 2)}, {"shuffleComm", shuffled(tp, s, 3)}} {
+			b := other.ps
+			for r := range a {
+				if !reflect.DeepEqual(a[r].Schedule(), b[r].Schedule()) {
+					t.Fatalf("K=%d rank %d, %s: learned schedules differ:\n%+v\n%+v", c.K, r, other.name, a[r].Schedule(), b[r].Schedule())
+				}
+				for _, f := range []struct {
+					name string
+					a, b any
+				}{
+					{"nbrFrames", a[r].nbrFrames, b[r].nbrFrames},
+					{"inFrom", a[r].inFrom, b[r].inFrom},
+					{"inLayout", a[r].inLayout, b[r].inLayout},
+					{"deliver", a[r].deliver, b[r].deliver},
+					{"sizes", a[r].sizes, b[r].sizes},
+				} {
+					if !reflect.DeepEqual(f.a, f.b) {
+						t.Fatalf("K=%d rank %d, %s: learned %s differs:\n%+v\n%+v", c.K, r, other.name, f.name, f.a, f.b)
+					}
 				}
 			}
 		}

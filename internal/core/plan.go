@@ -25,11 +25,6 @@ type Plan struct {
 	Topo   *vpt.Topology
 	Stages [][]Frame // Stages[d] = frames of communication stage d, sorted (From, To)
 
-	// schedCacheState caches the per-rank StageSchedules derived from the
-	// plan (see schedule.go): executing ranks share one Plan, and each pays
-	// the schedule construction once instead of once per Exchange call.
-	schedCacheState
-
 	// Per-rank totals over all stages. Only nonempty frames are counted,
 	// matching the paper's measured message counts (its bound sum(k_d - 1)
 	// is attained only when every neighbor buffer is nonempty).

@@ -9,7 +9,7 @@ import "stfw/internal/runtime"
 // zero-speculation flow control: it learns exactly when a peer's stage
 // inbound set is complete and acknowledges at stage boundaries instead of
 // guessing an ack cadence. Every exchange path produces a summary: the
-// dynamic and plan-driven schedules know frame counts, and the Replay that
+// dynamic and direct schedules know frame counts, and the Replay that
 // every learned pattern replays through (Persistent.Run and Compile)
 // additionally knows exact wire bytes.
 
@@ -18,31 +18,28 @@ import "stfw/internal/runtime"
 // an exact frame count of 1 (a slot produces a frame even when empty —
 // receive counts are deterministic by construction). Byte sizes are 0
 // (unknown at this level; a lowered Replay knows the learned sizes). The
-// summary is built once and cached; the returned slice is shared and must
-// be treated as read-only.
+// summary is built on every call: each schedule the stage machine runs is
+// built for that run.
 func (s *StageSchedule) Traffic() []runtime.StageTraffic {
-	s.trafficOnce.Do(func() {
-		out := make([]runtime.StageTraffic, len(s.Stages))
-		for d := range s.Stages {
-			st := &s.Stages[d]
-			tr := runtime.StageTraffic{Tag: st.Tag, Dim: st.Dim}
-			if len(st.Sends) > 0 {
-				tr.Sends = make([]runtime.PeerTraffic, len(st.Sends))
-				for j, sl := range st.Sends {
-					tr.Sends[j] = runtime.PeerTraffic{Peer: sl.To, Frames: 1}
-				}
+	out := make([]runtime.StageTraffic, len(s.Stages))
+	for d := range s.Stages {
+		st := &s.Stages[d]
+		tr := runtime.StageTraffic{Tag: st.Tag, Dim: st.Dim}
+		if len(st.Sends) > 0 {
+			tr.Sends = make([]runtime.PeerTraffic, len(st.Sends))
+			for j, sl := range st.Sends {
+				tr.Sends[j] = runtime.PeerTraffic{Peer: sl.To, Frames: 1}
 			}
-			if len(st.RecvFrom) > 0 {
-				tr.Recvs = make([]runtime.PeerTraffic, len(st.RecvFrom))
-				for j, f := range st.RecvFrom {
-					tr.Recvs[j] = runtime.PeerTraffic{Peer: f, Frames: 1}
-				}
-			}
-			out[d] = tr
 		}
-		s.traffic = out
-	})
-	return s.traffic
+		if len(st.RecvFrom) > 0 {
+			tr.Recvs = make([]runtime.PeerTraffic, len(st.RecvFrom))
+			for j, f := range st.RecvFrom {
+				tr.Recvs[j] = runtime.PeerTraffic{Peer: f, Frames: 1}
+			}
+		}
+		out[d] = tr
+	}
+	return out
 }
 
 // computeTraffic derives the compiled program's traffic summary straight

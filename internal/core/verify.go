@@ -14,8 +14,8 @@ import (
 // property the stage machine's liveness actually depends on. A world of
 // individually-valid schedules can still deadlock or drop payload if rank a
 // sends a frame rank b never expects, or rank b waits for a frame nobody
-// sends. Tests run it over every schedule front-end (dynamic, plan-driven,
-// learned, direct), and `stfwbench -verify` sweeps it over conformance
+// sends. Tests run it over every schedule front-end (dynamic, learned,
+// direct), and `stfwbench -verify` sweeps it over conformance
 // topologies from the command line.
 
 // maxVerifyErrors bounds how many findings a verification reports before
@@ -366,21 +366,11 @@ func sortSlotKeys(ks []slotKey) {
 }
 
 // WorldSchedules returns the dynamic front-end's schedule for every rank of
-// the topology — the programs Exchange executes when no plan is given.
+// the topology — the programs the learning run, and so Exchange, executes.
 func WorldSchedules(t *vpt.Topology) []*StageSchedule {
 	scheds := make([]*StageSchedule, t.Size())
 	for r := range scheds {
 		scheds[r] = buildTopologySchedule(t, r)
-	}
-	return scheds
-}
-
-// WorldSchedules returns the plan-driven schedule for every rank, from the
-// same cache Exchange(WithPlan) uses.
-func (p *Plan) WorldSchedules() []*StageSchedule {
-	scheds := make([]*StageSchedule, p.Topo.Size())
-	for r := range scheds {
-		scheds[r] = p.scheduleFor(r)
 	}
 	return scheds
 }

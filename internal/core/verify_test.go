@@ -27,10 +27,10 @@ func confWorldSendSets(t *testing.T, K int, dests map[int][]int) *core.SendSets 
 	return s
 }
 
-// TestVerifyWorldFrontends runs the whole-world verifier over the three
+// TestVerifyWorldFrontends runs the whole-world verifier over the two
 // statically-buildable schedule front-ends on every conformance topology:
-// dynamic (topology only), plan-driven (with conservation against the
-// plan), and the single-stage direct baseline (against the direct plan).
+// dynamic (topology only) and the single-stage direct baseline (against the
+// direct plan).
 func TestVerifyWorldFrontends(t *testing.T) {
 	for _, tp := range conformanceTopologies(t) {
 		K := tp.Size()
@@ -39,14 +39,6 @@ func TestVerifyWorldFrontends(t *testing.T) {
 
 		if err := core.VerifyWorld(core.WorldSchedules(tp)); err != nil {
 			t.Errorf("dynamic front-end, K=%d dims=%v: %v", K, tp.Dims(), err)
-		}
-
-		plan, err := core.BuildPlan(tp, sends)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := core.VerifyWorldAgainstPlan(plan.WorldSchedules(), plan); err != nil {
-			t.Errorf("plan front-end, K=%d dims=%v: %v", K, tp.Dims(), err)
 		}
 
 		dplan, err := core.BuildDirectPlan(sends)
@@ -70,27 +62,7 @@ func TestVerifyWorldLearned(t *testing.T) {
 			t.Parallel()
 			K := tp.Size()
 			dests := confSendSets(int64(K), K)
-			w, err := chanpt.NewWorld(K, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scheds := make([]*core.StageSchedule, K)
-			err = runtime.Run(w.Comms(), func(c runtime.Comm) error {
-				me := c.Rank()
-				payloads := map[int][]byte{}
-				for _, dst := range dests[me] {
-					payloads[dst] = confPayload(me, dst)
-				}
-				p, _, err := core.NewPersistent(c, tp, payloads)
-				if err != nil {
-					return err
-				}
-				scheds[me] = p.Schedule()
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			scheds := learnedWorld(t, tp, dests)
 			if err := core.VerifyWorld(scheds); err != nil {
 				t.Errorf("learned front-end, K=%d dims=%v: %v", K, tp.Dims(), err)
 			}
@@ -105,8 +77,37 @@ func TestVerifyWorldLearned(t *testing.T) {
 	}
 }
 
-// copyWorld deep-copies schedules so mutations don't poison the plan's
-// shared schedule cache.
+// learnedWorld runs a learning exchange of dests over chanpt and returns
+// every rank's learned schedule.
+func learnedWorld(t *testing.T, tp *vpt.Topology, dests map[int][]int) []*core.StageSchedule {
+	t.Helper()
+	K := tp.Size()
+	w, err := chanpt.NewWorld(K, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheds := make([]*core.StageSchedule, K)
+	err = runtime.Run(w.Comms(), func(c runtime.Comm) error {
+		me := c.Rank()
+		payloads := map[int][]byte{}
+		for _, dst := range dests[me] {
+			payloads[dst] = confPayload(me, dst)
+		}
+		p, _, err := core.NewPersistent(c, tp, payloads)
+		if err != nil {
+			return err
+		}
+		scheds[me] = p.Schedule()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scheds
+}
+
+// copyWorld deep-copies schedules so every mutation starts from the
+// verified base world.
 func copyWorld(scheds []*core.StageSchedule) []*core.StageSchedule {
 	out := make([]*core.StageSchedule, len(scheds))
 	for r, s := range scheds {
@@ -124,8 +125,9 @@ func copyWorld(scheds []*core.StageSchedule) []*core.StageSchedule {
 	return out
 }
 
-// TestVerifyWorldRejectsMutations hand-mutates a verified world one defect
-// at a time and checks each is caught, with a recognizable message.
+// TestVerifyWorldRejectsMutations hand-mutates a verified learned world
+// (a chanpt learning run) one defect at a time and checks each is caught,
+// with a recognizable message.
 func TestVerifyWorldRejectsMutations(t *testing.T) {
 	tp, err := vpt.NewFactored(12, 2)
 	if err != nil {
@@ -138,7 +140,7 @@ func TestVerifyWorldRejectsMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := plan.WorldSchedules()
+	base := learnedWorld(t, tp, dests)
 	if err := core.VerifyWorldAgainstPlan(base, plan); err != nil {
 		t.Fatalf("baseline world must verify: %v", err)
 	}

@@ -106,9 +106,8 @@ func NetstatRun(cfg NetstatConfig, reg *telemetry.Registry, comms []runtime.Comm
 			return err
 		}
 		// Spans cover only the steady-state replays: the learning run
-		// routes dynamically and receives in fixed order, so its timing
-		// would skew the per-stage measurement the model is compared
-		// against.
+		// routes dynamically and records the layout, so its timing would
+		// skew the per-stage measurement the model is compared against.
 		p.Instrument(reg.Rank(c.Rank()))
 		for i := 0; i < cfg.Iters; i++ {
 			if _, err := p.Run(c, payloads); err != nil {

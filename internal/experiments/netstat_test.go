@@ -14,7 +14,7 @@ import (
 func TestBuildNetstatReportRejects(t *testing.T) {
 	cfg := NetstatConfig{K: 4, Dim: 2, Iters: 1, Dests: 2, Bytes: 8}
 	span := func(stage int32) telemetry.Span {
-		return telemetry.Span{Kind: telemetry.KStage, Stage: stage, Start: 100, Dur: 50}
+		return telemetry.Span{Kind: telemetry.KDeliver, Stage: stage, Start: 100, Dur: 50}
 	}
 	for _, c := range []struct {
 		name  string

@@ -85,38 +85,8 @@ func (fb *ForwardBuffers) Take(d, x int) []Submessage {
 	return s
 }
 
-// Reserve grows fwbuf[d][x] to capacity n without changing its contents.
-// The static core.Plan knows the exact final occupancy of every buffer (the
-// submessage count of the frame sent from it), so a planned exchange can
-// pre-size its buffers and avoid append growth on the hot path.
-func (fb *ForwardBuffers) Reserve(d, x, n int) {
-	if cur := fb.buf[d][x]; cap(cur) < n {
-		grown := make([]Submessage, len(cur), n)
-		copy(grown, cur)
-		fb.buf[d][x] = grown
-	}
-}
-
-// Peek returns the contents of fwbuf[d][x] without removing them.
-func (fb *ForwardBuffers) Peek(d, x int) []Submessage { return fb.buf[d][x] }
-
 // Dims returns the dimension sizes the buffers were created with.
 func (fb *ForwardBuffers) Dims() []int { return append([]int(nil), fb.dims...) }
-
-// PayloadBytes returns the total payload currently stored across all
-// buffers; together with in-flight frames this drives the paper's buffer
-// size metric.
-func (fb *ForwardBuffers) PayloadBytes() int {
-	n := 0
-	for d := range fb.buf {
-		for x := range fb.buf[d] {
-			for _, s := range fb.buf[d][x] {
-				n += len(s.Data)
-			}
-		}
-	}
-	return n
-}
 
 // SubCount returns the number of submessages currently stored.
 func (fb *ForwardBuffers) SubCount() int {

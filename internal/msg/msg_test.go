@@ -209,12 +209,6 @@ func TestForwardBuffers(t *testing.T) {
 	if fb.SubCount() != 3 {
 		t.Errorf("SubCount = %d", fb.SubCount())
 	}
-	if fb.PayloadBytes() != 7 {
-		t.Errorf("PayloadBytes = %d", fb.PayloadBytes())
-	}
-	if got := fb.Peek(0, 3); len(got) != 2 {
-		t.Errorf("Peek len = %d", len(got))
-	}
 	got := fb.Take(0, 3)
 	if len(got) != 2 {
 		t.Fatalf("Take len = %d", len(got))

@@ -81,16 +81,12 @@ func RecvAnyOf(c Comm, tag int, from []int) (int, []byte, error) {
 }
 
 // RecvPolicy tracks the outstanding senders of one receive round and hands
-// out frames under a fixed discipline: with Arrival set it serves whichever
-// expected frame lands first (RecvAnyOf, falling back transparently on
-// transports without a matcher), otherwise it issues targeted Recvs in the
-// listed order. The stage engine resets one policy per stage, so receive
-// ordering is decided in exactly one place instead of per engine variant.
-// Reset reuses the policy's backing storage; a zero RecvPolicy is ready for
-// use.
+// out their frames in arrival order: whichever expected frame lands first
+// (RecvAnyOf, falling back transparently on transports without a matcher).
+// The stage machine and the compiled replay reset one policy per stage, so
+// receive ordering is decided in exactly one place. Reset reuses the
+// policy's backing storage; a zero RecvPolicy is ready for use.
 type RecvPolicy struct {
-	// Arrival selects arrival-order matching; false means fixed listed order.
-	Arrival bool
 	buf     []int
 	pending []int
 }
@@ -105,22 +101,11 @@ func (p *RecvPolicy) Reset(from []int) {
 // Outstanding returns how many expected frames have not been received yet.
 func (p *RecvPolicy) Outstanding() int { return len(p.pending) }
 
-// Next receives one frame from an outstanding sender under the policy's
-// discipline and removes that sender from the round. On error the returned
-// sender is the rank the targeted Recv was issued to, or -1 when the
-// arrival-order matcher failed before attributing a sender.
+// Next receives the first frame to arrive from an outstanding sender and
+// removes that sender from the round.
 func (p *RecvPolicy) Next(c Comm, tag int) (int, []byte, error) {
 	if len(p.pending) == 0 {
 		return -1, nil, errors.New("runtime: RecvPolicy.Next with no outstanding senders")
-	}
-	if !p.Arrival {
-		from := p.pending[0]
-		payload, err := c.Recv(from, tag)
-		if err != nil {
-			return from, nil, err
-		}
-		p.pending = p.pending[1:]
-		return from, payload, nil
 	}
 	from, payload, err := RecvAnyOf(c, tag, p.pending)
 	if err != nil {

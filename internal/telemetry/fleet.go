@@ -84,11 +84,11 @@ func rankSnapshotZero(r *RankSnapshot) bool {
 
 // StageStraggler is the per-stage critical-path summary: which rank was
 // slowest and by how much. Busy time is the sum of a rank's stage-scoped
-// span durations for the stage (KStage for engine runs; KForward+KDeliver
-// for compiled replays), summed across the traced exchanges
-// (RankSnapshot.Traced). EndNs is the latest span end for the stage on the
-// world timeline (epoch offsets applied), i.e. when the stage's last rank
-// finished — the fleet's critical path runs through these. GatingPeer is
+// span durations for the stage (KForward+KDeliver of compiled replays),
+// summed across the traced exchanges (RankSnapshot.Traced). EndNs is the
+// latest span end for the stage on the world timeline (epoch offsets
+// applied), i.e. when the stage's last rank finished — the fleet's
+// critical path runs through these. GatingPeer is
 // the sender whose frame most often arrived last at the slowest rank in
 // this stage (Span.Peer): with SlowestRank it names the gating link.
 type StageStraggler struct {

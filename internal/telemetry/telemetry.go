@@ -58,15 +58,13 @@ import (
 type Kind uint8
 
 // Span kinds, ordered roughly outermost to innermost: session phases
-// (gather/exchange/kernel/reduce), then one communication stage of an
-// exchange, then the compiled replay's per-stage forward (frame build +
-// send) and deliver (receive + scatter) halves.
+// (gather/exchange/kernel/reduce), then the compiled replay's per-stage
+// forward (frame build + send) and deliver (receive + scatter) halves.
 const (
 	KGather Kind = iota
 	KExchange
 	KKernel
 	KReduce
-	KStage
 	KForward
 	KDeliver
 	KPatch
@@ -85,8 +83,6 @@ func (k Kind) String() string {
 		return "kernel"
 	case KReduce:
 		return "reduce"
-	case KStage:
-		return "stage"
 	case KForward:
 		return "forward"
 	case KDeliver:
@@ -103,8 +99,8 @@ type Span struct {
 	Kind  Kind
 	Stage int32 // communication stage, -1 when the span is not stage-scoped
 	// Peer is the sender whose frame arrived last in the stage — the link
-	// that gated it — on KStage and KDeliver spans; -1 on every other span
-	// and on a stage that received nothing.
+	// that gated it — on KDeliver spans; -1 on every other span and on a
+	// stage that received nothing.
 	Peer  int32
 	Start int64 // nanoseconds since the registry epoch
 	Dur   int64 // nanoseconds
@@ -257,7 +253,7 @@ type Rank struct {
 	// FrameSizes observes the byte length of every frame this rank sends
 	// through a wrapped communicator while it is not in an untraced
 	// exchange; StageNs observes the duration of its stage-scoped spans
-	// (KStage, KForward, KDeliver), so both are sampled with the spans. The
+	// (KForward, KDeliver), so both are sampled with the spans. The
 	// histograms are per-rank — not registry-global — so hot-path
 	// observations never contend on shared cache lines; Snapshot merges them
 	// world-wide.
@@ -434,8 +430,7 @@ func (t *Rank) SpanSince(k Kind, stage int, start time.Time) {
 // SpanMark records a span covering [prev, now) and returns now, letting
 // back-to-back phases share a single clock read per boundary — the end of
 // one phase is the start of the next. This is the hot-path form, and the
-// core stage machine's single instrumentation seam: every exchange
-// front-end (dynamic, plan-driven, learned, compiled) threads one mark
+// compiled replay's single instrumentation seam: it threads one mark
 // through its per-stage phase sequence instead of reading the clock twice
 // at every transition. peer is the span's Span.Peer (-1 for none).
 func (t *Rank) SpanMark(k Kind, stage, peer int, prev time.Time) time.Time {

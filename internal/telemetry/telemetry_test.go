@@ -271,7 +271,7 @@ func TestSpanRing(t *testing.T) {
 	base := g.Epoch()
 	for i := 0; i < 6; i++ {
 		start := base.Add(time.Duration(i) * time.Millisecond)
-		r.SpanBetween(KStage, 0, start, start.Add(time.Millisecond))
+		r.SpanBetween(KDeliver, 0, start, start.Add(time.Millisecond))
 	}
 	if r.SpanCount() != 6 {
 		t.Fatalf("span count = %d, want 6", r.SpanCount())
@@ -354,7 +354,7 @@ func TestSampleEvery(t *testing.T) {
 		if tr != nil {
 			traced = append(traced, i)
 		}
-		tr.SpanMark(KStage, 0, 3, g.Epoch())
+		tr.SpanMark(KDeliver, 0, 3, g.Epoch())
 		r.CountSend(0, 8)
 	}
 	if want := []int{0, SampleEvery, 2 * SampleEvery}; !reflect.DeepEqual(traced, want) {
@@ -381,7 +381,7 @@ func TestSampleEvery(t *testing.T) {
 func TestKindString(t *testing.T) {
 	names := map[Kind]string{
 		KGather: "gather", KExchange: "exchange", KKernel: "kernel",
-		KReduce: "reduce", KStage: "stage", KForward: "forward",
+		KReduce: "reduce", KForward: "forward",
 		KDeliver: "deliver", Kind(200): "Kind(200)",
 	}
 	for k, want := range names {
@@ -461,7 +461,7 @@ func TestHistBucketEdges(t *testing.T) {
 func TestWriteHistograms(t *testing.T) {
 	g := MustNew(Config{Ranks: 1, Stages: 1})
 	g.Rank(0).CountSend(0, 64)
-	g.Rank(0).SpanBetween(KStage, 0, g.Epoch(), g.Epoch().Add(time.Microsecond))
+	g.Rank(0).SpanBetween(KDeliver, 0, g.Epoch(), g.Epoch().Add(time.Microsecond))
 	var sb strings.Builder
 	g.WriteHistograms(&sb)
 	out := sb.String()

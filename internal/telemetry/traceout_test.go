@@ -20,7 +20,7 @@ func seedRegistry(t *testing.T, ranks, stages int) *Registry {
 		tr.SpanBetween(KGather, -1, base, base.Add(time.Microsecond))
 		for d := 0; d < stages; d++ {
 			start := base.Add(time.Duration(d+1) * time.Microsecond)
-			tr.SpanBetween(KStage, d, start, start.Add(time.Microsecond))
+			tr.SpanBetween(KDeliver, d, start, start.Add(time.Microsecond))
 			tr.CountSend(d, 64)
 			tr.CountForward(d, 2, 32)
 		}
@@ -50,7 +50,7 @@ func TestWriteTraceRoundTrip(t *testing.T) {
 		if tr.Slices != 1+stages {
 			t.Fatalf("rank %d has %d slices, want %d", r, tr.Slices, 1+stages)
 		}
-		if tr.Kinds["gather"] != 1 || tr.Kinds["stage"] != stages {
+		if tr.Kinds["gather"] != 1 || tr.Kinds["deliver"] != stages {
 			t.Fatalf("rank %d kinds = %v", r, tr.Kinds)
 		}
 		for d := 0; d < stages; d++ {
@@ -66,19 +66,19 @@ func TestTraceSliceArgs(t *testing.T) {
 	tf := buildTrace(g.Snapshot())
 	var found bool
 	for _, e := range tf.TraceEvents {
-		if e.Ph != "X" || e.Name != "stage 0" {
+		if e.Ph != "X" || e.Name != "deliver 0" {
 			continue
 		}
 		found = true
 		if e.Args["sends"] != int64(1) || e.Args["send_bytes"] != int64(64) || e.Args["forwards"] != int64(2) {
-			t.Fatalf("stage slice args = %v", e.Args)
+			t.Fatalf("deliver slice args = %v", e.Args)
 		}
 		if e.Dur <= 0 {
-			t.Fatalf("stage slice dur = %v", e.Dur)
+			t.Fatalf("deliver slice dur = %v", e.Dur)
 		}
 	}
 	if !found {
-		t.Fatal("no stage 0 slice emitted")
+		t.Fatal("no deliver 0 slice emitted")
 	}
 }
 

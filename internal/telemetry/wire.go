@@ -35,7 +35,7 @@ import (
 
 // SnapshotWireVersion is the current encoding generation. Bump it on any
 // layout change; DecodeSnapshot rejects every other version.
-const SnapshotWireVersion = 3
+const SnapshotWireVersion = 4
 
 var snapshotMagic = [8]byte{'S', 'T', 'F', 'W', 'S', 'N', 'A', 'P'}
 

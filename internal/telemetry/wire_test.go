@@ -41,7 +41,7 @@ func wireTestSnapshot() Snapshot {
 					AcksSent: 4, AcksSuppressed: 6, StageAcks: 3, LivenessAcks: 1,
 				}},
 				Spans: []Span{
-					{Kind: KStage, Stage: 0, Peer: 1, Start: 100, Dur: 50},
+					{Kind: KDeliver, Stage: 0, Peer: 1, Start: 100, Dur: 50},
 					{Kind: KExchange, Stage: -1, Peer: -1, Start: 200, Dur: 10},
 				},
 			},
@@ -146,7 +146,7 @@ func TestMergeSnapshotsOffsets(t *testing.T) {
 			FrameSizes: HistSnapshot{Count: 1, Sum: 10, Buckets: []int64{1}},
 			Ranks: []RankSnapshot{{
 				Rank: rank, SpanCount: 1,
-				Spans: []Span{{Kind: KStage, Stage: 0, Start: 100, Dur: 50}},
+				Spans: []Span{{Kind: KDeliver, Stage: 0, Start: 100, Dur: 50}},
 			}},
 		}
 	}
@@ -195,8 +195,8 @@ func TestStageStragglersGatingPeer(t *testing.T) {
 			{Kind: KDeliver, Stage: 0, Peer: 3, Dur: 20},
 			{Kind: KDeliver, Stage: 0, Peer: 2, Dur: 20},
 			{Kind: KDeliver, Stage: 0, Peer: 2, Dur: 20},
-			{Kind: KStage, Stage: 1, Peer: 5, Dur: 10},
-			{Kind: KStage, Stage: 1, Peer: 4, Dur: 10},
+			{Kind: KDeliver, Stage: 1, Peer: 5, Dur: 10},
+			{Kind: KDeliver, Stage: 1, Peer: 4, Dur: 10},
 		}},
 	}}
 	got := snap.StageStragglers()
@@ -238,9 +238,9 @@ func TestTraceEpochOffsets(t *testing.T) {
 		Epoch: time.Unix(0, 1),
 		Ranks: []RankSnapshot{
 			{Rank: 0, SpanCount: 1, EpochOffsetNs: 0,
-				Spans: []Span{{Kind: KStage, Stage: 0, Start: 1_000, Dur: 500}}},
+				Spans: []Span{{Kind: KDeliver, Stage: 0, Start: 1_000, Dur: 500}}},
 			{Rank: 1, SpanCount: 1, EpochOffsetNs: 2_000_000,
-				Spans: []Span{{Kind: KStage, Stage: 0, Start: 1_000, Dur: 500}}},
+				Spans: []Span{{Kind: KDeliver, Stage: 0, Start: 1_000, Dur: 500}}},
 		},
 	}
 	var buf bytes.Buffer

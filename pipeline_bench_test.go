@@ -1,14 +1,14 @@
 package stfw
 
 // Benchmarks for the stage engine's one-shot front-ends: a seeded workload
-// run through Exchange (topology-derived and plan-driven schedules) and
-// ExchangeDirect, across world sizes and skew patterns — run with
-// `go test -bench 'Exchange' -benchmem`.
+// run through Exchange and core.DirectExchange, across world sizes and skew
+// patterns — run with `go test -bench 'Exchange' -benchmem`.
 
 import (
 	"math/rand"
 	"testing"
 
+	"stfw/internal/core"
 	"stfw/internal/runtime"
 )
 
@@ -92,41 +92,26 @@ func benchExchange(b *testing.B, K int, s *SendSets) {
 		b.Fatal(err)
 	}
 	payloads := benchPayloads(s)
-	plan, err := BuildPlan(topo, s)
+	w, err := LocalWorld(K)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, sched := range []struct {
-		name string
-		opts []ExchangeOpt
-	}{
-		{"topology", nil},
-		{"plan", []ExchangeOpt{WithPlan(plan)}},
-	} {
-		b.Run(sched.name, func(b *testing.B) {
-			w, err := LocalWorld(K)
-			if err != nil {
-				b.Fatal(err)
-			}
-			comms := w.Comms()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				err := runtime.Run(comms, func(c runtime.Comm) error {
-					_, err := Exchange(c, topo, payloads[c.Rank()], sched.opts...)
-					return err
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+	comms := w.Comms()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := runtime.Run(comms, func(c runtime.Comm) error {
+			_, err := Exchange(c, topo, payloads[c.Rank()])
+			return err
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkExchange is the one-shot exchange: same world, same topology,
-// same payloads; the rows differ only in where the stage schedule comes
-// from.
+// BenchmarkExchange is the one-shot exchange on the balanced topology
+// benchDim picks, per world size and skew pattern.
 func BenchmarkExchange(b *testing.B) {
 	for _, K := range []int{64, 256, 1024} {
 		b.Run("hotspot/K="+itoa(K), func(b *testing.B) {
@@ -138,8 +123,8 @@ func BenchmarkExchange(b *testing.B) {
 	}
 }
 
-// BenchmarkExchangeDirect is the baseline ExchangeDirect on the hot-spot
-// pattern.
+// BenchmarkExchangeDirect is the baseline core.DirectExchange on the
+// hot-spot pattern.
 func BenchmarkExchangeDirect(b *testing.B) {
 	K := 256
 	s := scaleWords(hotSpotSends(K, 8), benchWordScale)
@@ -160,7 +145,7 @@ func BenchmarkExchangeDirect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := runtime.Run(comms, func(c runtime.Comm) error {
-			_, err := ExchangeDirect(c, payloads[c.Rank()], recvFrom[c.Rank()])
+			_, err := core.DirectExchange(c, payloads[c.Rank()], recvFrom[c.Rank()])
 			return err
 		})
 		if err != nil {

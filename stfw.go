@@ -11,9 +11,10 @@
 // The package is a facade over the internal packages:
 //
 //   - topology construction and analysis (internal/vpt, internal/core)
-//   - the store-and-forward executor and the direct baseline, both front-ends
-//     of one stage machine with one execution discipline, running over
-//     pluggable transports (internal/runtime, internal/transport/...)
+//   - the store-and-forward exchange: a one-shot Exchange, and a Persistent
+//     whose learning run is that same exchange and whose replays run the
+//     learned pattern as a compiled program, over pluggable transports
+//     (internal/runtime, internal/transport/...)
 //   - exact static planning of a schedule's message counts, volumes and
 //     buffer usage without executing it (internal/core)
 //   - machine cost models that price a schedule on BlueGene/Q-, Cray XK7-
@@ -62,34 +63,15 @@ func DirectTopology(K int) (*Topology, error) { return vpt.Direct(K) }
 // power-of-two K (the hypercube).
 func MaxTopologyDim(K int) int { return vpt.MaxDim(K) }
 
-// ExchangeOpt configures an Exchange or ExchangeDirect call. WithPlan is
-// the only one the facade exposes: the stage machine has one execution
-// discipline (pooled frames, receives in arrival order), so there is
-// nothing to select.
-type ExchangeOpt = core.ExchangeOpt
-
-// WithPlan switches the exchange onto the plan-driven schedule front-end:
-// the per-rank stage schedule is derived once from the static plan (and
-// cached inside it), and its exact per-frame occupancy pre-sizes the
-// forward buffers, eliminating both per-call schedule construction and
-// buffer growth on the hot path.
-func WithPlan(p *Plan) ExchangeOpt { return core.WithPlan(p) }
-
 // Exchange performs the store-and-forward exchange (Algorithm 1 of the
 // paper) collectively on all ranks of c: each rank contributes the payloads
 // it wants delivered (destination rank -> bytes) and receives the payloads
 // destined for it. The per-rank nonempty message count is bounded by
-// sum_d (k_d - 1).
-func Exchange(c Comm, t *Topology, payloads map[int][]byte, opts ...ExchangeOpt) (*Delivered, error) {
-	return core.Exchange(c, t, payloads, opts...)
-}
-
-// ExchangeDirect performs the baseline direct exchange: payloads go
-// straight to their destinations. recvFrom lists the ranks this rank will
-// receive from (known from the application's data distribution, or
-// discovered with DiscoverSources).
-func ExchangeDirect(c Comm, payloads map[int][]byte, recvFrom []int, opts ...ExchangeOpt) (*Delivered, error) {
-	return core.DirectExchange(c, payloads, recvFrom, opts...)
+// sum_d (k_d - 1). It is the learning run of NewPersistent with the
+// learned pattern dropped: call NewPersistent instead when the same
+// pattern repeats.
+func Exchange(c Comm, t *Topology, payloads map[int][]byte) (*Delivered, error) {
+	return core.Exchange(c, t, payloads)
 }
 
 // DiscoverSources lets a rank learn which ranks will send to it when the

@@ -124,28 +124,6 @@ func TestFacadeDiscoverSources(t *testing.T) {
 	}
 }
 
-func TestFacadeDirectExchange(t *testing.T) {
-	const K = 4
-	w, err := LocalWorld(K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c Comm) error {
-		payloads := map[int][]byte{(c.Rank() + 2) % K: {9}}
-		d, err := ExchangeDirect(c, payloads, []int{(c.Rank() + 2) % K})
-		if err != nil {
-			return err
-		}
-		if len(d.Subs) != 1 || d.Subs[0].Data[0] != 9 {
-			return fmt.Errorf("rank %d: %+v", c.Rank(), d.Subs)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFacadeTCPWorld(t *testing.T) {
 	const K = 4
 	topo, err := BalancedTopology(K, 2)
