@@ -142,3 +142,36 @@ func TestExchangeDetectsWrongReceiverUnderArrivalOrder(t *testing.T) {
 		t.Errorf("unexpected error: %v", err)
 	}
 }
+
+// strayAnyComm serves its first receive from the script, then reports
+// its second arrival as coming from rank from, with a well-formed frame,
+// as a faulty transport might.
+type strayAnyComm struct {
+	*scriptAnyComm
+	from  int
+	calls int
+}
+
+func (s *strayAnyComm) RecvAnyOf(tag int, from []int) (int, []byte, error) {
+	s.calls++
+	if s.calls == 2 {
+		return s.from, emptyFrame(s.from, 0), nil
+	}
+	return s.scriptAnyComm.RecvAnyOf(tag, from)
+}
+
+// A frame the transport attributes to a rank the stage does not expect, or
+// to a sender whose frame has already landed, is an error, never a slot of
+// the stage.
+func TestExchangeRejectsUnexpectedSender(t *testing.T) {
+	for _, from := range []int{5, 3} { // outside stage 0's senders; rank 3 landed first
+		sc, tp := reverseScriptedWorld()
+		_, err := Exchange(&strayAnyComm{scriptAnyComm: sc, from: from}, tp, nil)
+		if err == nil {
+			t.Fatalf("frame from unexpected sender %d accepted", from)
+		}
+		if want := fmt.Sprintf("stage 0: frame from unexpected sender %d", from); !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
+	}
+}
