@@ -78,8 +78,10 @@ type Replay struct {
 	// selfOp.pay), delivs the deliveries in order at their arena offsets.
 	// Persistent.Run holds the caller to sends and returns delivs.
 	sends, delivs []paySlot
-	// pays and arena are a running byte replay's payloads, in sends order,
-	// and delivery arena. Both are dropped as the run returns.
+	// pays are a running byte replay's payloads, in sends order, dropped as
+	// the run returns. arena holds a byte replay's deliveries: Persistent.Run
+	// allocates it with each lowering and returns it, every Run writing it
+	// anew.
 	pays  [][]byte
 	arena []byte
 	// inFrames retains received frames until the iteration ends: later
@@ -542,7 +544,8 @@ func (r *Replay) Run(c runtime.Comm, x []float64, halo []float64) error {
 // frames are exactly Run's. A direct replay has no lane and rejects a
 // non-nil one.
 //
-// A frame that fails its header, length or slot check does not end the
+// A frame that fails its header, length or slot check, a frame from a
+// sender the stage does not expect and a failed receive do not end the
 // call at once: the rank drains the stage, then sends a poison frame
 // wherever a later stage expects one and drains those stages too, so the
 // error reaches every rank the failing one would have reached and no rank
@@ -654,21 +657,30 @@ func (r *Replay) run(c runtime.Comm, x, halo, sum []float64, bad error) error {
 			mark = tr.SpanMark(telemetry.KForward, si, -1, mark)
 		}
 
+		// Every expected frame takes one turn, whatever fills it: a frame,
+		// a frame from a sender the stage does not expect (or one that has
+		// landed), or a receive error. The last two fail the run like a
+		// failed check, so the rank still walks every stage, poisoning what
+		// it sends, and a stage's receives end after len(recvFrom) turns.
 		r.pol.Reset(st.recvFrom)
 		last := -1
-		for r.pol.Outstanding() > 0 {
+		for turns := len(st.recvFrom); turns > 0; turns-- {
 			from, raw, err := r.pol.Next(c, st.tag)
 			if err != nil {
-				return fmt.Errorf("core: rank %d replay stage %d recv: %w", r.me, si, err)
+				if bad == nil {
+					bad = fmt.Errorf("core: rank %d replay stage %d recv: %w", r.me, si, err)
+				}
+				continue
 			}
 			last = from
-			j := slices.Index(st.recvFrom, from)
-			if j < 0 {
-				msg.PutFrame(raw)
-				return fmt.Errorf("core: rank %d replay stage %d: frame from unexpected sender %d", r.me, si, from)
-			}
 			if bad != nil {
 				msg.PutFrame(raw)
+				continue
+			}
+			j := slices.Index(st.recvFrom, from)
+			if j < 0 || r.inFrames[st.ins[j].idx] != nil {
+				msg.PutFrame(raw)
+				bad = fmt.Errorf("core: rank %d replay stage %d: frame from unexpected sender %d", r.me, si, from)
 				continue
 			}
 			in := &st.ins[j]
@@ -777,7 +789,7 @@ func (r *Replay) foldLane(st *rStage, sum []float64) {
 
 // release recycles the retained inbound frames into the arena, clears the
 // retention table for the next iteration and drops a byte replay's hold on
-// the caller's payloads and the returned arena.
+// the caller's payloads.
 func (r *Replay) release() {
 	for i, b := range r.inFrames {
 		if b != nil {
@@ -786,7 +798,6 @@ func (r *Replay) release() {
 		}
 	}
 	clear(r.pays)
-	r.arena = nil
 }
 
 // poisonSubs is the submessage count of a poison frame: a bare frame

@@ -406,7 +406,8 @@ func persistentConformanceTopologies(t *testing.T, tcp bool) []*vpt.Topology {
 
 // runPersistentConformance learns the pattern once per rank, then replays it
 // twice with fresh per-round payloads, checking every round's deliveries
-// byte-for-byte against the independently computed reference.
+// byte-for-byte against the independently computed reference. Run's
+// Delivered is overwritten by the next Run, so each round keeps a copy.
 func runPersistentConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, dests map[int][]int) {
 	t.Helper()
 	K := len(comms)
@@ -434,7 +435,7 @@ func runPersistentConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topolo
 			if err != nil {
 				return err
 			}
-			got[r][me] = d.Subs
+			got[r][me] = copySubs(d.Subs)
 		}
 		return nil
 	})
@@ -490,6 +491,15 @@ func persistentCells(t *testing.T, run func(*testing.T, []runtime.Comm, *vpt.Top
 // learning run's and every replay's deliveries are bit-identical to the
 // reference.
 func TestConformancePersistent(t *testing.T) { persistentCells(t, runPersistentConformance) }
+
+// copySubs copies subs and their payload bytes.
+func copySubs(subs []msg.Submessage) []msg.Submessage {
+	out := make([]msg.Submessage, len(subs))
+	for i, s := range subs {
+		out[i] = msg.Submessage{Src: s.Src, Dst: s.Dst, Data: bytes.Clone(s.Data)}
+	}
+	return out
+}
 
 // confWords is the word count of the compiled-replay payload src ships to
 // dst; same variety as confPayload's byte lengths.

@@ -10,7 +10,11 @@ import (
 )
 
 // Delivered is what a rank gets out of an exchange: the original payloads
-// destined for it, tagged with their source ranks.
+// destined for it, tagged with their source ranks. The one a learning run
+// (NewPersistent) or a one-shot exchange returns is the caller's. The one
+// Persistent.Run returns is the Persistent's: the next Run overwrites its
+// payload bytes in place, and the first Run after a Patch replaces it, so
+// a caller that keeps deliveries across Runs copies them.
 type Delivered struct {
 	Subs []msg.Submessage
 }

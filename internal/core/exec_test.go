@@ -57,7 +57,11 @@ func (ce *countingEndpoint) Send(to, tag int, payload []byte) error {
 		if _, dup := cc.frames[k]; dup {
 			cc.resent = append(cc.resent, k)
 		}
-		cc.frames[k] = Frame{From: k.from, To: to, Words: int64(m.PayloadBytes() / 8), Subs: len(m.Subs)}
+		payload := 0
+		for _, s := range m.Subs {
+			payload += len(s.Data)
+		}
+		cc.frames[k] = Frame{From: k.from, To: to, Words: int64(payload / 8), Subs: len(m.Subs)}
 		cc.mu.Unlock()
 	}
 	return ce.Comm.Send(to, tag, payload)

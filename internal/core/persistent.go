@@ -65,6 +65,9 @@ type Persistent struct {
 	// Replay, reusing its capacity.
 	rp      *Replay
 	lowered bool
+	// out is what every Run returns: the deliveries over rp's arena,
+	// rebuilt with each lowering.
+	out *Delivered
 	// tele, when set, is handed to rp: a Run it samples records the
 	// replay's gather, forward and deliver spans.
 	tele *telemetry.Rank
@@ -266,12 +269,16 @@ func (p *Persistent) learnedInSlots(d, from int) ([]slotKey, bool) {
 // waiting. Run is collective: every rank of the original world must call
 // it the same number of times. Telemetry comes from Instrument.
 //
+// The returned Delivered is owned by the Persistent: every Run overwrites
+// its payload bytes in place, and the first Run after a Patch replaces it.
+// A caller that keeps deliveries across Runs copies them.
+//
 // Run is a thin entry over Replay.RunSum's loop: the first Run lowers the
 // learned schedule into a byte Replay, which copies the caller's payloads
 // whole into frames written in place, checks every inbound sub-header
 // against its learned slot, and copies each delivered payload once, out of
-// its inbound frame into one arena. A steady-state Run allocates only what
-// it returns: the Delivered, its Subs and that arena.
+// its inbound frame into the Delivered's arena. A steady-state Run
+// allocates nothing.
 func (p *Persistent) Run(c runtime.Comm, payloads map[int][]byte) (*Delivered, error) {
 	if c.Rank() != p.rank || c.Size() != p.topo.Size() {
 		return nil, fmt.Errorf("core: persistent exchange bound to rank %d of %d", p.rank, p.topo.Size())
@@ -280,32 +287,35 @@ func (p *Persistent) Run(c runtime.Comm, payloads map[int][]byte) (*Delivered, e
 	if err != nil {
 		return nil, err
 	}
-	out := &Delivered{Subs: make([]msg.Submessage, len(r.delivs))}
-	r.arena = make([]byte, r.haloBytes)
-	for i, s := range r.delivs {
-		end := s.off + s.n
-		out.Subs[i] = msg.Submessage{Src: int(s.k.src), Dst: int(s.k.dst), Data: r.arena[s.off:end:end]}
-	}
 	if err := r.run(c, nil, nil, nil, p.bind(r, payloads)); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return p.out, nil
 }
 
 // replay returns Run's byte replay, lowering the learned pattern into it on
-// the first Run and on the first Run after a Patch.
+// the first Run and on the first Run after a Patch. Each lowering also
+// builds the Delivered every Run until the next one returns: one
+// submessage per learned delivery, over one new arena.
 func (p *Persistent) replay() (*Replay, error) {
 	if p.rp == nil {
 		p.rp = &Replay{}
 	}
+	r := p.rp
 	if !p.lowered {
-		if err := p.lower(p.rp, true, 0, nil); err != nil {
+		if err := p.lower(r, true, 0, nil); err != nil {
 			return nil, err
+		}
+		r.arena = make([]byte, r.haloBytes)
+		p.out = &Delivered{Subs: make([]msg.Submessage, len(r.delivs))}
+		for i, s := range r.delivs {
+			end := s.off + s.n
+			p.out.Subs[i] = msg.Submessage{Src: int(s.k.src), Dst: int(s.k.dst), Data: r.arena[s.off:end:end]}
 		}
 		p.lowered = true
 	}
-	p.rp.tele = p.tele
-	return p.rp, nil
+	r.tele = p.tele
+	return r, nil
 }
 
 // bind holds payloads to the learned contract and binds them to r.pays in

@@ -19,35 +19,12 @@ type Submessage struct {
 	Data []byte
 }
 
-// WireLen returns the number of bytes the submessage occupies inside an
-// encoded message frame (header plus payload).
-func (s Submessage) WireLen() int { return SubHeaderLen + len(s.Data) }
-
 // Message is one direct frame communicated between a pair of neighboring
 // processes in some stage: an ordered list of submessages.
 type Message struct {
 	From int
 	To   int
 	Subs []Submessage
-}
-
-// PayloadBytes returns the total payload (submessage data) carried, which is
-// what the paper's volume metric counts.
-func (m *Message) PayloadBytes() int {
-	n := 0
-	for _, s := range m.Subs {
-		n += len(s.Data)
-	}
-	return n
-}
-
-// WireLen returns the encoded frame size including all headers.
-func (m *Message) WireLen() int {
-	n := MsgHeaderLen
-	for _, s := range m.Subs {
-		n += s.WireLen()
-	}
-	return n
 }
 
 // ForwardBuffers is the fwbuf structure of Algorithm 1: fwbuf[d][x] holds

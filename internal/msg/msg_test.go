@@ -20,15 +20,12 @@ func TestMessageSizes(t *testing.T) {
 			{Src: 1, Dst: 7, Data: []byte{1, 2, 3}},
 		},
 	}
-	if got := m.PayloadBytes(); got != 8 {
-		t.Errorf("PayloadBytes = %d, want 8", got)
-	}
 	want := 16 + 3*16 + 8 // frame header, three submessage headers, payload
-	if got := m.WireLen(); got != want {
-		t.Errorf("WireLen = %d, want %d", got, want)
+	if got := EncodedSize(m); got != want {
+		t.Errorf("EncodedSize = %d, want %d", got, want)
 	}
 	if got := len(Encode(nil, m)); got != want {
-		t.Errorf("encoded length = %d, want WireLen %d", got, want)
+		t.Errorf("encoded length = %d, want %d", got, want)
 	}
 }
 
@@ -142,9 +139,9 @@ func TestWireLayout(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("Encode:\n got %v\nwant %v", got, want)
 	}
-	if MsgHeaderLen != 16 || SubHeaderLen != 16 || m.WireLen() != len(want) || EncodedSize(m) != len(want) {
-		t.Fatalf("header lengths %d/%d, WireLen %d, EncodedSize %d, golden %d bytes",
-			MsgHeaderLen, SubHeaderLen, m.WireLen(), EncodedSize(m), len(want))
+	if MsgHeaderLen != 16 || SubHeaderLen != 16 || EncodedSize(m) != len(want) {
+		t.Fatalf("header lengths %d/%d, EncodedSize %d, golden %d bytes",
+			MsgHeaderLen, SubHeaderLen, EncodedSize(m), len(want))
 	}
 	// The in-place writers produce the same bytes as Encode.
 	inPlace := bytes.Repeat([]byte{0xEE}, len(want))
@@ -262,7 +259,7 @@ func BenchmarkEncode(b *testing.B) {
 		rng.Read(data)
 		m.Subs = append(m.Subs, Submessage{Src: i, Dst: i + 1, Data: data})
 	}
-	buf := make([]byte, 0, m.WireLen())
+	buf := make([]byte, 0, EncodedSize(m))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -418,15 +418,6 @@ func (t *Rank) LinkStats() []runtime.LinkStats {
 	return box.src.LinkStats()
 }
 
-// SpanSince records a span of the given kind that started at start and
-// ends now. Pass stage -1 for spans that are not stage-scoped.
-func (t *Rank) SpanSince(k Kind, stage int, start time.Time) {
-	if t == nil {
-		return
-	}
-	t.SpanBetween(k, stage, start, time.Now())
-}
-
 // SpanMark records a span covering [prev, now) and returns now, letting
 // back-to-back phases share a single clock read per boundary — the end of
 // one phase is the start of the next. This is the hot-path form, and the

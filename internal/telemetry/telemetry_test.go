@@ -309,7 +309,7 @@ func TestSpanConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.SpanSince(KForward, 0, time.Now())
+				r.SpanMark(KForward, 0, -1, time.Now())
 				r.CountSend(0, 8)
 			}
 		}()

@@ -62,9 +62,17 @@ type sendLink struct {
 
 	// open is the packet currently accepting chunks — the coalescing
 	// point. Consecutive frames to the same peer land in one datagram
-	// whenever the sender goroutine has not yet drained the link.
+	// until the sender goroutine drains the link.
 	open      []byte
 	openCount int
+
+	// sends counts the Sends whose frames entered the link since the last
+	// drain that found any; that drain sets shared when they were more
+	// than one (senderLoop yields before draining a shared link). Both
+	// change under mu; the sender goroutine, shared's only writer, reads
+	// it without.
+	sends  int
+	shared bool
 
 	// backlog holds sealed packets awaiting a window slot, FIFO between
 	// backlogHead and len(backlog) (the array is recycled once drained).

@@ -172,15 +172,3 @@ func (c *comm) LinkStats() []runtime.LinkStats {
 	}
 	return out
 }
-
-// RankLinkStats returns the per-link snapshot of one local rank without
-// going through a Comm — the multi-process netstat driver reads stats
-// after Run has returned the communicators to the pool. Nil for remote
-// ranks.
-func (w *World) RankLinkStats(rank int) []runtime.LinkStats {
-	if rank < 0 || rank >= len(w.byRank) || w.byRank[rank] == nil {
-		return nil
-	}
-	c := comm{w: w, rs: w.byRank[rank]}
-	return c.LinkStats()
-}

@@ -103,7 +103,7 @@ func TestLinkStatsConservation(t *testing.T) {
 	framesRecvd := map[[2]int]int64{}
 	bytesSentF := map[[2]int]int64{}
 	for r := 0; r < K; r++ {
-		links := w.RankLinkStats(r)
+		links := runtime.LinkStatsOf(w.Comms()[r])
 		if len(links) == 0 {
 			t.Fatalf("rank %d has no link stats after a full exchange", r)
 		}

@@ -1,6 +1,7 @@
 package udpnet
 
 import (
+	goruntime "runtime"
 	"time"
 
 	"stfw/internal/msg"
@@ -23,6 +24,16 @@ type sendEntry struct {
 // instead of yanking it out from under the kernel. On close it makes one
 // last pass, so every frame Send accepted reaches the socket before the
 // socket goes away.
+//
+// A pass with flush work only — no ack, no resend, not closing — yields
+// the processor once before it drains when one of its links is shared: the
+// link's last drain put frames of more than one Send on the wire. Its
+// other callers (hier's leader link is fed by every rank of a node) are
+// then likely runnable, and the yield lets them append to the open packet
+// before it is sealed, so the link rides near-full datagrams. A link that
+// carries one frame per stage never becomes shared and drains at once, as
+// does every pass with an ack or a resend to send; no frame waits more
+// than one yield.
 func (w *World) senderLoop(rs *rankState) {
 	defer w.senders.Done()
 	q := &rs.out
@@ -42,6 +53,13 @@ func (w *World) senderLoop(rs *rankState) {
 		}
 		q.mu.Unlock()
 
+		if closed {
+			// A Send accepted just before Close may not have kicked its
+			// link yet: the last pass drains every link.
+			flush = rs.sl
+		} else if len(items) == 0 && anyShared(flush) {
+			goruntime.Gosched()
+		}
 		now := time.Now().UnixNano()
 		batch = batch[:0]
 		for _, it := range items {
@@ -121,11 +139,26 @@ func (w *World) stageResend(rs *rankState, sl *sendLink, seq uint32, now int64, 
 	return append(batch, sendEntry{buf: s.buf, to: sl.peer, sl: sl, seq: seq})
 }
 
+// anyShared reports whether a link of the flush set is shared (see
+// sendLink.shared). Sender goroutine only.
+func anyShared(flush []*sendLink) bool {
+	for _, sl := range flush {
+		if sl.shared {
+			return true
+		}
+	}
+	return false
+}
+
 // drainLink seals the link's open packet and promotes backlog packets into
 // window slots while credits remain.
 func (w *World) drainLink(rs *rankState, sl *sendLink, now int64, batch []sendEntry) []sendEntry {
 	promoted := false
 	sl.mu.Lock()
+	if sl.sends > 0 {
+		sl.shared = sl.sends > 1
+		sl.sends = 0
+	}
 	w.sealLocked(sl)
 	for len(sl.backlog)-sl.backlogHead > 0 && sl.inFlight() < window {
 		if sl.wnd == nil {

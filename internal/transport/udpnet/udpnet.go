@@ -16,6 +16,12 @@
 // Comm contract's per-(sender, receiver, tag) FIFO for free. A reassembled
 // frame is delivered into the receiving rank's runtime.Matcher.
 //
+// A frame joins its link's open packet and leaves when the rank's sender
+// goroutine next drains the link. Before draining a link whose last drain
+// carried frames of more than one Send, the sender yields once, so a link
+// several goroutines feed (hier's leader link) rides near-full datagrams;
+// a link fed one frame per stage drains at once (senderLoop).
+//
 // The steady state is one datagram per scheduled frame. Every data packet
 // carries the cumulative ack of the reverse link in its header, so on a
 // link the schedule uses in both directions no ack datagram is ever sent:
@@ -456,10 +462,13 @@ func (w *World) Close() {
 		}
 	}
 	w.wg.Wait()
-	// All goroutines are gone; sweep retained buffers back to their pools
-	// so ring accounting stays meaningful across worlds.
+	// The world's goroutines are gone; sweep retained buffers back to their
+	// pools so ring accounting stays meaningful across worlds. A Send racing
+	// Close still takes its link's lock before it finds the world closed,
+	// so the send side is swept under it.
 	for _, rs := range w.local {
 		for _, sl := range rs.sl {
+			sl.mu.Lock()
 			if sl.open != nil {
 				w.ring.Put(sl.open)
 				sl.open = nil
@@ -474,6 +483,7 @@ func (w *World) Close() {
 					sl.wnd[i].buf = nil
 				}
 			}
+			sl.mu.Unlock()
 		}
 		for _, rl := range rs.rl {
 			for i := range rl.pending {
@@ -655,10 +665,11 @@ func (c *comm) Barrier() error {
 
 // sendFrame fragments one frame into the link's open packet, sealing full
 // packets into the backlog. Consecutive frames to the same peer coalesce
-// into one datagram whenever the sender goroutine has not yet drained the
-// link — under load, exactly when it matters. Blocks for backlog space
-// (the bounded-memory equivalent of a full TCP socket buffer); concurrent
-// Sends on the link wait until a frame that stalled there is complete.
+// into one datagram until the sender goroutine drains the link, which it
+// puts off by one yield on a link several callers feed (senderLoop).
+// Blocks for backlog space (the bounded-memory equivalent of a full TCP
+// socket buffer); concurrent Sends on the link wait until a frame that
+// stalled there is complete.
 func (w *World) sendFrame(rs *rankState, to, tag int, payload []byte) error {
 	sl := rs.sl[to]
 	frameLen := len(payload)
@@ -713,6 +724,7 @@ func (w *World) sendFrame(rs *rankState, to, tag int, payload []byte) error {
 			w.sealLocked(sl)
 		}
 	}
+	sl.sends++
 	sl.m.frameSent()
 	if sl.framing {
 		sl.framing = false

@@ -122,7 +122,7 @@ func TestLossRecoveredByResend(t *testing.T) {
 	// hook).
 	var linkResends, timeouts, gaps, dups int64
 	for r := 0; r < K; r++ {
-		for _, l := range w.RankLinkStats(r) {
+		for _, l := range runtime.LinkStatsOf(w.Comms()[r]) {
 			linkResends += l.Resends()
 			timeouts += l.TimeoutResends
 			gaps += l.GapResends
@@ -305,7 +305,7 @@ func TestHintedAcksSuppressSpeculation(t *testing.T) {
 	// The per-link ack classification must agree with the world totals.
 	var acksSent, suppressed, stage, liveness int64
 	for r := 0; r < K; r++ {
-		for _, l := range w.RankLinkStats(r) {
+		for _, l := range runtime.LinkStatsOf(w.Comms()[r]) {
 			acksSent += l.AcksSent
 			suppressed += l.AcksSuppressed
 			stage += l.StageAcks

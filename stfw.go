@@ -86,7 +86,9 @@ func DiscoverSources(c Comm, dests []int) ([]int, error) {
 // it as a compiled program that skips all routing decisions and writes
 // every frame in place (arrival-order receives, pooled frames; see
 // DESIGN.md §6 and §8). Made for iterative applications where the same
-// exchange repeats every step.
+// exchange repeats every step. Run returns a Delivered the Persistent owns
+// and overwrites on the next Run (a steady-state Run allocates nothing);
+// copy what must outlive it.
 type Persistent = core.Persistent
 
 // NewPersistent performs the learning exchange and returns both its
