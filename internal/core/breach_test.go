@@ -151,7 +151,8 @@ func (f *recvFaultComm) RecvAnyOf(tag int, from []int) (int, []byte, error) {
 // the way a failed frame check does, not by returning on the spot. On
 // chanpt and udpnet, K=8 over T3(2,2,2), rank 0's first stage-0 receive of
 // a replay goes wrong. Every rank returns within 1 s: rank 0 with the
-// fault, every rank its poison frames reach — those sharing rank 0's
+// fault (a failed receive naming the stage, its dimension and the sender
+// it was waiting for, rank 1), every rank its poison frames reach — those sharing rank 0's
 // dimension-0 digit, whose later stages hear from it — with the poison,
 // and the others, whose stages never hear from a poisoned rank, with their
 // deliveries intact. A clean Run after it delivers the pattern on every
@@ -163,7 +164,7 @@ func TestPersistentRunRecvFault(t *testing.T) {
 	ref := refDeliveries(K, dests)
 	for _, transport := range []string{"chanpt", "udpnet"} {
 		for _, lie := range []bool{true, false} {
-			fault, want := "recv-error", "injected receive fault"
+			fault, want := "recv-error", "stage 0 (dimension 0) recv, outstanding senders [1]: injected receive fault"
 			if lie {
 				fault, want = "unexpected-sender", fmt.Sprintf("frame from unexpected sender %d", faulty)
 			}

@@ -118,7 +118,7 @@ type rStage struct {
 	tag      int
 	dim      int // VPT dimension the stage traverses (ScheduleStage.Dim)
 	frames   []rFrame
-	recvFrom []int // expected senders, learning receive order
+	recvFrom []int // expected senders (ScheduleStage.RecvFrom)
 	ins      []rIn // receive program per expected sender
 	// fold lists the stage's sum-lane contributions in the digit order of
 	// its dimension: an index into recvFrom, or -1 for this rank's own.
@@ -668,7 +668,7 @@ func (r *Replay) run(c runtime.Comm, x, halo, sum []float64, bad error) error {
 			from, raw, err := r.pol.Next(c, st.tag)
 			if err != nil {
 				if bad == nil {
-					bad = fmt.Errorf("core: rank %d replay stage %d recv: %w", r.me, si, err)
+					bad = r.recvError(si, err)
 				}
 				continue
 			}
@@ -703,6 +703,16 @@ func (r *Replay) run(c runtime.Comm, x, halo, sum []float64, bad error) error {
 		}
 	}
 	return bad
+}
+
+// recvError attributes a failed receive of stage si through recvFault. run
+// calls it only while no frame has failed, so every frame that landed is
+// retained in inFrames. The closure stays out of run: inline, it grew run's
+// stack frame and spmv-tcp-wide's op_p50_ms read 1–4 % worse (EXPERIMENTS
+// "One frame layout").
+func (r *Replay) recvError(si int, err error) error {
+	st := &r.stages[si]
+	return recvFault(r.me, si, st.dim, st.recvFrom, func(j int) bool { return r.inFrames[st.ins[j].idx] != nil }, err)
 }
 
 // deliver copies the payloads an inbound frame carries to this rank, as

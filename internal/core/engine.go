@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -18,8 +17,9 @@ import (
 // the receive discipline; the hooks own routing semantics:
 //
 //   - outSubs(d, j, slot) supplies the submessages of the j-th outbound
-//     frame of stage d (the learning run drains a forward buffer,
-//     DirectExchange wraps one payload);
+//     frame of stage d, in the order they go on the wire (the learning run
+//     drains a forward buffer and sorts it by (src, dst), DirectExchange
+//     wraps one payload);
 //   - onFrame(d, from, subs) consumes a validated inbound frame (the
 //     learning run records the frame's layout and scatters it into
 //     later-stage buffers, DirectExchange appends the delivery); the subs
@@ -34,13 +34,15 @@ import (
 // FIFO of stage batches, and inbound frames are retained until the
 // exchange ends — onFrame's submessages alias them — then recycled after
 // finish. There is one receive discipline too: a stage's frames are
-// received in arrival order (runtime.RecvPolicy over RecvAnyOf) and decoded
-// and misroute-checked as they land, and handed to onFrame in RecvFrom
-// order, each as soon as the frames listed before it have been. Routing in
-// schedule order makes what a stage leaves in the forward buffers, and so
-// every learned layout, independent of the transport's timing. Replaying
-// a learned pattern does not come here: that is the compiled Replay's
-// loop.
+// received in arrival order (runtime.RecvPolicy over RecvAnyOf), and each
+// is decoded, misroute-checked and handed to onFrame as it lands. A frame
+// from a rank outside the stage's RecvFrom set, or a second frame from one
+// inside it, is an error. The order frames land in reaches no wire byte:
+// what a stage leaves in the forward buffers is a set, and every frame the
+// learning run sends carries its submessages in ascending (src, dst)
+// order, so every learned layout is independent of the transport's timing.
+// Replaying a learned pattern does not come here: that is the compiled
+// Replay's loop.
 type stageMachine struct {
 	sched   *StageSchedule
 	outSubs func(stage, slot int, s SendSlot) ([]msg.Submessage, error)
@@ -65,15 +67,11 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 			msg.PutFrame(b)
 		}
 	}()
-	// decoded is the DecodeInto scratch. A frame that lands before its turn
-	// has its submessages parked in inSubs, the stage's j-th expected
-	// sender's at landed[j] (lo -1 until its frame arrives); byFrom orders
-	// the stage's senders by rank, so an arriving frame finds its j by
-	// binary search. All are reused stage after stage.
+	// decoded is the DecodeInto scratch; landed[j] marks the stage's j-th
+	// expected sender's frame as received. Both are reused stage after
+	// stage.
 	var decoded msg.Message
-	var inSubs []msg.Submessage
-	landed := make([]subSpan, width)
-	byFrom := make([]int, width)
+	landed := make([]bool, width)
 	var pol runtime.RecvPolicy
 	frameArr := make([]stageFrame, 0, sends) // backing array for all stages' batches
 	sw := startSendWorker(c, me, len(sm.sched.Stages))
@@ -98,34 +96,25 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 		frameArr = frameArr[:len(frameArr)+len(outs)]
 		sw.enqueue(st.Tag, outs)
 
-		// Receive one frame per expected sender, whichever lands first. The
-		// sender comes from the matcher, never from loop position, so the
-		// misroute check is valid under any delivery order. Frames are
-		// handed to onFrame in RecvFrom order: the frame whose turn it is
-		// goes straight from the scratch, then releases the parked frames
-		// queued behind it.
+		// Receive one frame per expected sender, whichever lands first, and
+		// route it as it lands. The sender comes from the matcher, never
+		// from loop position, so the misroute check is valid under any
+		// delivery order; RecvFrom is ascending, so the sender's index is a
+		// binary search away.
 		pol.Reset(st.RecvFrom)
-		for j := range st.RecvFrom {
-			landed[j] = subSpan{lo: -1}
-		}
-		byFrom = byFrom[:len(st.RecvFrom)]
-		for j := range byFrom {
-			byFrom[j] = j
-		}
-		slices.SortFunc(byFrom, func(a, b int) int { return cmp.Compare(st.RecvFrom[a], st.RecvFrom[b]) })
-		inSubs = inSubs[:0]
-		next := 0
+		landed = landed[:len(st.RecvFrom)]
+		clear(landed)
 		for pol.Outstanding() > 0 {
 			from, raw, err := pol.Next(c, st.Tag)
 			if err != nil {
-				return fmt.Errorf("core: rank %d stage %d recv, outstanding senders %v: %w",
-					me, d, outstanding(st.RecvFrom, landed), err)
+				return recvFault(me, d, st.Dim, st.RecvFrom, func(j int) bool { return landed[j] }, err)
 			}
 			retained = append(retained, raw)
-			k, ok := slices.BinarySearchFunc(byFrom, from, func(j, f int) int { return cmp.Compare(st.RecvFrom[j], f) })
-			if !ok || landed[byFrom[k]].lo >= 0 {
+			j, ok := slices.BinarySearch(st.RecvFrom, from)
+			if !ok || landed[j] {
 				return fmt.Errorf("core: rank %d stage %d: frame from unexpected sender %d", me, d, from)
 			}
+			landed[j] = true
 			if derr := msg.DecodeInto(&decoded, raw); derr != nil {
 				return fmt.Errorf("core: rank %d stage %d frame from %d: %w", me, d, from, derr)
 			}
@@ -133,21 +122,8 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 				return fmt.Errorf("core: rank %d stage %d: misrouted frame %d->%d arrived from %d",
 					me, d, decoded.From, decoded.To, from)
 			}
-			j := byFrom[k]
-			if j != next {
-				landed[j] = subSpan{lo: len(inSubs), hi: len(inSubs) + len(decoded.Subs)}
-				inSubs = append(inSubs, decoded.Subs...)
-				continue
-			}
-			landed[j] = subSpan{}
 			if err := sm.onFrame(d, from, decoded.Subs); err != nil {
 				return err
-			}
-			for next++; next < len(st.RecvFrom) && landed[next].lo >= 0; next++ {
-				l := landed[next]
-				if err := sm.onFrame(d, st.RecvFrom[next], inSubs[l.lo:l.hi:l.hi]); err != nil {
-					return err
-				}
 			}
 		}
 	}
@@ -159,20 +135,18 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 	return sm.finish()
 }
 
-// subSpan is where one inbound frame's decoded submessages sit in the
-// stage's submessage slice.
-type subSpan struct{ lo, hi int }
-
-// outstanding lists the expected senders of a stage whose frames have not
-// arrived, for attributing a failed receive.
-func outstanding(from []int, landed []subSpan) []int {
+// recvFault attributes a failed receive of stage d, which traverses
+// dimension dim: it names the expected senders whose frames have not
+// landed (landed(j) reports the j-th of from). The stage machine and the
+// compiled replay both report a failed receive through it.
+func recvFault(me, d, dim int, from []int, landed func(j int) bool, err error) error {
 	var out []int
 	for j, f := range from {
-		if landed[j].lo < 0 {
+		if !landed(j) {
 			out = append(out, f)
 		}
 	}
-	return out
+	return fmt.Errorf("core: rank %d stage %d (dimension %d) recv, outstanding senders %v: %w", me, d, dim, out, err)
 }
 
 type stageFrame struct {

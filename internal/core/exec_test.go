@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"stfw/internal/msg"
 	"stfw/internal/runtime"
@@ -373,6 +375,50 @@ func TestDirectExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDeliveries(t, s, got)
+}
+
+// TestDirectExchangeDuplicateSender: a rank that lists a sender twice
+// errors at once, naming the duplicate, instead of waiting for a second
+// frame that never comes, and no rank hangs. On chanpt K=4, rank 0 lists
+// rank 1 twice and rank 1 sends it one frame.
+func TestDirectExchangeDuplicateSender(t *testing.T) {
+	const K, bound = 4, 2 * time.Second
+	w, err := chanpt.NewWorld(K, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, K)
+	done := make(chan error, 1)
+	go func() {
+		done <- w.Run(func(c runtime.Comm) error {
+			me := c.Rank()
+			payloads, recvFrom := map[int][]byte{}, []int(nil)
+			switch me {
+			case 0:
+				recvFrom = []int{1, 1}
+			case 1:
+				payloads[0] = []byte("once")
+			}
+			_, errs[me] = DirectExchange(c, payloads, recvFrom)
+			return nil
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(bound):
+		w.Close()
+		<-done
+		t.Fatalf("a rank was still blocked after %v", bound)
+	}
+	w.Close()
+	if errs[0] == nil || !strings.Contains(errs[0].Error(), "duplicate frame from 1") {
+		t.Errorf("rank 0: error %v does not name the duplicate sender 1", errs[0])
+	}
+	for me := 1; me < K; me++ {
+		if errs[me] != nil {
+			t.Errorf("rank %d: %v", me, errs[me])
+		}
+	}
 }
 
 func TestDirectAndSTFWAgree(t *testing.T) {

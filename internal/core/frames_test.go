@@ -437,3 +437,66 @@ func BenchmarkReplayRun(b *testing.B) {
 		}
 	}
 }
+
+// TestLearningFramesSorted holds the learning run to the layout rule on
+// the wire: behind a shuffleComm, which serves every stage's receives in a
+// random order of its own, every frame a learning run sends lists its
+// submessages in strictly ascending (src, dst) order, and two learning
+// runs of one pattern under different service orders send the same bytes
+// in every frame.
+func TestLearningFramesSorted(t *testing.T) {
+	tp := vpt.MustNew(4, 4, 4)
+	K := tp.Size()
+	s := randomSendSets(rand.New(rand.NewSource(43)), K, 2, 3, 4)
+	learn := func(seed int64) map[sentKey][]byte {
+		w, err := chanpt.NewWorld(K, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		mu, rng := &sync.Mutex{}, rand.New(rand.NewSource(seed))
+		comms := w.Comms()
+		for i, c := range comms {
+			comms[i] = &shuffleComm{Passthrough: runtime.Passthrough{Comm: c}, mu: mu, rng: rng}
+		}
+		var rec frameRecorder
+		err = runtime.Run(rec.wrapAll(comms), func(c runtime.Comm) error {
+			payloads := map[int][]byte{}
+			for _, pr := range s.Sets[c.Rank()] {
+				payloads[pr.Dst] = payloadWords(c.Rank(), pr.Dst, pr.Words)
+			}
+			_, _, err := NewPersistent(c, tp, payloads)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.frames
+	}
+	a, b := learn(1), learn(2)
+	if len(a) != len(b) {
+		t.Fatalf("the learning runs sent %d and %d frames", len(a), len(b))
+	}
+	multi := 0
+	for key, raw := range a {
+		m, err := msg.Decode(raw)
+		if err != nil {
+			t.Fatalf("frame %+v: %v", key, err)
+		}
+		for i := 1; i < len(m.Subs); i++ {
+			p, q := m.Subs[i-1], m.Subs[i]
+			if p.Src > q.Src || p.Src == q.Src && p.Dst >= q.Dst {
+				t.Fatalf("frame %+v: submessage %d->%d before %d->%d", key, p.Src, p.Dst, q.Src, q.Dst)
+			}
+		}
+		if len(m.Subs) > 1 {
+			multi++
+		}
+		if !bytes.Equal(raw, b[key]) {
+			t.Fatalf("frame %+v differs between two learning runs", key)
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no frame carries more than one submessage")
+	}
+}

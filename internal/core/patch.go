@@ -11,17 +11,20 @@
 // Correctness rests on one structural property of learned schedules: every
 // stage sends a (possibly empty) frame to every dimension-d neighbor and
 // expects one back, so pattern churn never changes the stage skeleton —
-// only frame occupancy. The canonical mutation rule keeps sender and
-// receiver bit-compatible without any extra communication: removals delete
-// a slot in place, additions append in ascending (src, dst) order. Both
-// endpoints of a frame see the same delta pairs (both lie on the pairs'
-// dimension-ordered routes), so they derive identical wire layouts
-// independently.
+// only frame occupancy. The one layout rule keeps sender and receiver
+// bit-compatible without any extra communication: a frame's slots are in
+// ascending (src, dst) order, as the learning run sends them. Removals
+// delete a slot, additions append it, and every touched frame is sorted
+// again. Both endpoints of a frame see the same delta pairs (both lie on
+// the pairs' dimension-ordered routes), so they derive identical wire
+// layouts independently, and a patched pattern equals the one a relearn
+// of the mutated pattern records.
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"stfw/internal/vpt"
@@ -45,8 +48,9 @@ type PatchDelta struct {
 	Pairs []PatchPair
 }
 
-// frameRef addresses one frame of the learned layout: stage d, slot j (the
-// index into nbrFrames[d] for outbound frames, into inFrom[d] for inbound).
+// frameRef addresses one frame of the learned layout: stage d, neighbor
+// index j (into nbrFrames[d] for the outbound frame, inLayout[d] for the
+// inbound one).
 type frameRef struct{ d, j int }
 
 // PatchStats reports what a Patch touched.
@@ -98,51 +102,18 @@ func routeHops(t *vpt.Topology, me, src, dst int) (patchHops, bool) {
 	return h, involved
 }
 
-// outFrameIndex returns the index into nbrFrames[d] (equivalently, into the
-// learned schedule's stage-d send slots) of the frame sent to `to`.
-func (p *Persistent) outFrameIndex(d, to int) int {
-	for j := range p.nbrFrames[d] {
-		if p.nbrFrames[d][j].to == to {
-			return j
-		}
-	}
-	return -1
-}
-
-// inFrameIndex returns the index into inFrom[d]/inLayout[d] of the frame
-// received from `from`.
-func (p *Persistent) inFrameIndex(d, from int) int {
-	for j, f := range p.inFrom[d] {
-		if f == from {
-			return j
-		}
-	}
-	return -1
-}
-
-func containsSlot(slots []slotKey, k slotKey) bool {
-	for _, s := range slots {
-		if s == k {
-			return true
-		}
-	}
-	return false
-}
-
+// removeSlot deletes k from slots, keeping the order of the rest.
 func removeSlot(slots []slotKey, k slotKey) []slotKey {
-	for i, s := range slots {
-		if s == k {
-			return append(slots[:i], slots[i+1:]...)
-		}
+	if i := slices.Index(slots, k); i >= 0 {
+		return slices.Delete(slots, i, i+1)
 	}
 	return slots
 }
 
-func lessSlot(a, b slotKey) bool {
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.dst < b.dst
+// cmpSlot orders slots by source, then destination: the order of every
+// frame's slots.
+func cmpSlot(a, b slotKey) int {
+	return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
 }
 
 // patchOp is one validated mutation with its precomputed route involvement.
@@ -155,11 +126,14 @@ type patchOp struct {
 // Patch applies a delta to the learned pattern in place: frame slot lists,
 // inbound wire layouts, the delivery list, the destination set, and the
 // recorded sizes are all updated, and the cached schedule is rebuilt on
-// next use with the new occupancy counts. The stage skeleton (who exchanges
-// a frame with whom, per stage) is provably unchanged — learned schedules
-// send a frame to every dimension-d neighbor whether or not it carries
-// payload — so a patched world needs no re-coordination: every rank patches
-// independently from the delta the census delivered to it.
+// next use with the new occupancy counts. Every frame it touches lists its
+// slots in ascending (src, dst) order again, so the patched pattern is the
+// one a learning run of the mutated pattern records. The stage skeleton
+// (who exchanges a frame with whom, per stage) is provably unchanged —
+// learned schedules send a frame to every dimension-d neighbor whether or
+// not it carries payload — so a patched world needs no re-coordination:
+// every rank patches independently from the delta the census delivered to
+// it.
 //
 // Validation happens before any mutation; on error the Persistent is
 // unchanged. A patch is rejected if any pair's route does not transit this
@@ -206,15 +180,15 @@ func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 			return nil, fmt.Errorf("core: patch: removal of %d->%d, which the pattern does not carry", pr.Src, pr.Dst)
 		}
 		if h.sendD >= 0 {
-			j := p.outFrameIndex(h.sendD, h.sendTo)
-			if j < 0 || p.nbrFrames[h.sendD][j].f == nil || !containsSlot(p.nbrFrames[h.sendD][j].f.slots, k) {
+			j := p.nbrIndex(h.sendD, h.sendTo)
+			if j < 0 || p.nbrFrames[h.sendD][j].f == nil || !slices.Contains(p.nbrFrames[h.sendD][j].f.slots, k) {
 				return nil, fmt.Errorf("core: patch: removal of %d->%d: slot missing from the stage-%d frame to %d",
 					pr.Src, pr.Dst, h.sendD, h.sendTo)
 			}
 		}
 		if h.recvD >= 0 {
-			j := p.inFrameIndex(h.recvD, h.recvFrom)
-			if j < 0 || !containsSlot(p.inLayout[h.recvD][j], k) {
+			j := p.nbrIndex(h.recvD, h.recvFrom)
+			if j < 0 || !slices.Contains(p.inLayout[h.recvD][j], k) {
 				return nil, fmt.Errorf("core: patch: removal of %d->%d: slot missing from the stage-%d frame from %d",
 					pr.Src, pr.Dst, h.recvD, h.recvFrom)
 			}
@@ -247,8 +221,9 @@ func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 		adds = append(adds, patchOp{k: k, size: pr.Size, h: h})
 	}
 
-	// Apply pass, infallible by construction. Removals first, so a resize
-	// lands its slot at the frame tail on sender and receiver alike.
+	// Apply pass, infallible by construction: removals delete their slot,
+	// additions append theirs, and each touched frame is sorted below. A
+	// resize removes before it adds, so its slot is listed once.
 	st := &PatchStats{}
 	dirtyOut := make(map[frameRef]bool)
 	dirtyIn := make(map[frameRef]bool)
@@ -261,23 +236,18 @@ func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 			p.deliver = removeSlot(p.deliver, o.k)
 		}
 		if o.h.sendD >= 0 {
-			j := p.outFrameIndex(o.h.sendD, o.h.sendTo)
+			j := p.nbrIndex(o.h.sendD, o.h.sendTo)
 			nf := &p.nbrFrames[o.h.sendD][j]
 			nf.f.slots = removeSlot(nf.f.slots, o.k)
 			dirtyOut[frameRef{o.h.sendD, j}] = true
 		}
 		if o.h.recvD >= 0 {
-			j := p.inFrameIndex(o.h.recvD, o.h.recvFrom)
+			j := p.nbrIndex(o.h.recvD, o.h.recvFrom)
 			p.inLayout[o.h.recvD][j] = removeSlot(p.inLayout[o.h.recvD][j], o.k)
 			dirtyIn[frameRef{o.h.recvD, j}] = true
 		}
 		st.Removed++
 	}
-
-	// Additions are grouped per frame and appended in ascending (src, dst)
-	// order — the canonical rule both endpoints apply independently.
-	outAdds := make(map[frameRef][]slotKey)
-	inAdds := make(map[frameRef][]slotKey)
 	for _, o := range adds {
 		p.sizes[o.k] = o.size
 		if o.h.origin {
@@ -287,50 +257,52 @@ func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 			p.deliver = append(p.deliver, o.k)
 		}
 		if o.h.sendD >= 0 {
-			j := p.outFrameIndex(o.h.sendD, o.h.sendTo)
-			ref := frameRef{o.h.sendD, j}
-			outAdds[ref] = append(outAdds[ref], o.k)
-			dirtyOut[ref] = true
+			j := p.nbrIndex(o.h.sendD, o.h.sendTo)
+			nf := &p.nbrFrames[o.h.sendD][j]
+			if nf.f == nil {
+				nf.f = &pFrame{}
+			}
+			nf.f.slots = append(nf.f.slots, o.k)
+			dirtyOut[frameRef{o.h.sendD, j}] = true
 		}
 		if o.h.recvD >= 0 {
-			j := p.inFrameIndex(o.h.recvD, o.h.recvFrom)
-			ref := frameRef{o.h.recvD, j}
-			inAdds[ref] = append(inAdds[ref], o.k)
-			dirtyIn[ref] = true
+			j := p.nbrIndex(o.h.recvD, o.h.recvFrom)
+			p.inLayout[o.h.recvD][j] = append(p.inLayout[o.h.recvD][j], o.k)
+			dirtyIn[frameRef{o.h.recvD, j}] = true
 		}
 		st.Added++
 	}
-	for ref, ks := range outAdds {
-		sort.Slice(ks, func(i, j int) bool { return lessSlot(ks[i], ks[j]) })
-		nf := &p.nbrFrames[ref.d][ref.j]
-		if nf.f == nil {
-			nf.f = &pFrame{}
-		}
-		nf.f.slots = append(nf.f.slots, ks...)
-	}
-	for ref, ks := range inAdds {
-		sort.Slice(ks, func(i, j int) bool { return lessSlot(ks[i], ks[j]) })
-		p.inLayout[ref.d][ref.j] = append(p.inLayout[ref.d][ref.j], ks...)
-	}
 
-	// Normalize the touched frames: a drained frame reverts to the empty
-	// marker (nil, matching what a learning run records).
+	// Sort the touched frames; a drained outbound frame reverts to the
+	// empty marker (nil, matching what a learning run records), and so
+	// does a drained inbound layout.
 	for ref := range dirtyOut {
-		if nf := &p.nbrFrames[ref.d][ref.j]; nf.f != nil && len(nf.f.slots) == 0 {
+		nf := &p.nbrFrames[ref.d][ref.j]
+		if len(nf.f.slots) == 0 {
 			nf.f = nil
+			continue
 		}
+		slices.SortFunc(nf.f.slots, cmpSlot)
+	}
+	for ref := range dirtyIn {
+		in := &p.inLayout[ref.d][ref.j]
+		if len(*in) == 0 {
+			*in = nil
+			continue
+		}
+		slices.SortFunc(*in, cmpSlot)
 	}
 
 	// Derived state: the delivery order and destination list stay sorted,
 	// the cached schedule is dropped so the next lowering sees the new
 	// occupancy counts (Reserve values), and Run's replay is marked for
 	// re-lowering — the stage skeleton is identical.
-	sort.Slice(p.deliver, func(i, j int) bool { return lessSlot(p.deliver[i], p.deliver[j]) })
+	slices.SortFunc(p.deliver, cmpSlot)
 	p.destList = p.destList[:0]
 	for dst := range p.dests {
 		p.destList = append(p.destList, dst)
 	}
-	sort.Ints(p.destList)
+	slices.Sort(p.destList)
 	p.sched = nil
 	p.lowered = false
 	if err := validateSchedule(p.Schedule(), me, K); err != nil {

@@ -40,10 +40,9 @@ func synthBasePairs(seed int64, K int) map[synthPair]int {
 }
 
 // TestSynthWorldMatchesLearned anchors the synthetic ground truth to the
-// real learning run: a world learned over chanpt must carry exactly the
-// slots, sizes, deliveries, and destinations synthWorld computes locally.
-// (Within-frame slot order may differ — learning order is the forward
-// buffer's, synth order is canonical — so frames compare as sets.)
+// real learning run: a world learned over chanpt must equal what
+// synthWorld computes locally — the same slots in the same order in every
+// frame, and the same sizes, deliveries, and destinations.
 func TestSynthWorldMatchesLearned(t *testing.T) {
 	for _, c := range []struct{ K, n int }{{8, 3}, {16, 2}, {12, 2}} {
 		tp := synthTopology(t, c.K, c.n)
@@ -79,41 +78,8 @@ func TestSynthWorldMatchesLearned(t *testing.T) {
 			t.Fatalf("K=%d: learned world fails verification: %v", c.K, err)
 		}
 		for me := 0; me < c.K; me++ {
-			sp, lp := synth[me], learned[me]
-			if len(sp.sizes) != len(lp.sizes) {
-				t.Fatalf("K=%d rank %d: synth records %d sizes, learned %d", c.K, me, len(sp.sizes), len(lp.sizes))
-			}
-			for k, n := range sp.sizes {
-				if ln, ok := lp.sizes[k]; !ok || ln != n {
-					t.Fatalf("K=%d rank %d: size of %d->%d synth %d, learned %d", c.K, me, k.src, k.dst, n, ln)
-				}
-			}
-			if !slotsEqual(sp.deliver, lp.deliver) {
-				t.Fatalf("K=%d rank %d: deliver synth %v, learned %v", c.K, me, sp.deliver, lp.deliver)
-			}
-			for d := range sp.nbrFrames {
-				for _, nf := range sp.nbrFrames[d] {
-					var ss, ls []slotKey
-					if nf.f != nil {
-						ss = nf.f.slots
-					}
-					if li := lp.outFrameIndex(d, nf.to); li >= 0 && lp.nbrFrames[d][li].f != nil {
-						ls = lp.nbrFrames[d][li].f.slots
-					}
-					if !slotsEqual(slotSet(ss), slotSet(ls)) {
-						t.Fatalf("K=%d rank %d stage %d frame to %d: synth %v, learned %v", c.K, me, d, nf.to, ss, ls)
-					}
-				}
-				for j, from := range sp.inFrom[d] {
-					ls, ok := lp.learnedInSlots(d, from)
-					if !ok {
-						t.Fatalf("K=%d rank %d stage %d: learned world has no frame from %d", c.K, me, d, from)
-					}
-					if !slotsEqual(slotSet(sp.inLayout[d][j]), slotSet(ls)) {
-						t.Fatalf("K=%d rank %d stage %d frame from %d: synth %v, learned %v",
-							c.K, me, d, from, sp.inLayout[d][j], ls)
-					}
-				}
+			if err := comparePersistent(learned[me], synth[me]); err != nil {
+				t.Fatalf("K=%d: learned world differs from synthWorld: %v", c.K, err)
 			}
 		}
 	}
@@ -187,7 +153,7 @@ func TestPatchMatchesSynth(t *testing.T) {
 			}
 			want := synthWorld(tp, applyMutations(base, muts))
 			for me := range world {
-				if err := comparePersistent(world[me], want[me], false); err != nil {
+				if err := comparePersistent(world[me], want[me]); err != nil {
 					t.Fatalf("K=%d n=%d seed=%d: patched world differs from relearned: %v", c.K, c.n, seed, err)
 				}
 			}
@@ -266,7 +232,7 @@ func TestPatchRejectLeavesUnchanged(t *testing.T) {
 			if _, err := p.Patch(&tc.delta); err == nil {
 				t.Fatalf("patch accepted an invalid delta")
 			}
-			if err := comparePersistent(p, fresh[tc.rank], true); err != nil {
+			if err := comparePersistent(p, fresh[tc.rank]); err != nil {
 				t.Fatalf("rejected patch mutated state: %v", err)
 			}
 			// The cached schedule must still replay-validate.
@@ -288,7 +254,7 @@ func TestPatchRejectLeavesUnchanged(t *testing.T) {
 			if _, err := p.Patch(&PatchDelta{Pairs: []PatchPair{{Src: absent.src, Dst: absent.dst, Size: 8}}}); err == nil {
 				t.Fatalf("rank %d accepted a pair whose route does not transit it", me)
 			}
-			if err := comparePersistent(p, fresh[me], true); err != nil {
+			if err := comparePersistent(p, fresh[me]); err != nil {
 				t.Fatalf("rejected patch mutated state: %v", err)
 			}
 			return
@@ -297,21 +263,35 @@ func TestPatchRejectLeavesUnchanged(t *testing.T) {
 	})
 }
 
-// TestPatchResizeAppendsAtTail pins the canonical resize rule: a paired
-// remove+add lands the slot at the tail of the frame on both endpoints of
-// every hop, with the new size recorded.
-func TestPatchResizeAppendsAtTail(t *testing.T) {
+// TestPatchResizeKeepsFramesSorted pins the layout rule under a resize: a
+// paired remove+add lists the slot once, at its place in ascending
+// (src, dst) order, on both endpoints of every hop, with the new size
+// recorded; every frame of the patched world stays strictly ascending, and
+// the world equals synthWorld of the resized pattern slot for slot.
+func TestPatchResizeKeepsFramesSorted(t *testing.T) {
 	tp := synthTopology(t, 8, 3)
 	base := synthBasePairs(2, 8)
-	// Find a pair that actually rides a frame (src != dst).
+	// Resize the first slot of the first frame that carries more than one:
+	// under the layout rule it keeps its place at the head of that frame,
+	// where a slot appended at the tail would break the order.
+	world := synthWorld(tp, base)
 	var pr synthPair
-	for cand := range base {
-		if cand.src != cand.dst {
-			pr = cand
-			break
+	found := false
+search:
+	for _, p := range world {
+		for _, row := range p.nbrFrames {
+			for _, nf := range row {
+				if nf.f != nil && len(nf.f.slots) > 1 {
+					k := nf.f.slots[0]
+					pr, found = synthPair{int(k.src), int(k.dst)}, true
+					break search
+				}
+			}
 		}
 	}
-	world := synthWorld(tp, base)
+	if !found {
+		t.Fatal("no frame carries more than one slot")
+	}
 	muts := []PatchPair{
 		{Src: pr.src, Dst: pr.dst, Remove: true},
 		{Src: pr.src, Dst: pr.dst, Size: 8 * 7},
@@ -328,23 +308,45 @@ func TestPatchResizeAppendsAtTail(t *testing.T) {
 		if got := p.sizes[k]; got != 8*7 {
 			t.Fatalf("rank %d: resized pair records %d bytes, want %d", me, got, 8*7)
 		}
-		h, _ := routeHops(tp, me, pr.src, pr.dst)
-		if h.sendD >= 0 {
-			slots := p.nbrFrames[h.sendD][p.outFrameIndex(h.sendD, h.sendTo)].f.slots
-			if slots[len(slots)-1] != k {
-				t.Fatalf("rank %d: resized slot not at tail of outbound frame: %v", me, slots)
+	}
+	for me, p := range world {
+		for d := range p.nbrFrames {
+			for j, nf := range p.nbrFrames[d] {
+				var out []slotKey
+				if nf.f != nil {
+					out = nf.f.slots
+				}
+				for _, f := range []struct {
+					dir   string
+					slots []slotKey
+				}{{"to", out}, {"from", p.inLayout[d][j]}} {
+					if !strictlyAscending(f.slots) {
+						t.Fatalf("rank %d stage %d frame %s %d not strictly ascending: %v", me, d, f.dir, nf.to, f.slots)
+					}
+				}
 			}
 		}
-		if h.recvD >= 0 {
-			slots := p.inLayout[h.recvD][p.inFrameIndex(h.recvD, h.recvFrom)]
-			if slots[len(slots)-1] != k {
-				t.Fatalf("rank %d: resized slot not at tail of inbound layout: %v", me, slots)
-			}
+	}
+	want := synthWorld(tp, applyMutations(base, muts))
+	for me := range world {
+		if err := comparePersistent(world[me], want[me]); err != nil {
+			t.Fatalf("resized world differs from synthWorld: %v", err)
 		}
 	}
 	if err := VerifyLearnedWorld(world); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// strictlyAscending reports whether slots are in strictly ascending
+// (src, dst) order: the layout rule, with no slot listed twice.
+func strictlyAscending(slots []slotKey) bool {
+	for i := 1; i < len(slots); i++ {
+		if cmpSlot(slots[i-1], slots[i]) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // equalReplay compares two compiled replays structurally: frame sizes and

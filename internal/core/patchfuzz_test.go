@@ -52,8 +52,8 @@ func decodePatchMutations(data []byte, K int) []PatchPair {
 //
 //  1. A rejected patch is a no-op: the rank's learned state stays
 //     bit-identical (validate-then-apply, never partial application).
-//  2. When every rank accepts, the patched world is structurally identical
-//     to a world built from scratch on the mutated pattern, passes both
+//  2. When every rank accepts, the patched world equals, slot for slot, a
+//     world built from scratch on the mutated pattern, passes both
 //     whole-world verifiers, and the incrementally re-lowered Replay equals
 //     a from-scratch compile.
 //
@@ -92,7 +92,7 @@ func FuzzPatchSchedule(f *testing.F) {
 			st, err := p.Patch(deltas[me])
 			if err != nil {
 				allAccepted = false
-				if cmpErr := comparePersistent(p, pristine[me], true); cmpErr != nil {
+				if cmpErr := comparePersistent(p, pristine[me]); cmpErr != nil {
 					t.Fatalf("rank %d: rejected patch (%v) mutated state: %v", me, err, cmpErr)
 				}
 				continue
@@ -111,7 +111,7 @@ func FuzzPatchSchedule(f *testing.F) {
 		// pattern and pass the whole-world gates.
 		want := synthWorld(tp, applyMutations(base, muts))
 		for me := range world {
-			if err := comparePersistent(world[me], want[me], false); err != nil {
+			if err := comparePersistent(world[me], want[me]); err != nil {
 				t.Fatalf("patched world differs from from-scratch world: %v", err)
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"stfw/internal/vpt"
@@ -14,9 +15,10 @@ type synthPair struct{ src, dst int }
 // list — the same state a learning run over a real transport would record,
 // but computed locally: each pair's dimension-ordered route is walked and
 // its slot recorded at every hop, with slots within a frame in ascending
-// (src, dst) order (the canonical order Patch also appends in). This gives
-// the patch tests a fast, deterministic ground truth: synthWorld(mutated)
-// is what Patch-ing synthWorld(base) must be equivalent to.
+// (src, dst) order (the order the learning run sends and Patch keeps). This
+// gives the patch tests a fast, deterministic ground truth:
+// synthWorld(mutated) is what Patch-ing synthWorld(base) must equal, slot
+// for slot.
 func synthWorld(t *vpt.Topology, pairs map[synthPair]int) []*Persistent {
 	K := t.Size()
 	sorted := make([]synthPair, 0, len(pairs))
@@ -33,12 +35,10 @@ func synthWorld(t *vpt.Topology, pairs map[synthPair]int) []*Persistent {
 	ps := make([]*Persistent, K)
 	for me := 0; me < K; me++ {
 		p := &Persistent{
-			topo:     t,
-			rank:     me,
-			dests:    map[int]struct{}{},
-			sizes:    map[slotKey]int{},
-			inLayout: make([][][]slotKey, t.N()),
-			inFrom:   make([][]int, t.N()),
+			topo:  t,
+			rank:  me,
+			dests: map[int]struct{}{},
+			sizes: map[slotKey]int{},
 		}
 		// Slot sets per outbound (stage, neighbor) and inbound (stage,
 		// sender) frame; ascending pair iteration yields canonical order.
@@ -71,8 +71,7 @@ func synthWorld(t *vpt.Topology, pairs map[synthPair]int) []*Persistent {
 			}
 		}
 		// Frame skeleton: every dimension-d neighbor in digit order, on both
-		// sides, exactly like a learning run records (empty frames included
-		// on the receive side; empty outbound frames are the nil marker).
+		// sides, exactly like a learning run records (empty frames are nil).
 		p.indexNeighborFrames()
 		for d := range p.nbrFrames {
 			for j := range p.nbrFrames[d] {
@@ -80,8 +79,7 @@ func synthWorld(t *vpt.Topology, pairs map[synthPair]int) []*Persistent {
 				if slots := out[d][nf.to]; len(slots) > 0 {
 					nf.f = &pFrame{slots: slots}
 				}
-				p.inFrom[d] = append(p.inFrom[d], nf.to)
-				p.inLayout[d] = append(p.inLayout[d], in[d][nf.to])
+				p.inLayout[d][j] = in[d][nf.to]
 			}
 		}
 		ps[me] = p
@@ -136,33 +134,10 @@ func applyMutations(pairs map[synthPair]int, muts []PatchPair) map[synthPair]int
 	return out
 }
 
-// slotSet renders a slot list as a sorted copy for order-insensitive
-// comparison (Patch appends additions at the tail, synthWorld sorts).
-func slotSet(slots []slotKey) []slotKey {
-	out := append([]slotKey(nil), slots...)
-	sortSlotKeys(out)
-	return out
-}
-
-func slotsEqual(a, b []slotKey) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// comparePersistent checks structural equivalence of two ranks' learned
-// state. exact=true demands identical slot sequences everywhere (used to
-// prove a rejected Patch mutated nothing); exact=false compares frames as
-// slot sets (a patched world and a from-scratch world order slots
-// differently within a frame, but must carry the same slots, sizes,
-// deliveries, and destinations).
-func comparePersistent(a, b *Persistent, exact bool) error {
+// comparePersistent checks that two ranks' learned states are equal: the
+// same slot sequence in every frame, in both directions, and the same
+// sizes, deliveries and destinations.
+func comparePersistent(a, b *Persistent) error {
 	if a.rank != b.rank {
 		return fmt.Errorf("rank %d vs %d", a.rank, b.rank)
 	}
@@ -174,22 +149,11 @@ func comparePersistent(a, b *Persistent, exact bool) error {
 			return fmt.Errorf("rank %d: size of %d->%d is %d vs %d", a.rank, k.src, k.dst, n, b.sizes[k])
 		}
 	}
-	if !slotsEqual(a.deliver, b.deliver) {
+	if !slices.Equal(a.deliver, b.deliver) {
 		return fmt.Errorf("rank %d: deliver %v vs %v", a.rank, a.deliver, b.deliver)
 	}
-	if len(a.destList) != len(b.destList) {
+	if !slices.Equal(a.destList, b.destList) {
 		return fmt.Errorf("rank %d: destinations %v vs %v", a.rank, a.destList, b.destList)
-	}
-	for i := range a.destList {
-		if a.destList[i] != b.destList[i] {
-			return fmt.Errorf("rank %d: destinations %v vs %v", a.rank, a.destList, b.destList)
-		}
-	}
-	norm := func(s []slotKey) []slotKey {
-		if exact {
-			return append([]slotKey(nil), s...)
-		}
-		return slotSet(s)
 	}
 	for d := range a.nbrFrames {
 		if len(a.nbrFrames[d]) != len(b.nbrFrames[d]) {
@@ -207,20 +171,12 @@ func comparePersistent(a, b *Persistent, exact bool) error {
 			if bf.f != nil {
 				bs = bf.f.slots
 			}
-			if !slotsEqual(norm(as), norm(bs)) {
+			if !slices.Equal(as, bs) {
 				return fmt.Errorf("rank %d stage %d frame to %d: slots %v vs %v", a.rank, d, af.to, as, bs)
 			}
-		}
-		if len(a.inFrom[d]) != len(b.inFrom[d]) {
-			return fmt.Errorf("rank %d stage %d: %d inbound frames vs %d", a.rank, d, len(a.inFrom[d]), len(b.inFrom[d]))
-		}
-		for j := range a.inFrom[d] {
-			if a.inFrom[d][j] != b.inFrom[d][j] {
-				return fmt.Errorf("rank %d stage %d: inbound sender %d vs %d", a.rank, d, a.inFrom[d][j], b.inFrom[d][j])
-			}
-			if !slotsEqual(norm(a.inLayout[d][j]), norm(b.inLayout[d][j])) {
+			if !slices.Equal(a.inLayout[d][j], b.inLayout[d][j]) {
 				return fmt.Errorf("rank %d stage %d frame from %d: slots %v vs %v",
-					a.rank, d, a.inFrom[d][j], a.inLayout[d][j], b.inLayout[d][j])
+					a.rank, d, af.to, a.inLayout[d][j], b.inLayout[d][j])
 			}
 		}
 	}

@@ -15,9 +15,10 @@ import (
 // the same SpMV exchange repeats every iteration. The first (learning) run
 // executes Algorithm 1 normally while recording, per stage, the exact frame
 // layout this rank sends and receives: which neighbors exchange a frame
-// and, inside each frame, the ordered (src, dst) submessage slots with
-// their payload sizes. Subsequent runs replay the layout with fresh payload
-// bytes, skipping all routing decisions and forward-buffer bookkeeping.
+// and, inside each frame, the (src, dst) submessage slots in ascending
+// order with their payload sizes. Subsequent runs replay the layout with
+// fresh payload bytes, skipping all routing decisions and forward-buffer
+// bookkeeping.
 // This mirrors MPI's persistent (neighborhood) collectives.
 //
 // The learning run is the dynamic schedule front-end of the stage machine
@@ -32,10 +33,10 @@ type Persistent struct {
 	topo *vpt.Topology
 	rank int
 	// nbrFrames[d][j] pairs the j-th dimension-d neighbor — the schedule's
-	// send index, neighbor-digit order — with the nonempty frame sent to it,
-	// nil when the frame to that neighbor is empty. The learning run records
-	// each frame at its slot; Patch mutates the slot lists in place when the
-	// pattern changes.
+	// send and receive index, neighbor-digit order — with the nonempty frame
+	// sent to it, nil when the frame to that neighbor is empty. The learning
+	// run records each frame at its slot; Patch mutates the slot lists in
+	// place when the pattern changes.
 	nbrFrames [][]nbrFrame
 	// deliver lists the (src, dst) ranks whose payloads end up at this
 	// rank, in the order Exchange returns them (sorted by src, then dst).
@@ -50,13 +51,10 @@ type Persistent struct {
 	// submessages, and deliveries). Every replay holds these sizes.
 	sizes map[slotKey]int
 	// inLayout[d][j] lists the slots of the frame received from the j-th
-	// dimension-d neighbor (inFrom[d][j]), in wire order. The lowering
-	// turns it into the per-slot sub-header checks and offset copies of
-	// every replay.
+	// dimension-d neighbor (nbrFrames[d][j].to), in wire order: ascending
+	// (src, dst), nil for an empty frame. The lowering turns it into the
+	// per-slot sub-header checks and offset copies of every replay.
 	inLayout [][][]slotKey
-	// inFrom[d] lists the dimension-d neighbors in the order the learning
-	// run routed their frames: the schedule's sender order.
-	inFrom [][]int
 	// sched is the learned StageSchedule, built lazily from the recorded
 	// pattern; every lowering reads it.
 	sched *StageSchedule
@@ -93,14 +91,14 @@ type nbrFrame struct {
 // NewPersistent performs the learning run: it executes the exchange for
 // payloads and returns the deliveries along with a Persistent that can
 // replay the same pattern. The learning run is the dynamic router with
-// recording hooks; Exchange is the same run with the record dropped. It
-// injects this rank's payloads in sorted destination order, and the stage
-// machine routes each stage's frames in the schedule's sender order,
-// whatever order they arrived in: inFrom and every slot list are recorded
-// in the order submessages are scattered, so fixing that order is what
-// makes two learning runs of one pattern record the same layout whatever
-// the transport's timing. It is collective: every
-// rank of the communicator must call it with the same topology.
+// recording hooks; Exchange is the same run with the record dropped. The
+// stage machine routes frames as they land, in whatever order that is, and
+// every frame goes on the wire with its submessages in ascending (src, dst)
+// order; the recorder keeps each outbound layout at its send slot and each
+// inbound one at its sender's neighbor index. So two learning runs of one
+// pattern record the same layout whatever the transport's timing, and it
+// is the layout Patch keeps. It is collective: every rank of the
+// communicator must call it with the same topology.
 func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*Persistent, *Delivered, error) {
 	p := &Persistent{topo: t, rank: c.Rank()}
 	out, err := route(c, t, payloads, p)
@@ -130,8 +128,6 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 		p.dests = make(map[int]struct{}, len(dests))
 		p.destList = dests
 		p.sizes = make(map[slotKey]int, len(dests))
-		p.inLayout = make([][][]slotKey, t.N())
-		p.inFrom = make([][]int, t.N())
 		for _, dst := range dests {
 			p.dests[dst] = struct{}{}
 			p.sizes[slotKey{src: int32(me), dst: int32(dst)}] = len(payloads[dst])
@@ -159,9 +155,12 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 	sm := &stageMachine{
 		sched: buildTopologySchedule(t, me),
 		// Lines 9-12: each outbound frame drains the forward buffer keyed by
-		// the destination's dimension-d digit.
+		// the destination's dimension-d digit. The buffer holds the
+		// submessages in the order their frames landed; sorting them fixes
+		// the wire layout.
 		outSubs: func(d, j int, slot SendSlot) ([]msg.Submessage, error) {
 			subs := fb.Take(d, t.Digit(slot.To, d))
+			msg.SortSubs(subs)
 			if p != nil && len(subs) > 0 {
 				f := &pFrame{slots: make([]slotKey, len(subs))}
 				for i, s := range subs {
@@ -174,15 +173,14 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 		// Lines 13-17: scatter received submessages into later-stage buffers
 		// or deliver them.
 		onFrame: func(d, from int, subs []msg.Submessage) error {
-			if p != nil {
+			if p != nil && len(subs) > 0 {
 				inSlots := make([]slotKey, len(subs))
 				for i, sub := range subs {
 					k := slotKey{src: int32(sub.Src), dst: int32(sub.Dst)}
 					inSlots[i] = k
 					p.sizes[k] = len(sub.Data)
 				}
-				p.inFrom[d] = append(p.inFrom[d], from)
-				p.inLayout[d] = append(p.inLayout[d], inSlots)
+				p.inLayout[d][p.nbrIndex(d, from)] = inSlots
 			}
 			return scatterFrame(t, me, d, fb, out, subs)
 		},
@@ -201,14 +199,16 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 	return out, nil
 }
 
-// indexNeighborFrames builds nbrFrames' skeleton: per stage, every
-// dimension-d neighbor in digit order — the learning schedule's send order
-// (buildTopologySchedule) — with no frame yet. The learning run then
-// records each nonempty frame at its send index.
+// indexNeighborFrames builds the skeleton of nbrFrames and inLayout: per
+// stage, every dimension-d neighbor in digit order — the learning
+// schedule's send and receive order (buildTopologySchedule) — with no frame
+// yet. The learning run then records each nonempty frame at its neighbor
+// index.
 func (p *Persistent) indexNeighborFrames() {
 	t := p.topo
 	me := p.rank
 	p.nbrFrames = make([][]nbrFrame, t.N())
+	p.inLayout = make([][][]slotKey, t.N())
 	for d := 0; d < t.N(); d++ {
 		myDigit := t.Digit(me, d)
 		row := make([]nbrFrame, 0, t.Dim(d)-1)
@@ -219,13 +219,26 @@ func (p *Persistent) indexNeighborFrames() {
 			row = append(row, nbrFrame{to: t.WithDigit(me, d, x)})
 		}
 		p.nbrFrames[d] = row
+		p.inLayout[d] = make([][]slotKey, len(row))
 	}
 }
 
+// nbrIndex returns the index into nbrFrames[d] and inLayout[d] of the
+// dimension-d neighbor peer, or -1 when peer is not one.
+func (p *Persistent) nbrIndex(d, peer int) int {
+	for j := range p.nbrFrames[d] {
+		if p.nbrFrames[d][j].to == peer {
+			return j
+		}
+	}
+	return -1
+}
+
 // Schedule returns the learned StageSchedule — the IR every replay lowers.
-// Send slots follow the learning send order with the learned frame
-// occupancy; the inbound sender sets are the learning run's. The schedule
-// is cached inside the Persistent and must be treated as read-only.
+// Each stage sends to and receives from every dimension-d neighbor in
+// digit order, the send slots carrying the learned frame occupancy. The
+// schedule is cached inside the Persistent and must be treated as
+// read-only.
 func (p *Persistent) Schedule() *StageSchedule {
 	if p.sched != nil {
 		return p.sched
@@ -237,14 +250,15 @@ func (p *Persistent) Schedule() *StageSchedule {
 		st.Tag = StageTag(d)
 		st.Dim = d
 		st.Sends = make([]SendSlot, len(p.nbrFrames[d]))
+		st.RecvFrom = make([]int, len(p.nbrFrames[d]))
 		for j, nf := range p.nbrFrames[d] {
 			reserve := 0
 			if nf.f != nil {
 				reserve = len(nf.f.slots)
 			}
 			st.Sends[j] = SendSlot{To: nf.to, Reserve: reserve}
+			st.RecvFrom[j] = nf.to
 		}
-		st.RecvFrom = p.inFrom[d]
 	}
 	p.sched = sched
 	return sched
@@ -253,7 +267,7 @@ func (p *Persistent) Schedule() *StageSchedule {
 // learnedInSlots returns the learned wire layout of the frame the given
 // stage receives from the given sender.
 func (p *Persistent) learnedInSlots(d, from int) ([]slotKey, bool) {
-	if j := p.inFrameIndex(d, from); j >= 0 {
+	if j := p.nbrIndex(d, from); j >= 0 {
 		return p.inLayout[d][j], true
 	}
 	return nil, false

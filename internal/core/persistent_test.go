@@ -113,11 +113,9 @@ func TestPersistentMatchesExchangeDeliveries(t *testing.T) {
 // arrival-order receives are served in random order, under different
 // seeds, and in a third whose receives a shuffleComm serves in a random
 // order of its own; all three must record the same schedule and the same
-// slot layouts. (The learning run receives in arrival order but routes
-// each stage's frames in the schedule's sender order; let it route them as
-// they land and the worlds' inFrom orders differ. Let it inject its own
-// payloads in map order and the slot order inside first-stage frames
-// differs.)
+// slot layouts. (The learning run routes each frame as it lands, so its
+// forward buffers fill in arrival order; let it send them unsorted and the
+// slot order inside later-stage frames differs.)
 func TestLearningLayoutReproducible(t *testing.T) {
 	learn := func(tp *vpt.Topology, s *SendSets, comms []runtime.Comm) []*Persistent {
 		ps := make([]*Persistent, tp.Size())
@@ -184,7 +182,6 @@ func TestLearningLayoutReproducible(t *testing.T) {
 					a, b any
 				}{
 					{"nbrFrames", a[r].nbrFrames, b[r].nbrFrames},
-					{"inFrom", a[r].inFrom, b[r].inFrom},
 					{"inLayout", a[r].inLayout, b[r].inLayout},
 					{"deliver", a[r].deliver, b[r].deliver},
 					{"sizes", a[r].sizes, b[r].sizes},

@@ -11,8 +11,11 @@
 //     slot, and routing decisions are made per submessage as each stage's
 //     frames land;
 //   - learned    — from a Persistent's recorded pattern (Persistent.Run):
-//     send slots carry the learned frame layouts, and the inbound sender
-//     set is the learning run's;
+//     the dynamic schedule's skeleton, each send slot carrying its learned
+//     frame's occupancy. Every frame of a learned pattern lists its slots
+//     in ascending (src, dst) order, which Algorithm 1 leaves free, so a
+//     learned, a patched and a locally computed layout (the patch tests'
+//     synthWorld) are the same bytes;
 //   - compiled   — Persistent.Compile lowers the learned schedule further
 //     into a Replay: the same stage skeleton with every frame reduced to
 //     its size and fixed-offset ops — header writes, gathers, and
@@ -27,6 +30,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"stfw/internal/vpt"
 )
@@ -57,8 +61,9 @@ type ScheduleStage struct {
 	// rank's receive count deterministic.
 	Sends []SendSlot
 	// RecvFrom is the set of ranks that send this rank a frame in the
-	// stage. Frames are received in arrival order; the stage machine routes
-	// them in this order, each once the frames listed before it are routed.
+	// stage, in ascending rank order. Frames are received and routed in
+	// arrival order, so the order carries no meaning beyond letting a
+	// receiver find a sender by binary search.
 	RecvFrom []int
 }
 
@@ -93,7 +98,8 @@ func buildTopologySchedule(t *vpt.Topology, me int) *StageSchedule {
 
 // buildDirectSchedule is the single-stage baseline schedule: one frame per
 // destination (send order = ascending rank) and one expected frame per
-// source.
+// source (RecvFrom sorted; a source listed twice stays so, for
+// validateSchedule to reject).
 func buildDirectSchedule(me int, dests []int, recvFrom []int) *StageSchedule {
 	st := ScheduleStage{Tag: tagBase - 1, Dim: 0}
 	for _, dst := range dests {
@@ -108,21 +114,44 @@ func buildDirectSchedule(me int, dests []int, recvFrom []int) *StageSchedule {
 		}
 		st.RecvFrom = append(st.RecvFrom, from)
 	}
+	slices.Sort(st.RecvFrom)
 	return &StageSchedule{Stages: []ScheduleStage{st}}
 }
 
-// validateSchedule sanity-checks a schedule against a world size.
+// validateSchedule sanity-checks a schedule against a world size: every
+// slot names another rank of the world, RecvFrom is strictly ascending (the
+// stage machine finds a sender by binary search), and no stage lists a
+// destination or a sender twice — the receive loop would wait for a second
+// frame that never comes. Every schedule built in this package sends in
+// ascending order too, so only a hand-built one costs a set.
 func validateSchedule(sched *StageSchedule, me, size int) error {
 	for d := range sched.Stages {
 		st := &sched.Stages[d]
-		for _, s := range st.Sends {
+		ascending := true
+		for i, s := range st.Sends {
 			if s.To < 0 || s.To >= size || s.To == me {
 				return fmt.Errorf("core: schedule stage %d: send slot to %d invalid for rank %d of %d", d, s.To, me, size)
 			}
+			ascending = ascending && (i == 0 || st.Sends[i-1].To < s.To)
 		}
-		for _, f := range st.RecvFrom {
+		if !ascending {
+			seen := make(map[int]bool, len(st.Sends))
+			for _, s := range st.Sends {
+				if seen[s.To] {
+					return fmt.Errorf("core: schedule stage %d: rank %d has duplicate send slot to %d", d, me, s.To)
+				}
+				seen[s.To] = true
+			}
+		}
+		for i, f := range st.RecvFrom {
 			if f < 0 || f >= size || f == me {
 				return fmt.Errorf("core: schedule stage %d: recv slot from %d invalid for rank %d of %d", d, f, me, size)
+			}
+			if i > 0 && f <= st.RecvFrom[i-1] {
+				if slices.Contains(st.RecvFrom[:i], f) {
+					return fmt.Errorf("core: schedule stage %d: rank %d expects duplicate frame from %d", d, me, f)
+				}
+				return fmt.Errorf("core: schedule stage %d: rank %d lists its senders %v out of ascending order", d, me, st.RecvFrom)
 			}
 		}
 	}

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"stfw/internal/vpt"
 )
@@ -52,7 +52,8 @@ func (v *verifyErrs) join() error {
 //   - every send and receive slot names a valid, non-self rank;
 //   - no stage has duplicate send destinations or duplicate expected
 //     senders on one rank (each neighbor pair exchanges exactly one frame
-//     per stage);
+//     per stage), and every expected sender set is listed in ascending
+//     rank order (the stage machine finds a sender by binary search);
 //   - sends and receives match pairwise: rank a lists b as a stage-d
 //     destination if and only if rank b lists a as a stage-d expected
 //     sender. An unmatched send is a frame the receiver never drains; an
@@ -105,23 +106,6 @@ func VerifyWorld(scheds []*StageSchedule) error {
 	for r, s := range scheds {
 		if err := validateSchedule(s, r, K); err != nil {
 			v.addf("core: verify: rank %d: %v", r, err)
-		}
-		for d := range s.Stages {
-			st := &s.Stages[d]
-			seenTo := make(map[int]bool, len(st.Sends))
-			for _, slot := range st.Sends {
-				if seenTo[slot.To] {
-					v.addf("core: verify: stage %d: rank %d has duplicate send slot to %d", d, r, slot.To)
-				}
-				seenTo[slot.To] = true
-			}
-			seenFrom := make(map[int]bool, len(st.RecvFrom))
-			for _, from := range st.RecvFrom {
-				if seenFrom[from] {
-					v.addf("core: verify: stage %d: rank %d expects duplicate frame from %d", d, r, from)
-				}
-				seenFrom[from] = true
-			}
 		}
 	}
 	if len(v.errs) > 0 {
@@ -345,7 +329,7 @@ func VerifyLearnedWorld(ps []*Persistent) error {
 			}
 		}
 		want := expectDeliver[r]
-		sortSlotKeys(want)
+		slices.SortFunc(want, cmpSlot)
 		if len(want) != len(p.deliver) {
 			v.addf("core: verify: rank %d delivers %d payloads, the declared pattern sends it %d", r, len(p.deliver), len(want))
 			continue
@@ -359,10 +343,6 @@ func VerifyLearnedWorld(ps []*Persistent) error {
 		}
 	}
 	return v.join()
-}
-
-func sortSlotKeys(ks []slotKey) {
-	sort.Slice(ks, func(i, j int) bool { return lessSlot(ks[i], ks[j]) })
 }
 
 // WorldSchedules returns the dynamic front-end's schedule for every rank of

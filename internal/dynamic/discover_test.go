@@ -2,6 +2,7 @@ package dynamic_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"stfw/internal/dynamic"
 	"stfw/internal/runtime"
 	"stfw/internal/transport/chanpt"
+	"stfw/internal/transport/tptest"
 	"stfw/internal/vpt"
 )
 
@@ -146,5 +148,45 @@ func TestDiscoverValidation(t *testing.T) {
 	}
 	if _, err := dynamic.Discover(c0, small, dynamic.Delta{}); err == nil {
 		t.Fatal("census accepted a topology smaller than the world")
+	}
+}
+
+// BenchmarkDiscover times the census in churn-chan's shape: K=64 on
+// T3(4,4,4) over chanpt, the world stepped in lock step by
+// tptest.Lockstep, eight distinct seeded pairs announced per census —
+// removals and additions of 32–255 words on alternate iterations. One op
+// is one census on every rank.
+func BenchmarkDiscover(b *testing.B) {
+	const K, toggles = 64, 8
+	tp := vpt.MustNew(4, 4, 4)
+	w, err := chanpt.NewWorld(K, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	var deltas [2][]dynamic.Delta
+	deltas[0], deltas[1] = make([]dynamic.Delta, K), make([]dynamic.Delta, K)
+	rng := rand.New(rand.NewSource(K))
+	seen := map[[2]int]bool{}
+	for len(seen) < toggles {
+		pr := [2]int{rng.Intn(K), rng.Intn(K)}
+		if seen[pr] {
+			continue
+		}
+		seen[pr] = true
+		deltas[0][pr[0]].Remove = append(deltas[0][pr[0]].Remove, pr[1])
+		deltas[1][pr[0]].Add = append(deltas[1][pr[0]].Add, dynamic.Announce{Dst: pr[1], Size: 8 * (32 + rng.Intn(224))})
+	}
+	step, stop := tptest.Lockstep(w.Comms(), func(c runtime.Comm, iter int) error {
+		_, err := dynamic.Discover(c, tp, deltas[iter%2][c.Rank()])
+		return err
+	})
+	defer stop()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := step(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

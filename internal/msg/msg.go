@@ -77,8 +77,9 @@ func (fb *ForwardBuffers) SubCount() int {
 }
 
 // SortSubs orders submessages deterministically (by Src then Dst). The
-// algorithm does not require any order; tests and the static router use it
-// to compare executions.
+// algorithm does not require any order; the learning run sorts every frame
+// it sends with it, which makes this the order of every frame's
+// submessages, and exchanges return their deliveries in it.
 func SortSubs(subs []Submessage) {
 	slices.SortFunc(subs, func(a, b Submessage) int {
 		if a.Src != b.Src {
