@@ -279,12 +279,8 @@ func runSessions(runWorld func(runtime.RankFunc) error, a *sparse.CSR, part *par
 						agg.Kernel = p.Kernel
 					}
 				}
-				label := ""
-				if it == 0 && opt.Method == spmv.STFW {
-					label = " (learning)"
-				}
-				fmt.Printf("iter %d%s: %v wall (%s transport) | max over ranks: gather %v, exchange %v, kernel %v | reduce %v | max |err| = %.2e\n",
-					it, label, wall.Round(time.Microsecond), transport,
+				fmt.Printf("iter %d: %v wall (%s transport) | max over ranks: gather %v, exchange %v, kernel %v | reduce %v | max |err| = %.2e\n",
+					it, wall.Round(time.Microsecond), transport,
 					agg.Gather.Round(time.Microsecond), agg.Exchange.Round(time.Microsecond),
 					agg.Kernel.Round(time.Microsecond), reduce.Round(time.Microsecond), maxErr)
 				if maxErr > 1e-9 {

@@ -14,9 +14,11 @@ import (
 // (core.VerifyWorld) over the conformance topology set: for every shape it
 // builds a seeded irregular traffic pattern and checks the three schedule
 // front-ends — dynamic, learned (a real in-process learning exchange over
-// chanpt, with submessage conservation against the plan), and the direct
-// baseline (against the direct plan). It prints one line per topology and returns an error
-// if any world fails, making it a command-line regression gate for schedule
+// chanpt, with submessage conservation against the plan, and every rank's
+// layout equal to the one core.ComputePersistent builds from the same
+// pattern, core.VerifyLearnedWorld), and the direct baseline (against the
+// direct plan). It prints one line per topology and returns an error if any
+// world fails, making it a command-line regression gate for schedule
 // construction.
 func runVerify() error {
 	tps, err := verifyTopologies()
@@ -32,7 +34,7 @@ func runVerify() error {
 			fmt.Printf("FAIL K=%-3d dims=%v\n      %v\n", K, tp.Dims(), err)
 			continue
 		}
-		fmt.Printf("ok   K=%-3d dims=%v  dynamic+learned+direct\n", K, tp.Dims())
+		fmt.Printf("ok   K=%-3d dims=%v  dynamic+learned=computed+direct\n", K, tp.Dims())
 	}
 	if failed > 0 {
 		return fmt.Errorf("verify: %d of %d topologies failed", failed, len(tps))
@@ -98,11 +100,14 @@ func verifyOne(tp *vpt.Topology, sends *core.SendSets) error {
 		return err
 	}
 
-	learned, err := learnedSchedules(tp, sends)
+	learned, err := learnedWorld(tp, sends)
 	if err != nil {
 		return err
 	}
-	if err := core.VerifyWorldAgainstPlan(learned, plan); err != nil {
+	if err := core.VerifyLearnedWorld(learned); err != nil {
+		return fmt.Errorf("learned front-end against the computed layout: %w", err)
+	}
+	if err := core.VerifyWorldAgainstPlan(core.LearnedWorldSchedules(learned), plan); err != nil {
 		return fmt.Errorf("learned front-end: %w", err)
 	}
 
@@ -116,30 +121,27 @@ func verifyOne(tp *vpt.Topology, sends *core.SendSets) error {
 	return nil
 }
 
-// learnedSchedules runs a real learning exchange in-process and returns
-// every rank's learned StageSchedule.
-func learnedSchedules(tp *vpt.Topology, sends *core.SendSets) ([]*core.StageSchedule, error) {
+// learnedWorld runs a real learning exchange in-process and returns every
+// rank's Persistent.
+func learnedWorld(tp *vpt.Topology, sends *core.SendSets) ([]*core.Persistent, error) {
 	K := tp.Size()
 	w, err := chanpt.NewWorld(K, 2)
 	if err != nil {
 		return nil, err
 	}
-	scheds := make([]*core.StageSchedule, K)
+	ps := make([]*core.Persistent, K)
 	err = runtime.Run(w.Comms(), func(c runtime.Comm) error {
 		me := c.Rank()
 		payloads := map[int][]byte{}
 		for _, pr := range sends.Sets[me] {
 			payloads[pr.Dst] = make([]byte, 8*pr.Words)
 		}
-		p, _, err := core.NewPersistent(c, tp, payloads)
-		if err != nil {
-			return err
-		}
-		scheds[me] = p.Schedule()
-		return nil
+		var err error
+		ps[me], _, err = core.NewPersistent(c, tp, payloads)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return scheds, nil
+	return ps, nil
 }

@@ -1,9 +1,9 @@
 // Package collectives is the tree reduction under the BL exchange: an
 // allreduce (AllreduceInPlace, AllreduceScalar) and a barrier, both one
 // radix-4 reduce/broadcast walk over runtime.Comm. spmv.Session.MultiplySum
-// folds CG's dot products through it after every exchange that cannot carry
-// a sum lane (a BL exchange, an STFW session's learning multiply). A
-// compiled STFW exchange carries the lane in its own stage frames
+// folds CG's dot products through it after a BL exchange, the one exchange
+// that cannot carry a sum lane. An STFW session's exchange, compiled from
+// its first multiply on, carries the lane in its own stage frames
 // (core.Replay.RunSum) and sends nothing through this package.
 //
 // All operations are collective: every rank of the communicator must call

@@ -39,38 +39,17 @@ func synthBasePairs(seed int64, K int) map[synthPair]int {
 	return pairs
 }
 
-// TestSynthWorldMatchesLearned anchors the synthetic ground truth to the
-// real learning run: a world learned over chanpt must equal what
-// synthWorld computes locally — the same slots in the same order in every
-// frame, and the same sizes, deliveries, and destinations.
+// TestSynthWorldMatchesLearned is ComputePersistent's contract with the
+// learning run: a world learned over chanpt must equal the one synthWorld
+// computes rank by rank — the same slots in the same order in every frame,
+// and the same sizes, deliveries, and destinations — and both must pass
+// VerifyLearnedWorld.
 func TestSynthWorldMatchesLearned(t *testing.T) {
 	for _, c := range []struct{ K, n int }{{8, 3}, {16, 2}, {12, 2}} {
 		tp := synthTopology(t, c.K, c.n)
 		pairs := synthBasePairs(int64(c.K), c.K)
 		synth := synthWorld(tp, pairs)
-
-		w, err := chanpt.NewWorld(c.K, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		learned := make([]*Persistent, c.K)
-		err = runtime.Run(w.Comms(), func(cm runtime.Comm) error {
-			payloads := map[int][]byte{}
-			for pr, size := range pairs {
-				if pr.src == cm.Rank() {
-					payloads[pr.dst] = make([]byte, size)
-				}
-			}
-			p, _, err := NewPersistent(cm, tp, payloads)
-			if err != nil {
-				return err
-			}
-			learned[cm.Rank()] = p
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		learned := learnPairs(t, tp, pairs)
 		if err := VerifyLearnedWorld(synth); err != nil {
 			t.Fatalf("K=%d: synth world fails verification: %v", c.K, err)
 		}
@@ -83,6 +62,32 @@ func TestSynthWorldMatchesLearned(t *testing.T) {
 			}
 		}
 	}
+}
+
+// learnPairs runs a learning exchange of pairs over chanpt and returns
+// every rank's Persistent.
+func learnPairs(t *testing.T, tp *vpt.Topology, pairs map[synthPair]int) []*Persistent {
+	t.Helper()
+	w, err := chanpt.NewWorld(tp.Size(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	learned := make([]*Persistent, tp.Size())
+	err = runtime.Run(w.Comms(), func(cm runtime.Comm) error {
+		payloads := map[int][]byte{}
+		for pr, size := range pairs {
+			if pr.src == cm.Rank() {
+				payloads[pr.dst] = make([]byte, size)
+			}
+		}
+		p, _, err := NewPersistent(cm, tp, payloads)
+		learned[cm.Rank()] = p
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return learned
 }
 
 // synthMutations derives a seeded mutation list from a base pattern:

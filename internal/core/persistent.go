@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"stfw/internal/msg"
@@ -11,22 +12,18 @@ import (
 )
 
 // Persistent is a reusable store-and-forward exchange for a *fixed*
-// communication pattern — the common case in iterative applications, where
-// the same SpMV exchange repeats every iteration. The first (learning) run
-// executes Algorithm 1 normally while recording, per stage, the exact frame
-// layout this rank sends and receives: which neighbors exchange a frame
-// and, inside each frame, the (src, dst) submessage slots in ascending
-// order with their payload sizes. Subsequent runs replay the layout with
-// fresh payload bytes, skipping all routing decisions and forward-buffer
-// bookkeeping.
-// This mirrors MPI's persistent (neighborhood) collectives.
-//
-// The learning run is the dynamic schedule front-end of the stage machine
-// with a recorder attached; Exchange is the same run with the record
-// dropped. Every replay runs the compiled tier (see Schedule and Replay):
-// Run lowers the learned schedule into a byte Replay on first use, and
-// Compile lowers it into a word Replay that gathers float64s. Either way the learned destinations
-// and payload lengths are the contract a replay is held to.
+// communication pattern — the iterative case, where the same SpMV exchange
+// repeats every iteration, as in MPI's persistent neighborhood collectives.
+// It holds, per stage, the exact frame layout this rank sends and receives:
+// which neighbors exchange a frame and, inside each, the (src, dst) slots
+// in ascending order with their payload sizes. NewPersistent records it in
+// a learning run (Algorithm 1 with a recorder; Exchange is the same run
+// with the record dropped); ComputePersistent builds the same layout from
+// the global pattern without communicating. Every replay runs the compiled
+// tier (see Schedule and Replay): Run lowers the layout into a byte Replay
+// on first use, Compile into a word Replay that gathers float64s. Either
+// way the layout's destinations and payload lengths are the contract a
+// replay is held to.
 //
 // A Persistent is owned by one rank and is not safe for concurrent use.
 type Persistent struct {
@@ -46,9 +43,9 @@ type Persistent struct {
 	// cached for Destinations.
 	dests    map[int]struct{}
 	destList []int
-	// sizes records the payload byte length of every slot that passed
-	// through this rank during the learning run (own sends, forwarded
-	// submessages, and deliveries). Every replay holds these sizes.
+	// sizes records the payload byte length of every slot that passes
+	// through this rank (own sends, forwarded submessages, and deliveries).
+	// Every replay holds these sizes.
 	sizes map[slotKey]int
 	// inLayout[d][j] lists the slots of the frame received from the j-th
 	// dimension-d neighbor (nbrFrames[d][j].to), in wire order: ascending
@@ -83,6 +80,14 @@ type pFrame struct {
 	slots []slotKey
 }
 
+// list returns the frame's slots, nil for the empty frame.
+func (f *pFrame) list() []slotKey {
+	if f == nil {
+		return nil
+	}
+	return f.slots
+}
+
 type nbrFrame struct {
 	to int
 	f  *pFrame // nil: send an empty frame to keep receive counts deterministic
@@ -90,15 +95,13 @@ type nbrFrame struct {
 
 // NewPersistent performs the learning run: it executes the exchange for
 // payloads and returns the deliveries along with a Persistent that can
-// replay the same pattern. The learning run is the dynamic router with
-// recording hooks; Exchange is the same run with the record dropped. The
-// stage machine routes frames as they land, in whatever order that is, and
-// every frame goes on the wire with its submessages in ascending (src, dst)
+// replay the same pattern. The stage machine routes frames as they land,
+// and every frame goes on the wire with its slots in ascending (src, dst)
 // order; the recorder keeps each outbound layout at its send slot and each
-// inbound one at its sender's neighbor index. So two learning runs of one
-// pattern record the same layout whatever the transport's timing, and it
-// is the layout Patch keeps. It is collective: every rank of the
-// communicator must call it with the same topology.
+// inbound one at its sender's neighbor index. So every learning run of one
+// pattern records the same layout whatever the transport's timing, the one
+// ComputePersistent builds and Patch keeps. It is collective: every rank of
+// the communicator must call it with the same topology.
 func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*Persistent, *Delivered, error) {
 	p := &Persistent{topo: t, rank: c.Rank()}
 	out, err := route(c, t, payloads, p)
@@ -109,6 +112,82 @@ func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*P
 		p.deliver = append(p.deliver, slotKey{src: int32(s.Src), dst: int32(s.Dst)})
 	}
 	return p, out, nil
+}
+
+// ComputePersistent builds rank me's Persistent from the global pattern
+// with no communication: the layout a learning run of that pattern records,
+// slot for slot, so a world may mix computed and learned ranks. size
+// reports whether src sends dst a payload and its byte length; it is asked
+// only about the (n+1)·K pairs whose dimension-ordered route can pass me —
+// for some d, src agrees with me on every digit from d up and dst on every
+// digit below d. Each such pair's route is walked with routeHops (the walk
+// Patch uses), its slot appended to every frame of me's it occupies, and
+// every frame sorted by (src, dst) once.
+func ComputePersistent(t *vpt.Topology, me int, size func(src, dst int) (int, bool)) (*Persistent, error) {
+	K, n := t.Size(), t.N()
+	if me < 0 || me >= K {
+		return nil, fmt.Errorf("core: rank %d outside a %d-rank topology", me, K)
+	}
+	p := &Persistent{topo: t, rank: me, dests: map[int]struct{}{}, sizes: map[slotKey]int{}}
+	p.indexNeighborFrames()
+	for d := 0; d <= n; d++ {
+		// me is the rank between stages d-1 and d of the pair's route: src
+		// keeps me's digits from d up, dst me's digits below d. A src that
+		// also keeps me's digit d-1 was met at stage d-1 already.
+		low := K
+		if d < n {
+			low = t.Stride(d)
+		}
+		for src := me - me%low; src < me-me%low+low; src++ {
+			if d > 0 && t.Digit(src, d-1) == t.Digit(me, d-1) {
+				continue
+			}
+			for dst := me % low; dst < K; dst += low {
+				bytes, ok := size(src, dst)
+				if !ok {
+					continue
+				}
+				if bytes < 0 {
+					return nil, fmt.Errorf("core: pair %d->%d has negative size %d", src, dst, bytes)
+				}
+				k := slotKey{src: int32(src), dst: int32(dst)}
+				h, _ := routeHops(t, me, src, dst)
+				p.sizes[k] = bytes
+				if h.origin {
+					p.dests[dst] = struct{}{}
+					p.destList = append(p.destList, dst)
+				}
+				if h.deliver {
+					p.deliver = append(p.deliver, k)
+				}
+				if h.sendD >= 0 {
+					nf := &p.nbrFrames[h.sendD][p.nbrIndex(h.sendD, h.sendTo)]
+					if nf.f == nil {
+						nf.f = &pFrame{}
+					}
+					nf.f.slots = append(nf.f.slots, k)
+				}
+				if h.recvD >= 0 {
+					in := &p.inLayout[h.recvD][p.nbrIndex(h.recvD, h.recvFrom)]
+					*in = append(*in, k)
+				}
+			}
+		}
+	}
+	// Stage 0 met every own pair, dst ascending, so destList is sorted.
+	slices.SortFunc(p.deliver, cmpSlot)
+	for d := range p.nbrFrames {
+		for j, nf := range p.nbrFrames[d] {
+			if nf.f != nil {
+				slices.SortFunc(nf.f.slots, cmpSlot)
+			}
+			slices.SortFunc(p.inLayout[d][j], cmpSlot)
+		}
+	}
+	if err := validateSchedule(p.Schedule(), me, K); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // route is the learning run, Algorithm 1 on one rank. When p is non-nil
@@ -262,15 +341,6 @@ func (p *Persistent) Schedule() *StageSchedule {
 	}
 	p.sched = sched
 	return sched
-}
-
-// learnedInSlots returns the learned wire layout of the frame the given
-// stage receives from the given sender.
-func (p *Persistent) learnedInSlots(d, from int) ([]slotKey, bool) {
-	if j := p.nbrIndex(d, from); j >= 0 {
-		return p.inLayout[d][j], true
-	}
-	return nil, false
 }
 
 // Run replays the learned pattern with new payload bytes. The learned

@@ -204,24 +204,24 @@ func LearnedWorldSchedules(ps []*Persistent) []*StageSchedule {
 }
 
 // VerifyLearnedWorld cross-checks a world of learned (or patched)
-// Persistents far more deeply than the schedule-level VerifyWorld can: a
-// learned schedule sends a frame to every neighbor whether or not it
-// carries payload, so pattern churn never changes the schedule skeleton
-// and a structurally clean world could still carry misrouted slots. This
-// verifier checks the payload plane itself:
+// Persistents on the payload plane, which the schedule-level VerifyWorld
+// cannot see: a learned schedule sends a frame to every neighbor whether or
+// not it carries payload, so churn never changes the skeleton and a clean
+// one could still carry misrouted slots. It is one comparison: every rank
+// must equal, slot for slot, what ComputePersistent builds for it from the
+// world's own declared pattern (each rank's destinations and their payload
+// sizes). That holds:
 //
-//   - wire symmetry: the exact slot sequence of every frame a rank sends
-//     equals the receiving rank's recorded inbound layout, and both ends
-//     record the same payload size per slot;
-//   - route completeness: re-deriving every (src, dst) payload's
-//     dimension-ordered route from the world's own declared destination
-//     sets, each pair occupies exactly the frames on its route — and no
-//     frame carries a slot that no declared payload justifies;
-//   - delivery: each rank's delivery list is exactly the declared pairs
-//     destined for it, in sorted (src, dst) order.
+//   - wire symmetry: every frame's slot sequence equals its receiver's
+//     inbound layout, and both ends record the size its origin declares;
+//   - route completeness: each declared payload occupies exactly the frames
+//     on its dimension-ordered route, and no frame carries another slot;
+//   - frame order: every frame lists its slots in ascending (src, dst) order;
+//   - delivery: each rank delivers exactly the declared pairs destined for
+//     it, in sorted (src, dst) order.
 //
-// Every patched world should pass this; the dynamic-sparsity property
-// suite runs it after every mutation round.
+// A finding names the rank and, for a frame, the stage. The
+// dynamic-sparsity property suite runs it after every mutation round.
 func VerifyLearnedWorld(ps []*Persistent) error {
 	var v verifyErrs
 	K := len(ps)
@@ -244,105 +244,78 @@ func VerifyLearnedWorld(ps []*Persistent) error {
 		v.addf("core: verify: %d persistents for a %d-rank topology", K, ps[0].topo.Size())
 		return v.join()
 	}
-	t := ps[0].topo
-
-	// Wire symmetry: sender slot sequences versus receiver inbound layouts.
-	for r, p := range ps {
-		for d := range p.nbrFrames {
-			for _, nf := range p.nbrFrames[d] {
-				var sent []slotKey
-				if nf.f != nil {
-					sent = nf.f.slots
-				}
-				got, ok := ps[nf.to].learnedInSlots(d, r)
-				if !ok {
-					v.addf("core: verify: stage %d: rank %d sends to %d, which has no inbound layout for it", d, r, nf.to)
-					continue
-				}
-				if len(sent) != len(got) {
-					v.addf("core: verify: stage %d: frame %d->%d carries %d slots, receiver expects %d",
-						d, r, nf.to, len(sent), len(got))
-					continue
-				}
-				for i := range sent {
-					if sent[i] != got[i] {
-						v.addf("core: verify: stage %d: frame %d->%d slot %d is %d->%d on the sender, %d->%d on the receiver",
-							d, r, nf.to, i, sent[i].src, sent[i].dst, got[i].src, got[i].dst)
-						break
-					}
-					if ss, rs := p.sizes[sent[i]], ps[nf.to].sizes[sent[i]]; ss != rs {
-						v.addf("core: verify: stage %d: slot %d->%d sized %d on sender %d, %d on receiver %d",
-							d, sent[i].src, sent[i].dst, ss, r, rs, nf.to)
-						break
-					}
-				}
-			}
+	declared := func(src, dst int) (int, bool) {
+		if _, ok := ps[src].dests[dst]; !ok {
+			return 0, false
 		}
-	}
-	if len(v.errs) > 0 {
-		return v.join()
-	}
-
-	// Route completeness: replay every declared payload's route and demand
-	// exact set equality with the frames the world actually carries.
-	type worldFrame struct{ rank, d, to int }
-	expectOut := make(map[worldFrame]map[slotKey]bool)
-	expectDeliver := make([][]slotKey, K)
-	for src, p := range ps {
-		for _, dst := range p.destList {
-			k := slotKey{src: int32(src), dst: int32(dst)}
-			expectDeliver[dst] = append(expectDeliver[dst], k)
-			cur := src
-			for d := 0; d < t.N(); d++ {
-				next := t.RouteNext(cur, dst, d)
-				if next == cur {
-					continue
-				}
-				wf := worldFrame{cur, d, next}
-				if expectOut[wf] == nil {
-					expectOut[wf] = make(map[slotKey]bool)
-				}
-				expectOut[wf][k] = true
-				cur = next
-			}
-		}
+		return ps[src].sizes[slotKey{src: int32(src), dst: int32(dst)}], true
 	}
 	for r, p := range ps {
-		for d := range p.nbrFrames {
-			for _, nf := range p.nbrFrames[d] {
-				want := expectOut[worldFrame{r, d, nf.to}]
-				var slots []slotKey
-				if nf.f != nil {
-					slots = nf.f.slots
-				}
-				if len(slots) != len(want) {
-					v.addf("core: verify: stage %d: frame %d->%d carries %d slots, the declared pattern routes %d through it",
-						d, r, nf.to, len(slots), len(want))
-					continue
-				}
-				for _, k := range slots {
-					if !want[k] {
-						v.addf("core: verify: stage %d: frame %d->%d carries slot %d->%d, which no declared payload routes through it",
-							d, r, nf.to, k.src, k.dst)
-					}
-				}
-			}
-		}
-		want := expectDeliver[r]
-		slices.SortFunc(want, cmpSlot)
-		if len(want) != len(p.deliver) {
-			v.addf("core: verify: rank %d delivers %d payloads, the declared pattern sends it %d", r, len(p.deliver), len(want))
-			continue
-		}
-		for i := range want {
-			if want[i] != p.deliver[i] {
-				v.addf("core: verify: rank %d delivery %d is %d->%d, declared pattern says %d->%d",
-					r, i, p.deliver[i].src, p.deliver[i].dst, want[i].src, want[i].dst)
-				break
-			}
+		want, err := ComputePersistent(p.topo, r, declared)
+		if err != nil {
+			v.addf("core: verify: rank %d: %v", r, err)
+		} else if err := comparePersistent(p, want); err != nil {
+			v.addf("core: verify: %v (learned vs computed)", err)
 		}
 	}
 	return v.join()
+}
+
+// comparePersistent reports the first difference between two states of one
+// rank on one topology (a, then b, in each message): every frame's slots in
+// order with their sizes, stage by stage, then deliveries, destinations and
+// sizes.
+func comparePersistent(a, b *Persistent) error {
+	me := a.rank
+	if me != b.rank || !a.topo.Equal(b.topo) {
+		return fmt.Errorf("rank %d on %v vs rank %d on %v", me, a.topo, b.rank, b.topo)
+	}
+	for d := range a.nbrFrames {
+		for j, af := range a.nbrFrames[d] {
+			// One topology gives both the same neighbors in the same order.
+			if err := compareSlots(a, b, af.f.list(), b.nbrFrames[d][j].f.list()); err != nil {
+				return fmt.Errorf("rank %d stage %d frame to %d: %w", me, d, af.to, err)
+			}
+			in := a.inLayout[d][j]
+			if err := compareSlots(a, b, in, b.inLayout[d][j]); err != nil {
+				return fmt.Errorf("rank %d stage %d frame from %d: %w", me, d, af.to, err)
+			}
+			for _, k := range in {
+				if _, ok := slices.BinarySearchFunc(a.deliver, k, cmpSlot); k.dst == int32(me) && !ok {
+					return fmt.Errorf("rank %d stage %d frame from %d: slot %d->%d is never delivered", me, d, af.to, k.src, k.dst)
+				}
+			}
+		}
+	}
+	if !slices.Equal(a.deliver, b.deliver) {
+		return fmt.Errorf("rank %d: deliveries %v vs %v", me, a.deliver, b.deliver)
+	}
+	if !slices.Equal(a.destList, b.destList) {
+		return fmt.Errorf("rank %d: destinations %v vs %v", me, a.destList, b.destList)
+	}
+	if len(a.sizes) != len(b.sizes) {
+		return fmt.Errorf("rank %d: %d recorded sizes vs %d", me, len(a.sizes), len(b.sizes))
+	}
+	for k, n := range a.sizes {
+		if bn, ok := b.sizes[k]; !ok || bn != n {
+			return fmt.Errorf("rank %d: size of %d->%d is %d vs %d", me, k.src, k.dst, n, bn)
+		}
+	}
+	return nil
+}
+
+// compareSlots holds one frame's slot lists, as a and b record them, to the
+// same slots in the same order with the same sizes.
+func compareSlots(a, b *Persistent, as, bs []slotKey) error {
+	if !slices.Equal(as, bs) {
+		return fmt.Errorf("slots %v vs %v", as, bs)
+	}
+	for _, k := range as {
+		if a.sizes[k] != b.sizes[k] {
+			return fmt.Errorf("slot %d->%d sized %d vs %d", k.src, k.dst, a.sizes[k], b.sizes[k])
+		}
+	}
+	return nil
 }
 
 // WorldSchedules returns the dynamic front-end's schedule for every rank of

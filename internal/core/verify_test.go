@@ -54,7 +54,9 @@ func TestVerifyWorldFrontends(t *testing.T) {
 // TestVerifyWorldLearned runs a real learning exchange per topology and
 // checks that the learned schedules verify — and conserve submessages
 // against the independently computed static plan, pinning the learned
-// occupancy to the router's ground truth.
+// occupancy to the router's ground truth — and that every rank equals, slot
+// for slot, the layout ComputePersistent builds from the same pattern
+// (VerifyLearnedWorld).
 func TestVerifyWorldLearned(t *testing.T) {
 	for _, tp := range conformanceTopologies(t) {
 		tp := tp
@@ -62,7 +64,11 @@ func TestVerifyWorldLearned(t *testing.T) {
 			t.Parallel()
 			K := tp.Size()
 			dests := confSendSets(int64(K), K)
-			scheds := learnedWorld(t, tp, dests)
+			ps := learnedWorld(t, tp, dests)
+			if err := core.VerifyLearnedWorld(ps); err != nil {
+				t.Errorf("learned world differs from the computed one, K=%d dims=%v: %v", K, tp.Dims(), err)
+			}
+			scheds := core.LearnedWorldSchedules(ps)
 			if err := core.VerifyWorld(scheds); err != nil {
 				t.Errorf("learned front-end, K=%d dims=%v: %v", K, tp.Dims(), err)
 			}
@@ -78,32 +84,29 @@ func TestVerifyWorldLearned(t *testing.T) {
 }
 
 // learnedWorld runs a learning exchange of dests over chanpt and returns
-// every rank's learned schedule.
-func learnedWorld(t *testing.T, tp *vpt.Topology, dests map[int][]int) []*core.StageSchedule {
+// every rank's Persistent.
+func learnedWorld(t *testing.T, tp *vpt.Topology, dests map[int][]int) []*core.Persistent {
 	t.Helper()
 	K := tp.Size()
 	w, err := chanpt.NewWorld(K, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scheds := make([]*core.StageSchedule, K)
+	ps := make([]*core.Persistent, K)
 	err = runtime.Run(w.Comms(), func(c runtime.Comm) error {
 		me := c.Rank()
 		payloads := map[int][]byte{}
 		for _, dst := range dests[me] {
 			payloads[dst] = confPayload(me, dst)
 		}
-		p, _, err := core.NewPersistent(c, tp, payloads)
-		if err != nil {
-			return err
-		}
-		scheds[me] = p.Schedule()
-		return nil
+		var err error
+		ps[me], _, err = core.NewPersistent(c, tp, payloads)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return scheds
+	return ps
 }
 
 // copyWorld deep-copies schedules so every mutation starts from the
@@ -140,7 +143,7 @@ func TestVerifyWorldRejectsMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := learnedWorld(t, tp, dests)
+	base := core.LearnedWorldSchedules(learnedWorld(t, tp, dests))
 	if err := core.VerifyWorldAgainstPlan(base, plan); err != nil {
 		t.Fatalf("baseline world must verify: %v", err)
 	}

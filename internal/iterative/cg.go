@@ -121,8 +121,9 @@ func CG(c runtime.Comm, a *sparse.CSR, part *partition.Partition, pat *spmv.Patt
 		opt.Tol = 1e-10
 	}
 	// A session reuses the exchange pattern across iterations; under STFW
-	// the store-and-forward frame layout is learned once, then compiled and
-	// replayed. The session also caches the owned-row list.
+	// it computes the store-and-forward frame layout from pat at creation,
+	// without a learning run, so every exchange of the solve is a compiled
+	// replay. The session also caches the owned-row list.
 	sess, err := spmv.NewSession(c, a, part, pat, opt.Comm)
 	if err != nil {
 		return nil, err

@@ -17,9 +17,7 @@ type PhaseTimings struct {
 	// Gather is the time spent copying the referenced owned x entries into
 	// the local vector.
 	Gather time.Duration
-	// Exchange is the communication phase (BL or STFW). An STFW session's
-	// first multiply counts the whole learning run here: packing, routing,
-	// compiling the replay and unpacking the halo.
+	// Exchange is the communication phase: the compiled replay, BL or STFW.
 	Exchange time.Duration
 	// Kernel is the local multiply.
 	Kernel time.Duration
@@ -50,13 +48,34 @@ type program struct {
 	xloc      []float64 // [own-gather | halo], halo tail filled by the replay
 	y         []float64 // reusable result vector, only owned entries written
 
-	// replay is the compiled exchange. BL sessions build it up front; STFW
-	// sessions leave it nil until the learning multiply has run.
-	replay *core.Replay
+	replay *core.Replay // the compiled exchange, bound by NewSession
 }
 
 // lenRun is n consecutive kernel-order rows of w nonzeros each.
 type lenRun struct{ n, w int32 }
+
+// kernel writes y over the owned rows from xloc. It is a function of its own
+// so that its inner loop's code alignment does not move with edits to the
+// exchange code around it in MultiplySum (EXPERIMENTS "Computed layouts").
+func (p *program) kernel() {
+	// Rows are independent and each sums in CSR order, so walking them by
+	// length run keeps every y entry bit-identical to the serial product.
+	xloc, y, rows := p.xloc, p.y, p.rows
+	r, k := 0, 0
+	for _, run := range p.runs {
+		w := int(run.w)
+		for end := r + int(run.n); r < end; r++ {
+			ci := p.ci[k : k+w]
+			v := p.v[k : k+w]
+			var sum float64
+			for j, c := range ci {
+				sum += v[j] * xloc[c]
+			}
+			y[rows[r]] = sum
+			k += w
+		}
+	}
+}
 
 // compileProgram remaps the owned rows of a onto the [own | halo] local
 // vector layout. The halo tail is ordered exactly like the compiled

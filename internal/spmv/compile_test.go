@@ -26,8 +26,8 @@ type diffConfig struct {
 // runDifferential drives one session per rank for three rounds and requires
 // every owned row to equal the serial CSR product bit for bit — the kernel
 // preserves CSR order within a row, so the sums are the same floats. Round
-// 0 is the learning multiply under STFW: it checks that learn lays the
-// deliveries into the halo in ascending source order.
+// 0 is a session's first exchange: under STFW it checks that the layout
+// NewSession computes delivers into the halo in ascending source order.
 func runDifferential(t *testing.T, a *sparse.CSR, part *partition.Partition, cfg diffConfig) {
 	t.Helper()
 	pat, err := BuildPattern(a, part)
@@ -374,8 +374,8 @@ func TestSessionMultiplyZeroAlloc(t *testing.T) {
 		{"STFW+telemetry", Options{Method: STFW, Topo: tp, Telemetry: telemetry.MustNew(telemetry.Config{Ranks: K, Stages: tp.N()})}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			// Learning iteration (STFW) plus warmup to fill the frame arena
-			// and the transport's high-water marks.
+			// Warm-up fills the frame arena and the transport's high-water
+			// marks.
 			checkZeroAlloc(t, a, part, pat, cfg.opt, K, 0, x, 5, 1)
 		})
 	}

@@ -1,9 +1,7 @@
 package spmv
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"stfw/internal/collectives"
@@ -21,17 +19,16 @@ import (
 // remapped once onto a contiguous [own | halo] local vector, and the
 // exchange is a core.Replay that gathers payload floats straight from x
 // and scatters deliveries straight into the halo tail. A steady-state
-// Multiply performs no map lookups and no allocations. Under BL the
-// exchange compiles at session creation; under STFW the first multiply's
-// exchange is the learning run (see learn), every later one the replay it
-// compiled. The kernel is the same on every call.
+// Multiply performs no map lookups and no allocations. The exchange
+// compiles at session creation, STFW's from the frame layout
+// core.ComputePersistent computes out of the replicated pattern, so every
+// multiply, the first included, runs the compiled replay.
 //
 // Create one Session per rank inside the rank function and reuse it
 // across iterations.
 type Session struct {
 	c       runtime.Comm
 	a       *sparse.CSR
-	pat     *Pattern
 	opt     Options
 	ownRows []int    // rows this rank owns, ascending
 	prog    *program // compiled iteration
@@ -40,7 +37,7 @@ type Session struct {
 }
 
 // NewSession validates the configuration against the world and compiles the
-// per-rank iteration program.
+// per-rank iteration program, exchange included. It sends nothing.
 func NewSession(c runtime.Comm, a *sparse.CSR, part *partition.Partition, pat *Pattern, opt Options) (*Session, error) {
 	if part.K != c.Size() {
 		return nil, fmt.Errorf("spmv: partition K=%d != communicator size %d", part.K, c.Size())
@@ -62,7 +59,7 @@ func NewSession(c runtime.Comm, a *sparse.CSR, part *partition.Partition, pat *P
 			return nil, fmt.Errorf("spmv: topology size %d != communicator size %d", opt.Topo.Size(), c.Size())
 		}
 	}
-	s := &Session{c: c, a: a, pat: pat, opt: opt}
+	s := &Session{c: c, a: a, opt: opt}
 	me := c.Rank()
 	s.tel = opt.Telemetry.Rank(me)
 	for i := 0; i < a.Rows; i++ {
@@ -75,32 +72,34 @@ func NewSession(c runtime.Comm, a *sparse.CSR, part *partition.Partition, pat *P
 		return nil, err
 	}
 	s.prog = prog
+	var r *core.Replay
 	if opt.Method == BL {
 		srcWords := make(map[int]int, len(pat.RecvIdx[me]))
 		for src, lst := range pat.RecvIdx[me] {
 			srcWords[src] = len(lst)
 		}
-		r, err := core.NewDirectReplay(me, c.Size(), a.Cols, pat.SendIdx[me], srcWords)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.bindReplay(r); err != nil {
-			return nil, err
+		r, err = core.NewDirectReplay(me, c.Size(), a.Cols, pat.SendIdx[me], srcWords)
+	} else {
+		// The layout a learning run would record, computed from the pattern.
+		var layout *core.Persistent
+		layout, err = core.ComputePersistent(opt.Topo, me, func(src, dst int) (int, bool) {
+			lst, ok := pat.SendIdx[src][dst]
+			return 8 * len(lst), ok
+		})
+		if err == nil {
+			r, err = layout.Compile(a.Cols, pat.SendIdx[me])
 		}
 	}
-	return s, nil
-}
-
-// bindReplay installs the compiled exchange after checking that it fills
-// exactly the halo tail the kernel reads.
-func (s *Session) bindReplay(r *core.Replay) error {
-	if r.HaloWords() != s.prog.haloWords {
-		return fmt.Errorf("spmv: rank %d: exchange delivers %d halo words, kernel expects %d",
-			s.c.Rank(), r.HaloWords(), s.prog.haloWords)
+	if err != nil {
+		return nil, err
+	}
+	if r.HaloWords() != prog.haloWords {
+		return nil, fmt.Errorf("spmv: rank %d: exchange delivers %d halo words, kernel expects %d",
+			me, r.HaloWords(), prog.haloWords)
 	}
 	r.Instrument(s.tel)
-	s.prog.replay = r
-	return nil
+	prog.replay = r
+	return s, nil
 }
 
 // Multiply computes y = A*x for this rank's owned rows (other entries of
@@ -118,10 +117,9 @@ func (s *Session) Multiply(x []float64) ([]float64, error) {
 
 // MultiplySum is Multiply whose exchange also sums sum across the world:
 // on return every rank holds the same bits, the world total of every word.
-// A compiled STFW exchange carries the words in its stage frames
-// (core.Replay.RunSum), so the reduction sends no message of its own. The
-// two exchanges that cannot carry a lane, a BL exchange and an STFW
-// session's learning multiply, are followed by
+// An STFW exchange carries the words in its stage frames
+// (core.Replay.RunSum), so the reduction sends no message of its own. A BL
+// exchange cannot carry a lane and is followed by
 // collectives.AllreduceInPlace instead. Every rank must pass a lane of the
 // same length. In the steady state it allocates nothing.
 func (s *Session) MultiplySum(x, sum []float64) ([]float64, error) {
@@ -136,39 +134,16 @@ func (s *Session) MultiplySum(x, sum []float64) ([]float64, error) {
 	}
 	t1 := time.Now()
 	var err error
-	switch {
-	case p.replay == nil:
-		err = s.learn(x)
-	case s.opt.Method == BL:
-		err = p.replay.Run(s.c, x, p.xloc[p.nOwn:])
-	default:
+	if s.opt.Method == STFW {
 		err = p.replay.RunSum(s.c, x, p.xloc[p.nOwn:], sum)
-		sum = nil // reduced in the frames
-	}
-	if err == nil && sum != nil {
+	} else if err = p.replay.Run(s.c, x, p.xloc[p.nOwn:]); err == nil && sum != nil {
 		err = collectives.AllreduceInPlace(s.c, sum, collectives.Sum)
 	}
 	if err != nil {
 		return nil, err
 	}
 	t2 := time.Now()
-	// Rows are independent and each sums in CSR order, so walking them by
-	// length run keeps every y entry bit-identical to the serial product.
-	xloc, y, rows := p.xloc, p.y, p.rows
-	r, k := 0, 0
-	for _, run := range p.runs {
-		w := int(run.w)
-		for end := r + int(run.n); r < end; r++ {
-			ci := p.ci[k : k+w]
-			v := p.v[k : k+w]
-			var sum float64
-			for j, c := range ci {
-				sum += v[j] * xloc[c]
-			}
-			y[rows[r]] = sum
-			k += w
-		}
-	}
+	p.kernel()
 	t3 := time.Now()
 	s.tm.Gather += t1.Sub(t0)
 	s.tm.Exchange += t2.Sub(t1)
@@ -183,46 +158,6 @@ func (s *Session) MultiplySum(x, sum []float64) ([]float64, error) {
 		s.tel.SpanBetween(telemetry.KKernel, -1, t2, t3)
 	}
 	return p.y, nil
-}
-
-// learn is an STFW session's first exchange: the learning run itself
-// carries this iteration's x values, so the world performs exactly one
-// exchange per multiply from the first call on. It packs this rank's
-// outgoing values once, lets core.NewPersistent route them and record the
-// frame layout, compiles that layout into the replay every later multiply
-// runs, and copies the deliveries into the halo tail. Deliveries arrive
-// sorted by source rank, each in the sender's SendIdx order — which is the
-// halo layout compileProgram assigned.
-func (s *Session) learn(x []float64) error {
-	send := s.pat.SendIdx[s.c.Rank()]
-	payloads := make(map[int][]byte, len(send))
-	for dst, lst := range send {
-		buf := make([]byte, 0, 8*len(lst))
-		for _, j := range lst {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x[j]))
-		}
-		payloads[dst] = buf
-	}
-	persist, delivered, err := core.NewPersistent(s.c, s.opt.Topo, payloads)
-	if err != nil {
-		return err
-	}
-	r, err := persist.Compile(s.a.Cols, send)
-	if err != nil {
-		return err
-	}
-	if err := s.bindReplay(r); err != nil {
-		return err
-	}
-	halo := s.prog.xloc[s.prog.nOwn:]
-	at := 0
-	for _, sub := range delivered.Subs {
-		for b := sub.Data; len(b) >= 8; b = b[8:] {
-			halo[at] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-			at++
-		}
-	}
-	return nil
 }
 
 // OwnedRows returns the rows this rank computes, ascending. The returned

@@ -80,9 +80,9 @@ func TestSessionRepeatedMultiplies(t *testing.T) {
 }
 
 // TestMultiplySum: a lane changes nothing in y, and every rank ends with
-// the same bits of the world total, on the three exchanges a session runs
-// — a BL exchange and an STFW learning multiply, both followed by an
-// allreduce, and the compiled STFW replay carrying the lane in its frames.
+// the same bits of the world total, on the two exchanges a session runs —
+// a BL exchange followed by an allreduce, and the compiled STFW replay
+// carrying the lane in its frames from the first multiply on.
 func TestMultiplySum(t *testing.T) {
 	const K, rounds = 8, 3
 	a := testMatrix(t, 400, 3600, 50)
@@ -209,8 +209,8 @@ func TestSessionValidation(t *testing.T) {
 
 // TestSampledTracingWholeExchange pins telemetry's sampling contract on a
 // real session: STFW on T3(2,2,2), K=8, with comms wrapped and the session
-// instrumented, runs the learning multiply and then 3*SampleEvery+1 replay
-// multiplies. Spans exist only for replay exchanges 0, 16, 32 and 48, the
+// instrumented, runs 3*SampleEvery+1 multiplies, each a compiled replay
+// from the first. Spans exist only for replay exchanges 0, 16, 32 and 48, the
 // same ones on every rank, and each of them carries the complete set: the
 // replay's gather, a forward and a deliver span per stage (the deliver
 // naming the stage's one neighbour as its last sender), and the session's
@@ -248,12 +248,6 @@ func TestSampledTracingWholeExchange(t *testing.T) {
 		sess, err := NewSession(c, a, part, pat, Options{Method: STFW, Topo: tp, Telemetry: reg})
 		if err != nil {
 			return err
-		}
-		if _, err := sess.Multiply(x); err != nil { // learning run, not a sampled exchange
-			return err
-		}
-		if n := tel.SpanCount(); n != 0 {
-			return fmt.Errorf("learning multiply left %d spans", n)
 		}
 		// The complete span set of one traced replay multiply.
 		want := map[key]int{
@@ -314,8 +308,8 @@ func TestSampledTracingWholeExchange(t *testing.T) {
 		}
 	}
 	// One frame per rank per stage on T3(2,2,2), empty frames included, on
-	// the learning multiply and on every replay alike.
-	frames := int64(K * tp.N() * (1 + replays))
+	// every replay.
+	frames := int64(K * tp.N() * replays)
 	tot := snap.Totals()
 	if tot.Sends != frames || tot.Recvs != frames {
 		t.Errorf("counted %d sends, %d recvs; want %d each", tot.Sends, tot.Recvs, frames)
@@ -323,11 +317,9 @@ func TestSampledTracingWholeExchange(t *testing.T) {
 	if tot.Forwards == 0 {
 		t.Error("no forwards counted: the per-replay forward check ran on zeros")
 	}
-	// The histograms are sampled with the spans: frame sizes from the
-	// learning multiply (before any exchange was sampled out) and the four
-	// traced replays, stage latencies from the traced replays' forward and
-	// deliver spans.
-	if got, want := snap.FrameSizes.Count, int64(K*tp.N()*(1+len(wantTraced))); got != want {
+	// The histograms are sampled with the spans: frame sizes from the four
+	// traced replays, stage latencies from their forward and deliver spans.
+	if got, want := snap.FrameSizes.Count, int64(K*tp.N()*len(wantTraced)); got != want {
 		t.Errorf("frame-size histogram saw %d frames, want %d", got, want)
 	}
 	if got, want := snap.StageNs.Count, int64(K*2*tp.N()*len(wantTraced)); got != want {
