@@ -4,14 +4,14 @@
 // over loopback TCP connections: 16 ranks, each with its own listener,
 // frames length-prefixed on the wire. Each rank sends a token to a pseudo-
 // random subset of ranks through a 2D virtual topology, discovers who will
-// send to it with DiscoverSources (itself a regularized exchange), and
+// send to it with DiscoverSources (the dynamic-discovery census, which
+// rides the same topology's routes with zero-size announcements), and
 // verifies every delivery.
 package main
 
 import (
 	"fmt"
 	"log"
-	"sort"
 
 	"stfw"
 )
@@ -47,11 +47,10 @@ func main() {
 		}
 
 		// Phase 1: discover senders (collective).
-		srcs, err := stfw.DiscoverSources(c, dests)
+		srcs, err := stfw.DiscoverSources(c, topo, dests)
 		if err != nil {
 			return err
 		}
-		sort.Ints(srcs)
 
 		// Phase 2: the data exchange (collective).
 		got, err := stfw.Exchange(c, topo, payloads)

@@ -441,8 +441,8 @@ func (p *Persistent) lowerFrame(f *rFrame, to int, slots []slotKey, gather map[i
 // its payload word count). Deliveries land in Run's halo slice sorted by
 // source rank, matching the store-and-forward Replay's halo layout for the
 // same pattern. A self payload is declared via gather[me] only; srcWords
-// must not list the rank itself. Collective with the other ranks' replays,
-// like DirectExchange.
+// must not list the rank itself. Run is collective with the other ranks'
+// direct replays of the same pattern.
 func NewDirectReplay(me, size, xlen int, gather map[int][]int32, srcWords map[int]int) (*Replay, error) {
 	if me < 0 || me >= size {
 		return nil, fmt.Errorf("core: direct replay rank %d out of range [0,%d)", me, size)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"stfw/internal/msg"
 	"stfw/internal/runtime"
 	"stfw/internal/transport/chanpt"
 	"stfw/internal/vpt"
@@ -160,29 +161,32 @@ func TestCompiledMatchesPersistent(t *testing.T) {
 	}
 }
 
-// TestDirectReplayMatchesDirectExchange does the same comparison for the
-// baseline scheme: compiled direct frames against DirectExchange.
-func TestDirectReplayMatchesDirectExchange(t *testing.T) {
+// TestDirectReplayMatchesSerial runs the compiled baseline (BL) for three
+// rounds and holds every rank's halo to the serial expectation: the
+// payloads each source's harness ships to it, in source order.
+func TestDirectReplayMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	K := 12
 	s := randomSendSets(rng, K, 2, 3, 4)
 	recv := s.RecvSets()
+	hs := make([]*compiledHarness, K)
+	for me := range hs {
+		selfWords := 0
+		if me%3 == 0 {
+			selfWords = 1
+		}
+		hs[me] = buildHarness(s.Sets[me], selfWords, me)
+	}
 	w, err := chanpt.NewWorld(K, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = w.Run(func(c runtime.Comm) error {
 		me := c.Rank()
-		selfWords := 0
-		if me%3 == 0 {
-			selfWords = 1
-		}
-		h := buildHarness(s.Sets[me], selfWords, me)
+		h := hs[me]
 		srcWords := map[int]int{}
-		recvFrom := make([]int, 0, len(recv[me]))
 		for _, pr := range recv[me] {
 			srcWords[pr.Dst] = int(pr.Words)
-			recvFrom = append(recvFrom, pr.Dst)
 		}
 		r, err := NewDirectReplay(me, K, h.xlen, h.gather, srcWords)
 		if err != nil {
@@ -191,15 +195,17 @@ func TestDirectReplayMatchesDirectExchange(t *testing.T) {
 		x := make([]float64, h.xlen)
 		halo := make([]float64, r.HaloWords())
 		for round := 0; round < 3; round++ {
-			legacy, err := DirectExchange(c, h.payloadBytes(me, round), recvFrom)
-			if err != nil {
-				return err
+			want := &Delivered{}
+			for src := range hs {
+				if b, ok := hs[src].payloadBytes(src, round)[me]; ok {
+					want.Subs = append(want.Subs, msg.Submessage{Src: src, Dst: me, Data: b})
+				}
 			}
 			h.fill(x, me, round)
 			if err := r.Run(c, x, halo); err != nil {
 				return fmt.Errorf("rank %d round %d direct replay: %w", me, round, err)
 			}
-			if err := checkHaloMatches(legacy, halo); err != nil {
+			if err := checkHaloMatches(want, halo); err != nil {
 				return fmt.Errorf("rank %d round %d: %w", me, round, err)
 			}
 		}

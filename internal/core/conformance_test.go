@@ -1,11 +1,12 @@
-// Differential conformance suite: every front-end of the stage machine —
-// Exchange, DirectExchange, Persistent, compiled Replay — must produce
-// byte-identical deliveries on every supported transport, for every
-// topology shape. Each cell runs a seeded exchange and compares the full
-// Delivered payloads of every rank against a reference computed directly
-// from the send sets. Every front-end runs twice: once with the transport's
-// own arrival-order matcher and once behind forceOrdered, which hides the
-// matcher so every receive takes runtime.RecvAnyOf's fixed-order fallback.
+// Differential conformance suite: every exchange path — Exchange,
+// Persistent, the compiled Replay and the compiled baseline
+// (NewDirectReplay) — must produce byte-identical deliveries on every
+// supported transport, for every topology shape. Each cell runs a seeded
+// exchange and compares the full deliveries of every rank against a
+// reference computed directly from the send sets. Every path runs twice:
+// once with the transport's own arrival-order matcher and once behind
+// forceOrdered, which hides the matcher so every receive takes
+// runtime.RecvAnyOf's fixed-order fallback.
 package core_test
 
 import (
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"stfw/internal/core"
@@ -308,49 +310,56 @@ func TestConformanceTCP(t *testing.T)    { exchangeCells(t, "tcpnet") }
 func TestConformanceUDP(t *testing.T)    { exchangeCells(t, "udpnet") }
 func TestConformanceHier(t *testing.T)   { exchangeCells(t, "hier") }
 
-// TestConformanceDirect runs the same differential check for the baseline
-// DirectExchange over every primitive transport, both receive orders.
+// TestConformanceDirect runs the compiled baseline BL (NewDirectReplay)
+// over every primitive transport, both receive orders, for two rounds. Each
+// halo must hold the reference deliveries (refDeliveries) in order, every
+// block the words its source gathers from that round's local vector.
 func TestConformanceDirect(t *testing.T) {
-	const K = 16
+	const K, rounds = 16, 2
 	dests := confSendSets(99, K)
-	recvFrom := make([][]int, K)
-	for src, ds := range dests {
-		for _, dst := range ds {
-			recvFrom[dst] = append(recvFrom[dst], src)
+	srcWords := make([]map[int]int, K)
+	for q := range srcWords {
+		srcWords[q] = map[int]int{}
+	}
+	want := make([][][]float64, rounds)
+	for r := range want {
+		want[r] = make([][]float64, K)
+	}
+	for q, subs := range refDeliveries(K, dests) {
+		for _, sub := range subs {
+			srcWords[q][sub.Src] = confWords(sub.Src, q)
+			for r := range want {
+				x := confX(sub.Src, r)
+				for _, g := range confGather(sub.Src, dests[sub.Src])[q] {
+					want[r][q] = append(want[r][q], x[g])
+				}
+			}
 		}
 	}
-	ref := refDeliveries(K, dests)
 
 	run := func(t *testing.T, comms []runtime.Comm) {
 		reg := confInstrument(t, comms, 1)
-		got := make([]*core.Delivered, K)
 		err := runtime.Run(comms, func(c runtime.Comm) error {
-			payloads := map[int][]byte{}
-			for _, dst := range dests[c.Rank()] {
-				payloads[dst] = confPayload(c.Rank(), dst)
-			}
-			d, err := core.DirectExchange(c, payloads, recvFrom[c.Rank()])
+			me := c.Rank()
+			rep, err := core.NewDirectReplay(me, K, confXLen, confGather(me, dests[me]), srcWords[me])
 			if err != nil {
 				return err
 			}
-			got[c.Rank()] = d
+			halo := make([]float64, rep.HaloWords())
+			for r := 0; r < rounds; r++ {
+				if err := rep.Run(c, confX(me, r), halo); err != nil {
+					return err
+				}
+				if !slices.Equal(halo, want[r][me]) {
+					return fmt.Errorf("round %d rank %d: halo %v, want %v", r, me, halo, want[r][me])
+				}
+			}
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		confCheckTelemetry(t, reg)
-		for q := 0; q < K; q++ {
-			if len(got[q].Subs) != len(ref[q]) {
-				t.Fatalf("rank %d: %d deliveries, want %d", q, len(got[q].Subs), len(ref[q]))
-			}
-			for i, sub := range got[q].Subs {
-				w := ref[q][i]
-				if sub.Src != w.Src || !bytes.Equal(sub.Data, w.Data) {
-					t.Fatalf("rank %d delivery %d differs", q, i)
-				}
-			}
-		}
 	}
 
 	for _, transport := range []string{"chanpt", "tcpnet", "udpnet"} {

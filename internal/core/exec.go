@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"stfw/internal/msg"
 	"stfw/internal/runtime"
@@ -36,7 +35,7 @@ func TagStage(tag, maxStages int) (int, bool) {
 		return d, true
 	}
 	if tag == tagBase-1 {
-		return 0, true // the direct-exchange tag maps to a single stage
+		return 0, true // the direct baseline's tag (NewDirectReplay) maps to its single stage
 	}
 	return 0, false
 }
@@ -104,96 +103,4 @@ func scatterFrame(t *vpt.Topology, me, d int, fb *msg.ForwardBuffers, out *Deliv
 		fb.Put(c2, t.Digit(sub.Dst, c2), sub)
 	}
 	return nil
-}
-
-// DirectExchange is the baseline scheme BL: every rank sends its payloads
-// straight to their destinations and receives from the ranks listed in
-// recvFrom (which the application knows, e.g. from its data distribution;
-// use SendSets.RecvSets or CountExchange to obtain it). It is the stage
-// machine's single-stage front-end: one frame per destination, one
-// expected frame per source.
-func DirectExchange(c runtime.Comm, payloads map[int][]byte, recvFrom []int) (*Delivered, error) {
-	me := c.Rank()
-	out := &Delivered{}
-	dests := make([]int, 0, len(payloads))
-	for dst := range payloads {
-		if dst < 0 || dst >= c.Size() {
-			return nil, fmt.Errorf("core: rank %d: destination %d out of range", me, dst)
-		}
-		if dst == me {
-			out.Subs = append(out.Subs, msg.Submessage{Src: me, Dst: me, Data: payloads[me]})
-			continue
-		}
-		dests = append(dests, dst)
-	}
-	sort.Ints(dests) // deterministic send order (the schedule is ordered data, not map iteration)
-
-	// One submessage per outbound frame, backed by a single array so the
-	// send worker can alias slices of it until the exchange ends.
-	subArr := make([]msg.Submessage, 0, len(dests))
-	sched := buildDirectSchedule(me, dests, recvFrom)
-	if err := validateSchedule(sched, me, c.Size()); err != nil {
-		return nil, err
-	}
-	sm := &stageMachine{
-		sched: sched,
-		outSubs: func(_, _ int, slot SendSlot) ([]msg.Submessage, error) {
-			subArr = append(subArr, msg.Submessage{Src: me, Dst: slot.To, Data: payloads[slot.To]})
-			return subArr[len(subArr)-1:], nil
-		},
-		onFrame: func(_, from int, subs []msg.Submessage) error {
-			if len(subs) != 1 || subs[0].Src != from || subs[0].Dst != me {
-				return fmt.Errorf("core: rank %d: malformed direct frame from %d", me, from)
-			}
-			out.Subs = append(out.Subs, subs[0])
-			return nil
-		},
-		finish: func() error {
-			msg.SortSubs(out.Subs)
-			msg.CompactSubs(out.Subs)
-			return nil
-		},
-	}
-	if err := sm.run(c, me); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// CountExchange lets each rank learn which ranks will send to it without
-// global knowledge, using a hypercube-style regularized exchange of count
-// vectors (the same trick the STFW scheme itself uses for data). It returns
-// the sorted list of source ranks that have this rank in their send set.
-// K must match the communicator size; the call is collective.
-func CountExchange(c runtime.Comm, dests []int) ([]int, error) {
-	K := c.Size()
-	me := c.Rank()
-	t, err := bestEffortTopology(K)
-	if err != nil {
-		return nil, err
-	}
-	payloads := make(map[int][]byte, len(dests))
-	for _, dst := range dests {
-		payloads[dst] = []byte{} // empty announcement: "I will send to you"
-	}
-	got, err := Exchange(c, t, payloads)
-	if err != nil {
-		return nil, err
-	}
-	srcs := make([]int, 0, len(got.Subs))
-	for _, sub := range got.Subs {
-		if sub.Src != me {
-			srcs = append(srcs, sub.Src)
-		}
-	}
-	return srcs, nil
-}
-
-// bestEffortTopology returns the highest-dimensional balanced VPT for K
-// when K is a power of two, and the direct topology otherwise.
-func bestEffortTopology(K int) (*vpt.Topology, error) {
-	if K >= 2 && K&(K-1) == 0 {
-		return vpt.NewBalanced(K, vpt.MaxDim(K))
-	}
-	return vpt.Direct(K)
 }

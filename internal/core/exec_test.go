@@ -5,11 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"stfw/internal/msg"
 	"stfw/internal/runtime"
@@ -293,8 +291,8 @@ func TestExchangeEmptyPayloads(t *testing.T) {
 }
 
 func TestExchangeZeroLengthData(t *testing.T) {
-	// Zero-byte payloads (used by CountExchange) must be routed and
-	// delivered like any other submessage.
+	// Zero-byte payloads must be routed and delivered like any other
+	// submessage.
 	tp := vpt.MustNew(2, 2)
 	w, _ := chanpt.NewWorld(4, 2)
 	err := w.Run(func(c runtime.Comm) error {
@@ -348,79 +346,9 @@ func TestExchangeBadDestination(t *testing.T) {
 	}
 }
 
-func TestDirectExchange(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	K := 16
-	s := randomSendSets(rng, K, 2, 3, 4)
-	recv := s.RecvSets()
-	w, _ := chanpt.NewWorld(K, K)
-	got := make([]*Delivered, K)
-	err := w.Run(func(c runtime.Comm) error {
-		payloads := map[int][]byte{}
-		for _, pr := range s.Sets[c.Rank()] {
-			payloads[pr.Dst] = payloadWords(c.Rank(), pr.Dst, pr.Words)
-		}
-		recvFrom := make([]int, 0, len(recv[c.Rank()]))
-		for _, pr := range recv[c.Rank()] {
-			recvFrom = append(recvFrom, pr.Dst)
-		}
-		d, err := DirectExchange(c, payloads, recvFrom)
-		if err != nil {
-			return err
-		}
-		got[c.Rank()] = d
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDeliveries(t, s, got)
-}
-
-// TestDirectExchangeDuplicateSender: a rank that lists a sender twice
-// errors at once, naming the duplicate, instead of waiting for a second
-// frame that never comes, and no rank hangs. On chanpt K=4, rank 0 lists
-// rank 1 twice and rank 1 sends it one frame.
-func TestDirectExchangeDuplicateSender(t *testing.T) {
-	const K, bound = 4, 2 * time.Second
-	w, err := chanpt.NewWorld(K, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errs := make([]error, K)
-	done := make(chan error, 1)
-	go func() {
-		done <- w.Run(func(c runtime.Comm) error {
-			me := c.Rank()
-			payloads, recvFrom := map[int][]byte{}, []int(nil)
-			switch me {
-			case 0:
-				recvFrom = []int{1, 1}
-			case 1:
-				payloads[0] = []byte("once")
-			}
-			_, errs[me] = DirectExchange(c, payloads, recvFrom)
-			return nil
-		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(bound):
-		w.Close()
-		<-done
-		t.Fatalf("a rank was still blocked after %v", bound)
-	}
-	w.Close()
-	if errs[0] == nil || !strings.Contains(errs[0].Error(), "duplicate frame from 1") {
-		t.Errorf("rank 0: error %v does not name the duplicate sender 1", errs[0])
-	}
-	for me := 1; me < K; me++ {
-		if errs[me] != nil {
-			t.Errorf("rank %d: %v", me, errs[me])
-		}
-	}
-}
-
+// TestDirectAndSTFWAgree runs one pattern through both schemes in one
+// world: the one-shot store-and-forward Exchange and the compiled baseline
+// (NewDirectReplay) must deliver the same values from the same sources.
 func TestDirectAndSTFWAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	K := 32
@@ -428,75 +356,77 @@ func TestDirectAndSTFWAgree(t *testing.T) {
 	recv := s.RecvSets()
 	tp, _ := vpt.NewBalanced(K, 5)
 
-	gotSTFW, _ := runExchange(t, tp, s)
-
 	w, _ := chanpt.NewWorld(K, K)
-	gotBL := make([]*Delivered, K)
 	err := w.Run(func(c runtime.Comm) error {
-		payloads := map[int][]byte{}
-		for _, pr := range s.Sets[c.Rank()] {
-			payloads[pr.Dst] = payloadWords(c.Rank(), pr.Dst, pr.Words)
-		}
-		var recvFrom []int
-		for _, pr := range recv[c.Rank()] {
-			recvFrom = append(recvFrom, pr.Dst)
-		}
-		d, err := DirectExchange(c, payloads, recvFrom)
+		me := c.Rank()
+		h := buildHarness(s.Sets[me], 0, me)
+		stfw, err := Exchange(c, tp, h.payloadBytes(me, 0))
 		if err != nil {
 			return err
 		}
-		gotBL[c.Rank()] = d
+		srcWords := map[int]int{}
+		for _, pr := range recv[me] {
+			srcWords[pr.Dst] = int(pr.Words)
+		}
+		r, err := NewDirectReplay(me, K, h.xlen, h.gather, srcWords)
+		if err != nil {
+			return err
+		}
+		x := make([]float64, h.xlen)
+		h.fill(x, me, 0)
+		halo := make([]float64, r.HaloWords())
+		if err := r.Run(c, x, halo); err != nil {
+			return err
+		}
+		if err := checkHaloMatches(stfw, halo); err != nil {
+			return fmt.Errorf("rank %d: BL differs from STFW: %w", me, err)
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for q := 0; q < K; q++ {
-		a, b := gotSTFW[q].Subs, gotBL[q].Subs
-		if len(a) != len(b) {
-			t.Fatalf("rank %d: STFW delivered %d, BL %d", q, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].Src != b[i].Src || !bytes.Equal(a[i].Data, b[i].Data) {
-				t.Fatalf("rank %d delivery %d differs between schemes", q, i)
-			}
-		}
-	}
 }
 
-func TestCountExchange(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, K := range []int{8, 16, 7} { // include a non-power-of-two world
-		s := randomSendSets(rng, K, 1, 2, 1)
-		recv := s.RecvSets()
-		w, _ := chanpt.NewWorld(K, K)
-		err := w.Run(func(c runtime.Comm) error {
-			var dests []int
-			for _, pr := range s.Sets[c.Rank()] {
-				dests = append(dests, pr.Dst)
-			}
-			srcs, err := CountExchange(c, dests)
-			if err != nil {
-				return err
-			}
-			sort.Ints(srcs)
-			var want []int
-			for _, pr := range recv[c.Rank()] {
-				want = append(want, pr.Dst)
-			}
-			if len(srcs) != len(want) {
-				return fmt.Errorf("rank %d: got %v, want %v", c.Rank(), srcs, want)
-			}
-			for i := range want {
-				if srcs[i] != want[i] {
-					return fmt.Errorf("rank %d: got %v, want %v", c.Rank(), srcs, want)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("K=%d: %v", K, err)
+// TestValidateSchedule holds validateSchedule to its rejections, one row
+// each, every one naming what it rejects, and to accepting a stage whose
+// sends are not in ascending order. A sender listed twice is rejected
+// before any frame moves, not left to wait for a second frame that never
+// comes.
+func TestValidateSchedule(t *testing.T) {
+	const me, size = 2, 6
+	stage := func(sends []int, recvFrom ...int) *StageSchedule {
+		st := ScheduleStage{Tag: StageTag(0), RecvFrom: recvFrom}
+		for _, to := range sends {
+			st.Sends = append(st.Sends, SendSlot{To: to})
 		}
+		return &StageSchedule{Stages: []ScheduleStage{st}}
+	}
+	for _, tc := range []struct {
+		name  string
+		sched *StageSchedule
+		want  string // "" = accepted
+	}{
+		{"unordered sends", stage([]int{4, 0, 5, 1}, 0, 1, 3), ""},
+		{"duplicate send slot", stage([]int{4, 0, 4}, 0, 1), "duplicate send slot to 4"},
+		{"duplicate sender", stage([]int{0}, 1, 1), "expects duplicate frame from 1"},
+		{"senders out of order", stage([]int{0}, 3, 1), "senders [3 1] out of ascending order"},
+		{"send slot out of range", stage([]int{0, size}, 1), "send slot to 6 invalid"},
+		{"recv slot out of range", stage([]int{0}, -1, 1), "recv slot from -1 invalid"},
+		{"send slot to self", stage([]int{0, me}, 1), "send slot to 2 invalid"},
+		{"recv slot from self", stage([]int{0}, 1, me), "recv slot from 2 invalid"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := validateSchedule(tc.sched, me, size)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.want != "" && err == nil:
+				t.Fatalf("accepted, want an error naming %q", tc.want)
+			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("error %q does not name %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -78,7 +78,7 @@ type patchHops struct {
 }
 
 // routeHops walks the digit-correction route of (src, dst) — the exact path
-// the stage machine forwards the payload along — and extracts rank me's
+// the learning run forwards the payload along — and extracts rank me's
 // hops. The second result reports whether the route involves me at all.
 func routeHops(t *vpt.Topology, me, src, dst int) (patchHops, bool) {
 	h := patchHops{origin: src == me, deliver: dst == me, sendD: -1, recvD: -1}

@@ -95,7 +95,7 @@ type nbrFrame struct {
 
 // NewPersistent performs the learning run: it executes the exchange for
 // payloads and returns the deliveries along with a Persistent that can
-// replay the same pattern. The stage machine routes frames as they land,
+// replay the same pattern. The run routes frames as they land (route),
 // and every frame goes on the wire with its slots in ascending (src, dst)
 // order; the recorder keeps each outbound layout at its send slot and each
 // inbound one at its sender's neighbor index. So every learning run of one
@@ -190,9 +190,25 @@ func ComputePersistent(t *vpt.Topology, me int, size func(src, dst int) (int, bo
 	return p, nil
 }
 
-// route is the learning run, Algorithm 1 on one rank. When p is non-nil
-// it records the pattern into p as it goes; Exchange passes nil, and the
-// run is the same but for the record.
+// route is the learning run, Algorithm 1 on one rank, and the one loop
+// that routes frames as they land. When p is non-nil it records the
+// pattern into p as it goes; Exchange passes nil, and the run is the same
+// but for the record. Replaying a learned pattern does not come here: that
+// is the compiled Replay's loop.
+//
+// Stage d sends one frame to every dimension-d neighbor (empty when nothing
+// routes through it, so receive counts are deterministic) and receives one
+// from each. Every frame is encoded into a pooled buffer by the send
+// worker, which drains a FIFO of stage batches, and inbound frames are
+// retained until the exchange ends — the submessages scattered from them
+// alias them — then recycled after the deliveries are copied out. A stage's
+// frames are received in arrival order (runtime.RecvPolicy over RecvAnyOf),
+// each decoded, misroute-checked and scattered as it lands; a frame from a
+// rank outside the stage's RecvFrom set, or a second frame from one inside
+// it, is an error. The order frames land in reaches no wire byte: what a
+// stage leaves in the forward buffers is a set, and every frame goes on the
+// wire with its submessages in ascending (src, dst) order, so every learned
+// layout is independent of the transport's timing.
 func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persistent) (*Delivered, error) {
 	me := c.Rank()
 	if t.Size() != c.Size() {
@@ -231,51 +247,114 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 		fb.Put(d, t.Digit(dst, d), msg.Submessage{Src: me, Dst: dst, Data: data})
 	}
 
-	sm := &stageMachine{
-		sched: buildTopologySchedule(t, me),
+	// Stage d's j-th send slot and j-th expected sender are both the j-th
+	// dimension-d neighbor in digit order, the index the record keeps.
+	sched := buildTopologySchedule(t, me)
+	runtime.HintTraffic(c, sched.Traffic())
+	sends, recvs, width := 0, 0, 0
+	for i := range sched.Stages {
+		st := &sched.Stages[i]
+		sends += len(st.Sends)
+		recvs += len(st.RecvFrom)
+		width = max(width, len(st.RecvFrom))
+	}
+	retained := make([][]byte, 0, recvs)
+	defer func() {
+		for _, b := range retained {
+			msg.PutFrame(b)
+		}
+	}()
+	// decoded is the DecodeInto scratch; landed[j] marks the stage's j-th
+	// expected sender's frame as received. Both are reused stage after
+	// stage.
+	var decoded msg.Message
+	landed := make([]bool, width)
+	var pol runtime.RecvPolicy
+	frameArr := make([]stageFrame, 0, sends) // backing array for all stages' batches
+	sw := startSendWorker(c, me, len(sched.Stages))
+	defer sw.join()
+
+	for d := range sched.Stages {
+		st := &sched.Stages[d]
+
 		// Lines 9-12: each outbound frame drains the forward buffer keyed by
 		// the destination's dimension-d digit. The buffer holds the
 		// submessages in the order their frames landed; sorting them fixes
-		// the wire layout.
-		outSubs: func(d, j int, slot SendSlot) ([]msg.Submessage, error) {
+		// the wire layout. The stage's frames go to the worker as one batch
+		// (which owns its subslice from then on; stages use disjoint regions
+		// of the shared backing array), overlapped with the receives below.
+		outs := frameArr[len(frameArr) : len(frameArr) : len(frameArr)+len(st.Sends)]
+		for j, slot := range st.Sends {
 			subs := fb.Take(d, t.Digit(slot.To, d))
 			msg.SortSubs(subs)
 			if p != nil && len(subs) > 0 {
-				f := &pFrame{slots: make([]slotKey, len(subs))}
-				for i, s := range subs {
-					f.slots[i] = slotKey{src: int32(s.Src), dst: int32(s.Dst)}
+				p.nbrFrames[d][j].f = &pFrame{slots: slotsOf(subs)}
+			}
+			outs = append(outs, stageFrame{to: slot.To, subs: subs})
+		}
+		frameArr = frameArr[:len(frameArr)+len(outs)]
+		sw.enqueue(st.Tag, outs)
+
+		// Lines 13-17: receive one frame per expected sender, whichever
+		// lands first, and scatter its submessages into later-stage buffers
+		// or deliver them. The sender comes from the matcher, never from
+		// loop position, so the misroute check is valid under any delivery
+		// order; RecvFrom is ascending, so the sender's index is a binary
+		// search away.
+		pol.Reset(st.RecvFrom)
+		landed = landed[:len(st.RecvFrom)]
+		clear(landed)
+		for pol.Outstanding() > 0 {
+			from, raw, err := pol.Next(c, st.Tag)
+			if err != nil {
+				return nil, recvFault(me, d, st.Dim, st.RecvFrom, func(j int) bool { return landed[j] }, err)
+			}
+			retained = append(retained, raw)
+			j, ok := slices.BinarySearch(st.RecvFrom, from)
+			if !ok || landed[j] {
+				return nil, fmt.Errorf("core: rank %d stage %d: frame from unexpected sender %d", me, d, from)
+			}
+			landed[j] = true
+			if err := msg.DecodeInto(&decoded, raw); err != nil {
+				return nil, fmt.Errorf("core: rank %d stage %d frame from %d: %w", me, d, from, err)
+			}
+			if decoded.From != from || decoded.To != me {
+				return nil, fmt.Errorf("core: rank %d stage %d: misrouted frame %d->%d arrived from %d",
+					me, d, decoded.From, decoded.To, from)
+			}
+			if p != nil && len(decoded.Subs) > 0 {
+				in := slotsOf(decoded.Subs)
+				for i, sub := range decoded.Subs {
+					p.sizes[in[i]] = len(sub.Data)
 				}
-				p.nbrFrames[d][j].f = f
+				p.inLayout[d][j] = in
 			}
-			return subs, nil
-		},
-		// Lines 13-17: scatter received submessages into later-stage buffers
-		// or deliver them.
-		onFrame: func(d, from int, subs []msg.Submessage) error {
-			if p != nil && len(subs) > 0 {
-				inSlots := make([]slotKey, len(subs))
-				for i, sub := range subs {
-					k := slotKey{src: int32(sub.Src), dst: int32(sub.Dst)}
-					inSlots[i] = k
-					p.sizes[k] = len(sub.Data)
-				}
-				p.inLayout[d][p.nbrIndex(d, from)] = inSlots
+			if err := scatterFrame(t, me, d, fb, out, decoded.Subs); err != nil {
+				return nil, err
 			}
-			return scatterFrame(t, me, d, fb, out, subs)
-		},
-		finish: func() error {
-			if left := fb.SubCount(); left != 0 {
-				return fmt.Errorf("core: rank %d: %d submessages left undelivered", me, left)
-			}
-			msg.SortSubs(out.Subs)
-			msg.CompactSubs(out.Subs)
-			return nil
-		},
+		}
 	}
-	if err := sm.run(c, me); err != nil {
+	if err := sw.join(); err != nil {
 		return nil, err
 	}
+	if left := fb.SubCount(); left != 0 {
+		return nil, fmt.Errorf("core: rank %d: %d submessages left undelivered", me, left)
+	}
+	// Deliveries alias the retained frames, which the deferred recycle
+	// reuses: copy them out first.
+	msg.SortSubs(out.Subs)
+	msg.CompactSubs(out.Subs)
 	return out, nil
+}
+
+// slotsOf returns the (src, dst) slots of a frame's submessages in wire
+// order.
+func slotsOf(subs []msg.Submessage) []slotKey {
+	slots := make([]slotKey, len(subs))
+	for i, s := range subs {
+		slots[i] = slotKey{src: int32(s.Src), dst: int32(s.Dst)}
+	}
+	return slots
 }
 
 // indexNeighborFrames builds the skeleton of nbrFrames and inLayout: per

@@ -2,9 +2,10 @@
 // path: a per-rank program of n communication stages, each listing the
 // outbound frame slots (destination, in send order, with the expected
 // submessage occupancy when a front-end knows it) and the expected inbound
-// sender set. One stage machine (engine.go) executes the IR with one
-// receive discipline and one frame-sourcing discipline; what differs
-// between the public APIs is only which front-end builds the schedule:
+// sender set. Two loops execute it, with one receive discipline
+// (runtime.RecvPolicy): route, the one loop that routes frames as they
+// land, and the compiled Replay's. What differs between the public APIs is
+// which front-end builds the schedule:
 //
 //   - dynamic    — from the topology alone (the learning run, and so
 //     Exchange): every dimension-d neighbor is both a send and a receive
@@ -14,18 +15,20 @@
 //     the dynamic schedule's skeleton, each send slot carrying its learned
 //     frame's occupancy. Every frame of a learned pattern lists its slots
 //     in ascending (src, dst) order, which Algorithm 1 leaves free, so a
-//     learned, a patched and a locally computed layout (the patch tests'
-//     synthWorld) are the same bytes;
+//     learned, a patched and a computed layout (ComputePersistent) are the
+//     same bytes;
 //   - compiled   — Persistent.Compile lowers the learned schedule further
 //     into a Replay: the same stage skeleton with every frame reduced to
 //     its size and fixed-offset ops — header writes, gathers, and
 //     forward copies that carry each sub-header with its payload (see
 //     compiled.go);
-//   - direct     — the single-stage baseline (DirectExchange): one frame
-//     per destination, one expected frame per source.
+//   - direct     — the single-stage baseline BL: one frame per
+//     destination, one expected frame per source. NewDirectReplay compiles
+//     it straight into a Replay, and DirectWorldSchedules builds it as IR
+//     for the world verifier; no loop routes it.
 //
 // This is the persistent/isomorphic-collective framing: a communication
-// pattern is data (a schedule), and executing it is one generic machine.
+// pattern is data (a schedule), and executing it is one generic loop.
 package core
 
 import (
@@ -67,7 +70,7 @@ type ScheduleStage struct {
 	RecvFrom []int
 }
 
-// StageSchedule is the per-rank IR the stage machine executes.
+// StageSchedule is the per-rank IR of one exchange.
 type StageSchedule struct {
 	Stages []ScheduleStage
 }
@@ -120,7 +123,7 @@ func buildDirectSchedule(me int, dests []int, recvFrom []int) *StageSchedule {
 
 // validateSchedule sanity-checks a schedule against a world size: every
 // slot names another rank of the world, RecvFrom is strictly ascending (the
-// stage machine finds a sender by binary search), and no stage lists a
+// receive loops find a sender by binary search), and no stage lists a
 // destination or a sender twice — the receive loop would wait for a second
 // frame that never comes. Every schedule built in this package sends in
 // ascending order too, so only a hand-built one costs a set.

@@ -17,8 +17,9 @@ import (
 // the forward counters move by the same amount on every exchange, traced
 // or not. A traced Run leaves the compiled replay's spans: one KGather,
 // then a KForward and a KDeliver per stage. Deliver spans name a sender the
-// stage expected as the last to arrive. Exchange and DirectExchange record
-// no spans, so Persistent.Run is the one entry point checked here.
+// stage expected as the last to arrive. The routing run (NewPersistent's
+// learning run, and so Exchange) records no spans, so Persistent.Run is the
+// one entry point checked here.
 func TestStageMachineSamplesWholeExchanges(t *testing.T) {
 	t.Run("Persistent.Run", testPersistentRunSamplesWholeExchanges)
 }

@@ -18,8 +18,8 @@ import "stfw/internal/runtime"
 // an exact frame count of 1 (a slot produces a frame even when empty —
 // receive counts are deterministic by construction). Byte sizes are 0
 // (unknown at this level; a lowered Replay knows the learned sizes). The
-// summary is built on every call: each schedule the stage machine runs is
-// built for that run.
+// summary is built on every call: each schedule route runs is built for
+// that run.
 func (s *StageSchedule) Traffic() []runtime.StageTraffic {
 	out := make([]runtime.StageTraffic, len(s.Stages))
 	for d := range s.Stages {

@@ -11,7 +11,7 @@ import (
 // This file is the whole-world schedule verifier: where validateSchedule
 // (schedule.go) sanity-checks one rank's program in isolation, VerifyWorld
 // cross-checks the programs of all K ranks against each other — the
-// property the stage machine's liveness actually depends on. A world of
+// property the exchange loops' liveness actually depends on. A world of
 // individually-valid schedules can still deadlock or drop payload if rank a
 // sends a frame rank b never expects, or rank b waits for a frame nobody
 // sends. Tests run it over every schedule front-end (dynamic, learned,
@@ -53,14 +53,14 @@ func (v *verifyErrs) join() error {
 //   - no stage has duplicate send destinations or duplicate expected
 //     senders on one rank (each neighbor pair exchanges exactly one frame
 //     per stage), and every expected sender set is listed in ascending
-//     rank order (the stage machine finds a sender by binary search);
+//     rank order (a receiver finds a sender by binary search);
 //   - sends and receives match pairwise: rank a lists b as a stage-d
 //     destination if and only if rank b lists a as a stage-d expected
 //     sender. An unmatched send is a frame the receiver never drains; an
 //     unmatched expected sender (an orphan) blocks the receiver forever.
 //
-// A nil error means the world's programs are mutually consistent; the stage
-// machine can execute them without unmatched traffic in either direction.
+// A nil error means the world's programs are mutually consistent; they run
+// without unmatched traffic in either direction.
 func VerifyWorld(scheds []*StageSchedule) error {
 	var v verifyErrs
 	K := len(scheds)
@@ -331,7 +331,8 @@ func WorldSchedules(t *vpt.Topology) []*StageSchedule {
 // DirectWorldSchedules returns the direct-baseline schedule for every rank
 // implied by the send sets: rank r sends one frame to each destination in
 // its (normalized) send set and expects one frame from each source in the
-// transpose — exactly the programs DirectExchange builds at run time.
+// transpose — the single stage NewDirectReplay compiles for the same
+// pattern. It is the only place the direct schedule is built as IR.
 func DirectWorldSchedules(s *SendSets) []*StageSchedule {
 	recv := s.RecvSets()
 	scheds := make([]*StageSchedule, s.K)

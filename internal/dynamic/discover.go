@@ -48,15 +48,6 @@ type Delta struct {
 // 1 remove) followed by the little-endian uint32 payload size.
 const annLen = 5
 
-func encodeAnnouncement(remove bool, size int) []byte {
-	b := make([]byte, annLen)
-	if remove {
-		b[0] = 1
-	}
-	binary.LittleEndian.PutUint32(b[1:], uint32(size))
-	return b
-}
-
 func decodeAnnouncement(b []byte) (remove bool, size int, err error) {
 	if len(b) != annLen {
 		return false, 0, fmt.Errorf("dynamic: announcement has %d bytes, want %d", len(b), annLen)
@@ -92,6 +83,9 @@ func Discover(c runtime.Comm, t *vpt.Topology, delta Delta) (*core.PatchDelta, e
 
 	out := &core.PatchDelta{}
 	fb := msg.NewForwardBuffers(t.Dims())
+	// ann is one arena for all of this rank's announcements, annLen bytes
+	// each.
+	ann := make([]byte, annLen*(len(delta.Remove)+len(delta.Add)))
 	seed := func(dst, size int, remove bool, seen map[int]bool) error {
 		if dst < 0 || dst >= t.Size() {
 			return fmt.Errorf("dynamic: rank %d: destination %d out of range", me, dst)
@@ -102,8 +96,14 @@ func Discover(c runtime.Comm, t *vpt.Topology, delta Delta) (*core.PatchDelta, e
 		seen[dst] = true
 		out.Pairs = append(out.Pairs, core.PatchPair{Src: me, Dst: dst, Size: size, Remove: remove})
 		if dst != me {
+			b := ann[:annLen:annLen]
+			ann = ann[annLen:]
+			if remove {
+				b[0] = 1
+			}
+			binary.LittleEndian.PutUint32(b[1:], uint32(size))
 			d := t.FirstDiff(me, dst)
-			fb.Put(d, t.Digit(dst, d), msg.Submessage{Src: me, Dst: dst, Data: encodeAnnouncement(remove, size)})
+			fb.Put(d, t.Digit(dst, d), msg.Submessage{Src: me, Dst: dst, Data: b})
 		}
 		return nil
 	}
@@ -128,17 +128,50 @@ func Discover(c runtime.Comm, t *vpt.Topology, delta Delta) (*core.PatchDelta, e
 	// announcement routes through it), then one frame from each of them.
 	// Announcements scatter into later-stage buffers exactly like payload
 	// submessages — the route *is* the payload's future route.
+	//
+	// A stage's frames are encoded into one arena, each frame a capped
+	// slice of it: census frames are a few dozen bytes, where a pooled
+	// buffer per frame costs more than it saves. A retaining transport
+	// hands each received frame over as a piece of its sender's arena, which
+	// goes with that arena; a copying transport hands over a buffer of its
+	// own, recycled when the census ends — the announcements forwarded from
+	// it alias it until then.
+	recycle := !runtime.SendRetains(c)
+	width, nbrs := 0, 0
+	for d := 0; d < t.N(); d++ {
+		width = max(width, t.Dim(d))
+		nbrs += t.Dim(d) - 1
+	}
+	var received [][]byte
+	if recycle {
+		received = make([][]byte, 0, nbrs)
+		defer func() {
+			for _, b := range received {
+				msg.PutFrame(b)
+			}
+		}()
+	}
+	outs := make([][]msg.Submessage, width)
 	var in msg.Message
 	for d := 0; d < t.N(); d++ {
 		tag := core.CensusTag(d)
 		myDigit := t.Digit(me, d)
+		size := 0
+		for x := 0; x < t.Dim(d); x++ {
+			if x != myDigit {
+				outs[x] = fb.Take(d, x)
+				size += msg.EncodedSize(&msg.Message{Subs: outs[x]})
+			}
+		}
+		arena := make([]byte, 0, size)
 		for x := 0; x < t.Dim(d); x++ {
 			if x == myDigit {
 				continue
 			}
 			nbr := t.WithDigit(me, d, x)
-			frame := msg.Encode(nil, &msg.Message{From: me, To: nbr, Subs: fb.Take(d, x)})
-			if err := c.Send(nbr, tag, frame); err != nil {
+			start := len(arena)
+			arena = msg.Encode(arena, &msg.Message{From: me, To: nbr, Subs: outs[x]})
+			if err := c.Send(nbr, tag, arena[start:len(arena):len(arena)]); err != nil {
 				return nil, fmt.Errorf("dynamic: rank %d census stage %d send to %d: %w", me, d, nbr, err)
 			}
 		}
@@ -150,6 +183,9 @@ func Discover(c runtime.Comm, t *vpt.Topology, delta Delta) (*core.PatchDelta, e
 			raw, err := c.Recv(nbr, tag)
 			if err != nil {
 				return nil, fmt.Errorf("dynamic: rank %d census stage %d recv from %d: %w", me, d, nbr, err)
+			}
+			if recycle {
+				received = append(received, raw)
 			}
 			if err := msg.DecodeInto(&in, raw); err != nil {
 				return nil, fmt.Errorf("dynamic: rank %d census stage %d frame from %d: %w", me, d, nbr, err)

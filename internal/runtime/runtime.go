@@ -83,7 +83,8 @@ func RecvAnyOf(c Comm, tag int, from []int) (int, []byte, error) {
 // RecvPolicy tracks the outstanding senders of one receive round and hands
 // out their frames in arrival order: whichever expected frame lands first
 // (RecvAnyOf, falling back transparently on transports without a matcher).
-// The stage machine and the compiled replay reset one policy per stage, so
+// The learning run (core's route) and the compiled replay reset one policy
+// per stage, so
 // receive ordering is decided in exactly one place. Reset reuses the
 // policy's backing storage; a zero RecvPolicy is ready for use.
 type RecvPolicy struct {

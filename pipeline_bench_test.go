@@ -1,8 +1,9 @@
 package stfw
 
-// Benchmarks for the stage engine's one-shot front-ends: a seeded workload
-// run through Exchange and core.DirectExchange, across world sizes and skew
-// patterns — run with `go test -bench 'Exchange' -benchmem`.
+// Benchmarks for one-shot exchanges: a seeded workload run through the
+// store-and-forward Exchange across world sizes and skew patterns, and
+// through the baseline BL compiled and run once (core.NewDirectReplay) —
+// run with `go test -bench 'Exchange' -benchmem`.
 
 import (
 	"math/rand"
@@ -123,17 +124,33 @@ func BenchmarkExchange(b *testing.B) {
 	}
 }
 
-// BenchmarkExchangeDirect is the baseline core.DirectExchange on the
-// hot-spot pattern.
+// BenchmarkExchangeDirect is a one-shot baseline BL on the hot-spot
+// pattern BenchmarkExchange runs at K=256: each rank compiles its direct
+// replay (core.NewDirectReplay, one frame per destination) and runs it
+// once, gathering every payload word from x into its halo.
 func BenchmarkExchangeDirect(b *testing.B) {
 	K := 256
 	s := scaleWords(hotSpotSends(K, 8), benchWordScale)
-	payloads := benchPayloads(s)
 	recv := s.RecvSets()
-	recvFrom := make([][]int, K)
+	xs := make([][]float64, K)
+	gathers := make([]map[int][]int32, K)
+	srcWords := make([]map[int]int, K)
 	for rank := 0; rank < K; rank++ {
+		gathers[rank] = map[int][]int32{}
+		for _, pr := range s.Sets[rank] {
+			idx := make([]int32, pr.Words)
+			for i := range idx {
+				idx[i] = int32(len(xs[rank]) + i)
+			}
+			gathers[rank][pr.Dst] = idx
+			xs[rank] = append(xs[rank], make([]float64, pr.Words)...)
+		}
+		for i := range xs[rank] {
+			xs[rank][i] = float64(rank + i)
+		}
+		srcWords[rank] = map[int]int{}
 		for _, pr := range recv[rank] {
-			recvFrom[rank] = append(recvFrom[rank], pr.Dst)
+			srcWords[rank][pr.Dst] = int(pr.Words)
 		}
 	}
 	w, err := LocalWorld(K)
@@ -145,8 +162,12 @@ func BenchmarkExchangeDirect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := runtime.Run(comms, func(c runtime.Comm) error {
-			_, err := core.DirectExchange(c, payloads[c.Rank()], recvFrom[c.Rank()])
-			return err
+			me := c.Rank()
+			r, err := core.NewDirectReplay(me, K, len(xs[me]), gathers[me], srcWords[me])
+			if err != nil {
+				return err
+			}
+			return r.Run(c, xs[me], make([]float64, r.HaloWords()))
 		})
 		if err != nil {
 			b.Fatal(err)

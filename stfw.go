@@ -15,6 +15,8 @@
 //     whose learning run is that same exchange and whose replays run the
 //     learned pattern as a compiled program, over pluggable transports
 //     (internal/runtime, internal/transport/...)
+//   - source discovery: DiscoverSources, the dynamic-discovery census
+//     (internal/dynamic) on the caller's topology
 //   - exact static planning of a schedule's message counts, volumes and
 //     buffer usage without executing it (internal/core)
 //   - machine cost models that price a schedule on BlueGene/Q-, Cray XK7-
@@ -26,7 +28,10 @@
 package stfw
 
 import (
+	"slices"
+
 	"stfw/internal/core"
+	"stfw/internal/dynamic"
 	"stfw/internal/metrics"
 	"stfw/internal/netsim"
 	"stfw/internal/runtime"
@@ -75,10 +80,35 @@ func Exchange(c Comm, t *Topology, payloads map[int][]byte) (*Delivered, error) 
 }
 
 // DiscoverSources lets a rank learn which ranks will send to it when the
-// receive side of the pattern is unknown, using a regularized exchange of
-// empty announcements.
-func DiscoverSources(c Comm, dests []int) ([]int, error) {
-	return core.CountExchange(c, dests)
+// receive side of the pattern is unknown. It is the dynamic-discovery
+// census (Geyko et al.'s sparse dynamic data exchange, regularized): each
+// rank announces a zero-size pair to every destination, the announcements
+// ride the routes their payloads will take on t — one frame per neighbor
+// per stage — and each rank returns the sorted sources of the
+// announcements that end at it, itself left out. A destination listed
+// twice is announced once. DiscoverSources is collective: every rank of c
+// calls it with the same topology.
+func DiscoverSources(c Comm, t *Topology, dests []int) ([]int, error) {
+	uniq := slices.Clone(dests)
+	slices.Sort(uniq)
+	uniq = slices.Compact(uniq)
+	delta := dynamic.Delta{Add: make([]dynamic.Announce, len(uniq))}
+	for i, dst := range uniq {
+		delta.Add[i] = dynamic.Announce{Dst: dst}
+	}
+	pd, err := dynamic.Discover(c, t, delta)
+	if err != nil {
+		return nil, err
+	}
+	me := c.Rank()
+	srcs := []int{}
+	for _, pr := range pd.Pairs {
+		if pr.Dst == me && pr.Src != me {
+			srcs = append(srcs, pr.Src)
+		}
+	}
+	slices.Sort(srcs)
+	return srcs, nil
 }
 
 // Persistent is a reusable exchange for a fixed communication pattern: the

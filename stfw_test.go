@@ -3,7 +3,8 @@ package stfw
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -102,17 +103,20 @@ func TestFacadePlanningPipeline(t *testing.T) {
 
 func TestFacadeDiscoverSources(t *testing.T) {
 	const K = 8
+	topo, err := BalancedTopology(K, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	w, err := LocalWorld(K)
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = w.Run(func(c Comm) error {
 		dests := []int{(c.Rank() + 1) % K}
-		srcs, err := DiscoverSources(c, dests)
+		srcs, err := DiscoverSources(c, topo, dests)
 		if err != nil {
 			return err
 		}
-		sort.Ints(srcs)
 		want := (c.Rank() + K - 1) % K
 		if len(srcs) != 1 || srcs[0] != want {
 			return fmt.Errorf("rank %d: sources %v, want [%d]", c.Rank(), srcs, want)
@@ -121,6 +125,81 @@ func TestFacadeDiscoverSources(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFacadeDiscoverSourcesWorlds holds DiscoverSources to the receive sets
+// of a seeded pattern — one heavy sender, two light destinations per rank —
+// on power-of-two, non-power-of-two and mixed-radix worlds. In the "twice"
+// world every rank lists each destination twice and itself once, and still
+// learns each source once and never itself.
+func TestFacadeDiscoverSourcesWorlds(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, tc := range []struct {
+		name  string
+		dims  []int
+		twice bool
+	}{
+		{"K=8/T3(2,2,2)", []int{2, 2, 2}, false},
+		{"K=16/T4(2,2,2,2)", []int{2, 2, 2, 2}, false},
+		{"K=7/T1(7)", []int{7}, false},
+		{"K=12/T2(3,4)", []int{3, 4}, false},
+		{"K=12/T2(3,4)/twice", []int{3, 4}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			topo, err := NewTopology(tc.dims...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			K := topo.Size()
+			s := NewSendSets(K)
+			heavy := rng.Intn(K)
+			for dst := 0; dst < K; dst++ {
+				if dst != heavy && rng.Intn(4) != 0 {
+					s.Add(heavy, dst, 1)
+				}
+			}
+			for src := 0; src < K; src++ {
+				for l := 0; l < 2; l++ {
+					if dst := rng.Intn(K); dst != src {
+						s.Add(src, dst, 1)
+					}
+				}
+			}
+			if err := s.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			recv := s.RecvSets()
+			w, err := LocalWorld(K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = w.Run(func(c Comm) error {
+				me := c.Rank()
+				var dests []int
+				for _, pr := range s.Sets[me] {
+					dests = append(dests, pr.Dst)
+				}
+				if tc.twice {
+					dests = append(append(dests, me), dests...)
+				}
+				srcs, err := DiscoverSources(c, topo, dests)
+				if err != nil {
+					return err
+				}
+				want := []int{}
+				for _, pr := range recv[me] {
+					want = append(want, pr.Dst)
+				}
+				if !slices.Equal(srcs, want) {
+					return fmt.Errorf("rank %d: sources %v, want %v", me, srcs, want)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
