@@ -439,64 +439,133 @@ func BenchmarkReplayRun(b *testing.B) {
 }
 
 // TestLearningFramesSorted holds the learning run to the layout rule on
-// the wire: behind a shuffleComm, which serves every stage's receives in a
-// random order of its own, every frame a learning run sends lists its
-// submessages in strictly ascending (src, dst) order, and two learning
-// runs of one pattern under different service orders send the same bytes
-// in every frame.
+// the wire, and the replayed layout to the learning run: behind a
+// shuffleComm, which serves every stage's receives in a random order of its
+// own, every frame a learning run sends lists its submessages in strictly
+// ascending (src, dst) order; two learning runs of one pattern under
+// different service orders send the same bytes in every frame; and the
+// first Run after each, with the same payloads, sends every stage frame
+// the learning run sent, byte for byte. The learning run routes frames as
+// they land, so it is the oracle for the layout the replay is lowered
+// from, whatever that layout is kept in. The worlds are T3(4,4,4),
+// a factored mixed-radix topology, and one whose ranks send to themselves
+// and send zero-length payloads.
 func TestLearningFramesSorted(t *testing.T) {
-	tp := vpt.MustNew(4, 4, 4)
-	K := tp.Size()
-	s := randomSendSets(rand.New(rand.NewSource(43)), K, 2, 3, 4)
-	learn := func(seed int64) map[sentKey][]byte {
-		w, err := chanpt.NewWorld(K, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Close()
-		mu, rng := &sync.Mutex{}, rand.New(rand.NewSource(seed))
-		comms := w.Comms()
-		for i, c := range comms {
-			comms[i] = &shuffleComm{Passthrough: runtime.Passthrough{Comm: c}, mu: mu, rng: rng}
-		}
-		var rec frameRecorder
-		err = runtime.Run(rec.wrapAll(comms), func(c runtime.Comm) error {
+	sets := func(s *SendSets) func(me int) map[int][]byte {
+		return func(me int) map[int][]byte {
 			payloads := map[int][]byte{}
-			for _, pr := range s.Sets[c.Rank()] {
-				payloads[pr.Dst] = payloadWords(c.Rank(), pr.Dst, pr.Words)
+			for _, pr := range s.Sets[me] {
+				payloads[pr.Dst] = payloadWords(me, pr.Dst, pr.Words)
 			}
-			_, _, err := NewPersistent(c, tp, payloads)
-			return err
+			return payloads
+		}
+	}
+	factored, err := vpt.NewFactored(48, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// selfZero: every rank sends itself 3 words, a zero-length payload to
+	// the next two ranks and 1–4 words to five random ones.
+	selfZero := func(K int) func(me int) map[int][]byte {
+		rng := rand.New(rand.NewSource(44))
+		dests := make([][]int, K)
+		for me := range dests {
+			dests[me] = rng.Perm(K)[:5]
+		}
+		return func(me int) map[int][]byte {
+			payloads := map[int][]byte{me: payloadWords(me, me, 3)}
+			for _, dst := range dests[me] {
+				payloads[dst] = payloadWords(me, dst, int64(1+(me+dst)%4))
+			}
+			payloads[(me+1)%K] = []byte{}
+			payloads[(me+2)%K] = nil
+			return payloads
+		}
+	}
+	for _, w := range []struct {
+		name     string
+		tp       *vpt.Topology
+		payloads func(me int) map[int][]byte
+	}{
+		{"T3(4,4,4)", vpt.MustNew(4, 4, 4), sets(randomSendSets(rand.New(rand.NewSource(43)), 64, 2, 3, 4))},
+		{"factored " + factored.String(), factored, sets(randomSendSets(rand.New(rand.NewSource(45)), 48, 2, 3, 4))},
+		{"self-sends and zero-length payloads", vpt.MustNew(4, 4), selfZero(16)},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			a, b := learnAndReplayFrames(t, w.tp, w.payloads, 1), learnAndReplayFrames(t, w.tp, w.payloads, 2)
+			if len(a) != len(b) {
+				t.Fatalf("the learning runs sent %d and %d frames", len(a), len(b))
+			}
+			multi := 0
+			for key, raw := range a {
+				m, err := msg.Decode(raw)
+				if err != nil {
+					t.Fatalf("frame %+v: %v", key, err)
+				}
+				for i := 1; i < len(m.Subs); i++ {
+					p, q := m.Subs[i-1], m.Subs[i]
+					if p.Src > q.Src || p.Src == q.Src && p.Dst >= q.Dst {
+						t.Fatalf("frame %+v: submessage %d->%d before %d->%d", key, p.Src, p.Dst, q.Src, q.Dst)
+					}
+				}
+				if len(m.Subs) > 1 {
+					multi++
+				}
+				if !bytes.Equal(raw, b[key]) {
+					t.Fatalf("frame %+v differs between two learning runs", key)
+				}
+			}
+			if multi == 0 {
+				t.Fatal("no frame carries more than one submessage")
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rec.frames
 	}
-	a, b := learn(1), learn(2)
-	if len(a) != len(b) {
-		t.Fatalf("the learning runs sent %d and %d frames", len(a), len(b))
+}
+
+// learnAndReplayFrames runs a learning run of payloads on a chanpt world
+// behind a shuffleComm seeded with seed, then one Run of every rank's
+// Persistent with the same payloads, and returns the learning run's frames
+// after checking that the Run sent the same ones byte for byte.
+func learnAndReplayFrames(t *testing.T, tp *vpt.Topology, payloads func(me int) map[int][]byte, seed int64) map[sentKey][]byte {
+	t.Helper()
+	K := tp.Size()
+	w, err := chanpt.NewWorld(K, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	multi := 0
-	for key, raw := range a {
-		m, err := msg.Decode(raw)
-		if err != nil {
-			t.Fatalf("frame %+v: %v", key, err)
-		}
-		for i := 1; i < len(m.Subs); i++ {
-			p, q := m.Subs[i-1], m.Subs[i]
-			if p.Src > q.Src || p.Src == q.Src && p.Dst >= q.Dst {
-				t.Fatalf("frame %+v: submessage %d->%d before %d->%d", key, p.Src, p.Dst, q.Src, q.Dst)
-			}
-		}
-		if len(m.Subs) > 1 {
-			multi++
-		}
-		if !bytes.Equal(raw, b[key]) {
-			t.Fatalf("frame %+v differs between two learning runs", key)
+	defer w.Close()
+	mu, rng := &sync.Mutex{}, rand.New(rand.NewSource(seed))
+	comms := w.Comms()
+	for i, c := range comms {
+		comms[i] = &shuffleComm{Passthrough: runtime.Passthrough{Comm: c}, mu: mu, rng: rng}
+	}
+	var rec frameRecorder
+	comms = rec.wrapAll(comms)
+	ps := make([]*Persistent, K)
+	err = runtime.Run(comms, func(c runtime.Comm) error {
+		var err error
+		ps[c.Rank()], _, err = NewPersistent(c, tp, payloads(c.Rank()))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	learned := rec.frames
+	rec.frames = map[sentKey][]byte{}
+	err = runtime.Run(comms, func(c runtime.Comm) error {
+		_, err := ps[c.Rank()].Run(c, payloads(c.Rank()))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.frames) != len(learned) {
+		t.Fatalf("the learning run sent %d frames, the first Run %d", len(learned), len(rec.frames))
+	}
+	for key, raw := range learned {
+		if !bytes.Equal(raw, rec.frames[key]) {
+			t.Fatalf("frame %+v: the first Run's %d bytes differ from the learning run's %d", key, len(rec.frames[key]), len(raw))
 		}
 	}
-	if multi == 0 {
-		t.Fatal("no frame carries more than one submessage")
-	}
+	return learned
 }

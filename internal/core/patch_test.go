@@ -611,11 +611,12 @@ func churnPairs(rng *rand.Rand, K int) (pairs map[synthPair]int, order []synthPa
 	return pairs, order
 }
 
-// BenchmarkPatchCompiled times the lowering of a patched schedule into the
-// existing Replays of a whole world, in the shape of the churn-chan
-// benchmark workload: K=64 on T3(4,4,4), 8 destinations × 32–255 words per
-// rank, 8 pairs toggled per round (removed, then re-added). One op is one
-// PatchCompiled on every rank; the Patch calls run with the timer stopped.
+// BenchmarkPatchCompiled times a whole patch round of a world — Patch,
+// which edits each rank's frames in place, then the lowering of the
+// patched schedule into the rank's existing Replay — in the shape of the
+// churn-chan benchmark workload: K=64 on T3(4,4,4), 8 destinations ×
+// 32–255 words per rank, 8 pairs toggled per round (removed, then
+// re-added). One op is one Patch and one PatchCompiled on every rank.
 //
 //	go test -run '^$' -bench PatchCompiled -benchmem -cpuprofile cpu.out ./internal/core/
 func BenchmarkPatchCompiled(b *testing.B) {
@@ -648,21 +649,16 @@ func BenchmarkPatchCompiled(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	stats := make([]*PatchStats, K)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ph := 1 - i%2
-		b.StopTimer()
 		for me, p := range ps {
-			var err error
-			if stats[me], err = p.Patch(deltas[ph][me]); err != nil {
+			st, err := p.Patch(deltas[ph][me])
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.StartTimer()
-		for me, p := range ps {
-			if err := p.PatchCompiled(reps[me], xlen, gathers[ph][me], stats[me]); err != nil {
+			if err := p.PatchCompiled(reps[me], xlen, gathers[ph][me], st); err != nil {
 				b.Fatal(err)
 			}
 		}

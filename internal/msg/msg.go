@@ -32,17 +32,21 @@ type Message struct {
 // neighbor whose digit d equals x. Buffers are indexed by dimension then by
 // digit value.
 type ForwardBuffers struct {
-	dims []int
-	buf  [][][]Submessage // [d][x][i]
+	buf [][][]Submessage // [d][x][i]
 }
 
 // NewForwardBuffers allocates empty buffers for a topology with the given
-// dimension sizes.
+// dimension sizes: the [d][x] rows share one backing array, and dims is
+// not kept.
 func NewForwardBuffers(dims []int) *ForwardBuffers {
-	fb := &ForwardBuffers{dims: append([]int(nil), dims...)}
-	fb.buf = make([][][]Submessage, len(dims))
+	n := 0
+	for _, k := range dims {
+		n += k
+	}
+	rows := make([][]Submessage, n)
+	fb := &ForwardBuffers{buf: make([][][]Submessage, len(dims))}
 	for d, k := range dims {
-		fb.buf[d] = make([][]Submessage, k)
+		fb.buf[d], rows = rows[:k:k], rows[k:]
 	}
 	return fb
 }
@@ -61,9 +65,6 @@ func (fb *ForwardBuffers) Take(d, x int) []Submessage {
 	fb.buf[d][x] = nil
 	return s
 }
-
-// Dims returns the dimension sizes the buffers were created with.
-func (fb *ForwardBuffers) Dims() []int { return append([]int(nil), fb.dims...) }
 
 // SubCount returns the number of submessages currently stored.
 func (fb *ForwardBuffers) SubCount() int {
