@@ -225,10 +225,10 @@ func (p *Persistent) Compile(xlen int, gather map[int][]int32) (*Replay, error) 
 // PatchCompiled) checks gather against them and requires word-sized
 // deliveries. Every slice r already holds — stages, op tables, inbound
 // slots, inFrames — is reused up to its capacity, so lowering into an
-// existing Replay of the same skeleton allocates only the lowering's own
-// maps and the traffic hint. The gather contract is checked before r is
-// touched; a later error (a non-word payload, a slot without a source)
-// leaves r unusable until a lowering succeeds.
+// existing Replay of the same skeleton allocates only the lowering's two
+// per-row offset tables and the traffic hint. The gather contract is
+// checked before r is touched; a later error (a non-word payload) leaves r
+// unusable until a lowering succeeds.
 func (p *Persistent) lower(r *Replay, bytes bool, xlen int, gather map[int][]int32) error {
 	me := p.rank
 	if !bytes {
@@ -241,39 +241,39 @@ func (p *Persistent) lower(r *Replay, bytes bool, xlen int, gather map[int][]int
 
 	r.sends, r.delivs = r.sends[:0], r.delivs[:0]
 	if bytes {
-		for _, dst := range p.destList {
-			k := slotKey{src: int32(me), dst: int32(dst)}
-			r.sends = append(r.sends, paySlot{k: k, n: int32(p.sizes[k])})
+		for _, e := range p.ownPairs() {
+			r.sends = append(r.sends, paySlot{k: e.k, n: e.n})
 		}
 	}
 	r.pays = resize(r.pays, len(r.sends))
 
 	// Halo: one contiguous block per delivery, in the learned order. Self
-	// deliveries come straight from the caller; haloOff keeps every other
-	// one until layoutInbound binds it to an inbound frame slot.
-	haloOff := make(map[slotKey]int32, len(p.deliver))
+	// deliveries come straight from the caller; haloOff[i] keeps the
+	// offset of every other delivered row i for layoutInbound, which binds
+	// it to the row's inbound frame slot.
+	haloOff := make([]int32, len(p.pairs))
 	r.haloBytes = 0
 	r.selfs = r.selfs[:0]
-	for _, k := range p.deliver {
-		n := int32(p.sizes[k])
-		if !bytes && n%8 != 0 {
-			return fmt.Errorf("core: compile: delivery %d->%d has %d bytes, compiled replays require word-sized payloads", k.src, k.dst, n)
+	for _, i := range p.deliver {
+		e := p.pairs[i]
+		if !bytes && e.n%8 != 0 {
+			return fmt.Errorf("core: compile: delivery %d->%d has %d bytes, compiled replays require word-sized payloads", e.k.src, e.k.dst, e.n)
 		}
 		at := int32(r.haloBytes)
 		if bytes {
-			r.delivs = append(r.delivs, paySlot{k: k, off: at, n: n})
+			r.delivs = append(r.delivs, paySlot{k: e.k, off: at, n: e.n})
 		}
-		if k.src == int32(me) {
-			r.selfs = append(r.selfs, selfOp{idx: gather[int(k.dst)], pay: p.payIndex(k.dst), at: at})
+		if e.k.src == int32(me) {
+			r.selfs = append(r.selfs, selfOp{idx: gather[int(e.k.dst)], pay: p.payIndex(e.k.dst), at: at})
 		} else {
-			haloOff[k] = at
+			haloOff[i] = at
 		}
-		r.haloBytes += int(n)
+		r.haloBytes += int(e.n)
 	}
 
-	// inLoc is the retained-frame location of every slot received for
-	// forwarding, filled stage by stage before later stages read it.
-	inLoc := make(map[slotKey]slotLoc)
+	// inLoc[i] is the retained-frame location of row i when it is received
+	// for forwarding, filled stage by stage before later stages read it.
+	inLoc := make([]slotLoc, len(p.pairs))
 	nextFrame := int32(0)
 	sched := p.Schedule()
 	r.stages = resize(r.stages, len(sched.Stages))
@@ -288,13 +288,7 @@ func (p *Persistent) lower(r *Replay, bytes bool, xlen int, gather map[int][]int
 		// becomes a frame program.
 		st.frames = resize(st.frames, len(ss.Sends))
 		for j, slot := range ss.Sends {
-			var slots []slotKey
-			if nf := p.nbrFrames[d][j]; nf.f != nil {
-				slots = nf.f.slots
-			}
-			if err := p.lowerFrame(&st.frames[j], slot.To, slots, gather, inLoc); err != nil {
-				return fmt.Errorf("core: compile: stage %d frame to %d: %w", d, slot.To, err)
-			}
+			p.lowerFrame(&st.frames[j], slot.To, p.outs[d][j], gather, inLoc)
 		}
 
 		// Inbound frames: register forwarded slots for later stages and
@@ -304,15 +298,10 @@ func (p *Persistent) lower(r *Replay, bytes bool, xlen int, gather map[int][]int
 		for j := range ss.RecvFrom {
 			st.ins[j].idx = nextFrame
 			nextFrame++
-			p.layoutInbound(&st.ins[j], p.inLayout[d][j], haloOff, inLoc)
+			p.layoutInbound(&st.ins[j], p.ins[d][j], haloOff, inLoc)
 		}
 		if err := p.lowerFold(st); err != nil {
 			return fmt.Errorf("core: compile: stage %d: %w", d, err)
-		}
-	}
-	for _, k := range p.deliver {
-		if _, unbound := haloOff[k]; unbound {
-			return fmt.Errorf("core: compile: delivery %d->%d has no inbound frame slot", k.src, k.dst)
 		}
 	}
 	// Run leaves every entry nil, so the reused prefix needs no clearing.
@@ -334,26 +323,24 @@ func (p *Persistent) payIndex(dst int32) int32 {
 	return int32(i)
 }
 
-// layoutInbound rewrites in from the learned slots of one inbound frame in
-// wire order: slot count, byte size, a deliverOp for every slot addressed
-// to this rank (its offset taken out of haloOff), and in inLoc the
-// retained-frame location of every slot to be forwarded in a later stage —
-// the offset of its sub-header, which travels with it. in.idx must already
-// name the frame.
-func (p *Persistent) layoutInbound(in *rIn, slots []slotKey, haloOff map[slotKey]int32, inLoc map[slotKey]slotLoc) {
-	in.nsubs = int32(len(slots))
+// layoutInbound rewrites in from the rows of one inbound frame in wire
+// order: slot count, byte size, a deliverOp for every row addressed to this
+// rank (at its haloOff), and in inLoc the retained-frame location of every
+// row to be forwarded in a later stage — the offset of its sub-header,
+// which travels with it. in.idx must already name the frame.
+func (p *Persistent) layoutInbound(in *rIn, rows []int32, haloOff []int32, inLoc []slotLoc) {
+	in.nsubs = int32(len(rows))
 	in.delivers = in.delivers[:0]
 	fo := int32(msg.MsgHeaderLen)
-	for _, k := range slots {
-		n := int32(p.sizes[k])
+	for _, i := range rows {
+		e := p.pairs[i]
 		payloadOff := fo + msg.SubHeaderLen
-		if k.dst == int32(p.rank) {
-			in.delivers = append(in.delivers, deliverOp{hdr: subHdrWord(k), srcOff: payloadOff, at: haloOff[k], n: n})
-			delete(haloOff, k)
+		if e.k.dst == int32(p.rank) {
+			in.delivers = append(in.delivers, deliverOp{hdr: subHdrWord(e.k), srcOff: payloadOff, at: haloOff[i], n: e.n})
 		} else {
-			inLoc[k] = slotLoc{frame: in.idx, off: fo}
+			inLoc[i] = slotLoc{frame: in.idx, off: fo}
 		}
-		fo = payloadOff + n
+		fo = payloadOff + e.n
 	}
 	in.size = fo
 }
@@ -385,18 +372,24 @@ func (p *Persistent) lowerFold(st *rStage) error {
 // pattern: exactly one list per destination, each list's byte size equal
 // to the pattern's payload size, every index inside x.
 func (p *Persistent) checkGather(xlen int, gather map[int][]int32) error {
-	me := p.rank
-	if len(gather) != len(p.dests) {
-		return fmt.Errorf("core: compile: %d gather lists for %d learned destinations", len(gather), len(p.dests))
+	own := p.ownPairs()
+	if len(gather) != len(own) {
+		return fmt.Errorf("core: compile: %d gather lists for %d learned destinations", len(gather), len(own))
 	}
-	for dst, idx := range gather {
-		if _, ok := p.dests[dst]; !ok {
-			return fmt.Errorf("core: compile: destination %d not in the learned pattern", dst)
+	for _, e := range own {
+		dst := int(e.k.dst)
+		idx, ok := gather[dst]
+		if !ok {
+			// As many lists as destinations, one missing: a list is stray.
+			for dst := range gather {
+				if _, ok := slices.BinarySearch(p.destList, dst); !ok {
+					return fmt.Errorf("core: compile: destination %d not in the learned pattern", dst)
+				}
+			}
 		}
-		want := p.sizes[slotKey{src: int32(me), dst: int32(dst)}]
-		if 8*len(idx) != want {
+		if 8*len(idx) != int(e.n) {
 			return fmt.Errorf("core: compile: destination %d gathers %d words, learned payload is %d bytes",
-				dst, len(idx), want)
+				dst, len(idx), e.n)
 		}
 		for _, g := range idx {
 			if int(g) < 0 || int(g) >= xlen {
@@ -408,31 +401,29 @@ func (p *Persistent) checkGather(xlen int, gather map[int][]int32) error {
 }
 
 // lowerFrame writes one outgoing frame program into f, reusing its op
-// tables: the frame's size and submessage count, then one op per slot in
+// tables: the frame's size and submessage count, then one op per row in
 // wire order — a gather for this rank's own payloads, a forward copy of
-// sub-header and payload for every other slot.
-func (p *Persistent) lowerFrame(f *rFrame, to int, slots []slotKey, gather map[int][]int32, inLoc map[slotKey]slotLoc) error {
+// sub-header and payload for every other row, from where inLoc found it:
+// a route forwards a pair in a later stage than it receives it.
+func (p *Persistent) lowerFrame(f *rFrame, to int, rows []int32, gather map[int][]int32, inLoc []slotLoc) {
 	me := p.rank
 	f.to = to
-	f.nsubs = int32(len(slots))
+	f.nsubs = int32(len(rows))
 	f.gathers = f.gathers[:0]
 	f.fwds = f.fwds[:0]
 	off := int32(msg.MsgHeaderLen)
-	for _, k := range slots {
-		n := int32(msg.SubHeaderLen + p.sizes[k])
-		if k.src == int32(me) {
-			f.gathers = append(f.gathers, gatherOp{off: off, dst: k.dst, pay: p.payIndex(k.dst), idx: gather[int(k.dst)]})
+	for _, i := range rows {
+		e := p.pairs[i]
+		n := msg.SubHeaderLen + e.n
+		if e.k.src == int32(me) {
+			f.gathers = append(f.gathers, gatherOp{off: off, dst: e.k.dst, pay: p.payIndex(e.k.dst), idx: gather[int(e.k.dst)]})
 		} else {
-			l, ok := inLoc[k]
-			if !ok {
-				return fmt.Errorf("forwarded slot %d->%d not received in an earlier stage", k.src, k.dst)
-			}
-			f.fwds = append(f.fwds, fwdOp{hdr: subHdrWord(k), dstOff: off, frame: l.frame, srcOff: l.off, n: n})
+			l := inLoc[i]
+			f.fwds = append(f.fwds, fwdOp{hdr: subHdrWord(e.k), dstOff: off, frame: l.frame, srcOff: l.off, n: n})
 		}
 		off += n
 	}
 	f.size = off
-	return nil
 }
 
 // NewDirectReplay compiles the baseline (BL) iteration for one rank: one

@@ -155,10 +155,9 @@ func TestCompiledFramesMatchEncode(t *testing.T) {
 			for d, ss := range sched.Stages {
 				for j, slot := range ss.Sends {
 					m := msg.Message{From: me, To: slot.To}
-					if f := p.nbrFrames[d][j].f; f != nil {
-						for _, k := range f.slots {
-							m.Subs = append(m.Subs, msg.Submessage{Src: int(k.src), Dst: int(k.dst), Data: payload(k)})
-						}
+					for _, i := range p.outs[d][j] {
+						k := p.pairs[i].k
+						m.Subs = append(m.Subs, msg.Submessage{Src: int(k.src), Dst: int(k.dst), Data: payload(k)})
 					}
 					want++
 					raw, ok := got[sentKey{ss.Tag, me, slot.To}]
@@ -257,10 +256,10 @@ func TestCompiledFramesMatchEncode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frameBytes := func(p *Persistent, slots []slotKey) int {
+		frameBytes := func(p *Persistent, rows []int32) int {
 			n := msg.MsgHeaderLen
-			for _, k := range slots {
-				n += msg.SubHeaderLen + p.sizes[k]
+			for _, i := range rows {
+				n += msg.SubHeaderLen + int(p.pairs[i].n)
 			}
 			return n
 		}
@@ -270,24 +269,22 @@ func TestCompiledFramesMatchEncode(t *testing.T) {
 			for d, ss := range p.Schedule().Stages {
 				for j, slot := range ss.Sends {
 					m := msg.Message{From: me, To: slot.To}
-					var slots []slotKey
-					if f := p.nbrFrames[d][j].f; f != nil {
-						slots = f.slots
-					}
-					for _, k := range slots {
+					rows := p.outs[d][j]
+					for _, i := range rows {
+						k := p.pairs[i].k
 						m.Subs = append(m.Subs, msg.Submessage{Src: int(k.src), Dst: int(k.dst), Data: replay[k.src][int(k.dst)]})
 					}
 					want++
 					if enc := msg.Encode(nil, &m); !bytes.Equal(rec.frames[sentKey{ss.Tag, me, slot.To}], enc) {
 						t.Fatalf("rank %d stage %d frame to %d differs from Encode", me, d, slot.To)
 					}
-					if h := hint[d].Sends[j]; h.Peer != slot.To || h.Bytes != frameBytes(p, slots) {
-						t.Fatalf("rank %d stage %d: send hint %+v, want %d bytes to %d", me, d, h, frameBytes(p, slots), slot.To)
+					if h := hint[d].Sends[j]; h.Peer != slot.To || h.Bytes != frameBytes(p, rows) {
+						t.Fatalf("rank %d stage %d: send hint %+v, want %d bytes to %d", me, d, h, frameBytes(p, rows), slot.To)
 					}
 				}
 				for j, from := range ss.RecvFrom {
-					if h := hint[d].Recvs[j]; h.Peer != from || h.Bytes != frameBytes(p, p.inLayout[d][j]) {
-						t.Fatalf("rank %d stage %d: receive hint %+v, want %d bytes from %d", me, d, h, frameBytes(p, p.inLayout[d][j]), from)
+					if h := hint[d].Recvs[j]; h.Peer != from || h.Bytes != frameBytes(p, p.ins[d][j]) {
+						t.Fatalf("rank %d stage %d: receive hint %+v, want %d bytes from %d", me, d, h, frameBytes(p, p.ins[d][j]), from)
 					}
 				}
 			}

@@ -4,21 +4,19 @@
 // refines, a rank's fanout changes), relearning from scratch costs a full
 // payload-routing exchange plus a complete re-lowering. Patch applies a
 // PatchDelta — the pairs transiting this rank, as discovered by the
-// dynamic.Discover census — directly to the recorded layout, and
-// PatchCompiled lowers the patched schedule into an existing Replay, reusing
-// its buffers.
+// dynamic.Discover census — to the rank's pair table, and PatchCompiled
+// lowers the patched schedule into an existing Replay, reusing its
+// buffers.
 //
 // Correctness rests on one structural property of learned schedules: every
 // stage sends a (possibly empty) frame to every dimension-d neighbor and
 // expects one back, so pattern churn never changes the stage skeleton —
-// only frame occupancy. The one layout rule keeps sender and receiver
-// bit-compatible without any extra communication: a frame's slots are in
-// ascending (src, dst) order, as the learning run sends them. Removals
-// delete a slot, additions append it, and every touched frame is sorted
-// again. Both endpoints of a frame see the same delta pairs (both lie on
-// the pairs' dimension-ordered routes), so they derive identical wire
-// layouts independently, and a patched pattern equals the one a relearn
-// of the mutated pattern records.
+// only frame occupancy. Patch is validate → merge into the table → derive:
+// the layout is a function of the table (every frame lists its pairs in
+// ascending (src, dst) order), and both endpoints of a frame see the same
+// delta pairs (both lie on the pairs' dimension-ordered routes), so they
+// derive identical wire layouts independently, and a patched pattern
+// equals the one a relearn of the mutated pattern records.
 package core
 
 import (
@@ -47,11 +45,6 @@ type PatchPair struct {
 type PatchDelta struct {
 	Pairs []PatchPair
 }
-
-// frameRef addresses one frame of the learned layout: stage d, neighbor
-// index j (into nbrFrames[d] for the outbound frame, inLayout[d] for the
-// inbound one).
-type frameRef struct{ d, j int }
 
 // PatchStats reports what a Patch touched.
 type PatchStats struct {
@@ -102,38 +95,16 @@ func routeHops(t *vpt.Topology, me, src, dst int) (patchHops, bool) {
 	return h, involved
 }
 
-// removeSlot deletes k from slots, keeping the order of the rest.
-func removeSlot(slots []slotKey, k slotKey) []slotKey {
-	if i := slices.Index(slots, k); i >= 0 {
-		return slices.Delete(slots, i, i+1)
-	}
-	return slots
-}
-
-// cmpSlot orders slots by source, then destination: the order of every
-// frame's slots.
-func cmpSlot(a, b slotKey) int {
-	return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
-}
-
-// patchOp is one validated mutation with its precomputed route involvement.
-type patchOp struct {
-	k    slotKey
-	size int
-	h    patchHops
-}
-
-// Patch applies a delta to the learned pattern in place: frame slot lists,
-// inbound wire layouts, the delivery list, the destination set, and the
-// recorded sizes are all updated, and the cached schedule is rebuilt on
-// next use with the new occupancy counts. Every frame it touches lists its
-// slots in ascending (src, dst) order again, so the patched pattern is the
-// one a learning run of the mutated pattern records. The stage skeleton
-// (who exchanges a frame with whom, per stage) is provably unchanged —
-// learned schedules send a frame to every dimension-d neighbor whether or
-// not it carries payload — so a patched world needs no re-coordination:
-// every rank patches independently from the delta the census delivered to
-// it.
+// Patch applies a delta to the pair table: removals leave it, additions
+// enter it at their place in (src, dst) order, a resize changes the row's
+// size, and the layout is derived again from the result. So the patched
+// pattern is the one a learning run of the mutated pattern records. The
+// stage skeleton (who exchanges a frame with whom, per stage) is provably
+// unchanged — learned schedules send a frame to every dimension-d neighbor
+// whether or not it carries payload — so a patched world needs no
+// re-coordination: every rank patches independently from the delta the
+// census delivered to it. An empty delta changes nothing: the schedule
+// and Run's lowered replay stay as they are.
 //
 // Validation happens before any mutation; on error the Persistent is
 // unchanged. A patch is rejected if any pair's route does not transit this
@@ -145,183 +116,119 @@ type patchOp struct {
 // harness), which the stage skeleton's invariance makes cheap.
 func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 	start := time.Now()
-	if p.nbrFrames == nil {
+	if p.topo == nil {
 		return nil, fmt.Errorf("core: patch: persistent has no learned pattern")
 	}
 	if delta == nil {
 		return nil, fmt.Errorf("core: patch: nil delta")
 	}
-	me, t := p.rank, p.topo
-	K := t.Size()
-
-	// Validation pass: every mutation must be in range, transit this rank,
-	// dedupe cleanly, and match the current pattern (removals present,
-	// additions absent). Nothing is mutated until the whole delta is vetted.
-	var removes, adds []patchOp
-	removed := make(map[slotKey]bool)
-	added := make(map[slotKey]bool)
-	for _, pr := range delta.Pairs {
-		if !pr.Remove {
-			continue
-		}
-		if pr.Src < 0 || pr.Src >= K || pr.Dst < 0 || pr.Dst >= K {
-			return nil, fmt.Errorf("core: patch: pair %d->%d out of range [0,%d)", pr.Src, pr.Dst, K)
-		}
-		k := slotKey{src: int32(pr.Src), dst: int32(pr.Dst)}
-		if removed[k] {
-			return nil, fmt.Errorf("core: patch: duplicate removal of %d->%d", pr.Src, pr.Dst)
-		}
-		removed[k] = true
-		h, ok := routeHops(t, me, pr.Src, pr.Dst)
-		if !ok {
-			return nil, fmt.Errorf("core: patch: pair %d->%d does not transit rank %d", pr.Src, pr.Dst, me)
-		}
-		if _, have := p.sizes[k]; !have {
-			return nil, fmt.Errorf("core: patch: removal of %d->%d, which the pattern does not carry", pr.Src, pr.Dst)
-		}
-		if h.sendD >= 0 {
-			j := p.nbrIndex(h.sendD, h.sendTo)
-			if j < 0 || p.nbrFrames[h.sendD][j].f == nil || !slices.Contains(p.nbrFrames[h.sendD][j].f.slots, k) {
-				return nil, fmt.Errorf("core: patch: removal of %d->%d: slot missing from the stage-%d frame to %d",
-					pr.Src, pr.Dst, h.sendD, h.sendTo)
-			}
-		}
-		if h.recvD >= 0 {
-			j := p.nbrIndex(h.recvD, h.recvFrom)
-			if j < 0 || !slices.Contains(p.inLayout[h.recvD][j], k) {
-				return nil, fmt.Errorf("core: patch: removal of %d->%d: slot missing from the stage-%d frame from %d",
-					pr.Src, pr.Dst, h.recvD, h.recvFrom)
-			}
-		}
-		removes = append(removes, patchOp{k: k, h: h})
-	}
-	for _, pr := range delta.Pairs {
-		if pr.Remove {
-			continue
-		}
-		if pr.Src < 0 || pr.Src >= K || pr.Dst < 0 || pr.Dst >= K {
-			return nil, fmt.Errorf("core: patch: pair %d->%d out of range [0,%d)", pr.Src, pr.Dst, K)
-		}
-		if pr.Size < 0 {
-			return nil, fmt.Errorf("core: patch: pair %d->%d has negative size %d", pr.Src, pr.Dst, pr.Size)
-		}
-		k := slotKey{src: int32(pr.Src), dst: int32(pr.Dst)}
-		if added[k] {
-			return nil, fmt.Errorf("core: patch: duplicate addition of %d->%d", pr.Src, pr.Dst)
-		}
-		added[k] = true
-		h, ok := routeHops(t, me, pr.Src, pr.Dst)
-		if !ok {
-			return nil, fmt.Errorf("core: patch: pair %d->%d does not transit rank %d", pr.Src, pr.Dst, me)
-		}
-		if _, have := p.sizes[k]; have && !removed[k] {
-			return nil, fmt.Errorf("core: patch: addition of %d->%d, which the pattern already carries (resize needs a paired removal)",
-				pr.Src, pr.Dst)
-		}
-		adds = append(adds, patchOp{k: k, size: pr.Size, h: h})
-	}
-
-	// Apply pass, infallible by construction: removals delete their slot,
-	// additions append theirs, and each touched frame is sorted below. A
-	// resize removes before it adds, so its slot is listed once.
 	st := &PatchStats{}
-	dirtyOut := make(map[frameRef]bool)
-	dirtyIn := make(map[frameRef]bool)
-	for _, o := range removes {
-		delete(p.sizes, o.k)
-		if o.h.origin {
-			delete(p.dests, int(o.k.dst))
+	if len(delta.Pairs) > 0 {
+		if err := p.patch(delta, st); err != nil {
+			return nil, err
 		}
-		if o.h.deliver {
-			p.deliver = removeSlot(p.deliver, o.k)
-		}
-		if o.h.sendD >= 0 {
-			j := p.nbrIndex(o.h.sendD, o.h.sendTo)
-			nf := &p.nbrFrames[o.h.sendD][j]
-			nf.f.slots = removeSlot(nf.f.slots, o.k)
-			dirtyOut[frameRef{o.h.sendD, j}] = true
-		}
-		if o.h.recvD >= 0 {
-			j := p.nbrIndex(o.h.recvD, o.h.recvFrom)
-			p.inLayout[o.h.recvD][j] = removeSlot(p.inLayout[o.h.recvD][j], o.k)
-			dirtyIn[frameRef{o.h.recvD, j}] = true
-		}
-		st.Removed++
 	}
-	for _, o := range adds {
-		p.sizes[o.k] = o.size
-		if o.h.origin {
-			p.dests[int(o.k.dst)] = struct{}{}
-		}
-		if o.h.deliver {
-			p.deliver = append(p.deliver, o.k)
-		}
-		if o.h.sendD >= 0 {
-			j := p.nbrIndex(o.h.sendD, o.h.sendTo)
-			nf := &p.nbrFrames[o.h.sendD][j]
-			if nf.f == nil {
-				nf.f = &pFrame{}
-			}
-			nf.f.slots = append(nf.f.slots, o.k)
-			dirtyOut[frameRef{o.h.sendD, j}] = true
-		}
-		if o.h.recvD >= 0 {
-			j := p.nbrIndex(o.h.recvD, o.h.recvFrom)
-			p.inLayout[o.h.recvD][j] = append(p.inLayout[o.h.recvD][j], o.k)
-			dirtyIn[frameRef{o.h.recvD, j}] = true
-		}
-		st.Added++
-	}
-
-	// Sort the touched frames; a drained outbound frame reverts to the
-	// empty marker (nil, matching what a learning run records), and so
-	// does a drained inbound layout.
-	for ref := range dirtyOut {
-		nf := &p.nbrFrames[ref.d][ref.j]
-		if len(nf.f.slots) == 0 {
-			nf.f = nil
-			continue
-		}
-		slices.SortFunc(nf.f.slots, cmpSlot)
-	}
-	for ref := range dirtyIn {
-		in := &p.inLayout[ref.d][ref.j]
-		if len(*in) == 0 {
-			*in = nil
-			continue
-		}
-		slices.SortFunc(*in, cmpSlot)
-	}
-
-	// Derived state: the delivery order and destination list stay sorted,
-	// the cached schedule is dropped so the next lowering sees the new
-	// occupancy counts (Reserve values), and Run's replay is marked for
-	// re-lowering — the stage skeleton is identical.
-	slices.SortFunc(p.deliver, cmpSlot)
-	p.destList = p.destList[:0]
-	for dst := range p.dests {
-		p.destList = append(p.destList, dst)
-	}
-	slices.Sort(p.destList)
-	p.sched = nil
-	p.lowered = false
-	if err := validateSchedule(p.Schedule(), me, K); err != nil {
-		return nil, fmt.Errorf("core: patch: patched schedule invalid: %w", err)
-	}
-
-	dirty := make(map[int]bool, t.N())
-	for ref := range dirtyOut {
-		dirty[ref.d] = true
-	}
-	for ref := range dirtyIn {
-		dirty[ref.d] = true
-	}
-	st.DirtyStages = len(dirty)
-	st.TouchedOutFrames = len(dirtyOut)
-	st.TouchedInFrames = len(dirtyIn)
 	st.Elapsed = time.Since(start)
 	p.tele.CountPatch(st.DirtyStages, st.Elapsed)
 	return st, nil
+}
+
+// patch validates a nonempty delta, merges it into the table, derives the
+// layout and fills st's counts.
+func (p *Persistent) patch(delta *PatchDelta, st *PatchStats) error {
+	me, t := p.rank, p.topo
+	K := t.Size()
+
+	// Validation: every mutation must be in range, transit this rank,
+	// dedupe cleanly, and match the table (removals present, additions
+	// absent unless also removed). The frames a mutation occupies here,
+	// outFrames and inFrames (stage*K + peer), and their stages are what
+	// it touches.
+	var removes []slotKey
+	var adds []pairEntry
+	var outFrames, inFrames, stages []int
+	for _, pr := range delta.Pairs {
+		if pr.Src < 0 || pr.Src >= K || pr.Dst < 0 || pr.Dst >= K {
+			return fmt.Errorf("core: patch: pair %d->%d out of range [0,%d)", pr.Src, pr.Dst, K)
+		}
+		if !pr.Remove && pr.Size < 0 {
+			return fmt.Errorf("core: patch: pair %d->%d has negative size %d", pr.Src, pr.Dst, pr.Size)
+		}
+		h, ok := routeHops(t, me, pr.Src, pr.Dst)
+		if !ok {
+			return fmt.Errorf("core: patch: pair %d->%d does not transit rank %d", pr.Src, pr.Dst, me)
+		}
+		k := slotKey{src: int32(pr.Src), dst: int32(pr.Dst)}
+		if pr.Remove {
+			removes = append(removes, k)
+		} else {
+			adds = append(adds, pairEntry{k: k, n: int32(pr.Size)})
+		}
+		if h.sendD >= 0 {
+			outFrames = append(outFrames, h.sendD*K+h.sendTo)
+			stages = append(stages, h.sendD)
+		}
+		if h.recvD >= 0 {
+			inFrames = append(inFrames, h.recvD*K+h.recvFrom)
+			stages = append(stages, h.recvD)
+		}
+	}
+	cmpKey := func(a, b slotKey) int { return cmp.Compare(a.word(), b.word()) }
+	slices.SortFunc(removes, cmpKey)
+	slices.SortFunc(adds, cmpPair)
+	for i, k := range removes {
+		if i > 0 && k == removes[i-1] {
+			return fmt.Errorf("core: patch: duplicate removal of %d->%d", k.src, k.dst)
+		}
+		if _, have := p.findPair(k); !have {
+			return fmt.Errorf("core: patch: removal of %d->%d, which the pattern does not carry", k.src, k.dst)
+		}
+	}
+	for i, e := range adds {
+		if i > 0 && e.k == adds[i-1].k {
+			return fmt.Errorf("core: patch: duplicate addition of %d->%d", e.k.src, e.k.dst)
+		}
+		if _, have := p.findPair(e.k); have {
+			if _, resize := slices.BinarySearchFunc(removes, e.k, cmpKey); !resize {
+				return fmt.Errorf("core: patch: addition of %d->%d, which the pattern already carries (resize needs a paired removal)",
+					e.k.src, e.k.dst)
+			}
+		}
+	}
+
+	// Merge: both the table and the delta are sorted, so one pass drops
+	// the removed rows and puts every added one in its place; a resize is
+	// a removed row whose addition lands where it stood.
+	next := make([]pairEntry, 0, len(p.pairs)+len(adds))
+	a, r := 0, 0
+	for _, e := range p.pairs {
+		for a < len(adds) && adds[a].k.word() < e.k.word() {
+			next = append(next, adds[a])
+			a++
+		}
+		if r < len(removes) && removes[r] == e.k {
+			r++
+			continue
+		}
+		next = append(next, e)
+	}
+	p.pairs = append(next, adds[a:]...)
+	p.derive()
+	// The schedule is rebuilt on next use with the new occupancy counts,
+	// and Run's replay is lowered again: the stage skeleton is the same.
+	p.sched = nil
+	p.lowered = false
+
+	st.Added, st.Removed = len(adds), len(removes)
+	st.TouchedOutFrames, st.TouchedInFrames = distinct(outFrames), distinct(inFrames)
+	st.DirtyStages = distinct(stages)
+	return nil
+}
+
+// distinct returns how many different values xs holds, reordering xs.
+func distinct(xs []int) int {
+	slices.Sort(xs)
+	return len(slices.Compact(xs))
 }
 
 // PatchCompiled lowers the patched schedule into an existing Replay: after

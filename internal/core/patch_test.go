@@ -174,11 +174,7 @@ func TestPatchMatchesSynth(t *testing.T) {
 				sched := p.Schedule()
 				for d, ss := range sched.Stages {
 					for j, s := range ss.Sends {
-						n := 0
-						if p.nbrFrames[d][j].f != nil {
-							n = len(p.nbrFrames[d][j].f.slots)
-						}
-						if s.Reserve != n {
+						if n := len(p.outs[d][j]); s.Reserve != n {
 							t.Fatalf("K=%d rank %d stage %d: Reserve %d for %d slots", c.K, me, d, s.Reserve, n)
 						}
 					}
@@ -269,10 +265,11 @@ func TestPatchRejectLeavesUnchanged(t *testing.T) {
 }
 
 // TestPatchResizeKeepsFramesSorted pins the layout rule under a resize: a
-// paired remove+add lists the slot once, at its place in ascending
-// (src, dst) order, on both endpoints of every hop, with the new size
-// recorded; every frame of the patched world stays strictly ascending, and
-// the world equals synthWorld of the resized pattern slot for slot.
+// paired remove+add keeps the pair's one row of the table, at its place in
+// ascending (src, dst) order, with the new size, on every rank of its
+// route; every table and every derived frame of the patched world stays
+// strictly ascending, and the world equals synthWorld of the resized
+// pattern row for row.
 func TestPatchResizeKeepsFramesSorted(t *testing.T) {
 	tp := synthTopology(t, 8, 3)
 	base := synthBasePairs(2, 8)
@@ -284,10 +281,10 @@ func TestPatchResizeKeepsFramesSorted(t *testing.T) {
 	found := false
 search:
 	for _, p := range world {
-		for _, row := range p.nbrFrames {
-			for _, nf := range row {
-				if nf.f != nil && len(nf.f.slots) > 1 {
-					k := nf.f.slots[0]
+		for _, row := range p.outs {
+			for _, rows := range row {
+				if len(rows) > 1 {
+					k := p.pairs[rows[0]].k
 					pr, found = synthPair{int(k.src), int(k.dst)}, true
 					break search
 				}
@@ -310,23 +307,22 @@ search:
 		if _, err := p.Patch(deltas[me]); err != nil {
 			t.Fatalf("rank %d: %v", me, err)
 		}
-		if got := p.sizes[k]; got != 8*7 {
-			t.Fatalf("rank %d: resized pair records %d bytes, want %d", me, got, 8*7)
+		if i, ok := p.findPair(k); !ok || p.pairs[i].n != 8*7 {
+			t.Fatalf("rank %d: resized pair's row %v, want %d bytes", me, p.pairs, 8*7)
 		}
 	}
 	for me, p := range world {
-		for d := range p.nbrFrames {
-			for j, nf := range p.nbrFrames[d] {
-				var out []slotKey
-				if nf.f != nil {
-					out = nf.f.slots
-				}
+		if !strictlyAscending(p, nil) {
+			t.Fatalf("rank %d: pair table not strictly ascending: %v", me, p.pairs)
+		}
+		for d := range p.outs {
+			for j := range p.outs[d] {
 				for _, f := range []struct {
-					dir   string
-					slots []slotKey
-				}{{"to", out}, {"from", p.inLayout[d][j]}} {
-					if !strictlyAscending(f.slots) {
-						t.Fatalf("rank %d stage %d frame %s %d not strictly ascending: %v", me, d, f.dir, nf.to, f.slots)
+					dir  string
+					rows []int32
+				}{{"to", p.outs[d][j]}, {"from", p.ins[d][j]}} {
+					if !strictlyAscending(p, f.rows) {
+						t.Fatalf("rank %d stage %d frame %s neighbor %d not strictly ascending: %v", me, d, f.dir, j, f.rows)
 					}
 				}
 			}
@@ -343,11 +339,18 @@ search:
 	}
 }
 
-// strictlyAscending reports whether slots are in strictly ascending
-// (src, dst) order: the layout rule, with no slot listed twice.
-func strictlyAscending(slots []slotKey) bool {
-	for i := 1; i < len(slots); i++ {
-		if cmpSlot(slots[i-1], slots[i]) >= 0 {
+// strictlyAscending reports whether the pairs of rows (the whole table
+// when rows is nil) are in strictly ascending (src, dst) order: the layout
+// rule, with no pair listed twice.
+func strictlyAscending(p *Persistent, rows []int32) bool {
+	if rows == nil {
+		rows = make([]int32, len(p.pairs))
+		for i := range rows {
+			rows[i] = int32(i)
+		}
+	}
+	for i := 1; i < len(rows); i++ {
+		if p.pairs[rows[i-1]].k.word() >= p.pairs[rows[i]].k.word() {
 			return false
 		}
 	}
@@ -664,6 +667,51 @@ func BenchmarkPatchCompiled(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*K), "ns/rank")
+}
+
+// TestPatchEmptyDeltaKeepsLayout: in the churn shape most ranks get an
+// empty delta each round, and Patch of one changes nothing. The rank keeps
+// its Schedule pointer and Run's lowered replay, the patch is still
+// counted, and it allocates no more than the PatchStats it returns.
+func TestPatchEmptyDeltaKeepsLayout(t *testing.T) {
+	tp := vpt.MustNew(4, 4, 4)
+	pairs, _ := churnPairs(rand.New(rand.NewSource(64)), 64)
+	p := synthWorld(tp, pairs)[0]
+	reg, err := telemetry.New(telemetry.Config{Ranks: 64, Stages: tp.N()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Instrument(reg.Rank(0))
+	rp, err := p.replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := p.Schedule()
+	empty := &PatchDelta{}
+	st, err := p.Patch(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *st != (PatchStats{Elapsed: st.Elapsed}) {
+		t.Errorf("empty delta reports %+v", st)
+	}
+	if p.Schedule() != sched || !p.lowered || p.rp != rp {
+		t.Error("empty delta dropped the schedule or Run's lowered replay")
+	}
+	if n := reg.Snapshot().Ranks[0].Patches; n != 1 {
+		t.Errorf("telemetry counts %d patches, want 1", n)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := p.Patch(empty); err != nil {
+			t.Fatal(err)
+		}
+		p.Schedule()
+	}); allocs > 1 {
+		t.Errorf("empty Patch and Schedule allocate %v times, want at most 1 (the PatchStats)", allocs)
+	}
 }
 
 // TestPatchTelemetry checks the patch counters land on the rank collector

@@ -75,10 +75,11 @@ func applyMutations(pairs map[synthPair]int, muts []PatchPair) map[synthPair]int
 // synthGather builds word-aligned gather lists for a rank's destinations,
 // matching the sizes the pattern records for its own pairs.
 func synthGather(p *Persistent, xlen int) map[int][]int32 {
-	g := make(map[int][]int32, len(p.destList))
-	for _, dst := range p.destList {
-		words := p.sizes[slotKey{src: int32(p.rank), dst: int32(dst)}] / 8
-		idx := make([]int32, words)
+	own := p.ownPairs()
+	g := make(map[int][]int32, len(own))
+	for _, e := range own {
+		dst := int(e.k.dst)
+		idx := make([]int32, e.n/8)
 		for i := range idx {
 			idx[i] = int32((dst*11 + i*3) % xlen)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -14,46 +15,40 @@ import (
 // Persistent is a reusable store-and-forward exchange for a *fixed*
 // communication pattern — the iterative case, where the same SpMV exchange
 // repeats every iteration, as in MPI's persistent neighborhood collectives.
-// It holds, per stage, the exact frame layout this rank sends and receives:
-// which neighbors exchange a frame and, inside each, the (src, dst) slots
-// in ascending order with their payload sizes. NewPersistent records it in
-// a learning run (Algorithm 1 with a recorder; Exchange is the same run
-// with the record dropped); ComputePersistent builds the same layout from
-// the global pattern without communicating. Every replay runs the compiled
-// tier (see Schedule and Replay): Run lowers the layout into a byte Replay
-// on first use, Compile into a word Replay that gathers float64s. Either
-// way the layout's destinations and payload lengths are the contract a
-// replay is held to.
+// Its one piece of layout state is a pair table: every (src, dst) pair
+// whose dimension-ordered route passes this rank, as origin, forwarder or
+// destination, with its payload byte length, sorted by (src, dst). Routes
+// are fixed, so the table decides the whole layout, and derive builds it:
+// per stage the frames this rank sends and receives, each listing its
+// slots in ascending (src, dst) order, the deliveries and the own
+// destinations. NewPersistent records the table in a learning run
+// (Algorithm 1 with a recorder; Exchange is the same run with the record
+// dropped); ComputePersistent computes it from the global pattern without
+// communicating; Patch merges a delta into it. Every replay runs the
+// compiled tier (see Schedule and Replay): Run lowers the layout into a
+// byte Replay on first use, Compile into a word Replay that gathers
+// float64s. Either way the table's destinations and payload lengths are
+// the contract a replay is held to.
 //
 // A Persistent is owned by one rank and is not safe for concurrent use.
 type Persistent struct {
 	topo *vpt.Topology
 	rank int
-	// nbrFrames[d][j] pairs the j-th dimension-d neighbor — the schedule's
-	// send and receive index, neighbor-digit order — with the nonempty frame
-	// sent to it, nil when the frame to that neighbor is empty. The learning
-	// run records each frame at its slot; Patch mutates the slot lists in
-	// place when the pattern changes.
-	nbrFrames [][]nbrFrame
-	// deliver lists the (src, dst) ranks whose payloads end up at this
-	// rank, in the order Exchange returns them (sorted by src, then dst).
-	deliver []slotKey
-	// dests is the set of destinations the pattern was learned with; replay
-	// payloads must match it exactly. destList is the same set sorted,
-	// cached for Destinations.
-	dests    map[int]struct{}
-	destList []int
-	// sizes records the payload byte length of every slot that passes
-	// through this rank (own sends, forwarded submessages, and deliveries).
-	// Every replay holds these sizes.
-	sizes map[slotKey]int
-	// inLayout[d][j] lists the slots of the frame received from the j-th
-	// dimension-d neighbor (nbrFrames[d][j].to), in wire order: ascending
-	// (src, dst), nil for an empty frame. The lowering turns it into the
-	// per-slot sub-header checks and offset copies of every replay.
-	inLayout [][][]slotKey
-	// sched is the learned StageSchedule, built lazily from the recorded
-	// pattern; every lowering reads it.
+	// pairs is the pair table, sorted by (src, dst) (slotKey.word). Every
+	// list below holds indices into it, so each slot's size is its row's.
+	pairs []pairEntry
+	// outs[d][j] and ins[d][j] list the rows carried by the frame sent to
+	// and received from the j-th dimension-d neighbor (digit order, the
+	// schedule's send and receive index), in table order, which is the
+	// wire order; an empty list is an empty frame. deliver lists the rows
+	// delivered to this rank, in the order Run returns them; destList the
+	// destinations of the rows this rank originates, ascending. All four
+	// are derived from pairs (derive) and rebuilt in place.
+	outs, ins [][][]int32
+	deliver   []int32
+	destList  []int
+	// sched is the StageSchedule, built lazily from outs; every lowering
+	// reads it.
 	sched *StageSchedule
 	// rp is Run's byte replay, lowered on the first Run. Patch clears
 	// lowered, and the next Run lowers the patched pattern into the same
@@ -76,123 +71,152 @@ func (p *Persistent) Instrument(t *telemetry.Rank) { p.tele = t }
 
 type slotKey struct{ src, dst int32 }
 
-type pFrame struct {
-	slots []slotKey
+// word packs k so that words order as (src, dst): the pair table's order,
+// and with it every frame's.
+func (k slotKey) word() uint64 { return uint64(uint32(k.src))<<32 | uint64(uint32(k.dst)) }
+
+// pairEntry is one row of the pair table: a pair and its payload bytes.
+type pairEntry struct {
+	k slotKey
+	n int32
 }
 
-// list returns the frame's slots, nil for the empty frame.
-func (f *pFrame) list() []slotKey {
-	if f == nil {
-		return nil
-	}
-	return f.slots
+// cmpPair orders table rows by (src, dst).
+func cmpPair(a, b pairEntry) int { return cmp.Compare(a.k.word(), b.k.word()) }
+
+// findPair returns the row of k in the table and whether it is there.
+func (p *Persistent) findPair(k slotKey) (int, bool) {
+	return slices.BinarySearchFunc(p.pairs, k.word(), func(e pairEntry, w uint64) int { return cmp.Compare(e.k.word(), w) })
 }
 
-type nbrFrame struct {
-	to int
-	f  *pFrame // nil: send an empty frame to keep receive counts deterministic
+// ownPairs returns the rows this rank originates: its destinations,
+// ascending, with their payload sizes.
+func (p *Persistent) ownPairs() []pairEntry {
+	lo, _ := p.findPair(slotKey{src: int32(p.rank)})
+	hi, _ := p.findPair(slotKey{src: int32(p.rank) + 1})
+	return p.pairs[lo:hi]
 }
 
 // NewPersistent performs the learning run: it executes the exchange for
 // payloads and returns the deliveries along with a Persistent that can
 // replay the same pattern. The run routes frames as they land (route),
 // and every frame goes on the wire with its slots in ascending (src, dst)
-// order; the recorder keeps each outbound layout at its send slot and each
-// inbound one at its sender's neighbor index. So every learning run of one
-// pattern records the same layout whatever the transport's timing, the one
-// ComputePersistent builds and Patch keeps. It is collective: every rank of
-// the communicator must call it with the same topology.
+// order; the recorder keeps the size of every pair the rank sends or
+// receives, which is the pair table ComputePersistent computes, so every
+// learning run of one pattern records the same layout whatever the
+// transport's timing. It is collective: every rank of the communicator
+// must call it with the same topology.
 func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*Persistent, *Delivered, error) {
 	p := &Persistent{topo: t, rank: c.Rank()}
 	out, err := route(c, t, payloads, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, s := range out.Subs {
-		p.deliver = append(p.deliver, slotKey{src: int32(s.Src), dst: int32(s.Dst)})
-	}
+	slices.SortFunc(p.pairs, cmpPair)
+	p.derive()
 	return p, out, nil
 }
 
 // ComputePersistent builds rank me's Persistent from the global pattern
-// with no communication: the layout a learning run of that pattern records,
-// slot for slot, so a world may mix computed and learned ranks. size
-// reports whether src sends dst a payload and its byte length; it is asked
-// only about the (n+1)·K pairs whose dimension-ordered route can pass me —
-// for some d, src agrees with me on every digit from d up and dst on every
-// digit below d. Each such pair's route is walked with routeHops (the walk
-// Patch uses), its slot appended to every frame of me's it occupies, and
-// every frame sorted by (src, dst) once.
+// with no communication: the pair table a learning run of that pattern
+// records, row for row, so a world may mix computed and learned ranks.
+// size reports whether src sends dst a payload and its byte length; it is
+// asked only about the pairs whose dimension-ordered route can pass me.
+// Every src is such a source for one stage d: the lowest from which src
+// keeps me's digits (d = 0 for me itself). Its routes meet me there, so
+// they pass me exactly when dst has me's digits below d. Walking src, then
+// dst, in ascending order fills the table in (src, dst) order: no sort.
 func ComputePersistent(t *vpt.Topology, me int, size func(src, dst int) (int, bool)) (*Persistent, error) {
 	K, n := t.Size(), t.N()
 	if me < 0 || me >= K {
 		return nil, fmt.Errorf("core: rank %d outside a %d-rank topology", me, K)
 	}
-	p := &Persistent{topo: t, rank: me, dests: map[int]struct{}{}, sizes: map[slotKey]int{}}
-	p.indexNeighborFrames()
-	for d := 0; d <= n; d++ {
-		// me is the rank between stages d-1 and d of the pair's route: src
-		// keeps me's digits from d up, dst me's digits below d. A src that
-		// also keeps me's digit d-1 was met at stage d-1 already.
+	// The table is sized for every candidate pair at once (K from me
+	// itself, K-K/dim(d) more per dimension d), and cut to its rows if far
+	// fewer turn up.
+	cand := K
+	for d := 0; d < n; d++ {
+		cand += K - K/t.Dim(d)
+	}
+	p := &Persistent{topo: t, rank: me, pairs: make([]pairEntry, 0, cand)}
+	for src := 0; src < K; src++ {
+		d := n
+		for d > 0 && t.Digit(src, d-1) == t.Digit(me, d-1) {
+			d--
+		}
 		low := K
 		if d < n {
 			low = t.Stride(d)
 		}
-		for src := me - me%low; src < me-me%low+low; src++ {
-			if d > 0 && t.Digit(src, d-1) == t.Digit(me, d-1) {
+		for dst := me % low; dst < K; dst += low {
+			bytes, ok := size(src, dst)
+			if !ok {
 				continue
 			}
-			for dst := me % low; dst < K; dst += low {
-				bytes, ok := size(src, dst)
-				if !ok {
-					continue
-				}
-				if bytes < 0 {
-					return nil, fmt.Errorf("core: pair %d->%d has negative size %d", src, dst, bytes)
-				}
-				k := slotKey{src: int32(src), dst: int32(dst)}
-				h, _ := routeHops(t, me, src, dst)
-				p.sizes[k] = bytes
-				if h.origin {
-					p.dests[dst] = struct{}{}
-					p.destList = append(p.destList, dst)
-				}
-				if h.deliver {
-					p.deliver = append(p.deliver, k)
-				}
-				if h.sendD >= 0 {
-					nf := &p.nbrFrames[h.sendD][p.nbrIndex(h.sendD, h.sendTo)]
-					if nf.f == nil {
-						nf.f = &pFrame{}
-					}
-					nf.f.slots = append(nf.f.slots, k)
-				}
-				if h.recvD >= 0 {
-					in := &p.inLayout[h.recvD][p.nbrIndex(h.recvD, h.recvFrom)]
-					*in = append(*in, k)
-				}
+			if bytes < 0 {
+				return nil, fmt.Errorf("core: pair %d->%d has negative size %d", src, dst, bytes)
 			}
+			p.pairs = append(p.pairs, pairEntry{k: slotKey{src: int32(src), dst: int32(dst)}, n: int32(bytes)})
 		}
 	}
-	// Stage 0 met every own pair, dst ascending, so destList is sorted.
-	slices.SortFunc(p.deliver, cmpSlot)
-	for d := range p.nbrFrames {
-		for j, nf := range p.nbrFrames[d] {
-			if nf.f != nil {
-				slices.SortFunc(nf.f.slots, cmpSlot)
-			}
-			slices.SortFunc(p.inLayout[d][j], cmpSlot)
-		}
+	if 2*len(p.pairs) < cap(p.pairs) {
+		p.pairs = slices.Clone(p.pairs)
 	}
-	if err := validateSchedule(p.Schedule(), me, K); err != nil {
-		return nil, err
-	}
+	p.derive()
 	return p, nil
 }
 
+// derive rebuilds the layout from the pair table in one walk: each row's
+// route (routeHops) names the frames it occupies at this rank, and rows
+// appended in table order leave every list in wire order. The lists keep
+// their capacity from one derivation to the next.
+func (p *Persistent) derive() {
+	t, me := p.topo, p.rank
+	if p.outs == nil {
+		p.outs, p.ins = make([][][]int32, t.N()), make([][][]int32, t.N())
+		for d := range p.outs {
+			p.outs[d], p.ins[d] = make([][]int32, t.Dim(d)-1), make([][]int32, t.Dim(d)-1)
+		}
+	}
+	for d := range p.outs {
+		for j := range p.outs[d] {
+			p.outs[d][j], p.ins[d][j] = p.outs[d][j][:0], p.ins[d][j][:0]
+		}
+	}
+	p.deliver, p.destList = p.deliver[:0], p.destList[:0]
+	for i, e := range p.pairs {
+		h, _ := routeHops(t, me, int(e.k.src), int(e.k.dst))
+		if h.origin {
+			p.destList = append(p.destList, int(e.k.dst))
+		}
+		if h.deliver {
+			p.deliver = append(p.deliver, int32(i))
+		}
+		if h.sendD >= 0 {
+			j := p.nbrIndex(h.sendD, h.sendTo)
+			p.outs[h.sendD][j] = append(p.outs[h.sendD][j], int32(i))
+		}
+		if h.recvD >= 0 {
+			j := p.nbrIndex(h.recvD, h.recvFrom)
+			p.ins[h.recvD][j] = append(p.ins[h.recvD][j], int32(i))
+		}
+	}
+}
+
+// nbrIndex returns the index of the dimension-d neighbor peer among this
+// rank's dimension-d neighbors in digit order.
+func (p *Persistent) nbrIndex(d, peer int) int {
+	x := p.topo.Digit(peer, d)
+	if x > p.topo.Digit(p.rank, d) {
+		x--
+	}
+	return x
+}
+
 // route is the learning run, Algorithm 1 on one rank, and the one loop
-// that routes frames as they land. When p is non-nil it records the
-// pattern into p as it goes; Exchange passes nil, and the run is the same
+// that routes frames as they land. When p is non-nil it appends every pair
+// it sends or receives, with its size, to p's pair table (unsorted: the
+// caller sorts and derives); Exchange passes nil, and the run is the same
 // but for the record. Replaying a learned pattern does not come here: that
 // is the compiled Replay's loop.
 //
@@ -220,14 +244,10 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 	}
 	sort.Ints(dests)
 	if p != nil {
-		p.dests = make(map[int]struct{}, len(dests))
-		p.destList = dests
-		p.sizes = make(map[slotKey]int, len(dests))
+		p.pairs = make([]pairEntry, 0, len(dests))
 		for _, dst := range dests {
-			p.dests[dst] = struct{}{}
-			p.sizes[slotKey{src: int32(me), dst: int32(dst)}] = len(payloads[dst])
+			p.pairs = append(p.pairs, pairEntry{k: slotKey{src: int32(me), dst: int32(dst)}, n: int32(len(payloads[dst]))})
 		}
-		p.indexNeighborFrames()
 	}
 
 	// Lines 4-6 of Algorithm 1: scatter my send list into the forward
@@ -247,8 +267,8 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 		fb.Put(d, t.Digit(dst, d), msg.Submessage{Src: me, Dst: dst, Data: data})
 	}
 
-	// Stage d's j-th send slot and j-th expected sender are both the j-th
-	// dimension-d neighbor in digit order, the index the record keeps.
+	// Stage d sends to and expects a frame from every dimension-d
+	// neighbor, in digit order.
 	sched := buildTopologySchedule(t, me)
 	runtime.HintTraffic(c, sched.Traffic())
 	sends, recvs, width := 0, 0, 0
@@ -284,12 +304,9 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 		// (which owns its subslice from then on; stages use disjoint regions
 		// of the shared backing array), overlapped with the receives below.
 		outs := frameArr[len(frameArr) : len(frameArr) : len(frameArr)+len(st.Sends)]
-		for j, slot := range st.Sends {
+		for _, slot := range st.Sends {
 			subs := fb.Take(d, t.Digit(slot.To, d))
 			msg.SortSubs(subs)
-			if p != nil && len(subs) > 0 {
-				p.nbrFrames[d][j].f = &pFrame{slots: slotsOf(subs)}
-			}
 			outs = append(outs, stageFrame{to: slot.To, subs: subs})
 		}
 		frameArr = frameArr[:len(frameArr)+len(outs)]
@@ -322,12 +339,17 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 				return nil, fmt.Errorf("core: rank %d stage %d: misrouted frame %d->%d arrived from %d",
 					me, d, decoded.From, decoded.To, from)
 			}
-			if p != nil && len(decoded.Subs) > 0 {
-				in := slotsOf(decoded.Subs)
-				for i, sub := range decoded.Subs {
-					p.sizes[in[i]] = len(sub.Data)
+			if p != nil {
+				// The table keeps pairs, not frames: a pair whose route does
+				// not enter here from this sender in this stage would be
+				// derived into another frame than the one it came in.
+				for _, sub := range decoded.Subs {
+					if h, _ := routeHops(t, me, sub.Src, sub.Dst); h.recvD != d || h.recvFrom != from {
+						return nil, fmt.Errorf("core: rank %d stage %d: misrouted submessage %d->%d from %d: its route does not enter here",
+							me, d, sub.Src, sub.Dst, from)
+					}
+					p.pairs = append(p.pairs, pairEntry{k: slotKey{src: int32(sub.Src), dst: int32(sub.Dst)}, n: int32(len(sub.Data))})
 				}
-				p.inLayout[d][j] = in
 			}
 			if err := scatterFrame(t, me, d, fb, out, decoded.Subs); err != nil {
 				return nil, err
@@ -347,79 +369,21 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 	return out, nil
 }
 
-// slotsOf returns the (src, dst) slots of a frame's submessages in wire
-// order.
-func slotsOf(subs []msg.Submessage) []slotKey {
-	slots := make([]slotKey, len(subs))
-	for i, s := range subs {
-		slots[i] = slotKey{src: int32(s.Src), dst: int32(s.Dst)}
-	}
-	return slots
-}
-
-// indexNeighborFrames builds the skeleton of nbrFrames and inLayout: per
-// stage, every dimension-d neighbor in digit order — the learning
-// schedule's send and receive order (buildTopologySchedule) — with no frame
-// yet. The learning run then records each nonempty frame at its neighbor
-// index.
-func (p *Persistent) indexNeighborFrames() {
-	t := p.topo
-	me := p.rank
-	p.nbrFrames = make([][]nbrFrame, t.N())
-	p.inLayout = make([][][]slotKey, t.N())
-	for d := 0; d < t.N(); d++ {
-		myDigit := t.Digit(me, d)
-		row := make([]nbrFrame, 0, t.Dim(d)-1)
-		for x := 0; x < t.Dim(d); x++ {
-			if x == myDigit {
-				continue
-			}
-			row = append(row, nbrFrame{to: t.WithDigit(me, d, x)})
-		}
-		p.nbrFrames[d] = row
-		p.inLayout[d] = make([][]slotKey, len(row))
-	}
-}
-
-// nbrIndex returns the index into nbrFrames[d] and inLayout[d] of the
-// dimension-d neighbor peer, or -1 when peer is not one.
-func (p *Persistent) nbrIndex(d, peer int) int {
-	for j := range p.nbrFrames[d] {
-		if p.nbrFrames[d][j].to == peer {
-			return j
-		}
-	}
-	return -1
-}
-
 // Schedule returns the learned StageSchedule — the IR every replay lowers.
 // Each stage sends to and receives from every dimension-d neighbor in
-// digit order, the send slots carrying the learned frame occupancy. The
-// schedule is cached inside the Persistent and must be treated as
-// read-only.
+// digit order (buildTopologySchedule), the send slots carrying the
+// occupancy of their frames. The schedule is cached inside the Persistent
+// and must be treated as read-only.
 func (p *Persistent) Schedule() *StageSchedule {
-	if p.sched != nil {
-		return p.sched
-	}
-	t := p.topo
-	sched := &StageSchedule{Stages: make([]ScheduleStage, t.N())}
-	for d := 0; d < t.N(); d++ {
-		st := &sched.Stages[d]
-		st.Tag = StageTag(d)
-		st.Dim = d
-		st.Sends = make([]SendSlot, len(p.nbrFrames[d]))
-		st.RecvFrom = make([]int, len(p.nbrFrames[d]))
-		for j, nf := range p.nbrFrames[d] {
-			reserve := 0
-			if nf.f != nil {
-				reserve = len(nf.f.slots)
+	if p.sched == nil {
+		p.sched = buildTopologySchedule(p.topo, p.rank)
+		for d := range p.sched.Stages {
+			for j := range p.sched.Stages[d].Sends {
+				p.sched.Stages[d].Sends[j].Reserve = len(p.outs[d][j])
 			}
-			st.Sends[j] = SendSlot{To: nf.to, Reserve: reserve}
-			st.RecvFrom[j] = nf.to
 		}
 	}
-	p.sched = sched
-	return sched
+	return p.sched
 }
 
 // Run replays the learned pattern with new payload bytes. The learned
@@ -508,7 +472,7 @@ func (p *Persistent) bind(r *Replay, payloads map[int][]byte) error {
 // map of the learned size, so such a destination exists.
 func (p *Persistent) strayDestination(payloads map[int][]byte) error {
 	for dst := range payloads {
-		if _, ok := p.dests[dst]; !ok {
+		if _, ok := slices.BinarySearch(p.destList, dst); !ok {
 			return fmt.Errorf("core: rank %d: destination %d not in the learned pattern", p.rank, dst)
 		}
 	}

@@ -10,25 +10,43 @@ import (
 
 // learnScriptedPersistent performs a learning run on a rank-0 scriptComm for
 // T3(2,2,2) whose inbound traffic includes one nonempty frame: rank 2
-// forwards the submessage 6->0 in stage 1. The learned pattern therefore has
-// a nonempty inbound slot layout that replays can violate.
+// forwards the submessage 3->0 in stage 1, the last hop of its route
+// 3 -> 2 -> 0. The learned pattern therefore has a nonempty inbound slot
+// layout that replays can violate.
 func learnScriptedPersistent(t *testing.T) (*Persistent, *scriptComm) {
 	t.Helper()
 	sc, tp := scriptedWorld()
 	learned := msg.Encode(nil, &msg.Message{
 		From: 2, To: 0,
-		Subs: []msg.Submessage{{Src: 6, Dst: 0, Data: []byte("hi")}},
+		Subs: []msg.Submessage{{Src: 3, Dst: 0, Data: []byte("hi")}},
 	})
 	sc.recvs[fmt.Sprintf("2/%d", tagBase+1)] = [][]byte{learned}
 	p, d, err := NewPersistent(sc, tp, map[int][]byte{7: []byte("seed-payload")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Subs) != 1 || d.Subs[0].Src != 6 || string(d.Subs[0].Data) != "hi" {
+	if len(d.Subs) != 1 || d.Subs[0].Src != 3 || string(d.Subs[0].Data) != "hi" {
 		t.Fatalf("learning deliveries: %+v", d.Subs)
 	}
 	sc.sent = nil
 	return p, sc
+}
+
+// TestLearningRunRejectsOffRoutePair: a learning run records pairs, and
+// derives the frame each one travels in from its dimension-ordered route,
+// so a frame carrying a pair whose route does not enter the receiver from
+// that sender in that stage fails the run — here 6->0 from rank 2 in stage
+// 1, where the route 6 -> 4 -> 0 delivers it from rank 4 in stage 2.
+func TestLearningRunRejectsOffRoutePair(t *testing.T) {
+	sc, tp := scriptedWorld()
+	sc.recvs[fmt.Sprintf("2/%d", tagBase+1)] = [][]byte{msg.Encode(nil, &msg.Message{
+		From: 2, To: 0,
+		Subs: []msg.Submessage{{Src: 6, Dst: 0, Data: []byte("hi")}},
+	})}
+	_, _, err := NewPersistent(sc, tp, map[int][]byte{7: []byte("seed-payload")})
+	if err == nil || !strings.Contains(err.Error(), "misrouted submessage 6->0 from 2") {
+		t.Fatalf("off-route pair: err = %v", err)
+	}
 }
 
 // queueReplayFrames loads a fresh round of scripted inbound frames for one
@@ -42,12 +60,12 @@ func queueReplayFrames(sc *scriptComm, fromTwo []msg.Submessage) {
 
 func TestPersistentReplayDeliversScriptedSubmessage(t *testing.T) {
 	p, sc := learnScriptedPersistent(t)
-	queueReplayFrames(sc, []msg.Submessage{{Src: 6, Dst: 0, Data: []byte("yo")}})
+	queueReplayFrames(sc, []msg.Submessage{{Src: 3, Dst: 0, Data: []byte("yo")}})
 	d, err := p.Run(sc, map[int][]byte{7: []byte("new-payload!")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Subs) != 1 || d.Subs[0].Src != 6 || d.Subs[0].Dst != 0 || string(d.Subs[0].Data) != "yo" {
+	if len(d.Subs) != 1 || d.Subs[0].Src != 3 || d.Subs[0].Dst != 0 || string(d.Subs[0].Data) != "yo" {
 		t.Errorf("replay deliveries: %+v", d.Subs)
 	}
 	// The replay must emit the learned frames: the 0->7 payload to rank 1
@@ -67,7 +85,7 @@ func TestPersistentReplayDeliversScriptedSubmessage(t *testing.T) {
 // impostor payload under the learned key; this locks the validation in.
 func TestPersistentReplayRejectsMisroutedSubmessage(t *testing.T) {
 	p, sc := learnScriptedPersistent(t)
-	// Learned slot is 6->0; the frame carries 5->0 instead.
+	// Learned slot is 3->0; the frame carries 5->0 instead.
 	queueReplayFrames(sc, []msg.Submessage{{Src: 5, Dst: 0, Data: []byte("yo")}})
 	_, err := p.Run(sc, map[int][]byte{7: []byte("new-payload!")})
 	if err == nil {
@@ -80,8 +98,8 @@ func TestPersistentReplayRejectsMisroutedSubmessage(t *testing.T) {
 
 func TestPersistentReplayRejectsWrongDestination(t *testing.T) {
 	p, sc := learnScriptedPersistent(t)
-	// Right source, wrong destination: 6->3 instead of 6->0.
-	queueReplayFrames(sc, []msg.Submessage{{Src: 6, Dst: 3, Data: []byte("yo")}})
+	// Right source, wrong destination: 3->1 instead of 3->0.
+	queueReplayFrames(sc, []msg.Submessage{{Src: 3, Dst: 1, Data: []byte("yo")}})
 	_, err := p.Run(sc, map[int][]byte{7: []byte("new-payload!")})
 	if err == nil {
 		t.Fatal("wrong-destination submessage not detected")
@@ -124,8 +142,8 @@ func TestPersistentReplayRejectsMisroutedForward(t *testing.T) {
 func TestPersistentReplayRejectsSlotCountMismatch(t *testing.T) {
 	p, sc := learnScriptedPersistent(t)
 	queueReplayFrames(sc, []msg.Submessage{
-		{Src: 6, Dst: 0, Data: []byte("yo")},
-		{Src: 6, Dst: 4, Data: []byte("extra")},
+		{Src: 3, Dst: 0, Data: []byte("yo")},
+		{Src: 3, Dst: 4, Data: []byte("extra")},
 	})
 	_, err := p.Run(sc, map[int][]byte{7: []byte("new-payload!")})
 	if err == nil {
@@ -158,7 +176,7 @@ func TestPersistentRunReleasesSlots(t *testing.T) {
 		return bad
 	}
 
-	queueReplayFrames(sc, []msg.Submessage{{Src: 6, Dst: 0, Data: []byte("yo")}})
+	queueReplayFrames(sc, []msg.Submessage{{Src: 3, Dst: 0, Data: []byte("yo")}})
 	if _, err := p.Run(sc, map[int][]byte{7: []byte("new-payload!")}); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +207,7 @@ func TestPersistentReplayRecoversAfterFault(t *testing.T) {
 	}
 	sc.recvs = nil
 	sc.sent = nil
-	queueReplayFrames(sc, []msg.Submessage{{Src: 6, Dst: 0, Data: []byte("ok")}})
+	queueReplayFrames(sc, []msg.Submessage{{Src: 3, Dst: 0, Data: []byte("ok")}})
 	d, err := p.Run(sc, map[int][]byte{7: []byte("new-payload!")})
 	if err != nil {
 		t.Fatal(err)

@@ -112,8 +112,8 @@ func TestPersistentMatchesExchangeDeliveries(t *testing.T) {
 // same pattern is learned in two worlds whose sends are delayed and whose
 // arrival-order receives are served in random order, under different
 // seeds, and in a third whose receives a shuffleComm serves in a random
-// order of its own; all three must record the same schedule and the same
-// slot layouts. (The learning run routes each frame as it lands, so its
+// order of its own; all three must record the same schedule, the same pair
+// table and the same derived frames and deliveries. (The learning run routes each frame as it lands, so its
 // forward buffers fill in arrival order; let it send them unsorted and the
 // slot order inside later-stage frames differs.)
 func TestLearningLayoutReproducible(t *testing.T) {
@@ -181,10 +181,10 @@ func TestLearningLayoutReproducible(t *testing.T) {
 					name string
 					a, b any
 				}{
-					{"nbrFrames", a[r].nbrFrames, b[r].nbrFrames},
-					{"inLayout", a[r].inLayout, b[r].inLayout},
-					{"deliver", a[r].deliver, b[r].deliver},
-					{"sizes", a[r].sizes, b[r].sizes},
+					{"pair table", a[r].pairs, b[r].pairs},
+					{"outbound frames", a[r].outs, b[r].outs},
+					{"inbound frames", a[r].ins, b[r].ins},
+					{"deliveries", a[r].deliver, b[r].deliver},
 				} {
 					if !reflect.DeepEqual(f.a, f.b) {
 						t.Fatalf("K=%d rank %d, %s: learned %s differs:\n%+v\n%+v", c.K, r, other.name, f.name, f.a, f.b)

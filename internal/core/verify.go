@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"stfw/internal/vpt"
 )
@@ -207,20 +206,17 @@ func LearnedWorldSchedules(ps []*Persistent) []*StageSchedule {
 // Persistents on the payload plane, which the schedule-level VerifyWorld
 // cannot see: a learned schedule sends a frame to every neighbor whether or
 // not it carries payload, so churn never changes the skeleton and a clean
-// one could still carry misrouted slots. It is one comparison: every rank
-// must equal, slot for slot, what ComputePersistent builds for it from the
-// world's own declared pattern (each rank's destinations and their payload
-// sizes). That holds:
+// one could still carry misrouted slots. It is one comparison: every
+// rank's pair table must equal, row for row, the one ComputePersistent
+// computes for it from the world's own declared pattern (each rank's own
+// rows: its destinations and their payload sizes). The whole layout is
+// derived from the table, so that holds every frame on both of its ends to
+// the pairs whose dimension-ordered route it lies on, at the size their
+// origin declares, and every rank to the deliveries addressed to it. That
+// the derived layout is what the learning run sends is held on the wire by
+// TestLearningFramesSorted and TestCompiledFramesMatchEncode.
 //
-//   - wire symmetry: every frame's slot sequence equals its receiver's
-//     inbound layout, and both ends record the size its origin declares;
-//   - route completeness: each declared payload occupies exactly the frames
-//     on its dimension-ordered route, and no frame carries another slot;
-//   - frame order: every frame lists its slots in ascending (src, dst) order;
-//   - delivery: each rank delivers exactly the declared pairs destined for
-//     it, in sorted (src, dst) order.
-//
-// A finding names the rank and, for a frame, the stage. The
+// A finding names the rank and the first row that differs. The
 // dynamic-sparsity property suite runs it after every mutation round.
 func VerifyLearnedWorld(ps []*Persistent) error {
 	var v verifyErrs
@@ -245,10 +241,11 @@ func VerifyLearnedWorld(ps []*Persistent) error {
 		return v.join()
 	}
 	declared := func(src, dst int) (int, bool) {
-		if _, ok := ps[src].dests[dst]; !ok {
+		i, ok := ps[src].findPair(slotKey{src: int32(src), dst: int32(dst)})
+		if !ok {
 			return 0, false
 		}
-		return ps[src].sizes[slotKey{src: int32(src), dst: int32(dst)}], true
+		return int(ps[src].pairs[i].n), true
 	}
 	for r, p := range ps {
 		want, err := ComputePersistent(p.topo, r, declared)
@@ -261,58 +258,24 @@ func VerifyLearnedWorld(ps []*Persistent) error {
 	return v.join()
 }
 
-// comparePersistent reports the first difference between two states of one
-// rank on one topology (a, then b, in each message): every frame's slots in
-// order with their sizes, stage by stage, then deliveries, destinations and
-// sizes.
+// comparePersistent reports the first difference between the pair tables
+// of two states of one rank on one topology (a, then b, in the message).
 func comparePersistent(a, b *Persistent) error {
 	me := a.rank
 	if me != b.rank || !a.topo.Equal(b.topo) {
 		return fmt.Errorf("rank %d on %v vs rank %d on %v", me, a.topo, b.rank, b.topo)
 	}
-	for d := range a.nbrFrames {
-		for j, af := range a.nbrFrames[d] {
-			// One topology gives both the same neighbors in the same order.
-			if err := compareSlots(a, b, af.f.list(), b.nbrFrames[d][j].f.list()); err != nil {
-				return fmt.Errorf("rank %d stage %d frame to %d: %w", me, d, af.to, err)
-			}
-			in := a.inLayout[d][j]
-			if err := compareSlots(a, b, in, b.inLayout[d][j]); err != nil {
-				return fmt.Errorf("rank %d stage %d frame from %d: %w", me, d, af.to, err)
-			}
-			for _, k := range in {
-				if _, ok := slices.BinarySearchFunc(a.deliver, k, cmpSlot); k.dst == int32(me) && !ok {
-					return fmt.Errorf("rank %d stage %d frame from %d: slot %d->%d is never delivered", me, d, af.to, k.src, k.dst)
-				}
-			}
-		}
-	}
-	if !slices.Equal(a.deliver, b.deliver) {
-		return fmt.Errorf("rank %d: deliveries %v vs %v", me, a.deliver, b.deliver)
-	}
-	if !slices.Equal(a.destList, b.destList) {
-		return fmt.Errorf("rank %d: destinations %v vs %v", me, a.destList, b.destList)
-	}
-	if len(a.sizes) != len(b.sizes) {
-		return fmt.Errorf("rank %d: %d recorded sizes vs %d", me, len(a.sizes), len(b.sizes))
-	}
-	for k, n := range a.sizes {
-		if bn, ok := b.sizes[k]; !ok || bn != n {
-			return fmt.Errorf("rank %d: size of %d->%d is %d vs %d", me, k.src, k.dst, n, bn)
-		}
-	}
-	return nil
-}
-
-// compareSlots holds one frame's slot lists, as a and b record them, to the
-// same slots in the same order with the same sizes.
-func compareSlots(a, b *Persistent, as, bs []slotKey) error {
-	if !slices.Equal(as, bs) {
-		return fmt.Errorf("slots %v vs %v", as, bs)
-	}
-	for _, k := range as {
-		if a.sizes[k] != b.sizes[k] {
-			return fmt.Errorf("slot %d->%d sized %d vs %d", k.src, k.dst, a.sizes[k], b.sizes[k])
+	for i := 0; i < len(a.pairs) || i < len(b.pairs); i++ {
+		switch {
+		case i == len(b.pairs) || i < len(a.pairs) && a.pairs[i].k.word() < b.pairs[i].k.word():
+			e := a.pairs[i]
+			return fmt.Errorf("rank %d: pair %d->%d (%d bytes) vs none", me, e.k.src, e.k.dst, e.n)
+		case i == len(a.pairs) || a.pairs[i].k != b.pairs[i].k:
+			e := b.pairs[i]
+			return fmt.Errorf("rank %d: no pair %d->%d vs %d bytes", me, e.k.src, e.k.dst, e.n)
+		case a.pairs[i].n != b.pairs[i].n:
+			e := a.pairs[i]
+			return fmt.Errorf("rank %d: pair %d->%d sized %d vs %d", me, e.k.src, e.k.dst, e.n, b.pairs[i].n)
 		}
 	}
 	return nil
