@@ -10,16 +10,16 @@ import (
 	"stfw/internal/vpt"
 )
 
-// runVerify (-verify) sweeps the whole-world schedule verifier
-// (core.VerifyWorld) over the conformance topology set: for every shape it
-// builds a seeded irregular traffic pattern and checks the three schedule
-// front-ends — dynamic, learned (a real in-process learning exchange over
-// chanpt, with submessage conservation against the plan, and every rank's
-// layout equal to the one core.ComputePersistent builds from the same
-// pattern, core.VerifyLearnedWorld), and the direct baseline (against the
-// direct plan). It prints one line per topology and returns an error if any
-// world fails, making it a command-line regression gate for schedule
-// construction.
+// runVerify (-verify) sweeps the whole-world verifier over the conformance
+// topology set: for every shape it builds a seeded irregular traffic
+// pattern and checks the programs that run it. The learned world (a real
+// in-process learning exchange over chanpt) must equal, rank for rank, the
+// layout core.ComputePersistent builds from the same pattern, and its
+// lowered replays must carry exactly the plan's submessages
+// (core.VerifyLearnedWorld). The baseline's world, one core.NewDirectReplay
+// per rank, is held to the direct plan (core.VerifyReplayWorld). It prints
+// one line per topology and returns an error if any world fails, making it
+// a command-line regression gate for layout construction.
 func runVerify() error {
 	tps, err := verifyTopologies()
 	if err != nil {
@@ -34,12 +34,12 @@ func runVerify() error {
 			fmt.Printf("FAIL K=%-3d dims=%v\n      %v\n", K, tp.Dims(), err)
 			continue
 		}
-		fmt.Printf("ok   K=%-3d dims=%v  dynamic+learned=computed+direct\n", K, tp.Dims())
+		fmt.Printf("ok   K=%-3d dims=%v  learned=computed, replays=plan, direct replays=direct plan\n", K, tp.Dims())
 	}
 	if failed > 0 {
 		return fmt.Errorf("verify: %d of %d topologies failed", failed, len(tps))
 	}
-	fmt.Printf("verify: all %d topologies consistent across all schedule front-ends\n", len(tps))
+	fmt.Printf("verify: all %d topologies: learned and direct replay worlds consistent with their plans\n", len(tps))
 	return nil
 }
 
@@ -91,34 +91,59 @@ func verifySendSets(seed int64, K int) *core.SendSets {
 }
 
 func verifyOne(tp *vpt.Topology, sends *core.SendSets) error {
-	if err := core.VerifyWorld(core.WorldSchedules(tp)); err != nil {
-		return fmt.Errorf("dynamic front-end: %w", err)
-	}
-
 	plan, err := core.BuildPlan(tp, sends)
 	if err != nil {
 		return err
 	}
-
 	learned, err := learnedWorld(tp, sends)
 	if err != nil {
 		return err
 	}
-	if err := core.VerifyLearnedWorld(learned); err != nil {
-		return fmt.Errorf("learned front-end against the computed layout: %w", err)
-	}
-	if err := core.VerifyWorldAgainstPlan(core.LearnedWorldSchedules(learned), plan); err != nil {
-		return fmt.Errorf("learned front-end: %w", err)
+	if err := core.VerifyLearnedWorld(learned, plan); err != nil {
+		return fmt.Errorf("learned world: %w", err)
 	}
 
 	dplan, err := core.BuildDirectPlan(sends)
 	if err != nil {
 		return err
 	}
-	if err := core.VerifyWorldAgainstPlan(core.DirectWorldSchedules(sends), dplan); err != nil {
-		return fmt.Errorf("direct front-end: %w", err)
+	direct, err := directWorld(sends)
+	if err != nil {
+		return err
+	}
+	if err := core.VerifyReplayWorld(direct, dplan); err != nil {
+		return fmt.Errorf("direct world: %w", err)
 	}
 	return nil
+}
+
+// directWorld compiles every rank's baseline replay of the send sets:
+// rank r gathers each payload from its own words of x, and expects one
+// frame from each source in the transpose.
+func directWorld(sends *core.SendSets) ([]*core.Replay, error) {
+	recv := sends.RecvSets()
+	rs := make([]*core.Replay, sends.K)
+	for me := range rs {
+		gather := map[int][]int32{}
+		xlen := 0
+		for _, pr := range sends.Sets[me] {
+			idx := make([]int32, pr.Words)
+			for i := range idx {
+				idx[i] = int32(xlen + i)
+			}
+			gather[pr.Dst] = idx
+			xlen += len(idx)
+		}
+		srcWords := map[int]int{}
+		for _, pr := range recv[me] {
+			srcWords[pr.Dst] = int(pr.Words)
+		}
+		var err error
+		if rs[me], err = core.NewDirectReplay(me, sends.K, xlen, gather, srcWords); err != nil {
+			return nil, err
+		}
+	}
+	return rs, nil
 }
 
 // learnedWorld runs a real learning exchange in-process and returns every

@@ -37,6 +37,20 @@
 // buffers come from the msg arena and every error path is off the happy
 // path. This is the moral equivalent of MPI_Start on a persistent
 // neighborhood collective built once with MPIX_Neighbor_alltoallv_init.
+//
+// The stage skeleton of a store-and-forward program is a function of the
+// topology alone: stage d sends a frame to and expects one from every
+// dimension-d neighbour (vpt.Topology.Neighbors), in digit order, whether
+// or not it carries payload, so receive counts are deterministic and
+// pattern churn changes only frame contents. Two loops run it, with one
+// receive discipline (runtime.RecvPolicy): route, which routes the frames
+// of a learning run or an Exchange as they land, and the Replay's. A
+// Replay is lowered from a Persistent's layout (Persistent.Run, Compile,
+// PatchCompiled) or compiled straight from the baseline's pattern
+// (NewDirectReplay: one stage, one frame per destination, one expected
+// frame per source), and VerifyReplayWorld holds a world of them to the
+// plan. A communication pattern is data, and executing it is one generic
+// loop.
 package core
 
 import (
@@ -56,7 +70,7 @@ import (
 // Replay is a compiled iteration program for one rank: a fixed schedule of
 // frame builds, sends, receives, and copies. Obtain one from
 // Persistent.Compile (store-and-forward) or NewDirectReplay (baseline);
-// Persistent.PatchCompiled lowers a patched schedule into an existing one.
+// Persistent.PatchCompiled lowers a patched layout into an existing one.
 // A Replay is bound to the rank and world it was compiled for and is not
 // safe for concurrent use.
 type Replay struct {
@@ -94,7 +108,7 @@ type Replay struct {
 	// tele, when set, counts forwarded bytes on every Run and records
 	// gather/forward/deliver spans on the Runs it samples; see Instrument.
 	tele *telemetry.Rank
-	// traffic is the compiled schedule's transport hint (computeTraffic),
+	// traffic is the compiled program's transport hint (computeTraffic),
 	// offered to the transport at the top of every Run. Cached so the
 	// steady-state iteration stays allocation-free; every lowering rebuilds
 	// it.
@@ -115,11 +129,18 @@ func (r *Replay) Instrument(t *telemetry.Rank) { r.tele = t }
 // rStage is one communication stage: the frames sent to this stage's
 // neighbors and the receive schedule for the frames arriving from them.
 type rStage struct {
-	tag      int
-	dim      int // VPT dimension the stage traverses (ScheduleStage.Dim)
-	frames   []rFrame
-	recvFrom []int // expected senders (ScheduleStage.RecvFrom)
-	ins      []rIn // receive program per expected sender
+	tag int
+	// dim is the VPT dimension the stage traverses (0 in a direct
+	// replay): the traffic hint carries it to the transport, and composite
+	// transports route the stage's frames by it.
+	dim    int
+	frames []rFrame
+	// recvFrom lists the expected senders in ascending rank order, ins
+	// their receive programs: in a store-and-forward replay both the
+	// frames and recvFrom follow the stage's dimension neighbours in digit
+	// order.
+	recvFrom []int
+	ins      []rIn
 	// fold lists the stage's sum-lane contributions in the digit order of
 	// its dimension: an index into recvFrom, or -1 for this rank's own.
 	fold []int32
@@ -195,11 +216,11 @@ type slotLoc struct {
 	frame, off int32
 }
 
-// Compile lowers the learned StageSchedule (Persistent.Schedule — the same
-// IR Run replays) into a new word Replay: destination dst's payload is
-// always the float64s x[gather[dst][0]], x[gather[dst][1]], ... read from
-// the x slice passed to Run. The lowering keeps the schedule's stage
-// skeleton — tags, send slots in send order, inbound sender sets — and
+// Compile lowers the learned layout (the one Run replays) into a new word
+// Replay: destination dst's payload is always the float64s
+// x[gather[dst][0]], x[gather[dst][1]], ... read from the x slice passed to
+// Run. The lowering takes the stage skeleton from the topology — stage d
+// sends a frame to and expects one from every dimension-d neighbour — and
 // specializes every slot into precomputed byte offsets: in-place header
 // writes replace encoding, memcpys replace forwarding, and halo offsets
 // replace the delivered submessages. gather must cover exactly the learned
@@ -218,9 +239,9 @@ func (p *Persistent) Compile(xlen int, gather map[int][]int32) (*Replay, error) 
 	return r, nil
 }
 
-// lower writes the learned schedule into r: the payload and halo layout and
-// self ops, then per stage one frame program per send slot and one receive
-// program per inbound frame. A byte lowering (Persistent.Run) takes the
+// lower writes the learned layout into r: the payload and halo layout and
+// self ops, then per stage one frame program and one receive program per
+// dimension neighbour. A byte lowering (Persistent.Run) takes the
 // learned payload sizes as they are; a word lowering (Compile,
 // PatchCompiled) checks gather against them and requires word-sized
 // deliveries. Every slice r already holds — stages, op tables, inbound
@@ -275,34 +296,28 @@ func (p *Persistent) lower(r *Replay, bytes bool, xlen int, gather map[int][]int
 	// for forwarding, filled stage by stage before later stages read it.
 	inLoc := make([]slotLoc, len(p.pairs))
 	nextFrame := int32(0)
-	sched := p.Schedule()
-	r.stages = resize(r.stages, len(sched.Stages))
+	r.stages = resize(r.stages, p.topo.N())
 	for d := range r.stages {
 		st := &r.stages[d]
-		ss := &sched.Stages[d]
-		st.tag = ss.Tag
-		st.dim = ss.Dim
-
-		// Outgoing frames follow the schedule's send slots (learning send
-		// order, empty frames included); each slot's learned wire layout
-		// becomes a frame program.
-		st.frames = resize(st.frames, len(ss.Sends))
-		for j, slot := range ss.Sends {
-			p.lowerFrame(&st.frames[j], slot.To, p.outs[d][j], gather, inLoc)
-		}
-
-		// Inbound frames: register forwarded slots for later stages and
-		// bind deliveries to their frame regions.
-		st.recvFrom = append(st.recvFrom[:0], ss.RecvFrom...)
-		st.ins = resize(st.ins, len(ss.RecvFrom))
-		for j := range ss.RecvFrom {
+		st.tag, st.dim = StageTag(d), d
+		// Stage d sends a frame to and expects one from every dimension-d
+		// neighbour, in digit order (ascending rank order), empty frames
+		// included: the j-th neighbour's frames carry outs[d][j] and
+		// ins[d][j].
+		st.recvFrom = p.topo.Neighbors(st.recvFrom[:0], me, d)
+		st.frames = resize(st.frames, len(st.recvFrom))
+		st.ins = resize(st.ins, len(st.recvFrom))
+		for j, nb := range st.recvFrom {
+			p.lowerFrame(&st.frames[j], nb, p.outs[d][j], gather, inLoc)
+			// Register the inbound frame's forwarded slots for later
+			// stages (a route forwards a pair after the stage it arrives
+			// in, so no frame of this stage reads them) and bind its
+			// deliveries to their frame regions.
 			st.ins[j].idx = nextFrame
 			nextFrame++
 			p.layoutInbound(&st.ins[j], p.ins[d][j], haloOff, inLoc)
 		}
-		if err := p.lowerFold(st); err != nil {
-			return fmt.Errorf("core: compile: stage %d: %w", d, err)
-		}
+		p.lowerFold(st)
 	}
 	// Run leaves every entry nil, so the reused prefix needs no clearing.
 	r.inFrames = resize(r.inFrames, int(nextFrame))
@@ -346,26 +361,22 @@ func (p *Persistent) layoutInbound(in *rIn, rows []int32, haloOff []int32, inLoc
 }
 
 // lowerFold writes st.fold: the stage's dimension digits in ascending
-// order, each mapped to the inbound frame of the neighbour holding it, or
+// order, each mapped to the inbound frame of the neighbour holding it (the
+// neighbours' frames are in digit order, this rank's own digit skipped), or
 // to -1 at this rank's own digit. Every rank of a dimension line then folds
 // the same values in the same order.
-func (p *Persistent) lowerFold(st *rStage) error {
-	t := p.topo
-	mine := t.Digit(p.rank, st.dim)
+func (p *Persistent) lowerFold(st *rStage) {
+	mine := p.topo.Digit(p.rank, st.dim)
 	st.fold = st.fold[:0]
-	for x := 0; x < t.Dim(st.dim); x++ {
-		if x == mine {
+	for j := range st.recvFrom {
+		if j == mine {
 			st.fold = append(st.fold, -1)
-			continue
-		}
-		nbr := t.WithDigit(p.rank, st.dim, x)
-		j := slices.Index(st.recvFrom, nbr)
-		if j < 0 {
-			return fmt.Errorf("no inbound frame from dimension %d neighbour %d", st.dim, nbr)
 		}
 		st.fold = append(st.fold, int32(j))
 	}
-	return nil
+	if mine == len(st.recvFrom) {
+		st.fold = append(st.fold, -1)
+	}
 }
 
 // checkGather validates a gather map against the (current) learned

@@ -276,8 +276,9 @@ func confComms(t *testing.T, transport string, K int, fixed bool) []runtime.Comm
 }
 
 // exchangeCells runs the Exchange front-end over every conformance shape on
-// one transport, both receive orders. Every world is VerifyWorld-gated so a
-// schedule bug is reported as such, not as a transport failure.
+// one transport, both receive orders. Every cell's pattern is first gated
+// offline (VerifyLearnedWorld on its computed layout, against its plan), so
+// a layout bug is reported as such, not as a transport failure.
 func exchangeCells(t *testing.T, transport string) {
 	for _, tp := range conformanceTopologies(t) {
 		if transport == "tcpnet" && tp.Size() >= 64 && tp.N() == 1 {
@@ -295,11 +296,16 @@ func exchangeCells(t *testing.T, transport string) {
 				if transport == "chanpt" {
 					t.Parallel()
 				}
-				if err := core.VerifyWorld(core.WorldSchedules(tp)); err != nil {
-					t.Fatalf("schedule world invalid before transport test: %v", err)
+				dests := confSendSets(int64(tp.Size()), tp.Size())
+				plan, err := core.BuildPlan(tp, confWorldSendSets(t, tp.Size(), dests))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := core.VerifyLearnedWorld(computedWorld(t, tp, dests), plan); err != nil {
+					t.Fatalf("computed world invalid before transport test: %v", err)
 				}
 				comms := confComms(t, transport, tp.Size(), fixed)
-				runConformance(t, comms, tp, confSendSets(int64(tp.Size()), tp.Size()))
+				runConformance(t, comms, tp, dests)
 			})
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -385,48 +384,6 @@ func TestDirectAndSTFWAgree(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestValidateSchedule holds validateSchedule to its rejections, one row
-// each, every one naming what it rejects, and to accepting a stage whose
-// sends are not in ascending order. A sender listed twice is rejected
-// before any frame moves, not left to wait for a second frame that never
-// comes.
-func TestValidateSchedule(t *testing.T) {
-	const me, size = 2, 6
-	stage := func(sends []int, recvFrom ...int) *StageSchedule {
-		st := ScheduleStage{Tag: StageTag(0), RecvFrom: recvFrom}
-		for _, to := range sends {
-			st.Sends = append(st.Sends, SendSlot{To: to})
-		}
-		return &StageSchedule{Stages: []ScheduleStage{st}}
-	}
-	for _, tc := range []struct {
-		name  string
-		sched *StageSchedule
-		want  string // "" = accepted
-	}{
-		{"unordered sends", stage([]int{4, 0, 5, 1}, 0, 1, 3), ""},
-		{"duplicate send slot", stage([]int{4, 0, 4}, 0, 1), "duplicate send slot to 4"},
-		{"duplicate sender", stage([]int{0}, 1, 1), "expects duplicate frame from 1"},
-		{"senders out of order", stage([]int{0}, 3, 1), "senders [3 1] out of ascending order"},
-		{"send slot out of range", stage([]int{0, size}, 1), "send slot to 6 invalid"},
-		{"recv slot out of range", stage([]int{0}, -1, 1), "recv slot from -1 invalid"},
-		{"send slot to self", stage([]int{0, me}, 1), "send slot to 2 invalid"},
-		{"recv slot from self", stage([]int{0}, 1, me), "recv slot from 2 invalid"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			err := validateSchedule(tc.sched, me, size)
-			switch {
-			case tc.want == "" && err != nil:
-				t.Fatalf("rejected: %v", err)
-			case tc.want != "" && err == nil:
-				t.Fatalf("accepted, want an error naming %q", tc.want)
-			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
-				t.Fatalf("error %q does not name %q", err, tc.want)
-			}
-		})
 	}
 }
 

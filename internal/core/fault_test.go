@@ -130,12 +130,15 @@ func TestExchangeDetectsWrongSender(t *testing.T) {
 
 func TestExchangeDetectsUnforwardableSubmessage(t *testing.T) {
 	sc, tp := scriptedWorld()
-	// A submessage arriving in stage 2 (last dimension) destined for a
-	// rank that differs from rank 0 only in an earlier dimension can never
-	// be forwarded: the routing invariant is violated.
+	// A submessage arriving in stage 2 (last dimension) for rank K = 8,
+	// outside the world: 8 agrees with rank 0 in every digit, so the route
+	// check lets it in, but it is not rank 0 and has no digit left to
+	// correct — it can never be forwarded. (A pair for a real rank that
+	// differs from rank 0 in an earlier dimension does not get this far:
+	// its route does not enter rank 0 in stage 2.)
 	bad := msg.Encode(nil, &msg.Message{
 		From: 4, To: 0,
-		Subs: []msg.Submessage{{Src: 4, Dst: 1, Data: []byte("zz")}},
+		Subs: []msg.Submessage{{Src: 4, Dst: 8, Data: []byte("zz")}},
 	})
 	sc.recvs[fmt.Sprintf("4/%d", tagBase+2)] = [][]byte{bad}
 	_, err := Exchange(sc, tp, nil)
@@ -149,17 +152,18 @@ func TestExchangeDetectsUnforwardableSubmessage(t *testing.T) {
 
 func TestExchangeDeliversScriptedSubmessage(t *testing.T) {
 	sc, tp := scriptedWorld()
-	// A legitimate forwarded submessage arriving in stage 1 for rank 0.
+	// A legitimate forwarded submessage arriving in stage 1 for rank 0:
+	// the route 3 -> 2 -> 0.
 	good := msg.Encode(nil, &msg.Message{
 		From: 2, To: 0,
-		Subs: []msg.Submessage{{Src: 6, Dst: 0, Data: []byte("hi")}},
+		Subs: []msg.Submessage{{Src: 3, Dst: 0, Data: []byte("hi")}},
 	})
 	sc.recvs[fmt.Sprintf("2/%d", tagBase+1)] = [][]byte{good}
 	d, err := Exchange(sc, tp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Subs) != 1 || d.Subs[0].Src != 6 || string(d.Subs[0].Data) != "hi" {
+	if len(d.Subs) != 1 || d.Subs[0].Src != 3 || string(d.Subs[0].Data) != "hi" {
 		t.Errorf("deliveries: %+v", d.Subs)
 	}
 }

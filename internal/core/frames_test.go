@@ -151,22 +151,21 @@ func TestCompiledFramesMatchEncode(t *testing.T) {
 		got := runRecorded(t, reps, xs)
 		want := 0
 		for me, p := range world {
-			sched := p.Schedule()
-			for d, ss := range sched.Stages {
-				for j, slot := range ss.Sends {
-					m := msg.Message{From: me, To: slot.To}
-					for _, i := range p.outs[d][j] {
+			for d, outs := range p.outs {
+				for j, to := range p.topo.Neighbors(nil, me, d) {
+					m := msg.Message{From: me, To: to}
+					for _, i := range outs[j] {
 						k := p.pairs[i].k
 						m.Subs = append(m.Subs, msg.Submessage{Src: int(k.src), Dst: int(k.dst), Data: payload(k)})
 					}
 					want++
-					raw, ok := got[sentKey{ss.Tag, me, slot.To}]
+					raw, ok := got[sentKey{StageTag(d), me, to}]
 					if !ok {
-						t.Fatalf("rank %d stage %d: no frame sent to %d", me, d, slot.To)
+						t.Fatalf("rank %d stage %d: no frame sent to %d", me, d, to)
 					}
 					if enc := msg.Encode(nil, &m); !bytes.Equal(raw, enc) {
 						t.Fatalf("rank %d stage %d frame to %d: compiled %d bytes differ from Encode's %d",
-							me, d, slot.To, len(raw), len(enc))
+							me, d, to, len(raw), len(enc))
 					}
 				}
 			}
@@ -266,23 +265,24 @@ func TestCompiledFramesMatchEncode(t *testing.T) {
 		want := 0
 		for me, p := range ps {
 			hint := p.rp.traffic
-			for d, ss := range p.Schedule().Stages {
-				for j, slot := range ss.Sends {
-					m := msg.Message{From: me, To: slot.To}
+			for d := range p.outs {
+				nbrs := p.topo.Neighbors(nil, me, d)
+				for j, to := range nbrs {
+					m := msg.Message{From: me, To: to}
 					rows := p.outs[d][j]
 					for _, i := range rows {
 						k := p.pairs[i].k
 						m.Subs = append(m.Subs, msg.Submessage{Src: int(k.src), Dst: int(k.dst), Data: replay[k.src][int(k.dst)]})
 					}
 					want++
-					if enc := msg.Encode(nil, &m); !bytes.Equal(rec.frames[sentKey{ss.Tag, me, slot.To}], enc) {
-						t.Fatalf("rank %d stage %d frame to %d differs from Encode", me, d, slot.To)
+					if enc := msg.Encode(nil, &m); !bytes.Equal(rec.frames[sentKey{StageTag(d), me, to}], enc) {
+						t.Fatalf("rank %d stage %d frame to %d differs from Encode", me, d, to)
 					}
-					if h := hint[d].Sends[j]; h.Peer != slot.To || h.Bytes != frameBytes(p, rows) {
-						t.Fatalf("rank %d stage %d: send hint %+v, want %d bytes to %d", me, d, h, frameBytes(p, rows), slot.To)
+					if h := hint[d].Sends[j]; h.Peer != to || h.Bytes != frameBytes(p, rows) {
+						t.Fatalf("rank %d stage %d: send hint %+v, want %d bytes to %d", me, d, h, frameBytes(p, rows), to)
 					}
 				}
-				for j, from := range ss.RecvFrom {
+				for j, from := range nbrs {
 					if h := hint[d].Recvs[j]; h.Peer != from || h.Bytes != frameBytes(p, p.ins[d][j]) {
 						t.Fatalf("rank %d stage %d: receive hint %+v, want %d bytes from %d", me, d, h, frameBytes(p, p.ins[d][j]), from)
 					}

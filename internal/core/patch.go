@@ -1,17 +1,16 @@
-// Incremental schedule patching: the dynamic-sparsity half of the learned
+// Incremental layout patching: the dynamic-sparsity half of the learned
 // tier. A Persistent freezes the pattern of its learning run; when the
 // application's sparsity mutates (a dynamic graph gains an edge, a mesh
 // refines, a rank's fanout changes), relearning from scratch costs a full
 // payload-routing exchange plus a complete re-lowering. Patch applies a
 // PatchDelta — the pairs transiting this rank, as discovered by the
 // dynamic.Discover census — to the rank's pair table, and PatchCompiled
-// lowers the patched schedule into an existing Replay, reusing its
-// buffers.
+// lowers the patched layout into an existing Replay, reusing its buffers.
 //
-// Correctness rests on one structural property of learned schedules: every
-// stage sends a (possibly empty) frame to every dimension-d neighbor and
-// expects one back, so pattern churn never changes the stage skeleton —
-// only frame occupancy. Patch is validate → merge into the table → derive:
+// Correctness rests on one structural property of store-and-forward
+// programs: every stage sends a (possibly empty) frame to every
+// dimension-d neighbor and expects one back, so pattern churn never
+// changes the stage skeleton — only frame occupancy. Patch is validate → merge into the table → derive:
 // the layout is a function of the table (every frame lists its pairs in
 // ascending (src, dst) order), and both endpoints of a frame see the same
 // delta pairs (both lie on the pairs' dimension-ordered routes), so they
@@ -100,20 +99,20 @@ func routeHops(t *vpt.Topology, me, src, dst int) (patchHops, bool) {
 // size, and the layout is derived again from the result. So the patched
 // pattern is the one a learning run of the mutated pattern records. The
 // stage skeleton (who exchanges a frame with whom, per stage) is provably
-// unchanged — learned schedules send a frame to every dimension-d neighbor
+// unchanged — it is the topology's: a frame to every dimension-d neighbor
 // whether or not it carries payload — so a patched world needs no
 // re-coordination: every rank patches independently from the delta the
-// census delivered to it. An empty delta changes nothing: the schedule
-// and Run's lowered replay stay as they are.
+// census delivered to it. An empty delta changes nothing: the layout and
+// Run's lowered replay stay as they are.
 //
 // Validation happens before any mutation; on error the Persistent is
 // unchanged. A patch is rejected if any pair's route does not transit this
 // rank, a removal names a pair the pattern does not carry, or an addition
 // names a pair it already does (without a paired removal). After a
 // successful Patch, Run replays the mutated pattern and PatchCompiled
-// re-lowers an existing Replay; the patched world should be re-gated
-// through VerifyWorld/VerifyLearnedWorld (see the dynamic package's
-// harness), which the stage skeleton's invariance makes cheap.
+// re-lowers an existing Replay; a patched world can be re-gated through
+// VerifyLearnedWorld against the mutated pattern's plan (see the dynamic
+// package's property suite).
 func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 	start := time.Now()
 	if p.topo == nil {
@@ -214,9 +213,8 @@ func (p *Persistent) patch(delta *PatchDelta, st *PatchStats) error {
 	}
 	p.pairs = append(next, adds[a:]...)
 	p.derive()
-	// The schedule is rebuilt on next use with the new occupancy counts,
-	// and Run's replay is lowered again: the stage skeleton is the same.
-	p.sched = nil
+	// Run's replay is lowered again on its next use: same stage skeleton,
+	// new frames.
 	p.lowered = false
 
 	st.Added, st.Removed = len(adds), len(removes)
@@ -231,16 +229,17 @@ func distinct(xs []int) int {
 	return len(slices.Compact(xs))
 }
 
-// PatchCompiled lowers the patched schedule into an existing Replay: after
-// checking that r was compiled from this Persistent's skeleton (rank, world
-// size, stage count and stage tags), it runs Compile's lowering, writing
+// PatchCompiled lowers the patched layout into an existing Replay: after
+// checking that r was compiled on this Persistent's skeleton (rank, world
+// size, and the topology's stage count and stage tags), it runs Compile's
+// lowering, writing
 // into r and reusing the capacity of its stages, op tables and receive
 // metadata. xlen and gather carry Compile's contract, and the caller
 // re-sizes its halo slice to the new HaloWords. Because the lowering is
 // whole, r is exact after any sequence of Patch calls and any change of
 // gather lists. stats is not consulted; it stays in the signature for the
 // callers that pass the Patch result along. The receive structure of a
-// patched schedule equals the learned one, so replaying it still allocates
+// patched layout equals the learned one, so replaying it still allocates
 // nothing.
 func (p *Persistent) PatchCompiled(r *Replay, xlen int, gather map[int][]int32, stats *PatchStats) error {
 	me := p.rank
@@ -251,13 +250,12 @@ func (p *Persistent) PatchCompiled(r *Replay, xlen int, gather map[int][]int32, 
 		return fmt.Errorf("core: patch: replay bound to rank %d of %d, persistent is rank %d of %d",
 			r.me, r.size, me, p.topo.Size())
 	}
-	sched := p.Schedule()
-	if len(sched.Stages) != len(r.stages) {
-		return fmt.Errorf("core: patch: replay has %d stages, schedule has %d", len(r.stages), len(sched.Stages))
+	if len(r.stages) != p.topo.N() {
+		return fmt.Errorf("core: patch: replay has %d stages, the topology %d", len(r.stages), p.topo.N())
 	}
 	for d := range r.stages {
-		if r.stages[d].tag != sched.Stages[d].Tag {
-			return fmt.Errorf("core: patch: replay stage %d does not match the learned schedule (was it compiled from this pattern?)", d)
+		if r.stages[d].tag != StageTag(d) {
+			return fmt.Errorf("core: patch: replay stage %d does not match the topology's (was it compiled from this pattern?)", d)
 		}
 	}
 	return p.lower(r, false, xlen, gather)

@@ -50,10 +50,11 @@ func TestSynthWorldMatchesLearned(t *testing.T) {
 		pairs := synthBasePairs(int64(c.K), c.K)
 		synth := synthWorld(tp, pairs)
 		learned := learnPairs(t, tp, pairs)
-		if err := VerifyLearnedWorld(synth); err != nil {
+		plan := synthPlan(tp, pairs)
+		if err := VerifyLearnedWorld(synth, plan); err != nil {
 			t.Fatalf("K=%d: synth world fails verification: %v", c.K, err)
 		}
-		if err := VerifyLearnedWorld(learned); err != nil {
+		if err := VerifyLearnedWorld(learned, plan); err != nil {
 			t.Fatalf("K=%d: learned world fails verification: %v", c.K, err)
 		}
 		for me := 0; me < c.K; me++ {
@@ -156,29 +157,17 @@ func TestPatchMatchesSynth(t *testing.T) {
 					t.Fatalf("K=%d rank %d: %d dirty stages of %d", c.K, me, st.DirtyStages, tp.N())
 				}
 			}
-			want := synthWorld(tp, applyMutations(base, muts))
+			mutated := applyMutations(base, muts)
+			want := synthWorld(tp, mutated)
 			for me := range world {
 				if err := comparePersistent(world[me], want[me]); err != nil {
 					t.Fatalf("K=%d n=%d seed=%d: patched world differs from relearned: %v", c.K, c.n, seed, err)
 				}
 			}
-			if err := VerifyWorld(LearnedWorldSchedules(world)); err != nil {
-				t.Fatalf("K=%d n=%d seed=%d: patched world fails VerifyWorld: %v", c.K, c.n, seed, err)
-			}
-			if err := VerifyLearnedWorld(world); err != nil {
+			// The patched world's replays carry the mutated plan's
+			// submessage counts: a stale frame would not.
+			if err := VerifyLearnedWorld(world, synthPlan(tp, mutated)); err != nil {
 				t.Fatalf("K=%d n=%d seed=%d: patched world fails VerifyLearnedWorld: %v", c.K, c.n, seed, err)
-			}
-			// Reserve counts in the rebuilt schedule must equal the new slot
-			// counts — stale counts would under-reserve replay frames.
-			for me, p := range world {
-				sched := p.Schedule()
-				for d, ss := range sched.Stages {
-					for j, s := range ss.Sends {
-						if n := len(p.outs[d][j]); s.Reserve != n {
-							t.Fatalf("K=%d rank %d stage %d: Reserve %d for %d slots", c.K, me, d, s.Reserve, n)
-						}
-					}
-				}
 			}
 		}
 	}
@@ -236,10 +225,16 @@ func TestPatchRejectLeavesUnchanged(t *testing.T) {
 			if err := comparePersistent(p, fresh[tc.rank]); err != nil {
 				t.Fatalf("rejected patch mutated state: %v", err)
 			}
-			// The cached schedule must still replay-validate.
-			if err := validateSchedule(p.Schedule(), tc.rank, 8); err != nil {
-				t.Fatalf("schedule after rejected patch: %v", err)
+			// Run's replay still lowers to the untouched twin's.
+			got, err := lowerWorld(world)
+			if err != nil {
+				t.Fatal(err)
 			}
+			want, err := lowerWorld(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalReplay(t, "after a rejected patch", got[tc.rank], want[tc.rank])
 		})
 	}
 
@@ -328,13 +323,14 @@ search:
 			}
 		}
 	}
-	want := synthWorld(tp, applyMutations(base, muts))
+	mutated := applyMutations(base, muts)
+	want := synthWorld(tp, mutated)
 	for me := range world {
 		if err := comparePersistent(world[me], want[me]); err != nil {
 			t.Fatalf("resized world differs from synthWorld: %v", err)
 		}
 	}
-	if err := VerifyLearnedWorld(world); err != nil {
+	if err := VerifyLearnedWorld(world, synthPlan(tp, mutated)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -671,8 +667,8 @@ func BenchmarkPatchCompiled(b *testing.B) {
 
 // TestPatchEmptyDeltaKeepsLayout: in the churn shape most ranks get an
 // empty delta each round, and Patch of one changes nothing. The rank keeps
-// its Schedule pointer and Run's lowered replay, the patch is still
-// counted, and it allocates no more than the PatchStats it returns.
+// its derived layout and Run's lowered replay, the patch is still counted,
+// and it allocates no more than the PatchStats it returns.
 func TestPatchEmptyDeltaKeepsLayout(t *testing.T) {
 	tp := vpt.MustNew(4, 4, 4)
 	pairs, _ := churnPairs(rand.New(rand.NewSource(64)), 64)
@@ -686,7 +682,7 @@ func TestPatchEmptyDeltaKeepsLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := p.Schedule()
+	rows := p.rows
 	empty := &PatchDelta{}
 	st, err := p.Patch(empty)
 	if err != nil {
@@ -695,8 +691,8 @@ func TestPatchEmptyDeltaKeepsLayout(t *testing.T) {
 	if *st != (PatchStats{Elapsed: st.Elapsed}) {
 		t.Errorf("empty delta reports %+v", st)
 	}
-	if p.Schedule() != sched || !p.lowered || p.rp != rp {
-		t.Error("empty delta dropped the schedule or Run's lowered replay")
+	if &p.rows[0] != &rows[0] || !p.lowered || p.rp != rp {
+		t.Error("empty delta derived the layout again or dropped Run's lowered replay")
 	}
 	if n := reg.Snapshot().Ranks[0].Patches; n != 1 {
 		t.Errorf("telemetry counts %d patches, want 1", n)
@@ -708,9 +704,8 @@ func TestPatchEmptyDeltaKeepsLayout(t *testing.T) {
 		if _, err := p.Patch(empty); err != nil {
 			t.Fatal(err)
 		}
-		p.Schedule()
 	}); allocs > 1 {
-		t.Errorf("empty Patch and Schedule allocate %v times, want at most 1 (the PatchStats)", allocs)
+		t.Errorf("empty Patch allocates %v times, want at most 1 (the PatchStats)", allocs)
 	}
 }
 

@@ -109,16 +109,14 @@ func FuzzPatchSchedule(f *testing.F) {
 		// Everyone accepted ⇒ the mutation list was globally valid; the
 		// patched world must equal the from-scratch world on the mutated
 		// pattern and pass the whole-world gates.
-		want := synthWorld(tp, applyMutations(base, muts))
+		mutated := applyMutations(base, muts)
+		want := synthWorld(tp, mutated)
 		for me := range world {
 			if err := comparePersistent(world[me], want[me]); err != nil {
 				t.Fatalf("patched world differs from from-scratch world: %v", err)
 			}
 		}
-		if err := VerifyWorld(LearnedWorldSchedules(world)); err != nil {
-			t.Fatalf("patched world fails VerifyWorld: %v", err)
-		}
-		if err := VerifyLearnedWorld(world); err != nil {
+		if err := VerifyLearnedWorld(world, synthPlan(tp, mutated)); err != nil {
 			t.Fatalf("patched world fails VerifyLearnedWorld: %v", err)
 		}
 		for me, p := range world {

@@ -87,3 +87,21 @@ func synthGather(p *Persistent, xlen int) map[int][]int32 {
 	}
 	return g
 }
+
+// synthPlan is the static plan of a synthetic pattern. A plan counts
+// submessages, and a pair of zero bytes still travels as one, so every
+// pair carries one word more than its size in words.
+func synthPlan(t *vpt.Topology, pairs map[synthPair]int) *Plan {
+	s := NewSendSets(t.Size())
+	for pr, size := range pairs {
+		s.Add(pr.src, pr.dst, 1+int64(size)/8)
+	}
+	if err := s.Normalize(); err != nil {
+		panic(err)
+	}
+	p, err := BuildPlan(t, s)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}

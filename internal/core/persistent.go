@@ -25,10 +25,10 @@ import (
 // (Algorithm 1 with a recorder; Exchange is the same run with the record
 // dropped); ComputePersistent computes it from the global pattern without
 // communicating; Patch merges a delta into it. Every replay runs the
-// compiled tier (see Schedule and Replay): Run lowers the layout into a
-// byte Replay on first use, Compile into a word Replay that gathers
-// float64s. Either way the table's destinations and payload lengths are
-// the contract a replay is held to.
+// compiled tier (see Replay): Run lowers the layout into a byte Replay on
+// first use, Compile into a word Replay that gathers float64s. Either way
+// the table's destinations and payload lengths are the contract a replay
+// is held to.
 //
 // A Persistent is owned by one rank and is not safe for concurrent use.
 type Persistent struct {
@@ -39,17 +39,17 @@ type Persistent struct {
 	pairs []pairEntry
 	// outs[d][j] and ins[d][j] list the rows carried by the frame sent to
 	// and received from the j-th dimension-d neighbor (digit order, the
-	// schedule's send and receive index), in table order, which is the
-	// wire order; an empty list is an empty frame. deliver lists the rows
-	// delivered to this rank, in the order Run returns them; destList the
-	// destinations of the rows this rank originates, ascending. All four
-	// are derived from pairs (derive) and rebuilt in place.
+	// replay stage's frame and receive index), in table order, which is
+	// the wire order; an empty list is an empty frame. Every list is a
+	// window of rows, one backing array for both directions. deliver lists
+	// the rows delivered to this rank, in the order Run returns them;
+	// destList the destinations of the rows this rank originates,
+	// ascending. All of them are derived from pairs (derive) and rebuilt in
+	// place.
 	outs, ins [][][]int32
+	rows      []int32
 	deliver   []int32
 	destList  []int
-	// sched is the StageSchedule, built lazily from outs; every lowering
-	// reads it.
-	sched *StageSchedule
 	// rp is Run's byte replay, lowered on the first Run. Patch clears
 	// lowered, and the next Run lowers the patched pattern into the same
 	// Replay, reusing its capacity.
@@ -166,51 +166,94 @@ func ComputePersistent(t *vpt.Topology, me int, size func(src, dst int) (int, bo
 	return p, nil
 }
 
-// derive rebuilds the layout from the pair table in one walk: each row's
-// route (routeHops) names the frames it occupies at this rank, and rows
-// appended in table order leave every list in wire order. The lists keep
-// their capacity from one derivation to the next.
+// derive rebuilds the layout from the pair table. The rank's frames are
+// numbered outbound before inbound, stage by stage, in digit order
+// (frameIndex). A first walk names, through each row's route (routeHops),
+// the frames the row occupies and counts the rows of each frame; every
+// frame's list is then a window of p.rows, and a second walk fills the
+// windows in table order, which leaves every list in wire order. The
+// deliveries are the rows addressed to this rank, the destinations those
+// of the rows it originates. Every slice keeps its capacity from one
+// derivation to the next, so a call allocates only its scratch.
 func (p *Persistent) derive() {
 	t, me := p.topo, p.rank
+	nf := t.NumNeighbors() // frames per direction
 	if p.outs == nil {
+		lists := make([][]int32, 2*nf)
 		p.outs, p.ins = make([][][]int32, t.N()), make([][][]int32, t.N())
-		for d := range p.outs {
-			p.outs[d], p.ins[d] = make([][]int32, t.Dim(d)-1), make([][]int32, t.Dim(d)-1)
+		for d, a := 0, 0; d < t.N(); d++ {
+			b := a + t.Dim(d) - 1
+			p.outs[d], p.ins[d] = lists[a:b:b], lists[nf+a:nf+b:nf+b]
+			a = b
 		}
 	}
-	for d := range p.outs {
-		for j := range p.outs[d] {
-			p.outs[d][j], p.ins[d][j] = p.outs[d][j][:0], p.ins[d][j][:0]
-		}
-	}
-	p.deliver, p.destList = p.deliver[:0], p.destList[:0]
+	// off[f+1] counts frame f's rows, then off[f] is where its window
+	// starts; at[2i] and at[2i+1] are row i's outbound and inbound frame,
+	// or -1.
+	scratch := make([]int32, 2*nf+1+2*len(p.pairs))
+	off, at := scratch[:2*nf+1], scratch[2*nf+1:]
+	ndeliver := 0
 	for i, e := range p.pairs {
 		h, _ := routeHops(t, me, int(e.k.src), int(e.k.dst))
-		if h.origin {
-			p.destList = append(p.destList, int(e.k.dst))
-		}
-		if h.deliver {
-			p.deliver = append(p.deliver, int32(i))
-		}
+		at[2*i], at[2*i+1] = -1, -1
 		if h.sendD >= 0 {
-			j := p.nbrIndex(h.sendD, h.sendTo)
-			p.outs[h.sendD][j] = append(p.outs[h.sendD][j], int32(i))
+			at[2*i] = p.frameIndex(h.sendD, h.sendTo)
+			off[at[2*i]+1]++
 		}
 		if h.recvD >= 0 {
-			j := p.nbrIndex(h.recvD, h.recvFrom)
-			p.ins[h.recvD][j] = append(p.ins[h.recvD][j], int32(i))
+			at[2*i+1] = int32(nf) + p.frameIndex(h.recvD, h.recvFrom)
+			off[at[2*i+1]+1]++
 		}
+		if h.deliver {
+			ndeliver++
+		}
+	}
+	// Prefix sums turn the counts into window starts.
+	for f := 1; f < len(off); f++ {
+		off[f] += off[f-1]
+	}
+	p.rows = resize(p.rows, int(off[2*nf]))
+	f := 0
+	for _, side := range [2][][][]int32{p.outs, p.ins} {
+		for _, lists := range side {
+			for j := range lists {
+				lists[j] = p.rows[off[f]:off[f+1]:off[f+1]]
+				f++
+			}
+		}
+	}
+	p.deliver = slices.Grow(p.deliver[:0], ndeliver)
+	for i, e := range p.pairs {
+		for _, g := range at[2*i : 2*i+2] {
+			if g >= 0 {
+				p.rows[off[g]] = int32(i)
+				off[g]++
+			}
+		}
+		if e.k.dst == int32(me) {
+			p.deliver = append(p.deliver, int32(i))
+		}
+	}
+	own := p.ownPairs()
+	p.destList = resize(p.destList, len(own))
+	for j, e := range own {
+		p.destList[j] = int(e.k.dst)
 	}
 }
 
-// nbrIndex returns the index of the dimension-d neighbor peer among this
-// rank's dimension-d neighbors in digit order.
-func (p *Persistent) nbrIndex(d, peer int) int {
-	x := p.topo.Digit(peer, d)
-	if x > p.topo.Digit(p.rank, d) {
-		x--
+// frameIndex numbers the frame this rank sends to (or receives from) the
+// dimension-d neighbor peer among all of its frames in one direction:
+// stage by stage, in digit order within a stage.
+func (p *Persistent) frameIndex(d, peer int) int32 {
+	t := p.topo
+	f := t.Digit(peer, d)
+	if f > t.Digit(p.rank, d) {
+		f--
 	}
-	return x
+	for e := 0; e < d; e++ {
+		f += t.Dim(e) - 1
+	}
+	return int32(f)
 }
 
 // route is the learning run, Algorithm 1 on one rank, and the one loop
@@ -228,11 +271,13 @@ func (p *Persistent) nbrIndex(d, peer int) int {
 // alias them — then recycled after the deliveries are copied out. A stage's
 // frames are received in arrival order (runtime.RecvPolicy over RecvAnyOf),
 // each decoded, misroute-checked and scattered as it lands; a frame from a
-// rank outside the stage's RecvFrom set, or a second frame from one inside
-// it, is an error. The order frames land in reaches no wire byte: what a
-// stage leaves in the forward buffers is a set, and every frame goes on the
-// wire with its submessages in ascending (src, dst) order, so every learned
-// layout is independent of the transport's timing.
+// rank that is not a dimension-d neighbor, a second frame from one, and a
+// pair whose route does not enter the rank from the frame's sender in
+// stage d are errors, with or without a recorder. The order frames land in
+// reaches no wire byte: what a stage leaves in the forward buffers is a
+// set, and every frame goes on the wire with its submessages in ascending
+// (src, dst) order, so every learned layout is independent of the
+// transport's timing.
 func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persistent) (*Delivered, error) {
 	me := c.Rank()
 	if t.Size() != c.Size() {
@@ -268,17 +313,23 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 	}
 
 	// Stage d sends to and expects a frame from every dimension-d
-	// neighbor, in digit order.
-	sched := buildTopologySchedule(t, me)
-	runtime.HintTraffic(c, sched.Traffic())
-	sends, recvs, width := 0, 0, 0
-	for i := range sched.Stages {
-		st := &sched.Stages[i]
-		sends += len(st.Sends)
-		recvs += len(st.RecvFrom)
-		width = max(width, len(st.RecvFrom))
+	// neighbor, in digit order, which is ascending rank order: nbrs[d].
+	// The transport is told so before the first send.
+	nbrs := make([][]int, t.N())
+	hint := make([]runtime.StageTraffic, t.N())
+	frames, width := 0, 0
+	for d := range nbrs {
+		nbrs[d] = t.Neighbors(nil, me, d)
+		peers := make([]runtime.PeerTraffic, len(nbrs[d]))
+		for j, nb := range nbrs[d] {
+			peers[j] = runtime.PeerTraffic{Peer: nb, Frames: 1}
+		}
+		hint[d] = runtime.StageTraffic{Tag: StageTag(d), Dim: d, Sends: peers, Recvs: peers}
+		frames += len(nbrs[d])
+		width = max(width, len(nbrs[d]))
 	}
-	retained := make([][]byte, 0, recvs)
+	runtime.HintTraffic(c, hint)
+	retained := make([][]byte, 0, frames)
 	defer func() {
 		for _, b := range retained {
 			msg.PutFrame(b)
@@ -290,12 +341,12 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 	var decoded msg.Message
 	landed := make([]bool, width)
 	var pol runtime.RecvPolicy
-	frameArr := make([]stageFrame, 0, sends) // backing array for all stages' batches
-	sw := startSendWorker(c, me, len(sched.Stages))
+	frameArr := make([]stageFrame, 0, frames) // backing array for all stages' batches
+	sw := startSendWorker(c, me, len(nbrs))
 	defer sw.join()
 
-	for d := range sched.Stages {
-		st := &sched.Stages[d]
+	for d, peers := range nbrs {
+		tag := StageTag(d)
 
 		// Lines 9-12: each outbound frame drains the forward buffer keyed by
 		// the destination's dimension-d digit. The buffer holds the
@@ -303,31 +354,31 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 		// the wire layout. The stage's frames go to the worker as one batch
 		// (which owns its subslice from then on; stages use disjoint regions
 		// of the shared backing array), overlapped with the receives below.
-		outs := frameArr[len(frameArr) : len(frameArr) : len(frameArr)+len(st.Sends)]
-		for _, slot := range st.Sends {
-			subs := fb.Take(d, t.Digit(slot.To, d))
+		outs := frameArr[len(frameArr) : len(frameArr) : len(frameArr)+len(peers)]
+		for _, to := range peers {
+			subs := fb.Take(d, t.Digit(to, d))
 			msg.SortSubs(subs)
-			outs = append(outs, stageFrame{to: slot.To, subs: subs})
+			outs = append(outs, stageFrame{to: to, subs: subs})
 		}
 		frameArr = frameArr[:len(frameArr)+len(outs)]
-		sw.enqueue(st.Tag, outs)
+		sw.enqueue(tag, outs)
 
-		// Lines 13-17: receive one frame per expected sender, whichever
-		// lands first, and scatter its submessages into later-stage buffers
-		// or deliver them. The sender comes from the matcher, never from
-		// loop position, so the misroute check is valid under any delivery
-		// order; RecvFrom is ascending, so the sender's index is a binary
+		// Lines 13-17: receive one frame per neighbor, whichever lands
+		// first, and scatter its submessages into later-stage buffers or
+		// deliver them. The sender comes from the matcher, never from loop
+		// position, so the misroute checks are valid under any delivery
+		// order; peers is ascending, so the sender's index is a binary
 		// search away.
-		pol.Reset(st.RecvFrom)
-		landed = landed[:len(st.RecvFrom)]
+		pol.Reset(peers)
+		landed = landed[:len(peers)]
 		clear(landed)
 		for pol.Outstanding() > 0 {
-			from, raw, err := pol.Next(c, st.Tag)
+			from, raw, err := pol.Next(c, tag)
 			if err != nil {
-				return nil, recvFault(me, d, st.Dim, st.RecvFrom, func(j int) bool { return landed[j] }, err)
+				return nil, recvFault(me, d, d, peers, func(j int) bool { return landed[j] }, err)
 			}
 			retained = append(retained, raw)
-			j, ok := slices.BinarySearch(st.RecvFrom, from)
+			j, ok := slices.BinarySearch(peers, from)
 			if !ok || landed[j] {
 				return nil, fmt.Errorf("core: rank %d stage %d: frame from unexpected sender %d", me, d, from)
 			}
@@ -339,15 +390,16 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 				return nil, fmt.Errorf("core: rank %d stage %d: misrouted frame %d->%d arrived from %d",
 					me, d, decoded.From, decoded.To, from)
 			}
-			if p != nil {
-				// The table keeps pairs, not frames: a pair whose route does
-				// not enter here from this sender in this stage would be
-				// derived into another frame than the one it came in.
-				for _, sub := range decoded.Subs {
-					if h, _ := routeHops(t, me, sub.Src, sub.Dst); h.recvD != d || h.recvFrom != from {
-						return nil, fmt.Errorf("core: rank %d stage %d: misrouted submessage %d->%d from %d: its route does not enter here",
-							me, d, sub.Src, sub.Dst, from)
-					}
+			// Every pair travels its dimension-ordered route: one that does
+			// not enter here from this sender in this stage is misrouted,
+			// and a recorded table would derive it into another frame than
+			// the one it came in.
+			for _, sub := range decoded.Subs {
+				if h, _ := routeHops(t, me, sub.Src, sub.Dst); h.recvD != d || h.recvFrom != from {
+					return nil, fmt.Errorf("core: rank %d stage %d: misrouted submessage %d->%d from %d: its route does not enter here",
+						me, d, sub.Src, sub.Dst, from)
+				}
+				if p != nil {
 					p.pairs = append(p.pairs, pairEntry{k: slotKey{src: int32(sub.Src), dst: int32(sub.Dst)}, n: int32(len(sub.Data))})
 				}
 			}
@@ -369,23 +421,6 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 	return out, nil
 }
 
-// Schedule returns the learned StageSchedule — the IR every replay lowers.
-// Each stage sends to and receives from every dimension-d neighbor in
-// digit order (buildTopologySchedule), the send slots carrying the
-// occupancy of their frames. The schedule is cached inside the Persistent
-// and must be treated as read-only.
-func (p *Persistent) Schedule() *StageSchedule {
-	if p.sched == nil {
-		p.sched = buildTopologySchedule(p.topo, p.rank)
-		for d := range p.sched.Stages {
-			for j := range p.sched.Stages[d].Sends {
-				p.sched.Stages[d].Sends[j].Reserve = len(p.outs[d][j])
-			}
-		}
-	}
-	return p.sched
-}
-
 // Run replays the learned pattern with new payload bytes. The learned
 // destinations and payload lengths are the contract: payloads must map
 // exactly the learned destinations, each to a payload of its learned
@@ -401,7 +436,7 @@ func (p *Persistent) Schedule() *StageSchedule {
 // A caller that keeps deliveries across Runs copies them.
 //
 // Run is a thin entry over Replay.RunSum's loop: the first Run lowers the
-// learned schedule into a byte Replay, which copies the caller's payloads
+// learned layout into a byte Replay, which copies the caller's payloads
 // whole into frames written in place, checks every inbound sub-header
 // against its learned slot, and copies each delivered payload once, out of
 // its inbound frame into the Delivered's arena. A steady-state Run

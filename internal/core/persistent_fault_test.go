@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"stfw/internal/msg"
+	"stfw/internal/vpt"
 )
 
 // learnScriptedPersistent performs a learning run on a rank-0 scriptComm for
@@ -32,20 +33,49 @@ func learnScriptedPersistent(t *testing.T) (*Persistent, *scriptComm) {
 	return p, sc
 }
 
-// TestLearningRunRejectsOffRoutePair: a learning run records pairs, and
-// derives the frame each one travels in from its dimension-ordered route,
-// so a frame carrying a pair whose route does not enter the receiver from
-// that sender in that stage fails the run — here 6->0 from rank 2 in stage
-// 1, where the route 6 -> 4 -> 0 delivers it from rank 4 in stage 2.
+// TestLearningRunRejectsOffRoutePair: every pair travels its
+// dimension-ordered route, and a learning run derives the frame each pair
+// travels in from it, so a frame carrying a pair whose route does not enter
+// the receiver from that sender in that stage fails the routing run, with
+// or without a recorder — here 6->0 from rank 2 in stage 1, where the
+// route 6 -> 4 -> 0 delivers it from rank 4 in stage 2. A pair for rank K
+// agrees with rank 0 in every digit, so its route check passes; that it
+// can go nowhere is found when it is scattered.
 func TestLearningRunRejectsOffRoutePair(t *testing.T) {
-	sc, tp := scriptedWorld()
-	sc.recvs[fmt.Sprintf("2/%d", tagBase+1)] = [][]byte{msg.Encode(nil, &msg.Message{
-		From: 2, To: 0,
-		Subs: []msg.Submessage{{Src: 6, Dst: 0, Data: []byte("hi")}},
-	})}
-	_, _, err := NewPersistent(sc, tp, map[int][]byte{7: []byte("seed-payload")})
-	if err == nil || !strings.Contains(err.Error(), "misrouted submessage 6->0 from 2") {
-		t.Fatalf("off-route pair: err = %v", err)
+	runs := []struct {
+		name string
+		run  func(*scriptComm, *vpt.Topology) error
+	}{
+		{"NewPersistent", func(sc *scriptComm, tp *vpt.Topology) error {
+			_, _, err := NewPersistent(sc, tp, map[int][]byte{7: []byte("seed-payload")})
+			return err
+		}},
+		{"Exchange", func(sc *scriptComm, tp *vpt.Topology) error {
+			_, err := Exchange(sc, tp, map[int][]byte{7: []byte("seed-payload")})
+			return err
+		}},
+	}
+	for _, pair := range []struct {
+		name     string
+		from     int // the stage-1 sender
+		src, dst int
+		want     string
+	}{
+		{"off route", 2, 6, 0, "misrouted submessage 6->0 from 2"},
+		{"dst = K", 2, 2, 8, "submessage for 8 cannot be forwarded"},
+	} {
+		for _, r := range runs {
+			t.Run(pair.name+"/"+r.name, func(t *testing.T) {
+				sc, tp := scriptedWorld()
+				sc.recvs[fmt.Sprintf("%d/%d", pair.from, tagBase+1)] = [][]byte{msg.Encode(nil, &msg.Message{
+					From: pair.from, To: 0,
+					Subs: []msg.Submessage{{Src: pair.src, Dst: pair.dst, Data: []byte("hi")}},
+				})}
+				if err := r.run(sc, tp); err == nil || !strings.Contains(err.Error(), pair.want) {
+					t.Fatalf("err = %v, want one naming %q", err, pair.want)
+				}
+			})
+		}
 	}
 }
 

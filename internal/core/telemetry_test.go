@@ -46,7 +46,7 @@ func testPersistentRunSamplesWholeExchanges(t *testing.T) {
 		// expect[d] is the set of senders stage d receives from.
 		expect := make([][]int, stages)
 		for d := range expect {
-			expect[d] = p.Schedule().Stages[d].RecvFrom
+			expect[d] = tp.Neighbors(nil, me, d)
 		}
 		// want is the span sequence of one traced exchange.
 		want := []telemetry.Span{{Kind: telemetry.KGather, Stage: -1}}

@@ -3,19 +3,18 @@ package core
 import (
 	"errors"
 	"fmt"
-
-	"stfw/internal/vpt"
+	"slices"
 )
 
-// This file is the whole-world schedule verifier: where validateSchedule
-// (schedule.go) sanity-checks one rank's program in isolation, VerifyWorld
-// cross-checks the programs of all K ranks against each other — the
-// property the exchange loops' liveness actually depends on. A world of
-// individually-valid schedules can still deadlock or drop payload if rank a
-// sends a frame rank b never expects, or rank b waits for a frame nobody
-// sends. Tests run it over every schedule front-end (dynamic, learned,
-// direct), and `stfwbench -verify` sweeps it over conformance
-// topologies from the command line.
+// This file is the whole-world verifier. A world of individually sound
+// programs can still deadlock or drop payload if rank a sends a frame rank
+// b never expects, or rank b waits for a frame nobody sends, so
+// VerifyReplayWorld cross-checks the compiled programs of all K ranks —
+// the Replays every STFW and BL iteration runs — against each other and
+// against the plan. VerifyLearnedWorld first holds every learned rank's
+// pair table to the computed one, then lowers the world and runs it.
+// Tests run both over learned, patched, computed and direct worlds, and
+// `stfwbench -verify` sweeps them over the conformance topologies.
 
 // maxVerifyErrors bounds how many findings a verification reports before
 // summarizing the rest; a structurally broken world would otherwise produce
@@ -43,57 +42,68 @@ func (v *verifyErrs) join() error {
 	return errors.Join(v.errs...)
 }
 
-// VerifyWorld cross-checks the per-rank schedules of a K-rank world
-// (scheds[r] is rank r's program). It verifies that:
+// VerifyReplayWorld cross-checks the compiled programs of a K-rank world
+// (rs[r] is rank r's Replay) against each other and against the plan of
+// their traffic. It verifies that:
 //
-//   - every rank has the same stage count and per-stage tag (the stage
-//     machines advance in lockstep, keyed by tag);
-//   - every send and receive slot names a valid, non-self rank;
-//   - no stage has duplicate send destinations or duplicate expected
-//     senders on one rank (each neighbor pair exchanges exactly one frame
-//     per stage), and every expected sender set is listed in ascending
-//     rank order (a receiver finds a sender by binary search);
-//   - sends and receives match pairwise: rank a lists b as a stage-d
-//     destination if and only if rank b lists a as a stage-d expected
-//     sender. An unmatched send is a frame the receiver never drains; an
-//     unmatched expected sender (an orphan) blocks the receiver forever.
+//   - every rank has the plan's stage count and, per stage, rank 0's tag
+//     and dimension, the dimension inside [0, stages) (the stage loops
+//     advance in lockstep, keyed by tag, and composite transports pick a
+//     sub-transport by dimension);
+//   - every frame names a valid rank other than its sender, no stage sends
+//     one rank two frames, and every stage's expected senders are valid
+//     other ranks in strictly ascending order (each neighbour pair
+//     exchanges at most one frame per stage);
+//   - sends and receives match pairwise: rank a sends b a stage-d frame if
+//     and only if b expects one from a, and the frame's byte size and
+//     submessage count are the ones b expects. An unmatched send is a
+//     frame the receiver never drains; an unmatched expected sender (an
+//     orphan) blocks the receiver forever; a size or count mismatch fails
+//     the receiver's frame check;
+//   - every frame carries the plan's submessage count for its (from, to)
+//     pair in its stage (none where the plan has no frame), and every
+//     nonempty plan frame is sent.
 //
-// A nil error means the world's programs are mutually consistent; they run
-// without unmatched traffic in either direction.
-func VerifyWorld(scheds []*StageSchedule) error {
+// A finding names the rank and the stage. A nil error means the world runs
+// without unmatched traffic in either direction and carries exactly the
+// plan's submessages.
+func VerifyReplayWorld(rs []*Replay, plan *Plan) error {
 	var v verifyErrs
-	K := len(scheds)
+	K := len(rs)
 	if K == 0 {
 		return errors.New("core: verify: empty world")
 	}
-	for r, s := range scheds {
-		if s == nil {
-			v.addf("core: verify: rank %d has no schedule", r)
+	if plan == nil {
+		return errors.New("core: verify: no plan")
+	}
+	for r, rp := range rs {
+		switch {
+		case rp == nil:
+			v.addf("core: verify: rank %d has no replay", r)
+		case rp.me != r || rp.size != K:
+			v.addf("core: verify: slot %d of %d holds the replay of rank %d of %d", r, K, rp.me, rp.size)
+		case len(rp.stages) != len(plan.Stages):
+			v.addf("core: verify: rank %d has %d stages, the plan %d", r, len(rp.stages), len(plan.Stages))
 		}
 	}
 	if len(v.errs) > 0 {
 		return v.join()
 	}
 
-	// Lockstep structure: stage counts, tags, and dimensions must agree
-	// across ranks. The dimension is routing metadata consumed below the
-	// schedule layer (composite transports pick a sub-transport by it), so a
-	// per-rank disagreement would silently split one stage's frames across
-	// transports.
-	ref := scheds[0]
-	for r, s := range scheds {
-		if len(s.Stages) != len(ref.Stages) {
-			v.addf("core: verify: rank %d has %d stages, rank 0 has %d", r, len(s.Stages), len(ref.Stages))
-			continue
-		}
-		for d := range s.Stages {
-			if s.Stages[d].Tag != ref.Stages[d].Tag {
-				v.addf("core: verify: stage %d: rank %d uses tag %#x, rank 0 uses %#x", d, r, s.Stages[d].Tag, ref.Stages[d].Tag)
+	ref := rs[0].stages
+	for r, rp := range rs {
+		for d := range rp.stages {
+			st := &rp.stages[d]
+			if st.tag != ref[d].tag {
+				v.addf("core: verify: rank %d stage %d uses tag %#x, rank 0 uses %#x", r, d, st.tag, ref[d].tag)
 			}
-			if dim := s.Stages[d].Dim; dim < 0 || dim >= len(s.Stages) {
-				v.addf("core: verify: stage %d: rank %d declares dimension %d, outside [0,%d)", d, r, dim, len(s.Stages))
-			} else if dim != ref.Stages[d].Dim {
-				v.addf("core: verify: stage %d: rank %d routes dimension %d, rank 0 routes %d", d, r, dim, ref.Stages[d].Dim)
+			if st.dim < 0 || st.dim >= len(ref) {
+				v.addf("core: verify: rank %d stage %d declares dimension %d, outside [0,%d)", r, d, st.dim, len(ref))
+			} else if st.dim != ref[d].dim {
+				v.addf("core: verify: rank %d stage %d routes dimension %d, rank 0 routes %d", r, d, st.dim, ref[d].dim)
+			}
+			if err := checkStage(st, r, K); err != nil {
+				v.addf("core: verify: rank %d stage %d: %v", r, d, err)
 			}
 		}
 	}
@@ -101,124 +111,113 @@ func VerifyWorld(scheds []*StageSchedule) error {
 		return v.join()
 	}
 
-	// Per-rank slot validity and per-stage slot uniqueness.
-	for r, s := range scheds {
-		if err := validateSchedule(s, r, K); err != nil {
-			v.addf("core: verify: rank %d: %v", r, err)
-		}
-	}
-	if len(v.errs) > 0 {
-		return v.join()
-	}
-
-	// Pairwise matching per stage.
-	for d := range ref.Stages {
-		type pair struct{ from, to int }
-		sends := make(map[pair]bool)
-		recvs := make(map[pair]bool)
-		for r, s := range scheds {
-			for _, slot := range s.Stages[d].Sends {
-				sends[pair{r, slot.To}] = true
-			}
-			for _, from := range s.Stages[d].RecvFrom {
-				recvs[pair{from, r}] = true
+	type link struct{ from, to int }
+	for d := range ref {
+		expect := make(map[link]*rIn)
+		for r, rp := range rs {
+			st := &rp.stages[d]
+			for j, from := range st.recvFrom {
+				expect[link{from, r}] = &st.ins[j]
 			}
 		}
-		for p := range sends {
-			if !recvs[p] {
-				v.addf("core: verify: stage %d: rank %d sends to %d, which does not expect a frame from it", d, p.from, p.to)
-			}
-		}
-		for p := range recvs {
-			if !sends[p] {
-				v.addf("core: verify: stage %d: rank %d expects a frame from %d, which never sends one (orphan sender)", d, p.to, p.from)
-			}
-		}
-	}
-	return v.join()
-}
-
-// VerifyWorldAgainstPlan runs VerifyWorld and then checks submessage
-// conservation against the plan: per stage, every annotated send slot's
-// Reserve must equal the Subs of the plan's (From, To) frame, every
-// nonempty plan frame must be carried by exactly that slot, and no slot may
-// reserve capacity for a frame the plan does not contain. Together with the
-// plan's own construction invariant (every submessage routed exactly once)
-// this pins the schedules to the plan's exact traffic.
-func VerifyWorldAgainstPlan(scheds []*StageSchedule, p *Plan) error {
-	if err := VerifyWorld(scheds); err != nil {
-		return err
-	}
-	var v verifyErrs
-	if len(scheds[0].Stages) != len(p.Stages) {
-		return fmt.Errorf("core: verify: schedules have %d stages, plan has %d", len(scheds[0].Stages), len(p.Stages))
-	}
-	type pair struct{ from, to int }
-	for d := range p.Stages {
-		want := make(map[pair]int, len(p.Stages[d]))
-		for _, f := range p.Stages[d] {
+		subs := make(map[link]int, len(plan.Stages[d]))
+		for _, f := range plan.Stages[d] {
 			if f.Subs > 0 {
-				want[pair{f.From, f.To}] = f.Subs
+				subs[link{f.From, f.To}] = f.Subs
 			}
 		}
-		covered := make(map[pair]bool, len(want))
-		for r, s := range scheds {
-			for _, slot := range s.Stages[d].Sends {
-				key := pair{r, slot.To}
-				subs, inPlan := want[key]
+		for r, rp := range rs {
+			for _, f := range rp.stages[d].frames {
+				k := link{r, f.to}
+				in, ok := expect[k]
 				switch {
-				case slot.Reserve == 0 && inPlan:
-					v.addf("core: verify: stage %d: plan routes %d submessages %d->%d but the schedule slot reserves none", d, subs, r, slot.To)
-				case slot.Reserve != 0 && !inPlan:
-					v.addf("core: verify: stage %d: schedule reserves %d submessages %d->%d, a frame the plan does not contain", d, slot.Reserve, r, slot.To)
-				case slot.Reserve != subs:
-					v.addf("core: verify: stage %d: frame %d->%d reserves %d submessages, plan says %d", d, r, slot.To, slot.Reserve, subs)
-				default:
-					covered[key] = true
+				case !ok:
+					v.addf("core: verify: rank %d stage %d sends to %d, which does not expect a frame from it", r, d, f.to)
+				case f.size != in.size || f.nsubs != in.nsubs:
+					v.addf("core: verify: rank %d stage %d frame to %d has %d bytes and %d submessages, rank %d expects %d and %d",
+						r, d, f.to, f.size, f.nsubs, f.to, in.size, in.nsubs)
+				}
+				delete(expect, k)
+				if want, inPlan := subs[k]; int(f.nsubs) != want {
+					if inPlan {
+						v.addf("core: verify: rank %d stage %d frame to %d carries %d submessages, the plan %d", r, d, f.to, f.nsubs, want)
+					} else {
+						v.addf("core: verify: rank %d stage %d frame to %d carries %d submessages, a frame the plan does not contain", r, d, f.to, f.nsubs)
+					}
+				}
+				delete(subs, k)
+			}
+		}
+		// What is left was never sent: walk it in rank order.
+		for r, rp := range rs {
+			for _, from := range rp.stages[d].recvFrom {
+				if _, orphan := expect[link{from, r}]; orphan {
+					v.addf("core: verify: rank %d stage %d expects a frame from %d, which never sends one (orphan sender)", r, d, from)
 				}
 			}
 		}
-		for key, subs := range want {
-			if !covered[key] {
-				v.addf("core: verify: stage %d: plan frame %d->%d (%d submessages) has no schedule slot", d, key.from, key.to, subs)
+		for _, f := range plan.Stages[d] {
+			if n, unsent := subs[link{f.From, f.To}]; unsent {
+				v.addf("core: verify: rank %d stage %d sends no frame to %d, the plan's frame of %d submessages", f.From, d, f.To, n)
 			}
 		}
 	}
 	return v.join()
 }
 
-// LearnedWorldSchedules returns every rank's learned (or patched) schedule
-// — the programs Persistent.Run executes — for gating a whole learned
-// world through VerifyWorld. Typical use after a patch round: run
-// VerifyWorld over these plus VerifyLearnedWorld over the Persistents
-// themselves.
-func LearnedWorldSchedules(ps []*Persistent) []*StageSchedule {
-	scheds := make([]*StageSchedule, len(ps))
-	for r, p := range ps {
-		if p != nil {
-			scheds[r] = p.Schedule()
+// checkStage checks one rank's stage on its own: every frame goes to
+// another rank of the world, none twice, and the expected senders are
+// other ranks of the world in strictly ascending order (none twice). Every lowering sends in ascending order
+// too, so only a hand-built stage costs a set.
+func checkStage(st *rStage, me, size int) error {
+	ascending := true
+	for i, f := range st.frames {
+		if f.to < 0 || f.to >= size || f.to == me {
+			return fmt.Errorf("frame to %d invalid for rank %d of %d", f.to, me, size)
+		}
+		ascending = ascending && (i == 0 || st.frames[i-1].to < f.to)
+	}
+	if !ascending {
+		seen := make(map[int]bool, len(st.frames))
+		for _, f := range st.frames {
+			if seen[f.to] {
+				return fmt.Errorf("duplicate frame to %d", f.to)
+			}
+			seen[f.to] = true
 		}
 	}
-	return scheds
+	for i, from := range st.recvFrom {
+		if from < 0 || from >= size || from == me {
+			return fmt.Errorf("expected sender %d invalid for rank %d of %d", from, me, size)
+		}
+		if i > 0 && from <= st.recvFrom[i-1] {
+			if slices.Contains(st.recvFrom[:i], from) {
+				return fmt.Errorf("expects duplicate frame from %d", from)
+			}
+			return fmt.Errorf("lists its senders %v out of ascending order", st.recvFrom)
+		}
+	}
+	return nil
 }
 
-// VerifyLearnedWorld cross-checks a world of learned (or patched)
-// Persistents on the payload plane, which the schedule-level VerifyWorld
-// cannot see: a learned schedule sends a frame to every neighbor whether or
-// not it carries payload, so churn never changes the skeleton and a clean
-// one could still carry misrouted slots. It is one comparison: every
-// rank's pair table must equal, row for row, the one ComputePersistent
-// computes for it from the world's own declared pattern (each rank's own
-// rows: its destinations and their payload sizes). The whole layout is
-// derived from the table, so that holds every frame on both of its ends to
-// the pairs whose dimension-ordered route it lies on, at the size their
-// origin declares, and every rank to the deliveries addressed to it. That
-// the derived layout is what the learning run sends is held on the wire by
-// TestLearningFramesSorted and TestCompiledFramesMatchEncode.
+// VerifyLearnedWorld checks a world of learned (or patched) Persistents
+// in one call, on the payload plane and on the programs they run. First,
+// every rank's pair table must equal, row for row, the one
+// ComputePersistent computes for it from the world's own declared pattern
+// (each rank's own rows: its destinations and their payload sizes). The
+// whole layout is derived from the table, so that holds every frame on
+// both of its ends to the pairs whose dimension-ordered route it lies on,
+// at the size their origin declares, and every rank to the deliveries
+// addressed to it; a finding names the rank and the first row that
+// differs. Then every rank is lowered into a fresh byte Replay — the
+// program Persistent.Run executes, though not the Persistent's own, which
+// is left as it is — and the world of them is held to plan
+// (VerifyReplayWorld). That the derived layout is what the learning run
+// sends is held on the wire by TestLearningFramesSorted and
+// TestCompiledFramesMatchEncode.
 //
-// A finding names the rank and the first row that differs. The
-// dynamic-sparsity property suite runs it after every mutation round.
-func VerifyLearnedWorld(ps []*Persistent) error {
+// The dynamic-sparsity property suite runs it after every mutation round.
+func VerifyLearnedWorld(ps []*Persistent, plan *Plan) error {
 	var v verifyErrs
 	K := len(ps)
 	if K == 0 {
@@ -255,7 +254,27 @@ func VerifyLearnedWorld(ps []*Persistent) error {
 			v.addf("core: verify: %v (learned vs computed)", err)
 		}
 	}
-	return v.join()
+	if len(v.errs) > 0 {
+		return v.join()
+	}
+	rs, err := lowerWorld(ps)
+	if err != nil {
+		return err
+	}
+	return VerifyReplayWorld(rs, plan)
+}
+
+// lowerWorld lowers every rank of a world into a fresh byte Replay: the
+// programs Persistent.Run executes, built beside the Persistents' own.
+func lowerWorld(ps []*Persistent) ([]*Replay, error) {
+	rs := make([]*Replay, len(ps))
+	for r, p := range ps {
+		rs[r] = &Replay{}
+		if err := p.lower(rs[r], true, 0, nil); err != nil {
+			return nil, fmt.Errorf("core: verify: rank %d: %w", r, err)
+		}
+	}
+	return rs, nil
 }
 
 // comparePersistent reports the first difference between the pair tables
@@ -279,36 +298,4 @@ func comparePersistent(a, b *Persistent) error {
 		}
 	}
 	return nil
-}
-
-// WorldSchedules returns the dynamic front-end's schedule for every rank of
-// the topology — the programs the learning run, and so Exchange, executes.
-func WorldSchedules(t *vpt.Topology) []*StageSchedule {
-	scheds := make([]*StageSchedule, t.Size())
-	for r := range scheds {
-		scheds[r] = buildTopologySchedule(t, r)
-	}
-	return scheds
-}
-
-// DirectWorldSchedules returns the direct-baseline schedule for every rank
-// implied by the send sets: rank r sends one frame to each destination in
-// its (normalized) send set and expects one frame from each source in the
-// transpose — the single stage NewDirectReplay compiles for the same
-// pattern. It is the only place the direct schedule is built as IR.
-func DirectWorldSchedules(s *SendSets) []*StageSchedule {
-	recv := s.RecvSets()
-	scheds := make([]*StageSchedule, s.K)
-	for r := range scheds {
-		dests := make([]int, 0, len(s.Sets[r]))
-		for _, pr := range s.Sets[r] {
-			dests = append(dests, pr.Dst)
-		}
-		from := make([]int, 0, len(recv[r]))
-		for _, pr := range recv[r] {
-			from = append(from, pr.Dst)
-		}
-		scheds[r] = buildDirectSchedule(r, dests, from)
-	}
-	return scheds
 }

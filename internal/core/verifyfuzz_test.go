@@ -1,14 +1,19 @@
 package core
 
 import (
+	"slices"
 	"testing"
+
+	"stfw/internal/msg"
 )
 
-// fuzzWorld decodes an arbitrary byte string into a small world of
-// schedules (K in 2..8, 1..3 stages). The decoder deliberately produces
-// out-of-range ranks, self-sends, duplicate slots, tag skew, and ragged
-// stage counts — the verifier must diagnose all of it without panicking.
-func fuzzWorld(data []byte) []*StageSchedule {
+// fuzzWorld decodes an arbitrary byte string into a small world of replays
+// (K in 2..8, 1..3 stages). The decoder deliberately produces out-of-range
+// ranks, self-sends, duplicate frames and senders, senders out of order,
+// tag and dimension skew, ragged stage counts, misplaced ranks, and frame
+// sizes and submessage counts its receivers do not expect — the verifier
+// must diagnose all of it without panicking.
+func fuzzWorld(data []byte) []*Replay {
 	i := 0
 	next := func() int {
 		if len(data) == 0 {
@@ -18,71 +23,93 @@ func fuzzWorld(data []byte) []*StageSchedule {
 		i++
 		return int(b)
 	}
+	// Sizes and counts come from small ranges, so that a sender and its
+	// receiver often agree.
+	size := func() int32 { return int32(msg.MsgHeaderLen + 8*(next()%2)) }
+	nsubs := func() int32 { return int32(next() % 2) }
 	K := 2 + next()%7
 	stages := 1 + next()%3
-	scheds := make([]*StageSchedule, K)
-	for r := range scheds {
-		ns := stages
+	rs := make([]*Replay, K)
+	for r := range rs {
+		rp := &Replay{me: r, size: K, stages: make([]rStage, stages)}
 		if next()%16 == 0 {
-			ns = 1 + next()%3 // ragged stage count
+			rp.stages = make([]rStage, 1+next()%3) // ragged stage count
 		}
-		s := &StageSchedule{Stages: make([]ScheduleStage, ns)}
-		for d := range s.Stages {
-			st := &s.Stages[d]
-			st.Tag = StageTag(d)
+		if next()%32 == 0 {
+			rp.me = next() % K // another rank's program
+		}
+		for d := range rp.stages {
+			st := &rp.stages[d]
+			st.tag, st.dim = StageTag(d), d
 			if next()%16 == 0 {
-				st.Tag += 1 + next()%3 // tag skew
+				st.tag += 1 + next()%3 // tag skew
+			}
+			if next()%16 == 0 {
+				st.dim = next()%5 - 1 // dimension skew, or out of range
 			}
 			for n := next() % 4; n > 0; n-- {
-				st.Sends = append(st.Sends, SendSlot{
-					To:      next()%(K+2) - 1, // allows -1 and K: out of range
-					Reserve: next() % 3,
-				})
+				st.frames = append(st.frames, rFrame{to: next()%(K+2) - 1, size: size(), nsubs: nsubs()})
 			}
 			for n := next() % 4; n > 0; n-- {
-				st.RecvFrom = append(st.RecvFrom, next()%(K+2)-1)
+				st.recvFrom = append(st.recvFrom, next()%(K+2)-1) // allows -1 and K
+				st.ins = append(st.ins, rIn{size: size(), nsubs: nsubs()})
 			}
 		}
-		scheds[r] = s
+		rs[r] = rp
 	}
-	return scheds
+	return rs
 }
 
-// coherentFrom rebuilds a well-formed world from the fuzzed one: it keeps
-// each rank's in-range, non-self, deduplicated send slots, unifies tags and
-// stage counts, and derives every RecvFrom set as the exact transpose of
-// the kept sends. By construction such a world is pairwise consistent, so
-// the verifier must accept it — the completeness direction of the fuzz.
-func coherentFrom(scheds []*StageSchedule) []*StageSchedule {
-	K := len(scheds)
-	stages := len(scheds[0].Stages)
-	out := make([]*StageSchedule, K)
+// coherentFrom rebuilds a well-formed world from the fuzzed one, with its
+// plan: it keeps each rank's in-range, non-self, deduplicated frames,
+// unifies stage counts, tags and dimensions, derives every rank's expected
+// senders, with the sizes and counts of their frames, as the exact
+// transpose of the kept frames, and makes every nonempty frame a plan
+// frame. By construction such a world is consistent and carries its plan,
+// so the verifier must accept it — the completeness direction of the fuzz.
+func coherentFrom(rs []*Replay) ([]*Replay, *Plan) {
+	K, stages := len(rs), len(rs[0].stages)
+	out := make([]*Replay, K)
 	for r := range out {
-		out[r] = &StageSchedule{Stages: make([]ScheduleStage, stages)}
-		for d := range out[r].Stages {
-			out[r].Stages[d].Tag = StageTag(d)
+		out[r] = &Replay{me: r, size: K, stages: make([]rStage, stages)}
+		for d := range out[r].stages {
+			out[r].stages[d].tag, out[r].stages[d].dim = StageTag(d), d
 		}
 	}
-	for r, s := range scheds {
-		for d := 0; d < stages && d < len(s.Stages); d++ {
-			seen := map[int]bool{}
-			for _, slot := range s.Stages[d].Sends {
-				if slot.To < 0 || slot.To >= K || slot.To == r || seen[slot.To] {
+	plan := &Plan{Stages: make([][]Frame, stages)}
+	for r, rp := range rs {
+		for d := 0; d < stages && d < len(rp.stages); d++ {
+			for _, f := range rp.stages[d].frames {
+				st := &out[r].stages[d]
+				if f.to < 0 || f.to >= K || f.to == r || slices.ContainsFunc(st.frames, func(g rFrame) bool { return g.to == f.to }) {
 					continue
 				}
-				seen[slot.To] = true
-				out[r].Stages[d].Sends = append(out[r].Stages[d].Sends, SendSlot{To: slot.To})
-				out[slot.To].Stages[d].RecvFrom = append(out[slot.To].Stages[d].RecvFrom, r)
+				st.frames = append(st.frames, rFrame{to: f.to, size: f.size, nsubs: f.nsubs})
+				if f.nsubs > 0 {
+					plan.Stages[d] = append(plan.Stages[d], Frame{From: r, To: f.to, Subs: int(f.nsubs)})
+				}
 			}
 		}
 	}
-	return out
+	// Senders in ascending rank order leave every receiver's list ascending.
+	for r := range out {
+		for d := range out[r].stages {
+			for _, f := range out[r].stages[d].frames {
+				in := &out[f.to].stages[d]
+				in.recvFrom = append(in.recvFrom, r)
+				in.ins = append(in.ins, rIn{size: f.size, nsubs: f.nsubs})
+			}
+		}
+	}
+	return out, plan
 }
 
-// FuzzVerifyWorld feeds adversarial schedule worlds to the verifier and
-// checks three properties: it never panics, a nil verdict is sound (every
-// send really is matched by a receive expectation and vice versa, all slots
-// in range), and it accepts every world rebuilt into coherent form.
+// FuzzVerifyWorld feeds adversarial replay worlds to the verifier, against
+// the plan of their coherent rebuild, and checks three properties: it
+// never panics, a nil verdict is sound (every frame goes to a valid other
+// rank that expects it at its size and count, every expected sender sends,
+// and every frame carries the plan's count), and it accepts every world
+// rebuilt into coherent form.
 func FuzzVerifyWorld(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})
@@ -90,25 +117,40 @@ func FuzzVerifyWorld(f *testing.F) {
 	f.Add([]byte{3, 1, 16, 16, 5, 4, 3, 2, 1, 0, 255, 254, 8, 8})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		scheds := fuzzWorld(data)
-		K := len(scheds)
-		for r, s := range scheds {
-			_ = validateSchedule(s, r, K) // must not panic on any input
-		}
-		if err := VerifyWorld(scheds); err == nil {
+		rs := fuzzWorld(data)
+		coherent, plan := coherentFrom(rs)
+		K := len(rs)
+		if err := VerifyReplayWorld(rs, plan); err == nil {
 			// Soundness: a clean verdict means real pairwise consistency.
-			for r, s := range scheds {
-				for d := range s.Stages {
-					for _, slot := range s.Stages[d].Sends {
-						if slot.To < 0 || slot.To >= K || slot.To == r {
-							t.Fatalf("verified world has invalid send %d->%d in stage %d", r, slot.To, d)
+			subs := map[[3]int]int{}
+			for d, fs := range plan.Stages {
+				for _, pf := range fs {
+					subs[[3]int{d, pf.From, pf.To}] = pf.Subs
+				}
+			}
+			for r, rp := range rs {
+				if rp.me != r || len(rp.stages) != len(plan.Stages) {
+					t.Fatalf("verified world: slot %d holds rank %d's program of %d stages", r, rp.me, len(rp.stages))
+				}
+				for d := range rp.stages {
+					for _, f := range rp.stages[d].frames {
+						if f.to < 0 || f.to >= K || f.to == r {
+							t.Fatalf("verified world has invalid frame %d->%d in stage %d", r, f.to, d)
 						}
-						if !contains(scheds[slot.To].Stages[d].RecvFrom, r) {
-							t.Fatalf("verified world: send %d->%d in stage %d has no matching expectation", r, slot.To, d)
+						in := &rs[f.to].stages[d]
+						j := slices.Index(in.recvFrom, r)
+						if j < 0 {
+							t.Fatalf("verified world: frame %d->%d in stage %d has no matching expectation", r, f.to, d)
+						}
+						if in.ins[j].size != f.size || in.ins[j].nsubs != f.nsubs {
+							t.Fatalf("verified world: frame %d->%d in stage %d differs from its expectation", r, f.to, d)
+						}
+						if int(f.nsubs) != subs[[3]int{d, r, f.to}] {
+							t.Fatalf("verified world: frame %d->%d in stage %d carries %d submessages, the plan %d", r, f.to, d, f.nsubs, subs[[3]int{d, r, f.to}])
 						}
 					}
-					for _, from := range s.Stages[d].RecvFrom {
-						if !sendsTo(scheds, from, r, d) {
+					for _, from := range rp.stages[d].recvFrom {
+						if !sendsTo(rs, from, r, d) {
 							t.Fatalf("verified world: rank %d expects %d in stage %d but it never sends", r, from, d)
 						}
 					}
@@ -116,29 +158,15 @@ func FuzzVerifyWorld(f *testing.F) {
 			}
 		}
 		// Completeness: the coherent rebuild must always verify.
-		if err := VerifyWorld(coherentFrom(scheds)); err != nil {
+		if err := VerifyReplayWorld(coherent, plan); err != nil {
 			t.Fatalf("coherent world rejected: %v", err)
 		}
 	})
 }
 
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func sendsTo(scheds []*StageSchedule, from, to, d int) bool {
-	if from < 0 || from >= len(scheds) || d >= len(scheds[from].Stages) {
+func sendsTo(rs []*Replay, from, to, d int) bool {
+	if from < 0 || from >= len(rs) || d >= len(rs[from].stages) {
 		return false
 	}
-	for _, slot := range scheds[from].Stages[d].Sends {
-		if slot.To == to {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(rs[from].stages[d].frames, func(f rFrame) bool { return f.to == to })
 }

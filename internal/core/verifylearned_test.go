@@ -17,7 +17,8 @@ import (
 func TestVerifyLearnedWorldRejectsMutations(t *testing.T) {
 	tp := synthTopology(t, 16, 2)
 	pairs := synthBasePairs(16, 16)
-	if err := VerifyLearnedWorld(learnPairs(t, tp, pairs)); err != nil {
+	plan := synthPlan(tp, pairs)
+	if err := VerifyLearnedWorld(learnPairs(t, tp, pairs), plan); err != nil {
 		t.Fatalf("base world rejected: %v", err)
 	}
 	// find returns the first rank and row of a table whose pair ok accepts.
@@ -71,7 +72,7 @@ func TestVerifyLearnedWorldRejectsMutations(t *testing.T) {
 			ps := learnPairs(t, tp, pairs)
 			r := c.mutate(ps)
 			ps[r].derive()
-			err := VerifyLearnedWorld(ps)
+			err := VerifyLearnedWorld(ps, plan)
 			if err == nil {
 				t.Fatal("mutated world accepted")
 			}

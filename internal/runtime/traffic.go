@@ -2,16 +2,17 @@ package runtime
 
 // Traffic hints: an optional, advisory channel from a schedule-aware engine
 // down to the transport. The store-and-forward executor knows, before a
-// single byte moves, exactly which frames every stage will carry — the
-// StageSchedule IR lists each stage's outbound slots and expected inbound
-// senders. A transport that learns this ahead of time never has to
+// single byte moves, exactly which frames every stage will carry — stage
+// d sends one frame to and expects one from every dimension-d neighbour,
+// and a compiled replay also knows each frame's size (core.Replay). A
+// transport that learns this ahead of time never has to
 // speculate about flow-control state: it knows when a peer's per-stage
 // inbound set is complete (acknowledge immediately, release the sender's
 // credits at the stage boundary) and how much traffic a window must cover.
 //
 // Hints are strictly optional and advisory: a transport must stay correct
 // (and live) without them, and must stay correct when the actual traffic
-// deviates from a stale hint — the engine may patch a schedule between
+// deviates from a stale hint — the engine may patch a layout between
 // iterations (frame counts are invariant under core.Persistent.Patch, byte
 // sizes are not), and wrappers may drop the hint entirely.
 
@@ -34,8 +35,8 @@ type PeerTraffic struct {
 type StageTraffic struct {
 	// Tag is the transport tag all of the stage's frames carry.
 	Tag int
-	// Dim is the virtual-topology dimension the stage traverses, as recorded
-	// in the schedule IR. Composite transports use it to attribute a stage to
+	// Dim is the virtual-topology dimension the stage traverses (0 for the
+	// baseline's single stage). Composite transports use it to attribute a stage to
 	// the sub-transport that owns the dimension; like everything else in a
 	// hint it is advisory and may not be relied on for correctness.
 	Dim int

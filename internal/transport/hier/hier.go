@@ -21,11 +21,11 @@
 // the same way) and it preserves the Comm contract's per-(sender,
 // receiver, tag) FIFO: a fixed pair always uses one route, a leader link is
 // FIFO, and the node's demux delivers in arrival order. The stage→dimension
-// metadata surfaced by the schedule IR (core.ScheduleStage.Dim,
-// runtime.StageTraffic.Dim) is what ties stages to sub-transports: the
-// planner picks the factorization and placement so each dimension's pairs
-// fall wholly on one side, and the traffic-hint fan-out forwards each
-// stage's entries to the endpoint that carries them.
+// metadata in the traffic hint (runtime.StageTraffic.Dim, from the
+// dimension every core.Replay stage carries) is what ties stages to
+// sub-transports: the planner picks the factorization and placement so
+// each dimension's pairs fall wholly on one side, and the traffic-hint
+// fan-out forwards each stage's entries to the endpoint that carries them.
 //
 // Goroutines: one demux per node, started by the node's first receive from
 // a leader-routed sender, owns its leader endpoint's mux-tag receives and

@@ -2,6 +2,8 @@ package vpt
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -202,6 +204,30 @@ func TestNeighborsDefinition(t *testing.T) {
 		}
 		if total != tp.NumNeighbors() {
 			t.Fatalf("neighbor total mismatch")
+		}
+	}
+}
+
+// TestNeighborsSymmetric: stage d of every store-and-forward program sends
+// a frame to each dimension-d neighbour and expects one from each, so the
+// relation must be symmetric — q is p's dimension-d neighbour exactly when
+// p is q's — or a frame would go unexpected. The list is also in ascending
+// rank order, which the routing run's sender lookup relies on.
+func TestNeighborsSymmetric(t *testing.T) {
+	for _, dims := range [][]int{{8}, {4, 2}, {2, 2, 2}, {4, 3}, {5, 4, 3}, {2, 4, 2, 4}} {
+		tp := MustNew(dims...)
+		for p := 0; p < tp.Size(); p++ {
+			for d := 0; d < tp.N(); d++ {
+				nb := tp.Neighbors(nil, p, d)
+				if !sort.IntsAreSorted(nb) {
+					t.Fatalf("%v p=%d d=%d: neighbours %v not ascending", dims, p, d, nb)
+				}
+				for _, q := range nb {
+					if !slices.Contains(tp.Neighbors(nil, q, d), p) {
+						t.Fatalf("%v: %d is a dimension-%d neighbour of %d, not the other way round", dims, q, d, p)
+					}
+				}
+			}
 		}
 	}
 }
