@@ -108,10 +108,9 @@ type Replay struct {
 	// tele, when set, counts forwarded bytes on every Run and records
 	// gather/forward/deliver spans on the Runs it samples; see Instrument.
 	tele *telemetry.Rank
-	// traffic is the compiled program's transport hint (computeTraffic),
-	// offered to the transport at the top of every Run. Cached so the
-	// steady-state iteration stays allocation-free; every lowering rebuilds
-	// it.
+	// traffic is the program's transport hint (stageHint, directHint),
+	// offered to the transport at the top of every Run. It names frames,
+	// not sizes, so a re-lowering keeps it while the skeleton stays.
 	traffic []runtime.StageTraffic
 }
 
@@ -247,7 +246,7 @@ func (p *Persistent) Compile(xlen int, gather map[int][]int32) (*Replay, error) 
 // deliveries. Every slice r already holds — stages, op tables, inbound
 // slots, inFrames — is reused up to its capacity, so lowering into an
 // existing Replay of the same skeleton allocates only the lowering's two
-// per-row offset tables and the traffic hint. The gather contract is
+// per-row offset tables: the traffic hint is kept. The gather contract is
 // checked before r is touched; a later error (a non-word payload) leaves r
 // unusable until a lowering succeeds.
 func (p *Persistent) lower(r *Replay, bytes bool, xlen int, gather map[int][]int32) error {
@@ -321,7 +320,9 @@ func (p *Persistent) lower(r *Replay, bytes bool, xlen int, gather map[int][]int
 	}
 	// Run leaves every entry nil, so the reused prefix needs no clearing.
 	r.inFrames = resize(r.inFrames, int(nextFrame))
-	r.traffic = r.computeTraffic()
+	if !r.hintFits() {
+		r.traffic = stageHint(p.topo, me)
+	}
 	return nil
 }
 
@@ -515,7 +516,7 @@ func NewDirectReplay(me, size, xlen int, gather map[int][]int32, srcWords map[in
 	}
 	r.stages = []rStage{st}
 	r.inFrames = make([][]byte, len(st.recvFrom))
-	r.traffic = r.computeTraffic()
+	r.traffic = directHint(&r.stages[0])
 	return r, nil
 }
 

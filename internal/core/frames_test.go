@@ -138,7 +138,7 @@ func churnWorld(t testing.TB, xlen int) ([]*Persistent, []*Replay, []map[int][]i
 // PatchCompiled, so forwarded sub-headers cross patched frames; the direct
 // case is NewDirectReplay on the same pattern; the bytes case is the byte
 // replay Persistent.Run lowers, on payloads of 1, 12 and 256 bytes, whose
-// traffic hint must also state every frame's learned size.
+// traffic hint must also name every frame's peer.
 func TestCompiledFramesMatchEncode(t *testing.T) {
 	const xlen = 256
 	world, reps, gathers := churnWorld(t, xlen)
@@ -255,13 +255,6 @@ func TestCompiledFramesMatchEncode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frameBytes := func(p *Persistent, rows []int32) int {
-			n := msg.MsgHeaderLen
-			for _, i := range rows {
-				n += msg.SubHeaderLen + int(p.pairs[i].n)
-			}
-			return n
-		}
 		want := 0
 		for me, p := range ps {
 			hint := p.rp.traffic
@@ -278,13 +271,13 @@ func TestCompiledFramesMatchEncode(t *testing.T) {
 					if enc := msg.Encode(nil, &m); !bytes.Equal(rec.frames[sentKey{StageTag(d), me, to}], enc) {
 						t.Fatalf("rank %d stage %d frame to %d differs from Encode", me, d, to)
 					}
-					if h := hint[d].Sends[j]; h.Peer != to || h.Bytes != frameBytes(p, rows) {
-						t.Fatalf("rank %d stage %d: send hint %+v, want %d bytes to %d", me, d, h, frameBytes(p, rows), to)
+					if h := hint[d].Sends[j]; h.Peer != to || h.Frames != 1 {
+						t.Fatalf("rank %d stage %d: send hint %+v, want one frame to %d", me, d, h, to)
 					}
 				}
 				for j, from := range nbrs {
-					if h := hint[d].Recvs[j]; h.Peer != from || h.Bytes != frameBytes(p, p.ins[d][j]) {
-						t.Fatalf("rank %d stage %d: receive hint %+v, want %d bytes from %d", me, d, h, frameBytes(p, p.ins[d][j]), from)
+					if h := hint[d].Recvs[j]; h.Peer != from || h.Frames != 1 {
+						t.Fatalf("rank %d stage %d: receive hint %+v, want one frame from %d", me, d, h, from)
 					}
 				}
 			}

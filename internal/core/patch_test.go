@@ -755,3 +755,46 @@ func TestPatchTelemetry(t *testing.T) {
 	var nilRank *telemetry.Rank
 	nilRank.CountPatch(3, 0)
 }
+
+// TestPatchCompiledKeepsHint: a traffic hint names frames, not sizes, so
+// PatchCompiled keeps the hint a replay offers its transport — one that
+// skips a hint whose backing slice it has seen (udpnet, hier) rightly
+// skips it again — while a replay lowered onto another skeleton with as
+// many stages gets that skeleton's hint.
+func TestPatchCompiledKeepsHint(t *testing.T) {
+	const xlen = 256
+	tp := vpt.MustNew(4, 4, 4)
+	pairs, order := churnPairs(rand.New(rand.NewSource(64)), 64)
+	me := order[0].src
+	p := synthWorld(tp, pairs)[me]
+	r, err := p.Compile(xlen, synthGather(p, xlen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hint := r.traffic
+	if !slices.EqualFunc(hint, stageHint(tp, me), stageTrafficEqual) {
+		t.Fatalf("compiled hint %+v, want the topology's", hint)
+	}
+	st, err := p.Patch(synthDeltas(tp, []PatchPair{{Src: me, Dst: order[0].dst, Remove: true}})[me])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.PatchCompiled(r, xlen, synthGather(p, xlen), st); err != nil {
+		t.Fatal(err)
+	}
+	if &r.traffic[0] != &hint[0] {
+		t.Error("PatchCompiled replaced a hint that still fits")
+	}
+	other := vpt.MustNew(2, 8, 4)
+	q := synthWorld(other, pairs)[me]
+	if err := q.PatchCompiled(r, xlen, synthGather(q, xlen), nil); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(r.traffic, stageHint(other, me), stageTrafficEqual) {
+		t.Errorf("hint after lowering onto T3(2,8,4) is %+v, want that topology's", r.traffic)
+	}
+}
+
+func stageTrafficEqual(a, b runtime.StageTraffic) bool {
+	return a.Tag == b.Tag && a.Dim == b.Dim && slices.Equal(a.Sends, b.Sends) && slices.Equal(a.Recvs, b.Recvs)
+}

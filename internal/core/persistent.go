@@ -316,19 +316,13 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 	// neighbor, in digit order, which is ascending rank order: nbrs[d].
 	// The transport is told so before the first send.
 	nbrs := make([][]int, t.N())
-	hint := make([]runtime.StageTraffic, t.N())
 	frames, width := 0, 0
 	for d := range nbrs {
 		nbrs[d] = t.Neighbors(nil, me, d)
-		peers := make([]runtime.PeerTraffic, len(nbrs[d]))
-		for j, nb := range nbrs[d] {
-			peers[j] = runtime.PeerTraffic{Peer: nb, Frames: 1}
-		}
-		hint[d] = runtime.StageTraffic{Tag: StageTag(d), Dim: d, Sends: peers, Recvs: peers}
 		frames += len(nbrs[d])
 		width = max(width, len(nbrs[d]))
 	}
-	runtime.HintTraffic(c, hint)
+	runtime.HintTraffic(c, stageHint(t, me))
 	retained := make([][]byte, 0, frames)
 	defer func() {
 		for _, b := range retained {

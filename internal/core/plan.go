@@ -27,7 +27,8 @@ type Plan struct {
 
 	// Per-rank totals over all stages. Only nonempty frames are counted,
 	// matching the paper's measured message counts (its bound sum(k_d - 1)
-	// is attained only when every neighbor buffer is nonempty).
+	// is attained only when every neighbor buffer is nonempty). A frame is
+	// nonempty when it carries a submessage, of zero words or more.
 	SentMsgs  []int
 	SentWords []int64
 	RecvMsgs  []int
@@ -85,12 +86,10 @@ func BuildPlan(t *vpt.Topology, s *SendSets) (*Plan, error) {
 	var entries []routeEntry
 	for src, set := range s.Sets {
 		for _, pr := range set {
-			if pr.Dst == src || pr.Words == 0 {
-				p.DeliveredWords += pr.Words
-				continue
-			}
-			entries = append(entries, routeEntry{holder: int32(src), dst: int32(pr.Dst), words: pr.Words, subs: 1})
 			p.DeliveredWords += pr.Words
+			if pr.Dst != src {
+				entries = append(entries, routeEntry{holder: int32(src), dst: int32(pr.Dst), words: pr.Words, subs: 1})
+			}
 		}
 	}
 
@@ -214,8 +213,8 @@ func BuildDirectPlan(s *SendSets) (*Plan, error) {
 	var stage []Frame
 	for src, set := range s.Sets {
 		for _, pr := range set {
-			if pr.Dst == src || pr.Words == 0 {
-				p.DeliveredWords += pr.Words
+			p.DeliveredWords += pr.Words
+			if pr.Dst == src {
 				continue
 			}
 			stage = append(stage, Frame{From: src, To: pr.Dst, Words: pr.Words, Subs: 1})
@@ -225,7 +224,6 @@ func BuildDirectPlan(s *SendSets) (*Plan, error) {
 			p.RecvWords[pr.Dst] += pr.Words
 			p.TotalWords += pr.Words
 			p.TotalMsgs++
-			p.DeliveredWords += pr.Words
 		}
 	}
 	sort.Slice(stage, func(i, j int) bool {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -15,17 +16,17 @@ func TestSendSetsNormalize(t *testing.T) {
 	s.Add(0, 3, 2) // duplicate, accumulates
 	s.Add(0, 1, 4)
 	s.Add(0, 0, 9) // self-send dropped
-	s.Add(2, 7, 0) // zero dropped
+	s.Add(2, 7, 0) // zero kept: the runtime routes it
 	if err := s.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Sets[0]) != 2 || s.Sets[0][0] != (Pair{1, 4}) || s.Sets[0][1] != (Pair{3, 7}) {
 		t.Errorf("Sets[0] = %+v", s.Sets[0])
 	}
-	if len(s.Sets[2]) != 0 {
+	if len(s.Sets[2]) != 1 || s.Sets[2][0] != (Pair{7, 0}) {
 		t.Errorf("Sets[2] = %+v", s.Sets[2])
 	}
-	if s.TotalWords() != 11 || s.TotalMessages() != 2 {
+	if s.TotalWords() != 11 || s.TotalMessages() != 3 {
 		t.Errorf("totals = %d words, %d msgs", s.TotalWords(), s.TotalMessages())
 	}
 }
@@ -438,5 +439,56 @@ func TestQuickPlanConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestZeroWordPairIsRouted: a pair of zero words is a message. The runtime
+// sends its empty submessage along the pair's whole route, so Normalize
+// keeps the pair and the plans route it: a K=8 T3(2,2,2) world learned
+// with 0->7 (0 bytes) and 1->6 (16 bytes) passes VerifyLearnedWorld against
+// the plan of the same pattern, that plan holds a frame for each of the
+// three hops of 0->7's route, and the direct plan counts 0->7 as one of
+// its two messages.
+func TestZeroWordPairIsRouted(t *testing.T) {
+	tp := vpt.MustNew(2, 2, 2)
+	pairs := map[synthPair]int{{0, 7}: 0, {1, 6}: 16}
+	s := NewSendSets(tp.Size())
+	for pr, size := range pairs {
+		s.Add(pr.src, pr.dst, int64(size/8))
+	}
+	if err := s.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if s.TotalMessages() != 2 {
+		t.Fatalf("Normalize kept %d pairs, want 2", s.TotalMessages())
+	}
+	plan, err := BuildPlan(tp, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyLearnedWorld(learnPairs(t, tp, pairs), plan); err != nil {
+		t.Fatalf("learned world does not match its plan: %v", err)
+	}
+	hops := 0
+	for d, cur := 0, 0; d < tp.N(); d++ {
+		next := tp.RouteNext(cur, 7, d)
+		if next == cur {
+			continue
+		}
+		if !slices.ContainsFunc(plan.Stages[d], func(f Frame) bool { return f.From == cur && f.To == next && f.Subs > 0 }) {
+			t.Errorf("plan stage %d has no frame %d->%d for the 0->7 route: %+v", d, cur, next, plan.Stages[d])
+		}
+		hops++
+		cur = next
+	}
+	if hops != 3 {
+		t.Fatalf("0->7 routes in %d hops on T3(2,2,2), want 3", hops)
+	}
+	direct, err := BuildDirectPlan(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.TotalMsgs != 2 || direct.TotalWords != 2 {
+		t.Errorf("direct plan: %d messages of %d words, want 2 of 2", direct.TotalMsgs, direct.TotalWords)
 	}
 }

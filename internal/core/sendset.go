@@ -24,7 +24,8 @@ type Pair struct {
 // SendSets is the global communication requirement: Sets[i] lists the
 // destinations (and message sizes) of rank i, i.e. SendSet(P_i). Each list
 // is sorted by destination and contains no duplicates or self-sends once
-// Normalize has run.
+// Normalize has run. A pair of zero words is still a message: the runtime
+// sends its empty submessage along the pair's whole route.
 type SendSets struct {
 	K    int
 	Sets [][]Pair
@@ -42,8 +43,8 @@ func (s *SendSets) Add(src, dst int, words int64) {
 }
 
 // Normalize sorts each send list, merges duplicate destinations, and drops
-// self-sends and zero-size entries. It returns an error on out-of-range
-// ranks or negative sizes.
+// self-sends. Zero-size entries stay: they are pairs (see SendSets). It
+// returns an error on out-of-range ranks or negative sizes.
 func (s *SendSets) Normalize() error {
 	for src := range s.Sets {
 		set := s.Sets[src]
@@ -58,7 +59,7 @@ func (s *SendSets) Normalize() error {
 		sort.Slice(set, func(i, j int) bool { return set[i].Dst < set[j].Dst })
 		out := set[:0]
 		for _, p := range set {
-			if p.Dst == src || p.Words == 0 {
+			if p.Dst == src {
 				continue
 			}
 			if n := len(out); n > 0 && out[n-1].Dst == p.Dst {

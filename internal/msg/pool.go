@@ -23,9 +23,12 @@ import (
 // Ownership discipline: a buffer obtained from GetFrame/GetFrameCap/
 // GetFrameLen has a single owner at any time. Passing it to Comm.Send
 // transfers ownership to the transport when runtime.SendRetains(c) reports
-// true (the receiving rank releases it); otherwise the sender releases it
-// itself. Because Decode aliases submessage data into the frame buffer, any
-// data that must outlive the buffer has to be copied out before PutFrame.
+// true; otherwise the sender releases it itself. A retaining transport
+// either hands the buffer on (the receiving rank releases it) or, on a
+// route that copies the bytes, recycles it after the copy: hier's leader
+// links and copying outer sub-transports do. Because Decode aliases
+// submessage data into the frame buffer, any data that must outlive the
+// buffer has to be copied out before PutFrame.
 const (
 	frameClasses    = 32
 	defaultFrameCap = 4096

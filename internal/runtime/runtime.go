@@ -125,7 +125,12 @@ func (p *RecvPolicy) Next(c Comm, tag int) (int, []byte, error) {
 // the payload slice after returning. Zero-copy transports (in-process
 // channels handing the slice to the receiver) retain it; wire transports
 // that serialize the bytes before Send returns do not. Engines that pool
-// their send buffers use this to decide when a buffer may be reused.
+// their send buffers use this to decide when a buffer may be reused: a
+// sender told false releases the buffer itself once Send returns, and a
+// sender told true gives it up. A retaining transport then owns it and
+// either hands it on to the receiving rank, which releases it, or — where
+// it copied the bytes after all (a composite whose route for this frame
+// copies) — releases it itself once the copy is made.
 type SendRetainer interface {
 	// SendRetains reports whether payloads passed to Send remain referenced
 	// by the transport (or the receiving rank) after Send returns.

@@ -4,17 +4,16 @@ package runtime
 // down to the transport. The store-and-forward executor knows, before a
 // single byte moves, exactly which frames every stage will carry — stage
 // d sends one frame to and expects one from every dimension-d neighbour,
-// and a compiled replay also knows each frame's size (core.Replay). A
-// transport that learns this ahead of time never has to
-// speculate about flow-control state: it knows when a peer's per-stage
-// inbound set is complete (acknowledge immediately, release the sender's
-// credits at the stage boundary) and how much traffic a window must cover.
+// whatever the pattern. A transport that learns this ahead of time never
+// has to speculate about flow-control state: it knows when a peer's
+// per-stage inbound set is complete (acknowledge immediately, release the
+// sender's credits at the stage boundary) and which peers data will flow
+// back to. A hint names frames, not their sizes, so it outlives a
+// core.Persistent.Patch, which changes frame contents only.
 //
 // Hints are strictly optional and advisory: a transport must stay correct
 // (and live) without them, and must stay correct when the actual traffic
-// deviates from a stale hint — the engine may patch a layout between
-// iterations (frame counts are invariant under core.Persistent.Patch, byte
-// sizes are not), and wrappers may drop the hint entirely.
+// deviates from a stale hint; wrappers may drop the hint entirely.
 
 // PeerTraffic is the expected traffic between this rank and one peer within
 // one stage, in one direction.
@@ -24,10 +23,6 @@ type PeerTraffic struct {
 	// Frames is the exact number of transport frames expected (empty
 	// frames included — their arrival is part of the schedule).
 	Frames int
-	// Bytes is the expected total wire bytes of those frames (the payload
-	// lengths passed to Send), 0 when the front-end does not know sizes
-	// (only the learned and compiled front-ends do). Advisory only.
-	Bytes int
 }
 
 // StageTraffic summarizes one schedule stage for the transport: the tag its

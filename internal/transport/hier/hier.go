@@ -47,7 +47,11 @@
 //     side delegate directly, preserving that side's native arrival order
 //     at zero overhead (the planner-aligned steady state).
 //   - SendRetainer: the mux retains payloads when either sub-transport
-//     does, the conservative answer engines need for buffer reuse.
+//     does, the conservative answer engines need for buffer reuse. A
+//     retaining mux owns every payload from Send on: a route that retains
+//     hands it on, and a route that copies (a copying outer sub, or the
+//     leader link, which copies behind its mux header) recycles it into
+//     the msg arena once the sub's Send returns.
 //   - TrafficHinter: hints fan out to the rank's inner and outer endpoints,
 //     filtered by the same rule the data plane routes by; leader-routed
 //     entries go to neither (see HintTraffic).
@@ -66,6 +70,7 @@ import (
 	"sort"
 	"sync"
 
+	"stfw/internal/msg"
 	"stfw/internal/runtime"
 )
 
@@ -258,15 +263,22 @@ func (c *comm) sub(peer int) runtime.Comm {
 
 // SendRetains reports whether a payload handed to Send may stay referenced:
 // true when either sub-transport retains (the route is per-destination, so
-// only the union answer is safe for a caller that reuses buffers). A
-// leader-routed frame is copied behind its mux header and never retained.
+// only the union answer is safe for a caller that reuses buffers). The
+// answer is also the ownership rule: a caller told true gives the payload
+// up, so Send recycles it itself on a route that copies — the leader link
+// (whose leaderComm answers false) or a copying outer sub.
 func (c *comm) SendRetains() bool { return c.retains }
 
 func (c *comm) Send(to, tag int, payload []byte) error {
 	if to < 0 || to >= c.size {
 		return fmt.Errorf("hier: send to rank %d out of range [0,%d)", to, c.size)
 	}
-	return c.sub(to).Send(to, tag, payload)
+	sub := c.sub(to)
+	err := sub.Send(to, tag, payload)
+	if c.retains && !runtime.SendRetains(sub) {
+		msg.PutFrame(payload)
+	}
+	return err
 }
 
 // Barrier delegates to the rank's own outer endpoint, which spans all

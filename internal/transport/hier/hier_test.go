@@ -303,7 +303,7 @@ func TestHintFanout(t *testing.T) {
 			Sends: []runtime.PeerTraffic{{Peer: 1, Frames: 1}},
 			Recvs: []runtime.PeerTraffic{{Peer: 1, Frames: 1}}},
 		{Tag: 101, Dim: 1, // inter-node stage: rank 0 <-> rank 2
-			Sends: []runtime.PeerTraffic{{Peer: 2, Frames: 1, Bytes: 64}},
+			Sends: []runtime.PeerTraffic{{Peer: 2, Frames: 1}},
 			Recvs: []runtime.PeerTraffic{{Peer: 2, Frames: 1}}},
 	}
 	runtime.HintTraffic(c0, stages)

@@ -96,6 +96,11 @@ func (l *leaderComm) RecvAnyOf(tag int, from []int) (int, []byte, error) {
 	return sender, payload, nil
 }
 
+// SendRetains reports false: send copies the frame behind its mux header,
+// so the payload is free again when Send returns — and a retaining mux,
+// which owns it, recycles it then.
+func (l *leaderComm) SendRetains() bool { return false }
+
 // Barrier is never called: the mux synchronizes on the rank's own outer
 // endpoint.
 func (l *leaderComm) Barrier() error {
@@ -170,7 +175,9 @@ func (n *node) fail(err error) {
 
 // send wraps one frame of rank `from` in a mux header and sends it on the
 // leader link to dst's node. The header buffer is the mux's own: released
-// here unless the leader's sub-transport retains it.
+// here unless the leader's sub-transport retains it. payload is only read:
+// the caller keeps it, and a retaining mux recycles it after this returns
+// (comm.Send).
 func (n *node) send(from, to, tag int, payload []byte) error {
 	if err := n.failed(); err != nil {
 		return err

@@ -64,9 +64,13 @@ type connKey struct{ from, to int }
 // always drains the buffer before returning — the stream is never left
 // parked in user space once all Send calls have returned.
 type conn struct {
-	mu      sync.Mutex
-	c       net.Conn
-	bw      *bufio.Writer
+	mu sync.Mutex
+	c  net.Conn
+	bw *bufio.Writer
+	// hdr is the frame header Send writes under mu. A header on Send's
+	// stack escapes through bufio's io.Writer and costs an allocation per
+	// frame.
+	hdr     [headerLen]byte
 	pending atomic.Int32
 }
 
@@ -238,13 +242,12 @@ func (c *comm) Send(to, tag int, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	var hdr [headerLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(tag))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
 	cn.pending.Add(1)
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
-	_, werr := cn.bw.Write(hdr[:])
+	binary.LittleEndian.PutUint32(cn.hdr[0:], uint32(tag))
+	binary.LittleEndian.PutUint32(cn.hdr[4:], uint32(len(payload)))
+	_, werr := cn.bw.Write(cn.hdr[:])
 	if werr == nil && len(payload) > 0 {
 		// bufio copies the payload (or writes it through when it exceeds
 		// the buffer), so SendRetains stays false either way.

@@ -445,7 +445,7 @@ func RunWrapperTransparency(t *testing.T, wrap func(runtime.Comm) runtime.Comm) 
 	}
 	stages := []runtime.StageTraffic{{
 		Tag: 100, Dim: 1,
-		Sends: []runtime.PeerTraffic{{Peer: 1, Frames: 1, Bytes: 64}},
+		Sends: []runtime.PeerTraffic{{Peer: 1, Frames: 1}},
 		Recvs: []runtime.PeerTraffic{{Peer: 3, Frames: 1}},
 	}}
 	runtime.HintTraffic(c, stages)
