@@ -44,7 +44,8 @@
 // or not it carries payload, so receive counts are deterministic and
 // pattern churn changes only frame contents. Two loops run it, with one
 // receive discipline (runtime.RecvPolicy): route, which routes the frames
-// of a learning run or an Exchange as they land, and the Replay's. A
+// of a learning run, an Exchange or a census as they land, and the
+// Replay's. A
 // Replay is lowered from a Persistent's layout (Persistent.Run, Compile,
 // PatchCompiled) or compiled straight from the baseline's pattern
 // (NewDirectReplay: one stage, one frame per destination, one expected
@@ -108,7 +109,7 @@ type Replay struct {
 	// tele, when set, counts forwarded bytes on every Run and records
 	// gather/forward/deliver spans on the Runs it samples; see Instrument.
 	tele *telemetry.Rank
-	// traffic is the program's transport hint (stageHint, directHint),
+	// traffic is the program's transport hint (stageSkeleton, directHint),
 	// offered to the transport at the top of every Run. It names frames,
 	// not sizes, so a re-lowering keeps it while the skeleton stays.
 	traffic []runtime.StageTraffic
@@ -321,7 +322,7 @@ func (p *Persistent) lower(r *Replay, bytes bool, xlen int, gather map[int][]int
 	// Run leaves every entry nil, so the reused prefix needs no clearing.
 	r.inFrames = resize(r.inFrames, int(nextFrame))
 	if !r.hintFits() {
-		r.traffic = stageHint(p.topo, me)
+		_, r.traffic = stageSkeleton(p.topo, me, tagBase)
 	}
 	return nil
 }

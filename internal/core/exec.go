@@ -40,19 +40,15 @@ func TagStage(tag, maxStages int) (int, bool) {
 	return 0, false
 }
 
-// censusTagBase offsets the dynamic-discovery census (dynamic.Discover)
-// into its own tag range, disjoint from every StageTag and from the direct
-// tag, so a census can interleave with payload exchanges on the same
-// communicator without cross-matching frames. The offset leaves room for
-// any realistic dimension count (StageTag grows by 1 per stage and
-// topologies cap out near lg2 K stages).
-const censusTagBase = tagBase + 0x100
-
-// CensusTag returns the transport tag stage d of the dynamic-discovery
-// census travels under. TagStage deliberately does not map these tags:
+// censusTagBase is the census's first stage tag (Census): its own range,
+// disjoint from every StageTag and from the direct tag, so a census can
+// interleave with payload exchanges on the same communicator without
+// cross-matching frames. The offset leaves room for any realistic
+// dimension count (a stage tag grows by 1 per stage and topologies cap out
+// near lg2 K stages). TagStage deliberately does not map these tags:
 // census frames carry announcements, not payload, and stage-scoped
 // telemetry should not attribute them to data stages.
-func CensusTag(d int) int { return censusTagBase + d }
+const censusTagBase = tagBase + 0x100
 
 // AppTagSpan returns the half-open tag range [lo, hi) every exchange path
 // draws from for a world of at most maxStages stages: the direct-baseline
@@ -80,7 +76,7 @@ func AppTagSpan(maxStages int) (lo, hi int) {
 // without the record or the replay. Exchange is collective: every rank of
 // the communicator must call it with the same topology.
 func Exchange(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*Delivered, error) {
-	return route(c, t, payloads, nil)
+	return route(c, t, tagBase, payloads, nil)
 }
 
 // scatterFrame routes one received frame's submessages: deliveries append

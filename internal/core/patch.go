@@ -4,8 +4,9 @@
 // refines, a rank's fanout changes), relearning from scratch costs a full
 // payload-routing exchange plus a complete re-lowering. Patch applies a
 // PatchDelta — the pairs transiting this rank, as discovered by the
-// dynamic.Discover census — to the rank's pair table, and PatchCompiled
-// lowers the patched layout into an existing Replay, reusing its buffers.
+// census (Census, behind dynamic.Discover) — to the rank's pair table,
+// and PatchCompiled lowers the patched layout into an existing Replay,
+// reusing its buffers.
 //
 // Correctness rests on one structural property of store-and-forward
 // programs: every stage sends a (possibly empty) frame to every
@@ -37,10 +38,11 @@ type PatchPair struct {
 }
 
 // PatchDelta is the set of pattern mutations that transit one rank. It is
-// what dynamic.Discover returns: every pair whose dimension-ordered route
-// touches the rank as origin, forwarder, or destination. A delta may list
-// at most one removal and one addition per (Src, Dst) pair; listing both
-// resizes the pair.
+// what Census (and so dynamic.Discover) returns: every pair whose
+// dimension-ordered route touches the rank as origin, forwarder, or
+// destination, sorted by (Src, Dst), a removal before an addition. A delta
+// may list at most one removal and one addition per (Src, Dst) pair;
+// listing both resizes the pair.
 type PatchDelta struct {
 	Pairs []PatchPair
 }

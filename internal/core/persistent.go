@@ -101,14 +101,17 @@ func (p *Persistent) ownPairs() []pairEntry {
 // payloads and returns the deliveries along with a Persistent that can
 // replay the same pattern. The run routes frames as they land (route),
 // and every frame goes on the wire with its slots in ascending (src, dst)
-// order; the recorder keeps the size of every pair the rank sends or
+// order; its visitor records the size of every pair the rank sends or
 // receives, which is the pair table ComputePersistent computes, so every
 // learning run of one pattern records the same layout whatever the
 // transport's timing. It is collective: every rank of the communicator
 // must call it with the same topology.
 func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*Persistent, *Delivered, error) {
-	p := &Persistent{topo: t, rank: c.Rank()}
-	out, err := route(c, t, payloads, p)
+	p := &Persistent{topo: t, rank: c.Rank(), pairs: make([]pairEntry, 0, len(payloads))}
+	out, err := route(c, t, tagBase, payloads, func(sub msg.Submessage) error {
+		p.pairs = append(p.pairs, pairEntry{k: slotKey{src: int32(sub.Src), dst: int32(sub.Dst)}, n: int32(len(sub.Data))})
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -256,29 +259,30 @@ func (p *Persistent) frameIndex(d, peer int) int32 {
 	return int32(f)
 }
 
-// route is the learning run, Algorithm 1 on one rank, and the one loop
-// that routes frames as they land. When p is non-nil it appends every pair
-// it sends or receives, with its size, to p's pair table (unsorted: the
-// caller sorts and derives); Exchange passes nil, and the run is the same
-// but for the record. Replaying a learned pattern does not come here: that
-// is the compiled Replay's loop.
+// route is Algorithm 1 on one rank, and the one loop that routes frames
+// as they land: the learning run (NewPersistent), a one-shot Exchange and
+// the census (Census) all run it, stage d under tag tag0+d. visit, when
+// set, is handed every pair the rank originates, in destination order,
+// and every pair it receives, as its frame lands; an error from it fails
+// the run. Replaying a learned pattern does not come here: that is the
+// compiled Replay's loop.
 //
 // Stage d sends one frame to every dimension-d neighbor (empty when nothing
 // routes through it, so receive counts are deterministic) and receives one
-// from each. Every frame is encoded into a pooled buffer by the send
-// worker, which drains a FIFO of stage batches, and inbound frames are
+// from each. Every frame is encoded into a pooled buffer and sent inline,
+// and released unless the transport retains it; inbound frames are
 // retained until the exchange ends — the submessages scattered from them
 // alias them — then recycled after the deliveries are copied out. A stage's
 // frames are received in arrival order (runtime.RecvPolicy over RecvAnyOf),
-// each decoded, misroute-checked and scattered as it lands; a frame from a
-// rank that is not a dimension-d neighbor, a second frame from one, and a
-// pair whose route does not enter the rank from the frame's sender in
-// stage d are errors, with or without a recorder. The order frames land in
-// reaches no wire byte: what a stage leaves in the forward buffers is a
-// set, and every frame goes on the wire with its submessages in ascending
-// (src, dst) order, so every learned layout is independent of the
-// transport's timing.
-func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persistent) (*Delivered, error) {
+// each decoded, misroute-checked, visited and scattered as it lands; a
+// frame from a rank that is not a dimension-d neighbor, a second frame from
+// one, and a pair whose route does not enter the rank from the frame's
+// sender in stage d are errors, with or without a visitor. The order
+// frames land in reaches no wire byte: what a stage leaves in the forward
+// buffers is a set, and every frame goes on the wire with its submessages
+// in ascending (src, dst) order, so every learned layout is independent of
+// the transport's timing.
+func route(c runtime.Comm, t *vpt.Topology, tag0 int, payloads map[int][]byte, visit func(msg.Submessage) error) (*Delivered, error) {
 	me := c.Rank()
 	if t.Size() != c.Size() {
 		return nil, fmt.Errorf("core: topology size %d != communicator size %d", t.Size(), c.Size())
@@ -288,74 +292,69 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 		dests = append(dests, dst)
 	}
 	sort.Ints(dests)
-	if p != nil {
-		p.pairs = make([]pairEntry, 0, len(dests))
-		for _, dst := range dests {
-			p.pairs = append(p.pairs, pairEntry{k: slotKey{src: int32(me), dst: int32(dst)}, n: int32(len(payloads[dst]))})
-		}
-	}
 
 	// Lines 4-6 of Algorithm 1: scatter my send list into the forward
 	// buffers, keyed by the first differing digit.
 	fb := msg.NewForwardBuffers(t.Dims())
 	out := &Delivered{}
 	for _, dst := range dests {
-		data := payloads[dst]
+		sub := msg.Submessage{Src: me, Dst: dst, Data: payloads[dst]}
 		if dst < 0 || dst >= t.Size() {
 			return nil, fmt.Errorf("core: rank %d: destination %d out of range", me, dst)
 		}
+		if visit != nil {
+			if err := visit(sub); err != nil {
+				return nil, err
+			}
+		}
 		if dst == me {
-			out.Subs = append(out.Subs, msg.Submessage{Src: me, Dst: me, Data: data})
+			out.Subs = append(out.Subs, sub)
 			continue
 		}
 		d := t.FirstDiff(me, dst)
-		fb.Put(d, t.Digit(dst, d), msg.Submessage{Src: me, Dst: dst, Data: data})
+		fb.Put(d, t.Digit(dst, d), sub)
 	}
 
 	// Stage d sends to and expects a frame from every dimension-d
-	// neighbor, in digit order, which is ascending rank order: nbrs[d].
-	// The transport is told so before the first send.
-	nbrs := make([][]int, t.N())
-	frames, width := 0, 0
-	for d := range nbrs {
-		nbrs[d] = t.Neighbors(nil, me, d)
-		frames += len(nbrs[d])
-		width = max(width, len(nbrs[d]))
-	}
-	runtime.HintTraffic(c, stageHint(t, me))
-	retained := make([][]byte, 0, frames)
+	// neighbor, in digit order, which is ascending rank order: the stage's
+	// window of nbrs. The transport is told so before the first send.
+	nbrs, hint := stageSkeleton(t, me, tag0)
+	runtime.HintTraffic(c, hint)
+	// retained[i] holds the frame from the i-th neighbor of nbrs once it
+	// has landed; decoded is the DecodeInto scratch, reused frame after
+	// frame.
+	retained := make([][]byte, len(nbrs))
 	defer func() {
 		for _, b := range retained {
 			msg.PutFrame(b)
 		}
 	}()
-	// decoded is the DecodeInto scratch; landed[j] marks the stage's j-th
-	// expected sender's frame as received. Both are reused stage after
-	// stage.
 	var decoded msg.Message
-	landed := make([]bool, width)
 	var pol runtime.RecvPolicy
-	frameArr := make([]stageFrame, 0, frames) // backing array for all stages' batches
-	sw := startSendWorker(c, me, len(nbrs))
-	defer sw.join()
+	retains := runtime.SendRetains(c)
 
-	for d, peers := range nbrs {
-		tag := StageTag(d)
+	lo := 0
+	for d, st := range hint {
+		tag := st.Tag
+		peers, landed := nbrs[lo:lo+len(st.Recvs)], retained[lo:lo+len(st.Recvs)]
+		lo += len(peers)
 
 		// Lines 9-12: each outbound frame drains the forward buffer keyed by
 		// the destination's dimension-d digit. The buffer holds the
 		// submessages in the order their frames landed; sorting them fixes
-		// the wire layout. The stage's frames go to the worker as one batch
-		// (which owns its subslice from then on; stages use disjoint regions
-		// of the shared backing array), overlapped with the receives below.
-		outs := frameArr[len(frameArr) : len(frameArr) : len(frameArr)+len(peers)]
+		// the wire layout.
 		for _, to := range peers {
-			subs := fb.Take(d, t.Digit(to, d))
-			msg.SortSubs(subs)
-			outs = append(outs, stageFrame{to: to, subs: subs})
+			m := msg.Message{From: me, To: to, Subs: fb.Take(d, t.Digit(to, d))}
+			msg.SortSubs(m.Subs)
+			buf := msg.Encode(msg.GetFrameCap(msg.EncodedSize(&m)), &m)
+			err := c.Send(to, tag, buf)
+			if !retains {
+				msg.PutFrame(buf)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("core: rank %d stage %d send to %d: %w", me, d, to, err)
+			}
 		}
-		frameArr = frameArr[:len(frameArr)+len(outs)]
-		sw.enqueue(tag, outs)
 
 		// Lines 13-17: receive one frame per neighbor, whichever lands
 		// first, and scatter its submessages into later-stage buffers or
@@ -364,19 +363,17 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 		// order; peers is ascending, so the sender's index is a binary
 		// search away.
 		pol.Reset(peers)
-		landed = landed[:len(peers)]
-		clear(landed)
 		for pol.Outstanding() > 0 {
 			from, raw, err := pol.Next(c, tag)
 			if err != nil {
-				return nil, recvFault(me, d, d, peers, func(j int) bool { return landed[j] }, err)
+				return nil, recvFault(me, d, d, peers, func(j int) bool { return landed[j] != nil }, err)
 			}
-			retained = append(retained, raw)
 			j, ok := slices.BinarySearch(peers, from)
-			if !ok || landed[j] {
+			if !ok || landed[j] != nil {
+				msg.PutFrame(raw)
 				return nil, fmt.Errorf("core: rank %d stage %d: frame from unexpected sender %d", me, d, from)
 			}
-			landed[j] = true
+			landed[j] = raw
 			if err := msg.DecodeInto(&decoded, raw); err != nil {
 				return nil, fmt.Errorf("core: rank %d stage %d frame from %d: %w", me, d, from, err)
 			}
@@ -393,17 +390,16 @@ func route(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, p *Persiste
 					return nil, fmt.Errorf("core: rank %d stage %d: misrouted submessage %d->%d from %d: its route does not enter here",
 						me, d, sub.Src, sub.Dst, from)
 				}
-				if p != nil {
-					p.pairs = append(p.pairs, pairEntry{k: slotKey{src: int32(sub.Src), dst: int32(sub.Dst)}, n: int32(len(sub.Data))})
+				if visit != nil {
+					if err := visit(sub); err != nil {
+						return nil, fmt.Errorf("core: rank %d stage %d frame from %d: %w", me, d, from, err)
+					}
 				}
 			}
 			if err := scatterFrame(t, me, d, fb, out, decoded.Subs); err != nil {
 				return nil, err
 			}
 		}
-	}
-	if err := sw.join(); err != nil {
-		return nil, err
 	}
 	if left := fb.SubCount(); left != 0 {
 		return nil, fmt.Errorf("core: rank %d: %d submessages left undelivered", me, left)

@@ -37,21 +37,29 @@ func learnScriptedPersistent(t *testing.T) (*Persistent, *scriptComm) {
 // dimension-ordered route, and a learning run derives the frame each pair
 // travels in from it, so a frame carrying a pair whose route does not enter
 // the receiver from that sender in that stage fails the routing run, with
-// or without a recorder — here 6->0 from rank 2 in stage 1, where the
-// route 6 -> 4 -> 0 delivers it from rank 4 in stage 2. A pair for rank K
-// agrees with rank 0 in every digit, so its route check passes; that it
-// can go nowhere is found when it is scattered.
+// or without a recorder, and so does a census frame carrying such an
+// announcement — here 6->0 from rank 2 in stage 1, where the route
+// 6 -> 4 -> 0 delivers it from rank 4 in stage 2. A pair for rank K agrees
+// with rank 0 in every digit, so its route check passes; that it can go
+// nowhere is found when it is scattered. The scripted submessage carries a
+// well-formed announcement, so the census fails on its route, not its
+// bytes.
 func TestLearningRunRejectsOffRoutePair(t *testing.T) {
 	runs := []struct {
 		name string
+		tag0 int // the run's stage-0 tag
 		run  func(*scriptComm, *vpt.Topology) error
 	}{
-		{"NewPersistent", func(sc *scriptComm, tp *vpt.Topology) error {
+		{"NewPersistent", tagBase, func(sc *scriptComm, tp *vpt.Topology) error {
 			_, _, err := NewPersistent(sc, tp, map[int][]byte{7: []byte("seed-payload")})
 			return err
 		}},
-		{"Exchange", func(sc *scriptComm, tp *vpt.Topology) error {
+		{"Exchange", tagBase, func(sc *scriptComm, tp *vpt.Topology) error {
 			_, err := Exchange(sc, tp, map[int][]byte{7: []byte("seed-payload")})
+			return err
+		}},
+		{"Census", censusTagBase, func(sc *scriptComm, tp *vpt.Topology) error {
+			_, err := Census(sc, tp, []PatchPair{{Src: 0, Dst: 7, Size: 8}})
 			return err
 		}},
 	}
@@ -66,10 +74,14 @@ func TestLearningRunRejectsOffRoutePair(t *testing.T) {
 	} {
 		for _, r := range runs {
 			t.Run(pair.name+"/"+r.name, func(t *testing.T) {
-				sc, tp := scriptedWorld()
-				sc.recvs[fmt.Sprintf("%d/%d", pair.from, tagBase+1)] = [][]byte{msg.Encode(nil, &msg.Message{
+				tp := vpt.MustNew(2, 2, 2)
+				sc := &scriptComm{rank: 0, size: 8, recvs: map[string][][]byte{}}
+				for d, from := range []int{1, 2, 4} {
+					sc.recvs[fmt.Sprintf("%d/%d", from, r.tag0+d)] = [][]byte{emptyFrame(from, 0)}
+				}
+				sc.recvs[fmt.Sprintf("%d/%d", pair.from, r.tag0+1)] = [][]byte{msg.Encode(nil, &msg.Message{
 					From: pair.from, To: 0,
-					Subs: []msg.Submessage{{Src: pair.src, Dst: pair.dst, Data: []byte("hi")}},
+					Subs: []msg.Submessage{{Src: pair.src, Dst: pair.dst, Data: []byte{annAdd, 8, 0, 0, 0}}},
 				})}
 				if err := r.run(sc, tp); err == nil || !strings.Contains(err.Error(), pair.want) {
 					t.Fatalf("err = %v, want one naming %q", err, pair.want)

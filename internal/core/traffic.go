@@ -11,21 +11,32 @@ import (
 // inbound set is complete and acknowledges at stage boundaries instead of
 // guessing an ack cadence. The hint names frames, not their sizes.
 
-// stageHint returns rank me's store-and-forward hint on t: stage d, under
-// StageTag(d), sends one frame to and expects one from every dimension-d
-// neighbour, whatever the pattern, so the hint depends on the topology and
-// the rank alone. route offers it before its first send, and a Replay
-// lowered from a layout keeps one across re-lowerings (lower), so a
-// transport that skips a hint whose backing slice it has seen (udpnet,
-// hier) does so exactly. Each stage's Sends and Recvs share one slice,
-// which transports only read.
-func stageHint(t *vpt.Topology, me int) []runtime.StageTraffic {
-	hint := make([]runtime.StageTraffic, t.N())
+// stageSkeleton returns rank me's store-and-forward stage skeleton on t,
+// with stage d under tag tag0+d: nbrs lists every neighbour, stage by
+// stage, each stage's dimension-d neighbours in digit order, which is
+// ascending rank order; stage d of hint sends one frame to and expects one
+// from each of them, whatever the pattern, and its Recvs are nbrs' window
+// for the stage. So the skeleton depends on the topology, the rank and the
+// tags alone. Each stage's Sends and Recvs share one window of one
+// PeerTraffic array, which transports only read. route builds both per
+// call and offers the hint before its first send; a Replay lowered from a
+// layout keeps its hint across re-lowerings (lower), so a transport that
+// skips a hint whose backing slice it has seen (udpnet, hier) does so
+// exactly.
+func stageSkeleton(t *vpt.Topology, me, tag0 int) (nbrs []int, hint []runtime.StageTraffic) {
+	nbrs = make([]int, 0, t.NumNeighbors())
+	peers := make([]runtime.PeerTraffic, t.NumNeighbors())
+	hint = make([]runtime.StageTraffic, t.N())
 	for d := range hint {
-		peers := peerTraffic(t.Neighbors(nil, me, d))
-		hint[d] = runtime.StageTraffic{Tag: StageTag(d), Dim: d, Sends: peers, Recvs: peers}
+		lo := len(nbrs)
+		nbrs = t.Neighbors(nbrs, me, d)
+		for j, nb := range nbrs[lo:] {
+			peers[lo+j] = runtime.PeerTraffic{Peer: nb, Frames: 1}
+		}
+		pt := peers[lo:len(nbrs):len(nbrs)]
+		hint[d] = runtime.StageTraffic{Tag: tag0 + d, Dim: d, Sends: pt, Recvs: pt}
 	}
-	return hint
+	return nbrs, hint
 }
 
 // directHint returns a direct replay's hint: its one stage's frames, one to

@@ -3,8 +3,10 @@ package dynamic_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"stfw/internal/core"
 	"stfw/internal/dynamic"
@@ -108,6 +110,67 @@ func TestDiscoverCoverage(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDiscoverUnderFaults: the census receives in arrival order and
+// returns its pairs sorted, so its result is a function of the deltas
+// alone. Behind tptest.Injector's delayed sends and reordered receives
+// (seeds 1 and 2) every rank's PatchDelta is DeepEqual to the one a plain
+// world returns, resizes included.
+func TestDiscoverUnderFaults(t *testing.T) {
+	const K = 16
+	tp := vpt.MustNew(4, 4)
+	rng := rand.New(rand.NewSource(16))
+	deltas := make([]dynamic.Delta, K)
+	for r := range deltas {
+		for i := 0; i < 3; i++ {
+			dst := rng.Intn(K)
+			switch i {
+			case 0:
+				deltas[r].Add = append(deltas[r].Add, dynamic.Announce{Dst: dst, Size: 8 * rng.Intn(9)})
+			case 1:
+				if dst != deltas[r].Add[0].Dst {
+					deltas[r].Remove = append(deltas[r].Remove, dst)
+				}
+			case 2: // a resize of the first addition's pair
+				deltas[r].Remove = append(deltas[r].Remove, deltas[r].Add[0].Dst)
+			}
+		}
+	}
+	census := func(comms []runtime.Comm) []*core.PatchDelta {
+		got := make([]*core.PatchDelta, K)
+		err := runtime.Run(comms, func(c runtime.Comm) error {
+			pd, err := dynamic.Discover(c, tp, deltas[c.Rank()])
+			got[c.Rank()] = pd
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	w, err := chanpt.NewWorld(K, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := census(w.Comms())
+	for _, cfg := range []tptest.FaultConfig{
+		{Seed: 1, Delay: 0.5, MaxDelay: 100 * time.Microsecond},
+		{Seed: 2, Delay: 0.5, MaxDelay: 100 * time.Microsecond},
+		{Seed: 1, Reorder: 0.5},
+		{Seed: 2, Reorder: 0.5},
+	} {
+		inj := tptest.NewInjector(cfg)
+		got := census(inj.WrapAll(w.Comms()))
+		if st := inj.Stats(); st.Delayed+st.Reordered == 0 {
+			t.Fatalf("%+v: no fault fired", cfg)
+		}
+		for me := range got {
+			if !reflect.DeepEqual(got[me], want[me]) {
+				t.Errorf("%+v rank %d: census returned %+v, plain world %+v", cfg, me, got[me].Pairs, want[me].Pairs)
+			}
+		}
 	}
 }
 

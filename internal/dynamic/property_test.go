@@ -21,8 +21,10 @@ import (
 	"stfw/internal/msg"
 	"stfw/internal/runtime"
 	"stfw/internal/transport/chanpt"
+	"stfw/internal/transport/hier"
 	"stfw/internal/transport/tcpnet"
 	"stfw/internal/transport/tptest"
+	"stfw/internal/transport/udpnet"
 	"stfw/internal/vpt"
 )
 
@@ -372,6 +374,73 @@ func TestDynamicPropertyTCP(t *testing.T) {
 			}
 			defer w.Close()
 			runChurnProperty(t, tp, w.Comms(), c.rounds, int64(c.K)*11+int64(c.n))
+		})
+	}
+}
+
+// TestDynamicPropertyUDP runs the property over udpnet, whose hinted flow
+// control now sees the census's stages as well as the payload's.
+func TestDynamicPropertyUDP(t *testing.T) {
+	cells := []struct{ K, n, rounds int }{{8, 3, 2}, {16, 2, 2}}
+	if !testing.Short() {
+		cells = append(cells, struct{ K, n, rounds int }{64, 3, 1})
+	}
+	for _, c := range cells {
+		t.Run(fmt.Sprintf("K=%d/n=%d", c.K, c.n), func(t *testing.T) {
+			tp, err := vpt.NewBalanced(c.K, c.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := udpnet.NewWorld(c.K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			runChurnProperty(t, tp, w.Comms(), c.rounds, int64(c.K)*13+int64(c.n))
+		})
+	}
+}
+
+// TestDynamicPropertyHier runs the property over the hier composite:
+// chanpt within each half of the world, tcpnet between the halves. A frame
+// between the halves takes a copying route, so the mux recycles the
+// sender's pooled buffer and the receiver recycles the copy, census frames
+// included.
+func TestDynamicPropertyHier(t *testing.T) {
+	chanWorld := func(size int) ([]runtime.Comm, func(), error) {
+		w, err := chanpt.NewWorld(size, 2)
+		if err != nil {
+			return nil, nil, err
+		}
+		return w.Comms(), w.Close, nil
+	}
+	tcpWorld := func(size int) ([]runtime.Comm, func(), error) {
+		w, err := tcpnet.NewWorld(size)
+		if err != nil {
+			return nil, nil, err
+		}
+		return w.Comms(), w.Close, nil
+	}
+	mux := func(subs ...[]runtime.Comm) ([]runtime.Comm, error) {
+		half := (len(subs[0]) + 1) / 2
+		w, err := hier.New(hier.Config{Inner: subs[0], Outer: subs[1], NodeOf: func(r int) int { return r / half }})
+		if err != nil {
+			return nil, err
+		}
+		return w.Comms(), nil
+	}
+	for _, c := range []struct{ K, n, rounds int }{{8, 3, 2}, {16, 2, 2}} {
+		t.Run(fmt.Sprintf("K=%d/n=%d", c.K, c.n), func(t *testing.T) {
+			tp, err := vpt.NewBalanced(c.K, c.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comms, closeWorld, err := tptest.Composite(mux, chanWorld, tcpWorld)(c.K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeWorld()
+			runChurnProperty(t, tp, comms, c.rounds, int64(c.K)*17+int64(c.n))
 		})
 	}
 }

@@ -264,8 +264,8 @@ type Rank struct {
 	cursor atomic.Int64 // total spans ever recorded; ring index = cursor & (cap-1)
 
 	// exchanges counts the exchanges opened with Sample. Every sampling
-	// decision is a function of it alone; atomic because the pipelined send
-	// worker (CountSend) and snapshots read it while the rank runs.
+	// decision is a function of it alone; atomic because snapshots read it
+	// while the rank runs.
 	exchanges atomic.Int64
 
 	// linkSrc holds the transport's per-link wire-stats source for this

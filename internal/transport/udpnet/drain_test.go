@@ -169,11 +169,11 @@ func TestSharedLinkCoalesces(t *testing.T) {
 // TestOneFramePerStageLinks: on a store-and-forward replay every link
 // carries one frame per stage, so the rule leaves it as it was: K=64 over
 // T3(4,4,4), frames well under a datagram, 50 compiled iterations after
-// warm-up put one data datagram on the wire per scheduled frame. Not
-// exactly one: a rank that runs a whole iteration ahead of its own sender
-// goroutine finds its last frame to a neighbour still in the open packet
-// and joins it, as it always could (a few dozen of the 28 800 frames on
-// two cores, before the rule and after); the bound allows one in a hundred.
+// warm-up put exactly one data datagram on the wire per scheduled frame.
+// The measured iterations run in lock step (tptest.Lockstep): a rank that
+// ran a whole iteration ahead of its own sender goroutine could find its
+// last frame to a neighbour still in the open packet and join it, which
+// free-running ranks on two cores did for a few dozen of the 28 800 frames.
 func TestOneFramePerStageLinks(t *testing.T) {
 	const K, xlen, dests, iters = 64, 64, 4, 50
 	tp := vpt.MustNew(4, 4, 4)
@@ -183,49 +183,51 @@ func TestOneFramePerStageLinks(t *testing.T) {
 	}
 	defer w.Close()
 	reps := make([]*core.Replay, K)
+	halos := make([][]float64, K)
 	x := make([]float64, K*xlen)
-	run := func(n int) error {
-		return runtime.Run(w.Comms(), func(c runtime.Comm) error {
-			me := c.Rank()
-			if reps[me] == nil {
-				payloads := map[int][]byte{}
-				gather := map[int][]int32{}
-				for k := 1; k <= dests; k++ {
-					dst := (me + 9*k) % K
-					payloads[dst] = make([]byte, 8*k)
-					gather[dst] = make([]int32, k)
-				}
-				p, _, err := core.NewPersistent(c, tp, payloads)
-				if err != nil {
-					return err
-				}
-				if reps[me], err = p.Compile(xlen, gather); err != nil {
-					return err
-				}
+	err = runtime.Run(w.Comms(), func(c runtime.Comm) error {
+		me := c.Rank()
+		payloads := map[int][]byte{}
+		gather := map[int][]int32{}
+		for k := 1; k <= dests; k++ {
+			dst := (me + 9*k) % K
+			payloads[dst] = make([]byte, 8*k)
+			gather[dst] = make([]int32, k)
+		}
+		p, _, err := core.NewPersistent(c, tp, payloads)
+		if err != nil {
+			return err
+		}
+		if reps[me], err = p.Compile(xlen, gather); err != nil {
+			return err
+		}
+		halos[me] = make([]float64, reps[me].HaloWords())
+		for i := 0; i < 5; i++ {
+			if err := reps[me].Run(c, x[me*xlen:(me+1)*xlen], halos[me]); err != nil {
+				return err
 			}
-			halo := make([]float64, reps[me].HaloWords())
-			for i := 0; i < n; i++ {
-				if err := reps[me].Run(c, x[me*xlen:(me+1)*xlen], halo); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	if err := run(5); err != nil {
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	step, stop := tptest.Lockstep(w.Comms(), func(c runtime.Comm, _ int) error {
+		me := c.Rank()
+		return reps[me].Run(c, x[me*xlen:(me+1)*xlen], halos[me])
+	})
+	defer stop()
 	a := w.Stats()
-	if err := run(iters); err != nil {
-		t.Fatal(err)
+	for i := 0; i < iters; i++ {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	b := w.Stats()
 	frames := int64(iters * K * (3 + 3 + 3)) // a frame to every neighbour of every stage
-	got := b.DataSent - a.DataSent
-	if got > frames || 100*(frames-got) > frames {
+	if got := b.DataSent - a.DataSent; got != frames {
 		t.Errorf("%d data datagrams for %d one-per-stage frames, want one each", got, frames)
 	}
-	t.Logf("%d data datagrams for %d frames", got, frames)
 }
 
 // TestCloseFlushesYieldedPass: a Close that lands while the sender
